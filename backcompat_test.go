@@ -1,6 +1,7 @@
 package mcmpart
 
 import (
+	"context"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -127,7 +128,7 @@ func TestBackCompatRingPresetsBitIdentical(t *testing.T) {
 }
 
 // TestNewPresetsEndToEnd pins that the heterogeneous and non-ring presets
-// work through the full PartitionGraph pipeline (the library form of
+// work through the full Planner.Plan pipeline (the library form of
 // `mcmpart -mcm het4` / `-mcm mesh16`), simulator evaluation included.
 func TestNewPresetsEndToEnd(t *testing.T) {
 	ds := workload.Corpus(1)
@@ -149,7 +150,12 @@ func TestNewPresetsEndToEnd(t *testing.T) {
 		{mcm.Dev8Bi(), fits},
 	}
 	for _, c := range cases {
-		res, err := PartitionGraph(c.g, c.pkg, Options{
+		pl, err := NewPlanner(c.pkg)
+		if err != nil {
+			t.Errorf("%s: %v", c.pkg.Name, err)
+			continue
+		}
+		res, err := pl.Plan(context.Background(), c.g, PlanOptions{
 			Method:       MethodRandom,
 			SampleBudget: 25,
 			Seed:         3,

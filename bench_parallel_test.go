@@ -1,9 +1,8 @@
 // Benchmarks for the parallel execution engine: each hot path runs at
 // workers=1 and workers=default so `go test -bench=Parallel` shows the
-// pool's effect directly (cmd/mcmbench emits the same comparison as JSON
-// for the PR-over-PR trajectory in BENCH_PR*.json). On multi-core hardware
-// the default-workers variants should win; outputs are identical either
-// way, which TestWorkerCountDeterminism* pins down.
+// pool's effect directly. On multi-core hardware the default-workers
+// variants should win; outputs are identical either way, which
+// TestWorkerCountDeterminism* pins down.
 package mcmpart_test
 
 import (

@@ -12,13 +12,18 @@ import (
 // it), and the normalized options. Everything a plan's output depends on is
 // in the key; everything else (graph names, node insertion order, Progress
 // callbacks) is deliberately not. See DESIGN.md, "The cache-key contract".
+//
+// The leading v=2 names the entry layout: partitions are stored by
+// canonical node position (see canonicalize). Entries a pre-v2 daemon wrote
+// to a shared disk tier hold ID-ordered partitions under unversioned keys,
+// which no v2 lookup can name — they are never served.
 func planCacheKey(graphFP, pkgFP, policyFP string, opts PlanOptions) string {
 	if opts.Method != MethodZeroShot && opts.Method != MethodFineTune {
 		// From-scratch methods are policy-independent: hitting the cache
 		// across policy installs is correct and desirable.
 		policyFP = ""
 	}
-	return fmt.Sprintf("g=%s|p=%s|w=%s|m=%s|b=%d|s=%d|sim=%t|a=%t",
+	return fmt.Sprintf("v=2|g=%s|p=%s|w=%s|m=%s|b=%d|s=%d|sim=%t|a=%t",
 		graphFP, pkgFP, policyFP, opts.Method, opts.SampleBudget, opts.Seed, opts.UseSimulator, opts.SeedFromAnalytic)
 }
 
@@ -38,6 +43,24 @@ func cloneResult(r *Result) *Result {
 		}
 	}
 	return &c
+}
+
+// canonicalize re-indexes a freshly planned result's partition from the
+// planned graph's node IDs to canonical node positions (pos is
+// graph.CanonicalPositions of that graph; nil is the identity). Everything
+// the Service keeps for a cache key — memory entry, disk entry, the flight's
+// outcome — is in this order, so it fits every graph with the key's
+// fingerprint, whatever order its nodes were inserted in; Job.finish maps
+// it to the receiving job's own node IDs.
+func canonicalize(res *Result, pos []int) {
+	if res == nil || len(pos) != len(res.Partition) {
+		return
+	}
+	canon := make(Partition, len(pos))
+	for v, p := range pos {
+		canon[p] = res.Partition[v]
+	}
+	res.Partition = canon
 }
 
 // planCache is a bounded LRU of completed plans. All methods are safe for

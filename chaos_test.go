@@ -77,7 +77,7 @@ func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 	faultinject.Enable(set)
 	t.Cleanup(faultinject.Disable)
 
-	client := mcmpart.NewClientWithOptions(srv.URL, nil, mcmpart.ClientOptions{
+	client := mcmpart.NewClient(srv.URL, nil, mcmpart.ClientOptions{
 		MaxRetries:  6,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  10 * time.Millisecond,

@@ -17,9 +17,8 @@ import (
 )
 
 // ClientOptions configure a Client's resilience behavior. The zero value
-// (and NewClient) keeps the historical semantics: no retries, every
-// failure surfaced immediately — retrying is opt-in because it multiplies
-// load exactly when the daemon says it is overloaded.
+// means no retries, every failure surfaced immediately — retrying is opt-in
+// because it multiplies load exactly when the daemon says it is overloaded.
 type ClientOptions struct {
 	// MaxRetries is how many times a failed request is retried beyond the
 	// first attempt (0 disables retrying). Only idempotent-safe failures
@@ -94,13 +93,8 @@ type Client struct {
 
 // NewClient returns a client for the daemon at baseURL (e.g.
 // "http://localhost:7433"). httpClient may be nil for http.DefaultClient.
-// Retrying is off; see NewClientWithOptions.
-func NewClient(baseURL string, httpClient *http.Client) *Client {
-	return NewClientWithOptions(baseURL, httpClient, ClientOptions{})
-}
-
-// NewClientWithOptions returns a client with explicit resilience options.
-func NewClientWithOptions(baseURL string, httpClient *http.Client, opts ClientOptions) *Client {
+// The zero ClientOptions keep retrying off.
+func NewClient(baseURL string, httpClient *http.Client, opts ClientOptions) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}

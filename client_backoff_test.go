@@ -21,7 +21,7 @@ import (
 // backoff. The fixed computation must be monotone non-decreasing and
 // pinned at MaxBackoff once it caps.
 func TestBackoffShiftSaturates(t *testing.T) {
-	c := NewClientWithOptions("http://unused", nil, ClientOptions{
+	c := NewClient("http://unused", nil, ClientOptions{
 		MaxRetries:  40,
 		BaseBackoff: time.Duration(1<<50 + 1),
 		MaxBackoff:  2 * time.Second,
@@ -45,7 +45,7 @@ func TestBackoffShiftSaturates(t *testing.T) {
 // TestBackoffDoublesUntilCap checks the ordinary schedule is untouched by
 // the saturation rewrite: base, 2*base, 4*base, ... then MaxBackoff.
 func TestBackoffDoublesUntilCap(t *testing.T) {
-	c := NewClientWithOptions("http://unused", nil, ClientOptions{
+	c := NewClient("http://unused", nil, ClientOptions{
 		BaseBackoff: 100 * time.Millisecond,
 		MaxBackoff:  2 * time.Second,
 	})
@@ -97,7 +97,7 @@ func TestRetryAfterHTTPDateFromServer(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
-	c := NewClient(srv.URL, nil)
+	c := NewClient(srv.URL, nil, ClientOptions{})
 	c.now = func() time.Time { return base }
 	err := c.Health(context.Background())
 	var apiErr *APIError
@@ -128,7 +128,7 @@ func TestOnRetryObserver(t *testing.T) {
 		delay   time.Duration
 	}
 	var seen []retry
-	c := NewClientWithOptions(srv.URL, nil, ClientOptions{
+	c := NewClient(srv.URL, nil, ClientOptions{
 		MaxRetries:  5,
 		BaseBackoff: time.Microsecond,
 		MaxBackoff:  time.Millisecond,

@@ -72,7 +72,7 @@ func TestClientErrorMappingTable(t *testing.T) {
 				_, _ = w.Write([]byte(tc.body))
 			}))
 			defer srv.Close()
-			cl := mcmpart.NewClient(srv.URL, srv.Client())
+			cl := mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{})
 			_, err := cl.Plan(context.Background(), smallGraph(t), mcmpart.PlanOptions{})
 			if err == nil {
 				t.Fatal("expected an error")
@@ -108,7 +108,7 @@ func TestClientSentinelsRoundTripRealDaemon(t *testing.T) {
 	srv := httptest.NewServer(mcmpart.NewHTTPHandler(svc))
 	defer srv.Close()
 	defer svc.Close()
-	cl := mcmpart.NewClient(srv.URL, srv.Client())
+	cl := mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{})
 	ctx := context.Background()
 	g := smallGraph(t)
 
@@ -186,7 +186,7 @@ func TestInvalidRequestSentinel(t *testing.T) {
 
 	srv := httptest.NewServer(mcmpart.NewHTTPHandler(svc))
 	defer srv.Close()
-	cl := mcmpart.NewClient(srv.URL, srv.Client())
+	cl := mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{})
 	_, err = cl.Plan(ctx, g, mcmpart.PlanOptions{SampleBudget: -4})
 	if !errors.Is(err, mcmpart.ErrInvalidRequest) {
 		t.Fatalf("over HTTP: err = %v, want ErrInvalidRequest", err)

@@ -41,7 +41,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := mcmpart.NewClientWithOptions(srv.URL, nil, retryClientOptions(3))
+	c := mcmpart.NewClient(srv.URL, nil, retryClientOptions(3))
 	if err := c.Health(context.Background()); err != nil {
 		t.Fatalf("retrying client must outlast 2 transient failures: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := mcmpart.NewClientWithOptions(srv.URL, nil, retryClientOptions(2))
+	c := mcmpart.NewClient(srv.URL, nil, retryClientOptions(2))
 	err := c.Health(context.Background())
 	if !errors.Is(err, mcmpart.ErrBusy) {
 		t.Fatalf("err = %v, want ErrBusy", err)
@@ -83,7 +83,7 @@ func TestClientDoesNotRetryFatalErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := mcmpart.NewClientWithOptions(srv.URL, nil, retryClientOptions(5))
+	c := mcmpart.NewClient(srv.URL, nil, retryClientOptions(5))
 	var apiErr *mcmpart.APIError
 	if err := c.Health(context.Background()); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("err = %v, want a 400 APIError", err)
@@ -104,7 +104,7 @@ func TestClientDefaultHasNoRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := mcmpart.NewClient(srv.URL, nil)
+	c := mcmpart.NewClient(srv.URL, nil, mcmpart.ClientOptions{})
 	if err := c.Health(context.Background()); !errors.Is(err, mcmpart.ErrServiceClosed) {
 		t.Fatalf("err = %v, want ErrServiceClosed", err)
 	}
@@ -122,7 +122,7 @@ func TestAPIErrorCarriesRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	err := mcmpart.NewClient(srv.URL, nil).Health(context.Background())
+	err := mcmpart.NewClient(srv.URL, nil, mcmpart.ClientOptions{}).Health(context.Background())
 	var apiErr *mcmpart.APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want APIError", err)
@@ -148,7 +148,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := mcmpart.NewClientWithOptions(srv.URL, nil, retryClientOptions(1))
+	c := mcmpart.NewClient(srv.URL, nil, retryClientOptions(1))
 	start := time.Now()
 	if err := c.Health(context.Background()); err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestClientRetryRespectsContext(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := mcmpart.NewClientWithOptions(srv.URL, nil, retryClientOptions(3))
+	c := mcmpart.NewClient(srv.URL, nil, retryClientOptions(3))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -213,7 +213,7 @@ func TestWaitJobToleratesTransientPollFailures(t *testing.T) {
 	srv := flakyJobServer(t, []string{"err", "err", "running", "err", "err", "running", "err", "done"})
 	defer srv.Close()
 
-	c := mcmpart.NewClientWithOptions(srv.URL, nil, mcmpart.ClientOptions{PollErrorBudget: 3})
+	c := mcmpart.NewClient(srv.URL, nil, mcmpart.ClientOptions{PollErrorBudget: 3})
 	resp, err := c.WaitJob(context.Background(), "job-1", time.Millisecond)
 	if err != nil {
 		t.Fatalf("WaitJob must ride out transient polls within budget: %v", err)
@@ -229,7 +229,7 @@ func TestWaitJobGivesUpAfterBudget(t *testing.T) {
 	srv := flakyJobServer(t, []string{"running", "err", "err", "err", "err"})
 	defer srv.Close()
 
-	c := mcmpart.NewClientWithOptions(srv.URL, nil, mcmpart.ClientOptions{PollErrorBudget: 3})
+	c := mcmpart.NewClient(srv.URL, nil, mcmpart.ClientOptions{PollErrorBudget: 3})
 	_, err := c.WaitJob(context.Background(), "job-1", time.Millisecond)
 	if err == nil {
 		t.Fatal("WaitJob must give up once consecutive failures exhaust the budget")
@@ -244,7 +244,7 @@ func TestWaitJobFatalErrorAborts(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := mcmpart.NewClientWithOptions(srv.URL, nil, mcmpart.ClientOptions{PollErrorBudget: 50})
+	c := mcmpart.NewClient(srv.URL, nil, mcmpart.ClientOptions{PollErrorBudget: 50})
 	var apiErr *mcmpart.APIError
 	if _, err := c.WaitJob(context.Background(), "nope", time.Millisecond); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Fatalf("err = %v, want an immediate 404 APIError", err)

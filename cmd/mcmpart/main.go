@@ -20,8 +20,7 @@
 //
 // -mcm selects the target package: a preset name (dev4, dev8, dev8bi,
 // edge36, het4, mesh16) or a path to a package JSON descriptor (see
-// cmd/mcmgen -what packages for examples). -package is the deprecated
-// alias of -mcm.
+// cmd/mcmgen -what packages for examples); the default is edge36.
 //
 // Transferability flags (the paper's pretrain → zero-shot / fine-tune
 // workflow):
@@ -57,13 +56,13 @@ import (
 
 	"mcmpart"
 	"mcmpart/internal/graph"
+	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
 )
 
 func main() {
 	graphPath := flag.String("graph", "", "path to the graph JSON (required; \"bert\" for the built-in BERT)")
-	mcmSpec := flag.String("mcm", "", "target package: preset name (dev4, dev8, dev8bi, edge36, het4, mesh16) or package JSON path")
-	pkgName := flag.String("package", "", "deprecated alias of -mcm")
+	mcmSpec := flag.String("mcm", "edge36", "target package: preset name (dev4, dev8, dev8bi, edge36, het4, mesh16) or package JSON path")
 	method := flag.String("method", "rl", "partitioning method: greedy, random, sa, rl, zeroshot, finetune, or analytic (evaluator-free static-analysis fast path; scales to 100k-node graphs, ignores -budget)")
 	budget := flag.Int("budget", 200, "sample budget for search methods")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -96,14 +95,7 @@ func main() {
 			fatal(fmt.Errorf("parsing %s: %w", *graphPath, err))
 		}
 	}
-	spec := *mcmSpec
-	if spec == "" {
-		spec = *pkgName
-	}
-	if spec == "" {
-		spec = "edge36"
-	}
-	pkg, err := loadPackage(spec)
+	pkg, err := mcm.Load(*mcmSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -217,21 +209,6 @@ func progressFunc(stage string) mcmpart.ProgressFunc {
 				stage, ev.Samples, ev.BestImprovement, time.Since(start).Seconds())
 		}
 	}
-}
-
-// loadPackage resolves -mcm: preset names first, then package JSON files.
-func loadPackage(spec string) (*mcmpart.Package, error) {
-	pkg, presetErr := mcmpart.PackagePreset(spec)
-	if presetErr == nil {
-		return pkg, nil
-	}
-	data, err := os.ReadFile(spec)
-	if err != nil {
-		// Neither a preset nor a readable file; the preset error carries
-		// the authoritative list of valid names.
-		return nil, fmt.Errorf("-mcm %q is not a package JSON file (%w); %v", spec, err, presetErr)
-	}
-	return mcmpart.ParsePackageJSON(data)
 }
 
 func fatal(err error) {

@@ -45,14 +45,14 @@
 // Every request is logged through log/slog (text by default, JSON with
 // -log-json) with its request ID — the caller's X-Request-ID header or a
 // generated one — and measured into the Prometheus registry served at
-// GET /metrics (metric contract: DESIGN.md §14).
+// GET /metrics (metric contract: DESIGN.md §14). The disk cache tier's
+// quarantines and write failures go to the same logger.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net"
@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"mcmpart"
+	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
 )
 
@@ -100,7 +101,7 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 	}
 	logger := slog.New(logHandler)
 
-	pkg, err := loadPackage(*mcmSpec)
+	pkg, err := mcm.Load(*mcmSpec)
 	if err != nil {
 		log.Print(err)
 		return 1
@@ -111,6 +112,7 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
 		PolicyDir:    *policyDir,
+		Logger:       logger,
 	})
 	if err != nil {
 		log.Print(err)
@@ -129,7 +131,7 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 		log.Print(err)
 		return 1
 	}
-	server := &http.Server{Handler: mcmpart.NewHTTPHandlerWithOptions(svc, mcmpart.HTTPOptions{Logger: logger})}
+	server := &http.Server{Handler: mcmpart.NewHTTPHandler(svc)}
 
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -161,17 +163,4 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 		return 1
 	}
 	return 0
-}
-
-// loadPackage resolves -mcm: preset names first, then package JSON files.
-func loadPackage(spec string) (*mcmpart.Package, error) {
-	pkg, presetErr := mcmpart.PackagePreset(spec)
-	if presetErr == nil {
-		return pkg, nil
-	}
-	data, err := os.ReadFile(spec)
-	if err != nil {
-		return nil, fmt.Errorf("-mcm %q is not a package JSON file (%w); %v", spec, err, presetErr)
-	}
-	return mcmpart.ParsePackageJSON(data)
 }

@@ -54,7 +54,7 @@ func bootDaemonHandle(t *testing.T, args []string) *daemonHandle {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not become ready")
 	}
-	d := &daemonHandle{Client: mcmpart.NewClient("http://"+addr, nil), cancel: cancel, done: done}
+	d := &daemonHandle{Client: mcmpart.NewClient("http://"+addr, nil, mcmpart.ClientOptions{}), cancel: cancel, done: done}
 	t.Cleanup(func() {
 		d.Signal()
 		if code := d.Wait(t); code != 0 {

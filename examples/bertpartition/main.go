@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,9 +20,13 @@ func main() {
 	fmt.Printf("workload: %v (%d MiB of weights)\n", g, g.TotalParamBytes()>>20)
 	fmt.Printf("package:  %v\n\n", pkg)
 
+	planner, err := mcmpart.NewPlanner(pkg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	budget := 120
 	for _, method := range []mcmpart.Method{mcmpart.MethodGreedy, mcmpart.MethodRandom, mcmpart.MethodSA} {
-		res, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{
+		res, err := planner.Plan(context.Background(), g, mcmpart.PlanOptions{
 			Method:       method,
 			SampleBudget: budget,
 			Seed:         7,

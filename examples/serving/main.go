@@ -53,7 +53,7 @@ func main() {
 	//mcmlint:ignore goleak Serve returns when the deferred server.Close runs; the example exits right after
 	go server.Serve(ln)
 	defer server.Close()
-	cl := mcmpart.NewClient("http://"+ln.Addr().String(), nil)
+	cl := mcmpart.NewClient("http://"+ln.Addr().String(), nil, mcmpart.ClientOptions{})
 	check(cl.Health(ctx))
 	fmt.Println("daemon up on", ln.Addr())
 

@@ -27,13 +27,13 @@ func FuzzPlan(f *testing.F) {
 		})
 		methods := []mcmpart.Method{mcmpart.MethodGreedy, mcmpart.MethodRandom, mcmpart.MethodSA}
 		pkg := mcmpart.Dev4()
-		opts := mcmpart.Options{
+		opts := mcmpart.PlanOptions{
 			Method:       methods[int(methodIdx)%len(methods)],
 			SampleBudget: 1 + int(budget%6),
 			Seed:         int64(uint64(seed) >> 1), // PlanOptions seeds are non-negative
 			UseSimulator: useSim,
 		}
-		res, err := mcmpart.PartitionGraph(g, pkg, opts)
+		res, err := planOnce(g, pkg, opts)
 		if err != nil {
 			if res != nil {
 				t.Fatalf("error %v came with a non-nil result", err)

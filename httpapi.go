@@ -57,7 +57,8 @@ func (w PlanOptionsWire) Options() PlanOptions {
 	}
 }
 
-// ResultWire is the JSON form of Result.
+// ResultWire is the JSON form of Result: the same fields, in the same
+// order, with JSON names.
 type ResultWire struct {
 	Partition   Partition      `json:"partition"`
 	Throughput  float64        `json:"throughput"`
@@ -67,34 +68,13 @@ type ResultWire struct {
 	FailCounts  map[string]int `json:"fail_counts,omitempty"`
 }
 
-func resultToWire(r *Result) *ResultWire {
-	if r == nil {
-		return nil
-	}
-	return &ResultWire{
-		Partition:   r.Partition,
-		Throughput:  r.Throughput,
-		Improvement: r.Improvement,
-		Samples:     r.Samples,
-		History:     r.History,
-		FailCounts:  r.FailCounts,
-	}
-}
+// ResultWire and Result have the same fields in the same order, so the two
+// directions are pointer conversions (nil stays nil); like any wire form
+// they share the slices and the map with what they were converted from.
+func resultToWire(r *Result) *ResultWire { return (*ResultWire)(r) }
 
 // Result converts the wire form back to a Result.
-func (w *ResultWire) Result() *Result {
-	if w == nil {
-		return nil
-	}
-	return &Result{
-		Partition:   w.Partition,
-		Throughput:  w.Throughput,
-		Improvement: w.Improvement,
-		Samples:     w.Samples,
-		History:     w.History,
-		FailCounts:  w.FailCounts,
-	}
-}
+func (w *ResultWire) Result() *Result { return (*Result)(w) }
 
 // PlanRequestWire is the body of POST /v1/plan and POST /v1/jobs.
 type PlanRequestWire struct {
@@ -139,14 +119,6 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// HTTPOptions configure NewHTTPHandlerWithOptions.
-type HTTPOptions struct {
-	// Logger receives one structured line per request — method, route,
-	// status, duration, request ID. nil discards the log stream (metrics
-	// are recorded either way).
-	Logger *slog.Logger
-}
-
 // Help strings for the per-route HTTP metrics; the registry keys help on
 // the family, so every registration site must agree.
 const (
@@ -168,13 +140,6 @@ var httpRoutes = []string{
 	"GET /healthz",
 }
 
-// NewHTTPHandler exposes a Service over the HTTP JSON API (see the package
-// comment above for the routes). cmd/mcmpartd serves exactly this handler;
-// embedding applications can mount it on their own mux.
-func NewHTTPHandler(svc *Service) http.Handler {
-	return NewHTTPHandlerWithOptions(svc, HTTPOptions{})
-}
-
 // statusWriter captures the response code for metrics and logs.
 type statusWriter struct {
 	http.ResponseWriter
@@ -186,15 +151,13 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// NewHTTPHandlerWithOptions is NewHTTPHandler plus observability wiring:
-// every request is measured into the service's telemetry registry
+// NewHTTPHandler exposes a Service over the HTTP JSON API (see the comment
+// at the top of this file for the routes). cmd/mcmpartd serves exactly this
+// handler; embedding applications can mount it on their own mux. Every
+// request is measured into the service's telemetry registry
 // (mcmpart_http_requests_total, mcmpart_http_request_seconds) and logged
-// through opts.Logger with its request ID.
-func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler {
-	logger := httpOpts.Logger
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
-	}
+// through ServiceOptions.Logger with its request ID.
+func NewHTTPHandler(svc *Service) http.Handler {
 	reg := svc.Metrics()
 	for _, route := range httpRoutes {
 		reg.Histogram("mcmpart_http_request_seconds", httpLatencyHelp, telemetry.DefBuckets,
@@ -204,25 +167,11 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", telemetry.Handler(reg))
 	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodePlanRequest(w, r)
+		job, g, ok := submitPlanRequest(svc, w, r)
 		if !ok {
 			return
 		}
-		job, err := svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
-		if err != nil {
-			writeServiceError(w, err)
-			return
-		}
-		var res *Result
-		select {
-		case <-job.Done():
-			res, err = job.Result()
-		case <-r.Context().Done():
-			job.Cancel()
-			<-job.Done()
-			res, _ = job.Result()
-			err = r.Context().Err()
-		}
+		res, err := awaitJob(r.Context(), job)
 		if err != nil && res == nil {
 			writeServiceError(w, err)
 			return
@@ -232,7 +181,7 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 			Result:           resultToWire(res),
 			Cached:           status.Cached,
 			Coalesced:        status.Coalesced,
-			GraphFingerprint: req.Graph.Fingerprint(),
+			GraphFingerprint: g.Fingerprint(),
 		}
 		if err != nil {
 			resp.Error = err.Error()
@@ -241,16 +190,9 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 	})
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodePlanRequest(w, r)
-		if !ok {
-			return
+		if job, _, ok := submitPlanRequest(svc, w, r); ok {
+			writeJSON(w, http.StatusAccepted, job.Status())
 		}
-		job, err := svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
-		if err != nil {
-			writeServiceError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job.Status())
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +222,7 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 		pkg := svc.Package()
 		writeJSON(w, http.StatusOK, PoliciesResponse{
 			Package:            pkg.Name,
-			PackageFingerprint: svc.Stats().PackageFingerprint,
+			PackageFingerprint: svc.pkgFP,
 			PolicyInstalled:    svc.Planner().HasPolicy(),
 			PolicyFingerprint:  svc.Planner().PolicyFingerprint(),
 			Policies:           svc.Policies(),
@@ -295,7 +237,7 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 		// A draining service reports unhealthy so load balancers stop
 		// routing to it, while the still-open routes (job status, stats)
 		// keep serving the requests it already owns.
-		if svc.Stats().Draining {
+		if svc.draining() {
 			w.Header().Set("Retry-After", retryAfterValue)
 			writeJSON(w, http.StatusServiceUnavailable, map[string]bool{"ok": false, "draining": true})
 			return
@@ -325,7 +267,7 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 			telemetry.Label{Name: "code", Value: strconv.Itoa(sw.code)}).Inc()
 		reg.Histogram("mcmpart_http_request_seconds", httpLatencyHelp, telemetry.DefBuckets,
 			telemetry.Label{Name: "route", Value: route}).Observe(elapsed.Seconds())
-		logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+		svc.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("request_id", rid),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
@@ -336,22 +278,28 @@ func NewHTTPHandlerWithOptions(svc *Service, httpOpts HTTPOptions) http.Handler 
 	})
 }
 
-// decodePlanRequest parses and structurally validates the shared body of
-// the plan and jobs endpoints. (Graph.UnmarshalJSON already validates the
-// graph; option validation happens in Submit.)
-func decodePlanRequest(w http.ResponseWriter, r *http.Request) (PlanRequestWire, bool) {
+// submitPlanRequest is the shared front half of the plan and jobs
+// endpoints: it parses the body (Graph.UnmarshalJSON validates the graph;
+// option validation happens in Submit) and submits it. On failure the error
+// response is already written and ok is false.
+func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, g *Graph, ok bool) {
 	var req PlanRequestWire
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "decoding request: " + err.Error()})
-		return req, false
+		return nil, nil, false
 	}
 	if req.Graph == nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "request has no graph"})
-		return req, false
+		return nil, nil, false
 	}
-	return req, true
+	job, err := svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
+	if err != nil {
+		writeServiceError(w, err)
+		return nil, nil, false
+	}
+	return job, req.Graph, true
 }
 
 // retryAfterValue is the Retry-After advertised on 429 and 503: long

@@ -22,7 +22,7 @@ func newTestServer(t *testing.T, opts mcmpart.ServiceOptions) (*mcmpart.Service,
 		srv.Close()
 		svc.Close()
 	})
-	return svc, mcmpart.NewClient(srv.URL, srv.Client())
+	return svc, mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{})
 }
 
 func TestHTTPPlanRoundTripAndCache(t *testing.T) {

@@ -138,7 +138,11 @@ func TestBrokenPricingFailsMonotonicity(t *testing.T) {
 func TestBrokenPlanFailsValidity(t *testing.T) {
 	pkg := mcmpart.Dev4()
 	g := randgraph.Sample(1, 0)
-	res, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{Method: mcmpart.MethodGreedy})
+	pl, err := mcmpart.NewPlanner(pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Plan(context.Background(), g, mcmpart.PlanOptions{Method: mcmpart.MethodGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,24 +35,40 @@ import (
 // descendant structure, and the individualization order among them cannot
 // change the encoding for any graph whose ties are true automorphisms —
 // which covers the replicated-branch patterns real models exhibit.
-func (g *Graph) Fingerprint() string {
+func (g *Graph) Fingerprint() string { return g.fingerprinted().val }
+
+// CanonicalPositions returns, for every node ID, the node's position in the
+// canonical order Fingerprint hashes. Two graphs with equal fingerprints
+// are isomorphic through these positions: node v of one and node w of the
+// other correspond when their positions are equal, so per-node data (a
+// partition) stored by canonical position fits every graph with that
+// fingerprint. The slice is memoized with the fingerprint and shared — do
+// not modify it. It is nil when the graph has no canonical order (no
+// nodes, or a cycle), which callers treat as the identity.
+func CanonicalPositions(g *Graph) []int { return g.fingerprinted().pos }
+
+// fingerprinted returns the memoized canonicalization, computing it on
+// first use and after the graph grew.
+func (g *Graph) fingerprinted() *fpCache {
 	if c := g.fp.Load(); c != nil && c.nodes == len(g.nodes) && c.edges == len(g.edges) {
-		return c.val
+		return c
 	}
-	val := g.fingerprint()
-	g.fp.Store(&fpCache{nodes: len(g.nodes), edges: len(g.edges), val: val})
-	return val
+	val, pos := g.fingerprint()
+	c := &fpCache{nodes: len(g.nodes), edges: len(g.edges), val: val, pos: pos}
+	g.fp.Store(c)
+	return c
 }
 
-// fpCache memoizes the last fingerprint. AddNode/AddEdge invalidate it
+// fpCache memoizes the last canonicalization. AddNode/AddEdge invalidate it
 // implicitly through the node/edge counts; mutating node or edge fields in
 // place is already forbidden by the Nodes/Edges contract.
 type fpCache struct {
 	nodes, edges int
 	val          string
+	pos          []int
 }
 
-func (g *Graph) fingerprint() string {
+func (g *Graph) fingerprint() (string, []int) {
 	n := len(g.nodes)
 	h := sha256.New()
 	var buf [8]byte
@@ -62,7 +78,7 @@ func (g *Graph) fingerprint() string {
 	}
 	if n == 0 {
 		writeU64(0)
-		return hex.EncodeToString(h.Sum(nil))
+		return hex.EncodeToString(h.Sum(nil)), nil
 	}
 
 	order, err := g.TopoOrder()
@@ -70,7 +86,7 @@ func (g *Graph) fingerprint() string {
 		// Cyclic graphs never reach planning (Validate rejects them), but
 		// Fingerprint must still be total and content-determined: hash the
 		// raw ID-ordered encoding instead.
-		return g.rawFingerprint()
+		return g.rawFingerprint(), nil
 	}
 
 	attr := make([][]byte, n)
@@ -115,7 +131,7 @@ func (g *Graph) fingerprint() string {
 		writeU64(e[1])
 		writeU64(e[2])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), pos
 }
 
 // canonicalPositions turns structural signatures into a total canonical

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -80,6 +82,15 @@ func FuzzFingerprint(f *testing.F) {
 		if got := rebuilt.Fingerprint(); got != fp {
 			t.Fatalf("insertion-order permutation changed the fingerprint")
 		}
+		// A partition carried through canonical positions to the permuted
+		// rebuild validates there: place every node on the chip of its
+		// topological level (monotone along g's edges), store it by
+		// canonical position, read it back through the rebuild's own
+		// positions. The rebuild's edges must stay monotone and every chip
+		// must carry the same weights.
+		if err := carriedPartitionFits(&g, rebuilt); err != nil {
+			t.Fatal(err)
+		}
 		// Sensitivity: flipping one node's operator must change it.
 		mutated := New(g.Name())
 		for v := 0; v < n; v++ {
@@ -96,4 +107,63 @@ func FuzzFingerprint(f *testing.F) {
 			t.Fatalf("operator mutation did not change the fingerprint")
 		}
 	})
+}
+
+// carriedPartitionFits builds a partition of g (chip = topological level),
+// carries it to h — a graph with g's fingerprint — through both graphs'
+// canonical positions, and checks it still fits: monotone along every edge
+// of h, the same parameter bytes and FLOPs on every chip.
+func carriedPartitionFits(g, h *Graph) error {
+	n := g.NumNodes()
+	gpos, hpos := CanonicalPositions(g), CanonicalPositions(h)
+	if len(gpos) != n || len(hpos) != n {
+		return fmt.Errorf("canonical positions cover %d and %d of %d nodes", len(gpos), len(hpos), n)
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return err
+	}
+	level := make([]int, n)
+	for _, v := range order {
+		for _, u := range g.Predecessors(v) {
+			if level[u]+1 > level[v] {
+				level[v] = level[u] + 1
+			}
+		}
+	}
+	canon := make([]int, n)
+	for v, p := range gpos {
+		canon[p] = level[v]
+	}
+	carried := make([]int, n)
+	for w, p := range hpos {
+		carried[w] = canon[p]
+	}
+	for _, e := range h.Edges() {
+		if carried[e.From] >= carried[e.To] {
+			return fmt.Errorf("carried partition breaks edge (%d,%d): level %d -> %d", e.From, e.To, carried[e.From], carried[e.To])
+		}
+	}
+	type load struct {
+		params int64
+		flops  float64
+	}
+	loads := func(x *Graph, chip []int) map[int]load {
+		out := map[int]load{}
+		for v, c := range chip {
+			nd := x.Node(v)
+			l := out[c]
+			out[c] = load{l.params + nd.ParamBytes, l.flops + nd.FLOPs}
+		}
+		return out
+	}
+	want, got := loads(g, level), loads(h, carried)
+	for c, l := range want {
+		// Sums of the same multiset may round differently in another
+		// order; parameter bytes are exact, FLOPs compared loosely.
+		if got[c].params != l.params || math.Abs(got[c].flops-l.flops) > 1e-9*math.Abs(l.flops) {
+			return fmt.Errorf("chip %d carries %+v on the rebuild, %+v on the original", c, got[c], l)
+		}
+	}
+	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 )
 
 // Package describes an MCM accelerator package.
@@ -366,4 +367,20 @@ func Preset(name string) (*Package, error) {
 		return nil, fmt.Errorf("mcm: unknown preset %q (valid: dev4, dev8, dev8bi, edge36, het4, mesh16)", name)
 	}
 	return ctor(), nil
+}
+
+// Load resolves a package spec as the CLIs' -mcm flag accepts it: a preset
+// name first, then the path of a package JSON descriptor.
+func Load(spec string) (*Package, error) {
+	pkg, presetErr := Preset(spec)
+	if presetErr == nil {
+		return pkg, nil
+	}
+	data, err := os.ReadFile(spec)
+	if err != nil {
+		// Neither a preset nor a readable file; the preset error carries
+		// the authoritative list of valid names.
+		return nil, fmt.Errorf("-mcm %q is not a package JSON file (%w); %v", spec, err, presetErr)
+	}
+	return ParseJSON(data)
 }

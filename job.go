@@ -88,24 +88,31 @@ type Job struct {
 	id string
 	// requestID is the caller's correlation ID (immutable after Submit).
 	requestID string
+	// progress is the caller's PlanOptions.Progress (immutable after
+	// Submit; may be nil). A coalesced job's receives the leader's stream.
+	progress ProgressFunc
+	// coalesced marks a job riding another request's in-flight plan
+	// (immutable after Submit).
+	coalesced bool
 	// ctx is the job's execution context: derived from the service
 	// lifecycle, cancelled by Cancel.
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu        sync.Mutex
-	state     JobState // guarded by mu
-	cached    bool     // guarded by mu
-	coalesced bool     // guarded by mu
-	samples   int      // guarded by mu
-	best      float64  // guarded by mu
-	result    *Result  // guarded by mu
-	err       error    // guarded by mu
-}
-
-func newJob(id string, ctx context.Context, cancel context.CancelFunc) *Job {
-	return &Job{id: id, ctx: ctx, cancel: cancel, done: make(chan struct{}), state: JobQueued}
+	mu    sync.Mutex
+	state JobState // guarded by mu
+	// pos is the canonical position of each of the submitted graph's node
+	// IDs (nil is the identity): finish reads the canonically ordered result
+	// it is handed through pos, so the retained partition is indexed by
+	// this job's own node IDs — and then drops pos, so a retained job does
+	// not pin a slice the size of its graph.
+	pos     []int   // guarded by mu
+	cached  bool    // guarded by mu
+	samples int     // guarded by mu
+	best    float64 // guarded by mu
+	result  *Result // guarded by mu
+	err     error   // guarded by mu
 }
 
 // ID returns the job's Service-unique identifier.
@@ -147,7 +154,8 @@ func (j *Job) Result() (*Result, error) {
 
 // Wait blocks until the job is terminal or ctx is done. When ctx wins, Wait
 // returns ctx.Err() and the job keeps running — pair Wait with Cancel for
-// give-up-and-stop semantics (Service.Plan does exactly that).
+// give-up-and-stop semantics (awaitJob, behind Service.Plan, does exactly
+// that).
 func (j *Job) Wait(ctx context.Context) (*Result, error) {
 	select {
 	case <-j.done:
@@ -163,13 +171,6 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 // Wait or Done. Cancelling a terminal job is a no-op.
 func (j *Job) Cancel() { j.cancel() }
 
-// markCoalesced flags the job as riding another request's in-flight plan.
-func (j *Job) markCoalesced() {
-	j.mu.Lock()
-	j.coalesced = true
-	j.mu.Unlock()
-}
-
 // markRunning flips a queued job to running; it reports false if the job
 // already finished (e.g. cancelled while queued).
 func (j *Job) markRunning() bool {
@@ -183,16 +184,21 @@ func (j *Job) markRunning() bool {
 }
 
 // recordProgress is the per-job progress sink the Service wires into the
-// plan's ProgressFunc.
+// plan's ProgressFunc: it updates the snapshot pollers see, then streams to
+// the caller's callback.
 func (j *Job) recordProgress(ev ProgressEvent) {
 	j.mu.Lock()
 	j.samples = ev.Samples
 	j.best = ev.BestImprovement
 	j.mu.Unlock()
+	if j.progress != nil {
+		j.progress(ev)
+	}
 }
 
 // finish moves the job to a terminal state exactly once, reporting whether
-// this call made the transition.
+// this call made the transition. res is in canonical node order (see
+// canonicalize); the retained copy is in the job's own.
 func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -201,6 +207,12 @@ func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 	}
 	j.state = state
 	j.result = cloneResult(res)
+	if res != nil && len(j.pos) == len(res.Partition) {
+		for v, p := range j.pos {
+			j.result.Partition[v] = res.Partition[p]
+		}
+	}
+	j.pos = nil
 	j.err = err
 	j.cached = cached
 	if res != nil {
@@ -213,4 +225,32 @@ func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 	j.cancel()
 	close(j.done)
 	return true
+}
+
+// jobTable is the Service's ID → Job index and its retention bound. Live
+// jobs are never evicted; terminal ones are, oldest first, once the table
+// holds more than max jobs. The terminal transition feeds retired, so an
+// eviction pops the front of a queue instead of searching for a victim.
+type jobTable struct {
+	max     int
+	byID    map[string]*Job // guarded by Service.mu
+	retired []string        // guarded by Service.mu; terminal job IDs, in finishing order
+}
+
+func (t *jobTable) addLocked(j *Job) {
+	t.byID[j.id] = j
+	t.evictLocked()
+}
+
+// retireLocked records that the job with this ID reached a terminal state.
+func (t *jobTable) retireLocked(id string) {
+	t.retired = append(t.retired, id)
+	t.evictLocked()
+}
+
+func (t *jobTable) evictLocked() {
+	for len(t.byID) > t.max && len(t.retired) > 0 {
+		delete(t.byID, t.retired[0])
+		t.retired = t.retired[1:]
+	}
 }

@@ -28,7 +28,6 @@
 // registry, and an async job queue. cmd/mcmpartd serves a Service over the
 // HTTP JSON API in NewHTTPHandler, and Client is its thin Go client.
 //
-// PartitionGraph remains as a deprecated one-shot wrapper over the Planner.
 // See DESIGN.md for the system inventory, deviations, and reproduction
 // notes; cmd/mcmexp regenerates every table and figure of the paper.
 //
@@ -37,8 +36,6 @@
 package mcmpart
 
 import (
-	"context"
-
 	"mcmpart/internal/costmodel"
 	"mcmpart/internal/graph"
 	"mcmpart/internal/hwsim"
@@ -119,8 +116,7 @@ func AugmentedCorpusGraphs(seed int64, random int) []*Graph {
 	return workload.AugmentedCorpusGraphs(seed, random)
 }
 
-// Method selects a partitioning strategy for Planner.Plan (and the
-// deprecated PartitionGraph).
+// Method selects a partitioning strategy for Planner.Plan.
 type Method string
 
 // Available strategies.
@@ -148,23 +144,6 @@ const (
 	// that scales to 100k-node graphs. Deterministic; ignores SampleBudget.
 	MethodAnalytic Method = "analytic"
 )
-
-// Options configure the deprecated PartitionGraph. New code uses
-// PlanOptions with a Planner.
-type Options struct {
-	// Method defaults to MethodRL.
-	Method Method
-	// SampleBudget bounds the number of candidate evaluations for the
-	// search-based methods (default 200; ignored by MethodGreedy).
-	SampleBudget int
-	// Seed makes runs reproducible. Seed 0 is remapped to 1 (the
-	// documented default).
-	Seed int64
-	// UseSimulator evaluates candidates on the hardware simulator
-	// (including the dynamic memory constraint) instead of the faster
-	// analytical cost model.
-	UseSimulator bool
-}
 
 // Result is the outcome of a plan.
 type Result struct {
@@ -196,27 +175,6 @@ func (r *Result) SamplesToImprovement(threshold float64) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// PartitionGraph searches for a high-throughput valid partition of g on the
-// package using the selected method.
-//
-// Deprecated: PartitionGraph builds a throwaway planning session per call,
-// so nothing — policy, package validation, solver setup — is reusable, and
-// the pre-trained methods (MethodZeroShot, MethodFineTune) are unavailable.
-// Use NewPlanner and Planner.Plan; this wrapper remains for compatibility
-// and produces bit-identical results for the four original methods.
-func PartitionGraph(g *Graph, pkg *Package, opts Options) (*Result, error) {
-	pl, err := NewPlanner(pkg)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Plan(context.Background(), g, PlanOptions{
-		Method:       opts.Method,
-		SampleBudget: opts.SampleBudget,
-		Seed:         opts.Seed,
-		UseSimulator: opts.UseSimulator,
-	})
 }
 
 // Evaluate runs a partition on the hardware simulator, returning throughput,

@@ -1,6 +1,7 @@
 package mcmpart_test
 
 import (
+	"context"
 	"testing"
 
 	"mcmpart"
@@ -26,11 +27,23 @@ func smallGraph(t *testing.T) *mcmpart.Graph {
 	return g
 }
 
+// planOnce plans g on a throwaway planning session for pkg.
+func planOnce(g *mcmpart.Graph, pkg *mcmpart.Package, opts mcmpart.PlanOptions) (*mcmpart.Result, error) {
+	pl, err := mcmpart.NewPlanner(pkg)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Plan(context.Background(), g, opts)
+}
+
+// The TestPartitionGraph* names are pinned by the test floor; the tests
+// drive NewPlanner + Planner.Plan.
+
 func TestPartitionGraphMethods(t *testing.T) {
 	g := smallGraph(t)
 	pkg := mcmpart.Dev4()
 	for _, m := range []mcmpart.Method{mcmpart.MethodGreedy, mcmpart.MethodRandom, mcmpart.MethodSA} {
-		res, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{Method: m, SampleBudget: 30, Seed: 2})
+		res, err := planOnce(g, pkg, mcmpart.PlanOptions{Method: m, SampleBudget: 30, Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -46,7 +59,7 @@ func TestPartitionGraphMethods(t *testing.T) {
 func TestPartitionGraphRL(t *testing.T) {
 	g := smallGraph(t)
 	pkg := mcmpart.Dev4()
-	res, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{Method: mcmpart.MethodRL, SampleBudget: 20, Seed: 2})
+	res, err := planOnce(g, pkg, mcmpart.PlanOptions{Method: mcmpart.MethodRL, SampleBudget: 20, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +75,7 @@ func TestPartitionGraphRL(t *testing.T) {
 func TestPartitionGraphWithSimulator(t *testing.T) {
 	g := smallGraph(t)
 	pkg := mcmpart.Dev4()
-	res, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{
+	res, err := planOnce(g, pkg, mcmpart.PlanOptions{
 		Method: mcmpart.MethodRandom, SampleBudget: 20, Seed: 3, UseSimulator: true,
 	})
 	if err != nil {
@@ -80,16 +93,16 @@ func TestPartitionGraphWithSimulator(t *testing.T) {
 func TestPartitionGraphErrors(t *testing.T) {
 	g := smallGraph(t)
 	pkg := mcmpart.Dev4()
-	if _, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{Method: "bogus"}); err == nil {
+	if _, err := planOnce(g, pkg, mcmpart.PlanOptions{Method: "bogus"}); err == nil {
 		t.Fatal("unknown method should fail")
 	}
 	bad := *pkg
 	bad.Chips = 0
-	if _, err := mcmpart.PartitionGraph(g, &bad, mcmpart.Options{}); err == nil {
+	if _, err := planOnce(g, &bad, mcmpart.PlanOptions{}); err == nil {
 		t.Fatal("invalid package should fail")
 	}
 	empty := mcmpart.NewGraph("empty")
-	if _, err := mcmpart.PartitionGraph(empty, pkg, mcmpart.Options{}); err == nil {
+	if _, err := planOnce(empty, pkg, mcmpart.PlanOptions{}); err == nil {
 		t.Fatal("empty graph should fail")
 	}
 }

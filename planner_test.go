@@ -2,7 +2,6 @@ package mcmpart_test
 
 import (
 	"context"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -75,37 +74,6 @@ func TestTransferZeroShotBeatsScratch(t *testing.T) {
 	again := plan(mcmpart.MethodZeroShot)
 	if !reflect.DeepEqual(zeroShot.History, again.History) {
 		t.Fatal("zero-shot plan is not deterministic for a fixed seed")
-	}
-}
-
-// TestPartitionGraphShimMatchesPlanner pins that the deprecated one-shot
-// wrapper is exactly a Planner.Plan: same partition, bit-identical
-// throughput, same sample count and history, for every original method.
-func TestPartitionGraphShimMatchesPlanner(t *testing.T) {
-	g := smallGraph(t)
-	pkg := mcmpart.Dev4()
-	for _, m := range []mcmpart.Method{mcmpart.MethodGreedy, mcmpart.MethodRandom, mcmpart.MethodSA, mcmpart.MethodRL} {
-		old, err := mcmpart.PartitionGraph(g, pkg, mcmpart.Options{Method: m, SampleBudget: 30, Seed: 5})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		pl, err := mcmpart.NewPlanner(pkg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := pl.Plan(context.Background(), g, mcmpart.PlanOptions{Method: m, SampleBudget: 30, Seed: 5})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if !reflect.DeepEqual(old.Partition, res.Partition) {
-			t.Fatalf("%s: shim partition differs from planner partition", m)
-		}
-		if math.Float64bits(old.Throughput) != math.Float64bits(res.Throughput) {
-			t.Fatalf("%s: shim throughput %v != planner %v", m, old.Throughput, res.Throughput)
-		}
-		if old.Samples != res.Samples || !reflect.DeepEqual(old.History, res.History) {
-			t.Fatalf("%s: shim trajectory differs from planner trajectory", m)
-		}
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
 	"mcmpart/internal/faultinject"
+	"mcmpart/internal/graph"
 	"mcmpart/internal/parallel"
 	"mcmpart/internal/plancache"
 	"mcmpart/internal/rl"
@@ -49,7 +51,7 @@ var (
 
 // ServiceOptions configure NewService. The zero value is a working
 // configuration: process-default workers, a 4x queue, a 256-entry cache,
-// no disk tier, and no policy directory.
+// no disk tier, no policy directory, and no log output.
 type ServiceOptions struct {
 	// Workers is the number of plans that may run concurrently
 	// (0 = process default, see internal worker-pool default; negative is
@@ -69,13 +71,6 @@ type ServiceOptions struct {
 	// plans survive restarts with O(1) startup cost. Corrupt, truncated,
 	// or stale-version entries are quarantined and logged, never served.
 	CacheDir string
-	// DisableCoalescing turns off single-flight request coalescing:
-	// concurrent requests that normalize to the same cache key each run
-	// their own plan instead of sharing one in-flight computation. The
-	// results are identical either way (plans are a pure function of the
-	// key); this exists for benchmarking the coalescing win and for
-	// debugging, not for production.
-	DisableCoalescing bool
 	// PolicyDir, when set, opens a directory-backed policy registry
 	// (created if missing). At startup — and lazily at plan time whenever
 	// no policy is installed — the service installs the newest registry
@@ -87,6 +82,11 @@ type ServiceOptions struct {
 	// error). Oldest terminal jobs are evicted first; live jobs are never
 	// evicted.
 	MaxRetainedJobs int
+	// Logger receives the service's log stream: one structured line per
+	// HTTP request served through NewHTTPHandler (method, route, status,
+	// duration, request ID) and one per disk-tier quarantine or write
+	// failure. nil discards it (metrics are recorded either way).
+	Logger *slog.Logger
 }
 
 // ServiceStats is a point-in-time operational snapshot of a Service. Every
@@ -207,7 +207,7 @@ type Service struct {
 	disk     *plancache.Store
 	registry *rl.Registry
 	pool     *parallel.Pool
-	coalesce bool
+	logger   *slog.Logger
 
 	// root is the lifecycle context every job runs under; Close (and a
 	// Drain deadline) cancels it.
@@ -215,11 +215,8 @@ type Service struct {
 	shutdown context.CancelFunc
 
 	// jobsWG tracks every registered job from admission to its terminal
-	// transition — what Drain waits on.
+	// transition (finishJob) — what Drain waits on.
 	jobsWG sync.WaitGroup
-	// finalOnce guards the release of workers and the disk-tier flush,
-	// shared by Close and Drain.
-	finalOnce sync.Once
 
 	// installedMu guards the provenance of the installed policy: the
 	// registry path it came from ("" when installed via Pretrain or
@@ -236,14 +233,13 @@ type Service struct {
 	m   *serviceMetrics
 	now func() time.Time
 
-	mu          sync.Mutex
-	closed      bool               // guarded by mu
-	draining    bool               // guarded by mu
-	seq         int                // guarded by mu
-	jobs        map[string]*Job    // guarded by mu
-	jobOrder    []string           // guarded by mu; insertion order, for terminal-job eviction
-	maxRetained int                // guarded by mu
-	inflight    map[string]*flight // guarded by mu
+	mu sync.Mutex
+	// stopped is the whole lifecycle: admission is open until BeginDrain,
+	// Drain, or Close stops it, and it never reopens.
+	stopped  bool               // guarded by mu
+	seq      int                // guarded by mu
+	jobs     jobTable           // guarded by mu
+	inflight map[string]*flight // guarded by mu
 }
 
 // serviceMetrics bundles the Service's instruments. Counters are never
@@ -259,9 +255,7 @@ type serviceMetrics struct {
 
 	jobsSubmitted  *telemetry.Counter
 	jobsShed       *telemetry.Counter
-	jobsDone       *telemetry.Counter
-	jobsFailed     *telemetry.Counter
-	jobsCancelled  *telemetry.Counter
+	jobsEnded      map[JobState]*telemetry.Counter // by terminal state; immutable after construction
 	jobsQueued     *telemetry.Gauge
 	jobsRunning    *telemetry.Gauge
 	plansExecuted  *telemetry.Counter
@@ -275,13 +269,14 @@ type serviceMetrics struct {
 
 func newServiceMetrics() *serviceMetrics {
 	reg := telemetry.NewRegistry()
+	ended := func(state JobState) *telemetry.Counter {
+		return reg.Counter("mcmpart_jobs_total", "Jobs finished, by terminal state.", telemetry.Label{Name: "state", Value: string(state)})
+	}
 	return &serviceMetrics{
 		reg:            reg,
 		jobsSubmitted:  reg.Counter("mcmpart_jobs_submitted_total", "Jobs admitted by Submit: served from cache, coalesced, or queued."),
 		jobsShed:       reg.Counter("mcmpart_jobs_shed_total", "Submissions rejected with ErrBusy because the queue was full."),
-		jobsDone:       reg.Counter("mcmpart_jobs_total", "Jobs finished, by terminal state.", telemetry.Label{Name: "state", Value: "done"}),
-		jobsFailed:     reg.Counter("mcmpart_jobs_total", "Jobs finished, by terminal state.", telemetry.Label{Name: "state", Value: "failed"}),
-		jobsCancelled:  reg.Counter("mcmpart_jobs_total", "Jobs finished, by terminal state.", telemetry.Label{Name: "state", Value: "cancelled"}),
+		jobsEnded:      map[JobState]*telemetry.Counter{JobDone: ended(JobDone), JobFailed: ended(JobFailed), JobCancelled: ended(JobCancelled)},
 		jobsQueued:     reg.Gauge("mcmpart_jobs_queued", "Admitted jobs waiting for a worker."),
 		jobsRunning:    reg.Gauge("mcmpart_jobs_running", "Jobs a worker is currently planning."),
 		plansExecuted:  reg.Counter("mcmpart_plans_executed_total", "Actual planner invocations (cache misses that ran)."),
@@ -295,31 +290,25 @@ func newServiceMetrics() *serviceMetrics {
 }
 
 // flight is one in-flight plan computation for one cache key: a leader job
-// that actually plans, plus followers coalesced onto it. All fields except
-// key/graph/graphFP are guarded by Service.mu.
+// that actually plans, plus followers coalesced onto it. graph is the graph
+// the flight plans — the first leader's; a follower's may be the same model
+// in another node order, which is why the outcome travels in canonical
+// order (see canonicalize).
 type flight struct {
-	key     string
-	graph   *Graph
-	graphFP string
+	key   string
+	graph *Graph
+	// opts are the key's normalized options, Progress cleared: every
+	// request of a flight has the same ones, and each job carries its own
+	// progress sink.
+	opts PlanOptions
 
-	leader     *Job              // guarded by Service.mu
-	leaderOpts PlanOptions       // guarded by Service.mu
-	followers  []*flightFollower // guarded by Service.mu
-	// done closes when the flight resolves (result, error, or abandoned
-	// after the last waiter cancelled) — the signal follower watchers and
-	// promotion exit on.
-	done chan struct{}
-}
-
-// flightFollower is one coalesced request waiting on a flight.
-type flightFollower struct {
-	job      *Job
-	progress ProgressFunc
-	// promoted marks a follower that took over as leader after the
-	// previous leader cancelled; detached marks one that cancelled while
-	// waiting. Either way it is no longer in the followers slice.
-	promoted bool // guarded by Service.mu
-	detached bool // guarded by Service.mu
+	// leader hands the first leader from admit to runFlight, which tracks
+	// the current one itself from then on.
+	leader *Job // guarded by Service.mu
+	// followers are the coalesced jobs waiting on the flight: a job is in
+	// here until the flight resolves, it is promoted to leader, or it
+	// cancels and detaches.
+	followers []*Job // guarded by Service.mu
 }
 
 // NewService builds a service for one package. If opts.PolicyDir holds a
@@ -349,21 +338,24 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 	if maxRetained == 0 {
 		maxRetained = 1024
 	}
+	logger := opts.Logger
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
+	}
 	root, shutdown := context.WithCancel(context.Background())
 	m := newServiceMetrics()
 	s := &Service{
-		planner:     planner,
-		pkgFP:       rl.PackageFingerprint(pkg),
-		cache:       newPlanCache(cacheEntries),
-		pool:        parallel.NewPool(opts.Workers, opts.QueueDepth),
-		coalesce:    !opts.DisableCoalescing,
-		m:           m,
-		now:         time.Now,
-		root:        root,
-		shutdown:    shutdown,
-		jobs:        make(map[string]*Job),
-		inflight:    make(map[string]*flight),
-		maxRetained: maxRetained,
+		planner:  planner,
+		pkgFP:    rl.PackageFingerprint(pkg),
+		cache:    newPlanCache(cacheEntries),
+		pool:     parallel.NewPool(opts.Workers, opts.QueueDepth),
+		logger:   logger,
+		m:        m,
+		now:      time.Now,
+		root:     root,
+		shutdown: shutdown,
+		jobs:     jobTable{max: maxRetained, byID: make(map[string]*Job)},
+		inflight: make(map[string]*flight),
 	}
 	// Live quantities are read straight from the owning structures at
 	// scrape time — there is no second copy to fall out of sync.
@@ -381,19 +373,28 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 		func() float64 { _, capacity := s.cache.snapshot(); return float64(capacity) })
 	m.reg.GaugeFunc("mcmpart_draining", "1 while admission is stopped (BeginDrain/Drain/Close), else 0.",
 		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.draining || s.closed {
+			if s.draining() {
 				return 1
 			}
 			return 0
 		})
+	if err := s.openStores(opts); err != nil {
+		s.pool.Close()
+		shutdown()
+		return nil, err
+	}
+	return s, nil
+}
+
+// openStores opens the optional directory-backed parts: the disk cache
+// tier and the policy registry (installing its newest matching policy).
+func (s *Service) openStores(opts ServiceOptions) error {
 	if opts.CacheDir != "" {
-		disk, err := plancache.Open(opts.CacheDir, log.Printf)
+		disk, err := plancache.Open(opts.CacheDir, func(format string, args ...any) {
+			s.logger.Warn(fmt.Sprintf(format, args...))
+		})
 		if err != nil {
-			s.pool.Close()
-			shutdown()
-			return nil, err
+			return err
 		}
 		// Register the store's write-side counters and latency histograms
 		// on the service registry. The disk *hit* counter stays service-
@@ -401,29 +402,23 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 		// requires the payload to decode — the store's own read counters
 		// include envelope-valid entries quarantined at that later step.
 		disk.SetMetrics(plancache.Metrics{
-			Writes:       m.reg.Counter("mcmpart_disk_writes_total", "Plans durably written to the disk tier."),
-			WriteErrors:  m.reg.Counter("mcmpart_disk_write_errors_total", "Disk-tier writes that failed (logged; no partial entry remains)."),
-			Quarantined:  m.reg.Counter("mcmpart_disk_quarantined_total", "Disk-tier entries set aside after failing verification."),
-			ReadSeconds:  m.reg.Histogram("mcmpart_disk_read_seconds", "Disk-tier Get latency, hit or miss.", telemetry.DefBuckets),
-			WriteSeconds: m.reg.Histogram("mcmpart_disk_write_seconds", "Disk-tier Put latency, success or failure.", telemetry.DefBuckets),
+			Writes:       s.m.reg.Counter("mcmpart_disk_writes_total", "Plans durably written to the disk tier."),
+			WriteErrors:  s.m.reg.Counter("mcmpart_disk_write_errors_total", "Disk-tier writes that failed (logged; no partial entry remains)."),
+			Quarantined:  s.m.reg.Counter("mcmpart_disk_quarantined_total", "Disk-tier entries set aside after failing verification."),
+			ReadSeconds:  s.m.reg.Histogram("mcmpart_disk_read_seconds", "Disk-tier Get latency, hit or miss.", telemetry.DefBuckets),
+			WriteSeconds: s.m.reg.Histogram("mcmpart_disk_write_seconds", "Disk-tier Put latency, success or failure.", telemetry.DefBuckets),
 		})
 		s.disk = disk
 	}
 	if opts.PolicyDir != "" {
 		reg, err := rl.OpenRegistry(opts.PolicyDir)
 		if err != nil {
-			s.pool.Close()
-			shutdown()
-			return nil, err
+			return err
 		}
 		s.registry = reg
-		if err := s.installLatestFromRegistry(); err != nil {
-			s.pool.Close()
-			shutdown()
-			return nil, err
-		}
+		return s.installLatestFromRegistry()
 	}
-	return s, nil
+	return nil
 }
 
 // Planner returns the underlying planner, e.g. to Pretrain through the
@@ -539,9 +534,9 @@ func (s *Service) Stats() ServiceStats {
 		PolicyFingerprint:  s.planner.PolicyFingerprint(),
 	}
 	st.JobsSubmitted = s.m.jobsSubmitted.Value()
-	st.JobsDone = s.m.jobsDone.Value()
-	st.JobsFailed = s.m.jobsFailed.Value()
-	st.JobsCancelled = s.m.jobsCancelled.Value()
+	st.JobsDone = s.m.jobsEnded[JobDone].Value()
+	st.JobsFailed = s.m.jobsEnded[JobFailed].Value()
+	st.JobsCancelled = s.m.jobsEnded[JobCancelled].Value()
 	st.JobsShed = s.m.jobsShed.Value()
 	st.JobsQueued = int(s.m.jobsQueued.Value())
 	st.JobsRunning = int(s.m.jobsRunning.Value())
@@ -560,9 +555,7 @@ func (s *Service) Stats() ServiceStats {
 		st.DiskCacheWriteErrors = ds.WriteErrors
 		st.DiskCacheQuarantined = ds.Quarantined
 	}
-	s.mu.Lock()
-	st.Draining = s.draining || s.closed
-	s.mu.Unlock()
+	st.Draining = s.draining()
 	return st
 }
 
@@ -576,7 +569,7 @@ func (s *Service) Metrics() *telemetry.Registry { return s.m.reg }
 func (s *Service) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs.byID[id]
 	return j, ok
 }
 
@@ -590,18 +583,23 @@ func (s *Service) ensurePolicy(method Method) error {
 	if s.planner.HasPolicy() {
 		return nil
 	}
-	if s.registry != nil {
-		if err := s.registry.Rescan(); err != nil {
-			return err
-		}
-		if err := s.installLatestFromRegistry(); err != nil {
-			return err
-		}
-		if s.planner.HasPolicy() {
-			return nil
-		}
+	if err := s.ReloadPolicies(); err != nil {
+		return err
+	}
+	if s.planner.HasPolicy() {
+		return nil
 	}
 	return fmt.Errorf("%w: method %q needs Pretrain, LoadPolicy, or an artifact for this package in the policy directory", ErrPolicyRequired, method)
+}
+
+// admission is one request on its way through Submit's stages.
+type admission struct {
+	graph *Graph
+	opts  PlanOptions // normalized
+	rid   string
+	start time.Time // when Submit began, for the warm-path latency
+	key   string
+	pos   []int // canonical positions of graph's node IDs
 }
 
 // Submit validates and admits one plan request, returning the Job tracking
@@ -610,219 +608,207 @@ func (s *Service) ensurePolicy(method Method) error {
 // admission only — the job itself runs under the service's lifecycle and
 // stops via Job.Cancel or Close.
 //
-// If the plan cache (memory or disk tier) already holds the result, Submit
-// returns an already-terminal job carrying a copy of it (Status().Cached ==
-// true) without consuming a worker. If another request for the same cache
-// key is already in flight, the new job coalesces onto it
-// (Status().Coalesced == true): it waits for the leader's plan and receives
-// a deep copy of its result, without invoking the planner. Cancelling a
-// coalesced job detaches it without disturbing the leader; cancelling the
-// leader promotes a waiting follower to re-plan, so followers never lose
-// their result to someone else's cancellation.
+// Submit is a pipeline of stages: normalize the request, key it, look the
+// key up (memory tier, then disk), and admit the miss — coalesced onto the
+// key's in-flight plan if there is one, enqueued as a new flight's leader
+// otherwise; a pool worker then runs the flight. A lookup hit returns an
+// already-terminal job carrying a copy of the result (Status().Cached)
+// without consuming a worker. A coalesced job (Status().Coalesced) waits
+// for the leader's plan and receives a deep copy of it, without invoking
+// the planner. Cancelling a coalesced job detaches it without disturbing
+// the leader; cancelling the leader promotes a waiting follower to re-plan,
+// so followers never lose their result to someone else's cancellation.
+//
+// Whatever is kept for a key — cache entries, the flight's outcome — is in
+// canonical node order; the job maps it to the submitted graph's own node
+// IDs (Job.finish), so a request for the same model in another insertion
+// order gets a partition that fits its graph.
 func (s *Service) Submit(ctx context.Context, req PlanRequest) (*Job, error) {
-	start := s.now()
-	if err := ctx.Err(); err != nil {
+	a := admission{start: s.now(), rid: RequestIDFrom(ctx)}
+	if err := s.normalize(ctx, req, &a); err != nil {
 		return nil, err
+	}
+	s.keyRequest(&a)
+	if res, fromDisk, ok := s.lookup(a.key); ok {
+		return s.admitCached(&a, res, fromDisk)
+	}
+	return s.admit(&a)
+}
+
+// normalize validates the request and resolves every default, including
+// the installed policy for the deployed-policy methods.
+func (s *Service) normalize(ctx context.Context, req PlanRequest, a *admission) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	if req.Graph == nil {
-		return nil, fmt.Errorf("%w: nil graph", ErrInvalidRequest)
+		return fmt.Errorf("%w: nil graph", ErrInvalidRequest)
 	}
 	if err := req.Graph.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	opts, err := req.Options.normalized()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := s.ensurePolicy(opts.Method); err != nil {
-		return nil, err
-	}
-	rid := RequestIDFrom(ctx)
-
-	graphFP := req.Graph.Fingerprint()
-	key := planCacheKey(graphFP, s.pkgFP, s.planner.PolicyFingerprint(), opts)
-	if res, ok := s.cache.get(key); ok {
-		return s.cachedJob(res, rid, start, s.m.memHits)
-	}
-	// In-memory miss: consult the disk tier (outside s.mu — it does IO).
-	// A verified entry is promoted into the memory cache on the way out.
-	// A disk hit is a memory miss: the tier counters partition admissions.
-	if s.disk != nil {
-		if res, ok := s.diskGet(key); ok {
-			s.cache.put(key, res)
-			return s.cachedJob(res, rid, start, s.m.memMisses, s.m.diskHits)
-		}
-	}
-
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return nil, ErrServiceClosed
-	}
-	// Single-flight: coalesce onto an in-flight computation for this key.
-	if s.coalesce {
-		if fl, ok := s.inflight[key]; ok {
-			job := s.registerJobLocked(rid)
-			job.markCoalesced()
-			f := &flightFollower{job: job, progress: opts.Progress}
-			fl.followers = append(fl.followers, f)
-			s.m.memMisses.Inc() // tier outcome first, then jobsSubmitted
-			s.m.plansCoalesced.Inc()
-			s.m.jobsSubmitted.Inc()
-			s.mu.Unlock()
-			go s.watchFollower(fl, f)
-			return job, nil
-		}
-	}
-	job := s.registerJobLocked(rid)
-	fl := &flight{
-		key:        key,
-		graph:      req.Graph,
-		graphFP:    graphFP,
-		leader:     job,
-		leaderOpts: opts,
-		done:       make(chan struct{}),
-	}
-	if s.coalesce {
-		s.inflight[key] = fl
-	}
-	// The queued gauge rises before TrySubmit: a worker may pick the task
-	// up (and decrement) the instant it lands in the channel.
-	s.m.jobsQueued.Inc()
-	if err := s.pool.TrySubmit(func() { s.runFlight(fl) }); err != nil {
-		// Roll the admission back entirely: the caller gets the error, not
-		// a registered failed job. (Still under s.mu, so no follower can
-		// have attached to the aborted flight.) jobsSubmitted was never
-		// incremented for this job — it counts only successful admissions,
-		// so there is no decrement to make and the counter stays monotone;
-		// the refusal is counted on jobsShed instead.
-		if s.coalesce {
-			delete(s.inflight, key)
-		}
-		s.m.jobsQueued.Dec()
-		delete(s.jobs, job.id)
-		for i := len(s.jobOrder) - 1; i >= 0; i-- {
-			if s.jobOrder[i] == job.id {
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		job.cancel() // release the job's child context
-		s.jobsWG.Done()
-		switch {
-		case errors.Is(err, parallel.ErrPoolFull):
-			s.m.jobsShed.Inc()
-			return nil, ErrBusy
-		case errors.Is(err, parallel.ErrPoolClosed):
-			return nil, ErrServiceClosed
-		default:
-			return nil, err
-		}
-	}
-	s.m.memMisses.Inc() // tier outcome first, then jobsSubmitted
-	s.m.jobsSubmitted.Inc()
-	s.mu.Unlock()
-	return job, nil
+	a.graph, a.opts = req.Graph, opts
+	return s.ensurePolicy(opts.Method)
 }
 
-// cachedJob registers an already-terminal job carrying a cache hit. start
-// is when Submit began — the warm-path latency observation. tiers are the
-// cache-tier counters this admission lands on (memory hit, or memory miss
-// + disk hit); they are incremented only once admission is certain, so a
-// draining rejection counts on no tier.
-func (s *Service) cachedJob(res *Result, rid string, start time.Time, tiers ...*telemetry.Counter) (*Job, error) {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return nil, ErrServiceClosed
-	}
-	job := s.registerJobLocked(rid)
-	for _, tier := range tiers {
-		tier.Inc() // tier outcome first, then jobsSubmitted
-	}
-	s.m.jobsSubmitted.Inc()
-	s.mu.Unlock()
-	s.finishJob(job, JobDone, res, nil, true)
-	s.m.planWarm.Observe(s.now().Sub(start).Seconds())
-	return job, nil
+// keyRequest canonicalizes the graph: the cache key and the node positions
+// results for that key are stored by.
+func (s *Service) keyRequest(a *admission) {
+	a.key = planCacheKey(a.graph.Fingerprint(), s.pkgFP, s.planner.PolicyFingerprint(), a.opts)
+	a.pos = graph.CanonicalPositions(a.graph)
 }
 
-// diskGet reads and decodes one disk-tier entry; an envelope-valid entry
-// whose payload does not decode is quarantined like any other corruption.
-// The disk-hit counter is NOT incremented here — the caller counts it at
-// admission, so a request rejected after a successful read stays off the
-// books.
-func (s *Service) diskGet(key string) (*Result, bool) {
-	payload, ok := s.disk.Get(key)
-	if !ok {
-		return nil, false
+// lookup consults the memory tier, then the disk tier (it does IO, so this
+// runs outside s.mu). A verified disk entry is promoted into the memory
+// cache; an envelope-valid entry whose payload does not decode is
+// quarantined like any other corruption. No counter moves here — the
+// caller counts the tier at admission, so a request rejected after a
+// successful read stays off the books.
+func (s *Service) lookup(key string) (res *Result, fromDisk, ok bool) {
+	if hit, ok := s.cache.get(key); ok {
+		return hit, false, true
+	}
+	if s.disk == nil {
+		return nil, false, false
+	}
+	payload, found := s.disk.Get(key)
+	if !found {
+		return nil, false, false
 	}
 	var w ResultWire
 	if err := json.Unmarshal(payload, &w); err != nil {
 		s.disk.Quarantine(key, fmt.Errorf("undecodable payload: %w", err))
-		return nil, false
+		return nil, false, false
 	}
-	return w.Result(), true
+	res = w.Result()
+	s.cache.put(key, res)
+	return res, true, true
 }
 
-// registerJobLocked allocates, registers, and retention-evicts under s.mu.
-// Every registered job holds one jobsWG count until its terminal
-// transition (finishJob) or an admission rollback. The submitted counter
-// is NOT incremented here — callers increment it only once admission is
-// certain, so it never needs a rollback decrement.
-func (s *Service) registerJobLocked(requestID string) *Job {
-	s.seq++
-	s.jobsWG.Add(1)
-	jobCtx, cancel := context.WithCancel(s.root)
-	job := newJob(fmt.Sprintf("job-%06d", s.seq), jobCtx, cancel)
-	job.requestID = requestID
-	s.jobs[job.id] = job
-	s.jobOrder = append(s.jobOrder, job.id)
-	// Evict oldest terminal jobs beyond the retention bound (and drop ids
-	// whose job was already removed, e.g. by an admission rollback).
-	if len(s.jobs) > s.maxRetained {
-		kept := s.jobOrder[:0]
-		for _, id := range s.jobOrder {
-			j, ok := s.jobs[id]
-			if !ok {
-				continue
-			}
-			if len(s.jobs) > s.maxRetained && j.Status().State.Terminal() {
-				delete(s.jobs, id)
-				continue
-			}
-			kept = append(kept, id)
-		}
-		s.jobOrder = kept
+// store writes a completed plan through both cache tiers (disk failures
+// are logged and counted by the store).
+func (s *Service) store(key string, res *Result) {
+	s.cache.put(key, res)
+	if s.disk == nil {
+		return
 	}
+	if payload, err := json.Marshal(resultToWire(res)); err == nil {
+		_ = s.disk.Put(key, payload)
+	}
+}
+
+// draining reports that admission is stopped — what Stats, /healthz, and
+// the mcmpart_draining gauge show. (The two admit functions read the same
+// field under the lock they already hold.)
+func (s *Service) draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stopped
+}
+
+// admitCached admits a lookup hit as an already-terminal job. The tier
+// counters partition admissions: a disk hit is a memory miss, and — like
+// every admission — the tier outcome is counted before jobsSubmitted.
+func (s *Service) admitCached(a *admission, res *Result, fromDisk bool) (*Job, error) {
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		return nil, ErrServiceClosed
+	}
+	job := s.registerLocked(a, false)
+	if fromDisk {
+		s.m.memMisses.Inc()
+		s.m.diskHits.Inc()
+	} else {
+		s.m.memHits.Inc()
+	}
+	s.m.jobsSubmitted.Inc()
+	s.mu.Unlock()
+	s.finishJob(job, JobDone, res, nil, true)
+	s.m.planWarm.Observe(s.now().Sub(a.start).Seconds())
+	return job, nil
+}
+
+// admit admits a lookup miss: onto the key's in-flight plan if there is
+// one (single-flight), otherwise as the leader of a new flight handed to
+// the pool. The job is registered only once the pool has accepted the
+// flight, so a shed request (ErrBusy) leaves nothing behind — no job, no
+// ID, no gauge movement. The worker that picks the flight up cannot
+// outrun that registration: runFlight takes s.mu, held here, first.
+func (s *Service) admit(a *admission) (*Job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped {
+		return nil, ErrServiceClosed
+	}
+	fl, coalesced := s.inflight[a.key]
+	if !coalesced {
+		fl = &flight{key: a.key, graph: a.graph, opts: a.opts}
+		fl.opts.Progress = nil
+		if err := s.pool.TrySubmit(func() { s.runFlight(fl) }); err != nil {
+			if errors.Is(err, parallel.ErrPoolFull) {
+				s.m.jobsShed.Inc()
+				return nil, ErrBusy
+			}
+			return nil, ErrServiceClosed
+		}
+		s.inflight[a.key] = fl
+		s.m.jobsQueued.Inc()
+	}
+	job := s.registerLocked(a, coalesced)
+	s.m.memMisses.Inc() // tier outcome first, then jobsSubmitted
+	if coalesced {
+		fl.followers = append(fl.followers, job)
+		s.m.plansCoalesced.Inc()
+		context.AfterFunc(job.ctx, func() { s.detach(fl, job) })
+	} else {
+		fl.leader = job
+	}
+	s.m.jobsSubmitted.Inc()
+	return job, nil
+}
+
+// registerLocked creates the job for an admitted request and enters it in
+// the job table. Every registered job holds one jobsWG count until its
+// terminal transition (finishJob); callers register only once admission is
+// certain, so neither ever needs undoing.
+func (s *Service) registerLocked(a *admission, coalesced bool) *Job {
+	s.seq++
+	ctx, cancel := context.WithCancel(s.root)
+	job := &Job{
+		id:        fmt.Sprintf("job-%06d", s.seq),
+		requestID: a.rid,
+		progress:  a.opts.Progress,
+		pos:       a.pos,
+		coalesced: coalesced,
+		ctx:       ctx,
+		cancel:    cancel,
+		done:      make(chan struct{}),
+		state:     JobQueued,
+	}
+	s.jobsWG.Add(1)
+	s.jobs.addLocked(job)
 	return job
 }
 
-// watchFollower detaches a coalesced job whose own context is cancelled
-// before the flight resolves: the follower finishes cancelled, the flight
-// (and its leader) is untouched. Exits when the flight resolves.
-func (s *Service) watchFollower(fl *flight, f *flightFollower) {
-	select {
-	case <-f.job.ctx.Done():
-		s.mu.Lock()
-		detached := false
-		if !f.promoted && !f.detached {
-			f.detached = true
-			for i, other := range fl.followers {
-				if other == f {
-					fl.followers = append(fl.followers[:i], fl.followers[i+1:]...)
-					break
-				}
-			}
-			detached = true
-		}
-		s.mu.Unlock()
-		if detached {
-			s.finishJob(f.job, JobCancelled, nil, f.job.ctx.Err(), false)
-		}
-	case <-fl.done:
-		// Resolved (or abandoned): the resolver finished this job.
+// detach runs when a coalesced job's context ends. If the job is still
+// waiting on the flight, it was cancelled: it leaves the flight — which,
+// like its leader, is untouched — and finishes cancelled. If it is no
+// longer in the list it was resolved or promoted, and this is the echo of
+// its own terminal transition.
+func (s *Service) detach(fl *flight, job *Job) {
+	s.mu.Lock()
+	i := slices.Index(fl.followers, job)
+	if i >= 0 {
+		fl.followers = slices.Delete(fl.followers, i, i+1)
+	}
+	s.mu.Unlock()
+	if i >= 0 {
+		s.finishJob(job, JobCancelled, nil, job.ctx.Err(), false)
 	}
 }
 
@@ -834,12 +820,12 @@ func (s *Service) watchFollower(fl *flight, f *flightFollower) {
 // plan error is deterministic for the key (plans are a pure function of
 // it), so it resolves the flight too.
 func (s *Service) runFlight(fl *flight) {
+	s.mu.Lock() // waits out the admission that enqueued the flight
+	job := fl.leader
+	s.mu.Unlock()
 	s.m.jobsQueued.Dec()
-	for {
-		s.mu.Lock()
-		job, opts := fl.leader, fl.leaderOpts
-		s.mu.Unlock()
-
+	pos := graph.CanonicalPositions(fl.graph)
+	for job != nil {
 		// The key was built from the policy fingerprint observed at
 		// admission. If the installed policy changed between then and now,
 		// re-key so the stored entry describes the policy that actually
@@ -847,31 +833,24 @@ func (s *Service) runFlight(fl *flight) {
 		// (fpBefore/fpAfter bracket Plan's own policy snapshot, so
 		// equality proves the key).
 		fpBefore := s.planner.PolicyFingerprint()
-		res, err := s.planOnce(fl, job, opts)
+		res, err := s.planOnce(fl, job)
 		fpAfter := s.planner.PolicyFingerprint()
+		canonicalize(res, pos)
 
 		switch {
 		case err == nil:
 			if fpBefore == fpAfter {
-				key := planCacheKey(fl.graphFP, s.pkgFP, fpBefore, opts)
-				s.cache.put(key, res)
-				if s.disk != nil {
-					if payload, merr := json.Marshal(resultToWire(res)); merr == nil {
-						_ = s.disk.Put(key, payload) // logged + counted by the store
-					}
-				}
+				s.store(planCacheKey(fl.graph.Fingerprint(), s.pkgFP, fpBefore, fl.opts), res)
 			}
-			s.resolveFlight(fl, res, nil)
+			s.resolveFlight(fl, job, JobDone, res, nil)
 			return
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// Best-so-far semantics: a cancelled plan may still carry a
 			// result — it belongs to the cancelled leader only.
 			s.finishJob(job, JobCancelled, res, err, false)
-			if !s.promoteNext(fl) {
-				return // no waiters left; flight closed by promoteNext
-			}
+			job = s.promoteNext(fl)
 		default:
-			s.resolveFlight(fl, nil, err)
+			s.resolveFlight(fl, job, JobFailed, nil, err)
 			return
 		}
 	}
@@ -880,7 +859,7 @@ func (s *Service) runFlight(fl *flight) {
 // planOnce runs one plan attempt for the flight's current leader,
 // containing panics (ErrPlanPanic) and injected evaluator faults. Progress
 // events fan out to the leader and every currently attached follower.
-func (s *Service) planOnce(fl *flight, job *Job, opts PlanOptions) (res *Result, err error) {
+func (s *Service) planOnce(fl *flight, job *Job) (res *Result, err error) {
 	if job.ctx.Err() != nil || !job.markRunning() {
 		return nil, context.Canceled
 	}
@@ -892,20 +871,14 @@ func (s *Service) planOnce(fl *flight, job *Job, opts PlanOptions) (res *Result,
 		s.m.jobsRunning.Dec()
 	}()
 
-	userProgress := opts.Progress
+	opts := fl.opts
 	opts.Progress = func(ev ProgressEvent) {
 		job.recordProgress(ev)
-		if userProgress != nil {
-			userProgress(ev)
-		}
 		s.mu.Lock()
-		followers := append([]*flightFollower(nil), fl.followers...)
+		followers := slices.Clone(fl.followers)
 		s.mu.Unlock()
 		for _, f := range followers {
-			f.job.recordProgress(ev)
-			if f.progress != nil {
-				f.progress(ev)
-			}
+			f.recordProgress(ev)
 		}
 	}
 
@@ -920,83 +893,56 @@ func (s *Service) planOnce(fl *flight, job *Job, opts PlanOptions) (res *Result,
 	return s.planner.Plan(job.ctx, fl.graph, opts)
 }
 
-// promoteNext hands the flight to the first still-waiting follower after
-// the leader cancelled, reporting whether there is a new leader to run. If
-// no followers remain, the flight is closed (removed from the in-flight
-// table so a later identical request plans fresh).
-func (s *Service) promoteNext(fl *flight) bool {
+// promoteNext takes the first still-waiting follower off the flight to
+// lead it after the leader cancelled. With no followers left it returns nil
+// and retires the flight, so a later identical request plans fresh.
+func (s *Service) promoteNext(fl *flight) *Job {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if len(fl.followers) == 0 {
-		if cur, ok := s.inflight[fl.key]; ok && cur == fl {
-			delete(s.inflight, fl.key)
-		}
-		close(fl.done)
-		s.mu.Unlock()
-		return false
+		delete(s.inflight, fl.key)
+		return nil
 	}
 	next := fl.followers[0]
 	fl.followers = fl.followers[1:]
-	next.promoted = true
-	fl.leader = next.job
-	fl.leaderOpts.Progress = next.progress
-	s.mu.Unlock()
-	return true
+	return next
 }
 
-// resolveFlight finishes the flight's leader and every attached follower
-// with the plan's outcome. Job.finish clones the result on retention (and
-// Job.Result on the way out), so no caller can corrupt another's result.
-func (s *Service) resolveFlight(fl *flight, res *Result, err error) {
+// resolveFlight retires the flight and finishes its leader and every
+// attached follower with the plan's outcome.
+func (s *Service) resolveFlight(fl *flight, leader *Job, state JobState, res *Result, err error) {
 	s.mu.Lock()
-	if cur, ok := s.inflight[fl.key]; ok && cur == fl {
-		delete(s.inflight, fl.key)
-	}
-	leader := fl.leader
-	followers := fl.followers
+	delete(s.inflight, fl.key)
+	waiting := append([]*Job{leader}, fl.followers...)
 	fl.followers = nil
-	close(fl.done)
 	s.mu.Unlock()
-
-	if err == nil {
-		s.finishJob(leader, JobDone, res, nil, false)
-		for _, f := range followers {
-			s.finishJob(f.job, JobDone, res, nil, false)
-		}
-		return
-	}
-	s.finishJob(leader, JobFailed, nil, err, false)
-	for _, f := range followers {
-		s.finishJob(f.job, JobFailed, nil, err, false)
+	for _, job := range waiting {
+		s.finishJob(job, state, res, err, false)
 	}
 }
 
-// finishJob finalizes a job, updates the terminal counters, and releases
-// its drain count. Safe to call twice (only the transition that wins
-// counts).
+// finishJob is the terminal transition, and the single point where a
+// result is handed to a job: Job.finish clones it on retention (and
+// Job.Result on the way out), so no caller can corrupt another's result,
+// and maps it from canonical order to the job's own node IDs. It updates
+// the terminal counters, feeds the retention queue, and releases the job's
+// drain count. Safe to call twice (only the transition that wins counts).
 func (s *Service) finishJob(job *Job, state JobState, res *Result, err error, cached bool) {
 	if !job.finish(state, res, err, cached) {
 		return
 	}
-	switch state {
-	case JobDone:
-		s.m.jobsDone.Inc()
-	case JobFailed:
-		s.m.jobsFailed.Inc()
-	case JobCancelled:
-		s.m.jobsCancelled.Inc()
-	}
+	s.m.jobsEnded[state].Inc()
+	s.mu.Lock()
+	s.jobs.retireLocked(job.id)
+	s.mu.Unlock()
 	s.jobsWG.Done()
 }
 
-// Plan is the synchronous, cache-aware entry point: Submit + Wait. When ctx
-// is cancelled or expires mid-plan, the job is cancelled and Plan returns
-// its best-so-far result together with ctx's error — the same contract as
-// Planner.Plan.
-func (s *Service) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Result, error) {
-	job, err := s.Submit(ctx, PlanRequest{Graph: g, Options: opts})
-	if err != nil {
-		return nil, err
-	}
+// awaitJob waits with give-up-and-stop semantics: when ctx ends before the
+// job does, the job is cancelled and its best-so-far result is returned
+// together with ctx's error — the contract Service.Plan, PlanBatch, and
+// POST /v1/plan share with Planner.Plan.
+func awaitJob(ctx context.Context, job *Job) (*Result, error) {
 	select {
 	case <-job.Done():
 		return job.Result()
@@ -1006,6 +952,18 @@ func (s *Service) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Result
 		res, _ := job.Result()
 		return res, ctx.Err()
 	}
+}
+
+// Plan is the synchronous, cache-aware entry point: Submit + wait. When ctx
+// is cancelled or expires mid-plan, the job is cancelled and Plan returns
+// its best-so-far result together with ctx's error — the same contract as
+// Planner.Plan.
+func (s *Service) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Result, error) {
+	job, err := s.Submit(ctx, PlanRequest{Graph: g, Options: opts})
+	if err != nil {
+		return nil, err
+	}
+	return awaitJob(ctx, job)
 }
 
 // PlanBatch submits every request and waits for all of them. The results
@@ -1024,31 +982,19 @@ func (s *Service) PlanBatch(ctx context.Context, reqs []PlanRequest) ([]*Result,
 	// Waiting for the sequential loop below to reach each index would let
 	// queued jobs later in the batch run to completion on workers the
 	// caller has already given up on.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			for _, job := range jobs {
-				if job != nil {
-					job.Cancel()
-				}
+	stop := context.AfterFunc(ctx, func() {
+		for _, job := range jobs {
+			if job != nil {
+				job.Cancel()
 			}
-		case <-watchDone:
 		}
-	}()
+	})
+	defer stop()
 	results := make([]*Result, len(reqs))
 	for i, job := range jobs {
-		if job == nil {
-			continue
+		if job != nil {
+			results[i], errs[i] = awaitJob(ctx, job)
 		}
-		select {
-		case <-job.Done():
-		case <-ctx.Done():
-			job.Cancel()
-			<-job.Done()
-		}
-		results[i], errs[i] = job.Result()
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -1064,7 +1010,7 @@ func (s *Service) PlanBatch(ctx context.Context, reqs []PlanRequest) ([]*Result,
 // with Drain, or poll Stats until JobsQueued and JobsRunning reach zero.
 func (s *Service) BeginDrain() {
 	s.mu.Lock()
-	s.draining = true
+	s.stopped = true
 	s.mu.Unlock()
 }
 
@@ -1089,7 +1035,7 @@ func (s *Service) Drain(ctx context.Context) error {
 		s.shutdown()
 		<-drained
 	}
-	s.finalize()
+	s.release()
 	return err
 }
 
@@ -1099,24 +1045,17 @@ func (s *Service) Drain(ctx context.Context) error {
 // idempotent. For graceful shutdown — let in-flight work finish first —
 // use Drain.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.BeginDrain()
 	s.shutdown()
-	s.finalize()
+	s.release()
 	return nil
 }
 
-// finalize releases the workers and flushes the disk tier exactly once,
-// after which the service is fully closed.
-func (s *Service) finalize() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+// release waits out and frees the workers, then flushes the disk tier.
+// Both steps are idempotent, so Drain and Close need no once-guard.
+func (s *Service) release() {
 	s.pool.Close()
-	s.finalOnce.Do(func() {
-		if s.disk != nil {
-			_ = s.disk.Flush()
-		}
-	})
+	if s.disk != nil {
+		_ = s.disk.Flush()
+	}
 }

@@ -3,6 +3,8 @@ package mcmpart_test
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -99,46 +101,6 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	}
 }
 
-// TestCoalescingDisabled pins the DisableCoalescing escape hatch: identical
-// concurrent requests each invoke the planner.
-func TestCoalescingDisabled(t *testing.T) {
-	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2, DisableCoalescing: true, CacheEntries: -1})
-	g := smallGraph(t)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	opts := gatedOptions(started, release)
-
-	first, err := svc.Submit(context.Background(), mcmpart.PlanRequest{Graph: g, Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	secondOpts := opts
-	secondOpts.Progress = nil
-	second, err := svc.Submit(context.Background(), mcmpart.PlanRequest{Graph: g, Options: secondOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Status().Coalesced {
-		t.Fatal("coalescing disabled, but the second request coalesced")
-	}
-	close(release)
-	a, err := first.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := second.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resultsBitIdentical(a, b); err != nil {
-		t.Fatalf("determinism broken without coalescing: %v", err)
-	}
-	if st := svc.Stats(); st.PlansExecuted != 2 || st.PlansCoalesced != 0 {
-		t.Fatalf("stats %+v: want 2 executions, 0 coalesced", st)
-	}
-}
-
 // TestCoalescedFollowerDetaches pins follower cancellation: a coalesced
 // request that gives up is finished cancelled without disturbing the
 // leader or the other followers.
@@ -231,6 +193,129 @@ func TestLeaderCancellationPromotesFollower(t *testing.T) {
 	}
 	if st := svc.Stats(); st.PlansExecuted != 2 {
 		t.Fatalf("PlansExecuted = %d, want 2 (leader's aborted run + follower's re-plan)", st.PlansExecuted)
+	}
+}
+
+// TestShedLeavesNothingBehind pins admission's no-rollback shape: with the
+// queue full, Submit returns ErrBusy having registered no job, burned no
+// job ID, and left the queued gauge where it was — and the service still
+// drains.
+func TestShedLeavesNothingBehind(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1, QueueDepth: 1})
+	g := smallGraph(t)
+	ctx := context.Background()
+	started, release := make(chan struct{}), make(chan struct{})
+	if _, err := svc.Submit(ctx, mcmpart.PlanRequest{Graph: g, Options: gatedOptions(started, release)}); err != nil {
+		t.Fatal(err)
+	}
+	<-started // job-000001 pins the only worker
+	distinct := func(seed int64) mcmpart.PlanRequest {
+		return mcmpart.PlanRequest{Graph: g, Options: mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 5, Seed: seed}}
+	}
+	queued, err := svc.Submit(ctx, distinct(100)) // job-000002 fills the queue
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := svc.Stats()
+
+	if _, err := svc.Submit(ctx, distinct(200)); !errors.Is(err, mcmpart.ErrBusy) {
+		t.Fatalf("submit past a full queue: err = %v, want ErrBusy", err)
+	}
+	after := svc.Stats()
+	if after.JobsQueued != before.JobsQueued || after.JobsSubmitted != before.JobsSubmitted ||
+		after.CacheMisses != before.CacheMisses || after.JobsShed != before.JobsShed+1 {
+		t.Fatalf("shed moved more than the shed counter:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if _, ok := svc.Job("job-000003"); ok {
+		t.Fatal("the shed request registered a job")
+	}
+
+	close(release)
+	<-queued.Done()
+	next, err := svc.Submit(ctx, distinct(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID() != "job-000003" {
+		t.Fatalf("admission after a shed got %s, want job-000003 (the shed must not burn an ID)", next.ID())
+	}
+	drainCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	if err := svc.Drain(drainCtx); err != nil {
+		t.Fatalf("Drain after a shed: %v", err)
+	}
+}
+
+// TestMaxRetainedJobs pins the retention bound: a burst of terminal jobs
+// past the bound evicts the oldest terminal ones (Service.Job false, HTTP
+// 404), keeps the table at the bound, and never evicts a live job.
+func TestMaxRetainedJobs(t *testing.T) {
+	const bound = 4
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1, MaxRetainedJobs: bound})
+	srv := httptest.NewServer(mcmpart.NewHTTPHandler(svc))
+	defer srv.Close()
+	g := smallGraph(t)
+	ctx := context.Background()
+	greedy := mcmpart.PlanRequest{Graph: g, Options: mcmpart.PlanOptions{Method: mcmpart.MethodGreedy}}
+
+	ids := make([]string, 0, 32)
+	first, err := svc.Submit(ctx, greedy) // fills the cache; every later one is a hit
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-first.Done()
+	ids = append(ids, first.ID())
+
+	started, release := make(chan struct{}), make(chan struct{})
+	live, err := svc.Submit(ctx, mcmpart.PlanRequest{Graph: g, Options: gatedOptions(started, release)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	for i := 0; i < 5*bound; i++ {
+		job, err := svc.Submit(ctx, greedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !job.Status().State.Terminal() {
+			t.Fatalf("burst job %s is not an already-terminal cache hit", job.ID())
+		}
+		ids = append(ids, job.ID())
+	}
+
+	if _, ok := svc.Job(live.ID()); !ok {
+		t.Fatal("the live job was evicted by a burst of terminal ones")
+	}
+	retained := 0
+	for i, id := range ids {
+		_, ok := svc.Job(id)
+		if ok {
+			retained++
+		}
+		// Oldest terminal first: exactly the newest bound-1 terminal jobs
+		// share the table with the live one.
+		if want := i >= len(ids)-(bound-1); ok != want {
+			t.Fatalf("job %s (terminal #%d of %d): retained = %t, want %t", id, i, len(ids), ok, want)
+		}
+	}
+	if retained+1 != bound {
+		t.Fatalf("table holds %d terminal jobs + 1 live, want %d in all", retained, bound)
+	}
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET evicted job: HTTP %d, want 404", resp.StatusCode)
+	}
+
+	close(release)
+	if _, err := live.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := svc.Job(live.ID()); !ok {
+		t.Fatal("the job that just finished is the newest terminal one and must still be addressable")
 	}
 }
 

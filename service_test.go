@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -100,46 +101,151 @@ func TestServiceCacheHitBitIdenticalToColdPlan(t *testing.T) {
 	}
 }
 
-// TestServiceCacheKeyUsesCanonicalFingerprint: the same model built in a
-// different node-insertion order hits the cache.
-func TestServiceCacheKeyUsesCanonicalFingerprint(t *testing.T) {
-	ctx := context.Background()
-	const n = 8
-	build := func(creationOrder []int) *mcmpart.Graph {
-		g := mcmpart.NewGraph("order")
-		ids := make([]int, n)
-		// Node `role` is position role in the chain, whatever order the
-		// nodes are created in — the graphs are isomorphic by construction.
-		for _, role := range creationOrder {
-			ids[role] = g.AddNode(mcmpart.Node{
-				Name: "fc", Op: mcmpart.OpKind(4), FLOPs: 1e9 * float64(1+role%3),
-				ParamBytes: 1 << 20, OutputBytes: 1 << 16,
-			})
-		}
-		for i := 0; i+1 < n; i++ {
-			g.MustAddEdge(ids[i], ids[i+1], 1<<16)
-		}
-		return g
+// orderedChain builds an n-node chain whose node at chain position `role` is
+// created creationOrder[i]-th — so every creation order yields the same
+// model under different node IDs. ids[role] is the node at that position.
+func orderedChain(creationOrder []int) (g *mcmpart.Graph, ids []int) {
+	g = mcmpart.NewGraph("order")
+	ids = make([]int, len(creationOrder))
+	for _, role := range creationOrder {
+		ids[role] = g.AddNode(mcmpart.Node{
+			Name: "fc", Op: mcmpart.OpKind(4), FLOPs: 1e9 * float64(1+role%3),
+			ParamBytes: 1 << 20, OutputBytes: 1 << 16,
+		})
 	}
+	for i := 0; i+1 < len(ids); i++ {
+		g.MustAddEdge(ids[i], ids[i+1], 1<<16)
+	}
+	return g, ids
+}
+
+// forwardAndBackwardChains returns one 8-node chain built front to back
+// and the same chain built back to front, with their role → node ID maps.
+func forwardAndBackwardChains(t *testing.T) (ga, gb *mcmpart.Graph, idsA, idsB []int) {
+	t.Helper()
+	const n = 8
 	forward, backward := make([]int, n), make([]int, n)
 	for i := 0; i < n; i++ {
 		forward[i], backward[i] = i, n-1-i
 	}
-	ga, gb := build(forward), build(backward)
+	ga, idsA = orderedChain(forward)
+	gb, idsB = orderedChain(backward)
 	if ga.Fingerprint() != gb.Fingerprint() {
 		t.Fatal("insertion orders fingerprint differently")
 	}
-	svc := newTestService(t, mcmpart.ServiceOptions{})
-	opts := mcmpart.PlanOptions{Method: mcmpart.MethodGreedy}
-	if _, err := svc.Plan(ctx, ga, opts); err != nil {
+	return ga, gb, idsA, idsB
+}
+
+// sameChainPlan checks that b is a's plan in gb's node IDs: valid on gb,
+// every chain position on the same chip, everything else bit-identical.
+func sameChainPlan(t *testing.T, a, b *mcmpart.Result, gb *mcmpart.Graph, idsA, idsB []int) {
+	t.Helper()
+	if err := b.Partition.ValidateOn(gb, mcmpart.Dev4()); err != nil {
+		t.Fatalf("plan handed to the reordered graph does not fit it: %v", err)
+	}
+	for role := range idsA {
+		if a.Partition[idsA[role]] != b.Partition[idsB[role]] {
+			t.Fatalf("chain position %d: chip %d on the first graph, %d on the reordered one",
+				role, a.Partition[idsA[role]], b.Partition[idsB[role]])
+		}
+	}
+	inAsOrder := *b
+	inAsOrder.Partition = a.Partition
+	if err := resultsBitIdentical(a, &inAsOrder); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Plan(ctx, gb, opts); err != nil {
+}
+
+// TestServiceCacheKeyUsesCanonicalFingerprint: the same model built in a
+// different node-insertion order hits the cache, and the hit is indexed by
+// the node IDs of the graph that asked.
+func TestServiceCacheKeyUsesCanonicalFingerprint(t *testing.T) {
+	ctx := context.Background()
+	ga, gb, idsA, idsB := forwardAndBackwardChains(t)
+	svc := newTestService(t, mcmpart.ServiceOptions{})
+	opts := mcmpart.PlanOptions{Method: mcmpart.MethodGreedy}
+	first, err := svc.Plan(ctx, ga, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := svc.Plan(ctx, gb, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Stats(); st.CacheHits != 1 {
 		t.Fatalf("isomorphic graph should hit the cache; stats: %+v", st)
 	}
+	sameChainPlan(t, first, hit, gb, idsA, idsB)
+	// The first graph still gets its own order back.
+	again, err := svc.Plan(ctx, ga, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resultsBitIdentical(first, again); err != nil {
+		t.Fatalf("hit for the original order changed: %v", err)
+	}
+}
+
+// TestCoalescedFollowerGetsItsOwnNodeOrder: a follower whose graph is the
+// leader's model in another node order shares the leader's plan and
+// receives it indexed by its own node IDs.
+func TestCoalescedFollowerGetsItsOwnNodeOrder(t *testing.T) {
+	ctx := context.Background()
+	ga, gb, idsA, idsB := forwardAndBackwardChains(t)
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1})
+	started, release := make(chan struct{}), make(chan struct{})
+	opts := gatedOptions(started, release)
+	leader, err := svc.Submit(ctx, mcmpart.PlanRequest{Graph: ga, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	opts.Progress = nil
+	follower, err := svc.Submit(ctx, mcmpart.PlanRequest{Graph: gb, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !follower.Status().Coalesced {
+		t.Fatal("reordered graph did not coalesce onto the in-flight plan")
+	}
+	close(release)
+	want, err := leader.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := follower.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameChainPlan(t, want, got, gb, idsA, idsB)
+	if st := svc.Stats(); st.PlansExecuted != 1 {
+		t.Fatalf("PlansExecuted = %d, want 1", st.PlansExecuted)
+	}
+}
+
+// TestDiskHitGetsItsOwnNodeOrder: the disk tier stores canonical order too,
+// so a restarted service serves the reordered graph a plan that fits it.
+func TestDiskHitGetsItsOwnNodeOrder(t *testing.T) {
+	ctx := context.Background()
+	ga, gb, idsA, idsB := forwardAndBackwardChains(t)
+	dir := filepath.Join(t.TempDir(), "plans")
+	opts := mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 20, Seed: 4}
+	first := newTestService(t, mcmpart.ServiceOptions{CacheDir: dir})
+	want, err := first.Plan(ctx, ga, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+
+	second := newTestService(t, mcmpart.ServiceOptions{CacheDir: dir})
+	got, err := second.Plan(ctx, gb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := second.Stats(); st.DiskCacheHits != 1 || st.PlansExecuted != 0 {
+		t.Fatalf("stats %+v: want 1 disk hit, 0 plans executed", st)
+	}
+	sameChainPlan(t, want, got, gb, idsA, idsB)
 }
 
 // TestServiceConcurrentSubmit hammers one service from many goroutines over
