@@ -3,6 +3,8 @@
 // GraphSAGE layers (Hamilton et al., 2017), trained end-to-end with the
 // policy head by backpropagation. The default configuration matches the
 // paper: 8 layers of width 128.
+//
+//mcmlint:hotpath
 package gnn
 
 import (
@@ -116,31 +118,36 @@ func (a *Adjacency) NumNodes() int { return len(a.invDeg) }
 // results identical at any worker count.
 func (a *Adjacency) aggregate(out, in *mat.Dense) {
 	out.Zero()
-	d := in.Cols
 	n := a.NumNodes()
-	extra := 0
-	if flops := len(a.neigh) * d; flops >= mat.ParallelFlopThreshold {
-		extra = parallel.AcquireLanes(parallel.Resolve(0, n) - 1)
-		defer parallel.ReleaseLanes(extra)
+	if len(a.neigh)*in.Cols >= mat.ParallelFlopThreshold {
+		if extra := parallel.AcquireLanes(parallel.Resolve(0, n) - 1); extra > 0 {
+			defer parallel.ReleaseLanes(extra)
+			parallel.ForEachBlock(extra+1, n, func(_, lo, hi int) { a.aggregateRows(out, in, lo, hi) })
+			return
+		}
 	}
-	parallel.ForEachBlock(extra+1, n, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			ov := out.Data[v*d : (v+1)*d]
-			w := a.invDeg[v]
-			if w == 0 {
-				continue
-			}
-			for _, u := range a.neigh[a.offsets[v]:a.offsets[v+1]] {
-				iu := in.Data[int(u)*d : (int(u)+1)*d]
-				for j, x := range iu {
-					ov[j] += x
-				}
-			}
-			for j := range ov {
-				ov[j] *= w
+	a.aggregateRows(out, in, 0, n)
+}
+
+// aggregateRows is aggregate over output rows [lo, hi) of a zeroed out.
+func (a *Adjacency) aggregateRows(out, in *mat.Dense, lo, hi int) {
+	d := in.Cols
+	for v := lo; v < hi; v++ {
+		ov := out.Data[v*d : (v+1)*d]
+		w := a.invDeg[v]
+		if w == 0 {
+			continue
+		}
+		for _, u := range a.neigh[a.offsets[v]:a.offsets[v+1]] {
+			iu := in.Data[int(u)*d : (int(u)+1)*d]
+			for j, x := range iu {
+				ov[j] += x
 			}
 		}
-	})
+		for j := range ov {
+			ov[j] *= w
+		}
+	}
 }
 
 // scatterAdd computes out[u] += sum over v with u in N(v) of in[v]*invDeg(v)

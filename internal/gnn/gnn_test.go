@@ -168,3 +168,23 @@ func TestSAGEDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSAGEForwardBackwardAllocs pins the encoder's owned scratch: once the
+// record and the backprop buffers are sized, a Forward+Backward pair
+// allocates nothing (it was 25 allocations, three of them N x Hidden
+// matrices, when Backward built its temporaries per call). The graph is small enough
+// that every kernel takes its serial path on any host.
+func TestSAGEForwardBackwardAllocs(t *testing.T) {
+	g := workload.MLP(workload.MLPConfig{Name: "m", Layers: 6, Input: 64, Hidden: 64, Output: 16})
+	adj, x := BuildAdjacency(g), Features(g)
+	s := NewSAGE(FeatureDim, 16, 3, rand.New(rand.NewSource(5)))
+	dOut := mat.New(g.NumNodes(), 16)
+	for i := range dOut.Data {
+		dOut.Data[i] = 1e-3
+	}
+	pair := func() { s.Forward(adj, x); s.Backward(dOut) }
+	pair() // size the scratch
+	if allocs := testing.AllocsPerRun(20, pair); allocs > 0 {
+		t.Fatalf("Forward+Backward allocates %v times per pair in steady state, want 0", allocs)
+	}
+}

@@ -1,0 +1,218 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The three scalar loop nests the package shipped with until the kernels
+// were register-tiled, kept verbatim (minus the row fan-out, which never
+// touched accumulation order) as the reference the tiled bodies must match
+// bit for bit: every output element accumulates its products in ascending
+// k, and mulRows/mulATBRows skip a product whose a-factor is exactly zero.
+
+func refMulRows(out, a, b *Dense) {
+	for i := 0; i < a.Rows; i++ {
+		ar := a.Data[i*a.Cols : (i+1)*a.Cols]
+		or := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for k, av := range ar {
+			if av == 0 {
+				continue
+			}
+			br := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range br {
+				or[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMulATBRows(out, a, b *Dense) {
+	for i := 0; i < a.Cols; i++ {
+		or := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for k := 0; k < a.Rows; k++ {
+			av := a.Data[k*a.Cols+i]
+			if av == 0 {
+				continue
+			}
+			br := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range br {
+				or[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMulABT(out, a, b *Dense) {
+	for i := 0; i < a.Rows; i++ {
+		ar := a.Data[i*a.Cols : (i+1)*a.Cols]
+		or := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for j := 0; j < b.Rows; j++ {
+			br := b.Data[j*b.Cols : (j+1)*b.Cols]
+			var sum float64
+			for k, av := range ar {
+				sum += av * br[k]
+			}
+			or[j] = sum
+		}
+	}
+}
+
+// kernelInput fills an r x c matrix with normal values, then plants exact
+// zeros (about half the entries when relu is set, as a post-ReLU activation
+// has; a sprinkle otherwise) and negative zeros.
+func kernelInput(rng *rand.Rand, r, c int, relu bool) *Dense {
+	m := randMat(rng, r, c)
+	for i := range m.Data {
+		switch {
+		case relu && m.Data[i] < 0, rng.Intn(11) == 0:
+			m.Data[i] = 0
+		case rng.Intn(13) == 0:
+			m.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	return m
+}
+
+func requireSameBits(t *testing.T, name string, got, want *Dense) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d (row %d, col %d) = %x (%v), reference %x (%v)", name, i, i/want.Cols, i%want.Cols,
+				math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(want.Data[i]), want.Data[i])
+		}
+	}
+}
+
+// TestKernelsBitIdenticalToReference requires the tiled kernels to
+// reproduce the reference loop nests exactly — on the policy network's
+// shapes, on column counts that leave a partial tile, with exact zeros and
+// negative zeros in both operands, accumulating into a non-empty out, and
+// at one and eight workers.
+func TestKernelsBitIdenticalToReference(t *testing.T) {
+	// m x k @ k x n.
+	shapes := [][3]int{
+		{2138, 68, 32}, {2138, 32, 36}, {2138, 23, 32}, // fc1, fc2, SAGE layer 0 on BERT/edge36
+		{300, 300, 9}, // k beyond one compaction chunk
+	}
+	for _, n := range []int{1, 3, 5, 13, 33} {
+		shapes = append(shapes, [3]int{37, 29, n}, [3]int{41, n, 7}, [3]int{n, 11, 19})
+	}
+	rng := rand.New(rand.NewSource(15))
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		for _, relu := range []bool{false, true} {
+			a := kernelInput(rng, m, k, relu) // m x k
+			b := kernelInput(rng, k, n, false)
+			bt := kernelInput(rng, n, k, false) // for a @ btᵀ
+			c := kernelInput(rng, m, n, relu)   // for aᵀ @ c
+			seedMN := kernelInput(rng, m, n, false)
+			seedKN := kernelInput(rng, k, n, false)
+			for _, workers := range []int{1, 8} {
+				name := func(kernel string) string {
+					return fmt.Sprintf("%s %dx%dx%d relu=%v workers=%d", kernel, m, k, n, relu, workers)
+				}
+				withWorkers(workers, func() {
+					got, want := seedMN.Clone(), New(m, n)
+					Mul(got, a, b)
+					refMulRows(want, a, b)
+					requireSameBits(t, name("Mul"), got, want)
+
+					got, want = seedMN.Clone(), seedMN.Clone()
+					MulAdd(got, a, b)
+					refMulRows(want, a, b)
+					requireSameBits(t, name("MulAdd"), got, want)
+
+					got, want = seedKN.Clone(), New(k, n)
+					MulATB(got, a, c)
+					refMulATBRows(want, a, c)
+					requireSameBits(t, name("MulATB"), got, want)
+
+					got, want = seedKN.Clone(), seedKN.Clone()
+					MulATBAcc(got, a, c)
+					refMulATBRows(want, a, c)
+					requireSameBits(t, name("MulATBAcc"), got, want)
+
+					got, want = seedMN.Clone(), New(m, n)
+					MulABT(got, a, bt)
+					refMulABT(want, a, bt)
+					requireSameBits(t, name("MulABT"), got, want)
+				})
+			}
+		}
+	}
+}
+
+// TestKernelsKeepNonFiniteSemantics pins the two places where skipping (or
+// not skipping) a zero factor is visible in the value, not only the sign of
+// a zero: 0 * Inf is NaN, so Mul/MulATB must skip it and MulABT must not.
+func TestKernelsKeepNonFiniteSemantics(t *testing.T) {
+	a := FromSlice(1, 2, []float64{0, 2})
+	b := FromSlice(2, 1, []float64{math.Inf(1), 3})
+	out := New(1, 1)
+	Mul(out, a, b)
+	if out.Data[0] != 6 {
+		t.Fatalf("Mul must skip the zero factor: got %v, want 6", out.Data[0])
+	}
+	at := FromSlice(2, 1, []float64{0, 2})
+	MulATB(out, at, b)
+	if out.Data[0] != 6 {
+		t.Fatalf("MulATB must skip the zero factor: got %v, want 6", out.Data[0])
+	}
+	bt := FromSlice(1, 2, []float64{math.Inf(1), 3})
+	MulABT(out, a, bt)
+	if !math.IsNaN(out.Data[0]) {
+		t.Fatalf("MulABT must not skip the zero factor: got %v, want NaN", out.Data[0])
+	}
+}
+
+// Kernel benchmarks at the shapes one PPO transition on BERT/edge36 runs
+// (N = 2138 nodes, hidden 32, 36 chips), with post-ReLU sparsity where the
+// network has it. "ref" is the scalar nest the kernel replaced.
+func BenchmarkKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n, h, c = 2138, 32, 36
+	z := kernelInput(rng, n, h+c, false)  // fc1 input: embedding + one-hot
+	a1 := kernelInput(rng, n, h, true)    // post-ReLU hidden
+	w1 := kernelInput(rng, h+c, h, false) // fc1 weights
+	w2 := kernelInput(rng, h, c, false)   // fc2 weights
+	dLogits := randMat(rng, n, c)
+	dA1 := kernelInput(rng, n, h, true)
+	for i := 0; i < n; i++ { // one-hot block: one 1 per row
+		row := z.Row(i)[h:]
+		for j := range row {
+			row[j] = 0
+		}
+		row[rng.Intn(c)] = 1
+	}
+	wSelf := FromSlice(h, h, w1.Data[:h*h]) // a SAGE layer's h x h weights
+	outNH, outNC, outKH, outHC := New(n, h), New(n, c), New(h+c, h), New(h, c)
+	cases := []struct {
+		name string
+		run  func()
+		ref  func()
+	}{
+		{"Mul/fc1", func() { Mul(outNH, z, w1) }, func() { outNH.Zero(); refMulRows(outNH, z, w1) }},
+		{"Mul/fc2", func() { Mul(outNC, a1, w2) }, func() { outNC.Zero(); refMulRows(outNC, a1, w2) }},
+		{"MulATB/fc1", func() { MulATB(outKH, z, dA1) }, func() { outKH.Zero(); refMulATBRows(outKH, z, dA1) }},
+		{"MulATB/fc2", func() { MulATB(outHC, a1, dLogits) }, func() { outHC.Zero(); refMulATBRows(outHC, a1, dLogits) }},
+		{"MulABT/fc2", func() { MulABT(outNH, dLogits, w2) }, func() { refMulABT(outNH, dLogits, w2) }},
+		{"MulABT/sage", func() { MulABT(outNH, dA1, wSelf) }, func() { refMulABT(outNH, dA1, wSelf) }},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			withWorkers(1, func() {
+				for i := 0; i < b.N; i++ {
+					tc.run()
+				}
+			})
+		})
+		b.Run(tc.name+"/ref", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tc.ref()
+			}
+		})
+	}
+}

@@ -35,6 +35,19 @@ func FromSlice(rows, cols int, data []float64) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: data}
 }
 
+// Resized returns a rows x cols matrix for use as scratch: m itself,
+// reshaped, when its backing array is large enough (m may be nil), a fresh
+// matrix otherwise. The contents are unspecified — callers overwrite them —
+// so a loop that asks for the same shapes every pass allocates only on the
+// first.
+func Resized(m *Dense, rows, cols int) *Dense {
+	if m == nil || cap(m.Data) < rows*cols {
+		return New(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
 // At returns the element at (r, c).
 func (m *Dense) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
@@ -95,25 +108,75 @@ func MulAdd(out, a, b *Dense) {
 	mulRows(out, a, b)
 }
 
+// chunk bounds how many products one accumulate call folds into a tile: the
+// compaction buffers live on the stack, and in mulATBRows a chunk of b rows
+// (chunk x b.Cols values) is what has to stay in L1 while every output row
+// takes its turn over it.
+const chunk = 64
+
+// accumulate adds sum_c vals[c] * b[offs[c]+j] to or[j] for every column j,
+// folding the products in slice order. It is the one inner kernel of Mul,
+// MulAdd, MulATB and MulATBAcc: the callers differ only in how they gather
+// a's factors. Four output columns are held in registers across the whole
+// product list, so each costs one load of b per multiply-add instead of a
+// load, a load and a store; columns past the last full tile go one at a
+// time through the same sequence of operations.
+func accumulate(or, b, vals []float64, offs []int) {
+	offs = offs[:len(vals)]
+	j := 0
+	for ; j+4 <= len(or); j += 4 {
+		t := or[j : j+4 : j+4]
+		s0, s1, s2, s3 := t[0], t[1], t[2], t[3]
+		for c, av := range vals {
+			o := offs[c] + j
+			br := b[o : o+4 : o+4]
+			s0 += av * br[0]
+			s1 += av * br[1]
+			s2 += av * br[2]
+			s3 += av * br[3]
+		}
+		t[0], t[1], t[2], t[3] = s0, s1, s2, s3
+	}
+	for ; j < len(or); j++ {
+		s := or[j]
+		for c, av := range vals {
+			s += av * b[offs[c]+j]
+		}
+		or[j] = s
+	}
+}
+
 // mulRows accumulates out += a @ b, row-parallel above the flop threshold.
 // Each output row depends only on the matching row of a, so splitting rows
-// across workers preserves the serial accumulation order exactly.
+// across workers preserves the serial accumulation order exactly. Per row,
+// the non-zero factors of a are compacted first (k ascending, a chunk at a
+// time): a post-ReLU input is about half exact zeros, and testing for them
+// once per row instead of once per tile keeps the branch out of the inner
+// loop.
 func mulRows(out, a, b *Dense) {
-	rowRange(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Data[i*a.Cols : (i+1)*a.Cols]
-			or := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for k, av := range ar {
-				if av == 0 {
-					continue
-				}
-				br := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range br {
-					or[j] += av * bv
+	rowRange(a.Rows, a.Rows*a.Cols*b.Cols, mulRowsBlock, out, a, b)
+}
+
+// mulRowsBlock is mulRows over output rows [lo, hi).
+func mulRowsBlock(out, a, b *Dense, lo, hi int) {
+	var vals [chunk]float64
+	var offs [chunk]int
+	for i := lo; i < hi; i++ {
+		ar := a.Data[i*a.Cols : (i+1)*a.Cols]
+		or := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for k0 := 0; k0 < len(ar); k0 += chunk {
+			n := 0
+			for k, av := range ar[k0:min(k0+chunk, len(ar))] {
+				// Written unconditionally, kept conditionally: no branch
+				// on the data.
+				vals[n], offs[n] = av, (k0+k)*b.Cols
+				if av != 0 {
+					n++
 				}
 			}
+			accumulate(or, b.Data, vals[:n], offs[:n])
 		}
-	})
+	}
 }
 
 // MulATB computes out = aᵀ @ b (a is k x m, b is k x n, out is m x n).
@@ -139,45 +202,79 @@ func MulATBAcc(out, a, b *Dense) {
 
 // mulATBRows accumulates out += aᵀ @ b over blocks of output rows. Output
 // row i reads column i of a, so rows are independent and every out element
-// accumulates over k in ascending order regardless of the split.
+// accumulates over k in ascending order regardless of the split. The walk
+// is blocked over k: a chunk of rows of a and b is brought into cache once
+// and every output row folds its share of it (column i of the chunk,
+// zeros dropped) before the next chunk is touched — the scalar nest walked
+// the whole of a's column, a cache line per element, once per output row.
 func mulATBRows(out, a, b *Dense) {
-	rowRange(a.Cols, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
+	rowRange(a.Cols, a.Rows*a.Cols*b.Cols, mulATBRowsBlock, out, a, b)
+}
+
+// mulATBRowsBlock is mulATBRows over output rows [lo, hi).
+func mulATBRowsBlock(out, a, b *Dense, lo, hi int) {
+	var vals [chunk]float64
+	var offs [chunk]int
+	for k0 := 0; k0 < a.Rows; k0 += chunk {
+		k1 := min(k0+chunk, a.Rows)
 		for i := lo; i < hi; i++ {
-			or := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for k := 0; k < a.Rows; k++ {
+			n := 0
+			for k := k0; k < k1; k++ {
 				av := a.Data[k*a.Cols+i]
-				if av == 0 {
-					continue
-				}
-				br := b.Data[k*b.Cols : (k+1)*b.Cols]
-				for j, bv := range br {
-					or[j] += av * bv
+				vals[n], offs[n] = av, k*b.Cols
+				if av != 0 {
+					n++
 				}
 			}
+			if n != 0 {
+				accumulate(out.Data[i*out.Cols:(i+1)*out.Cols], b.Data, vals[:n], offs[:n])
+			}
 		}
-	})
+	}
 }
 
 // MulABT computes out = a @ bᵀ (a is m x k, b is n x k, out is m x n).
+// Four rows of b are dotted against a row of a at once: each dot product
+// still sums its products in ascending k from zero, but the four chains are
+// independent, so the adds overlap instead of queueing behind one another.
 func MulABT(out, a, b *Dense) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulABT shape mismatch (%dx%d)@(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	rowRange(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Data[i*a.Cols : (i+1)*a.Cols]
-			or := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j := 0; j < b.Rows; j++ {
-				br := b.Data[j*b.Cols : (j+1)*b.Cols]
-				var sum float64
-				for k, av := range ar {
-					sum += av * br[k]
-				}
-				or[j] = sum
+	rowRange(a.Rows, a.Rows*a.Cols*b.Rows, mulABTBlock, out, a, b)
+}
+
+// mulABTBlock is MulABT over output rows [lo, hi).
+func mulABTBlock(out, a, b *Dense, lo, hi int) {
+	kk := a.Cols
+	for i := lo; i < hi; i++ {
+		ar := a.Data[i*kk : (i+1)*kk]
+		or := out.Data[i*out.Cols : (i+1)*out.Cols]
+		j := 0
+		for ; j+4 <= len(or); j += 4 {
+			b0 := b.Data[j*kk : (j+1)*kk][:len(ar)]
+			b1 := b.Data[(j+1)*kk : (j+2)*kk][:len(ar)]
+			b2 := b.Data[(j+2)*kk : (j+3)*kk][:len(ar)]
+			b3 := b.Data[(j+3)*kk : (j+4)*kk][:len(ar)]
+			var s0, s1, s2, s3 float64
+			for k, av := range ar {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
 			}
+			or[j], or[j+1], or[j+2], or[j+3] = s0, s1, s2, s3
 		}
-	})
+		for ; j < len(or); j++ {
+			br := b.Data[j*kk : (j+1)*kk][:len(ar)]
+			var sum float64
+			for k, av := range ar {
+				sum += av * br[k]
+			}
+			or[j] = sum
+		}
+	}
 }
 
 // Axpy computes y += s * x over raw slices — the scalar-vector kernel the

@@ -8,25 +8,31 @@ import (
 
 // ReLU applies max(0, x) elementwise: out = relu(x). It caches nothing;
 // ReLUBackward takes the forward output.
+//
+// Both passes select on the bit pattern instead of branching on the value:
+// about half of a layer's units are off, in no pattern a branch predictor
+// can learn, and the integer form compiles to a conditional move.
 func ReLU(out, x *mat.Dense) {
+	o := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
+		b := math.Float64bits(v)
+		if !(v > 0) {
+			b = 0
 		}
+		o[i] = math.Float64frombits(b)
 	}
 }
 
 // ReLUBackward overwrites dX with dOut masked by the forward output out.
 // dX and dOut may alias.
 func ReLUBackward(dX, dOut, out *mat.Dense) {
-	for i := range dOut.Data {
-		if out.Data[i] > 0 {
-			dX.Data[i] = dOut.Data[i]
-		} else {
-			dX.Data[i] = 0
+	d, o := dX.Data[:len(dOut.Data)], out.Data[:len(dOut.Data)]
+	for i, g := range dOut.Data {
+		b := math.Float64bits(g)
+		if !(o[i] > 0) {
+			b = 0
 		}
+		d[i] = math.Float64frombits(b)
 	}
 }
 
@@ -45,12 +51,14 @@ func TanhBackward(dX, dOut, out *mat.Dense) {
 	}
 }
 
-// SoftmaxRows writes the row-wise softmax of logits into out (they may
-// alias). Numerically stable (max-subtracted).
-func SoftmaxRows(out, logits *mat.Dense) {
+// SoftmaxRows writes the row-wise softmax of logits into probs and the
+// row-wise log-softmax into logProbs, sharing one pass of exponentials
+// between them. Both are numerically stable (max-subtracted); neither
+// output may alias logits.
+func SoftmaxRows(probs, logProbs, logits *mat.Dense) {
 	for r := 0; r < logits.Rows; r++ {
 		row := logits.Row(r)
-		o := out.Row(r)
+		p := probs.Row(r)
 		max := math.Inf(-1)
 		for _, v := range row {
 			if v > max {
@@ -60,35 +68,17 @@ func SoftmaxRows(out, logits *mat.Dense) {
 		var sum float64
 		for j, v := range row {
 			e := math.Exp(v - max)
-			o[j] = e
+			p[j] = e
 			sum += e
 		}
 		inv := 1 / sum
-		for j := range o {
-			o[j] *= inv
-		}
-	}
-}
-
-// LogSoftmaxRows writes the row-wise log-softmax of logits into out (they
-// may alias).
-func LogSoftmaxRows(out, logits *mat.Dense) {
-	for r := 0; r < logits.Rows; r++ {
-		row := logits.Row(r)
-		o := out.Row(r)
-		max := math.Inf(-1)
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(v - max)
+		for j := range p {
+			p[j] *= inv
 		}
 		lse := max + math.Log(sum)
+		lp := logProbs.Row(r)
 		for j, v := range row {
-			o[j] = v - lse
+			lp[j] = v - lse
 		}
 	}
 }

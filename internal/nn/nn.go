@@ -5,6 +5,8 @@
 // Gradient convention: Backward methods accumulate into parameter gradients
 // (callers zero them once per optimization step via ZeroGrads) and overwrite
 // input-gradient buffers.
+//
+//mcmlint:hotpath
 package nn
 
 import (
@@ -40,13 +42,16 @@ type Linear struct {
 	x *mat.Dense // cached input for backprop
 }
 
-// NewLinear returns a Xavier-initialized linear layer.
+// NewLinear returns a Xavier-initialized linear layer. A nil rng leaves the
+// weights zero, for a layer whose weights are about to be copied in.
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{In: in, Out: out,
 		W: newParam(name+".w", in, out),
 		B: newParam(name+".b", 1, out),
 	}
-	l.W.Value.XavierInit(rng)
+	if rng != nil {
+		l.W.Value.XavierInit(rng)
+	}
 	return l
 }
 

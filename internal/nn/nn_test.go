@@ -100,10 +100,35 @@ func TestActivationsAndBackward(t *testing.T) {
 	}
 }
 
+// TestReLUSelectsExactly pins the bit-select form of ReLU and its backward
+// pass to max(0, x) semantics at the edges: a zero of either sign, a NaN and
+// a negative infinity are all "off" and produce +0.
+func TestReLUSelectsExactly(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	x := mat.FromSlice(1, 7, []float64{-1, negZero, 0, 2, math.NaN(), math.Inf(1), math.Inf(-1)})
+	want := []float64{0, 0, 0, 2, 0, math.Inf(1), 0}
+	out := mat.New(1, 7)
+	ReLU(out, x)
+	for i, w := range want {
+		if math.Float64bits(out.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("ReLU(%v) = %v (bits %x), want %v", x.Data[i], out.Data[i], math.Float64bits(out.Data[i]), w)
+		}
+	}
+	dOut := mat.FromSlice(1, 7, []float64{-3, -3, -3, -3, -3, negZero, -3})
+	wantD := []float64{0, 0, 0, -3, 0, negZero, 0}
+	dX := mat.New(1, 7)
+	ReLUBackward(dX, dOut, out)
+	for i, w := range wantD {
+		if math.Float64bits(dX.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("ReLUBackward[%d] = %v (bits %x), want %v", i, dX.Data[i], math.Float64bits(dX.Data[i]), w)
+		}
+	}
+}
+
 func TestSoftmaxRows(t *testing.T) {
 	logits := mat.FromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
-	out := mat.New(2, 3)
-	SoftmaxRows(out, logits)
+	out, lout := mat.New(2, 3), mat.New(2, 3)
+	SoftmaxRows(out, lout, logits)
 	for r := 0; r < 2; r++ {
 		var sum float64
 		for _, v := range out.Row(r) {
@@ -120,11 +145,44 @@ func TestSoftmaxRows(t *testing.T) {
 		t.Fatal("softmax should be monotone in logits")
 	}
 	// Log-softmax agrees with log(softmax).
-	lout := mat.New(2, 3)
-	LogSoftmaxRows(lout, logits)
 	for i := range out.Data {
 		if math.Abs(math.Exp(lout.Data[i])-out.Data[i]) > 1e-12 {
 			t.Fatalf("log-softmax mismatch at %d", i)
+		}
+	}
+}
+
+// TestSoftmaxRowsMatchesSeparatePasses pins the shared-exponential pass to
+// the bits of the two independent passes it replaced (softmax, then
+// log-softmax, each exponentiating every logit itself).
+func TestSoftmaxRowsMatchesSeparatePasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	logits := mat.New(64, 36)
+	for i := range logits.Data {
+		logits.Data[i] = 8 * rng.NormFloat64()
+	}
+	probs, logProbs := mat.New(64, 36), mat.New(64, 36)
+	SoftmaxRows(probs, logProbs, logits)
+	for r := 0; r < logits.Rows; r++ {
+		row := logits.Row(r)
+		max := math.Inf(-1)
+		for _, v := range row {
+			if v > max {
+				max = v
+			}
+		}
+		var sum float64
+		for _, v := range row {
+			sum += math.Exp(v - max)
+		}
+		inv, lse := 1/sum, max+math.Log(sum)
+		for j, v := range row {
+			if want := math.Exp(v-max) * inv; math.Float64bits(probs.At(r, j)) != math.Float64bits(want) {
+				t.Fatalf("probs[%d][%d] = %v, want %v", r, j, probs.At(r, j), want)
+			}
+			if want := v - lse; math.Float64bits(logProbs.At(r, j)) != math.Float64bits(want) {
+				t.Fatalf("logProbs[%d][%d] = %v, want %v", r, j, logProbs.At(r, j), want)
+			}
 		}
 	}
 }

@@ -11,9 +11,13 @@ import (
 // the evaluation budget is consumed. The environment's History records the
 // best-so-far curve.
 //
+// No weight changes during deployment, so the graph is encoded once and
+// every sample costs only the policy head.
+//
 // Cancelling ctx stops the loop before the next sample and returns
 // ctx.Err(); the environment keeps its best-so-far trajectory.
 func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *rand.Rand) error {
+	enc := policy.Encode(new(Encoding), env.Ctx)
 	for env.Samples < budget {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -23,7 +27,7 @@ func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *ra
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			f := policy.Forward(env.Ctx, prev)
+			f := policy.Heads(enc, prev)
 			if env.UseSampleMode {
 				env.StepProbs(MixedProbRows(f.Probs, env.ExploreEps()), rng)
 				prev = SampleActions(f.Probs, rng)

@@ -1,0 +1,144 @@
+package rl_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"mcmpart/internal/costmodel"
+	"mcmpart/internal/cpsolver"
+	"mcmpart/internal/graph"
+	"mcmpart/internal/mcm"
+	"mcmpart/internal/nn"
+	"mcmpart/internal/rl"
+	"mcmpart/internal/search"
+	"mcmpart/internal/workload"
+)
+
+// Training goldens. The hashes below were captured on the commit *before*
+// the kernels were tiled and the encoder pass was hoisted out of the
+// per-transition loop; they pin every float bit of the trained weights, so
+// any change to accumulation order anywhere in mat/nn/gnn/rl — or an
+// activation record that outlives the weights it was computed from — moves
+// them. They are never regenerated to make a change pass.
+const (
+	goldenBERT     = "ddde87f9956e2953080bfd24a4aae09b495b3bb96935ccadb14b7c4d40b57b53"
+	goldenMultiEnv = "0f1428aefa9a821ce293d1e13d8995ba184fe582487340651d8127f9a961fc6c"
+)
+
+// snapshotHash is SHA-256 over the snapshot's parameters in name order:
+// name, length, then the IEEE-754 bits of every value.
+func snapshotHash(s nn.Snapshot) string {
+	names := make([]string, 0, len(s))
+	for name := range s {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	var word [8]byte
+	for _, name := range names {
+		h.Write([]byte(name))
+		binary.LittleEndian.PutUint64(word[:], uint64(len(s[name])))
+		h.Write(word[:])
+		for _, v := range s[name] {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenEnv builds the environment MethodRL trains on: package-aware
+// context and solver with a replica factory, cost-model rewards over the
+// greedy baseline.
+func goldenEnv(t testing.TB, g *graph.Graph, pkg *mcm.Package) *rl.Env {
+	t.Helper()
+	newPart := func() (cpsolver.Partitioner, error) { return cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{}) }
+	pr, err := newPart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := costmodel.New(pkg)
+	env := rl.NewEnv(rl.NewGraphContextForPackage(g, pkg), pr, model, model.Assess(g, search.GreedyPackage(g, pkg)).Throughput)
+	env.PartFactory = newPart
+	return env
+}
+
+// trainTwice hashes a fresh policy of shape pcfg after two PPO iterations
+// over envs.
+func trainTwice(pcfg rl.Config, envs []*rl.Env, workers int) string {
+	rng := rand.New(rand.NewSource(11))
+	cfg := rl.QuickPPOConfig()
+	cfg.Workers = workers
+	policy := rl.NewPolicy(pcfg, rng)
+	trainer := rl.NewTrainer(policy, cfg, rng)
+	trainer.Iterate(envs)
+	trainer.Iterate(envs)
+	return snapshotHash(policy.Snapshot())
+}
+
+// TestTrainingGoldenBERT pins two PPO iterations on the paper's headline
+// case (BERT on edge36, the bert-rl benchmark workload's shape) at one and
+// two rollout workers.
+func TestTrainingGoldenBERT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two BERT-sized PPO iterations per worker count")
+	}
+	pkg := mcm.Edge36()
+	bert := workload.BERT()
+	for _, workers := range []int{1, 2} {
+		if got := trainTwice(rl.QuickConfig(pkg.Chips), []*rl.Env{goldenEnv(t, bert, pkg)}, workers); got != goldenBERT {
+			t.Errorf("workers=%d: snapshot hash %s, want %s", workers, got, goldenBERT)
+		}
+	}
+}
+
+// TestTrainingGoldenMultiEnv pins the Pretrain shape: episodes round-robin
+// over three graphs of different node counts, so each minibatch shuffles
+// transitions of several graphs together and every graph needs its own
+// activation record. The heterogeneous package widens the policy head with
+// the chip-capacity columns, so that input layout is pinned too.
+func TestTrainingGoldenMultiEnv(t *testing.T) {
+	pkg := mcm.Het4()
+	pcfg := rl.QuickConfig(pkg.Chips)
+	pcfg.ChipFeatures = true
+	graphs := []*graph.Graph{
+		workload.MLP(workload.MLPConfig{Name: "g0", Layers: 8, Input: 256, Hidden: 512, Output: 128, Batch: 16}),
+		workload.ResidualCNN(workload.CNNConfig{Name: "g1", InputSize: 32, Channels: 16, Stages: 2, BlocksPerStage: 2, Classes: 10}),
+		workload.UnrolledLSTM(workload.RNNConfig{Name: "g2", Steps: 5, Input: 128, Hidden: 256, Batch: 8}),
+	}
+	for _, workers := range []int{1, 2} {
+		envs := make([]*rl.Env, len(graphs))
+		nodes := make(map[int]bool)
+		for i, g := range graphs {
+			envs[i] = goldenEnv(t, g, pkg)
+			nodes[g.NumNodes()] = true
+		}
+		if len(nodes) != len(graphs) {
+			t.Fatalf("graphs must differ in node count, got %v", nodes)
+		}
+		if got := trainTwice(pcfg, envs, workers); got != goldenMultiEnv {
+			t.Errorf("workers=%d: snapshot hash %s, want %s", workers, got, goldenMultiEnv)
+		}
+	}
+}
+
+// BenchmarkIterateBERT times one PPO iteration at the bert-rl workload's
+// shape (BERT on edge36, quick network, 8 rollouts x 4 epochs): half of one
+// RL plan at sample budget 32.
+func BenchmarkIterateBERT(b *testing.B) {
+	pkg := mcm.Edge36()
+	envs := []*rl.Env{goldenEnv(b, workload.BERT(), pkg)}
+	rng := rand.New(rand.NewSource(11))
+	trainer := rl.NewTrainer(rl.NewPolicy(rl.QuickConfig(pkg.Chips), rng), rl.QuickPPOConfig(), rng)
+	trainer.Iterate(envs) // size the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trainer.Iterate(envs)
+	}
+}

@@ -65,6 +65,11 @@ func QuickConfig(chips int) Config {
 // Policy is the trainable network: GraphSAGE encoder, a two-layer policy
 // head over [node embedding ; previous assignment one-hot], and a two-layer
 // value head over the pooled state.
+//
+// Besides its weights a policy owns the scratch of one evaluation in
+// flight: the Forward it returns and the temporaries of Backward are reused
+// by the next call, so a training loop allocates nothing per transition.
+// That makes a policy single-threaded; rollout workers each run on a Clone.
 type Policy struct {
 	Cfg Config
 
@@ -72,9 +77,18 @@ type Policy struct {
 	fc1, fc2 *nn.Linear
 	vf1, vf2 *nn.Linear
 	params   []*nn.Param
+	// fc1Embed is the view of fc1's weights that multiplies the embedding
+	// columns of the head input: its first Hidden rows.
+	fc1Embed *mat.Dense
+
+	enc Encoding // the record behind Forward, the one-call form of Encode + Heads
+	fwd Forward
+	// Backward scratch.
+	dA1, dH, dV1, dPooled, dVout *mat.Dense
 }
 
-// NewPolicy builds a policy for the given configuration.
+// NewPolicy builds a policy for the given configuration. A nil rng leaves
+// the weights zero, for a policy whose weights are about to be copied in.
 func NewPolicy(cfg Config, rng *rand.Rand) *Policy {
 	if cfg.Chips <= 0 || cfg.Hidden <= 0 || cfg.SAGELayers <= 0 || cfg.Iterations <= 0 {
 		panic(fmt.Sprintf("rl: invalid config %+v", cfg))
@@ -95,21 +109,31 @@ func NewPolicy(cfg Config, rng *rand.Rand) *Policy {
 	p.params = append(p.params, p.fc2.Params()...)
 	p.params = append(p.params, p.vf1.Params()...)
 	p.params = append(p.params, p.vf2.Params()...)
+	p.fc1Embed = mat.FromSlice(cfg.Hidden, cfg.Hidden, p.fc1.W.Value.Data[:cfg.Hidden*cfg.Hidden])
+	// The value head's buffers have fixed shapes; the per-node ones are
+	// sized to the graph on use.
+	p.fwd.pooled, p.fwd.v1, p.fwd.vout = mat.New(1, in), mat.New(1, cfg.Hidden), mat.New(1, 1)
+	p.dPooled, p.dV1, p.dVout = mat.New(1, in), mat.New(1, cfg.Hidden), mat.New(1, 1)
 	return p
 }
 
 // Params returns all trainable parameters.
 func (p *Policy) Params() []*nn.Param { return p.params }
 
-// Clone returns an independent policy with identical weights. Forward keeps
-// per-call caches inside the encoder, so a policy is not safe for concurrent
-// Forwards; rollout workers each run on a clone instead.
+// Clone returns an independent policy with identical weights and its own
+// scratch.
 func (p *Policy) Clone() *Policy {
-	c := NewPolicy(p.Cfg, rand.New(rand.NewSource(0)))
-	if err := c.Restore(p.Snapshot()); err != nil {
-		panic("rl: Clone restore failed: " + err.Error())
-	}
+	c := NewPolicy(p.Cfg, nil)
+	c.copyWeights(p)
 	return c
+}
+
+// copyWeights overwrites p's weights with those of src, a policy of the
+// same Config.
+func (p *Policy) copyWeights(src *Policy) {
+	for i, param := range p.params {
+		param.Value.CopyFrom(src.params[i].Value)
+	}
 }
 
 // Snapshot captures the policy weights (a pre-training checkpoint).
@@ -162,115 +186,154 @@ func NewGraphContextForPackage(g *graph.Graph, pkg *mcm.Package) *GraphContext {
 	return ctx
 }
 
+// Encoding is the activation record of one encoder pass over a graph: the
+// node embeddings, their mean, and what the encoder needs to backpropagate
+// through them. The embedding depends on the graph and the weights but not
+// on the previous assignment (Figure 3: the feature network feeds the
+// policy network, and only the latter sees y(t-1) in Eq. 7), so one record
+// serves every Heads evaluation made while the weights stay as they are.
+//
+// A record belongs to whoever called Encode and is valid for exactly as
+// long as the weights it was computed from: hold it within a scope that
+// contains no optimizer step and no Restore — a rollout batch, a PPO
+// minibatch, one ZeroShot call — and encode again in the next. The zero
+// value is ready for Encode, and re-encoding reuses its buffers.
+type Encoding struct {
+	ctx  *GraphContext
+	act  gnn.Activations
+	h    *mat.Dense // N x Hidden node embeddings, owned by act
+	mean []float64  // column means of h: the value head's pooled embedding
+}
+
 // Forward is one policy evaluation on the state (graph, previous
 // assignment). prev has one entry per node; -1 means unassigned (the state
-// at t=0). The result holds everything Backward needs and stays valid until
-// the next Forward on this policy.
+// at t=0). It holds everything Backward needs, lives in the policy's
+// scratch, and stays valid until the next evaluation on that policy; copy
+// out what must outlive it.
 type Forward struct {
 	Probs    *mat.Dense // N x C action distribution P (Figure 3's output)
 	LogProbs *mat.Dense // N x C log-probabilities
 	Value    float64
 
-	ctx    *GraphContext
+	enc    *Encoding
 	z      *mat.Dense // policy-head input [h ; onehot(prev)]
 	a1     *mat.Dense // post-ReLU hidden of the policy head
 	logits *mat.Dense
 	pooled *mat.Dense // value-head input
 	v1     *mat.Dense
-	n      int
+	vout   *mat.Dense
 }
 
-// Forward runs the network. The returned buffers are owned by the caller
-// (fresh allocations) so multiple Forwards can coexist in a PPO batch.
-func (p *Policy) Forward(ctx *GraphContext, prev []int) *Forward {
-	n := ctx.G.NumNodes()
+// Encode runs the encoder over ctx, recording the pass in enc, and returns
+// enc.
+func (p *Policy) Encode(enc *Encoding, ctx *GraphContext) *Encoding {
+	enc.ctx = ctx
+	enc.h = p.sage.Encode(&enc.act, ctx.Adj, ctx.X)
+	if len(enc.mean) != p.Cfg.Hidden {
+		enc.mean = make([]float64, p.Cfg.Hidden)
+	}
+	clear(enc.mean)
+	inv := 1 / float64(enc.h.Rows)
+	for i := 0; i < enc.h.Rows; i++ {
+		for j, v := range enc.h.Row(i) {
+			enc.mean[j] += v * inv
+		}
+	}
+	return enc
+}
+
+// Heads evaluates the policy and value heads on the state (enc's graph,
+// prev). The weights must be the ones enc was encoded under.
+func (p *Policy) Heads(enc *Encoding, prev []int) *Forward {
+	n, c, hidden := enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
 	if len(prev) != n {
 		panic(fmt.Sprintf("rl: prev has %d entries for %d nodes", len(prev), n))
 	}
-	c := p.Cfg.Chips
 	extra := p.Cfg.headExtra()
-	if extra != 0 && len(ctx.ChipFeat) != extra {
+	chipFeat := enc.ctx.ChipFeat
+	if extra != 0 && len(chipFeat) != extra {
 		panic(fmt.Sprintf("rl: policy wants %d chip features, context has %d (build it with NewGraphContextForPackage)",
-			extra, len(ctx.ChipFeat)))
+			extra, len(chipFeat)))
 	}
-	h := p.sage.Forward(ctx.Adj, ctx.X)
-
-	f := &Forward{ctx: ctx, n: n}
-	f.z = mat.New(n, p.Cfg.Hidden+c+extra)
+	f := &p.fwd
+	f.enc = enc
+	f.z = mat.Resized(f.z, n, hidden+c+extra)
 	for i := 0; i < n; i++ {
 		row := f.z.Row(i)
-		copy(row, h.Row(i))
+		copy(row, enc.h.Row(i))
+		tail := row[hidden:]
+		clear(tail)
 		if a := prev[i]; a >= 0 && a < c {
-			row[p.Cfg.Hidden+a] = 1
+			tail[a] = 1
 		}
 		if extra != 0 {
-			copy(row[p.Cfg.Hidden+c:], ctx.ChipFeat)
+			copy(tail[c:], chipFeat)
 		}
 	}
-	f.a1 = mat.New(n, p.Cfg.Hidden)
+	f.a1 = mat.Resized(f.a1, n, hidden)
 	p.fc1.Forward(f.a1, f.z)
 	nn.ReLU(f.a1, f.a1)
-	f.logits = mat.New(n, c)
+	f.logits = mat.Resized(f.logits, n, c)
 	p.fc2.Forward(f.logits, f.a1)
-	f.Probs = mat.New(n, c)
-	nn.SoftmaxRows(f.Probs, f.logits)
-	f.LogProbs = mat.New(n, c)
-	nn.LogSoftmaxRows(f.LogProbs, f.logits)
+	f.Probs = mat.Resized(f.Probs, n, c)
+	f.LogProbs = mat.Resized(f.LogProbs, n, c)
+	nn.SoftmaxRows(f.Probs, f.LogProbs, f.logits)
 
 	// Value head over the pooled state: mean embedding plus the
 	// normalized chip histogram of the previous assignment.
-	f.pooled = mat.New(1, p.Cfg.Hidden+c)
 	pr := f.pooled.Row(0)
+	copy(pr, enc.mean)
+	hist := pr[hidden:]
+	clear(hist)
 	inv := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		hr := h.Row(i)
-		for j, v := range hr {
-			pr[j] += v * inv
-		}
-		if a := prev[i]; a >= 0 && a < c {
-			pr[p.Cfg.Hidden+a] += inv
+	for _, a := range prev {
+		if a >= 0 && a < c {
+			hist[a] += inv
 		}
 	}
-	f.v1 = mat.New(1, p.Cfg.Hidden)
 	p.vf1.Forward(f.v1, f.pooled)
 	nn.ReLU(f.v1, f.v1)
-	vout := mat.New(1, 1)
-	p.vf2.Forward(vout, f.v1)
-	f.Value = vout.At(0, 0)
+	p.vf2.Forward(f.vout, f.v1)
+	f.Value = f.vout.At(0, 0)
 	return f
+}
+
+// Forward runs the whole network, encoder and heads, on one state. Loops
+// that evaluate many states of one graph under fixed weights call Encode
+// once and Heads per state instead.
+func (p *Policy) Forward(ctx *GraphContext, prev []int) *Forward {
+	return p.Heads(p.Encode(&p.enc, ctx), prev)
 }
 
 // Backward accumulates parameter gradients for a forward pass given the
 // loss gradient with respect to the logits (N x C) and the value output.
-// The policy's layer caches must still correspond to f — in PPO's update
-// loop each transition is re-Forwarded immediately before its Backward.
+// f must be the policy's latest evaluation (the head layers cache their
+// inputs), and the weights those of f's Encoding.
 func (p *Policy) Backward(f *Forward, dLogits *mat.Dense, dValue float64) {
-	c := p.Cfg.Chips
-	// Policy head.
-	dA1 := mat.New(f.n, p.Cfg.Hidden)
-	p.fc2.Backward(dA1, dLogits)
-	nn.ReLUBackward(dA1, dA1, f.a1)
-	dZ := mat.New(f.n, p.Cfg.Hidden+c+p.Cfg.headExtra())
-	p.fc1.Backward(dZ, dA1)
+	n, hidden := f.enc.h.Rows, p.Cfg.Hidden
+	// Policy head. Of the head-input gradient only the embedding columns
+	// are needed (the one-hot and capacity columns are inputs, not
+	// activations), so fc1 propagates through its embedding rows alone.
+	p.dA1 = mat.Resized(p.dA1, n, hidden)
+	p.fc2.Backward(p.dA1, dLogits)
+	nn.ReLUBackward(p.dA1, p.dA1, f.a1)
+	p.fc1.Backward(nil, p.dA1)
+	p.dH = mat.Resized(p.dH, n, hidden)
+	mat.MulABT(p.dH, p.dA1, p.fc1Embed)
 	// Value head.
-	dVout := mat.FromSlice(1, 1, []float64{dValue})
-	dV1 := mat.New(1, p.Cfg.Hidden)
-	p.vf2.Backward(dV1, dVout)
-	nn.ReLUBackward(dV1, dV1, f.v1)
-	dPooled := mat.New(1, p.Cfg.Hidden+c)
-	p.vf1.Backward(dPooled, dV1)
+	p.dVout.Data[0] = dValue
+	p.vf2.Backward(p.dV1, p.dVout)
+	nn.ReLUBackward(p.dV1, p.dV1, f.v1)
+	p.vf1.Backward(p.dPooled, p.dV1)
 	// Gradient into the embeddings: policy rows plus the pooled mean.
-	dH := mat.New(f.n, p.Cfg.Hidden)
-	inv := 1 / float64(f.n)
-	pr := dPooled.Row(0)
-	for i := 0; i < f.n; i++ {
-		dr := dH.Row(i)
-		zr := dZ.Row(i)
-		for j := 0; j < p.Cfg.Hidden; j++ {
-			dr[j] = zr[j] + pr[j]*inv
+	inv := 1 / float64(n)
+	pr := p.dPooled.Row(0)[:hidden]
+	for i := 0; i < n; i++ {
+		for j, g := range pr {
+			p.dH.Data[i*hidden+j] += g * inv
 		}
 	}
-	p.sage.Backward(dH)
+	p.sage.BackwardFrom(&f.enc.act, p.dH)
 }
 
 // SampleActions draws one chip per node from the distribution.

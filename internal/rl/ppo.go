@@ -54,6 +54,7 @@ func QuickPPOConfig() PPOConfig {
 // the joint action, and its credit.
 type transition struct {
 	env    *Env
+	ei     int // env's index in the Iterate call's environment list
 	prev   []int
 	action []int
 	logp   float64
@@ -69,6 +70,45 @@ type Trainer struct {
 
 	opt *nn.Adam
 	rng *rand.Rand
+
+	// Scratch that survives from one Iterate to the next, so a steady-state
+	// iteration allocates only what it hands out (transitions, partitions).
+	encs    encodings // Policy's activation records, one per environment
+	clones  []*rolloutWorker
+	buf     []transition
+	order   []int
+	dLogits *mat.Dense
+}
+
+// encodings holds one activation record per environment index and fills
+// each on its first use within a scope. A scope is a stretch over which the
+// weights do not change — one rollout batch, one minibatch — and opens with
+// begin, which is what makes a stale record unreachable: nothing is ever
+// read from a previous scope.
+type encodings struct {
+	recs   []*Encoding
+	filled []bool
+}
+
+// begin opens a scope over n environments.
+func (e *encodings) begin(n int) {
+	for len(e.recs) < n {
+		e.recs = append(e.recs, new(Encoding))
+		e.filled = append(e.filled, false)
+	}
+	for i := range e.filled {
+		e.filled[i] = false
+	}
+}
+
+// of returns environment ei's record under pol's current weights, encoding
+// ctx if this scope has not yet.
+func (e *encodings) of(pol *Policy, ei int, ctx *GraphContext) *Encoding {
+	if !e.filled[ei] {
+		pol.Encode(e.recs[ei], ctx)
+		e.filled[ei] = true
+	}
+	return e.recs[ei]
 }
 
 // NewTrainer builds a PPO trainer.
@@ -93,7 +133,7 @@ type IterationStats struct {
 // Epochs x MiniBatches clipped-surrogate updates.
 func (t *Trainer) Iterate(envs []*Env) IterationStats {
 	var stats IterationStats
-	var buf []transition
+	buf := t.buf[:0]
 	results := t.collect(envs)
 	for r := range results {
 		env := envs[r%len(envs)]
@@ -102,6 +142,7 @@ func (t *Trainer) Iterate(envs []*Env) IterationStats {
 		}
 		buf = append(buf, results[r].transitions...)
 	}
+	t.buf = buf
 	stats.Samples = len(buf)
 	// Advantages, normalized over the batch.
 	var mean, sq float64
@@ -121,7 +162,10 @@ func (t *Trainer) Iterate(envs []*Env) IterationStats {
 		buf[i].adv = (buf[i].adv - mean) / std
 	}
 
-	order := make([]int, len(buf))
+	if cap(t.order) < len(buf) {
+		t.order = make([]int, len(buf))
+	}
+	order := t.order[:len(buf)]
 	for i := range order {
 		order[i] = i
 	}
@@ -137,6 +181,9 @@ func (t *Trainer) Iterate(envs []*Env) IterationStats {
 				continue
 			}
 			nn.ZeroGrads(t.Policy.Params())
+			// The weights are fixed until opt.Step below, so each graph in
+			// the minibatch is encoded once, at its first transition.
+			t.encs.begin(len(envs))
 			var pl, vl, ent float64
 			for _, idx := range order[lo:hi] {
 				p, v, e := t.update(&buf[idx], float64(hi-lo))
@@ -160,7 +207,7 @@ func (t *Trainer) Iterate(envs []*Env) IterationStats {
 // update accumulates the gradients of one transition's PPO loss, scaled by
 // 1/batch, and returns its loss components.
 func (t *Trainer) update(tr *transition, batch float64) (policyLoss, valueLoss, entropy float64) {
-	f := t.Policy.Forward(tr.env.Ctx, tr.prev)
+	f := t.Policy.Heads(t.encs.of(t.Policy, tr.ei, tr.env.Ctx), tr.prev)
 	logpNew := JointLogProb(f.LogProbs, tr.action)
 	ratio := math.Exp(logpNew - tr.logp)
 	adv := tr.adv
@@ -177,7 +224,8 @@ func (t *Trainer) update(tr *transition, batch float64) (policyLoss, valueLoss, 
 
 	// Gradient wrt logits: policy term + entropy bonus.
 	n, c := f.Probs.Rows, f.Probs.Cols
-	dLogits := mat.New(n, c)
+	t.dLogits = mat.Resized(t.dLogits, n, c)
+	dLogits := t.dLogits
 	scale := 1 / batch
 	beta := t.Cfg.EntropyCoef / float64(n)
 	for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mcmpart/internal/cpsolver"
@@ -66,15 +67,17 @@ func TestPolicyConditionsOnPrev(t *testing.T) {
 	p := NewPolicy(QuickConfig(4), rng)
 	env := testEnv(t, 4)
 	n := env.Ctx.G.NumNodes()
-	f0 := p.Forward(env.Ctx, unassigned(n))
+	// A Forward lives in the policy's scratch: copy out what must outlive
+	// the next evaluation.
+	p0 := p.Forward(env.Ctx, unassigned(n)).Probs.Clone()
 	prev := make([]int, n)
 	for i := range prev {
 		prev[i] = i % 4
 	}
 	f1 := p.Forward(env.Ctx, prev)
 	diff := 0.0
-	for i := range f0.Probs.Data {
-		diff += math.Abs(f0.Probs.Data[i] - f1.Probs.Data[i])
+	for i := range p0.Data {
+		diff += math.Abs(p0.Data[i] - f1.Probs.Data[i])
 	}
 	if diff < 1e-9 {
 		t.Fatal("policy output should depend on the previous assignment")
@@ -124,6 +127,63 @@ func TestPolicyGradientCheck(t *testing.T) {
 				t.Fatalf("%s[%d]: finite diff %v vs analytic %v", param.Name, i, fd, got)
 			}
 		}
+	}
+}
+
+// TestForwardSeesEncoderWeightChange is the check an encoder cache hidden
+// inside the policy fails: nudge one GraphSAGE weight between two Forward
+// calls and the second must move by what Backward predicted at the first.
+// Forward re-encodes on every call; only an explicit Encoding, whose scope
+// its caller controls, is ever reused.
+func TestForwardSeesEncoderWeightChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := graph.New("tiny")
+	for i := 0; i < 5; i++ {
+		g.AddNode(graph.Node{Op: graph.OpMatMul, FLOPs: 1e6, OutputBytes: 8})
+		if i > 0 {
+			g.MustAddEdge(i-1, i, 8)
+		}
+	}
+	ctx := NewGraphContext(g)
+	p := NewPolicy(Config{Chips: 3, Hidden: 5, SAGELayers: 2, Iterations: 1}, rng)
+	prev := []int{0, 1, -1, 2, 0}
+	loss := func(f *Forward) float64 {
+		var s float64
+		for _, v := range f.logits.Data {
+			s += v * v
+		}
+		return 0.5*s + 0.5*f.Value*f.Value
+	}
+	f := p.Forward(ctx, prev)
+	base := loss(f)
+	nn.ZeroGrads(p.Params())
+	p.Backward(f, f.logits.Clone(), f.Value)
+
+	const eps = 1e-6
+	checked := 0
+	for _, param := range p.Params() {
+		if !strings.HasPrefix(param.Name, "sage") {
+			continue
+		}
+		for i, grad := range param.Grad.Data {
+			if math.Abs(grad) < 1e-3 {
+				continue // too flat for a one-sided difference to resolve
+			}
+			orig := param.Value.Data[i]
+			param.Value.Data[i] = orig + eps
+			moved := loss(p.Forward(ctx, prev))
+			param.Value.Data[i] = orig
+			if moved == base {
+				t.Fatalf("%s[%d]: Forward did not see the weight change", param.Name, i)
+			}
+			if fd := (moved - base) / eps; math.Abs(fd-grad) > 1e-3*(1+math.Abs(grad)) {
+				t.Fatalf("%s[%d]: loss moved by %v per unit, Backward predicted %v", param.Name, i, fd, grad)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no encoder weight had a usable gradient")
 	}
 }
 

@@ -26,6 +26,15 @@ type episodeResult struct {
 	steps       []stepOutcome
 }
 
+// rolloutWorker is what a rollout worker beyond the first owns: a clone of
+// the trainer's policy (a policy's scratch is single-threaded), brought up
+// to date at the start of every batch, and that clone's activation records.
+// The trainer keeps them from one batch to the next.
+type rolloutWorker struct {
+	pol  *Policy
+	encs encodings
+}
+
 // collect gathers Cfg.Rollouts episodes, fanning them across the worker
 // pool. Determinism contract: episode r derives its RNG from
 // (iterSeed, r) and starts from the environments' state at collection
@@ -33,7 +42,8 @@ type episodeResult struct {
 // only wall-clock changes. Each worker runs on its own policy clone and,
 // when more than one worker is active, on partitioner replicas built by
 // Env.PartFactory. Environments without a factory force serial collection
-// (same code path, same results).
+// (same code path, same results). No weight changes during collection, so
+// each worker encodes each of its graphs once for the whole batch.
 func (t *Trainer) collect(envs []*Env) []episodeResult {
 	rollouts := t.Cfg.Rollouts
 	iterSeed := t.rng.Int63()
@@ -47,18 +57,23 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 	for i, e := range envs {
 		eps0[i] = e.ExploreEps()
 	}
+	for len(t.clones) < workers-1 {
+		t.clones = append(t.clones, &rolloutWorker{pol: NewPolicy(t.Policy.Cfg, nil)})
+	}
 	results := make([]episodeResult, rollouts)
 	parallel.ForEachBlock(workers, rollouts, func(w, lo, hi int) {
-		pol := t.Policy
+		pol, encs := t.Policy, &t.encs
 		var replicas map[int]cpsolver.Partitioner
 		if workers > 1 {
-			// Workers beyond the first need private forward caches; every
+			// Workers beyond the first need private policy scratch; every
 			// worker needs private solver scratch, covered by replicas.
 			if w > 0 {
-				pol = t.Policy.Clone()
+				pol, encs = t.clones[w-1].pol, &t.clones[w-1].encs
+				pol.copyWeights(t.Policy)
 			}
 			replicas = make(map[int]cpsolver.Partitioner)
 		}
+		encs.begin(len(envs))
 		for r := lo; r < hi; r++ {
 			ei := r % len(envs)
 			env := envs[ei]
@@ -78,7 +93,7 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 				}
 				part = rep
 			}
-			results[r] = runEpisode(pol, env, part, eps0[ei], parallel.Rng(iterSeed, r))
+			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, part, eps0[ei], parallel.Rng(iterSeed, r))
 		}
 	})
 	return results
@@ -103,9 +118,10 @@ func forkable(envs []*Env) bool {
 // runEpisode runs one T-step refinement episode (Eq. 7) against an
 // environment snapshot without mutating it: sample y(t) from
 // P(t) = pi(. | G, y(t-1)), hand it to the solver, evaluate the corrected
-// partition. The exploration weight evolves locally from eps by the same
-// law the environment applies, and all randomness comes from rng.
-func runEpisode(pol *Policy, env *Env, part cpsolver.Partitioner, eps float64, rng *rand.Rand) episodeResult {
+// partition. enc is the environment's graph (index ei in the batch) encoded
+// under pol's weights. The exploration weight evolves locally from eps by
+// the same law the environment applies, and all randomness comes from rng.
+func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, part cpsolver.Partitioner, eps float64, rng *rand.Rand) episodeResult {
 	T := pol.Cfg.Iterations
 	prev := unassigned(env.Ctx.G.NumNodes())
 	res := episodeResult{
@@ -114,7 +130,7 @@ func runEpisode(pol *Policy, env *Env, part cpsolver.Partitioner, eps float64, r
 	}
 	rewards := make([]float64, 0, T)
 	for step := 0; step < T; step++ {
-		f := pol.Forward(env.Ctx, prev)
+		f := pol.Heads(enc, prev)
 		var y []int
 		var logp float64
 		out := stepOutcome{v: solverRejected}
@@ -145,6 +161,7 @@ func runEpisode(pol *Policy, env *Env, part cpsolver.Partitioner, eps float64, r
 		}
 		res.transitions = append(res.transitions, transition{
 			env:    env,
+			ei:     ei,
 			prev:   prev,
 			action: y,
 			logp:   logp,
