@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mcmpart/internal/experiments"
-	"mcmpart/internal/mat"
 	"mcmpart/internal/parallel"
 	"mcmpart/internal/rl"
 )
@@ -32,21 +31,6 @@ func workerVariants(b *testing.B, body func(b *testing.B)) {
 			body(b)
 		})
 	}
-}
-
-// BenchmarkParallelMatMul measures the blocked row-parallel kernel above
-// its fan-out threshold.
-func BenchmarkParallelMatMul(b *testing.B) {
-	const n = 320
-	rng := rand.New(rand.NewSource(1))
-	x, y, out := mat.New(n, n), mat.New(n, n), mat.New(n, n)
-	x.XavierInit(rng)
-	y.XavierInit(rng)
-	workerVariants(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mat.Mul(out, x, y)
-		}
-	})
 }
 
 // BenchmarkParallelRollouts measures PPO rollout collection fan-out.

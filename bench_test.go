@@ -262,20 +262,3 @@ func BenchmarkAblationSolverOrder(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSolverSampleBERT measures the large-graph sampling path used by
-// every BERT experiment.
-func BenchmarkSolverSampleBERT(b *testing.B) {
-	g := workload.BERT()
-	pr, err := cpsolver.NewAuto(g, 36, cpsolver.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pr.SampleMode(nil, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

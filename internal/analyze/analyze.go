@@ -53,9 +53,12 @@ type Analysis struct {
 	n     int
 	chips int
 
-	// order[p] is the node at topological position p; pos is its inverse.
-	order []int
-	pos   []int32
+	// order, pos, next and capFrom are the graph layout's Order, Pos, Next
+	// (the pair rule) and CapFrom: shared with the graph, read-only.
+	order   []int
+	pos     []int32
+	next    []int32
+	capFrom []int32
 
 	// prefF[p] / prefW[p] are the FLOPs / weight bytes of positions < p.
 	prefF []float64
@@ -66,13 +69,8 @@ type Analysis struct {
 	gapBytes []int64
 	gapEdges []int32
 
-	// next[g] is the earliest allowed gap for the boundary following one at
-	// gap g (nondecreasing) — the pair rule, exactly as in
-	// cpsolver.NewSegmenter.
-	next []int32
-	// capFrom[p] is the maximum number of span-respecting boundaries
-	// placeable at gaps >= p (len n+1); bBefore[p] the maximum at gaps < p.
-	capFrom []int32
+	// bBefore[p] is the maximum number of span-respecting boundaries
+	// placeable at gaps < p (capFrom's mirror image).
 	bBefore []int32
 
 	// capPrefix[c] is the total SRAM of chips < c; peakPrefix[c] the total
@@ -118,18 +116,16 @@ func New(g *graph.Graph, pkg *mcm.Package) (*Analysis, error) {
 	if err := pkg.Validate(); err != nil {
 		return nil, err
 	}
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
-	a := &Analysis{g: g, pkg: pkg, n: n, chips: pkg.Chips, order: order}
-	a.pos = make([]int32, n)
-	for p, v := range order {
-		a.pos[v] = int32(p)
+	a := &Analysis{
+		g: g, pkg: pkg, n: g.NumNodes(), chips: pkg.Chips,
+		order: lay.Order, pos: lay.Pos, next: lay.Next, capFrom: lay.CapFrom,
 	}
 	a.buildPrefixes()
-	a.buildBoundaryStructure()
+	a.buildBBefore()
 	a.buildChipPrefixes()
 	a.buildDomains()
 	a.probeFeasibleK()
@@ -185,33 +181,10 @@ func (a *Analysis) buildPrefixes() {
 	a.connected = dsu.components == 1
 }
 
-// buildBoundaryStructure fills the pair-rule next array and the boundary
-// capacity counts, mirroring cpsolver.NewSegmenter / boundaryCapacity.
-func (a *Analysis) buildBoundaryStructure() {
+// buildBBefore counts the greedy earliest-placement walk (optimal because
+// next is nondecreasing).
+func (a *Analysis) buildBBefore() {
 	n := a.n
-	a.next = make([]int32, n)
-	for i := range a.next {
-		a.next[i] = int32(i) + 1
-	}
-	for _, e := range a.g.Edges() {
-		pu, pv := a.pos[e.From], a.pos[e.To]
-		if pv > a.next[pu] {
-			a.next[pu] = pv
-		}
-	}
-	for i := 1; i < n; i++ {
-		if a.next[i-1] > a.next[i] {
-			a.next[i] = a.next[i-1]
-		}
-	}
-	// capFrom[p] = boundaries placeable at gaps >= p: 0 past the last gap,
-	// else one at p plus whatever fits after its pair-rule shadow.
-	a.capFrom = make([]int32, n+1)
-	for p := n - 2; p >= 0; p-- {
-		a.capFrom[p] = 1 + a.capFrom[a.next[p]]
-	}
-	// bBefore[p] = boundaries placeable at gaps < p: count the greedy
-	// earliest-placement walk (optimal because next is nondecreasing).
 	a.bBefore = make([]int32, n)
 	count, walk := int32(0), 0
 	for p := 0; p < n; p++ {

@@ -246,10 +246,11 @@ func CheckTransferMonotonicity(scenario string, pkg *mcm.Package) []Violation {
 // (deliberately backwards). rng must be seeded by the caller; the mix is a
 // pure function of its stream.
 func SamplePartitions(g *graph.Graph, chips int, rng *rand.Rand, n int) []partition.Partition {
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
 		return nil
 	}
+	order := lay.Order
 	parts := make([]partition.Partition, 0, n)
 	for i := 0; i < n; i++ {
 		p := make(partition.Partition, g.NumNodes())

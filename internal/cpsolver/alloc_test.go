@@ -3,6 +3,8 @@ package cpsolver
 import (
 	"math/rand"
 	"testing"
+
+	"mcmpart/internal/workload"
 )
 
 // allocSink defeats dead-code elimination in the AllocsPerRun bodies.
@@ -131,5 +133,29 @@ func TestSegmenterSampleSteadyStateAllocs(t *testing.T) {
 	ceiling := 3*8 + 8
 	if int(allocs) > ceiling {
 		t.Fatalf("Segmenter.Sample allocated %.1f objects/op after warm-up, want <= %d", allocs, ceiling)
+	}
+}
+
+// TestNewSegmenterWarmAllocs: on a graph whose layout is already memoized —
+// every PartFactory replica a rollout worker builds, every plan after
+// Validate — a Segmenter is one struct around the shared arrays. Before the
+// layout had an owner each one ran Kahn's algorithm twice (once under
+// Validate), inverted the order and swept the edges: 7 507 allocations on
+// BERT.
+func TestNewSegmenterWarmAllocs(t *testing.T) {
+	g := workload.BERT()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 1 // the Segmenter
+	allocs := testing.AllocsPerRun(20, func() {
+		sg, err := NewSegmenter(g, 36)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocSink = sg.LayoutChips()
+	})
+	if allocs > ceiling {
+		t.Fatalf("NewSegmenter on a warm graph allocated %.1f objects, want <= %d", allocs, ceiling)
 	}
 }

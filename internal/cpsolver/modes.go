@@ -20,11 +20,7 @@ func RandomOrder(rng *rand.Rand, n int) []int {
 // TopoOrder returns the graph's deterministic topological order, the
 // alternative traversal used by the solver-order ablation.
 func (s *Solver) TopoOrder() []int {
-	order, err := s.g.TopoOrder()
-	if err != nil {
-		panic("cpsolver: graph became cyclic: " + err.Error()) // validated at New
-	}
-	return order
+	return append([]int(nil), s.lay.Order...)
 }
 
 // RandomTopoOrder returns a random topological order (Kahn's algorithm with
@@ -127,8 +123,8 @@ func (s *Solver) sampleValue(rng *rand.Rand, p []float64, u int) int {
 // last chip, so the product is the completion count of a contiguous layout
 // through (position, chip) — peaking at the balanced diagonal.
 func (s *Solver) weightedMass(weights *[64]float64, p []float64, u int, d Domain) float64 {
-	after := float64(s.capFrom[s.topoPos[u]])
-	before := float64(s.capFrom[0]) - after
+	after := float64(s.lay.CapFrom[s.lay.Pos[u]])
+	before := float64(s.lay.CapFrom[0]) - after
 	lgA, _ := math.Lgamma(after + 1)
 	lgB, _ := math.Lgamma(before + 1)
 	var lw [64]float64

@@ -35,12 +35,10 @@ type Segmenter struct {
 	// prefix of the chips).
 	chips int
 	k     int
-	// order[p] is the node at topological position p.
+	// order and next are the graph layout's Order and Next (the pair
+	// rule): shared with the graph, read-only.
 	order []int
-	// next[gap] is the earliest allowed gap for the following boundary: a
-	// boundary at gap g cuts every edge span containing g, and no edge
-	// may cross two boundaries. It is nondecreasing.
-	next []int32
+	next  []int32
 	// Per-call scratch, lazily sized and reused across samples so the hot
 	// sampling loop stops allocating (a BERT-scale alpha table alone is
 	// ~600 KB per call): logPS holds per-chip prefix sums of log P, alpha
@@ -76,34 +74,13 @@ func NewSegmenter(g *graph.Graph, chips int) (*Segmenter, error) {
 	if chips <= 0 || chips > mcm.MaxChips {
 		return nil, fmt.Errorf("cpsolver: chip count %d out of range 1..%d", chips, mcm.MaxChips)
 	}
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
-	pos := make([]int32, n)
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
-	next := make([]int32, n)
-	for i := range next {
-		next[i] = int32(i) + 1
-	}
-	for _, e := range g.Edges() {
-		pu, pv := pos[e.From], pos[e.To]
-		if pv > next[pu] {
-			next[pu] = pv
-		}
-	}
-	for i := 1; i < n; i++ {
-		if next[i-1] > next[i] {
-			next[i] = next[i-1]
-		}
-	}
-	sg := &Segmenter{g: g, chips: chips, order: order, next: next}
-	sg.k = chips
-	if cap := sg.capacity(); cap < chips-1 {
-		sg.k = cap + 1
+	sg := &Segmenter{g: g, chips: chips, k: chips, order: lay.Order, next: lay.Next}
+	if capacity := int(lay.CapFrom[0]); capacity < chips-1 {
+		sg.k = capacity + 1
 	}
 	return sg, nil
 }
@@ -111,17 +88,6 @@ func NewSegmenter(g *graph.Graph, chips int) (*Segmenter, error) {
 // LayoutChips returns the number of chips layouts actually use, which is
 // less than Chips when the graph's boundary capacity cannot host them all.
 func (sg *Segmenter) LayoutChips() int { return sg.k }
-
-// capacity returns the maximum number of span-respecting boundaries.
-func (sg *Segmenter) capacity() int {
-	n := len(sg.order)
-	count := 0
-	for g := 0; g < n-1; {
-		count++
-		g = int(sg.next[g])
-	}
-	return count
-}
 
 // Chips returns the chip count C.
 func (sg *Segmenter) Chips() int { return sg.chips }

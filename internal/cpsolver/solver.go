@@ -141,17 +141,11 @@ type Solver struct {
 	// empty when the last conflict was not a triangle violation.
 	conflictPairs []chipPair
 
-	// topoPos[v] is v's index in the deterministic topological order; the
-	// completion-weighted value prior uses it as the node's pipeline
-	// position.
-	topoPos []int32
-	// capFrom[p] is the maximum number of chip boundaries a contiguous
-	// (topo-ordered) partition can still place at or after position p:
-	// two boundaries may not fall inside one edge's span (the triangle
-	// constraint forbids an edge crossing two cuts), so capacity follows
-	// from a greedy sweep over edge spans. The value prior uses it to
-	// know how urgently the assignment must climb toward the last chip.
-	capFrom []int32
+	// lay is the graph's layout. The completion-weighted value prior reads
+	// a node's pipeline position (Pos) and how many chip boundaries a
+	// contiguous partition can still place from there on (CapFrom), which
+	// says how urgently the assignment must climb toward the last chip.
+	lay *graph.Layout
 
 	// Per-chip static memory bound (nil when Options.ChipCapacityBytes is
 	// unset): nodeParams caches each node's weight footprint and paramUsed
@@ -190,9 +184,14 @@ func New(g *graph.Graph, chips int, opts Options) (*Solver, error) {
 	if opts.RestartBacktracks <= 0 {
 		opts.RestartBacktracks = 200 + 20*g.NumNodes()
 	}
+	lay, err := g.Layout()
+	if err != nil {
+		return nil, err
+	}
 	n := g.NumNodes()
 	s := &Solver{
 		g:         g,
+		lay:       lay,
 		chips:     chips,
 		opts:      opts,
 		doms:      make([]Domain, n),
@@ -206,15 +205,6 @@ func New(g *graph.Graph, chips int, opts Options) (*Solver, error) {
 	for i := range s.adjCount {
 		s.adjCount[i] = make([]int32, chips)
 	}
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	s.topoPos = make([]int32, n)
-	for i, v := range topo {
-		s.topoPos[v] = int32(i)
-	}
-	s.capFrom = boundaryCapacity(g, s.topoPos)
 	if caps := opts.ChipCapacityBytes; len(caps) != 0 {
 		if len(caps) != chips {
 			return nil, fmt.Errorf("cpsolver: %d chip capacities for %d chips", len(caps), chips)
@@ -440,43 +430,6 @@ func (s *Solver) triangleCulprit() int {
 	}
 	s.conflictPairs = s.conflictPairs[:0]
 	return level
-}
-
-// boundaryCapacity computes, for every topological position p, how many
-// chip boundaries can still be placed at gaps >= p when nodes are laid out
-// contiguously in topological order. A boundary at gap g (between positions
-// g and g+1) cuts every edge whose span contains g; since no edge may cross
-// two boundaries, after placing a boundary at g the next one must clear
-// every edge span that contains g, i.e. sit at or beyond
-// next(g) = max(prefMax(g), g+1), where prefMax(g) is the maximum consumer
-// position over edges whose producer position is <= g.
-func boundaryCapacity(g *graph.Graph, topoPos []int32) []int32 {
-	n := g.NumNodes()
-	prefMax := make([]int32, n)
-	for i := range prefMax {
-		prefMax[i] = int32(i) + 1
-	}
-	for _, e := range g.Edges() {
-		pu, pv := topoPos[e.From], topoPos[e.To]
-		if pv > prefMax[pu] {
-			prefMax[pu] = pv
-		}
-	}
-	for i := 1; i < n; i++ {
-		if prefMax[i-1] > prefMax[i] {
-			prefMax[i] = prefMax[i-1]
-		}
-	}
-	caps := make([]int32, n+1)
-	for p := n - 1; p >= 0; p-- {
-		next := prefMax[p]
-		if next >= int32(n) {
-			caps[p] = 0 // an edge spans from here past the last node's gap
-			continue
-		}
-		caps[p] = 1 + caps[next]
-	}
-	return caps
 }
 
 // setDomain writes a new domain for v, recording the old value on the trail.

@@ -13,7 +13,6 @@ import (
 	"mcmpart/internal/pretrain"
 	"mcmpart/internal/rl"
 	"mcmpart/internal/search"
-	"mcmpart/internal/stats"
 )
 
 // Fig5Config parameterizes the pre-training experiment of Sec. 5.2
@@ -160,7 +159,7 @@ func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 		histories[Methods[idx%len(Methods)]] = append(histories[Methods[idx%len(Methods)]], h)
 	}
 	for _, m := range Methods {
-		res.Curves[m] = stats.GeomeanCurves(histories[m], cfg.SampleBudget)
+		res.Curves[m] = geomeanCurves(histories[m], cfg.SampleBudget)
 		res.Final[m] = res.Curves[m][len(res.Curves[m])-1]
 	}
 	return res, nil
@@ -260,7 +259,7 @@ func NewThresholdTable(curves map[Method][]float64, thresholds []float64) *Thres
 	for _, m := range Methods {
 		row := make([]int, len(thresholds))
 		for i, th := range thresholds {
-			row[i] = stats.FirstReached(curves[m], th)
+			row[i] = firstReached(curves[m], th)
 		}
 		t.Samples[m] = row
 	}

@@ -9,7 +9,6 @@ import (
 	"mcmpart/internal/parallel"
 	"mcmpart/internal/pretrain"
 	"mcmpart/internal/rl"
-	"mcmpart/internal/stats"
 	"mcmpart/internal/workload"
 )
 
@@ -115,7 +114,7 @@ func Figure6(ctx context.Context, cfg Fig6Config) (*Fig6Result, error) {
 	}
 	for mi, m := range Methods {
 		// Single graph: the curve is the environment history itself.
-		res.Curves[m] = stats.GeomeanCurves([][]float64{hists[mi]}, cfg.SampleBudget)
+		res.Curves[m] = geomeanCurves([][]float64{hists[mi]}, cfg.SampleBudget)
 		res.Final[m] = res.Curves[m][len(res.Curves[m])-1]
 	}
 	res.RLvsRandomPct = 100 * (res.Final[MethodRL]/res.Final[MethodRandom] - 1)

@@ -9,7 +9,6 @@ import (
 	"mcmpart/internal/hwsim"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
-	"mcmpart/internal/stats"
 	"mcmpart/internal/workload"
 )
 
@@ -125,7 +124,7 @@ func Figure7(cfg Fig7Config) (*Fig7Result, error) {
 	// Normalize both axes to their minima, as the paper plots them.
 	normalize(res.Predicted)
 	normalize(res.Measured)
-	res.PearsonR = stats.Pearson(res.Predicted, res.Measured)
+	res.PearsonR = pearson(res.Predicted, res.Measured)
 	// False positives: invalid on hardware yet predicted below median.
 	med := median(predAll)
 	for i, pred := range predAll {

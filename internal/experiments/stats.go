@@ -1,15 +1,13 @@
-// Package stats provides the summary statistics the experiment harness
-// reports: geometric means of per-graph improvements (Figure 5), Pearson
-// correlation for the cost-model calibration (Figure 7), and
-// sample-threshold extraction for Tables 2 and 3.
-//
-//mcmlint:deterministic
-package stats
+package experiments
 
 import "math"
 
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
+// The summary statistics the harness reports: geometric means of per-graph
+// improvements (Figure 5), Pearson correlation for the cost-model
+// calibration (Figure 7), and sample-threshold extraction for Tables 2 and 3.
+
+// mean returns the arithmetic mean (0 for an empty slice).
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -20,23 +18,9 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var sq float64
-	for _, x := range xs {
-		d := x - m
-		sq += d * d
-	}
-	return math.Sqrt(sq / float64(len(xs)))
-}
-
-// Geomean returns the geometric mean. Non-positive entries clamp to a tiny
+// geomean returns the geometric mean. Non-positive entries clamp to a tiny
 // positive value so a single failed graph cannot zero the whole aggregate.
-func Geomean(xs []float64) float64 {
+func geomean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -50,13 +34,13 @@ func Geomean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// Pearson returns the Pearson correlation coefficient of two equal-length
+// pearson returns the Pearson correlation coefficient of two equal-length
 // samples (0 when degenerate).
-func Pearson(x, y []float64) float64 {
+func pearson(x, y []float64) float64 {
 	if len(x) != len(y) || len(x) == 0 {
 		return 0
 	}
-	mx, my := Mean(x), Mean(y)
+	mx, my := mean(x), mean(y)
 	var sxy, sxx, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
@@ -70,10 +54,10 @@ func Pearson(x, y []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// FirstReached returns the 1-based sample count at which the best-so-far
+// firstReached returns the 1-based sample count at which the best-so-far
 // history first reaches the threshold, or -1 if it never does (reported as
 // "N.A." in the paper's tables).
-func FirstReached(history []float64, threshold float64) int {
+func firstReached(history []float64, threshold float64) int {
 	for i, v := range history {
 		if v >= threshold {
 			return i + 1
@@ -82,11 +66,11 @@ func FirstReached(history []float64, threshold float64) int {
 	return -1
 }
 
-// GeomeanCurves merges per-graph best-so-far histories into one geomean
+// geomeanCurves merges per-graph best-so-far histories into one geomean
 // curve of the given length: entry s is the geometric mean over graphs of
 // the best improvement after s+1 samples (histories shorter than the curve
 // contribute their final value).
-func GeomeanCurves(histories [][]float64, length int) []float64 {
+func geomeanCurves(histories [][]float64, length int) []float64 {
 	curve := make([]float64, length)
 	vals := make([]float64, len(histories))
 	for s := 0; s < length; s++ {
@@ -100,7 +84,7 @@ func GeomeanCurves(histories [][]float64, length int) []float64 {
 				vals[gi] = h[len(h)-1]
 			}
 		}
-		curve[s] = Geomean(vals)
+		curve[s] = geomean(vals)
 	}
 	return curve
 }

@@ -1,32 +1,29 @@
-package stats
+package experiments
 
 import (
 	"math"
 	"testing"
 )
 
-func TestMeanStd(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Fatalf("Mean = %v, want 5", got)
+	if got := mean(xs); got != 5 {
+		t.Fatalf("mean = %v, want 5", got)
 	}
-	if got := Std(xs); got != 2 {
-		t.Fatalf("Std = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || Std(nil) != 0 {
-		t.Fatal("empty slices should give 0")
+	if mean(nil) != 0 {
+		t.Fatal("an empty slice should give 0")
 	}
 }
 
 func TestGeomean(t *testing.T) {
-	if got := Geomean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
+	if got := geomean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("Geomean = %v, want 2", got)
 	}
-	if got := Geomean([]float64{10, 10, 10}); math.Abs(got-10) > 1e-9 {
+	if got := geomean([]float64{10, 10, 10}); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("Geomean = %v, want 10", got)
 	}
 	// Non-positive entries clamp rather than zeroing everything.
-	if got := Geomean([]float64{0, 4}); got <= 0 {
+	if got := geomean([]float64{0, 4}); got <= 0 {
 		t.Fatalf("Geomean with zero entry = %v", got)
 	}
 }
@@ -34,22 +31,22 @@ func TestGeomean(t *testing.T) {
 func TestPearson(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}
-	if got := Pearson(x, y); math.Abs(got-1) > 1e-12 {
+	if got := pearson(x, y); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("perfect correlation = %v", got)
 	}
 	yneg := []float64{10, 8, 6, 4, 2}
-	if got := Pearson(x, yneg); math.Abs(got+1) > 1e-12 {
+	if got := pearson(x, yneg); math.Abs(got+1) > 1e-12 {
 		t.Fatalf("perfect anticorrelation = %v", got)
 	}
-	if got := Pearson(x, []float64{3, 3, 3, 3, 3}); got != 0 {
+	if got := pearson(x, []float64{3, 3, 3, 3, 3}); got != 0 {
 		t.Fatalf("degenerate correlation = %v", got)
 	}
-	if got := Pearson(x, []float64{1}); got != 0 {
+	if got := pearson(x, []float64{1}); got != 0 {
 		t.Fatalf("length mismatch should give 0, got %v", got)
 	}
 	// Noisy positive correlation lands strictly between 0 and 1.
 	ynoisy := []float64{2.1, 3.7, 6.5, 7.4, 10.9}
-	r := Pearson(x, ynoisy)
+	r := pearson(x, ynoisy)
 	if r <= 0.9 || r >= 1 {
 		t.Fatalf("noisy correlation = %v, want in (0.9, 1)", r)
 	}
@@ -57,13 +54,13 @@ func TestPearson(t *testing.T) {
 
 func TestFirstReached(t *testing.T) {
 	h := []float64{1.0, 1.2, 1.5, 1.5, 1.9}
-	if got := FirstReached(h, 1.5); got != 3 {
+	if got := firstReached(h, 1.5); got != 3 {
 		t.Fatalf("FirstReached = %d, want 3", got)
 	}
-	if got := FirstReached(h, 2.0); got != -1 {
+	if got := firstReached(h, 2.0); got != -1 {
 		t.Fatalf("unreached threshold should give -1, got %d", got)
 	}
-	if got := FirstReached(h, 0.5); got != 1 {
+	if got := firstReached(h, 0.5); got != 1 {
 		t.Fatalf("immediately reached should give 1, got %d", got)
 	}
 }
@@ -73,7 +70,7 @@ func TestGeomeanCurves(t *testing.T) {
 		{1, 2, 4},
 		{4, 4}, // shorter: final value extends
 	}
-	curve := GeomeanCurves(histories, 3)
+	curve := geomeanCurves(histories, 3)
 	if math.Abs(curve[0]-2) > 1e-12 {
 		t.Fatalf("curve[0] = %v, want 2", curve[0])
 	}
@@ -83,7 +80,7 @@ func TestGeomeanCurves(t *testing.T) {
 	if math.Abs(curve[2]-4) > 1e-12 {
 		t.Fatalf("curve[2] = %v, want 4", curve[2])
 	}
-	empty := GeomeanCurves([][]float64{{}}, 2)
+	empty := geomeanCurves([][]float64{{}}, 2)
 	if empty[0] <= 0 {
 		t.Fatal("empty history should clamp, not zero")
 	}

@@ -38,11 +38,7 @@ func Features(g *graph.Graph) *mat.Dense {
 			maxDepth = d
 		}
 	}
-	order, _ := g.TopoOrder()
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
-	}
+	lay, _ := g.Layout() // Depths above read the same layout
 	maxDeg := 1
 	for v := 0; v < n; v++ {
 		if d := g.InDegree(v) + g.OutDegree(v); d > maxDeg {
@@ -60,7 +56,7 @@ func Features(g *graph.Graph) *mat.Dense {
 		row[base+3] = float64(g.InDegree(v)) / float64(maxDeg)
 		row[base+4] = float64(g.OutDegree(v)) / float64(maxDeg)
 		row[base+5] = float64(depths[v]) / float64(maxDepth)
-		row[base+6] = float64(pos[v]) / float64(max(1, n-1))
+		row[base+6] = float64(lay.Pos[v]) / float64(max(1, n-1))
 	}
 	return x
 }

@@ -11,9 +11,9 @@ package graph
 // A CSR is immutable. Out(v) and In(v) return subslices of the shared flat
 // arrays; callers must not mutate them.
 type CSR struct {
-	n                int
-	outOff, inOff    []int32
-	outEdge, inEdge  []int32
+	n               int
+	outOff, inOff   []int32
+	outEdge, inEdge []int32
 }
 
 // NumNodes returns |V| of the graph the view was built from.
@@ -27,23 +27,14 @@ func (c *CSR) Out(v int) []int32 { return c.outEdge[c.outOff[v]:c.outOff[v+1]] }
 // in insertion order.
 func (c *CSR) In(v int) []int32 { return c.inEdge[c.inOff[v]:c.inOff[v+1]] }
 
-// csrCache memoizes the last CSR view. AddNode/AddEdge invalidate it
-// implicitly through the node/edge counts, the same contract fpCache uses.
-type csrCache struct {
-	nodes, edges int
-	csr          *CSR
-}
-
 // CSR returns the packed adjacency view of the graph, building it on first
-// use and memoizing it until the graph grows. Like Fingerprint, it is safe
-// for concurrent use on a graph that is no longer being mutated.
+// use and memoizing it until the graph changes (see derived). Like
+// Fingerprint, it is safe for concurrent use on a graph that is no longer
+// being mutated.
 func (g *Graph) CSR() *CSR {
-	if c := g.csr.Load(); c != nil && c.nodes == len(g.nodes) && c.edges == len(g.edges) {
-		return c.csr
-	}
-	csr := g.buildCSR()
-	g.csr.Store(&csrCache{nodes: len(g.nodes), edges: len(g.edges), csr: csr})
-	return csr
+	d := g.derived()
+	d.csrOnce.Do(func() { d.csr = g.buildCSR() })
+	return d.csr
 }
 
 func (g *Graph) buildCSR() *CSR {

@@ -49,15 +49,18 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := fresh.Validate(); err != nil {
 		return err
 	}
-	// Field-wise assignment: Graph embeds an atomic fingerprint memo that
-	// must not be copied, only reset.
+	// Field-wise assignment: Graph embeds the atomic memo of its derived
+	// structures, which must not be copied. It must be replaced, though:
+	// the counts it is checked against cannot tell this graph from the one
+	// it overwrites. fresh's record describes exactly the structure g now
+	// has, and already holds the layout Validate built.
 	g.name = fresh.name
 	g.nodes = fresh.nodes
 	g.edges = fresh.edges
 	g.outEdges = fresh.outEdges
 	g.inEdges = fresh.inEdges
 	g.edgeSet = fresh.edgeSet
-	g.fp.Store(nil)
+	g.memo.Store(fresh.memo.Load())
 	return nil
 }
 

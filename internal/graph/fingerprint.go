@@ -35,7 +35,7 @@ import (
 // descendant structure, and the individualization order among them cannot
 // change the encoding for any graph whose ties are true automorphisms —
 // which covers the replicated-branch patterns real models exhibit.
-func (g *Graph) Fingerprint() string { return g.fingerprinted().val }
+func (g *Graph) Fingerprint() string { return g.fingerprinted().fingerprint }
 
 // CanonicalPositions returns, for every node ID, the node's position in the
 // canonical order Fingerprint hashes. Two graphs with equal fingerprints
@@ -45,27 +45,14 @@ func (g *Graph) Fingerprint() string { return g.fingerprinted().val }
 // fingerprint. The slice is memoized with the fingerprint and shared — do
 // not modify it. It is nil when the graph has no canonical order (no
 // nodes, or a cycle), which callers treat as the identity.
-func CanonicalPositions(g *Graph) []int { return g.fingerprinted().pos }
+func CanonicalPositions(g *Graph) []int { return g.fingerprinted().canonical }
 
-// fingerprinted returns the memoized canonicalization, computing it on
-// first use and after the graph grew.
-func (g *Graph) fingerprinted() *fpCache {
-	if c := g.fp.Load(); c != nil && c.nodes == len(g.nodes) && c.edges == len(g.edges) {
-		return c
-	}
-	val, pos := g.fingerprint()
-	c := &fpCache{nodes: len(g.nodes), edges: len(g.edges), val: val, pos: pos}
-	g.fp.Store(c)
-	return c
-}
-
-// fpCache memoizes the last canonicalization. AddNode/AddEdge invalidate it
-// implicitly through the node/edge counts; mutating node or edge fields in
-// place is already forbidden by the Nodes/Edges contract.
-type fpCache struct {
-	nodes, edges int
-	val          string
-	pos          []int
+// fingerprinted returns the derived record with its canonicalization
+// filled in.
+func (g *Graph) fingerprinted() *derived {
+	d := g.derived()
+	d.fpOnce.Do(func() { d.fingerprint, d.canonical = g.fingerprint() })
+	return d
 }
 
 func (g *Graph) fingerprint() (string, []int) {
@@ -81,7 +68,7 @@ func (g *Graph) fingerprint() (string, []int) {
 		return hex.EncodeToString(h.Sum(nil)), nil
 	}
 
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
 		// Cyclic graphs never reach planning (Validate rejects them), but
 		// Fingerprint must still be total and content-determined: hash the
@@ -93,8 +80,8 @@ func (g *Graph) fingerprint() (string, []int) {
 	for v := 0; v < n; v++ {
 		attr[v] = attrDigest(&g.nodes[v])
 	}
-	up := neighborDigests(g, order, attr, false)
-	down := neighborDigests(g, reversed(order), attr, true)
+	up := neighborDigests(g, lay.Order, attr, false)
+	down := neighborDigests(g, reversed(lay.Order), attr, true)
 
 	sig := make([][]byte, n)
 	for v := 0; v < n; v++ {
@@ -377,7 +364,7 @@ func reversed(order []int) []int {
 }
 
 // rawFingerprint hashes nodes and edges in ID order, without
-// canonicalization. It is the fallback for graphs TopoOrder rejects.
+// canonicalization. It is the fallback for graphs Layout rejects.
 func (g *Graph) rawFingerprint() string {
 	h := sha256.New()
 	var buf [8]byte

@@ -13,7 +13,7 @@ import (
 
 // BenchmarkFingerprint measures canonical fingerprinting on a 10k-node
 // generated graph — the scale at which Service plan-cache keys are computed
-// for large models. Each iteration clones the graph first so the fpCache
+// for large models. Each iteration clones the graph first so the
 // memo cannot short-circuit the work being measured.
 func BenchmarkFingerprint(b *testing.B) {
 	g := randgraph.Generate(randgraph.Config{Family: randgraph.FamilyLayered, Nodes: 10_000, Seed: 42})

@@ -58,10 +58,8 @@ type Graph struct {
 	outEdges [][]int32
 	inEdges  [][]int32
 	edgeSet  map[[2]int]int32 // (from,to) -> edge index, rejects duplicates
-	// fp memoizes Fingerprint; see fpCache.
-	fp atomic.Pointer[fpCache]
-	// csr memoizes the packed adjacency view; see Graph.CSR.
-	csr atomic.Pointer[csrCache]
+	// memo holds what Layout, CSR and Fingerprint derive; see derived.
+	memo atomic.Pointer[derived]
 }
 
 // New returns an empty graph with the given name.
@@ -194,7 +192,8 @@ func (g *Graph) TotalParamBytes() int64 {
 	return sum
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. The copy starts with nothing
+// memoized.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		name:     g.name,
@@ -236,10 +235,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: node %d has negative OutputBytes", i)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := g.Layout()
+	return err
 }
 
 // String summarizes the graph for logs: name, node and edge counts.

@@ -109,8 +109,23 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 	if g.IsDAG() {
 		t.Fatal("IsDAG should be false for a cycle")
 	}
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate should fail on a cyclic graph")
+	if err := g.Validate(); !errors.Is(err, ErrCycle) {
+		t.Fatalf("Validate error = %v, want ErrCycle", err)
+	}
+	if l, err := g.Layout(); l != nil || !errors.Is(err, ErrCycle) {
+		t.Fatalf("Layout = %v, %v, want nil, ErrCycle", l, err)
+	}
+	if _, err := g.Depths(); !errors.Is(err, ErrCycle) {
+		t.Fatalf("Depths error = %v, want ErrCycle", err)
+	}
+	if _, err := g.CriticalPathFLOPs(); !errors.Is(err, ErrCycle) {
+		t.Fatalf("CriticalPathFLOPs error = %v, want ErrCycle", err)
+	}
+	if got, want := g.Fingerprint(), g.rawFingerprint(); got != want {
+		t.Fatalf("cyclic graph fingerprints as %s, want the raw encoding %s", got, want)
+	}
+	if CanonicalPositions(g) != nil {
+		t.Fatal("a cyclic graph has no canonical positions")
 	}
 }
 

@@ -313,11 +313,10 @@ func TestEvaluateThroughputContract(t *testing.T) {
 	}
 }
 
-func TestBERTFitsWhenBalanced(t *testing.T) {
-	g := workload.BERT()
-	pkg := mcm.Edge36()
-	sim := New(pkg, Options{})
-	// A parameter-balanced contiguous split should fit in SRAM.
+// balancedSplit cuts the topological order into contiguous chunks of
+// roughly equal weight footprint, one per chip.
+func balancedSplit(t *testing.T, g *graph.Graph, chips int) partition.Partition {
+	t.Helper()
 	remaining := g.TotalParamBytes()
 	p := make(partition.Partition, g.NumNodes())
 	order, err := g.TopoOrder()
@@ -328,8 +327,8 @@ func TestBERTFitsWhenBalanced(t *testing.T) {
 	var acc int64
 	for _, v := range order {
 		// Equal share of what is left over the chips that are left.
-		target := remaining / int64(36-chip)
-		if acc+g.Node(v).ParamBytes > target && chip < 35 {
+		target := remaining / int64(chips-chip)
+		if acc+g.Node(v).ParamBytes > target && chip < chips-1 {
 			chip++
 			remaining -= acc
 			acc = 0
@@ -337,6 +336,15 @@ func TestBERTFitsWhenBalanced(t *testing.T) {
 		p[v] = chip
 		acc += g.Node(v).ParamBytes
 	}
+	return p
+}
+
+func TestBERTFitsWhenBalanced(t *testing.T) {
+	g := workload.BERT()
+	pkg := mcm.Edge36()
+	sim := New(pkg, Options{})
+	// A parameter-balanced contiguous split should fit in SRAM.
+	p := balancedSplit(t, g, 36)
 	res := sim.Evaluate(g, p)
 	if !res.Valid {
 		t.Fatalf("balanced BERT split should fit: %s (peak %v MiB)", res.FailReason, res.PeakMem)
@@ -355,4 +363,22 @@ func min3(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestEvaluateAllocs pins what one simulator sample allocates on BERT/edge36:
+// the per-chip schedules and liveness tables, 397 measured. It was 4 149
+// before the graph memoized its layout — 3 752 of them a Kahn pass under
+// sched.Compute, repeated for every sample. The ceiling is the guard against
+// a per-sample graph analysis coming back.
+func TestEvaluateAllocs(t *testing.T) {
+	g := workload.BERT()
+	sim := New(mcm.Edge36(), Options{})
+	p := balancedSplit(t, g, 36)
+	if res := sim.Evaluate(g, p); !res.Valid {
+		t.Fatal(res.FailReason)
+	}
+	const ceiling = 440
+	if allocs := testing.AllocsPerRun(10, func() { sim.Evaluate(g, p) }); allocs > ceiling {
+		t.Fatalf("Evaluate allocates %v times per sample, ceiling %d", allocs, ceiling)
+	}
 }

@@ -43,12 +43,12 @@ func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, 
 	if len(p) != g.NumNodes() {
 		return nil, fmt.Errorf("sched: partition has %d entries for %d nodes", len(p), g.NumNodes())
 	}
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
 		return nil, err
 	}
 	scheds := make([]ChipSchedule, chips)
-	for _, v := range order {
+	for _, v := range lay.Order {
 		c := p[v]
 		if c < 0 || c >= chips {
 			return nil, fmt.Errorf("sched: node %d on chip %d out of range", v, c)

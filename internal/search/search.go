@@ -145,36 +145,17 @@ func GreedyPackage(g *graph.Graph, pkg *mcm.Package) partition.Partition {
 
 // greedyBudget is the shared implementation: sram(c) is chip c's SRAM size.
 func greedyBudget(g *graph.Graph, chips int, sram func(int) int64) partition.Partition {
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
-		panic("search: Greedy needs a DAG: " + err.Error())
+		panic("search: Greedy: " + err.Error()) // every graph source validates
 	}
+	order := lay.Order
 	n := len(order)
-	pos := make([]int, n)
-	for i, v := range order {
-		pos[v] = i
-	}
-	// nextGap[g] = earliest legal gap after a boundary at gap g (no edge
-	// span may contain two boundaries).
-	nextGap := make([]int, n)
-	for i := range nextGap {
-		nextGap[i] = i + 1
-	}
-	for _, e := range g.Edges() {
-		if pu := pos[e.From]; pos[e.To] > nextGap[pu] {
-			nextGap[pu] = pos[e.To]
-		}
-	}
-	for i := 1; i < n; i++ {
-		if nextGap[i-1] > nextGap[i] {
-			nextGap[i] = nextGap[i-1]
-		}
-	}
 	memBudget := sram(0) * 7 / 10
 	p := make(partition.Partition, n)
 	chip := 0
 	var memOnChip, maxOut int64
-	minGap := 0 // boundaries below this gap would double-cut an edge span
+	minGap := 0 // boundaries below this gap would double-cut an edge span (the pair rule)
 	for idx, v := range order {
 		node := g.Node(v)
 		out := maxOut
@@ -190,7 +171,7 @@ func greedyBudget(g *graph.Graph, chips int, sram func(int) int64) partition.Par
 			memBudget = sram(chip) * 7 / 10
 			memOnChip = 0
 			maxOut = 0
-			minGap = nextGap[idx-1]
+			minGap = int(lay.Next[idx-1])
 		}
 		p[v] = chip
 		memOnChip += node.ParamBytes

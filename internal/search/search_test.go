@@ -191,3 +191,19 @@ func TestSearchBeatsGreedyOnImbalancedGraph(t *testing.T) {
 		t.Fatalf("random search (%.3fx) should beat the greedy baseline", env.BestImprovement())
 	}
 }
+
+// TestGreedyPackageWarmAllocs: on a graph whose layout is memoized the
+// greedy baseline allocates its partition and nothing else. It used to run
+// its own Kahn pass and rebuild the pair rule on every call (3 755
+// allocations on BERT).
+func TestGreedyPackageWarmAllocs(t *testing.T) {
+	g := workload.BERT()
+	pkg := mcm.Edge36()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 1 // the partition
+	if allocs := testing.AllocsPerRun(20, func() { GreedyPackage(g, pkg) }); allocs > ceiling {
+		t.Fatalf("GreedyPackage on a warm graph allocated %.1f objects, want <= %d", allocs, ceiling)
+	}
+}

@@ -198,7 +198,9 @@ func (j *Job) recordProgress(ev ProgressEvent) {
 
 // finish moves the job to a terminal state exactly once, reporting whether
 // this call made the transition. res is in canonical node order (see
-// canonicalize); the retained copy is in the job's own.
+// canonicalize); the retained copy is in the job's own. The winner must
+// call release once its accounting is done: Done() does not fire here, so
+// that a waiter it wakes finds the service's counters already moved.
 func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -220,11 +222,15 @@ func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 		j.best = res.Improvement
 	}
 	j.mu.Unlock()
-	// Release the job's child context so a long-lived service does not
-	// accumulate one cancel registration per request ever served.
+	return true
+}
+
+// release fires Done() and releases the job's child context, so a
+// long-lived service does not accumulate one cancel registration per
+// request ever served. Only the caller whose finish returned true calls it.
+func (j *Job) release() {
 	j.cancel()
 	close(j.done)
-	return true
 }
 
 // jobTable is the Service's ID → Job index and its retention bound. Live

@@ -277,3 +277,29 @@ func TestPlannerAssess(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanSAOnSimulatorAllocs is the bert-search-sim op of bench/ under an
+// allocation ceiling: simulated annealing on the simulator, BERT on edge36,
+// 64 samples. It allocated 296 697 times while every sample re-derived the
+// graph's topological order (71 Kahn passes per plan) and 30 299 once the
+// graph memoized it; what remains is the solver's and the simulator's
+// per-sample output. The ceiling is the guard
+// against a per-sample graph analysis coming back.
+func TestPlanSAOnSimulatorAllocs(t *testing.T) {
+	pl, err := mcmpart.NewPlanner(mcmpart.Edge36())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mcmpart.BERT()
+	opts := mcmpart.PlanOptions{Method: mcmpart.MethodSA, SampleBudget: 64, UseSimulator: true, Seed: 4}
+	plan := func() {
+		if _, err := pl.Plan(context.Background(), g, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan()
+	const ceiling = 33_000
+	if allocs := testing.AllocsPerRun(3, plan); allocs > ceiling {
+		t.Fatalf("Plan(sa, simulator, 64 samples) allocates %v times, ceiling %d", allocs, ceiling)
+	}
+}

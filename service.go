@@ -925,8 +925,10 @@ func (s *Service) resolveFlight(fl *flight, leader *Job, state JobState, res *Re
 // result is handed to a job: Job.finish clones it on retention (and
 // Job.Result on the way out), so no caller can corrupt another's result,
 // and maps it from canonical order to the job's own node IDs. It updates
-// the terminal counters, feeds the retention queue, and releases the job's
-// drain count. Safe to call twice (only the transition that wins counts).
+// the terminal counters and feeds the retention queue, and only then fires
+// the job's Done() and releases its drain count — whoever Done() wakes sees
+// Stats() that already include this job. Safe to call twice (only the
+// transition that wins counts).
 func (s *Service) finishJob(job *Job, state JobState, res *Result, err error, cached bool) {
 	if !job.finish(state, res, err, cached) {
 		return
@@ -935,6 +937,7 @@ func (s *Service) finishJob(job *Job, state JobState, res *Result, err error, ca
 	s.mu.Lock()
 	s.jobs.retireLocked(job.id)
 	s.mu.Unlock()
+	job.release()
 	s.jobsWG.Done()
 }
 

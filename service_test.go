@@ -381,6 +381,31 @@ func TestServiceJobCancelKeepsBestSoFar(t *testing.T) {
 	}
 }
 
+// TestServiceCountersLeadDone: the terminal counters already include a job
+// at the instant its Done() fires (DESIGN.md §14.3). Before the terminal
+// transition was split, Done() closed first and a woken waiter could read
+// Stats() one job short.
+func TestServiceCountersLeadDone(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1})
+	g := smallGraph(t)
+	for i := 1; i <= 300; i++ {
+		job, err := svc.Submit(context.Background(), mcmpart.PlanRequest{
+			Graph: g,
+			// A fresh seed per job keeps the plan cache out of the loop.
+			Options: mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 1_000_000, Seed: int64(i)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Cancel()
+		<-job.Done()
+		st := svc.Stats()
+		if ended := st.JobsDone + st.JobsFailed + st.JobsCancelled; ended != uint64(i) {
+			t.Fatalf("job %d is done but the counters hold %d ended jobs: %+v", i, ended, st)
+		}
+	}
+}
+
 func TestServicePlanBatch(t *testing.T) {
 	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2})
 	g := smallGraph(t)
