@@ -35,6 +35,10 @@
 // the disk cache tier is flushed, and only then does the HTTP server shut
 // down. Status and stats routes keep serving throughout the drain.
 //
+// A connection that stalls before its request headers are complete (5 s)
+// or sits idle between requests (2 min) is closed; bodies and responses
+// have no deadline, because large graphs and long plans stream through them.
+//
 // A quick session against a running daemon:
 //
 //	curl -s localhost:7433/healthz
@@ -66,6 +70,16 @@ import (
 	"mcmpart"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
+)
+
+// A connection that has not delivered its request headers within
+// readHeaderTimeout, or that sits idle between requests for idleTimeout, is
+// closed, so a client that opens sockets and sends nothing cannot hold them
+// forever. There is deliberately no ReadTimeout or WriteTimeout: a large
+// graph's body and a long plan's response stream through them.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -131,7 +145,11 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 		log.Print(err)
 		return 1
 	}
-	server := &http.Server{Handler: mcmpart.NewHTTPHandler(svc)}
+	server := &http.Server{
+		Handler:           mcmpart.NewHTTPHandler(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()

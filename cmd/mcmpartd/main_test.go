@@ -16,6 +16,7 @@ import (
 // equivalent mid-flight and observe the drain.
 type daemonHandle struct {
 	Client *mcmpart.Client
+	Addr   string // host:port the daemon listens on
 	cancel context.CancelFunc
 	done   chan int
 }
@@ -54,7 +55,7 @@ func bootDaemonHandle(t *testing.T, args []string) *daemonHandle {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not become ready")
 	}
-	d := &daemonHandle{Client: mcmpart.NewClient("http://"+addr, nil, mcmpart.ClientOptions{}), cancel: cancel, done: done}
+	d := &daemonHandle{Client: mcmpart.NewClient("http://"+addr, nil, mcmpart.ClientOptions{}), Addr: addr, cancel: cancel, done: done}
 	t.Cleanup(func() {
 		d.Signal()
 		if code := d.Wait(t); code != 0 {

@@ -4,7 +4,6 @@
 package graph_test
 
 import (
-	"fmt"
 	"testing"
 
 	"mcmpart/internal/graph"
@@ -27,30 +26,31 @@ func BenchmarkFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprintAdversarial measures the refinement-with-
-// individualization stress case documented on canonicalPositions: many
-// mutually automorphic nodes (identical parallel two-node chains hanging
-// off one root). Whole-class peeling keeps this near-linear — one
-// individualization round per tie class, not per tied member; before that
-// fix, 4x the twins cost ~17x the time (one round per member, each round
-// re-refining the whole graph). Kept benchmarked so a regression shows up
-// as a number, not an anecdote.
+// BenchmarkFingerprintAdversarial measures the tie shapes that stress
+// refinement with individualization (canonicalPositions): many mutually
+// automorphic nodes — identical two-node chains hanging off one root — and
+// k identical parallel chains, where a peel propagates one level per round.
+// Both must stay near-linear in n+m: the twins were quadratic before a tie
+// class was peeled whole (4x the twins cost ~17x the time), the chains
+// before refinement kept a worklist (every round re-keyed every node).
+// TestFingerprintWorkBound asserts the count; this keeps the time a number.
 func BenchmarkFingerprintAdversarial(b *testing.B) {
-	for _, twins := range []int{100, 400} {
-		b.Run(fmt.Sprintf("twins=%d", twins), func(b *testing.B) {
-			g := graph.New(fmt.Sprintf("adversarial-%d", twins))
-			root := g.AddNode(graph.Node{Name: "root", Op: graph.OpEmbedding, FLOPs: 1, OutputBytes: 64})
-			for i := 0; i < twins; i++ {
-				a := g.AddNode(graph.Node{Name: fmt.Sprintf("a%d", i), Op: graph.OpMatMul, FLOPs: 2, OutputBytes: 64})
-				c := g.AddNode(graph.Node{Name: fmt.Sprintf("b%d", i), Op: graph.OpMatMul, FLOPs: 3, OutputBytes: 64})
-				g.MustAddEdge(root, a, 64)
-				g.MustAddEdge(a, c, 64)
-			}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"twins=100", adversarialTwins(100)},
+		{"twins=400", adversarialTwins(400)},
+		{"twins=4000", adversarialTwins(4000)},
+		{"chains=8x500", parallelChains(8, 500)},
+		{"chains=64x64", parallelChains(64, 64)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				c := g.Clone()
+				c := tc.g.Clone()
 				b.StartTimer()
 				_ = c.Fingerprint()
 			}

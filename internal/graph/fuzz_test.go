@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -47,7 +48,9 @@ func FuzzParseJSON(f *testing.F) {
 // FuzzFingerprint fuzzes the canonical-fingerprint contract on decoded
 // graphs: the fingerprint is deterministic, survives Clone, is invariant
 // under node-insertion-order permutation, and changes when a node's
-// operator kind changes.
+// operator kind changes — and it, with the canonical positions, is what the
+// whole-graph refinement in fingerprint_ref_test.go computes, on the decoded
+// graph and on its permuted rebuild.
 func FuzzFingerprint(f *testing.F) {
 	f.Add([]byte(`{"name":"g","nodes":[{"id":0,"op":4,"flops":10,"output_bytes":8},{"id":1,"op":7},{"id":2,"op":7}],"edges":[{"from":0,"to":1,"bytes":8},{"from":0,"to":2,"bytes":8}]}`), int64(1))
 	f.Add([]byte(`{"name":"twins","nodes":[{"id":0,"op":0,"output_bytes":4},{"id":1,"op":4,"flops":5},{"id":2,"op":4,"flops":5},{"id":3,"op":12}],"edges":[{"from":0,"to":1,"bytes":4},{"from":0,"to":2,"bytes":4},{"from":1,"to":3,"bytes":1},{"from":2,"to":3,"bytes":1}]}`), int64(7))
@@ -81,6 +84,12 @@ func FuzzFingerprint(f *testing.F) {
 		}
 		if got := rebuilt.Fingerprint(); got != fp {
 			t.Fatalf("insertion-order permutation changed the fingerprint")
+		}
+		for _, x := range []*Graph{&g, rebuilt} {
+			wantFP, wantPos := refFingerprint(x)
+			if x.Fingerprint() != wantFP || !slices.Equal(CanonicalPositions(x), wantPos) {
+				t.Fatalf("%s: fingerprint or canonical positions differ from the reference canonicalizer", x)
+			}
 		}
 		// A partition carried through canonical positions to the permuted
 		// rebuild validates there: place every node on the chip of its
