@@ -16,7 +16,8 @@ import (
 // wherever valid and repair the rest).
 type Partitioner interface {
 	// SampleMode draws a valid partition biased by the N x C probability
-	// matrix (nil for uniform).
+	// matrix (nil for uniform). The matrix is read during the call and not
+	// retained: the caller may overwrite it for the next sample.
 	SampleMode(probs [][]float64, rng *rand.Rand) (partition.Partition, error)
 	// FixMode repairs the candidate partition y into a valid one,
 	// preserving y wherever the constraints allow.

@@ -1,0 +1,484 @@
+package cpsolver
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"mcmpart/internal/graph"
+	"mcmpart/internal/partition"
+	"mcmpart/internal/randgraph"
+	"mcmpart/internal/workload"
+)
+
+// segmenterPair drives a Segmenter and the reference sampler through the
+// same calls on identically seeded generators and requires, after every
+// call: the same partition or the same error, the same prefix sums and
+// forward table bit for bit, and the same next RNG output — i.e. the same
+// number of draws was consumed.
+type segmenterPair struct {
+	t          *testing.T
+	name       string
+	sg         *Segmenter
+	ref        *refSegmenter
+	rng, rrng  *rand.Rand
+	calls      int
+	lastSample partition.Partition
+}
+
+func newSegmenterPair(t *testing.T, name string, sg *Segmenter, seed int64) *segmenterPair {
+	return &segmenterPair{
+		t: t, name: name, sg: sg, ref: newRefSegmenter(sg),
+		rng: rand.New(rand.NewSource(seed)), rrng: rand.New(rand.NewSource(seed)),
+	}
+}
+
+func (sp *segmenterPair) sample(what string, probs [][]float64) {
+	sp.t.Helper()
+	got, gerr := sp.sg.Sample(probs, sp.rng)
+	want, werr := sp.ref.refSample(probs, sp.rrng)
+	sp.compare(what, got, gerr, want, werr)
+}
+
+func (sp *segmenterPair) fit(what string, y []int) {
+	sp.t.Helper()
+	got, gerr := sp.sg.Fit(y, sp.rng)
+	want, werr := sp.ref.refFit(y, sp.rrng)
+	sp.compare(what, got, gerr, want, werr)
+}
+
+func (sp *segmenterPair) compare(what string, got partition.Partition, gerr error, want partition.Partition, werr error) {
+	sp.t.Helper()
+	sp.calls++
+	fail := func(format string, args ...any) {
+		sp.t.Helper()
+		sp.t.Fatalf("%s: call %d (%s): "+format, append([]any{sp.name, sp.calls, what}, args...)...)
+	}
+	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+		fail("error %v, reference %v", gerr, werr)
+	}
+	if len(got) != len(want) {
+		fail("partition has %d entries, reference %d", len(got), len(want))
+	}
+	for v := range want {
+		if got[v] != want[v] {
+			fail("node %d on chip %d, reference %d", v, got[v], want[v])
+		}
+	}
+	if gerr == nil {
+		sp.lastSample = got
+	}
+	n, c := len(sp.sg.order), sp.sg.k
+	for k, row := range sp.ref.logPS {
+		for q, x := range row {
+			if y := sp.sg.ps[k*n+q]; math.Float64bits(x) != math.Float64bits(y) {
+				fail("ps[%d][%d] = %x (%v), reference %x (%v)", k, q, math.Float64bits(y), y, math.Float64bits(x), x)
+			}
+		}
+	}
+	for k, row := range sp.ref.alpha {
+		for g, x := range row {
+			if y := sp.sg.alpha[k*(n-1)+g]; math.Float64bits(x) != math.Float64bits(y) {
+				fail("alpha[%d][%d] = %x (%v), reference %x (%v)", k, g, math.Float64bits(y), y, math.Float64bits(x), x)
+			}
+		}
+	}
+	if c > 1 && sp.ref.logPS == nil {
+		fail("reference never built its tables")
+	}
+	if a, b := sp.rng.Int63(), sp.rrng.Int63(); a != b {
+		fail("RNG streams diverged: next Int63 %d, reference %d", a, b)
+	}
+}
+
+// dirichletRow overwrites row with a flat Dirichlet draw, as search.Anneal
+// re-randomizes a proposal row.
+func dirichletRow(rng *rand.Rand, row []float64) {
+	var sum float64
+	for j := range row {
+		row[j] = -math.Log(1 - rng.Float64())
+		sum += row[j]
+	}
+	for j := range row {
+		row[j] /= sum
+	}
+}
+
+func probMatrix(n, c int) ([][]float64, []float64) {
+	rows, flat := make([][]float64, n), make([]float64, n*c)
+	for i := range rows {
+		rows[i] = flat[i*c : (i+1)*c]
+	}
+	return rows, flat
+}
+
+// exercise runs the call sequences the issue lists against one segmenter:
+// uniform, annealing-style proposals (a twentieth of the rows changed per
+// call, accepted or reverted), the same matrix twice, a fresh matrix per
+// call, nil rows and hostile values, and hints of every kind in between, so
+// that a memo entry or a table left over from one call is seen by the next.
+// brief drops the one-hostile-value-at-a-time calls (the all-hostile matrix
+// stays): the 10k-node graphs cost 50 ms a call under the race detector.
+func (sp *segmenterPair) exercise(rounds int, brief bool) {
+	sp.t.Helper()
+	n, chips := len(sp.sg.order), sp.sg.chips
+	src := rand.New(rand.NewSource(int64(n)*131 + int64(chips)))
+
+	sp.sample("nil probs", nil)
+	sp.sample("nil probs again", nil)
+
+	current, flat := probMatrix(n, chips)
+	for i := range flat {
+		flat[i] = 1 / float64(chips)
+	}
+	sp.sample("uniform matrix", current)
+	proposal, pflat := probMatrix(n, chips)
+	perturb := n / 20
+	if perturb < 1 {
+		perturb = 1
+	}
+	for r := 0; r < rounds; r++ {
+		copy(pflat, flat)
+		for i := 0; i < perturb; i++ {
+			dirichletRow(src, proposal[src.Intn(n)])
+		}
+		sp.sample("annealing proposal", proposal)
+		if r%2 == 0 {
+			copy(flat, pflat)
+		}
+		if r == rounds/2 {
+			sp.fit("random hint between proposals", randomHint(src, n, chips))
+			sp.sample("nil probs between proposals", nil)
+		}
+	}
+	sp.sample("unchanged proposal", proposal)
+	sp.sample("unchanged proposal again", proposal)
+
+	for r := 0; r < 2; r++ {
+		for _, row := range proposal {
+			dirichletRow(src, row)
+		}
+		sp.sample("every row changed", proposal)
+	}
+
+	hostile := []float64{0, 1e-13, math.NaN(), math.Inf(1), 1, 1e-12, math.Copysign(0, -1), 5e-324, 1e300}
+	withNil := make([][]float64, n)
+	copy(withNil, proposal)
+	for i := 0; i < n; i += 3 {
+		withNil[i] = nil
+	}
+	sp.sample("nil rows", withNil)
+	// One hostile value at a time in otherwise ordinary rows, then rows
+	// made of nothing else, then the ordinary matrix again: an entry that
+	// held a NaN, an Inf or a clamped value must not be remembered wrongly.
+	for _, bad := range hostile {
+		if brief {
+			break
+		}
+		saved := make(map[int]float64)
+		for i := 0; i < 4; i++ {
+			at := src.Intn(len(pflat))
+			if _, dup := saved[at]; !dup {
+				saved[at] = pflat[at]
+			}
+			pflat[at] = bad
+		}
+		sp.sample("hostile entries", proposal)
+		sp.sample("hostile entries, unchanged", withNil)
+		for at, v := range saved {
+			pflat[at] = v
+		}
+	}
+	sp.sample("hostile entries restored", proposal)
+	saved := append([]float64(nil), pflat...)
+	for i := range pflat {
+		pflat[i] = hostile[src.Intn(len(hostile))]
+	}
+	sp.sample("nothing but hostile entries", proposal)
+	copy(pflat, saved)
+	sp.sample("ordinary matrix after hostile one", proposal)
+
+	sp.sample("wrong row count", proposal[:n-1])
+
+	for r := 0; r < rounds; r++ {
+		sp.fit("random hint", randomHint(src, n, chips))
+	}
+	if sp.lastSample != nil {
+		sp.fit("valid hint", sp.lastSample)
+		jitter := append([]int(nil), sp.lastSample...)
+		for i := 0; i < perturb; i++ {
+			jitter[src.Intn(n)] = src.Intn(chips)
+		}
+		sp.fit("valid hint with a twentieth of it moved", jitter)
+	}
+	sp.fit("wrong hint length", make([]int, n+1))
+	sp.sample("matrix after hints", proposal)
+}
+
+// randomHint draws a hint with entries below, inside and above 0..chips-1.
+func randomHint(rng *rand.Rand, n, chips int) []int {
+	y := make([]int, n)
+	for i := range y {
+		y[i] = rng.Intn(chips+4) - 2
+	}
+	return y
+}
+
+func TestSegmenterMatchesReference(t *testing.T) {
+	type instance struct {
+		name   string
+		g      *graph.Graph
+		chips  int
+		rounds int
+		brief  bool
+	}
+	instances := []instance{
+		{"bert/36", workload.BERT(), 36, 12, false},
+		{"chain-5/8 (k < chips)", chain(t, 5), 8, 6, false},
+		{"skipconn/3 (k < chips)", skipConn(t), 3, 6, false},
+		{"chain-2/2", chain(t, 2), 2, 6, false},
+		{"chain-7/1 (single chip)", chain(t, 7), 1, 6, false},
+		{"chain-400/8", chain(t, 400), 8, 6, false},
+	}
+	for _, fam := range randgraph.Families() {
+		for _, nodes := range []int{1000, 10_000} {
+			if nodes > 1000 && testing.Short() {
+				continue
+			}
+			g := randgraph.Generate(randgraph.Config{Family: fam, Nodes: nodes, Seed: 18})
+			instances = append(instances, instance{g.Name(), g, 36, 4, nodes > 1000})
+		}
+	}
+	for _, in := range instances {
+		sg, err := NewSegmenter(in.g, in.chips)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		newSegmenterPair(t, in.name, sg, 7).exercise(in.rounds, in.brief)
+	}
+
+	// The first matrix a segmenter ever sees is all zeros: an empty memo
+	// must not pass for one that has seen zeros.
+	fresh, err := NewSegmenter(chain(t, 400), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros, _ := probMatrix(400, 8)
+	first := newSegmenterPair(t, "chain-400/8 zeros first", fresh, 9)
+	first.sample("all zeros", zeros)
+	first.sample("all zeros again", zeros)
+
+	// A heterogeneous package: the capacity bound rejects and redraws, so a
+	// call consumes several backward passes over one forward table. The
+	// bound is the median chip load of uniform samples, which most draws
+	// exceed somewhere, plus a bound nothing satisfies.
+	g := workload.BERT()
+	const chips = 8
+	probe, err := NewSegmenter(g, chips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for v := 0; v < g.NumNodes(); v++ {
+		total += g.Node(v).ParamBytes
+	}
+	caps := make([]int64, chips)
+	for c := range caps {
+		caps[c] = total / chips * 3 / 2
+	}
+	probe.chipCap = caps
+	pair := newSegmenterPair(t, "bert/8 capacity-bounded", probe, 11)
+	pair.exercise(6, false)
+	impossible, err := NewSegmenter(g, chips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impossible.chipCap = make([]int64, chips)
+	pair = newSegmenterPair(t, "bert/8 impossible capacity", impossible, 12)
+	pair.sample("nil probs", nil)
+	pair.fit("hint", make([]int, g.NumNodes()))
+}
+
+// FuzzSampleLogWeights is the same differential on the boundary draw alone:
+// raw weight slices — runs of -Inf, ties, NaN, +Inf, magnitudes up to 1e308
+// — must pick the reference's index and leave the generator where the
+// reference leaves it.
+func FuzzSampleLogWeights(f *testing.F) {
+	f.Add(int64(1), []byte{0, 0, 0, 0})
+	f.Add(int64(2), []byte{1, 1, 2, 3, 1, 1, 9, 9})
+	f.Add(int64(3), []byte{4, 5, 6, 7, 8, 1, 1, 1, 1, 1})
+	f.Add(int64(4), []byte{10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24})
+	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
+		checkSampleLogWeights(t, seed, weightsFromBytes(seed, shape))
+	})
+}
+
+// weightsFromBytes turns fuzz input into a weight slice: each byte picks
+// one entry's kind, so the fuzzer steers the structure and the seed fills
+// in the magnitudes.
+func weightsFromBytes(seed int64, shape []byte) []float64 {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	w := make([]float64, 0, len(shape))
+	for _, b := range shape {
+		var x float64
+		switch b % 12 {
+		case 0:
+			x = math.Inf(-1)
+		case 1:
+			x = 0
+		case 2:
+			x = -1e308
+		case 3:
+			x = 1e308
+		case 4:
+			x = math.NaN()
+		case 5:
+			x = math.Inf(1)
+		case 6:
+			x = -7000 + 40*rng.Float64() // the magnitude of a BERT boundary weight
+		case 7:
+			x = -7000
+		case 8:
+			x = rng.NormFloat64()
+		case 9:
+			x = 1e-300 * rng.Float64()
+		case 10:
+			x = float64(b) * 1e15
+		default:
+			x = -40 * rng.Float64()
+		}
+		// A byte's high bits repeat the entry: runs and ties.
+		for r := 0; r <= int(b>>6); r++ {
+			w = append(w, x)
+		}
+	}
+	return w
+}
+
+func checkSampleLogWeights(t *testing.T, seed int64, w []float64) {
+	t.Helper()
+	rng, rrng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	// Several draws from one generator: the best-so-far threshold and the
+	// bucket every draw falls in differ each time.
+	for round := 0; round < 4; round++ {
+		got, gerr := sampleLogWeights(rng, w)
+		want, werr := refSampleLogWeights(rrng, w)
+		if got != want || gerr != werr {
+			t.Fatalf("round %d: index %d (%v), reference %d (%v) on %v", round, got, gerr, want, werr, w)
+		}
+		if a, b := rng.Int63(), rrng.Int63(); a != b {
+			t.Fatalf("round %d: RNG streams diverged on %v", round, w)
+		}
+	}
+}
+
+// TestSampleLogWeightsMatchesReference runs the fuzz body over long random
+// slices, where nearly every draw is one the bound lets the loop skip.
+func TestSampleLogWeightsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		shape := make([]byte, 1+rng.Intn(3000))
+		rng.Read(shape)
+		if i%3 == 0 { // one kind only: every weight equal, or near it
+			for j := range shape {
+				shape[j] = shape[0]
+			}
+		}
+		checkSampleLogWeights(t, int64(i), weightsFromBytes(int64(i), shape))
+	}
+}
+
+// TestGumbelBoundHolds checks the table against the noise the loop would
+// compute, on the generator's own grid near every bucket edge — where the
+// bound is tightest — and on random draws: the bound must hold with most of
+// its margin to spare.
+func TestGumbelBoundHolds(t *testing.T) {
+	check := func(u float64) {
+		if u < 0 || u >= 1 {
+			return
+		}
+		noise := -math.Log(-math.Log(u))
+		if ub := gumbelUB[int(u*gumbelBuckets)]; !(noise <= ub-gumbelMargin/2) {
+			t.Fatalf("u = %v: noise %v exceeds the bucket bound %v less half its margin", u, noise, ub)
+		}
+	}
+	const grid = 1.0 / (1 << 53)
+	for b := 0; b <= gumbelBuckets; b++ {
+		edge := float64(b) / gumbelBuckets
+		for i := -3; i <= 3; i++ {
+			check(edge + float64(i)*grid)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(rng.Float64())
+	}
+}
+
+func segmenterBenchProposals(b *testing.B) (*Segmenter, [][][]float64) {
+	g := workload.BERT()
+	sg, err := NewSegmenter(g, 36)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Sixteen annealing proposals, each a twentieth of the rows away from
+	// the one before.
+	n, c := g.NumNodes(), 36
+	rng := rand.New(rand.NewSource(1))
+	proposals := make([][][]float64, 16)
+	var prev []float64
+	for i := range proposals {
+		rows, flat := probMatrix(n, c)
+		if prev == nil {
+			for j := range flat {
+				flat[j] = 1 / float64(c)
+			}
+		} else {
+			copy(flat, prev)
+		}
+		for j := 0; j < n/20; j++ {
+			dirichletRow(rng, rows[rng.Intn(n)])
+		}
+		proposals[i], prev = rows, flat
+	}
+	return sg, proposals
+}
+
+// BenchmarkSegmenterSample is the solver's share of a bert-search-sim
+// sample: SAMPLE mode on BERT/36 under annealing-style proposals.
+func BenchmarkSegmenterSample(b *testing.B) {
+	sg, proposals := segmenterBenchProposals(b)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := sg.Sample(proposals[i%len(proposals)], rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = p
+	}
+}
+
+// BenchmarkSegmenterFit is the solver's share of a bert-rl sample: FIX mode
+// on BERT/36 from raw per-node action draws.
+func BenchmarkSegmenterFit(b *testing.B) {
+	sg, _ := segmenterBenchProposals(b)
+	rng := rand.New(rand.NewSource(1))
+	hints := make([][]int, 16)
+	for i := range hints {
+		hints[i] = make([]int, sg.NumNodes())
+		for j := range hints[i] {
+			hints[i][j] = rng.Intn(36)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := sg.Fit(hints[i%len(hints)], rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = p
+	}
+}

@@ -24,6 +24,7 @@
 // real nondeterminism.
 //
 //mcmlint:deterministic
+//mcmlint:hotpath
 package hwsim
 
 import (
@@ -166,7 +167,7 @@ type Result struct {
 }
 
 // opTime returns the simulated execution time of one node on a chip.
-func (s *Simulator) opTime(n graph.Node, chip int) float64 {
+func (s *Simulator) opTime(n *graph.Node, chip int) float64 {
 	eff := 0.0
 	if int(n.Op) < len(opEfficiency) {
 		eff = opEfficiency[n.Op]
@@ -201,9 +202,7 @@ func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
 		a, b := p[e.From], p[e.To]
 		if a != b {
 			if _, ok := s.topo.Hops(a, b); !ok {
-				res.FailReason = fmt.Sprintf(
-					"illegal transfer: no %s route from chip %d to chip %d (edge %d -> %d)",
-					s.topo.Kind(), a, b, e.From, e.To)
+				res.FailReason = s.illegalTransfer(e, a, b)
 				return res
 			}
 		}
@@ -218,9 +217,10 @@ func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
 	}
 	// Compute time per chip, slowed by allocator pressure near the
 	// memory limit.
+	nodes := g.Nodes()
 	for c := range scheds {
 		for _, v := range scheds[c].Ops {
-			res.ChipBusy[c] += s.opTime(g.Node(v), c)
+			res.ChipBusy[c] += s.opTime(&nodes[v], c)
 		}
 		util := float64(res.PeakMem[c]) / float64(s.pkg.ChipSRAM(c))
 		if util > s.opts.PressureKnee {
@@ -231,7 +231,7 @@ func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
 	// directed link on its route for its serialization time.
 	if nl := s.topo.NumLinks(); nl > 0 {
 		res.LinkBusy = make([]float64, nl)
-		var route []int
+		route := make([]int, 0, nl) // no route visits a link twice
 		for _, e := range g.Edges() {
 			a, b := p[e.From], p[e.To]
 			if a == b {
@@ -264,6 +264,13 @@ func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
 	res.Interval = interval
 	res.Throughput = 1 / interval
 	return res
+}
+
+// illegalTransfer words the FailReason of a cut edge the topology cannot
+// route from chip a to chip b.
+func (s *Simulator) illegalTransfer(e graph.Edge, a, b int) string {
+	return fmt.Sprintf("illegal transfer: no %s route from chip %d to chip %d (edge %d -> %d)",
+		s.topo.Kind(), a, b, e.From, e.To)
 }
 
 // Measure runs the partition once with deterministic measurement noise, as

@@ -83,26 +83,37 @@ func (p Partition) Validate(g *graph.Graph, chips int) error {
 		}
 	}
 	// Constraint 2: used chips form the prefix {0..max}.
-	used := make([]bool, chips)
+	var used uint64
 	maxChip := 0
-	for _, c := range p {
-		used[c] = true
+	for v, c := range p {
+		if c >= mcm.MaxChips {
+			return fmt.Errorf("%w: node %d on chip %d, beyond the %d chips a package can have", ErrChipRange, v, c, mcm.MaxChips)
+		}
+		used |= 1 << c
 		if c > maxChip {
 			maxChip = c
 		}
 	}
 	for d := 0; d <= maxChip; d++ {
-		if !used[d] {
+		if used&(1<<d) == 0 {
 			return fmt.Errorf("%w: chip %d is skipped (chips 0..%d in use)", ErrSkippedChip, d, maxChip)
 		}
 	}
 	// Constraint 3: delta(f(u), f(v)) == 1 for every cut edge, where delta
-	// is the longest path in the chip-level dependency graph.
-	adj := p.chipAdjacency(g, maxChip+1)
-	dist := longestPaths(adj)
+	// is the longest path in the chip-level dependency graph. Both tables
+	// are fixed-size values: a valid partition is checked without
+	// allocating.
+	var adj chipAdjacency
+	for _, e := range g.Edges() {
+		if a, b := p[e.From], p[e.To]; a != b {
+			adj[a] |= 1 << b
+		}
+	}
+	var dist chipDistances
+	dist.longestPaths(&adj, maxChip+1)
 	for a := 0; a <= maxChip; a++ {
 		for b := a + 1; b <= maxChip; b++ {
-			if adj[a][b] && dist[a][b] > 1 {
+			if adj.has(a, b) && dist[a][b] > 1 {
 				return fmt.Errorf("%w: chips %d and %d have both a direct and an indirect dependency (longest path %d)",
 					ErrTriangleDependency, a, b, dist[a][b])
 			}
@@ -140,43 +151,31 @@ func (p Partition) ValidateOn(g *graph.Graph, pkg *mcm.Package) error {
 	return nil
 }
 
-// chipAdjacency builds the chip-level dependency graph induced by cut edges:
-// adj[a][b] is true when some graph edge flows from a node on chip a to a
-// node on chip b, a != b. Only valid after constraint 1 holds, so a < b.
-func (p Partition) chipAdjacency(g *graph.Graph, chips int) [][]bool {
-	adj := make([][]bool, chips)
-	for i := range adj {
-		adj[i] = make([]bool, chips)
-	}
-	for _, e := range g.Edges() {
-		a, b := p[e.From], p[e.To]
-		if a != b {
-			adj[a][b] = true
-		}
-	}
-	return adj
-}
+// chipAdjacency is the chip-level dependency graph induced by cut edges: bit
+// b of row a is set when some graph edge flows from a node on chip a to a
+// node on chip b, a != b. Only meaningful after constraint 1 holds, so a < b.
+type chipAdjacency [mcm.MaxChips]uint64
 
-// longestPaths returns the all-pairs longest path length (in edges) of a
-// chip dependency DAG whose edges all go from lower to higher IDs.
-// dist[a][b] == 0 means no path. Chip counts are at most mcm.MaxChips, so
-// the O(C^3) dynamic program is cheap.
-func longestPaths(adj [][]bool) [][]int {
-	c := len(adj)
-	dist := make([][]int, c)
-	for a := range dist {
-		dist[a] = make([]int, c)
-	}
+func (adj *chipAdjacency) has(a, b int) bool { return adj[a]&(1<<b) != 0 }
+
+// chipDistances holds all-pairs longest path lengths (in edges) of a chip
+// dependency DAG whose edges all go from lower to higher IDs; 0 means no
+// path. A path visits each chip at most once, so a length fits a byte.
+type chipDistances [mcm.MaxChips][mcm.MaxChips]uint8
+
+// longestPaths fills dist for the first c chips of adj. Chip counts are at
+// most mcm.MaxChips, so the O(C^3) dynamic program is cheap.
+func (dist *chipDistances) longestPaths(adj *chipAdjacency, c int) {
 	// Process targets in increasing order; all edges go low -> high, so by
 	// the time we compute dist[a][b] every dist[a][m] with m < b is final.
 	for a := 0; a < c; a++ {
 		for b := a + 1; b < c; b++ {
-			best := 0
-			if adj[a][b] {
+			best := uint8(0)
+			if adj.has(a, b) {
 				best = 1
 			}
 			for m := a + 1; m < b; m++ {
-				if adj[m][b] && dist[a][m] > 0 {
+				if adj.has(m, b) && dist[a][m] > 0 {
 					if d := dist[a][m] + 1; d > best {
 						best = d
 					}
@@ -185,7 +184,6 @@ func longestPaths(adj [][]bool) [][]int {
 			dist[a][b] = best
 		}
 	}
-	return dist
 }
 
 // CutEdges returns the indices (into g.Edges) of edges whose endpoints are on

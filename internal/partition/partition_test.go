@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mcmpart/internal/graph"
+	"mcmpart/internal/mcm"
 )
 
 // fig2Graph builds the 5-node computation graph of the paper's Figure 2a:
@@ -276,5 +277,50 @@ func TestValidateAgreesWithBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateAllocs: a valid partition is checked without allocating — the
+// used-chip set, the chip adjacency and the longest-path table are
+// fixed-size values — so the solver can go on validating every partition it
+// emits. The tables were 3C+1 slices per call before.
+func TestValidateAllocs(t *testing.T) {
+	const n, chips = 360, mcm.MaxChips
+	g := graph.New("chain")
+	for i := 0; i < n; i++ {
+		g.AddNode(graph.Node{FLOPs: 1, OutputBytes: 1})
+		if i > 0 {
+			g.MustAddEdge(i-1, i, 1)
+		}
+	}
+	p := make(Partition, n)
+	for i := range p {
+		p[i] = i * chips / n
+	}
+	if p.MaxChip() != chips-1 {
+		t.Fatalf("test partition uses chips 0..%d, want every chip", p.MaxChip())
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := p.Validate(g, chips); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate of a valid partition allocates %v times, want 0", allocs)
+	}
+}
+
+// TestValidateRejectsChipBeyondMax: the chip tables are sized by
+// mcm.MaxChips, so a chip ID past it is out of range whatever chip count
+// the caller claims.
+func TestValidateRejectsChipBeyondMax(t *testing.T) {
+	g := graph.New("pair")
+	g.AddNode(graph.Node{FLOPs: 1, OutputBytes: 1})
+	g.AddNode(graph.Node{FLOPs: 1, OutputBytes: 1})
+	g.MustAddEdge(0, 1, 1)
+	if err := (Partition{0, mcm.MaxChips}).Validate(g, 2*mcm.MaxChips); !errors.Is(err, ErrChipRange) {
+		t.Fatalf("chip %d of %d: %v, want ErrChipRange", mcm.MaxChips, 2*mcm.MaxChips, err)
+	}
+	if err := (Partition{0, 1}).Validate(g, 2*mcm.MaxChips); err != nil {
+		t.Fatalf("low chips under a large chip count: %v", err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 // ctx.Err(); the environment keeps its best-so-far trajectory.
 func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *rand.Rand) error {
 	enc := policy.Encode(new(Encoding), env.Ctx)
+	var mixed [][]float64 // SAMPLE mode's matrix, rewritten per sample
 	for env.Samples < budget {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -29,7 +30,8 @@ func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *ra
 			}
 			f := policy.Heads(enc, prev)
 			if env.UseSampleMode {
-				env.StepProbs(MixedProbRows(f.Probs, env.ExploreEps()), rng)
+				mixed = MixedProbRows(mixed, f.Probs, env.ExploreEps())
+				env.StepProbs(mixed, rng)
 				prev = SampleActions(f.Probs, rng)
 			} else {
 				y := SampleActions(f.Probs, rng)

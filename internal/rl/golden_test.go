@@ -1,6 +1,7 @@
 package rl_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -140,5 +141,29 @@ func BenchmarkIterateBERT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trainer.Iterate(envs)
+	}
+}
+
+// TestZeroShotPerSampleAllocs bounds what one more SAMPLE-mode sample costs
+// a deployment on BERT/edge36: the partition, the raw action draw, the
+// cost-model verdict and the trajectory's growth — 16 measured. It was 93
+// while every sample built a fresh N x C matrix and its row headers for the
+// solver (0.67 MB) and the solver's Validate built its chip tables; the loop
+// now owns one matrix and overwrites it, and the tables are fixed-size.
+func TestZeroShotPerSampleAllocs(t *testing.T) {
+	g, pkg := workload.BERT(), mcm.Edge36()
+	policy := rl.NewPolicy(rl.QuickConfig(pkg.Chips), rand.New(rand.NewSource(1)))
+	run := func(budget int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			env := goldenEnv(t, g, pkg)
+			env.UseSampleMode = true
+			if err := rl.ZeroShot(context.Background(), policy, env, budget, rand.New(rand.NewSource(2))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const extra, ceiling = 16, 24
+	if perSample := (run(8+extra) - run(8)) / extra; perSample > ceiling {
+		t.Fatalf("ZeroShot allocates %.1f times per additional sample, ceiling %d", perSample, ceiling)
 	}
 }

@@ -386,21 +386,27 @@ func ProbRows(probs *mat.Dense) [][]float64 {
 	return rows
 }
 
-// MixedProbRows returns the policy distribution blended with uniform:
-// (1-eps) * P + eps/C per entry. It allocates fresh rows.
-func MixedProbRows(probs *mat.Dense, eps float64) [][]float64 {
+// MixedProbRows writes the policy distribution blended with uniform,
+// (1-eps) * P + eps/C per entry, into dst and returns it. dst is reused when
+// it already has P's shape (a loop passes back what the previous call
+// returned) and replaced by fresh rows otherwise; nil is a valid start.
+func MixedProbRows(dst [][]float64, probs *mat.Dense, eps float64) [][]float64 {
 	n, c := probs.Rows, probs.Cols
-	rows := make([][]float64, n)
-	flat := make([]float64, n*c)
-	u := eps / float64(c)
-	for i := 0; i < n; i++ {
-		rows[i] = flat[i*c : (i+1)*c]
-		src := probs.Row(i)
-		for j := range rows[i] {
-			rows[i][j] = (1-eps)*src[j] + u
+	if len(dst) != n || (n > 0 && len(dst[0]) != c) {
+		dst = make([][]float64, n)
+		flat := make([]float64, n*c)
+		for i := range dst {
+			dst[i] = flat[i*c : (i+1)*c]
 		}
 	}
-	return rows
+	u := eps / float64(c)
+	for i, row := range dst {
+		src := probs.Row(i)
+		for j := range row {
+			row[j] = (1-eps)*src[j] + u
+		}
+	}
+	return dst
 }
 
 // unassigned returns the t=0 state: every node unassigned.

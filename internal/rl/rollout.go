@@ -74,6 +74,7 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 			replicas = make(map[int]cpsolver.Partitioner)
 		}
 		encs.begin(len(envs))
+		var mixed [][]float64 // this worker's SAMPLE-mode matrix
 		for r := lo; r < hi; r++ {
 			ei := r % len(envs)
 			env := envs[ei]
@@ -93,7 +94,7 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 				}
 				part = rep
 			}
-			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, part, eps0[ei], parallel.Rng(iterSeed, r))
+			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, part, &mixed, eps0[ei], parallel.Rng(iterSeed, r))
 		}
 	})
 	return results
@@ -119,9 +120,11 @@ func forkable(envs []*Env) bool {
 // environment snapshot without mutating it: sample y(t) from
 // P(t) = pi(. | G, y(t-1)), hand it to the solver, evaluate the corrected
 // partition. enc is the environment's graph (index ei in the batch) encoded
-// under pol's weights. The exploration weight evolves locally from eps by
-// the same law the environment applies, and all randomness comes from rng.
-func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, part cpsolver.Partitioner, eps float64, rng *rand.Rand) episodeResult {
+// under pol's weights. mixed is the calling worker's buffer for the matrix
+// SAMPLE mode hands the solver. The exploration weight evolves locally from
+// eps by the same law the environment applies, and all randomness comes from
+// rng.
+func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, part cpsolver.Partitioner, mixed *[][]float64, eps float64, rng *rand.Rand) episodeResult {
 	T := pol.Cfg.Iterations
 	prev := unassigned(env.Ctx.G.NumNodes())
 	res := episodeResult{
@@ -137,7 +140,8 @@ func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, part cpsolver.Part
 		if env.UseSampleMode {
 			// Algorithm 1: the solver samples from P; credit the emitted
 			// partition as the action.
-			p, err := part.SampleMode(MixedProbRows(f.Probs, eps), rng)
+			*mixed = MixedProbRows(*mixed, f.Probs, eps)
+			p, err := part.SampleMode(*mixed, rng)
 			if err != nil {
 				y = SampleActions(f.Probs, rng)
 			} else {

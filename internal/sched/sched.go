@@ -6,6 +6,7 @@
 // this package is that later pass.
 //
 //mcmlint:deterministic
+//mcmlint:hotpath
 package sched
 
 import (
@@ -39,87 +40,85 @@ func (cs *ChipSchedule) PeakBytes(pipelineFactor float64) int64 {
 // Compute builds per-chip schedules for the partition. It returns an error
 // if the partition is malformed; static constraint checking is the caller's
 // concern (see partition.Validate).
+//
+// A chip's schedule is the graph's topological order restricted to the
+// chip, so everything here is a pass over Layout.Order: the op lists are a
+// counting sort into one backing array, and "the last local consumer" of a
+// tensor is the consumer with the largest Layout.Pos — no per-chip index.
 func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, error) {
-	if len(p) != g.NumNodes() {
-		return nil, fmt.Errorf("sched: partition has %d entries for %d nodes", len(p), g.NumNodes())
+	n := g.NumNodes()
+	if len(p) != n {
+		return nil, fmt.Errorf("sched: partition has %d entries for %d nodes", len(p), n)
 	}
 	lay, err := g.Layout()
 	if err != nil {
 		return nil, err
 	}
+	nodes, edges := g.Nodes(), g.Edges()
 	scheds := make([]ChipSchedule, chips)
+	count := make([]int, chips)
 	for _, v := range lay.Order {
 		c := p[v]
 		if c < 0 || c >= chips {
 			return nil, fmt.Errorf("sched: node %d on chip %d out of range", v, c)
 		}
-		scheds[c].Ops = append(scheds[c].Ops, v)
-		scheds[c].ParamBytes += g.Node(v).ParamBytes
+		count[c]++
+		scheds[c].ParamBytes += nodes[v].ParamBytes
 	}
-	for c := range scheds {
-		analyzeLiveness(g, p, &scheds[c], c)
+	ops := make([]int, n)
+	for c, k := range count {
+		if k > 0 {
+			scheds[c].Ops, ops = ops[:0:k], ops[k:]
+		}
 	}
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		if p[e.From] != p[e.To] {
 			scheds[p[e.From]].BytesOut += e.Bytes
 			scheds[p[e.To]].BytesIn += e.Bytes
 		}
 	}
-	return scheds, nil
-}
-
-// analyzeLiveness walks the chip's schedule computing the peak live
-// activation bytes. An op's output is allocated when the op runs and freed
-// after its last local consumer; tensors produced for remote chips stay live
-// until the end of the stage (they are drained by the inter-chip links), and
-// tensors arriving from remote chips are staged from the start of the stage.
-func analyzeLiveness(g *graph.Graph, p partition.Partition, cs *ChipSchedule, chip int) {
-	if len(cs.Ops) == 0 {
-		return
-	}
-	pos := make(map[int]int, len(cs.Ops))
-	for i, v := range cs.Ops {
-		pos[v] = i
-	}
-	// First pass: freeAt[i] accumulates the bytes whose last local use is
-	// schedule slot i. Outputs read by remote chips (or by nobody — stage
-	// outputs) stay live until the link drains them at stage end.
-	freeAt := make([]int64, len(cs.Ops))
-	for i, v := range cs.Ops {
-		last := i
+	// Liveness. An op's output is allocated when the op runs and freed after
+	// its last local consumer; tensors produced for remote chips (or for
+	// nobody — stage outputs) stay live until the end of the stage (they are
+	// drained by the inter-chip links), and tensors arriving from remote
+	// chips are staged before the stage begins: a chip starts with its
+	// BytesIn live.
+	//
+	// First pass: freeAt[q] accumulates the bytes whose last local use is
+	// the op at layout position q.
+	freeAt := make([]int64, n)
+	for q, v := range lay.Order {
+		c := p[v]
+		scheds[c].Ops = append(scheds[c].Ops, v)
+		last := int32(q)
 		remote := g.OutDegree(v) == 0
 		for _, ei := range g.OutEdges(v) {
-			e := g.Edge(int(ei))
-			if p[e.To] == chip {
-				if j := pos[e.To]; j > last {
-					last = j
-				}
-			} else {
+			to := edges[ei].To
+			if p[to] != c {
 				remote = true
+			} else if lay.Pos[to] > last {
+				last = lay.Pos[to]
 			}
 		}
 		if !remote {
-			freeAt[last] += g.Node(v).OutputBytes
+			freeAt[last] += nodes[v].OutputBytes
 		}
 	}
-	// Second pass: interleave allocation and release, tracking the peak.
-	// Remote inputs are staged before the stage begins.
-	var live int64
-	for _, v := range cs.Ops {
-		for _, ei := range g.InEdges(v) {
-			e := g.Edge(int(ei))
-			if p[e.From] != chip {
-				live += e.Bytes
-			}
-		}
+	// Second pass: interleave allocation and release per chip, tracking the
+	// peak. Chips only meet in the iteration order; each has its own
+	// running total.
+	live := make([]int64, chips)
+	for c := range scheds {
+		live[c] = scheds[c].BytesIn
+		scheds[c].PeakActivationBytes = live[c]
 	}
-	peak := live
-	for i, v := range cs.Ops {
-		live += g.Node(v).OutputBytes
-		if live > peak {
-			peak = live
+	for q, v := range lay.Order {
+		c := p[v]
+		live[c] += nodes[v].OutputBytes
+		if live[c] > scheds[c].PeakActivationBytes {
+			scheds[c].PeakActivationBytes = live[c]
 		}
-		live -= freeAt[i]
+		live[c] -= freeAt[q]
 	}
-	cs.PeakActivationBytes = peak
+	return scheds, nil
 }

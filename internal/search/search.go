@@ -4,6 +4,7 @@
 // annealing over the solver's input distribution.
 //
 //mcmlint:deterministic
+//mcmlint:hotpath
 package search
 
 import (

@@ -434,7 +434,13 @@ func (pl *Planner) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Resul
 		return pl.planAnalytic(g, ev, greedy, base, opts)
 	}
 
-	env, err := pl.buildEnv(g, pl.graphContext(g, policyCfg), ev, base.Throughput)
+	// The search methods run no policy and read only the graph from their
+	// environment's context, so theirs carries no encoder inputs.
+	gctx := &rl.GraphContext{G: g}
+	if opts.Method != MethodRandom && opts.Method != MethodSA {
+		gctx = pl.graphContext(g, policyCfg)
+	}
+	env, err := pl.buildEnv(g, gctx, ev, base.Throughput)
 	if err != nil {
 		return nil, err
 	}
