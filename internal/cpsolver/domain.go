@@ -115,9 +115,6 @@ func single(c int) Domain { return Domain(1) << uint(c) }
 // loops keep using the unexported forms; these exist so internal/analyze can
 // express its domain arithmetic in the same bitset vocabulary.
 
-// FullDomain returns the domain containing chips 0..chips-1.
-func FullDomain(chips int) Domain { return fullDomain(chips) }
-
 // MaskGE returns the domain of all chips >= c.
 func MaskGE(c int) Domain { return maskGE(c) }
 

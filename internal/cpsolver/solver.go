@@ -262,10 +262,6 @@ func (s *Solver) Domain(u int) Domain { return s.doms[u] }
 // the number of decisions currently on the stack.
 func (s *Solver) NumDecisions() int { return len(s.decisions) }
 
-// DecisionNode returns the node the i-th decision is about. It panics if i
-// is out of range.
-func (s *Solver) DecisionNode(i int) int { return s.decisions[i].node }
-
 // Reset rewinds the solver to the root state (no decisions) and clears the
 // backtrack budget and statistics. Domains return to their
 // post-root-propagation values.

@@ -9,11 +9,11 @@ import (
 )
 
 // TestUnmarshalReplacesDerived: decoding into a Graph value that already
-// served CSR/Layout/Fingerprint must not leave the first graph's answers
-// behind. The two graphs have equal node and edge counts, which is all the
-// staleness rule looks at; before the derived record, UnmarshalJSON reset
-// the fingerprint memo but not the CSR one, so CSR() kept returning the
-// first graph's adjacency.
+// served adjacency/Layout/Fingerprint must not leave the first graph's
+// answers behind. The two graphs have equal node and edge counts, which is
+// all the staleness rule looks at; before the derived record, UnmarshalJSON
+// reset the fingerprint memo but not the packed-adjacency one, which kept
+// returning the first graph's edges.
 func TestUnmarshalReplacesDerived(t *testing.T) {
 	const (
 		chain   = `{"name":"a","nodes":[{"id":0,"op":1},{"id":1,"op":2},{"id":2,"op":3}],"edges":[{"from":0,"to":1,"bytes":8},{"from":1,"to":2,"bytes":8}]}`
@@ -23,7 +23,7 @@ func TestUnmarshalReplacesDerived(t *testing.T) {
 	if err := json.Unmarshal([]byte(chain), &g); err != nil {
 		t.Fatal(err)
 	}
-	g.CSR()
+	g.OutEdges(0)
 	g.Fingerprint()
 	if _, err := g.Layout(); err != nil {
 		t.Fatal(err)
@@ -35,11 +35,11 @@ func TestUnmarshalReplacesDerived(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		if got, want := g.CSR().Out(v), want.CSR().Out(v); !slices.Equal(got, want) {
-			t.Errorf("CSR().Out(%d) = %v after re-decode, want %v", v, got, want)
+		if got, want := g.OutEdges(v), want.OutEdges(v); !slices.Equal(got, want) {
+			t.Errorf("OutEdges(%d) = %v after re-decode, want %v", v, got, want)
 		}
-		if got, want := g.CSR().In(v), want.CSR().In(v); !slices.Equal(got, want) {
-			t.Errorf("CSR().In(%d) = %v after re-decode, want %v", v, got, want)
+		if got, want := g.InEdges(v), want.InEdges(v); !slices.Equal(got, want) {
+			t.Errorf("InEdges(%d) = %v after re-decode, want %v", v, got, want)
 		}
 	}
 	gl, _ := g.Layout()
@@ -52,6 +52,42 @@ func TestUnmarshalReplacesDerived(t *testing.T) {
 	}
 	if !slices.Equal(CanonicalPositions(&g), CanonicalPositions(&want)) {
 		t.Error("CanonicalPositions after re-decode are not the second graph's")
+	}
+}
+
+// TestAdjacencyGrowsAfterRead: the adjacency is derived, so reading it in
+// the middle of construction must not freeze it. Every read after an
+// AddNode or AddEdge describes the graph as it is then, edges in insertion
+// order, and the slices handed out before stay what they were.
+func TestAdjacencyGrowsAfterRead(t *testing.T) {
+	g := New("growing")
+	a, b, c := g.AddNode(Node{}), g.AddNode(Node{}), g.AddNode(Node{})
+	g.MustAddEdge(a, c, 1)
+	before := g.OutEdges(a)
+	if !slices.Equal(before, []int32{0}) || g.InDegree(c) != 1 || g.OutDegree(b) != 0 {
+		t.Fatalf("first read: OutEdges(a) = %v, InDegree(c) = %d, OutDegree(b) = %d", before, g.InDegree(c), g.OutDegree(b))
+	}
+	g.MustAddEdge(b, c, 2)
+	g.MustAddEdge(a, b, 3)
+	if got := g.OutEdges(a); !slices.Equal(got, []int32{0, 2}) {
+		t.Errorf("OutEdges(a) after two more edges = %v, want [0 2]", got)
+	}
+	if got := g.InEdges(c); !slices.Equal(got, []int32{0, 1}) {
+		t.Errorf("InEdges(c) after two more edges = %v, want [0 1]", got)
+	}
+	if !slices.Equal(before, []int32{0}) {
+		t.Errorf("the slice read before the graph grew now reads %v", before)
+	}
+	d := g.AddNode(Node{})
+	if g.OutDegree(d) != 0 || g.InDegree(d) != 0 || len(g.Sinks()) != 2 {
+		t.Errorf("a node added after a read: out %d, in %d, sinks %v", g.OutDegree(d), g.InDegree(d), g.Sinks())
+	}
+	g.MustAddEdge(c, d, 4)
+	if got := g.Successors(c); !slices.Equal(got, []int{d}) {
+		t.Errorf("Successors(c) = %v, want [%d]", got, d)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -69,7 +105,7 @@ func TestDerivedConcurrentReaders(t *testing.T) {
 	}
 	const readers = 16
 	layouts := make([]*Layout, readers)
-	csrs := make([]*CSR, readers)
+	outs := make([][]int32, readers)
 	prints := make([]string, readers)
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
@@ -82,7 +118,7 @@ func TestDerivedConcurrentReaders(t *testing.T) {
 				case 0:
 					layouts[r], _ = g.Layout()
 				case 1:
-					csrs[r] = g.CSR()
+					outs[r] = g.OutEdges(0)
 				case 2:
 					prints[r] = g.Fingerprint()
 				case 3:
@@ -95,7 +131,7 @@ func TestDerivedConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 	for r := 1; r < readers; r++ {
-		if layouts[r] != layouts[0] || csrs[r] != csrs[0] || prints[r] != prints[0] {
+		if layouts[r] != layouts[0] || &outs[r][0] != &outs[0][0] || prints[r] != prints[0] {
 			t.Fatalf("reader %d was handed its own derived structures", r)
 		}
 	}
@@ -109,8 +145,8 @@ func TestDerivedConcurrentReaders(t *testing.T) {
 	if lay == layouts[0] || lay.Next[n-2] != n-1 || lay.CapFrom[0] != n-1 {
 		t.Errorf("Layout after AddEdge does not describe the grown graph: %+v", lay)
 	}
-	if got := g.CSR().In(n - 1); len(got) != 1 {
-		t.Errorf("CSR after AddEdge: In(%d) = %v, want the new edge", n-1, got)
+	if got := g.InEdges(n - 1); !slices.Equal(got, []int32{n - 2}) {
+		t.Errorf("InEdges(%d) after AddEdge = %v, want the new edge", n-1, got)
 	}
 	if g.Fingerprint() == prints[0] {
 		t.Error("Fingerprint did not change after AddEdge")

@@ -20,46 +20,24 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes a graph previously encoded with MarshalJSON and
 // validates it. It is the trust boundary for graphs arriving over the wire
-// (cmd/mcmpart -graph files, the daemon's plan endpoints), so every
-// structural defect is rejected with a descriptive error rather than being
-// carried into the planner: dangling or negative-sized edges (via AddEdge),
-// unknown operator kinds, non-finite or negative costs and cycles (via
-// Validate).
+// (cmd/mcmpart -graph files, the daemon's plan endpoints): the decoded node
+// and edge slices become the graph as they are, and Validate — the same one
+// programmatic graphs go through — rejects every structural defect with a
+// descriptive error before g is touched.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var gj graphJSON
 	if err := json.Unmarshal(data, &gj); err != nil {
 		return err
 	}
-	fresh := New(gj.Name)
-	for i, n := range gj.Nodes {
-		if n.ID != i {
-			return fmt.Errorf("graph: node %d serialized with ID %d", i, n.ID)
-		}
-		if int(n.Op) >= NumOpKinds {
-			return fmt.Errorf("graph: node %d has unknown op kind %d (valid: 0..%d)", i, n.Op, NumOpKinds-1)
-		}
-		fresh.AddNode(n)
-	}
-	for _, e := range gj.Edges {
-		// AddEdge's errors already name the offending endpoints and size.
-		if err := fresh.AddEdge(e.From, e.To, e.Bytes); err != nil {
-			return err
-		}
-	}
+	fresh := &Graph{name: gj.Name, nodes: gj.Nodes, edges: gj.Edges}
 	if err := fresh.Validate(); err != nil {
 		return err
 	}
-	// Field-wise assignment: Graph embeds the atomic memo of its derived
-	// structures, which must not be copied. It must be replaced, though:
-	// the counts it is checked against cannot tell this graph from the one
-	// it overwrites. fresh's record describes exactly the structure g now
-	// has, and already holds the layout Validate built.
-	g.name = fresh.name
-	g.nodes = fresh.nodes
-	g.edges = fresh.edges
-	g.outEdges = fresh.outEdges
-	g.inEdges = fresh.inEdges
-	g.edgeSet = fresh.edgeSet
+	// The memo must be replaced along with the structure: the counts it is
+	// checked against cannot tell this graph from the one it overwrites.
+	// fresh's record describes exactly the structure g now has, and already
+	// holds the adjacency and layout Validate built.
+	g.name, g.nodes, g.edges = fresh.name, fresh.nodes, fresh.edges
 	g.memo.Store(fresh.memo.Load())
 	return nil
 }

@@ -115,6 +115,28 @@ func TestValidateRejectsNonFiniteFLOPs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownOpKind: the op-kind check used to live in
+// UnmarshalJSON only, so a graph built through AddNode with a kind past the
+// table validated and reached gnn.Features, which indexes a feature row by
+// it. Validate names the node.
+func TestValidateRejectsUnknownOpKind(t *testing.T) {
+	g := New("bad")
+	g.AddNode(Node{Name: "fine", Op: OpOutput})
+	if err := g.Validate(); err != nil {
+		t.Fatalf("the last known kind: %v", err)
+	}
+	g.AddNode(Node{Name: "mystery", Op: OpKind(NumOpKinds)})
+	err := g.Validate()
+	if err == nil {
+		t.Fatalf("op kind %d validated", NumOpKinds)
+	}
+	for _, want := range []string{"node 1", `"mystery"`, "unknown op kind 16"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
 // TestUnmarshalAcceptsEveryKnownOpKind guards the op-kind boundary check
 // against drifting out of sync with the op table.
 func TestUnmarshalAcceptsEveryKnownOpKind(t *testing.T) {

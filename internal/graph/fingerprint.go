@@ -89,7 +89,7 @@ func (g *Graph) fingerprint() (string, []int) {
 	var out [][2]uint64 // (position of To, bytes), reused
 	for p, v := range perm {
 		out = out[:0]
-		for _, ei := range g.outEdges[v] {
+		for _, ei := range g.OutEdges(int(v)) {
 			e := &g.edges[ei]
 			out = append(out, [2]uint64{uint64(pos[e.To]), uint64(e.Bytes)})
 		}
@@ -161,9 +161,9 @@ type digestScratch struct {
 // digests the full ancestor structure; called against the order with
 // successor edges, the full descendant structure.
 func (s *digestScratch) neighborDigest(g *Graph, v int, attr, done [][sha256.Size]byte, successors bool) [sha256.Size]byte {
-	incident := g.inEdges[v]
+	incident := g.InEdges(v)
 	if successors {
-		incident = g.outEdges[v]
+		incident = g.OutEdges(v)
 	}
 	s.items = s.items[:0]
 	for _, ei := range incident {
@@ -387,11 +387,11 @@ func (r *refiner) peel(s int32) {
 func (r *refiner) nodeKey(v int) uint64 {
 	g := r.g
 	r.items = r.items[:0]
-	for _, ei := range g.inEdges[v] {
+	for _, ei := range g.InEdges(v) {
 		e := &g.edges[ei]
 		r.items = append(r.items, mix3(uint64(r.rank[e.From]), uint64(e.Bytes), 'i'))
 	}
-	for _, ei := range g.outEdges[v] {
+	for _, ei := range g.OutEdges(v) {
 		e := &g.edges[ei]
 		r.items = append(r.items, mix3(uint64(r.rank[e.To]), uint64(e.Bytes), 'o'))
 	}
@@ -408,10 +408,10 @@ func (r *refiner) nodeKey(v int) uint64 {
 func (r *refiner) queueNeighbors(s, e int32) {
 	g := r.g
 	for _, v := range r.perm[s:e] {
-		for _, ei := range g.inEdges[v] {
+		for _, ei := range g.InEdges(int(v)) {
 			r.queue(g.edges[ei].From)
 		}
-		for _, ei := range g.outEdges[v] {
+		for _, ei := range g.OutEdges(int(v)) {
 			r.queue(g.edges[ei].To)
 		}
 	}

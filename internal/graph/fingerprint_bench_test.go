@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mcmpart/internal/graph"
-	"mcmpart/internal/randgraph"
 )
 
 // BenchmarkFingerprint measures canonical fingerprinting on a 10k-node
@@ -15,7 +14,7 @@ import (
 // for large models. Each iteration clones the graph first so the
 // memo cannot short-circuit the work being measured.
 func BenchmarkFingerprint(b *testing.B) {
-	g := randgraph.Generate(randgraph.Config{Family: randgraph.FamilyLayered, Nodes: 10_000, Seed: 42})
+	g := layered10k()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -127,7 +127,7 @@ func TestFingerprintAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{workload.BERT(), 200},
-		{randgraph.Generate(randgraph.Config{Family: randgraph.FamilyLayered, Nodes: 10_000, Seed: 42}), 100},
+		{layered10k(), 100},
 	} {
 		// Clone inside the measured function would count its own
 		// allocations; hand each run a clone made beforehand.

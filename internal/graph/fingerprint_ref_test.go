@@ -12,7 +12,8 @@ import (
 // The functions below are the canonicalizer the worklist refinement in
 // fingerprint.go replaced, kept verbatim from the commit before it (7c127c7;
 // names prefixed with ref, the fingerprint method turned into a function,
-// nothing else) as the reference the new code must equal — fingerprint and
+// g.inEdges[v]/g.outEdges[v] read as g.InEdges(v)/g.OutEdges(v) since those
+// fields were deleted, nothing else) as the reference the new code must equal — fingerprint and
 // canonical position, graph for graph:
 //
 //	refFingerprint         (*Graph).fingerprint    internal/graph/fingerprint.go:58-122
@@ -198,11 +199,11 @@ func refRefineRanks(g *Graph, rank []int) ([]int, int) {
 	var scratch []uint64
 	for v := 0; v < n; v++ {
 		scratch = scratch[:0]
-		for _, ei := range g.inEdges[v] {
+		for _, ei := range g.InEdges(v) {
 			e := g.edges[ei]
 			scratch = append(scratch, mix3(uint64(rank[e.From]), uint64(e.Bytes), 'i'))
 		}
-		for _, ei := range g.outEdges[v] {
+		for _, ei := range g.OutEdges(v) {
 			e := g.edges[ei]
 			scratch = append(scratch, mix3(uint64(rank[e.To]), uint64(e.Bytes), 'o'))
 		}
@@ -285,9 +286,9 @@ func refNeighborDigests(g *Graph, order []int, attr [][]byte, successors bool) [
 	for _, v := range order {
 		var incident []int32
 		if successors {
-			incident = g.outEdges[v]
+			incident = g.OutEdges(v)
 		} else {
-			incident = g.inEdges[v]
+			incident = g.InEdges(v)
 		}
 		scratch = scratch[:0]
 		for _, ei := range incident {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -48,24 +49,18 @@ type Edge struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// Graph is a directed acyclic computation graph. The zero value is unusable;
-// construct graphs with New.
+// Graph is a directed acyclic computation graph: its nodes and its edges.
+// Everything else — adjacency, layout, fingerprint — is derived from those
+// two slices on first use (see derived).
 type Graph struct {
 	name  string
 	nodes []Node
 	edges []Edge
-	// outEdges[v] and inEdges[v] hold indices into edges.
-	outEdges [][]int32
-	inEdges  [][]int32
-	edgeSet  map[[2]int]int32 // (from,to) -> edge index, rejects duplicates
-	// memo holds what Layout, CSR and Fingerprint derive; see derived.
-	memo atomic.Pointer[derived]
+	memo  atomic.Pointer[derived]
 }
 
 // New returns an empty graph with the given name.
-func New(name string) *Graph {
-	return &Graph{name: name, edgeSet: make(map[[2]int]int32)}
-}
+func New(name string) *Graph { return &Graph{name: name} }
 
 // Name returns the graph's name.
 func (g *Graph) Name() string { return g.name }
@@ -84,8 +79,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 func (g *Graph) AddNode(n Node) int {
 	n.ID = len(g.nodes)
 	g.nodes = append(g.nodes, n)
-	g.outEdges = append(g.outEdges, nil)
-	g.inEdges = append(g.inEdges, nil)
 	return n.ID
 }
 
@@ -101,59 +94,58 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 // Edges returns the edge slice. The caller must not mutate it.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// ErrDuplicateEdge is returned by AddEdge when an edge between the same pair
-// of nodes already exists.
+// ErrDuplicateEdge is returned by Validate when two edges join the same
+// ordered pair of nodes.
 var ErrDuplicateEdge = errors.New("graph: duplicate edge")
 
-// AddEdge adds a data dependency carrying the given number of bytes.
-// It rejects self-loops, unknown endpoints and duplicate edges. AddEdge does
-// not check acyclicity; use Validate once construction is complete.
+// AddEdge appends a data dependency carrying the given number of bytes. It
+// rejects unknown endpoints, self-loops and negative sizes. Properties of
+// the edge set as a whole — no duplicate (from,to) pair, no cycle — are
+// checked by Validate once construction is complete.
 func (g *Graph) AddEdge(from, to int, bytes int64) error {
-	if from < 0 || from >= len(g.nodes) || to < 0 || to >= len(g.nodes) {
-		return fmt.Errorf("graph: edge (%d,%d) references unknown node (|V|=%d)", from, to, len(g.nodes))
+	e := Edge{From: from, To: to, Bytes: bytes}
+	if err := checkEdge(len(g.nodes), e); err != nil {
+		return err
 	}
-	if from == to {
-		return fmt.Errorf("graph: self-loop on node %d", from)
-	}
-	if bytes < 0 {
-		return fmt.Errorf("graph: edge (%d,%d) has negative size %d", from, to, bytes)
-	}
-	key := [2]int{from, to}
-	if _, ok := g.edgeSet[key]; ok {
-		return fmt.Errorf("%w: (%d,%d)", ErrDuplicateEdge, from, to)
-	}
-	idx := int32(len(g.edges))
-	g.edges = append(g.edges, Edge{From: from, To: to, Bytes: bytes})
-	g.edgeSet[key] = idx
-	g.outEdges[from] = append(g.outEdges[from], idx)
-	g.inEdges[to] = append(g.inEdges[to], idx)
+	g.edges = append(g.edges, e)
 	return nil
 }
 
 // MustAddEdge is AddEdge but panics on error. It is intended for the
-// programmatic generators in internal/workload, where an edge error is a bug.
+// programmatic generators in internal/workload, where an edge error is a bug
+// (a duplicate pair, like a cycle, surfaces from the Validate they end with).
 func (g *Graph) MustAddEdge(from, to int, bytes int64) {
 	if err := g.AddEdge(from, to, bytes); err != nil {
 		panic(err)
 	}
 }
 
-// HasEdge reports whether an edge from -> to exists.
+// HasEdge reports whether an edge from -> to exists. It scans the edge
+// list, which suits the builders that ask while still adding edges.
 func (g *Graph) HasEdge(from, to int) bool {
-	_, ok := g.edgeSet[[2]int{from, to}]
-	return ok
+	for _, e := range g.edges {
+		if e.From == from && e.To == to {
+			return true
+		}
+	}
+	return false
 }
 
-// OutEdges returns the indices (into Edges) of edges leaving node v.
-func (g *Graph) OutEdges(v int) []int32 { return g.outEdges[v] }
+// OutEdges returns the indices (into Edges) of edges leaving node v, in
+// insertion order. The slice is shared; callers must not modify it. The
+// adjacency behind this and the accessors below is derived on the first read
+// after the graph last grew — O(V+E) once — so build first, then read.
+func (g *Graph) OutEdges(v int) []int32 { return g.adjacency().out(v) }
 
-// InEdges returns the indices (into Edges) of edges entering node v.
-func (g *Graph) InEdges(v int) []int32 { return g.inEdges[v] }
+// InEdges returns the indices (into Edges) of edges entering node v, in
+// insertion order. The slice is shared; callers must not modify it.
+func (g *Graph) InEdges(v int) []int32 { return g.adjacency().in(v) }
 
 // Successors returns the IDs of nodes directly depending on v.
 func (g *Graph) Successors(v int) []int {
-	out := make([]int, len(g.outEdges[v]))
-	for i, e := range g.outEdges[v] {
+	edges := g.OutEdges(v)
+	out := make([]int, len(edges))
+	for i, e := range edges {
 		out[i] = g.edges[e].To
 	}
 	return out
@@ -161,18 +153,19 @@ func (g *Graph) Successors(v int) []int {
 
 // Predecessors returns the IDs of nodes v directly depends on.
 func (g *Graph) Predecessors(v int) []int {
-	in := make([]int, len(g.inEdges[v]))
-	for i, e := range g.inEdges[v] {
+	edges := g.InEdges(v)
+	in := make([]int, len(edges))
+	for i, e := range edges {
 		in[i] = g.edges[e].From
 	}
 	return in
 }
 
 // InDegree returns the number of edges entering v.
-func (g *Graph) InDegree(v int) int { return len(g.inEdges[v]) }
+func (g *Graph) InDegree(v int) int { return len(g.InEdges(v)) }
 
 // OutDegree returns the number of edges leaving v.
-func (g *Graph) OutDegree(v int) int { return len(g.outEdges[v]) }
+func (g *Graph) OutDegree(v int) int { return len(g.OutEdges(v)) }
 
 // TotalFLOPs returns the sum of node compute costs.
 func (g *Graph) TotalFLOPs() float64 {
@@ -195,27 +188,15 @@ func (g *Graph) TotalParamBytes() int64 {
 // Clone returns a deep copy of the graph. The copy starts with nothing
 // memoized.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		name:     g.name,
-		nodes:    append([]Node(nil), g.nodes...),
-		edges:    append([]Edge(nil), g.edges...),
-		outEdges: make([][]int32, len(g.outEdges)),
-		inEdges:  make([][]int32, len(g.inEdges)),
-		edgeSet:  make(map[[2]int]int32, len(g.edgeSet)),
-	}
-	for i := range g.outEdges {
-		c.outEdges[i] = append([]int32(nil), g.outEdges[i]...)
-		c.inEdges[i] = append([]int32(nil), g.inEdges[i]...)
-	}
-	for k, v := range g.edgeSet {
-		c.edgeSet[k] = v
-	}
-	return c
+	return &Graph{name: g.name, nodes: slices.Clone(g.nodes), edges: slices.Clone(g.edges)}
 }
 
-// Validate checks structural invariants: at least one node, consistent IDs,
-// non-negative costs and acyclicity. Generators and deserialization call it
-// before handing a graph to the partitioner.
+// Validate is the one validator, for graphs built through AddNode/AddEdge
+// and for graphs decoded from the wire alike: at least one node, dense IDs,
+// known operator kinds, finite non-negative costs, well-formed edges, no
+// duplicate (from,to) pair (ErrDuplicateEdge), no cycle (ErrCycle).
+// Generators end with it, UnmarshalJSON and the planner begin with it. The
+// edge checks are the adjacency and layout builds, memoized with the result.
 func (g *Graph) Validate() error {
 	if len(g.nodes) == 0 {
 		return errors.New("graph: no nodes")
@@ -223,7 +204,10 @@ func (g *Graph) Validate() error {
 	for i := range g.nodes {
 		n := &g.nodes[i]
 		if n.ID != i {
-			return fmt.Errorf("graph: node %d has inconsistent ID %d", i, n.ID)
+			return fmt.Errorf("graph: node %d serialized with ID %d", i, n.ID)
+		}
+		if int(n.Op) >= NumOpKinds {
+			return fmt.Errorf("graph: node %d (%q) has unknown op kind %d (valid: 0..%d)", i, n.Name, n.Op, NumOpKinds-1)
 		}
 		if n.FLOPs < 0 || math.IsNaN(n.FLOPs) || math.IsInf(n.FLOPs, 0) {
 			return fmt.Errorf("graph: node %d has invalid FLOPs %v", i, n.FLOPs)
@@ -234,6 +218,9 @@ func (g *Graph) Validate() error {
 		if n.OutputBytes < 0 {
 			return fmt.Errorf("graph: node %d has negative OutputBytes", i)
 		}
+	}
+	if err := g.adjacency().err; err != nil {
+		return err
 	}
 	_, err := g.Layout()
 	return err

@@ -52,7 +52,6 @@ func TestAddEdgeErrors(t *testing.T) {
 		wantErr  bool
 	}{
 		{"ok", a, b, 8, false},
-		{"duplicate", a, b, 8, true},
 		{"self loop", a, a, 8, true},
 		{"unknown to", a, 99, 8, true},
 		{"unknown from", -1, b, 8, true},
@@ -66,9 +65,25 @@ func TestAddEdgeErrors(t *testing.T) {
 			}
 		})
 	}
-	if !errors.Is(g.AddEdge(a, b, 8), ErrDuplicateEdge) {
-		t.Fatalf("duplicate edge should wrap ErrDuplicateEdge")
-	}
+	// A duplicate pair is a property of the edge set, not of one edge:
+	// AddEdge only appends, and Validate — which every path into the
+	// planner runs — is what refuses it.
+	t.Run("duplicate", func(t *testing.T) {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("Validate before the duplicate: %v", err)
+		}
+		if err := g.AddEdge(a, b, 9); err != nil {
+			t.Fatalf("AddEdge of a second (a,b): %v", err)
+		}
+		err := g.Validate()
+		if !errors.Is(err, ErrDuplicateEdge) || !strings.Contains(err.Error(), "(0,1)") {
+			t.Fatalf("Validate = %v, want ErrDuplicateEdge naming (0,1)", err)
+		}
+		// The multigraph is still readable, in insertion order.
+		if got := g.OutEdges(a); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+			t.Fatalf("OutEdges(a) = %v, want [0 1]", got)
+		}
+	})
 }
 
 func TestTopoOrderDiamond(t *testing.T) {

@@ -33,37 +33,40 @@ type Layout struct {
 }
 
 // derived is everything memoized from the graph's nodes and edges: the
-// layout, the packed adjacency and the canonicalization. One record serves
+// packed adjacency, the layout and the canonicalization. One record serves
 // one graph state — (nodes, edges) counts are the staleness rule, because
 // AddNode and AddEdge only grow the graph and mutating node or edge fields
 // in place is already forbidden by the Nodes/Edges contract; UnmarshalJSON,
-// the one operation that replaces the structure, drops the record. Each
-// part fills on first use under its own Once, so readers of a graph that is
-// no longer being mutated may share it from any number of goroutines.
+// the one operation that replaces the structure, drops the record. The
+// adjacency is built with the record, because everything else here reads it
+// and the accessors the solvers call per node then cost one pointer check;
+// the layout and the canonicalization fill on first use under their own
+// Once. Readers of a graph that is no longer being mutated may share the
+// record from any number of goroutines.
 type derived struct {
 	nodes, edges int
+
+	adj adjacency
 
 	layoutOnce sync.Once
 	layout     *Layout
 	layoutErr  error
-
-	csrOnce sync.Once
-	csr     *CSR
 
 	fpOnce      sync.Once
 	fingerprint string
 	canonical   []int
 }
 
-// derived returns the record for the graph's current state, starting an
-// empty one when the graph grew since the last.
+// derived returns the record for the graph's current state, starting a new
+// one when the graph grew since the last. Readers racing to be first each
+// build an adjacency and all leave with the one that was installed.
 func (g *Graph) derived() *derived {
 	for {
 		old := g.memo.Load()
 		if old != nil && old.nodes == len(g.nodes) && old.edges == len(g.edges) {
 			return old
 		}
-		d := &derived{nodes: len(g.nodes), edges: len(g.edges)}
+		d := &derived{nodes: len(g.nodes), edges: len(g.edges), adj: buildAdjacency(len(g.nodes), g.edges)}
 		if g.memo.CompareAndSwap(old, d) {
 			return d
 		}
@@ -121,10 +124,11 @@ func (h *idHeap) pop() int {
 
 func buildLayout(g *Graph) (*Layout, error) {
 	n := len(g.nodes)
+	adj := g.adjacency()
 	indeg := make([]int32, n)
 	var ready idHeap
 	for v := range indeg {
-		indeg[v] = int32(len(g.inEdges[v]))
+		indeg[v] = int32(len(adj.in(v)))
 		if indeg[v] == 0 {
 			ready = append(ready, v) // ascending IDs are already a heap
 		}
@@ -139,7 +143,7 @@ func buildLayout(g *Graph) (*Layout, error) {
 		v := ready.pop()
 		l.Pos[v] = int32(len(l.Order))
 		l.Order = append(l.Order, v)
-		for _, e := range g.outEdges[v] {
+		for _, e := range adj.out(v) {
 			w := g.edges[e].To
 			if indeg[w]--; indeg[w] == 0 {
 				ready.push(w)
@@ -199,7 +203,7 @@ func (g *Graph) Depths() ([]int, error) {
 	}
 	depth := make([]int, len(g.nodes))
 	for _, v := range l.Order {
-		for _, e := range g.outEdges[v] {
+		for _, e := range g.OutEdges(v) {
 			w := g.edges[e].To
 			if d := depth[v] + 1; d > depth[w] {
 				depth[w] = d
@@ -224,7 +228,7 @@ func (g *Graph) CriticalPathFLOPs() (float64, error) {
 		if best[v] > max {
 			max = best[v]
 		}
-		for _, e := range g.outEdges[v] {
+		for _, e := range g.OutEdges(v) {
 			w := g.edges[e].To
 			if best[v] > best[w] {
 				best[w] = best[v]
@@ -238,7 +242,7 @@ func (g *Graph) CriticalPathFLOPs() (float64, error) {
 func (g *Graph) Sources() []int {
 	var src []int
 	for v := range g.nodes {
-		if len(g.inEdges[v]) == 0 {
+		if g.InDegree(v) == 0 {
 			src = append(src, v)
 		}
 	}
@@ -249,7 +253,7 @@ func (g *Graph) Sources() []int {
 func (g *Graph) Sinks() []int {
 	var snk []int
 	for v := range g.nodes {
-		if len(g.outEdges[v]) == 0 {
+		if g.OutDegree(v) == 0 {
 			snk = append(snk, v)
 		}
 	}

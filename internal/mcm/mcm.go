@@ -19,7 +19,6 @@ package mcm
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 )
@@ -108,9 +107,6 @@ func (p *Package) Validate() error {
 // bitset domains.
 const MaxChips = 64
 
-// ErrTooManyChips is returned when a package exceeds MaxChips.
-var ErrTooManyChips = errors.New("mcm: too many chips")
-
 // TopologyKind returns the package's topology with the empty value
 // normalized to the default uni-directional ring.
 func (p *Package) TopologyKind() TopologyKind {
@@ -193,12 +189,6 @@ func (p *Package) PathHops(src, dst int) (int, bool) {
 		return 0, false
 	}
 	return topo.Hops(src, dst)
-}
-
-// Routable reports whether the topology admits a src->dst transfer.
-func (p *Package) Routable(src, dst int) bool {
-	_, ok := p.PathHops(src, dst)
-	return ok
 }
 
 // TransferTime returns the time to move the given number of bytes from chip

@@ -92,7 +92,7 @@ type Store struct {
 	dir  string
 	logf func(format string, args ...any)
 	m    Metrics          // immutable after SetMetrics (which must precede first use)
-	now  func() time.Time // injectable clock for latency histograms
+	now  func() time.Time // time.Now: the latency histograms' clock
 
 	mu  sync.Mutex
 	seq uint64 // temp-file uniquifier; guarded by mu
@@ -148,13 +148,6 @@ func (s *Store) SetMetrics(m Metrics) {
 	}
 	if m.WriteSeconds != nil {
 		s.m.WriteSeconds = m.WriteSeconds
-	}
-}
-
-// SetNow replaces the store's clock; for tests. Call before first use.
-func (s *Store) SetNow(now func() time.Time) {
-	if now != nil {
-		s.now = now
 	}
 }
 

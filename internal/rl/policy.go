@@ -376,16 +376,6 @@ func MeanEntropy(probs, logProbs *mat.Dense) float64 {
 	return h / float64(probs.Rows)
 }
 
-// ProbRows exposes the distribution as the [][]float64 the constraint
-// solver's SAMPLE mode consumes (row views, no copying).
-func ProbRows(probs *mat.Dense) [][]float64 {
-	rows := make([][]float64, probs.Rows)
-	for i := range rows {
-		rows[i] = probs.Row(i)
-	}
-	return rows
-}
-
 // MixedProbRows writes the policy distribution blended with uniform,
 // (1-eps) * P + eps/C per entry, into dst and returns it. dst is reused when
 // it already has P's shape (a loop passes back what the previous call

@@ -91,8 +91,9 @@ func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, 
 		c := p[v]
 		scheds[c].Ops = append(scheds[c].Ops, v)
 		last := int32(q)
-		remote := g.OutDegree(v) == 0
-		for _, ei := range g.OutEdges(v) {
+		out := g.OutEdges(v)
+		remote := len(out) == 0
+		for _, ei := range out {
 			to := edges[ei].To
 			if p[to] != c {
 				remote = true

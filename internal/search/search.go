@@ -182,10 +182,3 @@ func greedyBudget(g *graph.Graph, chips int, sram func(int) int64) partition.Par
 	}
 	return p
 }
-
-// RandomPartition returns one uniform solver sample — the paper's "random
-// partition" quick heuristic.
-func RandomPartition(env *rl.Env, rng *rand.Rand) partition.Partition {
-	env.StepProbs(nil, rng)
-	return env.Best
-}

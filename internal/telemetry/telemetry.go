@@ -194,21 +194,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.counter
 }
 
-// RegisterCounter registers an existing standalone counter under name and
-// labels — how a lower layer's counter (e.g. the disk cache's) becomes
-// scrapeable without that layer knowing about the registry. Panics if the
-// series already exists with a different counter instance.
-func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...Label) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindCounter, nil, labels)
-	if s.counter != nil && s.counter != c {
-		panic("telemetry: series " + name + " already registered with a different counter")
-	}
-	s.counter = c
-	return c
-}
-
 // Gauge returns the gauge for name and labels, registering on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	r.mu.Lock()
@@ -247,19 +232,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 		s.hist = NewHistogram(fam.buckets)
 	}
 	return s.hist
-}
-
-// RegisterHistogram registers an existing standalone histogram, mirroring
-// RegisterCounter.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...Label) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.seriesLocked(name, help, kindHistogram, h.bounds, labels)
-	if s.hist != nil && s.hist != h {
-		panic("telemetry: series " + name + " already registered with a different histogram")
-	}
-	s.hist = h
-	return h
 }
 
 // seriesLocked is the shared get-or-create: family by name (kind must

@@ -2,6 +2,7 @@ package mcmpart_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"mcmpart"
+	"mcmpart/internal/graph"
 )
 
 // pretrainedPlanner builds a dev8 planner pre-trained on a small corpus
@@ -195,6 +197,52 @@ func TestPlanMethodsRequirePolicy(t *testing.T) {
 		_, err := pl.Plan(context.Background(), g, mcmpart.PlanOptions{Method: m, SampleBudget: 10})
 		if err == nil || !strings.Contains(err.Error(), "Pretrain") {
 			t.Fatalf("%s without a policy: want a pre-train hint, got %v", m, err)
+		}
+	}
+}
+
+// TestPlanRefusesWhatValidateRefuses: Graph.Validate is the one validator,
+// and Planner.Plan and Service.Submit begin with it, so a graph built through
+// the public NewGraph/AddNode/AddEdge API gets the same refusals as one that
+// arrived over the wire. An operator kind past the table used to pass — only
+// UnmarshalJSON checked it — and set a cost column of the feature matrix
+// instead of a one-hot one (or indexed past the row); a duplicate edge is
+// now reported here rather than by AddEdge.
+func TestPlanRefusesWhatValidateRefuses(t *testing.T) {
+	badOp := smallGraph(t)
+	badOp.AddNode(mcmpart.Node{Name: "mystery", Op: mcmpart.OpKind(graph.NumOpKinds + 1), FLOPs: 1})
+	twice := smallGraph(t)
+	twice.MustAddEdge(0, 1, 8)
+
+	pl, err := mcmpart.NewPlanner(mcmpart.Dev4())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := mcmpart.NewService(mcmpart.Dev4(), mcmpart.ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, tc := range []struct {
+		g     *mcmpart.Graph
+		check func(error) bool
+		want  string
+	}{
+		{badOp, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "node 12") && strings.Contains(err.Error(), `"mystery"`) && strings.Contains(err.Error(), "unknown op kind 17")
+		}, `an error naming node 12 ("mystery") and its op kind 17`},
+		{twice, func(err error) bool { return errors.Is(err, graph.ErrDuplicateEdge) }, "ErrDuplicateEdge"},
+	} {
+		if err := tc.g.Validate(); !tc.check(err) {
+			t.Errorf("Validate = %v, want %s", err, tc.want)
+		}
+		// RL is the method that builds the feature matrix.
+		opts := mcmpart.PlanOptions{Method: mcmpart.MethodRL, SampleBudget: 4}
+		if res, err := pl.Plan(context.Background(), tc.g, opts); res != nil || !tc.check(err) {
+			t.Errorf("Planner.Plan = %v, %v, want %s", res, err, tc.want)
+		}
+		if job, err := svc.Submit(context.Background(), mcmpart.PlanRequest{Graph: tc.g, Options: opts}); job != nil || !tc.check(err) {
+			t.Errorf("Service.Submit = %v, %v, want %s", job, err, tc.want)
 		}
 	}
 }

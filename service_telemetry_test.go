@@ -166,6 +166,92 @@ sampling:
 	}
 }
 
+// TestScrapesAndLookupsDuringSubmitBurst is for -race: it drives, against a
+// burst of cold submits, the two readers no other test runs against a
+// writer — the mcmpart_cache_* gauge funcs, which read the plan cache's size
+// at scrape time (planCache.snapshot), and the job table lookup
+// (Service.Job). With the lock dropped from Service.Job the whole suite
+// passed `go test -race . ./cmd/mcmpartd` clean before this test, and
+// planCache.snapshot was caught only through Service.Stats; mcmlint's
+// guarded analyzer flagged both (DESIGN.md §13.7).
+func TestScrapesAndLookupsDuringSubmitBurst(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2, QueueDepth: 256})
+	h := mcmpart.NewHTTPHandler(svc)
+	g := smallGraph(t)
+	const loaders = 4
+	const perLoader = 20
+
+	ids := make(chan string, loaders*perLoader)
+	var wg sync.WaitGroup
+	for w := 0; w < loaders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perLoader; i++ {
+				// Every key distinct: each job registers, plans and puts.
+				job, err := svc.Submit(context.Background(), mcmpart.PlanRequest{Graph: g, Options: mcmpart.PlanOptions{
+					Method: mcmpart.MethodRandom, SampleBudget: 3, Seed: int64(1 + w*perLoader + i),
+				}})
+				if err != nil {
+					t.Errorf("loader %d submit %d: %v", w, i, err)
+					return
+				}
+				ids <- job.ID()
+				if i%4 == 3 {
+					<-job.Done()
+				}
+			}
+		}(w)
+	}
+	loadDone := make(chan struct{})
+	go func() { wg.Wait(); close(loadDone) }()
+
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() { // the scraper
+		defer readers.Done()
+		for {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "mcmpart_cache_entries ") {
+				t.Errorf("GET /metrics = %d without mcmpart_cache_entries", rec.Code)
+				return
+			}
+			select {
+			case <-loadDone:
+				return
+			default:
+			}
+		}
+	}()
+	found := 0
+	go func() { // the poller
+		defer readers.Done()
+		for {
+			select {
+			case id := <-ids:
+				if _, ok := svc.Job(id); !ok {
+					t.Errorf("job %s not addressable right after Submit returned it", id)
+				}
+				found++
+			case <-loadDone:
+				return
+			}
+		}
+	}()
+	readers.Wait()
+	for len(ids) > 0 {
+		<-ids
+		found++
+	}
+	if found != loaders*perLoader {
+		t.Fatalf("saw %d job IDs, want %d", found, loaders*perLoader)
+	}
+	if st := svc.Stats(); st.CacheEntries == 0 {
+		t.Fatal("the burst left nothing in the cache: it never exercised put against the scraper")
+	}
+}
+
 // TestPlanBatchCtxCancel covers the mid-batch cancellation path: the
 // results slice stays index-aligned with the requests, the returned error
 // is the first failure in request order, and no goroutines leak.
