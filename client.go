@@ -124,7 +124,7 @@ func (e *APIError) Error() string {
 
 // Is maps the daemon's HTTP status codes back to the service's sentinel
 // errors: 429 → ErrBusy, 503 → ErrServiceClosed, 409 → ErrPolicyRequired,
-// 400 → ErrInvalidRequest.
+// 400 and 413 (a body over the daemon's size bound) → ErrInvalidRequest.
 func (e *APIError) Is(target error) bool {
 	switch target {
 	case ErrBusy:
@@ -134,7 +134,7 @@ func (e *APIError) Is(target error) bool {
 	case ErrPolicyRequired:
 		return e.StatusCode == http.StatusConflict
 	case ErrInvalidRequest:
-		return e.StatusCode == http.StatusBadRequest
+		return e.StatusCode == http.StatusBadRequest || e.StatusCode == http.StatusRequestEntityTooLarge
 	}
 	return false
 }

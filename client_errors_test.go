@@ -30,6 +30,13 @@ func TestClientErrorMappingTable(t *testing.T) {
 			message:  "mcmpart: invalid request: SampleBudget -4 is negative; use 0 for the default (200)",
 		},
 		{
+			name:     "413 body over the daemon's bound is ErrInvalidRequest",
+			status:   http.StatusRequestEntityTooLarge,
+			body:     `{"error":"reading request: http: request body too large"}`,
+			sentinel: mcmpart.ErrInvalidRequest,
+			message:  "reading request: http: request body too large",
+		},
+		{
 			name:     "409 conflict is ErrPolicyRequired",
 			status:   http.StatusConflict,
 			body:     `{"error":"mcmpart: a pre-trained policy is required: method \"zeroshot\" needs Pretrain, LoadPolicy, or an artifact for this package in the policy directory"}`,

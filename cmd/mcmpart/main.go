@@ -91,7 +91,7 @@ func main() {
 			fatal(err)
 		}
 		g = new(graph.Graph)
-		if err := json.Unmarshal(data, g); err != nil {
+		if err := g.UnmarshalJSON(data); err != nil {
 			fatal(fmt.Errorf("parsing %s: %w", *graphPath, err))
 		}
 	}

@@ -1,14 +1,18 @@
 package mcmpart
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
 	"sync/atomic"
 
+	"mcmpart/internal/graph"
+	"mcmpart/internal/jsonscan"
 	"mcmpart/internal/telemetry"
 )
 
@@ -30,8 +34,9 @@ import (
 // (JobStatus.RequestID), and attached to the structured request log line.
 //
 // Errors are {"error": "..."} with a meaningful status code: 400 for
-// malformed requests, 404 for unknown jobs, 429 when admission sheds load
-// (ErrBusy), 503 when the service is closed or draining. 429 and 503
+// malformed requests, 404 for unknown jobs, 413 for a body over
+// maxRequestBytes, 429 when admission sheds load (ErrBusy), 503 when the
+// service is closed or draining. 429 and 503
 // carry a Retry-After header — both are transient by contract (a
 // draining daemon is typically being replaced), so clients with retry
 // enabled honor it and try again.
@@ -278,15 +283,28 @@ func NewHTTPHandler(svc *Service) http.Handler {
 	})
 }
 
+// maxRequestBytes bounds a request body. A 100k-node graph is about 17 MB
+// on the wire; nothing this daemon plans is near 64 MiB, and a body is held
+// whole while it is decoded, so the bound is what one request can make the
+// process allocate before admission control has seen it.
+const maxRequestBytes = 64 << 20
+
 // submitPlanRequest is the shared front half of the plan and jobs
-// endpoints: it parses the body (Graph.UnmarshalJSON validates the graph;
+// endpoints: it reads the body, decodes it (the graph arrives validated;
 // option validation happens in Submit) and submits it. On failure the error
 // response is already written and ok is false.
 func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, g *Graph, ok bool) {
-	var req PlanRequestWire
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readRequestBody(w, r)
+	if err != nil {
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, ErrorResponse{Error: "reading request: " + err.Error()})
+		return nil, nil, false
+	}
+	req, err := decodePlanRequest(body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "decoding request: " + err.Error()})
 		return nil, nil, false
 	}
@@ -294,12 +312,83 @@ func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (jo
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "request has no graph"})
 		return nil, nil, false
 	}
-	job, err := svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
+	job, err = svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
 	if err != nil {
 		writeServiceError(w, err)
 		return nil, nil, false
 	}
 	return job, req.Graph, true
+}
+
+// readRequestBody reads the body once, into a buffer of its declared length
+// when it declares one, and refuses (*http.MaxBytesError, a 413) more than
+// maxRequestBytes — by the header alone when that already says so, so that a
+// lying Content-Length allocates nothing.
+func readRequestBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxRequestBytes {
+		return nil, &http.MaxBytesError{Limit: maxRequestBytes}
+	}
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	if r.ContentLength < 0 { // chunked
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
+}
+
+// The members of a plan request, indexed by the constants beside them.
+var requestFields = [...]string{"graph", "options"}
+
+const (
+	requestGraph = iota
+	requestOptions
+)
+
+// decodePlanRequest is the wire grammar of a plan request (DESIGN.md §8):
+// one pass over body with the scanner the graph decoder is written on.
+// "graph" is decoded where it stands (of several, the last stands and every
+// one must be valid; null is no graph); "options" is delimited and given to
+// encoding/json — a handful of bytes — so that Method's text form and every
+// option error are its own. Any other member is an error, as is anything
+// after the object; a top-level null is an empty request. Nothing of body is
+// retained.
+func decodePlanRequest(body []byte) (req PlanRequestWire, err error) {
+	sc := jsonscan.New(body)
+	if isNull, err := sc.Null(); isNull || err != nil {
+		if err == nil {
+			err = sc.End()
+		}
+		return req, err
+	}
+	if err := sc.Open('{', "a request object"); err != nil {
+		return req, err
+	}
+	for first := true; ; first = false {
+		key, ok, err := sc.Member(first)
+		if err != nil {
+			return req, err
+		}
+		if !ok {
+			return req, sc.End()
+		}
+		switch jsonscan.Field(key, requestFields[:]) {
+		case requestGraph:
+			req.Graph, err = graph.DecodeJSON(sc)
+		case requestOptions:
+			var raw []byte
+			if raw, err = sc.Raw(); err == nil {
+				dec := json.NewDecoder(bytes.NewReader(raw))
+				dec.DisallowUnknownFields()
+				err = dec.Decode(&req.Options)
+			}
+		default:
+			err = fmt.Errorf("%w: unknown field %q", ErrInvalidRequest, key)
+		}
+		if err != nil {
+			return req, err
+		}
+	}
 }
 
 // retryAfterValue is the Retry-After advertised on 429 and 503: long

@@ -58,41 +58,37 @@ func layered10k() *graph.Graph {
 // process. Decoding a wire body and keying it — the whole warm path before
 // the cache lookup — allocated 36.4k times for the 10k-node graph and 6.8k
 // for BERT when UnmarshalJSON re-added every node and edge into a second
-// graph with two lists per node and an edge map; what is left is
-// encoding/json's one string per node name. Clone allocated 19.7k / 4.3k
-// times; it is now the graph and its two slices.
+// graph with two lists per node and an edge map, and 10.1k / 2.2k while
+// encoding/json made one string per node name. What is left is the growth
+// of the node, edge and name arrays (about 90 steps for 10k nodes) and the
+// fingerprint's 46. Clone allocated 19.7k / 4.3k times; it is now the graph
+// and its two slices.
 func TestDecodeAndCloneAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		g      *graph.Graph
-		decode float64
-	}{
-		{layered10k(), 11_000},
-		{workload.BERT(), 2_500},
-	} {
-		body, err := json.Marshal(tc.g)
+	for _, g := range []*graph.Graph{layered10k(), workload.BERT()} {
+		body, err := json.Marshal(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := tc.g.Fingerprint()
+		want := g.Fingerprint()
 		if allocs := testing.AllocsPerRun(3, func() {
-			var g graph.Graph
-			if err := json.Unmarshal(body, &g); err != nil {
+			var d graph.Graph
+			if err := d.UnmarshalJSON(body); err != nil {
 				t.Fatal(err)
 			}
-			if g.Fingerprint() != want {
+			if d.Fingerprint() != want {
 				t.Fatal("decoded graph fingerprints differently")
 			}
-		}); allocs > tc.decode {
-			t.Errorf("%s: decode + Fingerprint allocates %.0f times, ceiling %.0f", tc.g, allocs, tc.decode)
+		}); allocs > 150 {
+			t.Errorf("%s: decode + Fingerprint allocates %.0f times, ceiling 150", g, allocs)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { _ = tc.g.Clone() }); allocs > 4 {
-			t.Errorf("%s: Clone allocates %.0f times, ceiling 4", tc.g, allocs)
+		if allocs := testing.AllocsPerRun(10, func() { _ = g.Clone() }); allocs > 4 {
+			t.Errorf("%s: Clone allocates %.0f times, ceiling 4", g, allocs)
 		}
 	}
 }
 
 // BenchmarkDecode10k is the number beside TestDecodeAndCloneAllocs' ceiling:
-// json.Unmarshal (which validates) plus Fingerprint of the 10k-node layered
+// UnmarshalJSON (which validates) plus Fingerprint of the 10k-node layered
 // graph, the daemon's work per warm request before it has a cache key.
 func BenchmarkDecode10k(b *testing.B) {
 	body, err := json.Marshal(layered10k())
@@ -104,7 +100,7 @@ func BenchmarkDecode10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var g graph.Graph
-		if err := json.Unmarshal(body, &g); err != nil {
+		if err := g.UnmarshalJSON(body); err != nil {
 			b.Fatal(err)
 		}
 		_ = g.Fingerprint()

@@ -61,7 +61,7 @@ func TestUnmarshalRejectsStructuralDefects(t *testing.T) {
 		{
 			name: "non-finite FLOPs literal",
 			json: `{"name":"g","nodes":[{"id":0,"op":4,"flops":1e999}]}`,
-			want: "", // any error: encoding/json rejects the overflow itself
+			want: "out of range", // refused at parse, as encoding/json refused it
 		},
 		{
 			name: "negative FLOPs",

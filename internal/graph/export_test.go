@@ -14,3 +14,16 @@ func CanonicalKeysComputed(g *Graph) int {
 	_, keyed := canonicalPositions(g, signatures(g, lay.Order, attrDigests(g)))
 	return keyed
 }
+
+// CheckDecodeMatchesReference diffs UnmarshalJSON against the encoding/json
+// decode it replaced (encoding_ref_test.go), for the external tests.
+var CheckDecodeMatchesReference = checkDecodeMatchesReference
+
+// RefUnmarshalJSON is the reference decode itself.
+var RefUnmarshalJSON = refUnmarshalJSON
+
+// DecodeCases and RepeatedArrayCases are the hand table of the wire grammar.
+var (
+	DecodeCases        = decodeCases
+	RepeatedArrayCases = repeatedArrayCases
+)

@@ -9,9 +9,11 @@ import (
 	"testing"
 )
 
-// FuzzParseJSON fuzzes the wire-format trust boundary: arbitrary bytes must
-// either fail to decode with an error or produce a graph that validates,
-// survives a marshal/unmarshal round trip, and keeps its fingerprint.
+// FuzzParseJSON fuzzes the wire-format trust boundary: for arbitrary bytes
+// the decoder gives the verdict and the graph of the encoding/json decode it
+// replaced (encoding_ref_test.go; a second nodes or edges array, which that
+// one merged, is rejected), and a graph it accepts validates, survives a
+// marshal/unmarshal round trip, and keeps its fingerprint.
 func FuzzParseJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"g","nodes":[{"id":0,"op":4,"flops":10,"output_bytes":8},{"id":1,"op":7}],"edges":[{"from":0,"to":1,"bytes":8}]}`))
 	f.Add([]byte(`{"name":"g","nodes":[{"id":0,"op":99}]}`))
@@ -19,10 +21,21 @@ func FuzzParseJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"g","nodes":[{"id":0,"op":4},{"id":1,"op":4}],"edges":[{"from":0,"to":1,"bytes":-5}]}`))
 	f.Add([]byte(`{"nodes":null,"edges":null}`))
 	f.Add([]byte(`[]`))
+	for _, tc := range decodeCases {
+		if len(tc.Doc) < 1<<10 { // the depth rows would have the engine mutate 10 kB at a time
+			f.Add([]byte(tc.Doc))
+		}
+	}
+	for _, doc := range repeatedArrayCases {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if !checkDecodeMatchesReference(t, data) {
+			return // rejected by both: fine, as long as it never panics
+		}
 		var g Graph
 		if err := json.Unmarshal(data, &g); err != nil {
-			return // rejected: fine, as long as it never panics
+			t.Fatalf("accepted by UnmarshalJSON, rejected through encoding/json: %v", err)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("decoder accepted an invalid graph: %v", err)

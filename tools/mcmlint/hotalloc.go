@@ -9,8 +9,8 @@ import (
 // pin the allocation count of specific entry points after the fact, this
 // flags the per-iteration allocation patterns at the line that introduces
 // them. It only runs in packages annotated //mcmlint:hotpath (mat, nn,
-// gnn, cpsolver, analyze, parallel, telemetry, sched, hwsim, search — the
-// zero-alloc PR 1 contract). Inside any loop it reports:
+// gnn, cpsolver, analyze, parallel, telemetry, sched, hwsim, search,
+// jsonscan — the zero-alloc PR 1 contract). Inside any loop it reports:
 //
 //   - append into a slice the function declared without capacity
 //     (`var s []T` / `s := []T{}`): every growth step reallocates and
