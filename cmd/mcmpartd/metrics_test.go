@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,13 +53,42 @@ func scrape(t *testing.T, baseURL string) map[string]float64 {
 	return out
 }
 
+// statSeries names, for every numeric ServiceStats field (by JSON tag), the
+// /metrics series that is its other view of the same instrument. "" marks a
+// field with no series. TestDaemonMetricsMatchStats walks the struct, so a
+// field added to ServiceStats without an entry here fails the test.
+var statSeries = map[string]string{
+	"workers":                 `mcmpart_workers`,
+	"queue_depth":             `mcmpart_queue_depth`,
+	"queue_capacity":          `mcmpart_queue_capacity`,
+	"cache_hits":              `mcmpart_cache_hits_total{tier="memory"}`,
+	"cache_misses":            `mcmpart_cache_misses_total{tier="memory"}`,
+	"cache_entries":           `mcmpart_cache_entries`,
+	"cache_capacity":          `mcmpart_cache_capacity`,
+	"plans_executed":          `mcmpart_plans_executed_total`,
+	"plans_coalesced":         `mcmpart_plans_coalesced_total`,
+	"disk_cache_hits":         `mcmpart_cache_hits_total{tier="disk"}`,
+	"disk_cache_writes":       `mcmpart_disk_writes_total`,
+	"disk_cache_write_errors": `mcmpart_disk_write_errors_total`,
+	"disk_cache_quarantined":  `mcmpart_disk_quarantined_total`,
+	"jobs_submitted":          `mcmpart_jobs_submitted_total`,
+	"jobs_queued":             `mcmpart_jobs_queued`,
+	"jobs_running":            `mcmpart_jobs_running`,
+	"jobs_done":               `mcmpart_jobs_total{state="done"}`,
+	"jobs_failed":             `mcmpart_jobs_total{state="failed"}`,
+	"jobs_cancelled":          `mcmpart_jobs_total{state="cancelled"}`,
+	"jobs_shed":               `mcmpart_jobs_shed_total`,
+	"registry_policies":       "", // a directory scan per Stats call, not an instrument
+}
+
 // TestDaemonMetricsMatchStats is the telemetry acceptance test: boot the
-// daemon with one worker and a one-slot queue, run the scripted workload —
+// daemon with one worker, a one-slot queue and a disk tier (so the
+// mcmpart_disk_* families exist), run the scripted workload —
 // a cold plan, a warm repeat, a coalesced burst behind a slow plan, one
 // shed request — and assert the /metrics exposition agrees with /v1/stats
 // counter for counter, with every value equal to what the script implies.
 func TestDaemonMetricsMatchStats(t *testing.T) {
-	d := bootDaemonHandle(t, []string{"-addr", "127.0.0.1:0", "-mcm", "dev8", "-pool-workers", "1", "-queue", "1"})
+	d := bootDaemonHandle(t, []string{"-addr", "127.0.0.1:0", "-mcm", "dev8", "-pool-workers", "1", "-queue", "1", "-cache-dir", t.TempDir()})
 	cl := d.Client
 	ctx := context.Background()
 	g := mcmpart.CorpusGraphs(1)[84]
@@ -147,6 +177,7 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		{`mcmpart_cache_hits_total{tier="disk"}`, 0},
 		{`mcmpart_plans_executed_total`, 3},
 		{`mcmpart_plans_coalesced_total`, 3},
+		{`mcmpart_disk_writes_total`, 3},
 		{`mcmpart_plan_seconds_count{path="cold"}`, 3},
 		{`mcmpart_plan_seconds_count{path="warm"}`, 1},
 		{`mcmpart_jobs_queued`, 0},
@@ -170,29 +201,38 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		}
 	}
 
-	// /v1/stats and /metrics are two views of one registry: counter for
-	// counter they must agree exactly.
-	same := []struct {
-		series string
-		stat   uint64
-	}{
-		{`mcmpart_jobs_submitted_total`, stats.JobsSubmitted},
-		{`mcmpart_jobs_total{state="done"}`, stats.JobsDone},
-		{`mcmpart_jobs_total{state="failed"}`, stats.JobsFailed},
-		{`mcmpart_jobs_total{state="cancelled"}`, stats.JobsCancelled},
-		{`mcmpart_jobs_shed_total`, stats.JobsShed},
-		{`mcmpart_cache_hits_total{tier="memory"}`, stats.CacheHits},
-		{`mcmpart_cache_misses_total{tier="memory"}`, stats.CacheMisses},
-		{`mcmpart_cache_hits_total{tier="disk"}`, stats.DiskCacheHits},
-		{`mcmpart_plans_executed_total`, stats.PlansExecuted},
-		{`mcmpart_plans_coalesced_total`, stats.PlansCoalesced},
-		{`mcmpart_queue_depth`, uint64(stats.QueueDepth)},
-		{`mcmpart_queue_capacity`, uint64(stats.QueueCapacity)},
-	}
-	for _, s := range same {
-		if got := metrics[s.series]; uint64(got) != s.stat {
-			t.Errorf("%s = %v on /metrics but %d on /v1/stats", s.series, got, s.stat)
+	// /v1/stats and /metrics are two views of one registry: every numeric
+	// field of ServiceStats must equal its series exactly.
+	sv := reflect.Indirect(reflect.ValueOf(stats))
+	seen := 0
+	for i := 0; i < sv.NumField(); i++ {
+		var stat float64
+		switch f := sv.Field(i); {
+		case f.CanInt():
+			stat = float64(f.Int())
+		case f.CanUint():
+			stat = float64(f.Uint())
+		case f.CanFloat():
+			stat = f.Float()
+		default:
+			continue
 		}
+		tag, _, _ := strings.Cut(sv.Type().Field(i).Tag.Get("json"), ",")
+		series, ok := statSeries[tag]
+		if !ok {
+			t.Errorf("ServiceStats.%s (%q) is in no row of statSeries: name its /metrics series, or \"\" if it has none", sv.Type().Field(i).Name, tag)
+			continue
+		}
+		seen++
+		if series == "" {
+			continue
+		}
+		if got, ok := metrics[series]; !ok || got != stat {
+			t.Errorf("%s = %v (present %v) on /metrics but %s = %v on /v1/stats", series, got, ok, tag, stat)
+		}
+	}
+	if seen != len(statSeries) {
+		t.Errorf("statSeries has %d rows but ServiceStats has %d numeric fields they name: delete the stale rows", len(statSeries), seen)
 	}
 
 	// Histograms and cache gauges must be present with their full series

@@ -7,23 +7,13 @@ import (
 	"mcmpart/internal/partition"
 )
 
-// Options tune Plan.
-type Options struct {
-	// RefinePasses is how many coordinate-descent sweeps polish each
-	// candidate layout's boundaries (default 2; 0 uses the default, use a
-	// negative value to disable refinement).
-	RefinePasses int
-}
+// Options is Plan's parameter. It has no fields: it stays only because
+// bench/probes.go, which only ROADMAP item 1 may edit, names it in a call.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 2
-	}
-	if o.RefinePasses < 0 {
-		o.RefinePasses = 0
-	}
-	return o
-}
+// refinePasses is how many coordinate-descent sweeps polish each candidate
+// layout's boundaries.
+const refinePasses = 2
 
 // PlanInfo reports how a Plan call decided.
 type PlanInfo struct {
@@ -49,8 +39,7 @@ type PlanInfo struct {
 // exact per-chunk costs, and keeps the K with the smallest exact interval
 // (ties to the smallest K). Everything is prefix-sum arithmetic — no
 // evaluator runs — and wholly deterministic.
-func (a *Analysis) Plan(opts Options) (partition.Partition, PlanInfo, error) {
-	opts = opts.withDefaults()
+func (a *Analysis) Plan(Options) (partition.Partition, PlanInfo, error) {
 	info := PlanInfo{LB: a.LowerBound(), FixedPlacements: a.FixedPlacements()}
 	if a.kMax < a.kMin || len(a.feasibleK) == 0 {
 		return nil, info, fmt.Errorf("graph %s on package %s: %w", a.g.Name(), a.pkg.Name, ErrInfeasible)
@@ -64,7 +53,7 @@ func (a *Analysis) Plan(opts Options) (partition.Partition, PlanInfo, error) {
 		if !a.constructK(k, bounds) {
 			continue
 		}
-		for pass := 0; pass < opts.RefinePasses; pass++ {
+		for pass := 0; pass < refinePasses; pass++ {
 			if !a.refineK(k, bounds) {
 				break // quiescent
 			}
@@ -199,7 +188,7 @@ func (a *Analysis) refineK(k int, bounds []int) bool {
 		if g := sort.Search(n-1, func(g int) bool { return a.prefW[g+1] > wLimit }) - 1; g < hi {
 			hi = g
 		}
-		if need := a.prefW[end+1] - a.pkg.ChipSRAM(i + 1); need > 0 {
+		if need := a.prefW[end+1] - a.pkg.ChipSRAM(i+1); need > 0 {
 			if g := sort.Search(n-1, func(g int) bool { return a.prefW[g+1] >= need }); g > lo {
 				lo = g
 			}

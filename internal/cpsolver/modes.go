@@ -59,8 +59,8 @@ func (s *Solver) RandomTopoOrder(rng *rand.Rand) []int {
 }
 
 // sampleValue draws a chip for node u from the policy row p (nil means
-// uniform) restricted to u's current domain and, unless disabled, multiplied
-// by a completion-weighted prior.
+// uniform) restricted to u's current domain and multiplied by a
+// completion-weighted prior.
 //
 // The prior weights chip c by the number of monotone completions a
 // chain-shaped relaxation of the instance would still admit: a node at
@@ -76,12 +76,9 @@ func (s *Solver) RandomTopoOrder(rng *rand.Rand) []int {
 func (s *Solver) sampleValue(rng *rand.Rand, p []float64, u int) int {
 	d := s.doms[u]
 	var weights [64]float64
-	var mass float64
-	if !s.opts.UnweightedSampling {
-		mass = s.weightedMass(&weights, p, u, d)
-	}
+	mass := s.weightedMass(&weights, p, u, d)
 	if mass == 0 {
-		// Prior disabled or fully starved: fall back to the raw policy.
+		// Prior fully starved: fall back to the raw policy.
 		for rest := d; rest != 0; rest &= rest - 1 {
 			c := rest.Min()
 			w := 1.0
@@ -199,15 +196,16 @@ func (s *Solver) Sample(order []int, probs [][]float64, rng *rand.Rand) (partiti
 // restarting with a reshuffled copy of the order (and a doubled limit) when
 // the attempt thrashes. Chronological backtracking occasionally digs
 // exponential pits; randomized restarts are the standard CP remedy and keep
-// the solver's tail latency bounded. The total budget across attempts is
-// Options.MaxBacktracks.
+// the solver's tail latency bounded (CP-SAT does the same). The first
+// attempt's limit is 200 + 20 per node; the total budget across attempts is
+// maxBacktracks.
 func (s *Solver) withRestarts(order []int, rng *rand.Rand, attempt func([]int) (partition.Partition, error)) (partition.Partition, error) {
 	total := 0
-	limit := s.opts.RestartBacktracks
+	limit := 200 + 20*s.g.NumNodes()
 	ord := order
 	for {
 		s.resetKeepStats()
-		if rem := s.opts.MaxBacktracks - total; limit > rem {
+		if rem := maxBacktracks - total; limit > rem {
 			limit = rem
 		}
 		s.btLimit = limit
@@ -216,7 +214,7 @@ func (s *Solver) withRestarts(order []int, rng *rand.Rand, attempt func([]int) (
 			return p, err
 		}
 		total += s.backtracks
-		if total >= s.opts.MaxBacktracks {
+		if total >= maxBacktracks {
 			return nil, fmt.Errorf("%w (total %d backtracks)", ErrBacktrackBudget, total)
 		}
 		// Re-randomize the traversal, preserving its character: a

@@ -85,19 +85,6 @@ type decision struct {
 
 // Options configure a Solver.
 type Options struct {
-	// MaxBacktracks bounds the total number of undone decisions per
-	// Sample/Fix solve (across restarts) before the solver gives up with
-	// ErrBacktrackBudget. Zero means the default of 200000.
-	MaxBacktracks int
-	// RestartBacktracks is the per-attempt backtrack limit before the
-	// solve restarts with a reshuffled node order (the standard CP escape
-	// from exponential pits of chronological backtracking; CP-SAT does
-	// the same). It doubles after every restart. Zero means the default
-	// of 200 + 20 per node.
-	RestartBacktracks int
-	// UnweightedSampling disables the completion-weighted value prior
-	// during Sample/Fix (see Solver.sampleValue). Used by ablations.
-	UnweightedSampling bool
 	// ChipCapacityBytes, when non-empty (length = chip count), adds a
 	// per-chip memory bound to the static constraints: the total weight
 	// footprint placed on chip c may not exceed ChipCapacityBytes[c]. It
@@ -108,8 +95,10 @@ type Options struct {
 	ChipCapacityBytes []int64
 }
 
-// DefaultMaxBacktracks is the total per-solve backtrack budget.
-const DefaultMaxBacktracks = 200000
+// maxBacktracks bounds the total number of undone decisions per Sample/Fix
+// solve (across restarts) before the solver gives up with
+// ErrBacktrackBudget.
+const maxBacktracks = 200000
 
 // Solver is a CP solver over one graph/package pair. It is stateful: callers
 // make decisions with Assign/Skip and can rewind everything with Reset. The
@@ -118,7 +107,6 @@ const DefaultMaxBacktracks = 200000
 type Solver struct {
 	g     *graph.Graph
 	chips int
-	opts  Options
 
 	doms  []Domain
 	bound []bool
@@ -178,12 +166,6 @@ func New(g *graph.Graph, chips int, opts Options) (*Solver, error) {
 	if chips <= 0 || chips > mcm.MaxChips {
 		return nil, fmt.Errorf("cpsolver: chip count %d out of range 1..%d", chips, mcm.MaxChips)
 	}
-	if opts.MaxBacktracks <= 0 {
-		opts.MaxBacktracks = DefaultMaxBacktracks
-	}
-	if opts.RestartBacktracks <= 0 {
-		opts.RestartBacktracks = 200 + 20*g.NumNodes()
-	}
 	lay, err := g.Layout()
 	if err != nil {
 		return nil, err
@@ -193,7 +175,6 @@ func New(g *graph.Graph, chips int, opts Options) (*Solver, error) {
 		g:         g,
 		lay:       lay,
 		chips:     chips,
-		opts:      opts,
 		doms:      make([]Domain, n),
 		bound:     make([]bool, n),
 		chipAdj:   make([]Domain, chips),
@@ -242,7 +223,7 @@ func New(g *graph.Graph, chips int, opts Options) (*Solver, error) {
 		return nil, ErrInfeasible
 	}
 	s.rootMark = len(s.trail)
-	s.btLimit = opts.MaxBacktracks
+	s.btLimit = maxBacktracks
 	return s, nil
 }
 
@@ -268,7 +249,7 @@ func (s *Solver) NumDecisions() int { return len(s.decisions) }
 func (s *Solver) Reset() {
 	s.resetKeepStats()
 	s.stats = Stats{}
-	s.btLimit = s.opts.MaxBacktracks
+	s.btLimit = maxBacktracks
 }
 
 // resetKeepStats rewinds decisions without touching the work counters; the

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"mcmpart/internal/cpsolver"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/rl"
 )
@@ -106,6 +108,26 @@ func TestFigure7Smoke(t *testing.T) {
 	}
 	if !strings.Contains(res.Format(), "Pearson") {
 		t.Fatal("Figure 7 format broken")
+	}
+}
+
+// TestFigure7HonoursPerChipCapacity pins the solver Figure 7 samples from to
+// the package's per-chip SRAM: on a big/little edge36 whose little dies are a
+// quarter the size, the capacity-bounded sampler finds no segmentation that
+// fits and the study says so, where an unbounded one draws partitions the
+// simulator then rejects one by one (100 % invalid, no error).
+func TestFigure7HonoursPerChipCapacity(t *testing.T) {
+	pkg := mcm.Edge36()
+	pkg.ChipSRAMBytes = make([]int64, pkg.Chips)
+	for c := range pkg.ChipSRAMBytes {
+		pkg.ChipSRAMBytes[c] = pkg.SRAMBytes
+		if c%2 == 1 {
+			pkg.ChipSRAMBytes[c] = pkg.SRAMBytes / 4
+		}
+	}
+	_, err := Figure7(Fig7Config{Pkg: pkg, Seed: 3, Samples: 8, Workers: 2})
+	if !errors.Is(err, cpsolver.ErrInfeasible) {
+		t.Fatalf("err = %v, want cpsolver.ErrInfeasible", err)
 	}
 }
 

@@ -67,7 +67,7 @@ type Fig7Result struct {
 func Figure7(cfg Fig7Config) (*Fig7Result, error) {
 	cfg = cfg.withDefaults()
 	bert := workload.BERT()
-	pr, err := cpsolver.NewAuto(bert, cfg.Pkg.Chips, cpsolver.Options{})
+	pr, err := cpsolver.NewAutoPkg(bert, cfg.Pkg, cpsolver.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func Figure7(cfg Fig7Config) (*Fig7Result, error) {
 	parallel.ForEachBlock(workers, cfg.Samples, func(w, lo, hi int) {
 		part := pr
 		if workers > 1 {
-			replica, err := cpsolver.NewAuto(bert, cfg.Pkg.Chips, cpsolver.Options{})
+			replica, err := cpsolver.NewAutoPkg(bert, cfg.Pkg, cpsolver.Options{})
 			if err != nil {
 				errs[w] = err
 				return

@@ -55,7 +55,7 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 	})
 	res.RawValidPct = 100 * float64(count(rawOK)) / float64(samples)
 
-	pr, err := cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+	pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -64,12 +64,14 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 	// individually), so the reported ms/sample is the true cost of one
 	// solve, independent of how many cores ran the loop.
 	solveNs := make([]int64, workers)
+	errs := make([]error, workers)
 	parallel.ForEachBlock(workers, samples, func(w, lo, hi int) {
 		part := pr
 		if workers > 1 {
-			replica, err := cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+			replica, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 			if err != nil {
-				return // leaves the block's samples invalid; rates reveal it
+				errs[w] = err
+				return
 			}
 			part = replica
 		}
@@ -81,6 +83,11 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 			solverOK[i] = err == nil && p.Validate(g, pkg.Chips) == nil
 		}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	var totalNs int64
 	for _, ns := range solveNs {
 		totalNs += ns

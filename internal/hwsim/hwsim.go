@@ -75,57 +75,37 @@ func OpEff(op graph.OpKind) float64 {
 	return 0
 }
 
-// DefaultOpOverhead is the per-op dispatch time Options.OpOverhead defaults
-// to.
-const DefaultOpOverhead = 200e-9
-
-// Options tune the simulator.
-type Options struct {
-	// Seed derives the deterministic measurement noise. Different seeds
-	// model different "runs" of the same binary on hardware.
-	Seed int64
-	// NoiseStd is the relative standard deviation of measurement noise
-	// (default 0.02).
-	NoiseStd float64
-	// PipelineFactor multiplies peak activation memory to model
-	// steady-state pipeline buffering (default 1.5).
-	PipelineFactor float64
-	// OpOverhead is the fixed per-op dispatch time in seconds
-	// (default 200ns).
-	OpOverhead float64
-	// PressureKnee and PressureSlope model allocator pressure: a chip
+// The simulator's fixed parameters.
+const (
+	// DefaultOpOverhead is the fixed per-op dispatch time in seconds. It is
+	// exported for the same reason OpEff is.
+	DefaultOpOverhead = 200e-9
+	// noiseStd is the relative standard deviation of measurement noise.
+	noiseStd = 0.02
+	// pipelineFactor multiplies peak activation memory to model
+	// steady-state pipeline buffering.
+	pipelineFactor = 1.5
+	// pressureKnee and pressureSlope model allocator pressure: a chip
 	// whose SRAM utilization exceeds the knee runs its compute slower by
 	// slope * (utilization - knee). This is one of the dynamic effects
 	// the analytical cost model cannot see (Sec. 5.4's false positives:
 	// partitions that look fast analytically but sit at the memory edge).
-	// Defaults: knee 0.75, slope 2.
-	PressureKnee, PressureSlope float64
-}
+	pressureKnee  = 0.75
+	pressureSlope = 2
+)
 
-func (o Options) withDefaults() Options {
-	if o.NoiseStd == 0 {
-		o.NoiseStd = 0.02
-	}
-	if o.PipelineFactor == 0 {
-		o.PipelineFactor = 1.5
-	}
-	if o.OpOverhead == 0 {
-		o.OpOverhead = DefaultOpOverhead
-	}
-	if o.PressureKnee == 0 {
-		o.PressureKnee = 0.75
-	}
-	if o.PressureSlope == 0 {
-		o.PressureSlope = 2
-	}
-	return o
+// Options configure the simulator.
+type Options struct {
+	// Seed derives the deterministic measurement noise. Different seeds
+	// model different "runs" of the same binary on hardware.
+	Seed int64
 }
 
 // Simulator evaluates partitions on a simulated MCM package.
 type Simulator struct {
 	pkg  *mcm.Package
 	topo mcm.Topology
-	opts Options
+	seed int64
 }
 
 // Simulator is one of the two evaluation environments of the paper's
@@ -139,7 +119,7 @@ func New(pkg *mcm.Package, opts Options) *Simulator {
 	if err != nil {
 		panic("hwsim: " + err.Error())
 	}
-	return &Simulator{pkg: pkg, topo: topo, opts: opts.withDefaults()}
+	return &Simulator{pkg: pkg, topo: topo, seed: opts.Seed}
 }
 
 // Package returns the simulated package.
@@ -172,7 +152,7 @@ func (s *Simulator) opTime(n *graph.Node, chip int) float64 {
 	if int(n.Op) < len(opEfficiency) {
 		eff = opEfficiency[n.Op]
 	}
-	t := s.opts.OpOverhead
+	t := DefaultOpOverhead
 	if eff > 0 && n.FLOPs > 0 {
 		t += n.FLOPs / (s.pkg.ChipFLOPs(chip) * eff)
 	}
@@ -209,7 +189,7 @@ func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
 	}
 	// Dynamic constraint: every chip's schedule must fit its SRAM.
 	for c := range scheds {
-		res.PeakMem[c] = scheds[c].PeakBytes(s.opts.PipelineFactor)
+		res.PeakMem[c] = scheds[c].PeakBytes(pipelineFactor)
 		if res.PeakMem[c] > s.pkg.ChipSRAM(c) {
 			res.FailReason = "out of memory on chip"
 			return res
@@ -223,8 +203,8 @@ func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
 			res.ChipBusy[c] += s.opTime(&nodes[v], c)
 		}
 		util := float64(res.PeakMem[c]) / float64(s.pkg.ChipSRAM(c))
-		if util > s.opts.PressureKnee {
-			res.ChipBusy[c] *= 1 + s.opts.PressureSlope*(util-s.opts.PressureKnee)
+		if util > pressureKnee {
+			res.ChipBusy[c] *= 1 + pressureSlope*(util-pressureKnee)
 		}
 	}
 	// Link contention: a transfer from chip a to chip b occupies every
@@ -281,7 +261,7 @@ func (s *Simulator) Measure(g *graph.Graph, p partition.Partition, run int) Resu
 	if !res.Valid {
 		return res
 	}
-	noise := 1 + s.opts.NoiseStd*gaussian(s.noiseSeed(p, run))
+	noise := 1 + noiseStd*gaussian(s.noiseSeed(p, run))
 	if noise < 0.5 {
 		noise = 0.5
 	}
@@ -314,17 +294,8 @@ func (s *Simulator) MeasureN(g *graph.Graph, p partition.Partition, runs int) (m
 	return mean, math.Sqrt(variance), true
 }
 
-// EvaluateThroughput implements the evaluation-environment contract shared
-// with the analytical model: measured throughput (run 0) and dynamic
-// validity.
-func (s *Simulator) EvaluateThroughput(g *graph.Graph, p partition.Partition) (float64, bool) {
-	res := s.Measure(g, p, 0)
-	return res.Throughput, res.Valid
-}
-
-// Assess implements eval.Evaluator: one measured run (run 0, the same
-// deterministic noise EvaluateThroughput draws) condensed into the shared
-// verdict, with the peak fractional SRAM utilization across chips.
+// Assess implements eval.Evaluator: one measured run (run 0) condensed into
+// the shared verdict, with the peak fractional SRAM utilization across chips.
 func (s *Simulator) Assess(g *graph.Graph, p partition.Partition) eval.Verdict {
 	res := s.Measure(g, p, 0)
 	v := eval.Verdict{
@@ -351,7 +322,7 @@ func (s *Simulator) noiseSeed(p partition.Partition, run int) uint64 {
 		}
 		h.Write(buf[:])
 	}
-	put(uint64(s.opts.Seed))
+	put(uint64(s.seed))
 	put(uint64(run))
 	for _, c := range p {
 		put(uint64(c))

@@ -188,7 +188,7 @@ func TestHeterogeneousSRAMPerChip(t *testing.T) {
 // chip's own peak rate: the same op runs 2x slower on a little die.
 func TestHeterogeneousComputePerChip(t *testing.T) {
 	pkg := mcm.Het4()
-	sim := New(pkg, Options{OpOverhead: 1e-12}) // negligible dispatch
+	sim := New(pkg, Options{}) // 200 ns of dispatch is negligible beside 1e9 FLOPs
 	mk := func(chip int) float64 {
 		g := graph.New("one")
 		g.AddNode(graph.Node{Op: graph.OpMatMul, FLOPs: 1e9, OutputBytes: 1})
@@ -257,7 +257,7 @@ func TestMeshContentionUsesRoutes(t *testing.T) {
 }
 
 func TestMeasureNoiseDeterministicAndCentered(t *testing.T) {
-	sim := New(mcm.Dev4(), Options{Seed: 7, NoiseStd: 0.05})
+	sim := New(mcm.Dev4(), Options{Seed: 7})
 	g := pipelineGraph(t)
 	p := partition.Partition{0, 0, 1, 1, 2, 2, 3, 3}
 	a := sim.Measure(g, p, 0)
@@ -304,12 +304,18 @@ func TestEfficiencyDifferentiatesOps(t *testing.T) {
 	}
 }
 
-func TestEvaluateThroughputContract(t *testing.T) {
+// TestAssessContract pins the evaluation-environment contract: Assess is
+// the measured run 0, valid with a positive throughput on a legal partition.
+func TestAssessContract(t *testing.T) {
 	sim := New(mcm.Dev4(), Options{})
 	g := pipelineGraph(t)
-	th, valid := sim.EvaluateThroughput(g, partition.Partition{0, 0, 1, 1, 2, 2, 3, 3})
-	if !valid || th <= 0 {
-		t.Fatalf("EvaluateThroughput = (%v,%v)", th, valid)
+	p := partition.Partition{0, 0, 1, 1, 2, 2, 3, 3}
+	v := sim.Assess(g, p)
+	if !v.Valid || v.Throughput <= 0 {
+		t.Fatalf("Assess = (%v,%v)", v.Throughput, v.Valid)
+	}
+	if want := sim.Measure(g, p, 0).Throughput; v.Throughput != want {
+		t.Fatalf("Assess throughput %v, want run 0's %v", v.Throughput, want)
 	}
 }
 

@@ -296,12 +296,6 @@ func (m *Dense) Add(o *Dense) {
 	}
 }
 
-// AddScaled computes m += s * o elementwise.
-func (m *Dense) AddScaled(s float64, o *Dense) {
-	m.mustSameShape(o)
-	Axpy(s, o.Data, m.Data)
-}
-
 // Scale multiplies every element by s.
 func (m *Dense) Scale(s float64) {
 	for i := range m.Data {

@@ -36,21 +36,6 @@ func ReLUBackward(dX, dOut, out *mat.Dense) {
 	}
 }
 
-// Tanh applies tanh elementwise: out = tanh(x).
-func Tanh(out, x *mat.Dense) {
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-}
-
-// TanhBackward overwrites dX with dOut * (1 - out^2). dX and dOut may alias.
-func TanhBackward(dX, dOut, out *mat.Dense) {
-	for i := range dOut.Data {
-		y := out.Data[i]
-		dX.Data[i] = dOut.Data[i] * (1 - y*y)
-	}
-}
-
 // SoftmaxRows writes the row-wise softmax of logits into probs and the
 // row-wise log-softmax into logProbs, sharing one pass of exponentials
 // between them. Both are numerically stable (max-subtracted); neither

@@ -89,15 +89,6 @@ func TestActivationsAndBackward(t *testing.T) {
 	if dX.At(0, 0) != 0 || dX.At(0, 2) != 1 {
 		t.Fatalf("ReLUBackward wrong: %v", dX.Data)
 	}
-	Tanh(out, x)
-	if math.Abs(out.At(0, 3)-math.Tanh(2)) > 1e-15 {
-		t.Fatalf("Tanh wrong: %v", out.Data)
-	}
-	TanhBackward(dX, dOut, out)
-	want := 1 - math.Tanh(2)*math.Tanh(2)
-	if math.Abs(dX.At(0, 3)-want) > 1e-15 {
-		t.Fatalf("TanhBackward wrong: %v", dX.Data)
-	}
 }
 
 // TestReLUSelectsExactly pins the bit-select form of ReLU and its backward

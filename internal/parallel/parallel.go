@@ -130,10 +130,52 @@ func Rng(base int64, i int) *rand.Rand {
 	return rand.New(rand.NewSource(Seed(base, i)))
 }
 
+// fanout is the state one ForEach or ForEachBlock call shares with its
+// workers: the join, ForEach's item cursor, and the panic, if any, that a
+// worker ended with. It is one value so that a call allocates it once.
+//
+// A panic on a worker goroutine can be recovered by nothing up the caller's
+// stack and would take the process down; record keeps it and wait re-raises
+// it on the calling goroutine, where the callers' deferred recovers (the
+// service's ErrPlanPanic containment) see it. When several workers panic,
+// the lowest index wins — ForEach's item, ForEachBlock's worker — as the
+// lowest failing index does in MapErr.
+type fanout struct {
+	wg     sync.WaitGroup
+	cursor atomic.Int64
+
+	mu    sync.Mutex
+	index int
+	value any // nil until a worker panics
+}
+
+// record is handed, by a deferred function of every worker goroutine, the
+// index the worker was running and what recover returned.
+func (f *fanout) record(index int, r any) {
+	if r == nil {
+		return
+	}
+	f.mu.Lock()
+	if f.value == nil || index < f.index {
+		f.index, f.value = index, r
+	}
+	f.mu.Unlock()
+}
+
+// wait returns once every worker has, re-raising a captured panic.
+func (f *fanout) wait() {
+	f.wg.Wait()
+	if f.value != nil {
+		panic(f.value)
+	}
+}
+
 // ForEach runs fn(i) for every i in [0, n) on up to workers goroutines
 // (workers <= 0 uses the process default). Items are claimed from an atomic
 // cursor, so load balances dynamically; callers get determinism by following
-// the package contract. ForEach returns when every item has completed.
+// the package contract. ForEach returns when every item has completed. A
+// panic in fn ends its worker and is re-raised on the caller once the other
+// workers have drained the cursor.
 func ForEach(workers, n int, fn func(i int)) {
 	workers = Resolve(workers, n)
 	if n == 0 {
@@ -145,15 +187,16 @@ func ForEach(workers, n int, fn func(i int)) {
 		}
 		return
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	var f fanout
+	f.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		//mcmlint:ignore hotalloc worker spawn runs once per call, not per item; the goroutine itself is the allocation
 		go func() {
-			defer wg.Done()
+			var i int
+			defer f.wg.Done()
+			defer func() { f.record(i, recover()) }()
 			for {
-				i := int(cursor.Add(1)) - 1
+				i = int(f.cursor.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -161,7 +204,7 @@ func ForEach(workers, n int, fn func(i int)) {
 			}
 		}()
 	}
-	wg.Wait()
+	f.wait()
 }
 
 // Map runs fn(i) for every i in [0, n) on up to workers goroutines and
@@ -193,7 +236,8 @@ func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 // primitive for stages that need per-worker state (a solver replica, a policy
 // clone): the worker index selects the replica, while per-item seeding inside
 // [lo, hi) keeps outputs independent of the split. Blocks differ in size by
-// at most one item.
+// at most one item. A panic in fn is re-raised on the caller once every
+// block has returned.
 func ForEachBlock(workers, n int, fn func(worker, lo, hi int)) {
 	workers = Resolve(workers, n)
 	if n == 0 {
@@ -203,20 +247,21 @@ func ForEachBlock(workers, n int, fn func(worker, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
+	var f fanout
 	for w := 0; w < workers; w++ {
 		lo, hi := blockBounds(w, workers, n)
 		if lo >= hi {
 			continue
 		}
-		wg.Add(1)
+		f.wg.Add(1)
 		//mcmlint:ignore hotalloc worker spawn runs once per call, not per item; the goroutine itself is the allocation
 		go func(w, lo, hi int) {
-			defer wg.Done()
+			defer f.wg.Done()
+			defer func() { f.record(w, recover()) }()
 			fn(w, lo, hi)
 		}(w, lo, hi)
 	}
-	wg.Wait()
+	f.wait()
 }
 
 // blockBounds returns worker w's contiguous slice of [0, n).

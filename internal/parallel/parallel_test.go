@@ -188,6 +188,43 @@ func TestForEachNested(t *testing.T) {
 	}
 }
 
+// TestWorkerPanicReachesCaller pins panic containment: a panic on a worker
+// goroutine is re-raised on the goroutine that called ForEach/ForEachBlock,
+// where a deferred recover sees it, and of several panics the lowest index
+// (ForEach's item, ForEachBlock's worker) wins.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	recovered := func(run func()) (r any) {
+		defer func() { r = recover() }()
+		run()
+		return nil
+	}
+	var ran atomic.Int64
+	r := recovered(func() {
+		ForEach(4, 64, func(i int) {
+			ran.Add(1)
+			if i == 5 || i == 40 {
+				panic(fmt.Sprintf("item %d", i))
+			}
+		})
+	})
+	if r != "item 5" {
+		t.Fatalf("ForEach: recovered %v, want the lowest panicking item's value", r)
+	}
+	if ran.Load() != 64 {
+		t.Fatalf("ForEach: %d of 64 items ran; the surviving workers must drain the cursor", ran.Load())
+	}
+	r = recovered(func() {
+		ForEachBlock(4, 8, func(w, lo, hi int) {
+			if w >= 2 {
+				panic(fmt.Sprintf("worker %d", w))
+			}
+		})
+	})
+	if r != "worker 2" {
+		t.Fatalf("ForEachBlock: recovered %v, want the lowest panicking worker's value", r)
+	}
+}
+
 func BenchmarkForEachOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ForEach(4, 256, func(int) {})

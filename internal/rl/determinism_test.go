@@ -8,7 +8,10 @@ import (
 
 	"mcmpart/internal/costmodel"
 	"mcmpart/internal/cpsolver"
+	"mcmpart/internal/eval"
+	"mcmpart/internal/graph"
 	"mcmpart/internal/mcm"
+	"mcmpart/internal/partition"
 	"mcmpart/internal/rl"
 	"mcmpart/internal/search"
 	"mcmpart/internal/workload"
@@ -138,4 +141,24 @@ func TestMultiEnvRoundRobinDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(h1, h8) {
 		t.Fatal("multi-env trajectories differ between workers=1 and workers=8")
 	}
+}
+
+// TestEvaluatorPanicReachesCaller pins panic containment through the rollout
+// fan-out: an evaluator that panics on a rollout worker goroutine surfaces
+// as a panic on the goroutine driving Iterate, where the service's recover
+// turns it into ErrPlanPanic, instead of killing the process.
+func TestEvaluatorPanicReachesCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	env := detEnv(t, false)
+	env.Eval = eval.Func(func(*graph.Graph, partition.Partition) eval.Verdict { panic("evaluator bug") })
+	cfg := rl.QuickPPOConfig()
+	cfg.Workers = 2
+	trainer := rl.NewTrainer(rl.NewPolicy(rl.QuickConfig(env.Part.Chips()), rng), cfg, rng)
+	defer func() {
+		if r := recover(); r != "evaluator bug" {
+			t.Fatalf("recovered %v, want the evaluator's panic", r)
+		}
+	}()
+	trainer.Iterate([]*rl.Env{env})
+	t.Fatal("Iterate returned normally")
 }

@@ -99,22 +99,12 @@ func (e *Env) ExploreEps() float64 {
 	return e.exploreEps
 }
 
-// step evaluates a corrected partition, updating the search trajectory, and
-// returns the reward (improvement ratio over the baseline, 0 when invalid).
-func (e *Env) step(p partition.Partition, solved bool) float64 {
-	v := solverRejected
-	if solved {
-		v = e.Eval.Assess(e.Ctx.G, p)
-	}
-	return e.absorb(p, v)
-}
-
 // Prime evaluates and absorbs an externally constructed candidate — e.g. the
 // analytic fast path's plan — as the search's first sample(s), so every
 // subsequent method starts from that incumbent instead of from nothing. It
 // consumes one unit of the sample budget trajectory and returns the reward.
 func (e *Env) Prime(p partition.Partition) float64 {
-	return e.step(p, true)
+	return e.absorb(p, e.Eval.Assess(e.Ctx.G, p))
 }
 
 // absorb records one already-evaluated sample into the trajectory and
@@ -159,30 +149,52 @@ func nextExploreEps(eps, th float64) float64 {
 	return math.Max(exploreFloor, eps*0.8)
 }
 
+// stepOutcome is one evaluated environment sample: the corrected partition
+// (nil when the solve failed or the raw sample was invalid) and its
+// evaluation verdict. Rollout workers produce outcomes concurrently; they
+// are absorbed into the environment in deterministic episode order.
+type stepOutcome struct {
+	p partition.Partition
+	v eval.Verdict
+}
+
+// sample is the policy output → solver → evaluator step of Figure 1, run on
+// part (e.Part, or a rollout worker's replica of it) without mutating e.
+// With sampleMode the solver draws from probs (Algorithm 1; nil is uniform);
+// otherwise it repairs the action vector y (Algorithm 2, FIX) or, under
+// NoSolver, only checks it. A sample that yields no valid partition is
+// solverRejected and never reaches the evaluator.
+func (e *Env) sample(part cpsolver.Partitioner, sampleMode bool, probs [][]float64, y []int, rng *rand.Rand) stepOutcome {
+	var p partition.Partition
+	var err error
+	switch {
+	case sampleMode:
+		p, err = part.SampleMode(probs, rng)
+	case e.NoSolver:
+		p = partition.Partition(y).Clone()
+		err = p.Validate(e.Ctx.G, part.Chips())
+	default:
+		p, err = part.FixMode(y, rng)
+	}
+	if err != nil {
+		return stepOutcome{v: solverRejected}
+	}
+	return stepOutcome{p: p, v: e.Eval.Assess(e.Ctx.G, p)}
+}
+
 // StepActions runs one environment step from a concrete action vector y:
 // FIX-mode correction by default (or no correction with NoSolver), then
 // evaluation. It returns the reward.
 func (e *Env) StepActions(y []int, rng *rand.Rand) float64 {
-	if e.NoSolver {
-		p := partition.Partition(y).Clone()
-		valid := p.Validate(e.Ctx.G, e.Part.Chips()) == nil
-		return e.step(p, valid)
-	}
-	p, err := e.Part.FixMode(y, rng)
-	if err != nil {
-		return e.step(nil, false)
-	}
-	return e.step(p, true)
+	out := e.sample(e.Part, false, nil, y, rng)
+	return e.absorb(out.p, out.v)
 }
 
 // StepProbs runs one environment step from a probability matrix through the
 // solver's SAMPLE mode. It returns the reward.
 func (e *Env) StepProbs(probs [][]float64, rng *rand.Rand) float64 {
-	p, err := e.Part.SampleMode(probs, rng)
-	if err != nil {
-		return e.step(nil, false)
-	}
-	return e.step(p, true)
+	out := e.sample(e.Part, true, probs, nil, rng)
+	return e.absorb(out.p, out.v)
 }
 
 // BestImprovement returns the best-so-far improvement over the baseline.

@@ -35,7 +35,7 @@ func PolicyFingerprint(p *Policy) string {
 }
 
 // RegistryEntry describes one policy artifact found in a registry
-// directory. It is header metadata only; LoadEntry materializes the policy.
+// directory. It is header metadata only; LoadLatest materializes the policy.
 type RegistryEntry struct {
 	// Path is the artifact file, inside the registry directory.
 	Path string `json:"path"`
@@ -189,12 +189,6 @@ func (r *Registry) ForPackage(pkg *mcm.Package) []RegistryEntry {
 		return out[a].Path < out[b].Path
 	})
 	return out
-}
-
-// LoadEntry materializes the policy of one entry, validating it against pkg
-// exactly like LoadArtifact.
-func (r *Registry) LoadEntry(e RegistryEntry, pkg *mcm.Package) (*Policy, error) {
-	return LoadArtifact(e.Path, pkg)
 }
 
 // LoadLatest loads the newest policy pre-trained for pkg. The boolean is

@@ -4,19 +4,8 @@ import (
 	"math/rand"
 
 	"mcmpart/internal/cpsolver"
-	"mcmpart/internal/eval"
 	"mcmpart/internal/parallel"
-	"mcmpart/internal/partition"
 )
-
-// stepOutcome is one evaluated environment sample produced on a rollout
-// worker: the corrected partition (nil when the solve failed or the raw
-// sample was invalid) and its evaluation verdict. Outcomes are absorbed
-// into the environment in deterministic episode order after collection.
-type stepOutcome struct {
-	p partition.Partition
-	v eval.Verdict
-}
 
 // episodeResult is everything one T-step episode contributes to the PPO
 // batch: its transitions (with rewards-to-go already filled in) and the
@@ -135,34 +124,22 @@ func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, part cpsolver.Part
 	for step := 0; step < T; step++ {
 		f := pol.Heads(enc, prev)
 		var y []int
-		var logp float64
-		out := stepOutcome{v: solverRejected}
+		var out stepOutcome
 		if env.UseSampleMode {
 			// Algorithm 1: the solver samples from P; credit the emitted
 			// partition as the action.
 			*mixed = MixedProbRows(*mixed, f.Probs, eps)
-			p, err := part.SampleMode(*mixed, rng)
-			if err != nil {
+			out = env.sample(part, true, *mixed, nil, rng)
+			if y = out.p; y == nil {
 				y = SampleActions(f.Probs, rng)
-			} else {
-				y = p
-				out = evaluate(env, p)
 			}
-			logp = JointLogProb(f.LogProbs, y)
 		} else {
 			// Algorithm 2 (FIX, the paper's default for RL): the raw
 			// sample is the action, the solver repairs it.
 			y = SampleActions(f.Probs, rng)
-			logp = JointLogProb(f.LogProbs, y)
-			if env.NoSolver {
-				p := partition.Partition(y).Clone()
-				if p.Validate(env.Ctx.G, env.Part.Chips()) == nil {
-					out = evaluate(env, p)
-				}
-			} else if p, err := part.FixMode(y, rng); err == nil {
-				out = evaluate(env, p)
-			}
+			out = env.sample(part, false, nil, y, rng)
 		}
+		logp := JointLogProb(f.LogProbs, y)
 		res.transitions = append(res.transitions, transition{
 			env:    env,
 			ei:     ei,
@@ -187,10 +164,4 @@ func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, part cpsolver.Part
 		res.transitions[i].ret = acc
 	}
 	return res
-}
-
-// evaluate measures a partition with the environment's evaluator (safe for
-// concurrent use) and packages the outcome.
-func evaluate(env *Env, p partition.Partition) stepOutcome {
-	return stepOutcome{p: p, v: env.Eval.Assess(env.Ctx.G, p)}
 }

@@ -173,7 +173,7 @@ sampling:
 // (Service.Job). With the lock dropped from Service.Job the whole suite
 // passed `go test -race . ./cmd/mcmpartd` clean before this test, and
 // planCache.snapshot was caught only through Service.Stats; mcmlint's
-// guarded analyzer flagged both (DESIGN.md §13.7).
+// guarded analyzer flagged both (DESIGN.md §13.6).
 func TestScrapesAndLookupsDuringSubmitBurst(t *testing.T) {
 	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2, QueueDepth: 256})
 	h := mcmpart.NewHTTPHandler(svc)

@@ -101,44 +101,20 @@
 // approximation direction is fixed (missed facts cost precision, never
 // soundness of the must-hold claim).
 //
-// # Usage
+// # Invocation
 //
-//	mcmlint ./internal/cpsolver ./internal/search      # direct, on package dirs
-//	mcmlint -enable det,guarded ./...dirs...           # subset of analyzers
-//	mcmlint -json ./...dirs...                         # machine-readable output
+// mcmlint runs only under go vet, as CI runs it:
+//
 //	go build -o /tmp/mcmlint ./tools/mcmlint
-//	go vet -vettool=/tmp/mcmlint ./...                 # unitchecker protocol (CI)
+//	go vet -vettool=/tmp/mcmlint ./...
 //
-// Under go vet the tool implements the cmd/go vettool contract: -V=full
-// prints a stable identity line including the enabled-analyzer set (cmd/go
-// caches results keyed on it; bump lintVersion when rules change), -flags
-// reports no extra flags, and a single *.cfg argument runs one package
-// build unit described by the JSON config. In vet mode the analyzer set is
-// controlled by the MCMLINT_ENABLE / MCMLINT_DISABLE environment variables
-// (comma-separated analyzer names), and JSON output by MCMLINT_JSON=1; in
-// direct mode by -enable / -disable / -json. Findings go to stderr as
-// file:line:col diagnostics tagged [mcmlint:<analyzer>]; exit status 2
-// signals findings, matching vet convention.
-//
-// # JSON output
-//
-// With -json (or MCMLINT_JSON=1 under vet), findings are emitted to stdout
-// as one JSON array — always, so an empty run is the valid document [] —
-// and the stderr text report is suppressed. Each element is:
-//
-//	{
-//	  "file": "internal/plancache/plancache.go",   // as reported by go/token
-//	  "line": 42,                                  // 1-based
-//	  "col": 7,                                    // 1-based byte column
-//	  "analyzer": "guarded",                       // or "mcmlint" for directive errors
-//	  "message": "... [mcmlint:guarded]",
-//	  "suppressed": true,                          // omitted when false
-//	  "suppression": "init happens before ..."     // the ignore reason; omitted when empty
-//	}
-//
-// Suppressed findings are included (their reasons make the escape hatch
-// auditable) but do not affect the exit status: 2 means at least one
-// unsuppressed finding, 0 a clean run, 1 an operational error.
+// It implements the cmd/go vettool contract: -V=full prints a stable
+// identity line (cmd/go caches results keyed on it; bump lintVersion when
+// rules change), -flags reports no flags, and a single *.cfg argument runs
+// one package build unit described by the JSON config. All analyzers always
+// run. Findings go to stderr as file:line:col diagnostics tagged
+// [mcmlint:<analyzer>]; exit status 2 signals findings, matching vet
+// convention, 0 a clean run, 1 an operational error.
 //
 // # Escapes
 //
@@ -148,15 +124,14 @@
 //	//mcmlint:ignore <analyzer> <reason>
 //
 // The reason is mandatory: an ignore without one is itself a diagnostic, as
-// is an ignore naming an unknown analyzer, an unknown //mcmlint: directive,
-// or a legacy //detlint:ignore (migrate those to //mcmlint:ignore det
-// <reason>). Test files (_test.go) are exempt from all analyzers: tests may
+// is an ignore naming an unknown analyzer or an unknown //mcmlint:
+// directive. Test files (_test.go) are exempt from all analyzers: tests may
 // time themselves, exercise nondeterminism, and reach into guarded state on
 // purpose.
 //
 // It is stdlib-only (no golang.org/x/tools dependency). Type information
 // comes from the export data cmd/go hands vet tools (fast); when that is
-// unavailable — direct mode, or a toolchain mismatch — it falls back to
-// best-effort source-importer type-checking, and any residual gaps only
-// cost the type-dependent rules their findings (never false positives).
+// unavailable — the golden fixtures, or a toolchain mismatch — it falls
+// back to best-effort source-importer type-checking, and any residual gaps
+// only cost the type-dependent rules their findings (never false positives).
 package main

@@ -18,8 +18,8 @@ import (
 // files of a single package unit through the Pass and reports findings;
 // the framework owns loading, ignore filtering, ordering, and output.
 type Analyzer struct {
-	// Name is the identifier used in diagnostics tags, enable flags, and
-	// ignore directives.
+	// Name is the identifier used in diagnostics tags and ignore
+	// directives.
 	Name string
 	// Doc is a one-line description of the contract the analyzer enforces.
 	Doc string
@@ -95,10 +95,6 @@ type finding struct {
 	analyzer string
 	pos      token.Position
 	msg      string
-	// suppressed findings are kept (for -json consumers) but neither
-	// printed to stderr nor counted toward the exit status.
-	suppressed bool
-	reason     string // the ignore directive's reason, when suppressed
 }
 
 // ignoreKey addresses one source line for ignore-directive matching.
@@ -116,26 +112,20 @@ type unit struct {
 	// directives are package-scope markers (deterministic, hotpath, …).
 	directives map[string]bool
 	// ignores maps a source line to the analyzers suppressed on that line
-	// and the one below it, with the mandatory reason.
-	ignores map[ignoreKey]map[string]string
+	// and the one below it.
+	ignores map[ignoreKey]map[string]bool
 	// framework holds diagnostics about the directives themselves
-	// (missing reason, unknown analyzer, legacy form). Not suppressible.
+	// (missing reason, unknown analyzer). Not suppressible.
 	framework []finding
 }
 
-func (u *unit) suppressed(f finding) (bool, string) {
-	for _, line := range []int{f.pos.Line, f.pos.Line - 1} {
-		if set, ok := u.ignores[ignoreKey{f.pos.Filename, line}]; ok {
-			if reason, ok := set[f.analyzer]; ok {
-				return true, reason
-			}
-		}
-	}
-	return false, ""
+func (u *unit) suppressed(f finding) bool {
+	return u.ignores[ignoreKey{f.pos.Filename, f.pos.Line}][f.analyzer] ||
+		u.ignores[ignoreKey{f.pos.Filename, f.pos.Line - 1}][f.analyzer]
 }
 
 // scanDirectives walks every comment of the unit, recording package-scope
-// markers and ignore escapes, and reporting malformed or legacy directives.
+// markers and ignore escapes, and reporting malformed directives.
 func (u *unit) scanDirectives() {
 	for _, file := range u.files {
 		for _, cg := range file.Comments {
@@ -147,16 +137,9 @@ func (u *unit) scanDirectives() {
 }
 
 func (u *unit) scanComment(c *ast.Comment) {
-	text := c.Text
-	if !strings.Contains(text, "mcmlint:") {
-		if strings.Contains(text, "detlint:ignore") {
-			u.frameworkf(c.Pos(), "legacy //detlint:ignore directive: migrate to //mcmlint:ignore det <reason>")
-		}
-		return
-	}
 	// Only the directive comment form //mcmlint:<verb> … is parsed; prose
 	// that merely mentions mcmlint (like this file's own docs) is not.
-	rest, ok := strings.CutPrefix(strings.TrimPrefix(text, "//"), "mcmlint:")
+	rest, ok := strings.CutPrefix(c.Text, "//mcmlint:")
 	if !ok {
 		return
 	}
@@ -197,9 +180,9 @@ func (u *unit) scanComment(c *ast.Comment) {
 		}
 		key := ignoreKey{u.fset.Position(c.Pos()).Filename, u.fset.Position(c.Pos()).Line}
 		if u.ignores[key] == nil {
-			u.ignores[key] = map[string]string{}
+			u.ignores[key] = map[string]bool{}
 		}
-		u.ignores[key][name] = strings.Join(args[1:], " ")
+		u.ignores[key][name] = true
 	default:
 		u.frameworkf(c.Pos(), "unknown //mcmlint:%s directive (have deterministic, hotpath, errcontract, deepcopy, ignore)", verb)
 	}
@@ -288,22 +271,20 @@ func loadUnit(pkgPath, dir string, paths []string, exp *exportLookup) (*unit, er
 		pkg:        pkg,
 		info:       info,
 		directives: map[string]bool{},
-		ignores:    map[ignoreKey]map[string]string{},
+		ignores:    map[ignoreKey]map[string]bool{},
 	}
 	u.scanDirectives()
 	return u, nil
 }
 
-// lintUnit runs the enabled analyzers over one loaded unit and returns
-// the findings, sorted by position. Suppressed findings are included but
-// flagged (JSON consumers see them with their reason); text output and
-// the exit status only consider unsuppressed ones.
-func lintUnit(u *unit, enabled []*Analyzer) []finding {
+// lintUnit runs the given analyzers over one loaded unit and returns the
+// findings no ignore directive suppresses, sorted by position.
+func lintUnit(u *unit, analyzers []*Analyzer) []finding {
 	if u == nil {
 		return nil
 	}
 	out := append([]finding(nil), u.framework...)
-	for _, a := range enabled {
+	for _, a := range analyzers {
 		var raw []finding
 		a.Run(&Pass{
 			Analyzer: a,
@@ -315,8 +296,9 @@ func lintUnit(u *unit, enabled []*Analyzer) []finding {
 			out:      &raw,
 		})
 		for _, f := range raw {
-			f.suppressed, f.reason = u.suppressed(f)
-			out = append(out, f)
+			if !u.suppressed(f) {
+				out = append(out, f)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -85,9 +85,6 @@ func runGolden(t *testing.T, analyzer *Analyzer, dir string) {
 		}
 	}
 	for _, f := range findings {
-		if f.suppressed {
-			continue // kept for -json consumers; a want must not match it
-		}
 		ok := false
 		for i, sub := range wants[f.pos.Filename][f.pos.Line] {
 			if strings.Contains(f.msg, sub) {
@@ -142,9 +139,9 @@ func TestGoldenErrcontract(t *testing.T) {
 }
 
 // TestGoldenFramework exercises the directive machinery itself: malformed
-// ignores, unknown analyzers/directives, the legacy //detlint:ignore form,
-// and the working escape path. det is enabled so the fixture can prove
-// that a malformed ignore does NOT suppress and a well-formed one does.
+// ignores, unknown analyzers/directives, and the working escape path. det
+// runs so the fixture can prove that a malformed ignore does NOT suppress
+// and a well-formed one does.
 func TestGoldenFramework(t *testing.T) {
 	runGolden(t, detAnalyzer, filepath.Join("testdata", "framework"))
 }

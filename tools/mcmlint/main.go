@@ -4,123 +4,36 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
 // lintVersion keys cmd/go's vet result cache (via -V=full): bump it
 // whenever any analyzer's rules change, or stale results will be served.
-const lintVersion = "v3.0.0"
+const lintVersion = "v4.0.0"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
+// run speaks the cmd/go vettool protocol and nothing else: the two probes
+// go vet sends before any work, then one build unit per invocation.
 func run(args []string) int {
-	var enable, disable string
-	var wantVersion, wantFlags, jsonOut bool
-	var rest []string
-	for _, a := range args {
-		switch {
+	if len(args) == 1 {
+		switch a := args[0]; {
 		case a == "-V=full" || a == "-V":
-			wantVersion = true
+			// Tool-identity probe; the output is the vet cache key.
+			fmt.Printf("mcmlint version %s\n", lintVersion)
+			return 0
 		case a == "-flags":
-			wantFlags = true
-		case a == "-json":
-			jsonOut = true
-		case strings.HasPrefix(a, "-enable="):
-			enable = strings.TrimPrefix(a, "-enable=")
-		case strings.HasPrefix(a, "-disable="):
-			disable = strings.TrimPrefix(a, "-disable=")
-		default:
-			rest = append(rest, a)
+			// Flag discovery: none are exposed through go vet.
+			fmt.Println("[]")
+			return 0
+		case strings.HasSuffix(a, ".cfg"):
+			return runVetUnit(a)
 		}
 	}
-	// Vet mode has no flag channel from the go vet command line, so the
-	// analyzer set comes from the environment there; explicit flags win.
-	if enable == "" {
-		enable = os.Getenv("MCMLINT_ENABLE")
-	}
-	if disable == "" {
-		disable = os.Getenv("MCMLINT_DISABLE")
-	}
-	if os.Getenv("MCMLINT_JSON") != "" {
-		jsonOut = true
-	}
-	enabled, err := selectAnalyzers(enable, disable)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcmlint: %v\n", err)
-		return 1
-	}
-	switch {
-	case wantVersion:
-		// cmd/go tool-identity probe; the output is the cache key, so the
-		// enabled set must be part of it.
-		fmt.Printf("mcmlint version %s enabled=%s\n", lintVersion, strings.Join(analyzerNames(enabled), ","))
-		return 0
-	case wantFlags:
-		// cmd/go flag discovery: no flags are exposed through go vet
-		// (use MCMLINT_ENABLE / MCMLINT_DISABLE there).
-		fmt.Println("[]")
-		return 0
-	case len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg"):
-		return runVetUnit(rest[0], enabled, jsonOut)
-	case len(rest) == 0:
-		fmt.Fprintln(os.Stderr, "usage: mcmlint [-json] [-enable a,b] [-disable c] <package-dir>... | mcmlint <unit>.cfg (go vet -vettool)")
-		return 1
-	default:
-		return runDirs(rest, enabled, jsonOut)
-	}
-}
-
-// selectAnalyzers resolves the enable/disable comma lists against the
-// registry: an empty enable list means all analyzers; disable then removes.
-func selectAnalyzers(enable, disable string) ([]*Analyzer, error) {
-	picked := allAnalyzers
-	if enable != "" {
-		set, err := nameSet(enable)
-		if err != nil {
-			return nil, err
-		}
-		picked = nil
-		for _, a := range allAnalyzers {
-			if set[a.Name] {
-				picked = append(picked, a)
-			}
-		}
-	}
-	if disable != "" {
-		set, err := nameSet(disable)
-		if err != nil {
-			return nil, err
-		}
-		var kept []*Analyzer
-		for _, a := range picked {
-			if !set[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		picked = kept
-	}
-	if len(picked) == 0 {
-		return nil, fmt.Errorf("no analyzers enabled (have %s)", strings.Join(analyzerNames(allAnalyzers), ", "))
-	}
-	return picked, nil
-}
-
-func nameSet(csv string) (map[string]bool, error) {
-	set := map[string]bool{}
-	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if analyzerByName(name) == nil {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(analyzerNames(allAnalyzers), ", "))
-		}
-		set[name] = true
-	}
-	return set, nil
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=/path/to/mcmlint ./...")
+	return 1
 }
 
 // vetConfig mirrors the fields of cmd/go's vet config JSON that mcmlint
@@ -144,7 +57,7 @@ type vetConfig struct {
 // are parsed, type-checked, and linted. The facts file must exist
 // afterwards or cmd/go reports the tool as failed, so an empty one is
 // always written.
-func runVetUnit(cfgPath string, enabled []*Analyzer, jsonOut bool) int {
+func runVetUnit(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcmlint: %v\n", err)
@@ -175,86 +88,16 @@ func runVetUnit(cfgPath string, enabled []*Analyzer, jsonOut bool) int {
 		return 1
 	}
 	writeVetx()
-	return report(lintUnit(u, enabled), jsonOut)
+	return report(lintUnit(u, allAnalyzers))
 }
 
-// runDirs lints package directories given directly on the command line.
-func runDirs(dirs []string, enabled []*Analyzer, jsonOut bool) int {
-	var all []finding
-	for _, dir := range dirs {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcmlint: %v\n", err)
-			return 1
-		}
-		var files []string
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				files = append(files, filepath.Join(dir, e.Name()))
-			}
-		}
-		if len(files) == 0 {
-			continue
-		}
-		u, err := loadUnit(dir, dir, files, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcmlint: %s: %v\n", dir, err)
-			return 1
-		}
-		all = append(all, lintUnit(u, enabled)...)
+// report prints the findings on stderr. Exit status 2 signals findings,
+// matching vet convention.
+func report(findings []finding) int {
+	for _, f := range findings {
+		fmt.Fprintf(os.Stderr, "%s: %s\n", f.pos, f.msg)
 	}
-	return report(all, jsonOut)
-}
-
-// jsonFinding is the -json wire shape of one diagnostic; see doc.go for
-// the schema contract.
-type jsonFinding struct {
-	File        string `json:"file"`
-	Line        int    `json:"line"`
-	Col         int    `json:"col"`
-	Analyzer    string `json:"analyzer"`
-	Message     string `json:"message"`
-	Suppressed  bool   `json:"suppressed,omitempty"`
-	Suppression string `json:"suppression,omitempty"`
-}
-
-// report prints the findings — human-readable on stderr, or a JSON array
-// on stdout with -json / MCMLINT_JSON (suppressed findings included there
-// with their reasons). The exit status counts only unsuppressed findings.
-func report(findings []finding, jsonOut bool) int {
-	active := 0
-	if jsonOut {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:        f.pos.Filename,
-				Line:        f.pos.Line,
-				Col:         f.pos.Column,
-				Analyzer:    f.analyzer,
-				Message:     f.msg,
-				Suppressed:  f.suppressed,
-				Suppression: f.reason,
-			})
-			if !f.suppressed {
-				active++
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "mcmlint: %v\n", err)
-			return 1
-		}
-	} else {
-		for _, f := range findings {
-			if f.suppressed {
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "%s: %s\n", f.pos, f.msg)
-			active++
-		}
-	}
-	if active == 0 {
+	if len(findings) == 0 {
 		return 0
 	}
 	return 2

@@ -1,70 +1,15 @@
 package main
 
 import (
-	"encoding/json"
-	"go/token"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-func names(as []*Analyzer) string { return strings.Join(analyzerNames(as), ",") }
-
-func TestSelectAnalyzers(t *testing.T) {
-	cases := []struct {
-		enable, disable string
-		want            string
-		wantErr         bool
-	}{
-		{"", "", "det,deepcopy,ctxloop,hotalloc,guarded,lockorder,goleak,errcontract", false},
-		{"det,guarded", "", "det,guarded", false},
-		{"", "hotalloc", "det,deepcopy,ctxloop,guarded,lockorder,goleak,errcontract", false},
-		{"lockorder,errcontract", "", "lockorder,errcontract", false},
-		{"det,ctxloop", "ctxloop", "det", false},
-		{"nosuch", "", "", true},
-		{"", "nosuch", "", true},
-		{"det", "det", "", true}, // empty set is an error, not a silent no-op
-	}
-	for _, c := range cases {
-		got, err := selectAnalyzers(c.enable, c.disable)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("selectAnalyzers(%q, %q): want error, got %s", c.enable, c.disable, names(got))
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("selectAnalyzers(%q, %q): %v", c.enable, c.disable, err)
-			continue
-		}
-		if names(got) != c.want {
-			t.Errorf("selectAnalyzers(%q, %q) = %s, want %s", c.enable, c.disable, names(got), c.want)
-		}
-	}
-}
-
-// TestRunDirsOnFixture exercises the direct (non-vet) entry point end to
-// end: the seeded det fixture must produce findings (exit 2), and
-// disabling det must silence them (exit 0).
-func TestRunDirsOnFixture(t *testing.T) {
-	dir := filepath.Join("testdata", "det")
-	if got := runDirs([]string{dir}, allAnalyzers, false); got != 2 {
-		t.Errorf("runDirs(%s, all) = %d, want 2 (seeded violations)", dir, got)
-	}
-	only, err := selectAnalyzers("", "det")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runDirs([]string{dir}, only, false); got != 0 {
-		t.Errorf("runDirs(%s, -disable=det) = %d, want 0", dir, got)
-	}
-}
-
 // TestVetUnitProtocol drives the unitchecker path with a hand-written cfg:
 // a VetxOnly (dependency) unit must write its facts file and stay silent; a
-// target unit over the fixture must report findings and still write facts.
+// target unit over the fixture must report findings and still write facts;
+// a unit whose only finding carries a reasoned ignore must exit clean.
 func TestVetUnitProtocol(t *testing.T) {
 	tmp := t.TempDir()
 	vetx := filepath.Join(tmp, "unit.vetx")
@@ -72,7 +17,7 @@ func TestVetUnitProtocol(t *testing.T) {
 	if err := os.WriteFile(cfgPath, []byte(`{"ImportPath":"p","VetxOnly":true,"VetxOutput":"`+vetx+`"}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if got := runVetUnit(cfgPath, allAnalyzers, false); got != 0 {
+	if got := runVetUnit(cfgPath); got != 0 {
 		t.Fatalf("VetxOnly unit: exit %d, want 0", got)
 	}
 	if _, err := os.Stat(vetx); err != nil {
@@ -88,90 +33,25 @@ func TestVetUnitProtocol(t *testing.T) {
 	if err := os.WriteFile(cfg2, []byte(`{"ImportPath":"fixture","GoFiles":["`+fixture+`"],"VetxOutput":"`+vetx2+`"}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if got := runVetUnit(cfg2, allAnalyzers, false); got != 2 {
+	if got := runVetUnit(cfg2); got != 2 {
 		t.Fatalf("target unit: exit %d, want 2 (seeded violations)", got)
 	}
 	if _, err := os.Stat(vetx2); err != nil {
 		t.Fatalf("target unit did not write facts file: %v", err)
 	}
-}
 
-// TestJSONReport pins the -json schema: every finding (including
-// suppressed ones, with their reasons) lands in the array, the output is
-// valid JSON even when empty, and the exit status still counts only
-// unsuppressed findings.
-func TestJSONReport(t *testing.T) {
-	capture := func(fn func() int) (string, int) {
-		t.Helper()
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		code := fn()
-		w.Close()
-		os.Stdout = old
-		data, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data), code
-	}
-
-	out, code := capture(func() int { return report(nil, true) })
-	var empty []jsonFinding
-	if err := json.Unmarshal([]byte(out), &empty); err != nil {
-		t.Fatalf("empty report is not valid JSON: %v\n%s", err, out)
-	}
-	if len(empty) != 0 || code != 0 {
-		t.Fatalf("empty report: got %d findings, exit %d; want 0, 0", len(empty), code)
-	}
-
-	findings := []finding{
-		{analyzer: "det", pos: token.Position{Filename: "a.go", Line: 3, Column: 7}, msg: "time.Now in a deterministic package [mcmlint:det]"},
-		{analyzer: "guarded", pos: token.Position{Filename: "b.go", Line: 9, Column: 2}, msg: "suppressed [mcmlint:guarded]", suppressed: true, reason: "init happens before the value is shared"},
-	}
-	out, code = capture(func() int { return report(findings, true) })
-	var got []jsonFinding
-	if err := json.Unmarshal([]byte(out), &got); err != nil {
-		t.Fatalf("report output is not valid JSON: %v\n%s", err, out)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d JSON findings, want 2 (suppressed ones included)", len(got))
-	}
-	if got[0].File != "a.go" || got[0].Line != 3 || got[0].Col != 7 || got[0].Analyzer != "det" || got[0].Suppressed {
-		t.Errorf("first finding mangled: %+v", got[0])
-	}
-	if !got[1].Suppressed || got[1].Suppression != "init happens before the value is shared" {
-		t.Errorf("suppressed finding lost its reason: %+v", got[1])
-	}
-	if code != 2 {
-		t.Errorf("exit = %d, want 2 (one unsuppressed finding)", code)
-	}
-
-	// All-suppressed output still emits the array but exits clean.
-	out, code = capture(func() int { return report(findings[1:], true) })
-	if err := json.Unmarshal([]byte(out), &got); err != nil || len(got) != 1 {
-		t.Fatalf("all-suppressed report: %v, %d findings", err, len(got))
-	}
-	if code != 0 {
-		t.Errorf("all-suppressed exit = %d, want 0", code)
-	}
-}
-
-// TestVersionIncludesEnabledSet pins the vet cache-key property: changing
-// the enabled analyzer set must change the -V=full identity line.
-func TestVersionIncludesEnabledSet(t *testing.T) {
-	all, err := selectAnalyzers("", "")
-	if err != nil {
+	// The exit status ignores suppressed findings.
+	quiet := filepath.Join(tmp, "quiet.go")
+	src := "//mcmlint:deterministic\npackage quiet\n\nimport \"time\"\n\n" +
+		"//mcmlint:ignore det test: the escape path\nfunc stamp() time.Time { return time.Now() }\n"
+	if err := os.WriteFile(quiet, []byte(src), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	some, err := selectAnalyzers("det", "")
-	if err != nil {
+	cfg3 := filepath.Join(tmp, "quiet.cfg")
+	if err := os.WriteFile(cfg3, []byte(`{"ImportPath":"quiet","GoFiles":["`+quiet+`"]}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if names(all) == names(some) {
-		t.Fatal("enabled-set strings are identical; the -V cache key would not distinguish configurations")
+	if got := runVetUnit(cfg3); got != 0 {
+		t.Fatalf("all-suppressed unit: exit %d, want 0", got)
 	}
 }

@@ -17,11 +17,6 @@ func stamped() time.Time { return time.Now() } // want "time.Now"
 //mcmlint:ignore nosuchanalyzer because reasons
 func alsoStamped() time.Time { return time.Now() } // want "time.Now"
 
-// want "legacy"
-//
-//detlint:ignore boot stamp
-func legacy() time.Time { return time.Now() } // want "time.Now"
-
 // want "unknown //mcmlint:frobnicate"
 //
 //mcmlint:frobnicate
