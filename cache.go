@@ -27,8 +27,9 @@ func planCacheKey(graphFP, pkgFP, policyFP string, opts PlanOptions) string {
 		graphFP, pkgFP, policyFP, opts.Method, opts.SampleBudget, opts.Seed, opts.UseSimulator, opts.SeedFromAnalytic)
 }
 
-// cloneResult deep-copies a Result so cached entries stay immutable no
-// matter what callers do with what they were handed.
+// cloneResult deep-copies a Result. It has one caller, Job.Result: what the
+// Service keeps for a key is never handed out, so the copy is made where a
+// result leaves (DESIGN.md §8, "The isolation contract").
 func cloneResult(r *Result) *Result {
 	if r == nil {
 		return nil
@@ -51,7 +52,8 @@ func cloneResult(r *Result) *Result {
 // the Service keeps for a cache key — memory entry, disk entry, the flight's
 // outcome — is in this order, so it fits every graph with the key's
 // fingerprint, whatever order its nodes were inserted in; Job.finish maps
-// it to the receiving job's own node IDs.
+// it to the receiving job's own node IDs. Nothing else holds the result
+// Planner.Plan returned, so from here on it is the Service's to keep.
 func canonicalize(res *Result, pos []int) {
 	if res == nil || len(pos) != len(res.Partition) {
 		return
@@ -64,16 +66,16 @@ func canonicalize(res *Result, pos []int) {
 }
 
 // planCache is a bounded LRU of completed plans. All methods are safe for
-// concurrent use. Results are deep-copied on the way in and on the way out:
-// a hit is bit-identical to the plan that populated the entry, and no
-// caller can corrupt it.
+// concurrent use. An entry is shared, not copied: put keeps the pointer it
+// is given and get returns it, so whoever holds one must not write through
+// it — the Service never does, and never hands one to a caller (Job.Result
+// copies). A hit is therefore bit-identical to the plan that populated the
+// entry.
 //
 // The cache does not count its own hits and misses: a lookup happens
 // before the Service decides whether the request is admitted, and the
 // hit/miss counters must account admitted jobs only (see serviceMetrics).
 // The Service increments its tier counters at the admission points.
-//
-//mcmlint:deepcopy cloneResult
 type planCache struct {
 	mu    sync.Mutex
 	cap   int                      // immutable after newPlanCache
@@ -108,7 +110,7 @@ func (c *planCache) get(key string) (*Result, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return cloneResult(el.Value.(*planCacheEntry).res), true
+	return el.Value.(*planCacheEntry).res, true
 }
 
 func (c *planCache) put(key string, res *Result) {
@@ -121,11 +123,11 @@ func (c *planCache) put(key string, res *Result) {
 		return
 	}
 	if el, ok := c.items[key]; ok {
-		el.Value.(*planCacheEntry).res = cloneResult(res)
+		el.Value.(*planCacheEntry).res = res
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&planCacheEntry{key: key, res: cloneResult(res)})
+	c.items[key] = c.ll.PushFront(&planCacheEntry{key: key, res: res})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -124,7 +124,8 @@ func (e *APIError) Error() string {
 
 // Is maps the daemon's HTTP status codes back to the service's sentinel
 // errors: 429 → ErrBusy, 503 → ErrServiceClosed, 409 → ErrPolicyRequired,
-// 400 and 413 (a body over the daemon's size bound) → ErrInvalidRequest.
+// 500 → ErrPlanPanic, 422 → ErrNoPlan, 400 and 413 (a body over the
+// daemon's size bound) → ErrInvalidRequest.
 func (e *APIError) Is(target error) bool {
 	switch target {
 	case ErrBusy:
@@ -133,6 +134,10 @@ func (e *APIError) Is(target error) bool {
 		return e.StatusCode == http.StatusServiceUnavailable
 	case ErrPolicyRequired:
 		return e.StatusCode == http.StatusConflict
+	case ErrPlanPanic:
+		return e.StatusCode == http.StatusInternalServerError
+	case ErrNoPlan:
+		return e.StatusCode == http.StatusUnprocessableEntity
 	case ErrInvalidRequest:
 		return e.StatusCode == http.StatusBadRequest || e.StatusCode == http.StatusRequestEntityTooLarge
 	}
@@ -142,7 +147,9 @@ func (e *APIError) Is(target error) bool {
 // retryable classifies an error as idempotent-safe to retry: transport
 // and corrupt-body failures (the request may not even have arrived — and
 // if it did, re-planning the same key yields the identical plan), plus the
-// two explicitly transient daemon codes. Context cancellation belongs to
+// two explicitly transient daemon codes. Every other status is final — 500
+// and 422 included: a plan is a pure function of its key, so a plan that
+// panicked or found nothing does so again. Context cancellation belongs to
 // the caller and is never retried.
 func retryable(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -3,12 +3,157 @@ package mcmpart_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"mcmpart"
+	"mcmpart/internal/faultinject"
 )
+
+// serviceSentinels is every exported Err* the root package declares, by
+// name, with the status writeServiceError gives it.
+// TestEverySentinelRoundTrips fails on a declared sentinel with no row here,
+// so a new one cannot ship without a place on the wire.
+var serviceSentinels = []struct {
+	name   string
+	err    error
+	status int
+}{
+	{"ErrServiceClosed", mcmpart.ErrServiceClosed, http.StatusServiceUnavailable},
+	{"ErrBusy", mcmpart.ErrBusy, http.StatusTooManyRequests},
+	{"ErrPolicyRequired", mcmpart.ErrPolicyRequired, http.StatusConflict},
+	{"ErrPlanPanic", mcmpart.ErrPlanPanic, http.StatusInternalServerError},
+	{"ErrInvalidRequest", mcmpart.ErrInvalidRequest, http.StatusBadRequest},
+	{"ErrNoPlan", mcmpart.ErrNoPlan, http.StatusUnprocessableEntity},
+}
+
+// onlySentinel checks that err is errors.Is-equal to want (nil: to none) and
+// to no other service sentinel.
+func onlySentinel(t *testing.T, err, want error) {
+	t.Helper()
+	for _, s := range serviceSentinels {
+		if match := errors.Is(err, s.err); match != (s.err == want) {
+			t.Errorf("errors.Is(err, %s) = %t, want %t (err: %v)", s.name, match, s.err == want, err)
+		}
+	}
+}
+
+// declaredSentinels parses the package's non-test sources for exported
+// package-level Err* variables.
+func declaredSentinels(t *testing.T) map[string]bool {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, file := range pkgs["mcmpart"].Files {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, id := range spec.(*ast.ValueSpec).Names {
+					if strings.HasPrefix(id.Name, "Err") && id.IsExported() {
+						names[id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestEverySentinelRoundTrips sends each service sentinel, wrapped the way
+// the Service wraps it, through the handler's own error mapping and a real
+// Client: it must arrive with its documented status, errors.Is-equal to
+// itself and to no other sentinel.
+func TestEverySentinelRoundTrips(t *testing.T) {
+	declared := declaredSentinels(t)
+	for _, row := range serviceSentinels {
+		if !declared[row.name] {
+			t.Errorf("serviceSentinels has a row for %s, which the package does not declare", row.name)
+		}
+		delete(declared, row.name)
+	}
+	for name := range declared {
+		t.Errorf("%s is declared but has no row in serviceSentinels: decide its status code and add it", name)
+	}
+	for _, row := range serviceSentinels {
+		t.Run(row.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mcmpart.WriteServiceError(w, fmt.Errorf("%w: some detail", row.err))
+			}))
+			defer srv.Close()
+			cl := mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{})
+			_, err := cl.Plan(context.Background(), smallGraph(t), mcmpart.PlanOptions{})
+			var ae *mcmpart.APIError
+			if !errors.As(err, &ae) {
+				t.Fatalf("error %T is not an *APIError: %v", err, err)
+			}
+			if ae.StatusCode != row.status {
+				t.Errorf("StatusCode = %d, want %d", ae.StatusCode, row.status)
+			}
+			onlySentinel(t, err, row.err)
+		})
+	}
+}
+
+// TestServerFaultsAreNotTheCallersMistake drives the two failures that are
+// nobody's malformed request through a real Service, handler and retrying
+// Client: a plan that panics answers 500 / ErrPlanPanic, a search that
+// finds nothing answers 422 / ErrNoPlan, neither is ErrInvalidRequest, and
+// neither is retried — a plan is a pure function of its key, so both repeat.
+func TestServerFaultsAreNotTheCallersMistake(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1})
+	srv := httptest.NewServer(mcmpart.NewHTTPHandler(svc))
+	defer srv.Close()
+	retries := 0
+	cl := mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{
+		MaxRetries:  2,
+		BaseBackoff: time.Millisecond,
+		OnRetry:     func(int, time.Duration, error) { retries++ },
+	})
+	check := func(name string, err, want error, status int) {
+		t.Helper()
+		var ae *mcmpart.APIError
+		if !errors.As(err, &ae) || ae.StatusCode != status {
+			t.Fatalf("%s: err = %v, want *APIError with status %d", name, err, status)
+		}
+		onlySentinel(t, err, want)
+		if retries != 0 {
+			t.Fatalf("%s: retried %d times; the same key fails the same way", name, retries)
+		}
+	}
+
+	faultinject.Enable(faultinject.NewSet(1, faultinject.Rule{
+		Point: faultinject.PointPlanEvaluate,
+		Fault: faultinject.Fault{Err: errors.New("poisoned request"), Panic: true},
+		Every: 1,
+	}))
+	t.Cleanup(faultinject.Disable)
+	_, err := cl.Plan(context.Background(), smallGraph(t), mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 5})
+	faultinject.Disable()
+	check("panicking plan", err, mcmpart.ErrPlanPanic, http.StatusInternalServerError)
+
+	// One operator whose weights no Dev4 chip can hold: even the greedy
+	// baseline fails the simulator's memory check, so the plan ends in ErrNoPlan.
+	g := mcmpart.NewGraph("too-big")
+	g.AddNode(mcmpart.Node{Name: "fc", Op: mcmpart.OpKind(4), FLOPs: 1e9, ParamBytes: 1 << 40, OutputBytes: 1 << 10})
+	_, err = cl.Plan(context.Background(), g, mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 5, UseSimulator: true})
+	check("exhausted search", err, mcmpart.ErrNoPlan, http.StatusUnprocessableEntity)
+}
 
 // TestClientErrorMappingTable pins the bidirectional error contract of the
 // HTTP API: every status code the daemon emits round-trips through Client
@@ -58,6 +203,20 @@ func TestClientErrorMappingTable(t *testing.T) {
 			message:  "mcmpart: service is closed",
 		},
 		{
+			name:     "500 internal error is ErrPlanPanic",
+			status:   http.StatusInternalServerError,
+			body:     `{"error":"mcmpart: plan panicked: poisoned request"}`,
+			sentinel: mcmpart.ErrPlanPanic,
+			message:  "mcmpart: plan panicked: poisoned request",
+		},
+		{
+			name:     "422 unprocessable is ErrNoPlan",
+			status:   http.StatusUnprocessableEntity,
+			body:     `{"error":"mcmpart: no valid partition found within 5 samples"}`,
+			sentinel: mcmpart.ErrNoPlan,
+			message:  "mcmpart: no valid partition found within 5 samples",
+		},
+		{
 			name:    "malformed error body keeps the raw text",
 			status:  http.StatusBadGateway,
 			body:    "upstream exploded\n",
@@ -71,7 +230,6 @@ func TestClientErrorMappingTable(t *testing.T) {
 			message:  `{"error":""}`,
 		},
 	}
-	sentinels := []error{mcmpart.ErrBusy, mcmpart.ErrServiceClosed, mcmpart.ErrPolicyRequired, mcmpart.ErrInvalidRequest}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -94,11 +252,7 @@ func TestClientErrorMappingTable(t *testing.T) {
 			if ae.Message != tc.message {
 				t.Fatalf("Message = %q, want %q", ae.Message, tc.message)
 			}
-			for _, s := range sentinels {
-				if match := errors.Is(err, s); match != (s == tc.sentinel) {
-					t.Errorf("errors.Is(err, %v) = %t, want %t", s, match, s == tc.sentinel)
-				}
-			}
+			onlySentinel(t, err, tc.sentinel)
 		})
 	}
 }

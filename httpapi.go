@@ -34,12 +34,15 @@ import (
 // (JobStatus.RequestID), and attached to the structured request log line.
 //
 // Errors are {"error": "..."} with a meaningful status code: 400 for
-// malformed requests, 404 for unknown jobs, 413 for a body over
-// maxRequestBytes, 429 when admission sheds load (ErrBusy), 503 when the
-// service is closed or draining. 429 and 503
-// carry a Retry-After header — both are transient by contract (a
-// draining daemon is typically being replaced), so clients with retry
-// enabled honor it and try again.
+// malformed requests, 404 for unknown jobs, 409 when a method needs a
+// policy none is installed for (ErrPolicyRequired), 413 for a body over
+// maxRequestBytes, 422 when the search found no valid partition
+// (ErrNoPlan), 429 when admission sheds load (ErrBusy), 500 when the plan
+// panicked (ErrPlanPanic), 503 when the service is closed or draining.
+// 429 and 503 carry a Retry-After header — both are transient by contract
+// (a draining daemon is typically being replaced), so clients with retry
+// enabled honor it and try again. 422 and 500 are not retried: a plan is a
+// pure function of its key, so the same request fails the same way.
 
 // PlanOptionsWire is the JSON form of PlanOptions (Progress is not
 // serializable and has a polling equivalent in JobStatus).
@@ -414,6 +417,12 @@ func writeServiceError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrPolicyRequired):
 		// A servable configuration issue, not a malformed request.
 		code = http.StatusConflict
+	case errors.Is(err, ErrPlanPanic):
+		// The server's fault, not the caller's.
+		code = http.StatusInternalServerError
+	case errors.Is(err, ErrNoPlan):
+		// A well-formed request the search could not satisfy.
+		code = http.StatusUnprocessableEntity
 	case errors.Is(err, ErrInvalidRequest):
 		// Explicit, though it matches the default: the sentinel is part of
 		// the wire contract and must stay 400 even if the default moves.

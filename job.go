@@ -79,11 +79,9 @@ func RequestIDFrom(ctx context.Context) string {
 // Job is one asynchronous plan submitted to a Service. A Job is handed out
 // by Service.Submit and remains valid after completion (the Service retains
 // a bounded history of terminal jobs for status queries). The retained
-// result is isolated like a cache entry: it goes in and comes out through
-// cloneResult, so no two callers (and no caller plus the retained copy)
-// ever alias the same Result.
-//
-//mcmlint:deepcopy cloneResult
+// result is never handed out: Result returns a deep copy each time, so no
+// two callers (and no caller plus what the Service keeps) ever alias the
+// same Result.
 type Job struct {
 	id string
 	// requestID is the caller's correlation ID (immutable after Submit).
@@ -142,7 +140,9 @@ func (j *Job) Status() JobStatus {
 
 // Result returns the job's result and error once terminal ((nil, nil)
 // before then). A cancelled job may carry both: the best-so-far result and
-// the cancellation error.
+// the cancellation error. The result is the caller's own: this is the one
+// place a plan leaves the Service, and the one deep copy on its way (the
+// isolation contract, DESIGN.md §8).
 func (j *Job) Result() (*Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -198,9 +198,12 @@ func (j *Job) recordProgress(ev ProgressEvent) {
 
 // finish moves the job to a terminal state exactly once, reporting whether
 // this call made the transition. res is in canonical node order (see
-// canonicalize); the retained copy is in the job's own. The winner must
-// call release once its accounting is done: Done() does not fire here, so
-// that a waiter it wakes finds the service's counters already moved.
+// canonicalize) and shared with whatever else the Service keeps for the key
+// — a cache entry, the flight's other jobs — so finish reads it and never
+// writes it: the retained result is res's fields around a partition of its
+// own, in the job's node order. The winner must call release once its
+// accounting is done: Done() does not fire here, so that a waiter it wakes
+// finds the service's counters already moved.
 func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -208,11 +211,14 @@ func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 		return false
 	}
 	j.state = state
-	j.result = cloneResult(res)
+	j.result = res
 	if res != nil && len(j.pos) == len(res.Partition) {
+		own := *res
+		own.Partition = make(Partition, len(j.pos))
 		for v, p := range j.pos {
-			j.result.Partition[v] = res.Partition[p]
+			own.Partition[v] = res.Partition[p]
 		}
+		j.result = &own
 	}
 	j.pos = nil
 	j.err = err

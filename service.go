@@ -35,7 +35,8 @@ var (
 	ErrPolicyRequired = errors.New("mcmpart: a pre-trained policy is required")
 	// ErrPlanPanic wraps a panic recovered from a planning worker: the job
 	// fails with a typed error and the service keeps serving — one
-	// poisoned request must not take the node down.
+	// poisoned request must not take the node down. Over HTTP it maps to
+	// 500, which Client maps back and does not retry.
 	ErrPlanPanic = errors.New("mcmpart: plan panicked")
 	// ErrInvalidRequest wraps every request-validation failure — a nil
 	// graph, a negative budget or seed, an unknown method. Over HTTP it
@@ -45,7 +46,8 @@ var (
 	ErrInvalidRequest = errors.New("mcmpart: invalid request")
 	// ErrNoPlan is returned by Plan when the search exhausts its sample
 	// budget without finding any valid partition, and by the baseline
-	// stage when even the greedy layout does not fit the package.
+	// stage when even the greedy layout does not fit the package. Over HTTP
+	// it maps to 422, which Client maps back and does not retry.
 	ErrNoPlan = errors.New("mcmpart: no valid partition found")
 )
 
@@ -190,7 +192,8 @@ type PlanRequest struct {
 //     (ServiceOptions.CacheDir) that survives restarts;
 //   - single-flight coalescing: concurrent requests for the same cache key
 //     share one in-flight computation (the leader plans; followers wait
-//     under their own contexts and receive deep copies of its result);
+//     under their own contexts and receive its result in their own node
+//     order);
 //   - a policy registry (directory-backed) with automatic selection of the
 //     newest matching policy at plan time;
 //   - an async job API — Submit/Job.Wait/Status/Cancel and PlanBatch —
@@ -612,17 +615,19 @@ type admission struct {
 // key up (memory tier, then disk), and admit the miss — coalesced onto the
 // key's in-flight plan if there is one, enqueued as a new flight's leader
 // otherwise; a pool worker then runs the flight. A lookup hit returns an
-// already-terminal job carrying a copy of the result (Status().Cached)
+// already-terminal job carrying the cached result (Status().Cached)
 // without consuming a worker. A coalesced job (Status().Coalesced) waits
-// for the leader's plan and receives a deep copy of it, without invoking
-// the planner. Cancelling a coalesced job detaches it without disturbing
-// the leader; cancelling the leader promotes a waiting follower to re-plan,
-// so followers never lose their result to someone else's cancellation.
+// for the leader's plan and receives it without invoking the planner.
+// Cancelling a coalesced job detaches it without disturbing the leader;
+// cancelling the leader promotes a waiting follower to re-plan, so
+// followers never lose their result to someone else's cancellation.
 //
 // Whatever is kept for a key — cache entries, the flight's outcome — is in
 // canonical node order; the job maps it to the submitted graph's own node
 // IDs (Job.finish), so a request for the same model in another insertion
-// order gets a partition that fits its graph.
+// order gets a partition that fits its graph. None of it is ever handed
+// out or written again: the jobs of a key share it, and Job.Result makes
+// the one deep copy a caller receives.
 func (s *Service) Submit(ctx context.Context, req PlanRequest) (*Job, error) {
 	a := admission{start: s.now(), rid: RequestIDFrom(ctx)}
 	if err := s.normalize(ctx, req, &a); err != nil {
@@ -922,9 +927,9 @@ func (s *Service) resolveFlight(fl *flight, leader *Job, state JobState, res *Re
 }
 
 // finishJob is the terminal transition, and the single point where a
-// result is handed to a job: Job.finish clones it on retention (and
-// Job.Result on the way out), so no caller can corrupt another's result,
-// and maps it from canonical order to the job's own node IDs. It updates
+// result is handed to a job: Job.finish maps it from canonical order to the
+// job's own node IDs without writing to it, and Job.Result copies on the
+// way out, so no caller can corrupt another's result. It updates
 // the terminal counters and feeds the retention queue, and only then fires
 // the job's Done() and releases its drain count — whoever Done() wakes sees
 // Stats() that already include this job. Safe to call twice (only the

@@ -23,7 +23,6 @@ import (
 //     for interface shape only and declared they will not check it).
 var ctxloopAnalyzer = &Analyzer{
 	Name: "ctxloop",
-	Doc:  "for loops in context-taking functions must consult ctx so cancellation stops them at a sample boundary",
 	Run:  runCtxloop,
 }
 

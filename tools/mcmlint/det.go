@@ -4,85 +4,33 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// detAnalyzer is the determinism lint detlint pioneered, now analyzer #1
-// of the suite. In packages annotated //mcmlint:deterministic it flags the
-// three patterns that have historically broken byte-reproducibility of
-// plans, sweeps, and fingerprints:
-//
-//  1. time.Now — wall-clock reads inside deterministic packages.
-//     Timestamps must be threaded in by the caller (cmd/ layers stamp
-//     results; the planning core never looks at a clock).
-//  2. Global math/rand functions (rand.Intn, rand.Float64, rand.Shuffle,
-//     …) — process-global RNG state is seeded outside the scenario seed
-//     discipline. Constructor calls (rand.New, rand.NewSource,
-//     rand.NewZipf) are fine; everything must flow from an explicit
-//     *rand.Rand.
-//  3. Ranging over a map while appending into an output slice, without a
-//     sort of that slice later in the same block — map iteration order is
-//     randomized per run, so the output ordering leaks nondeterminism.
-//     The deterministic idiom (collect keys, sort, then index) is
-//     accepted.
+// detAnalyzer enforces byte-reproducibility in packages annotated
+// //mcmlint:deterministic. Two of its three rules are rows of callRules
+// (forbid.go): no time.Now, no draw from the global math/rand source. The
+// third is its own: ranging over a map while appending into an output
+// slice, without a sort of that slice later in the same block — map
+// iteration order is randomized per run, so the output ordering leaks
+// nondeterminism. The deterministic idiom (collect keys, sort, then index)
+// is accepted.
 var detAnalyzer = &Analyzer{
 	Name: "det",
-	Doc:  "flags time.Now, global math/rand draws, and unsorted map-range output in //mcmlint:deterministic packages",
-	Run:  runDet,
-}
-
-func runDet(pass *Pass) {
-	if !pass.HasDirective("deterministic") {
-		return
-	}
-	for _, file := range pass.Files {
-		detFile(pass, file)
-	}
-}
-
-func detFile(pass *Pass, file *ast.File) {
-	timeName := importName(file, "time")
-	randName := importName(file, "math/rand")
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			// Only calls count: rand.Rand / rand.Source in type positions
-			// are exactly the seeded style the lint pushes toward.
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if timeName != "" && id.Name == timeName && sel.Sel.Name == "Now" {
-				pass.Reportf(n.Pos(), "time.Now in a deterministic package: thread timestamps in from the caller")
-			}
-			if randName != "" && id.Name == randName && globalRandFunc(sel.Sel.Name) {
-				pass.Reportf(n.Pos(), "global math/rand state (%s.%s): derive a *rand.Rand from the scenario seed with rand.New(rand.NewSource(seed))", randName, sel.Sel.Name)
-			}
-		case *ast.BlockStmt:
-			detMapRanges(pass, n)
+	Run: func(pass *Pass) {
+		if !pass.HasDirective("deterministic") {
+			return
 		}
-		return true
-	})
-}
-
-// globalRandFunc reports whether name is a math/rand package-level function
-// that consumes the process-global RNG. Constructors are exempt.
-func globalRandFunc(name string) bool {
-	switch name {
-	case "New", "NewSource", "NewZipf":
-		return false
-	case "Rand", "Source", "Source64", "Zipf":
-		// Type names: a rand.Source(x) conversion is not a global draw.
-		return false
-	}
-	// Every other exported rand.X call site draws from the global source
-	// (rand.Intn, rand.Perm, rand.Shuffle, rand.Seed, rand.Read, …).
-	return true
+		pass.reportForbiddenCalls()
+		for _, file := range pass.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if block, ok := n.(*ast.BlockStmt); ok {
+					detMapRanges(pass, block)
+				}
+				return true
+			})
+		}
+	},
 }
 
 // detMapRanges flags `for … := range m` statements over maps whose body
@@ -190,26 +138,4 @@ func sortedLater(stmts []ast.Stmt, targets []string) bool {
 		}
 	}
 	return false
-}
-
-// importName returns the local name under which path is imported in file
-// ("" when absent, the last path element when unaliased).
-func importName(file *ast.File, path string) string {
-	for _, imp := range file.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
 }

@@ -21,8 +21,6 @@ type Analyzer struct {
 	// Name is the identifier used in diagnostics tags and ignore
 	// directives.
 	Name string
-	// Doc is a one-line description of the contract the analyzer enforces.
-	Doc string
 	// Run performs the check over one package unit.
 	Run func(*Pass)
 }
@@ -31,7 +29,6 @@ type Analyzer struct {
 // means appending here and bumping lintVersion (the vet cache key).
 var allAnalyzers = []*Analyzer{
 	detAnalyzer,
-	deepcopyAnalyzer,
 	ctxloopAnalyzer,
 	hotallocAnalyzer,
 	guardedAnalyzer,
@@ -117,6 +114,8 @@ type unit struct {
 	// framework holds diagnostics about the directives themselves
 	// (missing reason, unknown analyzer). Not suppressible.
 	framework []finding
+	// callHits memoizes forbiddenCalls, by reporting analyzer.
+	callHits map[string][]callHit
 }
 
 func (u *unit) suppressed(f finding) bool {
@@ -158,12 +157,6 @@ func (u *unit) scanComment(c *ast.Comment) {
 			return
 		}
 		u.directives[verb] = true
-	case "deepcopy":
-		// Validated here; interpreted by the deepcopy analyzer, which
-		// reads it off the annotated type's doc comment.
-		if len(args) != 1 {
-			u.frameworkf(c.Pos(), "//mcmlint:deepcopy needs exactly one argument: the clone helper, e.g. //mcmlint:deepcopy cloneResult")
-		}
 	case "ignore":
 		if len(args) == 0 {
 			u.frameworkf(c.Pos(), "//mcmlint:ignore needs an analyzer name and a reason: //mcmlint:ignore <analyzer> <reason>")
@@ -184,7 +177,7 @@ func (u *unit) scanComment(c *ast.Comment) {
 		}
 		u.ignores[key][name] = true
 	default:
-		u.frameworkf(c.Pos(), "unknown //mcmlint:%s directive (have deterministic, hotpath, errcontract, deepcopy, ignore)", verb)
+		u.frameworkf(c.Pos(), "unknown //mcmlint:%s directive (have deterministic, hotpath, errcontract, ignore)", verb)
 	}
 }
 

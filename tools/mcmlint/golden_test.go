@@ -116,9 +116,6 @@ func runGolden(t *testing.T, analyzer *Analyzer, dir string) {
 }
 
 func TestGoldenDet(t *testing.T) { runGolden(t, detAnalyzer, filepath.Join("testdata", "det")) }
-func TestGoldenDeepcopy(t *testing.T) {
-	runGolden(t, deepcopyAnalyzer, filepath.Join("testdata", "deepcopy"))
-}
 func TestGoldenCtxloop(t *testing.T) {
 	runGolden(t, ctxloopAnalyzer, filepath.Join("testdata", "ctxloop"))
 }

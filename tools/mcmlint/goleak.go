@@ -25,7 +25,6 @@ import (
 // in review (e.g. a goroutine bounded by closing a net.Listener).
 var goleakAnalyzer = &Analyzer{
 	Name: "goleak",
-	Doc:  "every go statement must be tied to a shutdown signal (ctx, channel, or WaitGroup) or carry a reasoned ignore",
 	Run:  runGoleak,
 }
 

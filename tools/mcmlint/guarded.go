@@ -45,7 +45,6 @@ import (
 // //mcmlint:ignore guarded <reason> covers everything else.
 var guardedAnalyzer = &Analyzer{
 	Name: "guarded",
-	Doc:  "fields annotated `// guarded by <mu>` must only be accessed while that mutex is held on every path",
 	Run:  runGuarded,
 }
 
@@ -294,7 +293,13 @@ type guardIssue struct {
 // violations come back as issues, annotations that fail drop out of the
 // collection.
 func guardedFields(pass *Pass) (map[string]map[string]guardSpec, []guardIssue) {
+	type annotated struct {
+		typeName string
+		field    *ast.Field
+		guard    guardSpec
+	}
 	structs := map[string]map[string]bool{} // type name -> field set
+	var anns []annotated
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -315,6 +320,9 @@ func guardedFields(pass *Pass) (map[string]map[string]guardSpec, []guardIssue) {
 					for _, n := range f.Names {
 						fields[n.Name] = true
 					}
+					if g, ok := guardAnnotation(f); ok {
+						anns = append(anns, annotated{ts.Name.Name, f, g})
+					}
 				}
 				structs[ts.Name.Name] = fields
 			}
@@ -323,49 +331,21 @@ func guardedFields(pass *Pass) (map[string]map[string]guardSpec, []guardIssue) {
 
 	out := map[string]map[string]guardSpec{}
 	var issues []guardIssue
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
+	for _, a := range anns {
+		g := a.guard
+		switch ownerFields, declared := structs[g.owner]; {
+		case g.owner == "" && !structs[a.typeName][g.mu]:
+			issues = append(issues, guardIssue{a.field.Pos(), fmt.Sprintf("field is `guarded by %s` but %s.%s does not exist: the guard must be a sibling field (or use the Type.field form)", g.mu, a.typeName, g.mu)})
+		case g.owner != "" && !declared:
+			issues = append(issues, guardIssue{a.field.Pos(), fmt.Sprintf("field is `guarded by %s.%s` but type %s is not declared in this package", g.owner, g.mu, g.owner)})
+		case g.owner != "" && !ownerFields[g.mu]:
+			issues = append(issues, guardIssue{a.field.Pos(), fmt.Sprintf("field is `guarded by %s.%s` but %s has no field %s", g.owner, g.mu, g.owner, g.mu)})
+		default:
+			if out[a.typeName] == nil {
+				out[a.typeName] = map[string]guardSpec{}
 			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || st.Fields == nil {
-					continue
-				}
-				for _, f := range st.Fields.List {
-					g, ok := guardAnnotation(f)
-					if !ok {
-						continue
-					}
-					if g.owner == "" {
-						if !structs[ts.Name.Name][g.mu] {
-							issues = append(issues, guardIssue{f.Pos(), fmt.Sprintf("field is `guarded by %s` but %s.%s does not exist: the guard must be a sibling field (or use the Type.field form)", g.mu, ts.Name.Name, g.mu)})
-							continue
-						}
-					} else {
-						ownerFields, declared := structs[g.owner]
-						if !declared {
-							issues = append(issues, guardIssue{f.Pos(), fmt.Sprintf("field is `guarded by %s.%s` but type %s is not declared in this package", g.owner, g.mu, g.owner)})
-							continue
-						}
-						if !ownerFields[g.mu] {
-							issues = append(issues, guardIssue{f.Pos(), fmt.Sprintf("field is `guarded by %s.%s` but %s has no field %s", g.owner, g.mu, g.owner, g.mu)})
-							continue
-						}
-					}
-					for _, n := range f.Names {
-						if out[ts.Name.Name] == nil {
-							out[ts.Name.Name] = map[string]guardSpec{}
-						}
-						out[ts.Name.Name][n.Name] = g
-					}
-				}
+			for _, n := range a.field.Names {
+				out[a.typeName][n.Name] = g
 			}
 		}
 	}

@@ -15,9 +15,8 @@ import (
 //   - append into a slice the function declared without capacity
 //     (`var s []T` / `s := []T{}`): every growth step reallocates and
 //     copies; preallocate with make(len/cap) outside the loop;
-//   - fmt formatting calls outside cold paths (arguments box to
-//     interfaces and the verb string is re-parsed per iteration; calls
-//     inside return/panic error paths are exempt — they run once);
+//   - fmt formatting calls outside cold paths — a row of callRules
+//     (forbid.go), sharing ancestorContext's notion of hot and cold;
 //   - function literals that capture enclosing-function variables: the
 //     capture forces the closure (and captured slots) to escape to the
 //     heap on every iteration; hoist the literal or pass values as
@@ -29,7 +28,6 @@ import (
 //     iteration.
 var hotallocAnalyzer = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flags per-iteration allocation patterns inside loops of //mcmlint:hotpath packages",
 	Run:  runHotalloc,
 }
 
@@ -37,14 +35,12 @@ func runHotalloc(pass *Pass) {
 	if !pass.HasDirective("hotpath") {
 		return
 	}
+	pass.reportForbiddenCalls()
 	for _, file := range pass.Files {
-		fmtName := importName(file, "fmt")
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkHotFunc(pass, fd)
 			}
-			checkHotFunc(pass, fd, fmtName)
 		}
 	}
 }
@@ -55,7 +51,7 @@ func runHotalloc(pass *Pass) {
 // called, not per iteration of the loop that builds it), and a node is
 // cold when an ancestor is a return, defer, or panic (one-shot exit
 // paths, not steady-state iterations).
-func checkHotFunc(pass *Pass, fd *ast.FuncDecl, fmtName string) {
+func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 	decls := sliceDecls(fd)
 	var stack []ast.Node
 	ast.Inspect(fd, func(n ast.Node) bool {
@@ -71,17 +67,9 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl, fmtName string) {
 				checkHotAppend(pass, n, decls)
 			}
 		case *ast.CallExpr:
-			if depth == 0 || cold {
-				return true
+			if depth > 0 && !cold {
+				checkInterfaceConversion(pass, n)
 			}
-			if fmtName != "" {
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					if base, ok := sel.X.(*ast.Ident); ok && base.Name == fmtName {
-						pass.Reportf(n.Pos(), "fmt.%s inside a hot loop: arguments box to interfaces and the format is re-parsed per iteration; move formatting to the cold path", sel.Sel.Name)
-					}
-				}
-			}
-			checkInterfaceConversion(pass, n)
 		case *ast.FuncLit:
 			if depth > 0 && !cold && !handedToNonRetainingCall(pass, stack, n) {
 				if name := capturedVar(pass, fd, n); name != "" {

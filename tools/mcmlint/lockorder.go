@@ -41,7 +41,6 @@ import (
 // TryLock is treated as an unconditional acquire.
 var lockorderAnalyzer = &Analyzer{
 	Name: "lockorder",
-	Doc:  "the lock-acquisition graph must be acyclic; report lock-order inversions with both sites named",
 	Run:  runLockorder,
 }
 
