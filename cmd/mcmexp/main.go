@@ -26,12 +26,12 @@
 // Quick scale (default) runs reduced budgets sized for one CPU core; full
 // scale runs the paper's budgets (see DESIGN.md for the mapping).
 //
-// -workers bounds the experiment fan-out (trials, rollout collection,
-// corpus sampling, large matmuls); it defaults to all CPUs. Results are
-// bit-for-bit identical for a given -seed at any -workers value — the
-// worker pool splits work by item index and derives each item's randomness
-// from (seed, index), so parallelism changes wall-clock only (see
-// DESIGN.md, "Parallel execution engine").
+// -workers is the CPU budget every fan-out in the process shares (trials,
+// rollout collection, corpus sampling, large matmuls), however they nest;
+// it defaults to all CPUs. Results are bit-for-bit identical for a given
+// -seed at any -workers value — work splits by item index and each item's
+// randomness derives from (seed, index), so parallelism changes wall-clock
+// only (see DESIGN.md, "Parallel execution engine").
 package main
 
 import (
@@ -52,7 +52,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "scale: quick or full")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", runtime.NumCPU(),
-		"worker-pool size for trials/rollouts/sampling (results are identical at any value)")
+		"CPU budget every fan-out in the process shares: trials, rollouts, sampling, kernels (results are identical at any value)")
 	mcmList := flag.String("mcm", "", "comma-separated package presets for the hetero sweep (default dev4,het4,dev8,dev8bi,mesh16)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no deadline)")
 	flag.Parse()

@@ -38,10 +38,11 @@
 // is set) and exits without planning — the pre-training work is preserved
 // either way.
 //
-// -workers bounds the worker pool the RL method's rollout collection and
-// the math kernels fan out over (default: all CPUs). The chosen partition
-// is bit-for-bit identical for a given -seed at any -workers value; the
-// flag trades wall-clock only.
+// -workers is the CPU budget rollout collection, pre-training's validation
+// scoring and the math kernels all draw their goroutines from, however
+// they nest (default: all CPUs). The chosen partition is bit-for-bit
+// identical for a given -seed at any -workers value; the flag trades
+// wall-clock only.
 package main
 
 import (
@@ -67,7 +68,7 @@ func main() {
 	budget := flag.Int("budget", 200, "sample budget for search methods")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", runtime.NumCPU(),
-		"worker-pool size for rollouts and kernels (results are identical at any value)")
+		"CPU budget every fan-out in the process shares: rollouts, validation scoring, kernels (results are identical at any value)")
 	sim := flag.Bool("sim", false, "evaluate candidates on the hardware simulator (slower, checks memory)")
 	dotPath := flag.String("dot", "", "also write the partitioned graph as Graphviz DOT")
 	pretrainN := flag.Int("pretrain", 0, "pre-train on the first N synthetic corpus graphs before planning")
@@ -124,7 +125,7 @@ func main() {
 		if *pretrainN > len(corpus) {
 			fatal(fmt.Errorf("-pretrain %d exceeds the %d-graph corpus", *pretrainN, len(corpus)))
 		}
-		opts := mcmpart.PretrainOptions{Seed: *seed, Workers: *workers}
+		opts := mcmpart.PretrainOptions{Seed: *seed}
 		if *progress {
 			opts.Progress = progressFunc("pretrain")
 		}

@@ -25,8 +25,8 @@
 // the plan cache in entries (0 keeps the default 256, negative disables).
 // -cache-dir adds a crash-safe persistent plan-cache tier under the
 // in-memory cache: completed plans are written through and survive daemon
-// restarts bit-identically. -workers sets the process-wide compute worker
-// default used inside each plan (kernels, rollout collection).
+// restarts bit-identically. -workers sets the process-wide compute budget
+// the running plans share between them (kernels, rollout collection).
 //
 // On SIGINT/SIGTERM the daemon drains instead of dropping work: admission
 // stops immediately (new plans get 503 + Retry-After, so a load balancer
@@ -101,7 +101,7 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 	cacheEntries := fs.Int("cache", 0, "plan cache entries (0 = default 256, negative disables)")
 	cacheDir := fs.String("cache-dir", "", "persistent plan cache directory (created if missing); plans survive restarts")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long a shutdown signal lets in-flight plans finish before cancelling them (best-so-far results are kept)")
-	workers := fs.Int("workers", runtime.NumCPU(), "compute workers per plan (kernels, rollouts)")
+	workers := fs.Int("workers", runtime.NumCPU(), "compute budget the running plans share (kernels, rollouts)")
 	logJSON := fs.Bool("log-json", false, "emit request logs as JSON (default: logfmt-style text)")
 	if err := fs.Parse(args); err != nil {
 		return 2

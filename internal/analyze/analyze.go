@@ -416,10 +416,6 @@ func (a *Analysis) probeK(k int) bool {
 // Chips returns the package chip count C.
 func (a *Analysis) Chips() int { return a.chips }
 
-// KRange returns the smallest and largest usable chip-prefix sizes the
-// analysis admits; kMax < kMin means the instance is infeasible.
-func (a *Analysis) KRange() (kMin, kMax int) { return a.kMin, a.kMax }
-
 // FeasibleK returns the chip-prefix sizes that survive per-K domain
 // propagation (nil when the instance is infeasible). Callers must not
 // mutate the slice.

@@ -45,10 +45,6 @@ func TestChainDomainsAndKRange(t *testing.T) {
 	// Aggregate capacity would admit K=3 (24 MiB over 3 chips) but node
 	// granularity does not (at most 2 nodes per chip); the greedy
 	// chunk-fill propagation closes that integrality gap.
-	kMin, kMax := a.KRange()
-	if kMin != 4 || kMax != 4 {
-		t.Fatalf("KRange = [%d,%d], want [4,4]", kMin, kMax)
-	}
 	if got := a.FeasibleK(); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("FeasibleK = %v, want [4]", got)
 	}
@@ -169,7 +165,7 @@ func TestComputeBoundSoundOnSegmentations(t *testing.T) {
 }
 
 func TestInfeasibleWeights(t *testing.T) {
-	pkg := mcm.Dev4() // 32 MiB total
+	pkg := mcm.Dev4()            // 32 MiB total
 	g := chain(t, 8, 1e9, 8<<20) // 64 MiB of weights
 	a, err := New(g, pkg)
 	if err != nil {

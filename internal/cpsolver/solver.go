@@ -239,10 +239,6 @@ func (s *Solver) StatsSnapshot() Stats { return s.stats }
 // Domain returns node u's current domain (the paper's get_domain).
 func (s *Solver) Domain(u int) Domain { return s.doms[u] }
 
-// NumDecisions returns the current decision index i of Algorithms 1 and 2:
-// the number of decisions currently on the stack.
-func (s *Solver) NumDecisions() int { return len(s.decisions) }
-
 // Reset rewinds the solver to the root state (no decisions) and clears the
 // backtrack budget and statistics. Domains return to their
 // post-root-propagation values.

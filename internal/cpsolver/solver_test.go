@@ -298,8 +298,8 @@ func TestResetRestoresDomains(t *testing.T) {
 			t.Fatalf("dom(%d) = %v after Reset, want %v", v, s.Domain(v), full)
 		}
 	}
-	if s.NumDecisions() != 0 {
-		t.Fatalf("decisions = %d after Reset", s.NumDecisions())
+	if len(s.decisions) != 0 {
+		t.Fatalf("decisions = %d after Reset", len(s.decisions))
 	}
 }
 

@@ -4,21 +4,39 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"mcmpart/internal/parallel"
 )
 
-// det5Cfg returns a Figure 5 configuration small enough to run twice in a
-// unit test while still exercising every stage: pre-training, validation
-// checkpoint scoring, and all five methods on the test graphs.
-func det5Cfg(workers int) Fig5Config {
-	return Fig5Config{
-		Scale:           ScaleQuick,
-		Seed:            1,
-		SampleBudget:    30,
-		PretrainSamples: 60,
-		TestGraphs:      2,
-		TrainGraphs:     2,
-		Workers:         workers,
-	}
+// withWorkers runs fn under a temporary process-default worker count, the
+// budget every fan-out in a run reserves its lanes from.
+func withWorkers(w int, fn func()) {
+	old := parallel.Default()
+	parallel.SetDefault(w)
+	defer parallel.SetDefault(old)
+	fn()
+}
+
+// det5 runs Figure 5 at the given worker count, in a configuration small
+// enough to run twice in a unit test while still exercising every stage:
+// pre-training, validation checkpoint scoring, and all five methods on the
+// test graphs.
+func det5(t *testing.T, workers int) (res *Fig5Result) {
+	withWorkers(workers, func() {
+		var err error
+		res, err = Figure5(context.Background(), Fig5Config{
+			Scale:           ScaleQuick,
+			Seed:            1,
+			SampleBudget:    30,
+			PretrainSamples: 60,
+			TestGraphs:      2,
+			TrainGraphs:     2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	return res
 }
 
 // TestFigure5WorkerCountDeterminism pins the experiment engine's contract
@@ -29,14 +47,7 @@ func TestFigure5WorkerCountDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full Figure 5 runs")
 	}
-	r1, err := Figure5(context.Background(), det5Cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := Figure5(context.Background(), det5Cfg(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r8 := det5(t, 1), det5(t, 8)
 	for _, m := range Methods {
 		if !reflect.DeepEqual(r1.Curves[m], r8.Curves[m]) {
 			t.Fatalf("%s curve differs between workers=1 and workers=8", m)
@@ -53,17 +64,16 @@ func TestFigure5WorkerCountDeterminism(t *testing.T) {
 // TestFigure7WorkerCountDeterminism pins the sampling fan-out: the scatter,
 // correlation, and invalid rate are identical at workers=1 and workers=8.
 func TestFigure7WorkerCountDeterminism(t *testing.T) {
-	cfg := func(w int) Fig7Config {
-		return Fig7Config{Scale: ScaleQuick, Seed: 1, Samples: 60, Workers: w}
+	run := func(w int) (res *Fig7Result) {
+		withWorkers(w, func() {
+			var err error
+			if res, err = Figure7(Fig7Config{Scale: ScaleQuick, Seed: 1, Samples: 60}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return res
 	}
-	r1, err := Figure7(cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := Figure7(cfg(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r8 := run(1), run(8)
 	if !reflect.DeepEqual(r1.Predicted, r8.Predicted) || !reflect.DeepEqual(r1.Measured, r8.Measured) {
 		t.Fatal("calibration scatter differs between workers=1 and workers=8")
 	}
@@ -79,22 +89,21 @@ func TestFigure6WorkerCountDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two BERT trial sweeps")
 	}
-	f5, err := Figure5(context.Background(), det5Cfg(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(w int) *Fig6Result {
-		res, err := Figure6(context.Background(), Fig6Config{
-			Scale:        ScaleQuick,
-			Seed:         1,
-			SampleBudget: 24,
-			Pretrained:   f5.Pretrained,
-			PolicyCfg:    f5.PolicyCfg,
-			Workers:      w,
+	f5 := det5(t, 8)
+	run := func(w int) (res *Fig6Result) {
+		withWorkers(w, func() {
+			var err error
+			res, err = Figure6(context.Background(), Fig6Config{
+				Scale:        ScaleQuick,
+				Seed:         1,
+				SampleBudget: 24,
+				Pretrained:   f5.Pretrained,
+				PolicyCfg:    f5.PolicyCfg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return res
 	}
 	r1, r8 := run(1), run(8)

@@ -125,7 +125,8 @@ func TestFigure7HonoursPerChipCapacity(t *testing.T) {
 			pkg.ChipSRAMBytes[c] = pkg.SRAMBytes / 4
 		}
 	}
-	_, err := Figure7(Fig7Config{Pkg: pkg, Seed: 3, Samples: 8, Workers: 2})
+	var err error
+	withWorkers(2, func() { _, err = Figure7(Fig7Config{Pkg: pkg, Seed: 3, Samples: 8}) })
 	if !errors.Is(err, cpsolver.ErrInfeasible) {
 		t.Fatalf("err = %v, want cpsolver.ErrInfeasible", err)
 	}

@@ -31,10 +31,6 @@ type Fig5Config struct {
 	// TrainGraphs caps how many of the 66 training graphs the quick scale
 	// uses (0 = all).
 	TrainGraphs int
-	// Workers bounds the trial fan-out (0 = process default). Trials are
-	// seeded per (graph, method) item, so results are identical at any
-	// worker count.
-	Workers int
 }
 
 // withDefaults fills the scale-dependent budgets.
@@ -100,16 +96,13 @@ func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 		train = train[:cfg.TrainGraphs]
 	}
 	factory := func(g *graph.Graph) (*rl.Env, error) { return newEnv(g, cfg.Pkg, ev) }
-	ppoCfg := ppoConfig(cfg.Scale)
-	ppoCfg.Workers = cfg.Workers
 	pre, err := pretrain.Run(ctx, train, ds.Validation, factory, pretrain.Config{
 		Policy:            policyCfg,
-		PPO:               ppoCfg,
+		PPO:               ppoConfig(cfg.Scale),
 		TotalSamples:      cfg.PretrainSamples,
 		Checkpoints:       10,
 		ValidationSamples: 8,
 		Seed:              cfg.Seed,
-		Workers:           cfg.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -128,17 +121,14 @@ func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 	}
 	// The (graph, method) trials are independent — each builds its own
 	// environment and derives its RNG from the pair's fixed seed — so they
-	// fan out across the worker pool with results assembled in index order.
-	// Nested rollout fan-out is disabled while trials themselves run
-	// concurrently; by the determinism contract that changes wall-clock
+	// fan out across the lanes the process budget grants, results assembled
+	// in index order. A trial's own rollout fan-out finds the budget drawn
+	// down by as much; by the determinism contract that changes wall-clock
 	// only, never results.
 	items := len(test) * len(Methods)
-	workers := parallel.Resolve(cfg.Workers, items)
-	trialPPO := ppoConfig(cfg.Scale)
-	if workers > 1 {
-		trialPPO.Workers = 1
-	}
-	hists, err := parallel.MapErr(workers, items, func(idx int) ([]float64, error) {
+	lanes := parallel.AcquireLanes(items - 1)
+	defer parallel.ReleaseLanes(lanes)
+	hists, err := parallel.MapErr(lanes+1, items, func(idx int) ([]float64, error) {
 		gi, mi := idx/len(Methods), idx%len(Methods)
 		g, m := test[gi], Methods[mi]
 		env, err := newEnv(g, cfg.Pkg, ev)
@@ -146,7 +136,7 @@ func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 			return nil, err
 		}
 		seed := cfg.Seed + int64(gi)*101
-		if err := runMethod(ctx, m, env, policyCfg, trialPPO, pre, cfg.SampleBudget, seed); err != nil {
+		if err := runMethod(ctx, m, env, policyCfg, ppoConfig(cfg.Scale), pre, cfg.SampleBudget, seed); err != nil {
 			return nil, fmt.Errorf("experiments: %s on %s: %w", m, g.Name(), err)
 		}
 		return env.History, nil

@@ -27,9 +27,6 @@ type Fig6Config struct {
 	// SecondsPerSample converts sample counts to the paper's wall-clock
 	// framing (the paper measured 26.97 s per hardware sample).
 	SecondsPerSample float64
-	// Workers bounds the per-method trial fan-out (0 = process default);
-	// results are identical at any worker count.
-	Workers int
 }
 
 func (c Fig6Config) withDefaults() Fig6Config {
@@ -74,7 +71,7 @@ func Figure6(ctx context.Context, cfg Fig6Config) (*Fig6Result, error) {
 	pre := cfg.Pretrained
 	policyCfg := cfg.PolicyCfg
 	if pre == nil {
-		f5, err := Figure5(ctx, Fig5Config{Scale: cfg.Scale, Seed: cfg.Seed, Pkg: cfg.Pkg, Workers: cfg.Workers})
+		f5, err := Figure5(ctx, Fig5Config{Scale: cfg.Scale, Seed: cfg.Seed, Pkg: cfg.Pkg})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: pre-training for Figure 6: %w", err)
 		}
@@ -89,22 +86,18 @@ func Figure6(ctx context.Context, cfg Fig6Config) (*Fig6Result, error) {
 	}
 	// The five strategies are independent trials: each gets its own
 	// environment and a seed derived from its method index, so they fan out
-	// across workers with results identical to a serial run.
-	workers := parallel.Resolve(cfg.Workers, len(Methods))
-	trialPPO := ppoConfig(cfg.Scale)
-	if workers > 1 {
-		trialPPO.Workers = 1
-	} else {
-		trialPPO.Workers = cfg.Workers
-	}
-	hists, err := parallel.MapErr(workers, len(Methods), func(mi int) ([]float64, error) {
+	// across the lanes the process budget grants with results identical to
+	// a serial run.
+	lanes := parallel.AcquireLanes(len(Methods) - 1)
+	defer parallel.ReleaseLanes(lanes)
+	hists, err := parallel.MapErr(lanes+1, len(Methods), func(mi int) ([]float64, error) {
 		m := Methods[mi]
 		env, err := newEnv(bert, cfg.Pkg, ev)
 		if err != nil {
 			return nil, err
 		}
 		seed := cfg.Seed + int64(mi)*733
-		if err := runMethod(ctx, m, env, policyCfg, trialPPO, pre, cfg.SampleBudget, seed); err != nil {
+		if err := runMethod(ctx, m, env, policyCfg, ppoConfig(cfg.Scale), pre, cfg.SampleBudget, seed); err != nil {
 			return nil, fmt.Errorf("experiments: %s on BERT: %w", m, err)
 		}
 		return env.History, nil

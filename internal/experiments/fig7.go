@@ -21,10 +21,6 @@ type Fig7Config struct {
 	// Samples is the number of random solver-valid BERT partitions
 	// (paper: 2000).
 	Samples int
-	// Workers bounds the sampling fan-out (0 = process default). Samples
-	// are seeded per index and drawn on per-worker partitioner replicas,
-	// so the scatter is identical at any worker count.
-	Workers int
 }
 
 func (c Fig7Config) withDefaults() Fig7Config {
@@ -74,19 +70,20 @@ func Figure7(cfg Fig7Config) (*Fig7Result, error) {
 	model := costmodel.New(cfg.Pkg)
 	sim := hwsim.New(cfg.Pkg, hwsim.Options{Seed: cfg.Seed})
 
-	// Draw, predict, and measure samples across the worker pool: sample i
-	// derives its RNG from (Seed, i), and each worker solves on its own
-	// partitioner replica, so the scatter is worker-count independent.
-	// Results assemble in index order below.
+	// Draw, predict, and measure samples across the lanes the process budget
+	// grants: sample i derives its RNG from (Seed, i), and each worker
+	// solves on its own partitioner replica, so the scatter is worker-count
+	// independent. Results assemble in index order below.
 	res := &Fig7Result{Cfg: cfg}
 	predAll := make([]float64, cfg.Samples)
 	intervals := make([]float64, cfg.Samples)
 	validMask := make([]bool, cfg.Samples)
-	workers := parallel.Resolve(cfg.Workers, cfg.Samples)
-	errs := make([]error, workers)
-	parallel.ForEachBlock(workers, cfg.Samples, func(w, lo, hi int) {
+	lanes := parallel.AcquireLanes(cfg.Samples - 1)
+	defer parallel.ReleaseLanes(lanes)
+	errs := make([]error, lanes+1)
+	parallel.ForEachBlock(lanes+1, cfg.Samples, func(w, lo, hi int) {
 		part := pr
-		if workers > 1 {
+		if lanes > 0 {
 			replica, err := cpsolver.NewAutoPkg(bert, cfg.Pkg, cpsolver.Options{})
 			if err != nil {
 				errs[w] = err

@@ -30,10 +30,6 @@ type HeteroConfig struct {
 	// Graph defaults to a 10-layer MLP whose weights fit every preset's
 	// SRAM, including the 8 MiB little dies.
 	Graph *graph.Graph
-	// Workers bounds the per-package fan-out (0 = process default). Each
-	// package's searches derive their RNG from (Seed, packageIndex), so
-	// the sweep is worker-count independent.
-	Workers int
 }
 
 func (c HeteroConfig) withDefaults() HeteroConfig {
@@ -86,13 +82,16 @@ type HeteroResult struct {
 // evaluate the greedy heuristic on the hardware simulator, then let Random
 // search and simulated annealing spend the evaluation budget, all through
 // the package-aware constraint machinery (per-chip capacity bounds on
-// heterogeneous packages, route-aware pricing on every topology).
+// heterogeneous packages, route-aware pricing on every topology). Each
+// package's searches derive their RNG from (Seed, packageIndex), so the
+// sweep is worker-count independent.
 func HeteroSweep(ctx context.Context, cfg HeteroConfig) (*HeteroResult, error) {
 	cfg = cfg.withDefaults()
 	res := &HeteroResult{Cfg: cfg, Rows: make([]HeteroRow, len(cfg.Packages))}
 	errs := make([]error, len(cfg.Packages))
-	workers := parallel.Resolve(cfg.Workers, len(cfg.Packages))
-	parallel.ForEach(workers, len(cfg.Packages), func(i int) {
+	lanes := parallel.AcquireLanes(len(cfg.Packages) - 1)
+	defer parallel.ReleaseLanes(lanes)
+	parallel.ForEach(lanes+1, len(cfg.Packages), func(i int) {
 		pkg := cfg.Packages[i]
 		row := HeteroRow{
 			Package:  pkg.Name,

@@ -30,9 +30,10 @@ type Table1Result struct {
 }
 
 // Table1 measures the evidence on a mid-size corpus graph over the Edge36
-// package. Both measurement loops fan out across the worker pool with
-// per-sample seeds, so the rates are identical at any worker count (only
-// the measured per-sample latency reflects the parallelism).
+// package. Both measurement loops fan out across the lanes the process
+// budget grants with per-sample seeds, so the rates are identical at any
+// worker count (only the measured per-sample latency reflects the
+// parallelism).
 func Table1(seed int64, samples int) (*Table1Result, error) {
 	if samples <= 0 {
 		samples = 200
@@ -41,9 +42,10 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 	g := workload.CorpusGraphs(seed)[1] // a residual CNN: skip edges galore
 	res := &Table1Result{}
 
-	workers := parallel.Resolve(0, samples)
+	lanes := parallel.AcquireLanes(samples - 1)
+	defer parallel.ReleaseLanes(lanes)
 	rawOK := make([]bool, samples)
-	parallel.ForEachBlock(workers, samples, func(_, lo, hi int) {
+	parallel.ForEachBlock(lanes+1, samples, func(_, lo, hi int) {
 		y := make(partition.Partition, g.NumNodes())
 		for i := lo; i < hi; i++ {
 			rng := parallel.Rng(seed, i)
@@ -63,11 +65,11 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 	// Per-sample solve time is summed across workers (each sample timed
 	// individually), so the reported ms/sample is the true cost of one
 	// solve, independent of how many cores ran the loop.
-	solveNs := make([]int64, workers)
-	errs := make([]error, workers)
-	parallel.ForEachBlock(workers, samples, func(w, lo, hi int) {
+	solveNs := make([]int64, lanes+1)
+	errs := make([]error, lanes+1)
+	parallel.ForEachBlock(lanes+1, samples, func(w, lo, hi int) {
 		part := pr
-		if workers > 1 {
+		if lanes > 0 {
 			replica, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 			if err != nil {
 				errs[w] = err

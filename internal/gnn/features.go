@@ -115,14 +115,17 @@ func (a *Adjacency) NumNodes() int { return len(a.invDeg) }
 func (a *Adjacency) aggregate(out, in *mat.Dense) {
 	out.Zero()
 	n := a.NumNodes()
-	if len(a.neigh)*in.Cols >= mat.ParallelFlopThreshold {
-		if extra := parallel.AcquireLanes(parallel.Resolve(0, n) - 1); extra > 0 {
-			defer parallel.ReleaseLanes(extra)
-			parallel.ForEachBlock(extra+1, n, func(_, lo, hi int) { a.aggregateRows(out, in, lo, hi) })
-			return
-		}
+	if len(a.neigh)*in.Cols < mat.ParallelFlopThreshold {
+		a.aggregateRows(out, in, 0, n)
+		return
 	}
-	a.aggregateRows(out, in, 0, n)
+	lanes := parallel.AcquireLanes(n - 1)
+	defer parallel.ReleaseLanes(lanes)
+	if lanes == 0 {
+		a.aggregateRows(out, in, 0, n)
+		return
+	}
+	parallel.ForEachBlock(lanes+1, n, func(_, lo, hi int) { a.aggregateRows(out, in, lo, hi) })
 }
 
 // aggregateRows is aggregate over output rows [lo, hi) of a zeroed out.

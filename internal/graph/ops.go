@@ -62,14 +62,3 @@ func (k OpKind) String() string {
 	}
 	return fmt.Sprintf("opkind(%d)", uint8(k))
 }
-
-// ParseOpKind converts an operator name produced by OpKind.String back into
-// an OpKind. It reports an error for unknown names.
-func ParseOpKind(s string) (OpKind, error) {
-	for k, name := range opKindNames {
-		if name == s {
-			return OpKind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("graph: unknown op kind %q", s)
-}

@@ -270,30 +270,6 @@ func (s *Simulator) Measure(g *graph.Graph, p partition.Partition, run int) Resu
 	return res
 }
 
-// MeasureN runs the partition the given number of times and returns the
-// mean and standard deviation of throughput, mirroring the paper's
-// five-run methodology. Invalid partitions return (0, 0, false).
-func (s *Simulator) MeasureN(g *graph.Graph, p partition.Partition, runs int) (mean, std float64, valid bool) {
-	if runs <= 0 {
-		runs = 1
-	}
-	var sum, sumSq float64
-	for r := 0; r < runs; r++ {
-		res := s.Measure(g, p, r)
-		if !res.Valid {
-			return 0, 0, false
-		}
-		sum += res.Throughput
-		sumSq += res.Throughput * res.Throughput
-	}
-	mean = sum / float64(runs)
-	variance := sumSq/float64(runs) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return mean, math.Sqrt(variance), true
-}
-
 // Assess implements eval.Evaluator: one measured run (run 0) condensed into
 // the shared verdict, with the peak fractional SRAM utilization across chips.
 func (s *Simulator) Assess(g *graph.Graph, p partition.Partition) eval.Verdict {

@@ -337,14 +337,3 @@ func (m *Dense) XavierInit(rng *rand.Rand) {
 		m.Data[i] = (2*rng.Float64() - 1) * limit
 	}
 }
-
-// MaxAbs returns the largest absolute element (0 for an empty matrix).
-func (m *Dense) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}

@@ -119,8 +119,10 @@ func TestElementwiseOps(t *testing.T) {
 		t.Fatalf("ColSums wrong: %v", sums)
 	}
 	m.Zero()
-	if m.MaxAbs() != 0 {
-		t.Fatalf("Zero/MaxAbs wrong: %v", m.Data)
+	for _, v := range m.Data {
+		if v != 0 {
+			t.Fatalf("Zero wrong: %v", m.Data)
+		}
 	}
 }
 

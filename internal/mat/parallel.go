@@ -14,21 +14,21 @@ const ParallelFlopThreshold = 1 << 17
 // rowRange runs kernel(out, a, b, lo, hi) over the output rows [0, rows),
 // split into per-worker blocks when the flop estimate warrants it, in one
 // serial call otherwise. Extra workers are reserved from the process-wide
-// kernel lane budget (parallel.AcquireLanes), so matmuls issued from inside
-// an already-fanned-out layer fall back to serial execution instead of
-// oversubscribing; the split never affects results. The kernel and its
+// lane budget (package parallel's doc comment), so matmuls issued from
+// inside an already-fanned-out layer fall back to serial execution instead
+// of oversubscribing; the split never affects results. The kernel and its
 // operands arrive as plain arguments so that only the fan-out path builds a
 // closure: a serial product allocates nothing.
 func rowRange(rows, flops int, kernel func(out, a, b *Dense, lo, hi int), out, a, b *Dense) {
-	if flops < ParallelFlopThreshold || rows < 2 {
+	if flops < ParallelFlopThreshold {
 		kernel(out, a, b, 0, rows)
 		return
 	}
-	extra := parallel.AcquireLanes(parallel.Resolve(0, rows) - 1)
-	if extra == 0 {
+	lanes := parallel.AcquireLanes(rows - 1)
+	defer parallel.ReleaseLanes(lanes)
+	if lanes == 0 {
 		kernel(out, a, b, 0, rows)
 		return
 	}
-	defer parallel.ReleaseLanes(extra)
-	parallel.ForEachBlock(extra+1, rows, func(_, lo, hi int) { kernel(out, a, b, lo, hi) })
+	parallel.ForEachBlock(lanes+1, rows, func(_, lo, hi int) { kernel(out, a, b, lo, hi) })
 }

@@ -41,23 +41,22 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return a
 }
 
-// acquire reserves kernel lanes for a per-parameter loop, returning the
-// worker count to run at and the lane count to release after.
-func (a *Adam) acquire() (workers, lanes int) {
+// fanout is how many parameters a per-parameter loop may work on at once:
+// all of them above the size threshold, one below it.
+func (a *Adam) fanout() int {
 	if a.elems < adamParallelElems {
-		return 1, 0
+		return 1
 	}
-	lanes = parallel.AcquireLanes(parallel.Resolve(0, len(a.params)) - 1)
-	return lanes + 1, lanes
+	return len(a.params)
 }
 
 // GradNorm returns the global L2 norm of all gradients. Per-parameter
 // partial sums reduce in parameter order, so the result is identical at any
 // worker count.
 func (a *Adam) GradNorm() float64 {
-	workers, lanes := a.acquire()
+	lanes := parallel.AcquireLanes(a.fanout() - 1)
 	defer parallel.ReleaseLanes(lanes)
-	partial := parallel.Map(workers, len(a.params), func(i int) float64 {
+	partial := parallel.Map(lanes+1, len(a.params), func(i int) float64 {
 		var sq float64
 		for _, g := range a.params[i].Grad.Data {
 			sq += g * g
@@ -85,9 +84,9 @@ func (a *Adam) Step() {
 	a.step++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	workers, lanes := a.acquire()
+	lanes := parallel.AcquireLanes(a.fanout() - 1)
 	defer parallel.ReleaseLanes(lanes)
-	parallel.ForEach(workers, len(a.params), func(i int) {
+	parallel.ForEach(lanes+1, len(a.params), func(i int) {
 		p := a.params[i]
 		m, v := a.m[i], a.v[i]
 		for j, g := range p.Grad.Data {

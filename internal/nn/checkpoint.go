@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 )
 
@@ -76,31 +74,4 @@ func (s Snapshot) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Save writes the snapshot as JSON to path.
-func (s Snapshot) Save(path string) error {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// LoadSnapshot reads a snapshot previously written with Save, rejecting
-// corrupt files and non-finite weights with errors that name the file and
-// the offending parameter.
-func LoadSnapshot(path string) (Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("nn: corrupt snapshot %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("nn: corrupt snapshot %s: %w", path, err)
-	}
-	return s, nil
 }

@@ -2,10 +2,22 @@
 // fan-out over index ranges with a determinism contract. Every primitive
 // splits work by item index, never by arrival order, and randomness is always
 // derived from (baseSeed, itemIndex) via Seed — so a computation produces
-// bit-for-bit identical results at workers=1 and workers=N. The hot layers
+// bit-for-bit identical results on one goroutine and on N. The hot layers
 // (mat kernels, PPO rollout collection, experiment trials, corpus sampling)
 // all run through this package; see DESIGN.md ("Parallel execution engine")
 // for the contract and its rationale.
+//
+// How many goroutines a fan-out runs on is decided in one place, the lane
+// budget below: a site reserves up to n-1 lanes without blocking, hands the
+// primitive what it was granted plus one, and releases on the way out:
+//
+//	lanes := parallel.AcquireLanes(n - 1)
+//	defer parallel.ReleaseLanes(lanes)
+//	parallel.ForEachBlock(lanes+1, n, fn)
+//
+// Whatever nests inside fn finds the budget already drawn down and runs
+// serially, so no composition of fan-outs holds more than Default()-1
+// goroutines beyond its callers.
 //
 // The contract callers must uphold:
 //
@@ -31,27 +43,26 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers is the process-wide worker count used when a caller passes
-// workers <= 0. It starts at runtime.NumCPU(); cmd binaries override it from
-// their -workers flag.
+// defaultWorkers is the process-wide CPU budget. It starts at
+// runtime.NumCPU(); cmd binaries override it from their -workers flag.
 var defaultWorkers atomic.Int64
 
 // extraLanes is the process-wide budget of additional goroutines the
-// fine-grained kernels (matmul row blocks, adjacency aggregation, optimizer
-// updates) may hold beyond their calling goroutines. Coarse layers (trials,
-// rollout collection) coordinate through explicit Workers configuration;
-// kernels instead reserve lanes non-blockingly via AcquireLanes, so nested
-// fan-out (a concurrent trial's rollout's matmul) degrades to serial
-// execution instead of multiplying goroutines quadratically. By the kernel
-// contract, how a call ends up split never changes its result.
+// fan-out sites (trials, rollout collection, validation scoring, matmul row
+// blocks, adjacency aggregation, optimizer updates) may hold beyond their
+// calling goroutines: Default()-1 when nothing is running. Sites reserve
+// lanes non-blockingly via AcquireLanes, so nested fan-out (a concurrent
+// trial's rollout's matmul) degrades to serial execution instead of
+// multiplying goroutines. By the package contract, how a call ends up split
+// never changes its result.
 var extraLanes atomic.Int64
 
 func init() { SetDefault(runtime.NumCPU()) }
 
-// SetDefault sets the process-wide default worker count (n <= 0 restores
-// runtime.NumCPU()) and resets the kernel lane budget to match. It returns
-// the value actually installed. Call it at startup or between computations,
-// not while a pool is running (outstanding lane reservations would be
+// SetDefault sets the process-wide worker count (n <= 0 restores
+// runtime.NumCPU()) and resets the lane budget to match. It returns the
+// value actually installed. Call it at startup or between computations,
+// not while a fan-out is running (outstanding lane reservations would be
 // miscounted against the new budget).
 func SetDefault(n int) int {
 	if n <= 0 {
@@ -62,10 +73,9 @@ func SetDefault(n int) int {
 	return n
 }
 
-// AcquireLanes reserves up to extra kernel lanes from the process-wide
-// budget without blocking, returning how many were reserved (possibly 0 —
-// the caller then runs serially). Pair every non-zero return with
-// ReleaseLanes.
+// AcquireLanes reserves up to extra lanes from the process-wide budget
+// without blocking, returning how many were reserved (possibly 0 — the
+// caller then runs serially). Pair every return with ReleaseLanes.
 func AcquireLanes(extra int) int {
 	if extra <= 0 {
 		return 0
@@ -92,23 +102,8 @@ func ReleaseLanes(n int) {
 	}
 }
 
-// Default returns the process-wide default worker count.
+// Default returns the process-wide worker count.
 func Default() int { return int(defaultWorkers.Load()) }
-
-// Resolve clamps a requested worker count against the work size: workers <= 0
-// means the process default, and no more than n workers are ever used.
-func Resolve(workers, n int) int {
-	if workers <= 0 {
-		workers = Default()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
 
 // Seed derives an independent RNG seed for item i of a computation seeded by
 // base. It is a splitmix64 finalizer over the pair, so per-item streams are
@@ -170,18 +165,14 @@ func (f *fanout) wait() {
 	}
 }
 
-// ForEach runs fn(i) for every i in [0, n) on up to workers goroutines
-// (workers <= 0 uses the process default). Items are claimed from an atomic
-// cursor, so load balances dynamically; callers get determinism by following
-// the package contract. ForEach returns when every item has completed. A
-// panic in fn ends its worker and is re-raised on the caller once the other
-// workers have drained the cursor.
+// ForEach runs fn(i) for every i in [0, n) on workers goroutines (at most n;
+// on the caller's when that is one or fewer). Items are claimed from an
+// atomic cursor, so load balances dynamically; callers get determinism by
+// following the package contract. ForEach returns when every item has
+// completed. A panic in fn ends its worker and is re-raised on the caller
+// once the other workers have drained the cursor.
 func ForEach(workers, n int, fn func(i int)) {
-	workers = Resolve(workers, n)
-	if n == 0 {
-		return
-	}
-	if workers == 1 {
+	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -239,12 +230,10 @@ func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 // at most one item. A panic in fn is re-raised on the caller once every
 // block has returned.
 func ForEachBlock(workers, n int, fn func(worker, lo, hi int)) {
-	workers = Resolve(workers, n)
-	if n == 0 {
-		return
-	}
-	if workers == 1 {
-		fn(0, 0, n)
+	if workers = min(workers, n); workers <= 1 {
+		if n > 0 {
+			fn(0, 0, n)
+		}
 		return
 	}
 	var f fanout

@@ -8,21 +8,6 @@ import (
 	"testing"
 )
 
-func TestResolve(t *testing.T) {
-	if got := Resolve(4, 100); got != 4 {
-		t.Fatalf("Resolve(4,100) = %d", got)
-	}
-	if got := Resolve(8, 3); got != 3 {
-		t.Fatalf("Resolve(8,3) = %d, want clamp to n", got)
-	}
-	if got := Resolve(0, 1000); got != Default() {
-		t.Fatalf("Resolve(0,1000) = %d, want default %d", got, Default())
-	}
-	if got := Resolve(5, 0); got != 1 {
-		t.Fatalf("Resolve(5,0) = %d, want 1", got)
-	}
-}
-
 func TestSetDefault(t *testing.T) {
 	old := Default()
 	defer SetDefault(old)
@@ -173,6 +158,70 @@ func TestLaneBudget(t *testing.T) {
 	}
 }
 
+// TestLanesReturnAfterNestedFanout pins the budget's bookkeeping: whatever
+// nest of fan-outs ran, and however it ended — a panic on an inner block is
+// re-raised by fanout.wait through every site's deferred release — a fresh
+// reservation is granted Default()-1 lanes again, and while the nest runs
+// it never holds more than that many goroutines beyond its caller.
+func TestLanesReturnAfterNestedFanout(t *testing.T) {
+	old := Default()
+	defer SetDefault(old)
+	SetDefault(4)
+	var running, peak atomic.Int64
+	// site is the idiom every fan-out site in the tree spells out.
+	var site func(depth, n int, leaf func(i int))
+	site = func(depth, n int, leaf func(i int)) {
+		lanes := AcquireLanes(n - 1)
+		defer ReleaseLanes(lanes)
+		ForEachBlock(lanes+1, n, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if depth > 0 {
+					site(depth-1, n, leaf)
+					continue
+				}
+				now := running.Add(1)
+				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+				}
+				leaf(i)
+				running.Add(-1)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		leaf func(i int)
+		want any
+	}{
+		{"returns", func(int) {}, nil},
+		{"inner block panics", func(i int) {
+			if i == 3 {
+				running.Add(-1)
+				panic("inner")
+			}
+		}, "inner"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Fatalf("%s: recovered %v, want %v", tc.name, r, tc.want)
+				}
+			}()
+			site(2, 6, tc.leaf)
+		}()
+		if got := running.Load(); got != 0 {
+			t.Fatalf("%s: %d leaves still running", tc.name, got)
+		}
+		if got := peak.Load(); got > int64(Default()) {
+			t.Fatalf("%s: %d leaves ran at once under a budget of %d", tc.name, got, Default())
+		}
+		if got := AcquireLanes(100); got != Default()-1 {
+			t.Fatalf("%s: a fresh reservation got %d lanes, want %d", tc.name, got, Default()-1)
+		} else {
+			ReleaseLanes(got)
+		}
+	}
+}
+
 func TestForEachNested(t *testing.T) {
 	// Nested fan-out must not deadlock and must cover the full grid.
 	var hits [8][8]atomic.Int64
@@ -240,14 +289,13 @@ func BenchmarkSeededFanout(b *testing.B) {
 		}
 		return acc
 	}
-	for _, workers := range []int{1, 0} {
-		name := "workers=1"
-		if workers == 0 {
-			name = "workers=default"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=default", Default()}} {
+		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Map(workers, 64, func(j int) float64 { return work(Rng(1, j)) })
+				Map(tc.workers, 64, func(j int) float64 { return work(Rng(1, j)) })
 			}
 		})
 	}

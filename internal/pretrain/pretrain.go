@@ -42,11 +42,6 @@ type Config struct {
 	ValidationSamples int
 	// Seed derives all randomness.
 	Seed int64
-	// Workers bounds the validation worker's checkpoint fan-out (0 =
-	// process default). Each checkpoint scores with its own policy clone,
-	// fresh environments, and a seed derived from its index, so scores are
-	// identical at any worker count.
-	Workers int
 	// Progress, when set, is invoked after every absorbed training sample
 	// with the cumulative sample count across all training graphs and the
 	// absorbing graph's best-so-far improvement. It runs on the goroutine
@@ -156,31 +151,7 @@ func Run(ctx context.Context, train, validation []*graph.Graph, factory EnvFacto
 		res.Checkpoints = append(res.Checkpoints, policy.Snapshot())
 	}
 
-	// Validation worker: zero-shot score per checkpoint, averaged over the
-	// validation graphs. Checkpoints score independently — each gets its
-	// own scorer policy, fresh environments, and an RNG derived from
-	// (Seed+1, checkpoint index) — so they fan out across the worker pool
-	// with scores identical at any worker count.
-	scores, err := parallel.MapErr(parallel.Resolve(cfg.Workers, len(res.Checkpoints)),
-		len(res.Checkpoints), func(ci int) (float64, error) {
-			vrng := parallel.Rng(cfg.Seed+1, ci)
-			scorer := rl.NewPolicy(cfg.Policy, vrng)
-			if err := scorer.Restore(res.Checkpoints[ci]); err != nil {
-				return 0, fmt.Errorf("pretrain: checkpoint %d: %w", ci, err)
-			}
-			var score float64
-			for _, g := range validation {
-				env, err := factory(g)
-				if err != nil {
-					return 0, fmt.Errorf("pretrain: validation env for %s: %w", g.Name(), err)
-				}
-				if err := rl.ZeroShot(ctx, scorer, env, cfg.ValidationSamples, vrng); err != nil {
-					return 0, err
-				}
-				score += env.BestImprovement()
-			}
-			return score / float64(len(validation)), nil
-		})
+	scores, err := scoreCheckpoints(ctx, res.Checkpoints, validation, factory, cfg)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Cancelled mid-validation: the checkpoints are intact, only
@@ -199,4 +170,33 @@ func Run(ctx context.Context, train, validation []*graph.Graph, factory EnvFacto
 		}
 	}
 	return res, nil
+}
+
+// scoreCheckpoints is the validation worker: a zero-shot score per
+// checkpoint, averaged over the validation graphs. Checkpoints score
+// independently — each gets its own scorer policy, fresh environments, and
+// an RNG derived from (Seed+1, checkpoint index) — so they fan out across
+// the lanes the process budget grants with scores identical at any count.
+func scoreCheckpoints(ctx context.Context, checkpoints []nn.Snapshot, validation []*graph.Graph, factory EnvFactory, cfg Config) ([]float64, error) {
+	lanes := parallel.AcquireLanes(len(checkpoints) - 1)
+	defer parallel.ReleaseLanes(lanes)
+	return parallel.MapErr(lanes+1, len(checkpoints), func(ci int) (float64, error) {
+		vrng := parallel.Rng(cfg.Seed+1, ci)
+		scorer := rl.NewPolicy(cfg.Policy, vrng)
+		if err := scorer.Restore(checkpoints[ci]); err != nil {
+			return 0, fmt.Errorf("pretrain: checkpoint %d: %w", ci, err)
+		}
+		var score float64
+		for _, g := range validation {
+			env, err := factory(g)
+			if err != nil {
+				return 0, fmt.Errorf("pretrain: validation env for %s: %w", g.Name(), err)
+			}
+			if err := rl.ZeroShot(ctx, scorer, env, cfg.ValidationSamples, vrng); err != nil {
+				return 0, err
+			}
+			score += env.BestImprovement()
+		}
+		return score / float64(len(validation)), nil
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcmpart/internal/mat"
+	"mcmpart/internal/parallel"
 )
 
 // The policy and the trainer own the scratch of their hot loops. These
@@ -35,9 +36,10 @@ func TestPolicyForwardBackwardAllocs(t *testing.T) {
 func TestIterateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	envs := []*Env{testEnv(t, 4)}
-	cfg := QuickPPOConfig()
-	cfg.Workers = 1
-	trainer := NewTrainer(NewPolicy(QuickConfig(4), rng), cfg, rng)
+	old := parallel.Default()
+	parallel.SetDefault(1)
+	defer parallel.SetDefault(old)
+	trainer := NewTrainer(NewPolicy(QuickConfig(4), rng), QuickPPOConfig(), rng)
 	trainer.Iterate(envs) // size the scratch
 	const ceiling = 360
 	if allocs := testing.AllocsPerRun(5, func() { trainer.Iterate(envs) }); allocs > ceiling {

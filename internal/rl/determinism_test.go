@@ -11,6 +11,7 @@ import (
 	"mcmpart/internal/eval"
 	"mcmpart/internal/graph"
 	"mcmpart/internal/mcm"
+	"mcmpart/internal/parallel"
 	"mcmpart/internal/partition"
 	"mcmpart/internal/rl"
 	"mcmpart/internal/search"
@@ -37,19 +38,29 @@ func detEnv(t testing.TB, useSample bool) *rl.Env {
 	return env
 }
 
+// withWorkers runs fn under a temporary process-default worker count, the
+// budget rollout collection and the kernels reserve their lanes from.
+func withWorkers(w int, fn func()) {
+	old := parallel.Default()
+	parallel.SetDefault(w)
+	defer parallel.SetDefault(old)
+	fn()
+}
+
 // trainAt runs a short PPO training at the given rollout worker count and
 // returns the environment trajectory and final policy weights.
-func trainAt(t testing.TB, workers int, useSample bool) ([]float64, map[string][]float64) {
-	rng := rand.New(rand.NewSource(3))
-	env := detEnv(t, useSample)
-	cfg := rl.QuickPPOConfig()
-	cfg.Workers = workers
-	policy := rl.NewPolicy(rl.QuickConfig(env.Part.Chips()), rng)
-	trainer := rl.NewTrainer(policy, cfg, rng)
-	if _, err := trainer.TrainUntil(context.Background(), []*rl.Env{env}, 64); err != nil {
-		t.Fatal(err)
-	}
-	return env.History, policy.Snapshot()
+func trainAt(t testing.TB, workers int, useSample bool) (history []float64, weights map[string][]float64) {
+	withWorkers(workers, func() {
+		rng := rand.New(rand.NewSource(3))
+		env := detEnv(t, useSample)
+		policy := rl.NewPolicy(rl.QuickConfig(env.Part.Chips()), rng)
+		trainer := rl.NewTrainer(policy, rl.QuickPPOConfig(), rng)
+		if _, err := trainer.TrainUntil(context.Background(), []*rl.Env{env}, 64); err != nil {
+			t.Fatal(err)
+		}
+		history, weights = env.History, policy.Snapshot()
+	})
+	return history, weights
 }
 
 // TestPPOWorkerCountDeterminism pins the rollout engine's contract: the
@@ -85,15 +96,14 @@ func TestPPOSerialFallbackWithoutFactory(t *testing.T) {
 		if strip {
 			env.PartFactory = nil
 		}
-		cfg := rl.QuickPPOConfig()
-		cfg.Workers = 8
 		policy := rl.NewPolicy(rl.QuickConfig(env.Part.Chips()), rng)
-		if _, err := rl.NewTrainer(policy, cfg, rng).TrainUntil(context.Background(), []*rl.Env{env}, 32); err != nil {
+		if _, err := rl.NewTrainer(policy, rl.QuickPPOConfig(), rng).TrainUntil(context.Background(), []*rl.Env{env}, 32); err != nil {
 			t.Fatal(err)
 		}
 		return env.History
 	}
-	with, without := run(false), run(true)
+	var with, without []float64
+	withWorkers(8, func() { with, without = run(false), run(true) })
 	if !reflect.DeepEqual(with, without) {
 		t.Fatal("serial fallback trajectory differs from worker-pool trajectory")
 	}
@@ -105,17 +115,18 @@ func TestPPOSerialFallbackWithoutFactory(t *testing.T) {
 // must get replicas (the race detector guards the sharing bug) and results
 // must stay worker-count independent.
 func TestNoSolverSampleModeParallel(t *testing.T) {
-	run := func(workers int) []float64 {
-		rng := rand.New(rand.NewSource(9))
-		env := detEnv(t, true)
-		env.NoSolver = true
-		cfg := rl.QuickPPOConfig()
-		cfg.Workers = workers
-		policy := rl.NewPolicy(rl.QuickConfig(env.Part.Chips()), rng)
-		if _, err := rl.NewTrainer(policy, cfg, rng).TrainUntil(context.Background(), []*rl.Env{env}, 32); err != nil {
-			t.Fatal(err)
-		}
-		return env.History
+	run := func(workers int) (history []float64) {
+		withWorkers(workers, func() {
+			rng := rand.New(rand.NewSource(9))
+			env := detEnv(t, true)
+			env.NoSolver = true
+			policy := rl.NewPolicy(rl.QuickConfig(env.Part.Chips()), rng)
+			if _, err := rl.NewTrainer(policy, rl.QuickPPOConfig(), rng).TrainUntil(context.Background(), []*rl.Env{env}, 32); err != nil {
+				t.Fatal(err)
+			}
+			history = env.History
+		})
+		return history
 	}
 	if h1, h8 := run(1), run(8); !reflect.DeepEqual(h1, h8) {
 		t.Fatal("NoSolver+SAMPLE trajectory differs between workers=1 and workers=8")
@@ -126,16 +137,17 @@ func TestNoSolverSampleModeParallel(t *testing.T) {
 // shape: episodes round-robin over several environments, and every
 // environment's trajectory is worker-count independent.
 func TestMultiEnvRoundRobinDeterminism(t *testing.T) {
-	run := func(workers int) [][]float64 {
-		rng := rand.New(rand.NewSource(6))
-		envs := []*rl.Env{detEnv(t, true), detEnv(t, false)}
-		cfg := rl.QuickPPOConfig()
-		cfg.Workers = workers
-		policy := rl.NewPolicy(rl.QuickConfig(envs[0].Part.Chips()), rng)
-		trainer := rl.NewTrainer(policy, cfg, rng)
-		trainer.Iterate(envs)
-		trainer.Iterate(envs)
-		return [][]float64{envs[0].History, envs[1].History}
+	run := func(workers int) (histories [][]float64) {
+		withWorkers(workers, func() {
+			rng := rand.New(rand.NewSource(6))
+			envs := []*rl.Env{detEnv(t, true), detEnv(t, false)}
+			policy := rl.NewPolicy(rl.QuickConfig(envs[0].Part.Chips()), rng)
+			trainer := rl.NewTrainer(policy, rl.QuickPPOConfig(), rng)
+			trainer.Iterate(envs)
+			trainer.Iterate(envs)
+			histories = [][]float64{envs[0].History, envs[1].History}
+		})
+		return histories
 	}
 	h1, h8 := run(1), run(8)
 	if !reflect.DeepEqual(h1, h8) {
@@ -151,14 +163,12 @@ func TestEvaluatorPanicReachesCaller(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	env := detEnv(t, false)
 	env.Eval = eval.Func(func(*graph.Graph, partition.Partition) eval.Verdict { panic("evaluator bug") })
-	cfg := rl.QuickPPOConfig()
-	cfg.Workers = 2
-	trainer := rl.NewTrainer(rl.NewPolicy(rl.QuickConfig(env.Part.Chips()), rng), cfg, rng)
+	trainer := rl.NewTrainer(rl.NewPolicy(rl.QuickConfig(env.Part.Chips()), rng), rl.QuickPPOConfig(), rng)
 	defer func() {
 		if r := recover(); r != "evaluator bug" {
 			t.Fatalf("recovered %v, want the evaluator's panic", r)
 		}
 	}()
-	trainer.Iterate([]*rl.Env{env})
+	withWorkers(2, func() { trainer.Iterate([]*rl.Env{env}) })
 	t.Fatal("Iterate returned normally")
 }

@@ -73,12 +73,12 @@ func goldenEnv(t testing.TB, g *graph.Graph, pkg *mcm.Package) *rl.Env {
 // over envs.
 func trainTwice(pcfg rl.Config, envs []*rl.Env, workers int) string {
 	rng := rand.New(rand.NewSource(11))
-	cfg := rl.QuickPPOConfig()
-	cfg.Workers = workers
 	policy := rl.NewPolicy(pcfg, rng)
-	trainer := rl.NewTrainer(policy, cfg, rng)
-	trainer.Iterate(envs)
-	trainer.Iterate(envs)
+	trainer := rl.NewTrainer(policy, rl.QuickPPOConfig(), rng)
+	withWorkers(workers, func() {
+		trainer.Iterate(envs)
+		trainer.Iterate(envs)
+	})
 	return snapshotHash(policy.Snapshot())
 }
 

@@ -20,11 +20,6 @@ type PPOConfig struct {
 	ValueCoef   float64 // value-loss weight
 	EntropyCoef float64 // entropy-bonus weight
 	MaxGradNorm float64 // global gradient clip (0 disables)
-	// Workers bounds the rollout-collection fan-out (0 means the process
-	// default, typically NumCPU). Collection is deterministic in the seed
-	// regardless of the value: episode randomness derives from the episode
-	// index, and results merge in episode order. See internal/parallel.
-	Workers int
 }
 
 // DefaultPPOConfig returns the paper's training hyper-parameters.

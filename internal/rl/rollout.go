@@ -24,36 +24,39 @@ type rolloutWorker struct {
 	encs encodings
 }
 
-// collect gathers Cfg.Rollouts episodes, fanning them across the worker
-// pool. Determinism contract: episode r derives its RNG from
-// (iterSeed, r) and starts from the environments' state at collection
-// start, so the batch is bit-for-bit identical at workers=1 and workers=N;
-// only wall-clock changes. Each worker runs on its own policy clone and,
-// when more than one worker is active, on partitioner replicas built by
-// Env.PartFactory. Environments without a factory force serial collection
-// (same code path, same results). No weight changes during collection, so
-// each worker encodes each of its graphs once for the whole batch.
+// collect gathers Cfg.Rollouts episodes, fanning them across the lanes the
+// process budget grants (package parallel's doc comment). Determinism
+// contract: episode r derives its RNG from (iterSeed, r) and starts from
+// the environments' state at collection start, so the batch is bit-for-bit
+// identical on one worker and on N; only wall-clock changes. Each worker
+// runs on its own policy clone and, when more than one worker is active, on
+// partitioner replicas built by Env.PartFactory. Environments without a
+// factory force serial collection (same code path, same results). No weight
+// changes during collection, so each worker encodes each of its graphs once
+// for the whole batch.
 func (t *Trainer) collect(envs []*Env) []episodeResult {
 	rollouts := t.Cfg.Rollouts
 	iterSeed := t.rng.Int63()
-	workers := parallel.Resolve(t.Cfg.Workers, rollouts)
-	if workers > 1 && !forkable(envs) {
-		workers = 1
+	fanout := rollouts
+	if !forkable(envs) {
+		fanout = 1
 	}
+	lanes := parallel.AcquireLanes(fanout - 1)
+	defer parallel.ReleaseLanes(lanes)
 	// Exploration weights at collection start: every episode in this batch
 	// samples under the same weight snapshot regardless of worker count.
 	eps0 := make([]float64, len(envs))
 	for i, e := range envs {
 		eps0[i] = e.ExploreEps()
 	}
-	for len(t.clones) < workers-1 {
+	for len(t.clones) < lanes {
 		t.clones = append(t.clones, &rolloutWorker{pol: NewPolicy(t.Policy.Cfg, nil)})
 	}
 	results := make([]episodeResult, rollouts)
-	parallel.ForEachBlock(workers, rollouts, func(w, lo, hi int) {
+	parallel.ForEachBlock(lanes+1, rollouts, func(w, lo, hi int) {
 		pol, encs := t.Policy, &t.encs
 		var replicas map[int]cpsolver.Partitioner
-		if workers > 1 {
+		if lanes > 0 {
 			// Workers beyond the first need private policy scratch; every
 			// worker needs private solver scratch, covered by replicas.
 			if w > 0 {

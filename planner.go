@@ -128,9 +128,6 @@ type PretrainOptions struct {
 	ValidationGraphs int
 	// Seed derives all randomness. Seed 0 is remapped to 1.
 	Seed int64
-	// Workers bounds the validation fan-out and rollout collection
-	// (0 = process default). Results are identical at any worker count.
-	Workers int
 	// FullScale uses the paper's 8x128 network and PPO hyper-parameters
 	// instead of the laptop-scale defaults.
 	FullScale bool
@@ -141,8 +138,8 @@ type PretrainOptions struct {
 
 // normalized validates the options and applies the documented defaults.
 // Zero values ask for defaults; negative budgets, checkpoint counts,
-// validation budgets, worker counts, or seeds are caller bugs and return
-// descriptive errors instead of silently training nothing.
+// validation budgets, or seeds are caller bugs and return descriptive
+// errors instead of silently training nothing.
 func (o PretrainOptions) normalized() (PretrainOptions, error) {
 	if o.TotalSamples < 0 {
 		return o, fmt.Errorf("%w: TotalSamples %d is negative; use 0 for the default (2000)", ErrInvalidRequest, o.TotalSamples)
@@ -170,9 +167,6 @@ func (o PretrainOptions) normalized() (PretrainOptions, error) {
 	}
 	if o.ValidationGraphs < 0 {
 		return o, fmt.Errorf("%w: ValidationGraphs %d is negative; use 0 for the default (one fifth of the corpus)", ErrInvalidRequest, o.ValidationGraphs)
-	}
-	if o.Workers < 0 {
-		return o, fmt.Errorf("%w: Workers %d is negative; use 0 for the process default", ErrInvalidRequest, o.Workers)
 	}
 	if o.Seed < 0 {
 		return o, fmt.Errorf("%w: Seed %d is negative; seeds are non-negative (0 selects the default seed 1)", ErrInvalidRequest, o.Seed)
@@ -223,15 +217,21 @@ type PretrainReport struct {
 type Planner struct {
 	pkg *Package
 
-	// mu guards the installed policy and the fine-tune PPO configuration.
-	// The policy value itself is immutable once installed: planning methods
-	// clone it before any weight update.
-	mu       sync.RWMutex
-	policy   *rl.Policy // guarded by mu
-	policyFP string     // guarded by mu
+	// mu guards the installed policy. The policy value itself is immutable
+	// once installed: planning methods clone it before any weight update.
+	mu        sync.RWMutex
+	installed policySnapshot // guarded by mu
+}
+
+// policySnapshot is one reading of the installed policy: the three values
+// an install swaps together. A plan runs under exactly one of these from
+// key to result (the Service takes it at admission, Plan on entry).
+type policySnapshot struct {
+	policy *rl.Policy // nil when none is installed
+	fp     string     // rl.PolicyFingerprint(policy), "" when none
 	// ftPPO is the PPO configuration MethodFineTune continues training
-	// with; Pretrain keeps it aligned with the pre-training scale.
-	ftPPO rl.PPOConfig // guarded by mu
+	// with, aligned with the scale the policy was pre-trained at.
+	ftPPO rl.PPOConfig
 }
 
 // NewPlanner builds a planning session for the package. The package is
@@ -243,7 +243,7 @@ func NewPlanner(pkg *Package) (*Planner, error) {
 	if err := pkg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Planner{pkg: pkg, ftPPO: rl.QuickPPOConfig()}, nil
+	return &Planner{pkg: pkg}, nil
 }
 
 // Package returns the package this planner is bound to.
@@ -251,22 +251,14 @@ func (pl *Planner) Package() *Package { return pl.pkg }
 
 // HasPolicy reports whether a pre-trained policy is installed (via Pretrain
 // or LoadPolicy), enabling MethodZeroShot and MethodFineTune.
-func (pl *Planner) HasPolicy() bool {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	return pl.policy != nil
-}
+func (pl *Planner) HasPolicy() bool { return pl.snapshotPolicy().policy != nil }
 
 // PolicyFingerprint returns a stable content hash of the installed policy
 // (configuration plus every weight), or "" when no policy is installed.
 // Plans by the deployed-policy methods are a pure function of (graph,
 // package, normalized options, policy fingerprint) — the contract the plan
 // cache keys on.
-func (pl *Planner) PolicyFingerprint() string {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	return pl.policyFP
-}
+func (pl *Planner) PolicyFingerprint() string { return pl.snapshotPolicy().fp }
 
 // installPolicy swaps the installed policy under the planner's lock. The
 // fine-tune PPO configuration is derived from the policy's network shape
@@ -274,13 +266,10 @@ func (pl *Planner) PolicyFingerprint() string {
 // with is a pure function of the installed policy — the property the plan
 // cache's policy-fingerprint key relies on.
 func (pl *Planner) installPolicy(policy *rl.Policy) {
-	fp := rl.PolicyFingerprint(policy)
-	ftPPO := ftPPOFor(policy)
+	snap := policySnapshot{policy: policy, fp: rl.PolicyFingerprint(policy), ftPPO: ftPPOFor(policy)}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.policy = policy
-	pl.policyFP = fp
-	pl.ftPPO = ftPPO
+	pl.installed = snap
 }
 
 // ftPPOFor picks the PPO configuration MethodFineTune continues training a
@@ -296,12 +285,12 @@ func ftPPOFor(policy *rl.Policy) rl.PPOConfig {
 	return rl.QuickPPOConfig()
 }
 
-// snapshotPolicy returns the installed policy and fine-tune configuration
-// as one consistent pair.
-func (pl *Planner) snapshotPolicy() (*rl.Policy, rl.PPOConfig) {
+// snapshotPolicy returns the installed policy, its fingerprint and its
+// fine-tune configuration as one consistent reading.
+func (pl *Planner) snapshotPolicy() policySnapshot {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
-	return pl.policy, pl.ftPPO
+	return pl.installed
 }
 
 // freshPolicyConfig returns the network shape for a from-scratch policy on
@@ -394,6 +383,13 @@ func (pl *Planner) newEnv(g *Graph, gctx *rl.GraphContext, ev eval.Evaluator) (*
 // ctx.Err(), so callers can both observe the deadline and keep the work
 // already paid for.
 func (pl *Planner) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Result, error) {
+	return pl.plan(ctx, g, opts, pl.snapshotPolicy())
+}
+
+// plan is Plan under a given reading of the installed policy: the Service
+// passes the one its request was keyed under, so the plan it stores is the
+// plan its key names whatever is installed in the meantime.
+func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, installed policySnapshot) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("%w: nil graph", ErrInvalidRequest)
 	}
@@ -410,14 +406,13 @@ func (pl *Planner) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Resul
 	// policy was trained with; the from-scratch methods always use the
 	// package's fresh shape, regardless of any loaded artifact — "scratch"
 	// must mean the same configuration on every planner.
-	installed, ftPPO := pl.snapshotPolicy()
 	policyCfg := pl.freshPolicyConfig(false)
 	usesPretrained := opts.Method == MethodZeroShot || opts.Method == MethodFineTune
 	if usesPretrained {
-		if installed == nil {
+		if installed.policy == nil {
 			return nil, fmt.Errorf("%w: method %q needs Pretrain or LoadPolicy first", ErrPolicyRequired, opts.Method)
 		}
-		policyCfg = installed.Cfg
+		policyCfg = installed.policy.Cfg
 	}
 
 	greedy, base, err := pl.baseline(g, ev)
@@ -474,12 +469,12 @@ func (pl *Planner) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Resul
 		// the configuration the policy was pre-trained under (Sec. 5.1's
 		// choice for the transfer experiments).
 		env.UseSampleMode = true
-		runErr = rl.ZeroShot(ctx, installed.Clone(), env, opts.SampleBudget, rng)
+		runErr = rl.ZeroShot(ctx, installed.policy.Clone(), env, opts.SampleBudget, rng)
 	case MethodFineTune:
 		env.UseSampleMode = true
 		// Fine-tuning updates weights; clone so the planner's installed
 		// policy stays the pristine pre-trained artifact for reuse.
-		_, runErr = rl.FineTune(ctx, installed.Clone(), env, ftPPO, opts.SampleBudget, rng)
+		_, runErr = rl.FineTune(ctx, installed.policy.Clone(), env, installed.ftPPO, opts.SampleBudget, rng)
 	default:
 		// normalized() already rejected unknown methods.
 		return nil, fmt.Errorf("%w: unknown method %q", ErrInvalidRequest, opts.Method)
@@ -589,7 +584,6 @@ func (pl *Planner) Pretrain(ctx context.Context, graphs []*Graph, opts PretrainO
 	if opts.FullScale {
 		ppoCfg = rl.DefaultPPOConfig()
 	}
-	ppoCfg.Workers = opts.Workers
 	model := costmodel.New(pl.pkg)
 	factory := func(g *graph.Graph) (*rl.Env, error) {
 		env, err := pl.newEnv(g, pl.graphContext(g, policyCfg), model)
@@ -608,7 +602,6 @@ func (pl *Planner) Pretrain(ctx context.Context, graphs []*Graph, opts PretrainO
 		Checkpoints:       opts.Checkpoints,
 		ValidationSamples: opts.ValidationSamples,
 		Seed:              opts.Seed,
-		Workers:           opts.Workers,
 	}
 	if opts.Progress != nil {
 		progress := opts.Progress
@@ -641,7 +634,7 @@ func (pl *Planner) Pretrain(ctx context.Context, graphs []*Graph, opts PretrainO
 // SavePolicy persists the installed policy as a versioned artifact bound to
 // this planner's package (weights + network shape + package fingerprint).
 func (pl *Planner) SavePolicy(path string) error {
-	policy, _ := pl.snapshotPolicy()
+	policy := pl.snapshotPolicy().policy
 	if policy == nil {
 		return fmt.Errorf("%w: nothing to save; run Pretrain or LoadPolicy first", ErrPolicyRequired)
 	}

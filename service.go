@@ -304,6 +304,9 @@ type flight struct {
 	// request of a flight has the same ones, and each job carries its own
 	// progress sink.
 	opts PlanOptions
+	// policy is the reading of the installed policy the key was built
+	// from; every plan attempt of the flight runs under it.
+	policy policySnapshot
 
 	// leader hands the first leader from admit to runFlight, which tracks
 	// the current one itself from then on.
@@ -469,7 +472,7 @@ func (s *Service) SavePolicyToRegistry() error {
 	if s.registry == nil {
 		return fmt.Errorf("%w: service has no policy directory", ErrInvalidRequest)
 	}
-	policy, _ := s.planner.snapshotPolicy()
+	policy := s.planner.snapshotPolicy().policy
 	if policy == nil {
 		return fmt.Errorf("%w: nothing to save; run Pretrain or LoadPolicy first", ErrPolicyRequired)
 	}
@@ -576,33 +579,38 @@ func (s *Service) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// ensurePolicy makes the deployed-policy methods servable: if no policy is
-// installed but a registry is configured, the newest matching policy is
-// installed now — the "automatic policy selection at plan time".
-func (s *Service) ensurePolicy(method Method) error {
+// ensurePolicy takes the request's one reading of the installed policy —
+// the policy its key names and its flight plans under, whatever is
+// installed afterwards. It makes the deployed-policy methods servable: if
+// none is installed but a registry is configured, the newest matching
+// policy is installed now — the "automatic policy selection at plan time".
+// The from-scratch methods never consult a policy and get the zero reading.
+func (s *Service) ensurePolicy(method Method) (policySnapshot, error) {
 	if method != MethodZeroShot && method != MethodFineTune {
-		return nil
+		return policySnapshot{}, nil
 	}
-	if s.planner.HasPolicy() {
-		return nil
+	installed := s.planner.snapshotPolicy()
+	if installed.policy == nil {
+		if err := s.ReloadPolicies(); err != nil {
+			return installed, err
+		}
+		installed = s.planner.snapshotPolicy()
 	}
-	if err := s.ReloadPolicies(); err != nil {
-		return err
+	if installed.policy == nil {
+		return installed, fmt.Errorf("%w: method %q needs Pretrain, LoadPolicy, or an artifact for this package in the policy directory", ErrPolicyRequired, method)
 	}
-	if s.planner.HasPolicy() {
-		return nil
-	}
-	return fmt.Errorf("%w: method %q needs Pretrain, LoadPolicy, or an artifact for this package in the policy directory", ErrPolicyRequired, method)
+	return installed, nil
 }
 
 // admission is one request on its way through Submit's stages.
 type admission struct {
-	graph *Graph
-	opts  PlanOptions // normalized
-	rid   string
-	start time.Time // when Submit began, for the warm-path latency
-	key   string
-	pos   []int // canonical positions of graph's node IDs
+	graph  *Graph
+	opts   PlanOptions    // normalized
+	policy policySnapshot // what ensurePolicy read; key and flight carry it
+	rid    string
+	start  time.Time // when Submit began, for the warm-path latency
+	key    string
+	pos    []int // canonical positions of graph's node IDs
 }
 
 // Submit validates and admits one plan request, returning the Job tracking
@@ -657,13 +665,14 @@ func (s *Service) normalize(ctx context.Context, req PlanRequest, a *admission) 
 		return err
 	}
 	a.graph, a.opts = req.Graph, opts
-	return s.ensurePolicy(opts.Method)
+	a.policy, err = s.ensurePolicy(opts.Method)
+	return err
 }
 
 // keyRequest canonicalizes the graph: the cache key and the node positions
 // results for that key are stored by.
 func (s *Service) keyRequest(a *admission) {
-	a.key = planCacheKey(a.graph.Fingerprint(), s.pkgFP, s.planner.PolicyFingerprint(), a.opts)
+	a.key = planCacheKey(a.graph.Fingerprint(), s.pkgFP, a.policy.fp, a.opts)
 	a.pos = graph.CanonicalPositions(a.graph)
 }
 
@@ -752,7 +761,7 @@ func (s *Service) admit(a *admission) (*Job, error) {
 	}
 	fl, coalesced := s.inflight[a.key]
 	if !coalesced {
-		fl = &flight{key: a.key, graph: a.graph, opts: a.opts}
+		fl = &flight{key: a.key, graph: a.graph, opts: a.opts, policy: a.policy}
 		fl.opts.Progress = nil
 		if err := s.pool.TrySubmit(func() { s.runFlight(fl) }); err != nil {
 			if errors.Is(err, parallel.ErrPoolFull) {
@@ -831,22 +840,12 @@ func (s *Service) runFlight(fl *flight) {
 	s.m.jobsQueued.Dec()
 	pos := graph.CanonicalPositions(fl.graph)
 	for job != nil {
-		// The key was built from the policy fingerprint observed at
-		// admission. If the installed policy changed between then and now,
-		// re-key so the stored entry describes the policy that actually
-		// planned; if it changes again *during* the plan, skip the store
-		// (fpBefore/fpAfter bracket Plan's own policy snapshot, so
-		// equality proves the key).
-		fpBefore := s.planner.PolicyFingerprint()
 		res, err := s.planOnce(fl, job)
-		fpAfter := s.planner.PolicyFingerprint()
 		canonicalize(res, pos)
 
 		switch {
 		case err == nil:
-			if fpBefore == fpAfter {
-				s.store(planCacheKey(fl.graph.Fingerprint(), s.pkgFP, fpBefore, fl.opts), res)
-			}
+			s.store(fl.key, res)
 			s.resolveFlight(fl, job, JobDone, res, nil)
 			return
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -895,7 +894,7 @@ func (s *Service) planOnce(fl *flight, job *Job) (res *Result, err error) {
 	if ferr := faultinject.Check(faultinject.PointPlanEvaluate); ferr != nil {
 		return nil, fmt.Errorf("mcmpart: injected evaluator fault: %w", ferr)
 	}
-	return s.planner.Plan(job.ctx, fl.graph, opts)
+	return s.planner.plan(job.ctx, fl.graph, opts, fl.policy)
 }
 
 // promoteNext takes the first still-waiting follower off the flight to

@@ -550,3 +550,96 @@ func TestDrainThenCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFlightPlansUnderThePolicyItsKeyNames pins the one-snapshot rule: a
+// deployed-policy request is keyed, planned, answered and stored under the
+// policy installed when it was admitted. Here a zero-shot request admitted
+// under policy A waits behind a slow plan on the only worker while policy B
+// is installed; it must still get A's plan, and a second service holding A
+// must find that plan on disk under A's key.
+func TestFlightPlansUnderThePolicyItsKeyNames(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	// Two distinct policies for the package, as artifacts.
+	paths := [2]string{filepath.Join(dir, "a.policy.json"), filepath.Join(dir, "b.policy.json")}
+	for i, path := range paths {
+		pl, err := mcmpart.NewPlanner(mcmpart.Dev4())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pl.Pretrain(ctx, mcmpart.CorpusGraphs(1)[:4], mcmpart.PretrainOptions{
+			TotalSamples: 48, Checkpoints: 2, ValidationGraphs: 1, ValidationSamples: 2, Seed: int64(i + 1),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.SavePolicy(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holdingA := func() *mcmpart.Planner {
+		pl, err := mcmpart.NewPlanner(mcmpart.Dev4())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.LoadPolicy(paths[0]); err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	g := smallGraph(t)
+	zeroshot := mcmpart.PlanOptions{Method: mcmpart.MethodZeroShot, SampleBudget: 12, Seed: 5}
+	want, err := holdingA().Plan(ctx, g, zeroshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cacheDir := filepath.Join(dir, "plans")
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1, CacheDir: cacheDir})
+	if err := svc.Planner().LoadPolicy(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	fpA := svc.Planner().PolicyFingerprint()
+	started, release := make(chan struct{}), make(chan struct{})
+	slow, err := svc.Submit(ctx, mcmpart.PlanRequest{Graph: mcmpart.CorpusGraphs(1)[5], Options: gatedOptions(started, release)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	job, err := svc.Submit(ctx, mcmpart.PlanRequest{Graph: g, Options: zeroshot}) // admitted under A
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Planner().LoadPolicy(paths[1]); err != nil {
+		t.Fatal(err)
+	}
+	if fpB := svc.Planner().PolicyFingerprint(); fpB == fpA {
+		t.Fatal("the two pre-training seeds produced the same policy; the test needs two")
+	}
+	close(release)
+	if _, err := slow.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err := job.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resultsBitIdentical(want, got); err != nil {
+		t.Fatalf("a request admitted under policy A was not answered with A's plan: %v", err)
+	}
+	svc.Close()
+
+	second := newTestService(t, mcmpart.ServiceOptions{Workers: 1, CacheDir: cacheDir})
+	if err := second.Planner().LoadPolicy(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := second.Plan(ctx, g, zeroshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := second.Stats(); st.DiskCacheHits != 1 || st.PlansExecuted != 0 {
+		t.Fatalf("stats %+v: A's plan was not stored under A's key (want 1 disk hit, 0 plans executed)", st)
+	}
+	if err := resultsBitIdentical(want, hit); err != nil {
+		t.Fatalf("the plan stored under A's key is not A's plan: %v", err)
+	}
+}

@@ -500,7 +500,7 @@ func TestPlanOptionsValidate(t *testing.T) {
 	}
 	badPre := []mcmpart.PretrainOptions{
 		{TotalSamples: -1}, {Checkpoints: -1}, {ValidationSamples: -1},
-		{ValidationGraphs: -1}, {Workers: -3}, {Seed: -1},
+		{ValidationGraphs: -1}, {Seed: -1},
 		{TotalSamples: 10, Checkpoints: 20},
 	}
 	for _, o := range badPre {
