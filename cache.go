@@ -18,7 +18,7 @@ import (
 // to a shared disk tier hold ID-ordered partitions under unversioned keys,
 // which no v2 lookup can name — they are never served.
 func planCacheKey(graphFP, pkgFP, policyFP string, opts PlanOptions) string {
-	if opts.Method != MethodZeroShot && opts.Method != MethodFineTune {
+	if !opts.Method.usesPolicy() {
 		// From-scratch methods are policy-independent: hitting the cache
 		// across policy installs is correct and desirable.
 		policyFP = ""

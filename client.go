@@ -64,9 +64,7 @@ func (o ClientOptions) normalized() ClientOptions {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 2 * time.Second
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	o.Seed = seedOrDefault(o.Seed)
 	switch {
 	case o.PollErrorBudget < 0:
 		o.PollErrorBudget = 1
@@ -122,43 +120,37 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("mcmpartd: %s (HTTP %d)", e.Message, e.StatusCode)
 }
 
-// Is maps the daemon's HTTP status codes back to the service's sentinel
-// errors: 429 → ErrBusy, 503 → ErrServiceClosed, 409 → ErrPolicyRequired,
-// 500 → ErrPlanPanic, 422 → ErrNoPlan, 400 and 413 (a body over the
-// daemon's size bound) → ErrInvalidRequest.
-func (e *APIError) Is(target error) bool {
-	switch target {
-	case ErrBusy:
-		return e.StatusCode == http.StatusTooManyRequests
-	case ErrServiceClosed:
-		return e.StatusCode == http.StatusServiceUnavailable
-	case ErrPolicyRequired:
-		return e.StatusCode == http.StatusConflict
-	case ErrPlanPanic:
-		return e.StatusCode == http.StatusInternalServerError
-	case ErrNoPlan:
-		return e.StatusCode == http.StatusUnprocessableEntity
-	case ErrInvalidRequest:
-		return e.StatusCode == http.StatusBadRequest || e.StatusCode == http.StatusRequestEntityTooLarge
+// row is statusTable read backwards: the row of the daemon's status code,
+// nil for a status the table does not know (a proxy's 502, a 404).
+func (e *APIError) row() *statusRow {
+	for i := range statusTable {
+		if statusTable[i].Status == e.StatusCode {
+			return &statusTable[i]
+		}
 	}
-	return false
+	return nil
+}
+
+// Is maps the daemon's HTTP status code back to the service sentinel
+// statusTable pairs it with.
+func (e *APIError) Is(target error) bool {
+	row := e.row()
+	return row != nil && row.Err == target
 }
 
 // retryable classifies an error as idempotent-safe to retry: transport
 // and corrupt-body failures (the request may not even have arrived — and
 // if it did, re-planning the same key yields the identical plan), plus the
-// two explicitly transient daemon codes. Every other status is final — 500
-// and 422 included: a plan is a pure function of its key, so a plan that
-// panicked or found nothing does so again. Context cancellation belongs to
-// the caller and is never retried.
+// daemon statuses statusTable marks transient. Every other status is final.
+// Context cancellation belongs to the caller and is never retried.
 func retryable(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
-		return apiErr.StatusCode == http.StatusTooManyRequests ||
-			apiErr.StatusCode == http.StatusServiceUnavailable
+		row := apiErr.row()
+		return row != nil && row.Transient
 	}
 	// Anything that is not a daemon-shaped response: connection refused,
 	// reset mid-body, truncated or corrupt JSON.
@@ -301,7 +293,7 @@ func (c *Client) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*PlanRes
 	var resp PlanResponse
 	err := c.do(ctx, http.MethodPost, "/v1/plan", PlanRequestWire{
 		Graph:   g,
-		Options: optionsToWire(opts),
+		Options: PlanOptionsWire(opts),
 	}, &resp)
 	if err != nil {
 		return nil, err
@@ -314,7 +306,7 @@ func (c *Client) SubmitJob(ctx context.Context, g *Graph, opts PlanOptions) (Job
 	var st JobStatus
 	err := c.do(ctx, http.MethodPost, "/v1/jobs", PlanRequestWire{
 		Graph:   g,
-		Options: optionsToWire(opts),
+		Options: PlanOptionsWire(opts),
 	}, &st)
 	return st, err
 }
@@ -394,14 +386,4 @@ func (c *Client) Stats(ctx context.Context) (*ServiceStats, error) {
 // Health checks /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
-func optionsToWire(opts PlanOptions) PlanOptionsWire {
-	return PlanOptionsWire{
-		Method:           opts.Method,
-		SampleBudget:     opts.SampleBudget,
-		Seed:             opts.Seed,
-		UseSimulator:     opts.UseSimulator,
-		SeedFromAnalytic: opts.SeedFromAnalytic,
-	}
 }

@@ -4,13 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,82 +13,56 @@ import (
 	"mcmpart/internal/faultinject"
 )
 
-// serviceSentinels is every exported Err* the root package declares, by
-// name, with the status writeServiceError gives it.
-// TestEverySentinelRoundTrips fails on a declared sentinel with no row here,
-// so a new one cannot ship without a place on the wire.
-var serviceSentinels = []struct {
-	name   string
-	err    error
-	status int
-}{
-	{"ErrServiceClosed", mcmpart.ErrServiceClosed, http.StatusServiceUnavailable},
-	{"ErrBusy", mcmpart.ErrBusy, http.StatusTooManyRequests},
-	{"ErrPolicyRequired", mcmpart.ErrPolicyRequired, http.StatusConflict},
-	{"ErrPlanPanic", mcmpart.ErrPlanPanic, http.StatusInternalServerError},
-	{"ErrInvalidRequest", mcmpart.ErrInvalidRequest, http.StatusBadRequest},
-	{"ErrNoPlan", mcmpart.ErrNoPlan, http.StatusUnprocessableEntity},
-}
-
 // onlySentinel checks that err is errors.Is-equal to want (nil: to none) and
-// to no other service sentinel.
+// to no other sentinel of the status table.
 func onlySentinel(t *testing.T, err, want error) {
 	t.Helper()
-	for _, s := range serviceSentinels {
-		if match := errors.Is(err, s.err); match != (s.err == want) {
-			t.Errorf("errors.Is(err, %s) = %t, want %t (err: %v)", s.name, match, s.err == want, err)
+	for _, row := range mcmpart.StatusTable {
+		if match := errors.Is(err, row.Err); match != (row.Err == want) {
+			t.Errorf("errors.Is(err, %q) = %t, want %t (err: %v)", row.Err, match, row.Err == want, err)
 		}
 	}
 }
 
-// declaredSentinels parses the package's non-test sources for exported
-// package-level Err* variables.
-func declaredSentinels(t *testing.T) map[string]bool {
-	t.Helper()
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, file := range pkgs["mcmpart"].Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				for _, id := range spec.(*ast.ValueSpec).Names {
-					if strings.HasPrefix(id.Name, "Err") && id.IsExported() {
-						names[id.Name] = true
-					}
-				}
-			}
-		}
-	}
-	return names
+// sentinelNames labels TestEverySentinelRoundTrips' subtests and nothing
+// else; a sentinel without a label runs under its message.
+var sentinelNames = map[error]string{
+	mcmpart.ErrServiceClosed:  "ErrServiceClosed",
+	mcmpart.ErrBusy:           "ErrBusy",
+	mcmpart.ErrPolicyRequired: "ErrPolicyRequired",
+	mcmpart.ErrPlanPanic:      "ErrPlanPanic",
+	mcmpart.ErrInvalidRequest: "ErrInvalidRequest",
+	mcmpart.ErrNoPlan:         "ErrNoPlan",
 }
 
-// TestEverySentinelRoundTrips sends each service sentinel, wrapped the way
-// the Service wraps it, through the handler's own error mapping and a real
-// Client: it must arrive with its documented status, errors.Is-equal to
-// itself and to no other sentinel.
+// TestEverySentinelRoundTrips sends each row of the status table through a
+// real Client — the sentinel's first row through the handler's own error
+// mapping, wrapped the way the Service wraps it; a second row (413) as the
+// bare status the handler sends for it on its own. It must arrive with the
+// row's status, errors.Is-equal to the row's sentinel and to no other, and
+// with a Retry-After exactly when the row is transient. The codes
+// themselves are pinned by the literal expectations of
+// TestClientErrorMappingTable and of the tests below.
 func TestEverySentinelRoundTrips(t *testing.T) {
-	declared := declaredSentinels(t)
-	for _, row := range serviceSentinels {
-		if !declared[row.name] {
-			t.Errorf("serviceSentinels has a row for %s, which the package does not declare", row.name)
+	statuses, sentinels := map[int]bool{}, map[error]bool{}
+	for _, row := range mcmpart.StatusTable {
+		if statuses[row.Status] {
+			t.Errorf("status %d is in two rows: APIError.Is could not tell their sentinels apart", row.Status)
 		}
-		delete(declared, row.name)
-	}
-	for name := range declared {
-		t.Errorf("%s is declared but has no row in serviceSentinels: decide its status code and add it", name)
-	}
-	for _, row := range serviceSentinels {
-		t.Run(row.name, func(t *testing.T) {
+		statuses[row.Status] = true
+		first := !sentinels[row.Err]
+		sentinels[row.Err] = true
+		name := sentinelNames[row.Err]
+		if name == "" {
+			name = row.Err.Error()
+		}
+		t.Run(name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				mcmpart.WriteServiceError(w, fmt.Errorf("%w: some detail", row.err))
+				if first {
+					mcmpart.WriteServiceError(w, fmt.Errorf("%w: some detail", row.Err))
+				} else {
+					w.WriteHeader(row.Status)
+				}
 			}))
 			defer srv.Close()
 			cl := mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{})
@@ -102,10 +71,13 @@ func TestEverySentinelRoundTrips(t *testing.T) {
 			if !errors.As(err, &ae) {
 				t.Fatalf("error %T is not an *APIError: %v", err, err)
 			}
-			if ae.StatusCode != row.status {
-				t.Errorf("StatusCode = %d, want %d", ae.StatusCode, row.status)
+			if ae.StatusCode != row.Status {
+				t.Errorf("StatusCode = %d, want %d", ae.StatusCode, row.Status)
 			}
-			onlySentinel(t, err, row.err)
+			onlySentinel(t, err, row.Err)
+			if first && (ae.RetryAfter > 0) != row.Transient {
+				t.Errorf("Retry-After %v on a row with Transient = %t", ae.RetryAfter, row.Transient)
+			}
 		})
 	}
 }

@@ -1,5 +1,13 @@
 package mcmpart
 
-// WriteServiceError lets the external test package send a sentinel through
-// the handler's own error mapping (client_errors_test.go).
-var WriteServiceError = writeServiceError
+// What the external test package reads of the package's internals.
+var (
+	// WriteServiceError sends an error through the handler's own mapping.
+	WriteServiceError = writeServiceError
+	// StatusTable is the sentinel↔status table the tests iterate, so that
+	// they hold no second list of sentinels (client_errors_test.go).
+	StatusTable = statusTable
+)
+
+// MaxRetainedJobs is the job table's retention bound (TestMaxRetainedJobs).
+const MaxRetainedJobs = maxRetainedJobs

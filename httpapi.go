@@ -33,37 +33,48 @@ import (
 // response header, stamped into the admitted job's status
 // (JobStatus.RequestID), and attached to the structured request log line.
 //
-// Errors are {"error": "..."} with a meaningful status code: 400 for
-// malformed requests, 404 for unknown jobs, 409 when a method needs a
-// policy none is installed for (ErrPolicyRequired), 413 for a body over
-// maxRequestBytes, 422 when the search found no valid partition
-// (ErrNoPlan), 429 when admission sheds load (ErrBusy), 500 when the plan
-// panicked (ErrPlanPanic), 503 when the service is closed or draining.
-// 429 and 503 carry a Retry-After header — both are transient by contract
-// (a draining daemon is typically being replaced), so clients with retry
-// enabled honor it and try again. 422 and 500 are not retried: a plan is a
-// pure function of its key, so the same request fails the same way.
+// Errors are {"error": "..."} with a meaningful status code: 404 for an
+// unknown job, 413 for a body over maxRequestBytes, 400 for any other
+// malformed request, and for a service sentinel the status statusTable
+// gives it — with a Retry-After header on the transient ones.
 
-// PlanOptionsWire is the JSON form of PlanOptions (Progress is not
-// serializable and has a polling equivalent in JobStatus).
-type PlanOptionsWire struct {
-	Method           Method `json:"method,omitempty"`
-	SampleBudget     int    `json:"sample_budget,omitempty"`
-	Seed             int64  `json:"seed,omitempty"`
-	UseSimulator     bool   `json:"use_simulator,omitempty"`
-	SeedFromAnalytic bool   `json:"seed_from_analytic,omitempty"`
+// statusRow ties one service sentinel to one HTTP status. (The field names
+// are exported for the external test package, which reads the table through
+// export_test.go.)
+type statusRow struct {
+	Err    error
+	Status int
+	// Transient marks a state of the daemon rather than a property of the
+	// request: the response carries Retry-After, and a Client with retries
+	// enabled honors it and tries again. Every other row is final — a plan
+	// is a pure function of its key, so the same request fails the same way.
+	Transient bool
 }
+
+// statusTable is the error contract of the wire, written once and read by
+// both ends: writeServiceError sends the first row its error is (status,
+// and Retry-After when transient), APIError.Is maps a status back to its
+// row's sentinel, and the Client's retry loop retries the transient rows —
+// so errors.Is answers the same in-process and through a daemon. A status
+// may appear once; a sentinel may own a second status the handler sends
+// without going through a Service error (413, a body over maxRequestBytes).
+var statusTable = []statusRow{
+	{ErrBusy, http.StatusTooManyRequests, true},             // the queue is full
+	{ErrServiceClosed, http.StatusServiceUnavailable, true}, // closed or draining; typically being replaced
+	{ErrPolicyRequired, http.StatusConflict, false},         // a servable configuration issue, not a malformed request
+	{ErrPlanPanic, http.StatusInternalServerError, false},   // the server's fault, not the caller's
+	{ErrNoPlan, http.StatusUnprocessableEntity, false},      // a well-formed request the search could not satisfy
+	{ErrInvalidRequest, http.StatusBadRequest, false},
+	{ErrInvalidRequest, http.StatusRequestEntityTooLarge, false},
+}
+
+// PlanOptionsWire is the JSON form of PlanOptions: the same type, whose
+// tags name the wire fields (Progress is not serializable and has a polling
+// equivalent in JobStatus), so the two directions are conversions.
+type PlanOptionsWire PlanOptions
 
 // Options converts the wire form to PlanOptions.
-func (w PlanOptionsWire) Options() PlanOptions {
-	return PlanOptions{
-		Method:           w.Method,
-		SampleBudget:     w.SampleBudget,
-		Seed:             w.Seed,
-		UseSimulator:     w.UseSimulator,
-		SeedFromAnalytic: w.SeedFromAnalytic,
-	}
-}
+func (w PlanOptionsWire) Options() PlanOptions { return PlanOptions(w) }
 
 // ResultWire is the JSON form of Result: the same fields, in the same
 // order, with JSON names.
@@ -204,9 +215,8 @@ func NewHTTPHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := svc.Job(r.PathValue("id"))
+		job, ok := lookupJob(svc, w, r)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
 			return
 		}
 		resp := JobResponse{JobStatus: job.Status()}
@@ -217,23 +227,20 @@ func NewHTTPHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := svc.Job(r.PathValue("id"))
-		if !ok {
-			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
-			return
+		if job, ok := lookupJob(svc, w, r); ok {
+			job.Cancel()
+			writeJSON(w, http.StatusOK, job.Status())
 		}
-		job.Cancel()
-		writeJSON(w, http.StatusOK, job.Status())
 	})
 
 	mux.HandleFunc("GET /v1/policies", func(w http.ResponseWriter, r *http.Request) {
-		pkg := svc.Package()
+		installed := svc.planner.snapshotPolicy()
 		writeJSON(w, http.StatusOK, PoliciesResponse{
-			Package:            pkg.Name,
+			Package:            svc.Package().Name,
 			PackageFingerprint: svc.pkgFP,
-			PolicyInstalled:    svc.Planner().HasPolicy(),
-			PolicyFingerprint:  svc.Planner().PolicyFingerprint(),
-			Policies:           svc.Policies(),
+			PolicyInstalled:    installed.policy != nil,
+			PolicyFingerprint:  installed.fp,
+			Policies:           svc.policies(installed),
 		})
 	})
 
@@ -292,10 +299,20 @@ func NewHTTPHandler(svc *Service) http.Handler {
 // process allocate before admission control has seen it.
 const maxRequestBytes = 64 << 20
 
+// lookupJob resolves the {id} of a job route; for an unknown job the 404 is
+// already written and ok is false.
+func lookupJob(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, ok bool) {
+	id := r.PathValue("id")
+	if job, ok = svc.Job(id); !ok {
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown job %q", id)})
+	}
+	return job, ok
+}
+
 // submitPlanRequest is the shared front half of the plan and jobs
-// endpoints: it reads the body, decodes it (the graph arrives validated;
-// option validation happens in Submit) and submits it. On failure the error
-// response is already written and ok is false.
+// endpoints: it reads the body, decodes it and submits it — a request with
+// no graph, like any other ill-formed one, is Submit's to refuse. On
+// failure the error response is already written and ok is false.
 func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, g *Graph, ok bool) {
 	body, err := readRequestBody(w, r)
 	if err != nil {
@@ -309,10 +326,6 @@ func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (jo
 	req, err := decodePlanRequest(body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "decoding request: " + err.Error()})
-		return nil, nil, false
-	}
-	if req.Graph == nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "request has no graph"})
 		return nil, nil, false
 	}
 	job, err = svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
@@ -399,34 +412,20 @@ func decodePlanRequest(body []byte) (req PlanRequestWire, err error) {
 // port, short enough that a retrying client converges quickly.
 const retryAfterValue = "1"
 
-// writeServiceError maps service errors to HTTP status codes. The mapping
-// is bidirectional: Client maps these codes back to the same sentinels, so
-// errors.Is works identically in-process and across the wire (pinned by the
-// table-driven tests in client_errors_test.go). The two transient codes —
-// 429 (queue full) and 503 (draining/closed) — carry a Retry-After header
-// that Client surfaces as APIError.RetryAfter and the retry loop honors.
+// writeServiceError answers with the status statusTable gives err (the
+// first row it is), and with Retry-After when that row is transient. An
+// error that is no sentinel — a graph Validate refused, an admission ctx
+// that ended — is the request's own: 400.
 func writeServiceError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
-	switch {
-	case errors.Is(err, ErrBusy):
-		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", retryAfterValue)
-	case errors.Is(err, ErrServiceClosed):
-		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", retryAfterValue)
-	case errors.Is(err, ErrPolicyRequired):
-		// A servable configuration issue, not a malformed request.
-		code = http.StatusConflict
-	case errors.Is(err, ErrPlanPanic):
-		// The server's fault, not the caller's.
-		code = http.StatusInternalServerError
-	case errors.Is(err, ErrNoPlan):
-		// A well-formed request the search could not satisfy.
-		code = http.StatusUnprocessableEntity
-	case errors.Is(err, ErrInvalidRequest):
-		// Explicit, though it matches the default: the sentinel is part of
-		// the wire contract and must stay 400 even if the default moves.
-		code = http.StatusBadRequest
+	for _, row := range statusTable {
+		if errors.Is(err, row.Err) {
+			code = row.Status
+			if row.Transient {
+				w.Header().Set("Retry-After", retryAfterValue)
+			}
+			break
+		}
 	}
 	writeJSON(w, code, ErrorResponse{Error: err.Error()})
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func checkDecodePlanRequest(t testing.TB, body []byte) (accepted bool) {
 	if gotErr != nil {
 		return false
 	}
-	if got.Options != want.Options {
+	if !reflect.DeepEqual(got.Options, want.Options) {
 		t.Fatalf("options %+v, encoding/json %+v\nbody: %.200q", got.Options, want.Options, body)
 	}
 	if (got.Graph == nil) != (want.Graph == nil) {

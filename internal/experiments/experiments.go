@@ -13,15 +13,12 @@ package experiments
 import (
 	"fmt"
 
-	"mcmpart/internal/costmodel"
 	"mcmpart/internal/cpsolver"
 	"mcmpart/internal/eval"
 	"mcmpart/internal/graph"
-	"mcmpart/internal/hwsim"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/rl"
 	"mcmpart/internal/search"
-	"mcmpart/internal/workload"
 )
 
 // Scale selects experiment budgets.
@@ -82,16 +79,6 @@ func newEnv(g *graph.Graph, pkg *mcm.Package, ev eval.Evaluator) (*rl.Env, error
 	return env, nil
 }
 
-// modelEvaluator returns the analytical-cost-model evaluator for a package.
-func modelEvaluator(pkg *mcm.Package) eval.Evaluator { return costmodel.New(pkg) }
-
-// simEvaluator returns the hardware-simulator evaluator for a package;
-// both environments now satisfy the shared eval.Evaluator contract
-// directly, so no adapter shim is needed.
-func simEvaluator(pkg *mcm.Package, seed int64) eval.Evaluator {
-	return hwsim.New(pkg, hwsim.Options{Seed: seed})
-}
-
 // policyConfig returns the network shape for a scale.
 func policyConfig(scale Scale, chips int) rl.Config {
 	if scale == ScaleFull {
@@ -107,6 +94,3 @@ func ppoConfig(scale Scale) rl.PPOConfig {
 	}
 	return rl.QuickPPOConfig()
 }
-
-// corpus returns the 87-model dataset used by the pre-training experiments.
-func corpus(seed int64) *workload.Dataset { return workload.Corpus(seed) }

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"mcmpart/internal/costmodel"
 	"mcmpart/internal/cpsolver"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/rl"
+	"mcmpart/internal/workload"
 )
 
 // tinyFig5 runs the Figure 5 pipeline with the smallest budgets that still
@@ -200,8 +202,8 @@ func TestParseScale(t *testing.T) {
 
 func TestNewEnvUsesGreedyBaseline(t *testing.T) {
 	pkg := mcm.Dev8()
-	ds := corpus(1)
-	env, err := newEnv(ds.Test[0], pkg, modelEvaluator(pkg))
+	ds := workload.Corpus(1)
+	env, err := newEnv(ds.Test[0], pkg, costmodel.New(pkg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,14 @@ import (
 	"sort"
 	"strings"
 
+	"mcmpart/internal/costmodel"
 	"mcmpart/internal/graph"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
 	"mcmpart/internal/pretrain"
 	"mcmpart/internal/rl"
 	"mcmpart/internal/search"
+	"mcmpart/internal/workload"
 )
 
 // Fig5Config parameterizes the pre-training experiment of Sec. 5.2
@@ -86,8 +88,8 @@ type Fig5Result struct {
 // Cancelling ctx aborts the run and propagates ctx.Err().
 func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 	cfg = cfg.withDefaults()
-	ds := corpus(cfg.Seed)
-	ev := modelEvaluator(cfg.Pkg)
+	ds := workload.Corpus(cfg.Seed)
+	ev := costmodel.New(cfg.Pkg)
 	policyCfg := policyConfig(cfg.Scale, cfg.Pkg.Chips)
 
 	// Pre-training pipeline (training + validation workers, Figure 4).

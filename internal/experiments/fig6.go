@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mcmpart/internal/hwsim"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
 	"mcmpart/internal/pretrain"
@@ -66,7 +67,7 @@ type Fig6Result struct {
 func Figure6(ctx context.Context, cfg Fig6Config) (*Fig6Result, error) {
 	cfg = cfg.withDefaults()
 	bert := workload.BERT()
-	ev := simEvaluator(cfg.Pkg, cfg.Seed)
+	ev := hwsim.New(cfg.Pkg, hwsim.Options{Seed: cfg.Seed})
 
 	pre := cfg.Pretrained
 	policyCfg := cfg.PolicyCfg

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mcmpart/internal/costmodel"
@@ -154,13 +155,8 @@ func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	c := append([]float64(nil), xs...)
-	// Insertion-free selection: simple sort is fine at this size.
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j] < c[j-1]; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
-		}
-	}
+	c := slices.Clone(xs)
+	slices.Sort(c)
 	return c[len(c)/2]
 }
 

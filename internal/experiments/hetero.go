@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"mcmpart/internal/graph"
+	"mcmpart/internal/hwsim"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
 	"mcmpart/internal/search"
@@ -103,7 +104,7 @@ func HeteroSweep(ctx context.Context, cfg HeteroConfig) (*HeteroResult, error) {
 			errs[i] = err
 			return
 		}
-		ev := simEvaluator(pkg, cfg.Seed)
+		ev := hwsim.New(pkg, hwsim.Options{Seed: cfg.Seed})
 		base := search.GreedyPackage(cfg.Graph, pkg)
 		bv := ev.Assess(cfg.Graph, base)
 		row.GreedyThroughput = bv.Throughput
@@ -112,26 +113,26 @@ func HeteroSweep(ctx context.Context, cfg HeteroConfig) (*HeteroResult, error) {
 			res.Rows[i] = row
 			return
 		}
-		for m, out := range map[string]*float64{
-			"random": &row.RandomImprovement,
-			"sa":     &row.SAImprovement,
-		} {
-			env, err := newEnv(cfg.Graph, pkg, ev)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rng := parallel.Rng(cfg.Seed, i)
-			if m == "random" {
-				errs[i] = search.Random(ctx, env, cfg.Budget, rng)
-			} else {
-				errs[i] = search.Anneal(ctx, env, cfg.Budget, search.SAConfig{}, rng)
-			}
-			if errs[i] != nil {
-				return
-			}
-			*out = env.BestImprovement()
+		// Random, then annealing: each in a fresh environment, from the
+		// same (Seed, packageIndex) stream.
+		env, err := newEnv(cfg.Graph, pkg, ev)
+		if err == nil {
+			err = search.Random(ctx, env, cfg.Budget, parallel.Rng(cfg.Seed, i))
 		}
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		row.RandomImprovement = env.BestImprovement()
+		env, err = newEnv(cfg.Graph, pkg, ev)
+		if err == nil {
+			err = search.Anneal(ctx, env, cfg.Budget, search.SAConfig{}, parallel.Rng(cfg.Seed, i))
+		}
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		row.SAImprovement = env.BestImprovement()
 		res.Rows[i] = row
 	})
 	for _, err := range errs {

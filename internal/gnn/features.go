@@ -61,13 +61,6 @@ func Features(g *graph.Graph) *mat.Dense {
 	return x
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Adjacency is the CSR neighbor structure used by the mean aggregator:
 // undirected neighborhoods with precomputed inverse degrees.
 type Adjacency struct {

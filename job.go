@@ -239,12 +239,16 @@ func (j *Job) release() {
 	close(j.done)
 }
 
+// maxRetainedJobs bounds how many jobs a Service keeps addressable by ID
+// for status queries.
+const maxRetainedJobs = 1024
+
 // jobTable is the Service's ID → Job index and its retention bound. Live
 // jobs are never evicted; terminal ones are, oldest first, once the table
-// holds more than max jobs. The terminal transition feeds retired, so an
-// eviction pops the front of a queue instead of searching for a victim.
+// holds more than maxRetainedJobs. The terminal transition feeds retired,
+// so an eviction pops the front of a queue instead of searching for a
+// victim.
 type jobTable struct {
-	max     int
 	byID    map[string]*Job // guarded by Service.mu
 	retired []string        // guarded by Service.mu; terminal job IDs, in finishing order
 }
@@ -261,7 +265,7 @@ func (t *jobTable) retireLocked(id string) {
 }
 
 func (t *jobTable) evictLocked() {
-	for len(t.byID) > t.max && len(t.retired) > 0 {
+	for len(t.byID) > maxRetainedJobs && len(t.retired) > 0 {
 		delete(t.byID, t.retired[0])
 		t.retired = t.retired[1:]
 	}

@@ -145,6 +145,19 @@ const (
 	MethodAnalytic Method = "analytic"
 )
 
+// usesPolicy reports whether m deploys the installed pre-trained policy:
+// such a plan needs one, runs with its network shape, and is keyed by its
+// fingerprint. Every other method never consults a policy.
+func (m Method) usesPolicy() bool { return m == MethodZeroShot || m == MethodFineTune }
+
+// seedOrDefault is the one spelling of "Seed 0 selects the default seed 1".
+func seedOrDefault(seed int64) int64 {
+	if seed == 0 {
+		return 1
+	}
+	return seed
+}
+
 // Result is the outcome of a plan.
 type Result struct {
 	// Partition is the best valid partition found.

@@ -38,31 +38,35 @@ type ProgressEvent struct {
 // goroutine driving the search; keep them fast.
 type ProgressFunc func(ProgressEvent)
 
-// PlanOptions configure one Planner.Plan call.
+// PlanOptions configure one Planner.Plan call. The JSON tags are the wire
+// form of a request's "options" (PlanOptionsWire is this type): a field
+// added here is on the wire, and must be in planCacheKey
+// (TestCacheKeyCoversEveryOption).
 type PlanOptions struct {
 	// Method defaults to MethodRL. MethodZeroShot and MethodFineTune
 	// require a policy (Pretrain or LoadPolicy first).
-	Method Method
+	Method Method `json:"method,omitempty"`
 	// SampleBudget bounds the number of candidate evaluations for the
 	// search-based methods (default 200; ignored by MethodGreedy).
-	SampleBudget int
+	SampleBudget int `json:"sample_budget,omitempty"`
 	// Seed makes runs reproducible. Seed 0 is remapped to 1 (the
 	// documented default), so the zero value of PlanOptions and an
 	// explicit Seed: 1 are the same plan.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// UseSimulator evaluates candidates on the hardware simulator
 	// (including the dynamic memory constraint) instead of the faster
 	// analytical cost model.
-	UseSimulator bool
+	UseSimulator bool `json:"use_simulator,omitempty"`
 	// SeedFromAnalytic primes the search-based methods with the analytic
 	// fast path's plan as their first sample, so the search starts from a
 	// strong valid incumbent instead of from nothing. Best-effort: when
 	// the analysis finds no layout the search runs unseeded. Ignored by
 	// MethodGreedy and MethodAnalytic (canonicalized to false).
-	SeedFromAnalytic bool
+	SeedFromAnalytic bool `json:"seed_from_analytic,omitempty"`
 	// Progress, when set, streams (samples, best-so-far improvement)
-	// after every evaluated candidate.
-	Progress ProgressFunc
+	// after every evaluated candidate. It is not serializable; JobStatus
+	// is its polling equivalent over HTTP.
+	Progress ProgressFunc `json:"-"`
 }
 
 // normalized validates the options and applies the documented defaults
@@ -95,9 +99,7 @@ func (o PlanOptions) normalized() (PlanOptions, error) {
 	if o.Seed < 0 {
 		return o, fmt.Errorf("%w: Seed %d is negative; seeds are non-negative (0 selects the default seed 1)", ErrInvalidRequest, o.Seed)
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	o.Seed = seedOrDefault(o.Seed)
 	return o, nil
 }
 
@@ -171,9 +173,7 @@ func (o PretrainOptions) normalized() (PretrainOptions, error) {
 	if o.Seed < 0 {
 		return o, fmt.Errorf("%w: Seed %d is negative; seeds are non-negative (0 selects the default seed 1)", ErrInvalidRequest, o.Seed)
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	o.Seed = seedOrDefault(o.Seed)
 	return o, nil
 }
 
@@ -223,12 +223,17 @@ type Planner struct {
 	installed policySnapshot // guarded by mu
 }
 
-// policySnapshot is one reading of the installed policy: the three values
-// an install swaps together. A plan runs under exactly one of these from
-// key to result (the Service takes it at admission, Plan on entry).
+// policySnapshot is one reading of the installed policy: the values an
+// install swaps together. A plan runs under exactly one of these from key
+// to result (the Service takes it at admission, Plan on entry), and every
+// report of what is installed (Stats, Policies, GET /v1/policies) is built
+// from exactly one.
 type policySnapshot struct {
 	policy *rl.Policy // nil when none is installed
 	fp     string     // rl.PolicyFingerprint(policy), "" when none
+	// path is the registry artifact the policy was installed from, "" for
+	// one installed by Pretrain or LoadPolicy.
+	path string
 	// ftPPO is the PPO configuration MethodFineTune continues training
 	// with, aligned with the scale the policy was pre-trained at.
 	ftPPO rl.PPOConfig
@@ -265,8 +270,8 @@ func (pl *Planner) PolicyFingerprint() string { return pl.snapshotPolicy().fp }
 // (full-scale network → full-scale PPO), so the pair MethodFineTune runs
 // with is a pure function of the installed policy — the property the plan
 // cache's policy-fingerprint key relies on.
-func (pl *Planner) installPolicy(policy *rl.Policy) {
-	snap := policySnapshot{policy: policy, fp: rl.PolicyFingerprint(policy), ftPPO: ftPPOFor(policy)}
+func (pl *Planner) installPolicy(policy *rl.Policy, path string) {
+	snap := policySnapshot{policy: policy, fp: rl.PolicyFingerprint(policy), path: path, ftPPO: ftPPOFor(policy)}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.installed = snap
@@ -285,8 +290,8 @@ func ftPPOFor(policy *rl.Policy) rl.PPOConfig {
 	return rl.QuickPPOConfig()
 }
 
-// snapshotPolicy returns the installed policy, its fingerprint and its
-// fine-tune configuration as one consistent reading.
+// snapshotPolicy returns the installed policy, its fingerprint, its
+// provenance and its fine-tune configuration as one consistent reading.
 func (pl *Planner) snapshotPolicy() policySnapshot {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
@@ -317,13 +322,10 @@ func (pl *Planner) graphContext(g *Graph, cfg rl.Config) *rl.GraphContext {
 }
 
 // evaluator returns the evaluation environment a plan runs against: the
-// hardware simulator (seeded — the same Seed 0 → 1 remap as PlanOptions)
-// or the analytical cost model.
+// hardware simulator under the (already defaulted) seed, or the analytical
+// cost model.
 func (pl *Planner) evaluator(useSimulator bool, seed int64) eval.Evaluator {
 	if useSimulator {
-		if seed == 0 {
-			seed = 1
-		}
 		return hwsim.New(pl.pkg, hwsim.Options{Seed: seed})
 	}
 	return costmodel.New(pl.pkg)
@@ -333,7 +335,7 @@ func (pl *Planner) evaluator(useSimulator bool, seed int64) eval.Evaluator {
 // (simulator with opts.Seed when opts.UseSimulator, analytical cost model
 // otherwise) and returns the rich verdict.
 func (pl *Planner) Assess(g *Graph, p Partition, opts PlanOptions) Verdict {
-	return pl.evaluator(opts.UseSimulator, opts.Seed).Assess(g, p)
+	return pl.evaluator(opts.UseSimulator, seedOrDefault(opts.Seed)).Assess(g, p)
 }
 
 // baseline evaluates the greedy heuristic every search method normalizes
@@ -383,23 +385,32 @@ func (pl *Planner) newEnv(g *Graph, gctx *rl.GraphContext, ev eval.Evaluator) (*
 // ctx.Err(), so callers can both observe the deadline and keep the work
 // already paid for.
 func (pl *Planner) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Result, error) {
-	return pl.plan(ctx, g, opts, pl.snapshotPolicy())
-}
-
-// plan is Plan under a given reading of the installed policy: the Service
-// passes the one its request was keyed under, so the plan it stores is the
-// plan its key names whatever is installed in the meantime.
-func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, installed policySnapshot) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("%w: nil graph", ErrInvalidRequest)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	opts, err := opts.normalized()
+	opts, err := normalizeRequest(g, opts)
 	if err != nil {
 		return nil, err
 	}
+	return pl.plan(ctx, g, opts, pl.snapshotPolicy())
+}
+
+// normalizeRequest is the front door every plan passes exactly once —
+// Planner.Plan for a library call, Service.Submit for a served one: the
+// graph must be there and valid and the options well-formed, and they come
+// back with every default resolved.
+func normalizeRequest(g *Graph, opts PlanOptions) (PlanOptions, error) {
+	if g == nil {
+		return opts, fmt.Errorf("%w: nil graph", ErrInvalidRequest)
+	}
+	if err := g.Validate(); err != nil {
+		return opts, err
+	}
+	return opts.normalized()
+}
+
+// plan is Plan behind the front door, on a request normalizeRequest passed,
+// under a given reading of the installed policy: the Service passes the one
+// its request was keyed under, so the plan it stores is the plan its key
+// names whatever is installed in the meantime.
+func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, installed policySnapshot) (*Result, error) {
 	ev := pl.evaluator(opts.UseSimulator, opts.Seed)
 
 	// The deployed-policy methods need the network shape the installed
@@ -407,8 +418,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	// package's fresh shape, regardless of any loaded artifact — "scratch"
 	// must mean the same configuration on every planner.
 	policyCfg := pl.freshPolicyConfig(false)
-	usesPretrained := opts.Method == MethodZeroShot || opts.Method == MethodFineTune
-	if usesPretrained {
+	if opts.Method.usesPolicy() {
 		if installed.policy == nil {
 			return nil, fmt.Errorf("%w: method %q needs Pretrain or LoadPolicy first", ErrPolicyRequired, opts.Method)
 		}
@@ -619,7 +629,7 @@ func (pl *Planner) Pretrain(ctx context.Context, graphs []*Graph, opts PretrainO
 	}
 	// installPolicy derives the fine-tune PPO scale from the policy's
 	// network shape, which matches opts.FullScale by construction.
-	pl.installPolicy(policy)
+	pl.installPolicy(policy, "")
 	report := &PretrainReport{
 		Checkpoints: len(res.Checkpoints),
 		Scores:      res.Scores,
@@ -651,6 +661,6 @@ func (pl *Planner) LoadPolicy(path string) error {
 	if err != nil {
 		return err
 	}
-	pl.installPolicy(policy)
+	pl.installPolicy(policy, "")
 	return nil
 }

@@ -79,11 +79,6 @@ type ServiceOptions struct {
 	// policy matching its package, enabling MethodZeroShot and
 	// MethodFineTune without an explicit Pretrain.
 	PolicyDir string
-	// MaxRetainedJobs bounds how many terminal jobs the service keeps
-	// addressable by ID for status queries (0 = 1024; negative is an
-	// error). Oldest terminal jobs are evicted first; live jobs are never
-	// evicted.
-	MaxRetainedJobs int
 	// Logger receives the service's log stream: one structured line per
 	// HTTP request served through NewHTTPHandler (method, route, status,
 	// duration, request ID) and one per disk-tier quarantine or write
@@ -221,13 +216,6 @@ type Service struct {
 	// transition (finishJob) — what Drain waits on.
 	jobsWG sync.WaitGroup
 
-	// installedMu guards the provenance of the installed policy: the
-	// registry path it came from ("" when installed via Pretrain or
-	// LoadPolicy) and its fingerprint at install time.
-	installedMu   sync.Mutex
-	installedPath string // guarded by installedMu
-	installedFP   string // guarded by installedMu
-
 	// m holds every operational counter, gauge, and histogram, registered
 	// on one telemetry registry; Stats() and GET /metrics read the same
 	// instruments. now is the injectable clock behind the latency
@@ -266,6 +254,7 @@ type serviceMetrics struct {
 	memHits        *telemetry.Counter
 	memMisses      *telemetry.Counter
 	diskHits       *telemetry.Counter
+	disk           plancache.Metrics // the disk tier's own instruments; zero without one
 	planCold       *telemetry.Histogram
 	planWarm       *telemetry.Histogram
 }
@@ -333,16 +322,9 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 	if opts.QueueDepth < 0 {
 		return nil, fmt.Errorf("%w: QueueDepth %d is negative; use 0 for the default (4x workers)", ErrInvalidRequest, opts.QueueDepth)
 	}
-	if opts.MaxRetainedJobs < 0 {
-		return nil, fmt.Errorf("%w: MaxRetainedJobs %d is negative; use 0 for the default (1024)", ErrInvalidRequest, opts.MaxRetainedJobs)
-	}
 	cacheEntries := opts.CacheEntries
 	if cacheEntries == 0 {
 		cacheEntries = 256
-	}
-	maxRetained := opts.MaxRetainedJobs
-	if maxRetained == 0 {
-		maxRetained = 1024
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -360,7 +342,7 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 		now:      time.Now,
 		root:     root,
 		shutdown: shutdown,
-		jobs:     jobTable{max: maxRetained, byID: make(map[string]*Job)},
+		jobs:     jobTable{byID: make(map[string]*Job)},
 		inflight: make(map[string]*flight),
 	}
 	// Live quantities are read straight from the owning structures at
@@ -407,13 +389,14 @@ func (s *Service) openStores(opts ServiceOptions) error {
 		// owned (m.diskHits): a hit means "served", which additionally
 		// requires the payload to decode — the store's own read counters
 		// include envelope-valid entries quarantined at that later step.
-		disk.SetMetrics(plancache.Metrics{
+		s.m.disk = plancache.Metrics{
 			Writes:       s.m.reg.Counter("mcmpart_disk_writes_total", "Plans durably written to the disk tier."),
 			WriteErrors:  s.m.reg.Counter("mcmpart_disk_write_errors_total", "Disk-tier writes that failed (logged; no partial entry remains)."),
 			Quarantined:  s.m.reg.Counter("mcmpart_disk_quarantined_total", "Disk-tier entries set aside after failing verification."),
 			ReadSeconds:  s.m.reg.Histogram("mcmpart_disk_read_seconds", "Disk-tier Get latency, hit or miss.", telemetry.DefBuckets),
 			WriteSeconds: s.m.reg.Histogram("mcmpart_disk_write_seconds", "Disk-tier Put latency, success or failure.", telemetry.DefBuckets),
-		})
+		}
+		disk.SetMetrics(s.m.disk)
 		s.disk = disk
 	}
 	if opts.PolicyDir != "" {
@@ -444,11 +427,7 @@ func (s *Service) installLatestFromRegistry() error {
 		return fmt.Errorf("mcmpart: loading policy %s from registry: %w", entry.Path, err)
 	}
 	if found {
-		s.planner.installPolicy(policy)
-		s.installedMu.Lock()
-		s.installedPath = entry.Path
-		s.installedFP = s.planner.PolicyFingerprint()
-		s.installedMu.Unlock()
+		s.planner.installPolicy(policy, entry.Path)
 	}
 	return nil
 }
@@ -482,18 +461,16 @@ func (s *Service) SavePolicyToRegistry() error {
 
 // Policies lists the installed policy and every registry artifact matching
 // the service's package, oldest first, installed one marked. The installed
-// mark uses the provenance recorded at install time (no artifact is read
-// from disk here), and is dropped if the planner's policy changed since —
-// e.g. a Pretrain through Planner() — in which case a synthetic
-// path-less entry represents the installed policy instead.
-func (s *Service) Policies() []PolicyInfo {
-	installedFP := s.planner.PolicyFingerprint()
-	s.installedMu.Lock()
-	installedPath := s.installedPath
-	if installedFP == "" || installedFP != s.installedFP {
-		installedPath = "" // policy replaced outside the registry
-	}
-	s.installedMu.Unlock()
+// mark uses the provenance the install recorded (no artifact is read from
+// disk here); a policy installed outside the registry — e.g. a Pretrain
+// through Planner() — has none, and a synthetic path-less entry represents
+// it instead.
+func (s *Service) Policies() []PolicyInfo { return s.policies(s.planner.snapshotPolicy()) }
+
+// policies is Policies under a given reading of the installed policy, so
+// that a response naming the installed fingerprint (GET /v1/policies) marks
+// that same policy.
+func (s *Service) policies(installed policySnapshot) []PolicyInfo {
 	var out []PolicyInfo
 	seenInstalled := false
 	if s.registry != nil {
@@ -504,14 +481,14 @@ func (s *Service) Policies() []PolicyInfo {
 				PackageFingerprint: e.PackageFingerprint,
 				Seq:                e.Seq,
 			}
-			if installedPath != "" && e.Path == installedPath {
+			if installed.path != "" && e.Path == installed.path {
 				info.Installed = true
 				seenInstalled = true
 			}
 			out = append(out, info)
 		}
 	}
-	if installedFP != "" && !seenInstalled {
+	if installed.policy != nil && !seenInstalled {
 		out = append(out, PolicyInfo{
 			PackageName:        s.planner.Package().Name,
 			PackageFingerprint: s.pkgFP,
@@ -530,14 +507,15 @@ func (s *Service) Policies() []PolicyInfo {
 // JobsSubmitted holds in every snapshot — even mid-burst — and the two
 // sides are equal once the service is quiescent.
 func (s *Service) Stats() ServiceStats {
+	installed := s.planner.snapshotPolicy()
 	st := ServiceStats{
 		Package:            s.planner.Package().Name,
 		PackageFingerprint: s.pkgFP,
 		Workers:            s.pool.Workers(),
 		QueueDepth:         s.pool.QueueLen(),
 		QueueCapacity:      s.pool.QueueCap(),
-		PolicyInstalled:    s.planner.HasPolicy(),
-		PolicyFingerprint:  s.planner.PolicyFingerprint(),
+		PolicyInstalled:    installed.policy != nil,
+		PolicyFingerprint:  installed.fp,
 	}
 	st.JobsSubmitted = s.m.jobsSubmitted.Value()
 	st.JobsDone = s.m.jobsEnded[JobDone].Value()
@@ -556,10 +534,9 @@ func (s *Service) Stats() ServiceStats {
 		st.RegistryPolicies = len(s.registry.ForPackage(s.planner.Package()))
 	}
 	if s.disk != nil {
-		ds := s.disk.Stats()
-		st.DiskCacheWrites = ds.Writes
-		st.DiskCacheWriteErrors = ds.WriteErrors
-		st.DiskCacheQuarantined = ds.Quarantined
+		st.DiskCacheWrites = s.m.disk.Writes.Value()
+		st.DiskCacheWriteErrors = s.m.disk.WriteErrors.Value()
+		st.DiskCacheQuarantined = s.m.disk.Quarantined.Value()
 	}
 	st.Draining = s.draining()
 	return st
@@ -586,7 +563,7 @@ func (s *Service) Job(id string) (*Job, bool) {
 // policy is installed now — the "automatic policy selection at plan time".
 // The from-scratch methods never consult a policy and get the zero reading.
 func (s *Service) ensurePolicy(method Method) (policySnapshot, error) {
-	if method != MethodZeroShot && method != MethodFineTune {
+	if !method.usesPolicy() {
 		return policySnapshot{}, nil
 	}
 	installed := s.planner.snapshotPolicy()
@@ -654,13 +631,7 @@ func (s *Service) normalize(ctx context.Context, req PlanRequest, a *admission) 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if req.Graph == nil {
-		return fmt.Errorf("%w: nil graph", ErrInvalidRequest)
-	}
-	if err := req.Graph.Validate(); err != nil {
-		return err
-	}
-	opts, err := req.Options.normalized()
+	opts, err := normalizeRequest(req.Graph, req.Options)
 	if err != nil {
 		return err
 	}

@@ -248,17 +248,18 @@ func TestShedLeavesNothingBehind(t *testing.T) {
 
 // TestMaxRetainedJobs pins the retention bound: a burst of terminal jobs
 // past the bound evicts the oldest terminal ones (Service.Job false, HTTP
-// 404), keeps the table at the bound, and never evicts a live job.
+// 404), keeps the table at the bound, and never evicts a live job. The
+// burst is cache hits on one small graph, microseconds each.
 func TestMaxRetainedJobs(t *testing.T) {
-	const bound = 4
-	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1, MaxRetainedJobs: bound})
+	const bound = mcmpart.MaxRetainedJobs
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1})
 	srv := httptest.NewServer(mcmpart.NewHTTPHandler(svc))
 	defer srv.Close()
 	g := smallGraph(t)
 	ctx := context.Background()
 	greedy := mcmpart.PlanRequest{Graph: g, Options: mcmpart.PlanOptions{Method: mcmpart.MethodGreedy}}
 
-	ids := make([]string, 0, 32)
+	ids := make([]string, 0, bound+64)
 	first, err := svc.Submit(ctx, greedy) // fills the cache; every later one is a hit
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +273,7 @@ func TestMaxRetainedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	for i := 0; i < 5*bound; i++ {
+	for i := 0; i < bound+62; i++ {
 		job, err := svc.Submit(ctx, greedy)
 		if err != nil {
 			t.Fatal(err)

@@ -467,7 +467,7 @@ func TestServiceValidationAndAdmission(t *testing.T) {
 
 func TestServiceOptionValidation(t *testing.T) {
 	for _, opts := range []mcmpart.ServiceOptions{
-		{Workers: -1}, {QueueDepth: -1}, {MaxRetainedJobs: -1},
+		{Workers: -1}, {QueueDepth: -1},
 	} {
 		if _, err := mcmpart.NewService(mcmpart.Dev4(), opts); err == nil {
 			t.Fatalf("ServiceOptions %+v must be rejected", opts)
