@@ -145,9 +145,11 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestKernelsKeepNonFiniteSemantics pins the two places where skipping (or
-// not skipping) a zero factor is visible in the value, not only the sign of
-// a zero: 0 * Inf is NaN, so Mul/MulATB must skip it and MulABT must not.
+// TestKernelsKeepNonFiniteSemantics pins the one place where skipping a
+// zero factor is visible in the value, not only the sign of a zero: 0 * Inf
+// is NaN, and every kernel skips it. refMulABT multiplies every factor; on
+// finite operands that gives the same bits, which
+// TestKernelsBitIdenticalToReference checks.
 func TestKernelsKeepNonFiniteSemantics(t *testing.T) {
 	a := FromSlice(1, 2, []float64{0, 2})
 	b := FromSlice(2, 1, []float64{math.Inf(1), 3})
@@ -163,8 +165,17 @@ func TestKernelsKeepNonFiniteSemantics(t *testing.T) {
 	}
 	bt := FromSlice(1, 2, []float64{math.Inf(1), 3})
 	MulABT(out, a, bt)
-	if !math.IsNaN(out.Data[0]) {
-		t.Fatalf("MulABT must not skip the zero factor: got %v, want NaN", out.Data[0])
+	if out.Data[0] != 6 {
+		t.Fatalf("MulABT must skip the zero factor: got %v, want 6", out.Data[0])
+	}
+	// Five rows of b: a four-wide tile, then one on its own.
+	bt5 := FromSlice(5, 2, []float64{math.Inf(1), 3, math.Inf(1), 3, math.Inf(1), 3, math.Inf(1), 3, math.Inf(1), 3})
+	out5 := New(1, 5)
+	MulABT(out5, a, bt5)
+	for j, v := range out5.Data {
+		if v != 6 {
+			t.Fatalf("MulABT must skip the zero factor: column %d got %v, want 6", j, v)
+		}
 	}
 }
 

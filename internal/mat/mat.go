@@ -237,6 +237,11 @@ func mulATBRowsBlock(out, a, b *Dense, lo, hi int) {
 // Four rows of b are dotted against a row of a at once: each dot product
 // still sums its products in ascending k from zero, but the four chains are
 // independent, so the adds overlap instead of queueing behind one another.
+// A row of a with exact zeros — a backward pass's ReLU-masked gradient is
+// about half zeros — is compacted first, as mulRows does. A row without any
+// keeps the plain dot products, the first four of which look for the zeros
+// as they go, so a dense a (a gradient of logits) pays one comparison per
+// factor for the check and nothing else.
 func MulABT(out, a, b *Dense) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulABT shape mismatch (%dx%d)@(%dx%d)ᵀ->(%dx%d)",
@@ -247,34 +252,117 @@ func MulABT(out, a, b *Dense) {
 
 // mulABTBlock is MulABT over output rows [lo, hi).
 func mulABTBlock(out, a, b *Dense, lo, hi int) {
+	var vals [chunk]float64
+	var offs [chunk]int
 	kk := a.Cols
 	for i := lo; i < hi; i++ {
 		ar := a.Data[i*kk : (i+1)*kk]
 		or := out.Data[i*out.Cols : (i+1)*out.Cols]
-		j := 0
-		for ; j+4 <= len(or); j += 4 {
-			b0 := b.Data[j*kk : (j+1)*kk][:len(ar)]
-			b1 := b.Data[(j+1)*kk : (j+2)*kk][:len(ar)]
-			b2 := b.Data[(j+2)*kk : (j+3)*kk][:len(ar)]
-			b3 := b.Data[(j+3)*kk : (j+4)*kk][:len(ar)]
-			var s0, s1, s2, s3 float64
-			for k, av := range ar {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			or[j], or[j+1], or[j+2], or[j+3] = s0, s1, s2, s3
+		if dotRows(or, ar, b.Data) {
+			continue
 		}
-		for ; j < len(or); j++ {
-			br := b.Data[j*kk : (j+1)*kk][:len(ar)]
-			var sum float64
-			for k, av := range ar {
-				sum += av * br[k]
+		clear(or)
+		for k0 := 0; k0 < kk; k0 += chunk {
+			n := 0
+			for k, av := range ar[k0:min(k0+chunk, kk)] {
+				vals[n], offs[n] = av, k0+k
+				if av != 0 {
+					n++
+				}
 			}
-			or[j] = sum
+			dotCompacted(or, b.Data, kk, vals[:n], offs[:n])
 		}
 	}
+}
+
+// dotRows writes the dot product of ar with row j of the row-major b (rows
+// of len(ar) values) into or[j], for every j, and reports true — unless ar
+// holds an exact zero: then it returns false from the first pass over ar,
+// which doubles as the scan for one, leaving or partly written.
+func dotRows(or, ar, b []float64) bool {
+	kk := len(ar)
+	j := 0
+	if len(or) < 4 {
+		for _, av := range ar {
+			if av == 0 {
+				return false
+			}
+		}
+	} else {
+		b0, b1, b2, b3 := b[:kk], b[kk : 2*kk][:kk], b[2*kk : 3*kk][:kk], b[3*kk : 4*kk][:kk]
+		var s0, s1, s2, s3 float64
+		for k, av := range ar {
+			if av == 0 {
+				return false
+			}
+			s0 += av * b0[k]
+			s1 += av * b1[k]
+			s2 += av * b2[k]
+			s3 += av * b3[k]
+		}
+		or[0], or[1], or[2], or[3] = s0, s1, s2, s3
+		j = 4
+	}
+	for ; j+4 <= len(or); j += 4 {
+		b0 := b[j*kk : (j+1)*kk][:len(ar)]
+		b1 := b[(j+1)*kk : (j+2)*kk][:len(ar)]
+		b2 := b[(j+2)*kk : (j+3)*kk][:len(ar)]
+		b3 := b[(j+3)*kk : (j+4)*kk][:len(ar)]
+		var s0, s1, s2, s3 float64
+		for k, av := range ar {
+			s0 += av * b0[k]
+			s1 += av * b1[k]
+			s2 += av * b2[k]
+			s3 += av * b3[k]
+		}
+		or[j], or[j+1], or[j+2], or[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(or); j++ {
+		br := b[j*kk : (j+1)*kk][:len(ar)]
+		var sum float64
+		for k, av := range ar {
+			sum += av * br[k]
+		}
+		or[j] = sum
+	}
+	return true
+}
+
+// dotCompacted adds sum_c vals[c] * b[j*kk+offs[c]] to or[j] for every j,
+// folding the products in slice order: dotRows over the factors of a row
+// that compaction kept.
+func dotCompacted(or, b []float64, kk int, vals []float64, offs []int) {
+	offs = offs[:len(vals)]
+	j := 0
+	for ; j+4 <= len(or); j += 4 {
+		dotCompacted4(or[j:j+4:j+4], b[j*kk:(j+4)*kk], vals, offs)
+	}
+	for ; j < len(or); j++ {
+		br := b[j*kk : (j+1)*kk]
+		s := or[j]
+		for c, av := range vals {
+			s += av * br[offs[c]]
+		}
+		or[j] = s
+	}
+}
+
+// dotCompacted4 is dotCompacted over one tile: the four rows of b, four
+// outputs t. A function of its own so that the loop's pointers fit in
+// registers.
+func dotCompacted4(t, b []float64, vals []float64, offs []int) {
+	kk := len(b) / 4
+	b0, b1, b2, b3 := b[:kk], b[kk : 2*kk][:kk], b[2*kk : 3*kk][:kk], b[3*kk : 4*kk][:kk]
+	s0, s1, s2, s3 := t[0], t[1], t[2], t[3]
+	offs = offs[:len(vals)]
+	for c, av := range vals {
+		k := offs[c]
+		s0 += av * b0[k]
+		s1 += av * b1[k]
+		s2 += av * b2[k]
+		s3 += av * b3[k]
+	}
+	t[0], t[1], t[2], t[3] = s0, s1, s2, s3
 }
 
 // Axpy computes y += s * x over raw slices — the scalar-vector kernel the

@@ -38,8 +38,9 @@ func ReLUBackward(dX, dOut, out *mat.Dense) {
 
 // SoftmaxRows writes the row-wise softmax of logits into probs and the
 // row-wise log-softmax into logProbs, sharing one pass of exponentials
-// between them. Both are numerically stable (max-subtracted); neither
-// output may alias logits.
+// between them. Both are numerically stable (max-subtracted). logProbs may
+// alias logits — each logit is read before its log-probability is written —
+// but probs may not.
 func SoftmaxRows(probs, logProbs, logits *mat.Dense) {
 	for r := 0; r < logits.Rows; r++ {
 		row := logits.Row(r)

@@ -38,8 +38,6 @@ func ZeroGrads(params []*Param) {
 type Linear struct {
 	In, Out int
 	W, B    *Param
-
-	x *mat.Dense // cached input for backprop
 }
 
 // NewLinear returns a Xavier-initialized linear layer. A nil rng leaves the
@@ -58,22 +56,18 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Forward computes out = x @ W + b, caching x for Backward. out must be
-// x.Rows x Out and distinct from x.
+// Forward computes out = x @ W + b. out must be x.Rows x Out and distinct
+// from x. The layer keeps nothing of the pass: Backward takes x again.
 func (l *Linear) Forward(out, x *mat.Dense) {
 	mat.Mul(out, x, l.W.Value)
 	out.AddRowVector(l.B.Value.Data)
-	l.x = x
 }
 
-// Backward accumulates parameter gradients from dOut and, when dX is
-// non-nil, overwrites it with the input gradient. Forward must have been
-// called first.
-func (l *Linear) Backward(dX, dOut *mat.Dense) {
-	if l.x == nil {
-		panic("nn: Linear.Backward before Forward")
-	}
-	mat.MulATBAcc(l.W.Grad, l.x, dOut)
+// Backward accumulates parameter gradients from dOut, the gradient of the
+// output Forward computed from x, and, when dX is non-nil, overwrites it
+// with the input gradient.
+func (l *Linear) Backward(x, dX, dOut *mat.Dense) {
+	mat.MulATBAcc(l.W.Grad, x, dOut)
 	dOut.ColSums(l.B.Grad.Data)
 	if dX != nil {
 		mat.MulABT(dX, dOut, l.W.Value)

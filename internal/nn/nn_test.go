@@ -33,7 +33,7 @@ func TestLinearGradientCheck(t *testing.T) {
 	dOut := out.Clone()
 	dX := mat.New(5, 4)
 	ZeroGrads(l.Params())
-	l.Backward(dX, dOut)
+	l.Backward(x, dX, dOut)
 
 	const eps = 1e-6
 	check := func(name string, data []float64, grad []float64) {
@@ -63,10 +63,10 @@ func TestBackwardAccumulates(t *testing.T) {
 	l.Forward(out, x)
 	dOut := mat.FromSlice(1, 2, []float64{1, 1})
 	ZeroGrads(l.Params())
-	l.Backward(nil, dOut)
+	l.Backward(x, nil, dOut)
 	first := append([]float64(nil), l.W.Grad.Data...)
 	l.Forward(out, x)
-	l.Backward(nil, dOut)
+	l.Backward(x, nil, dOut)
 	for i := range first {
 		if math.Abs(l.W.Grad.Data[i]-2*first[i]) > 1e-12 {
 			t.Fatalf("gradients should accumulate: %v vs %v", l.W.Grad.Data, first)

@@ -12,18 +12,22 @@ import (
 // best-so-far curve.
 //
 // No weight changes during deployment, so the graph is encoded once and
-// every sample costs only the policy head.
+// every sample costs only the policy head — and every episode's first
+// sample not even that much of it (Heads computes the start state's
+// distribution once per Encoding).
 //
 // Cancelling ctx stops the loop before the next sample and returns
 // ctx.Err(); the environment keeps its best-so-far trajectory.
 func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *rand.Rand) error {
 	enc := policy.Encode(new(Encoding), env.Ctx)
 	var mixed [][]float64 // SAMPLE mode's matrix, rewritten per sample
+	// Every episode's t=0 state, shared: Heads only reads it.
+	start := unassigned(env.Ctx.G.NumNodes())
 	for env.Samples < budget {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		prev := unassigned(env.Ctx.G.NumNodes())
+		prev := start
 		for step := 0; step < policy.Cfg.Iterations && env.Samples < budget; step++ {
 			if err := ctx.Err(); err != nil {
 				return err

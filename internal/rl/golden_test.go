@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -142,6 +143,67 @@ func BenchmarkIterateBERT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		trainer.Iterate(envs)
 	}
+}
+
+// zeroShotPlan returns what one serve-zeroshot op plans, on env: a clone of
+// policy and 16 SAMPLE-mode samples.
+func zeroShotPlan(tb testing.TB, policy *rl.Policy, env *rl.Env) func() {
+	env.UseSampleMode = true
+	return func() {
+		env.Reset()
+		if err := rl.ZeroShot(context.Background(), policy.Clone(), env, 16, rand.New(rand.NewSource(2))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkZeroShotBERT times one zero-shot plan on BERT/edge36.
+func BenchmarkZeroShotBERT(b *testing.B) {
+	pkg := mcm.Edge36()
+	plan := zeroShotPlan(b, rl.NewPolicy(rl.QuickConfig(pkg.Chips), rand.New(rand.NewSource(1))), goldenEnv(b, workload.BERT(), pkg))
+	plan() // the graph's and the solver's lazily built state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan()
+	}
+}
+
+// heapBytes returns what fn allocates on the heap, in allocator size
+// classes.
+func heapBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBERTHeapBytes holds the heap bytes of one zero-shot plan (what
+// BenchmarkZeroShotBERT times) and of one steady-state PPO iteration on
+// BERT/edge36 at their figures from when the policy head built its whole
+// input matrix and kept its logits: an Encoding's embedding product and
+// start-state distribution are paid for by those two. One worker, so that
+// no kernel or rollout fan-out allocates of its own.
+func TestBERTHeapBytes(t *testing.T) {
+	const zeroShotCeiling, iterateCeiling = 7270416, 808960
+	g, pkg := workload.BERT(), mcm.Edge36()
+	pcfg := rl.QuickConfig(pkg.Chips)
+	withWorkers(1, func() {
+		plan := zeroShotPlan(t, rl.NewPolicy(pcfg, rand.New(rand.NewSource(1))), goldenEnv(t, g, pkg))
+		plan() // the graph's and the solver's lazily built state
+		if got := heapBytes(plan); got > zeroShotCeiling {
+			t.Errorf("one zero-shot plan allocates %d bytes, ceiling %d", got, zeroShotCeiling)
+		}
+
+		rng := rand.New(rand.NewSource(11))
+		envs := []*rl.Env{goldenEnv(t, g, pkg)}
+		trainer := rl.NewTrainer(rl.NewPolicy(pcfg, rng), rl.QuickPPOConfig(), rng)
+		trainer.Iterate(envs) // size the scratch
+		if got := heapBytes(func() { trainer.Iterate(envs) }); got > iterateCeiling {
+			t.Errorf("one Iterate allocates %d bytes, ceiling %d", got, iterateCeiling)
+		}
+	})
 }
 
 // TestZeroShotPerSampleAllocs bounds what one more SAMPLE-mode sample costs

@@ -1,0 +1,220 @@
+package rl
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"mcmpart/internal/mat"
+	"mcmpart/internal/mcm"
+	"mcmpart/internal/nn"
+	"mcmpart/internal/workload"
+)
+
+// refForward, refHeads and refBackward are Forward, Heads and Backward as
+// they stood when the policy head built its whole input matrix
+// z = [h ; onehot(prev) ; ChipFeat], multiplied all of it by fc1 for every
+// state and kept its logits (4a63c0f), kept as the reference the split head
+// and the start-state memo must equal bit for bit (TestHeadsMatchReference).
+// To check:
+//
+//	git show 4a63c0f:internal/rl/policy.go | sed -n '213,225p;247,299p;312,337p' | sed \
+//	  -e 's/^type Forward struct/type refForward struct/' \
+//	  -e 's/^func (p \*Policy) Heads(enc \*Encoding, prev \[\]int) \*Forward {/func refHeads(p *Policy, f *refForward, enc *Encoding, prev []int) *refForward {/' \
+//	  -e 's/^func (p \*Policy) Backward(f \*Forward,/func refBackward(p *Policy, f *refForward,/' \
+//	  -e 's/p\.fc2\.Backward(/p.fc2.Backward(f.a1, /; s/p\.fc1\.Backward(/p.fc1.Backward(f.z, /' \
+//	  -e 's/p\.vf2\.Backward(/p.vf2.Backward(f.v1, /; s/p\.vf1\.Backward(/p.vf1.Backward(f.pooled, /' |
+//	  diff - <(sed -n '/^type refForward struct/,/^}$/p;/^func refHeads/,/^}$/p;/^func refBackward/,/^}$/p' internal/rl/heads_ref_test.go)
+//
+// The sed expressions are the two signature changes: the functions are no
+// longer methods, and nn.Linear.Backward takes the layer input it no longer
+// caches. The diff is one line: refHeads does not take `f := &p.fwd`, as
+// the policy's scratch has no z or logits; its caller passes the record.
+
+type refForward struct {
+	Probs    *mat.Dense // N x C action distribution P (Figure 3's output)
+	LogProbs *mat.Dense // N x C log-probabilities
+	Value    float64
+
+	enc    *Encoding
+	z      *mat.Dense // policy-head input [h ; onehot(prev)]
+	a1     *mat.Dense // post-ReLU hidden of the policy head
+	logits *mat.Dense
+	pooled *mat.Dense // value-head input
+	v1     *mat.Dense
+	vout   *mat.Dense
+}
+
+func refHeads(p *Policy, f *refForward, enc *Encoding, prev []int) *refForward {
+	n, c, hidden := enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
+	if len(prev) != n {
+		panic(fmt.Sprintf("rl: prev has %d entries for %d nodes", len(prev), n))
+	}
+	extra := p.Cfg.headExtra()
+	chipFeat := enc.ctx.ChipFeat
+	if extra != 0 && len(chipFeat) != extra {
+		panic(fmt.Sprintf("rl: policy wants %d chip features, context has %d (build it with NewGraphContextForPackage)",
+			extra, len(chipFeat)))
+	}
+	f.enc = enc
+	f.z = mat.Resized(f.z, n, hidden+c+extra)
+	for i := 0; i < n; i++ {
+		row := f.z.Row(i)
+		copy(row, enc.h.Row(i))
+		tail := row[hidden:]
+		clear(tail)
+		if a := prev[i]; a >= 0 && a < c {
+			tail[a] = 1
+		}
+		if extra != 0 {
+			copy(tail[c:], chipFeat)
+		}
+	}
+	f.a1 = mat.Resized(f.a1, n, hidden)
+	p.fc1.Forward(f.a1, f.z)
+	nn.ReLU(f.a1, f.a1)
+	f.logits = mat.Resized(f.logits, n, c)
+	p.fc2.Forward(f.logits, f.a1)
+	f.Probs = mat.Resized(f.Probs, n, c)
+	f.LogProbs = mat.Resized(f.LogProbs, n, c)
+	nn.SoftmaxRows(f.Probs, f.LogProbs, f.logits)
+
+	// Value head over the pooled state: mean embedding plus the
+	// normalized chip histogram of the previous assignment.
+	pr := f.pooled.Row(0)
+	copy(pr, enc.mean)
+	hist := pr[hidden:]
+	clear(hist)
+	inv := 1 / float64(n)
+	for _, a := range prev {
+		if a >= 0 && a < c {
+			hist[a] += inv
+		}
+	}
+	p.vf1.Forward(f.v1, f.pooled)
+	nn.ReLU(f.v1, f.v1)
+	p.vf2.Forward(f.vout, f.v1)
+	f.Value = f.vout.At(0, 0)
+	return f
+}
+
+func refBackward(p *Policy, f *refForward, dLogits *mat.Dense, dValue float64) {
+	n, hidden := f.enc.h.Rows, p.Cfg.Hidden
+	// Policy head. Of the head-input gradient only the embedding columns
+	// are needed (the one-hot and capacity columns are inputs, not
+	// activations), so fc1 propagates through its embedding rows alone.
+	p.dA1 = mat.Resized(p.dA1, n, hidden)
+	p.fc2.Backward(f.a1, p.dA1, dLogits)
+	nn.ReLUBackward(p.dA1, p.dA1, f.a1)
+	p.fc1.Backward(f.z, nil, p.dA1)
+	p.dH = mat.Resized(p.dH, n, hidden)
+	mat.MulABT(p.dH, p.dA1, p.fc1Embed)
+	// Value head.
+	p.dVout.Data[0] = dValue
+	p.vf2.Backward(f.v1, p.dV1, p.dVout)
+	nn.ReLUBackward(p.dV1, p.dV1, f.v1)
+	p.vf1.Backward(f.pooled, p.dPooled, p.dV1)
+	// Gradient into the embeddings: policy rows plus the pooled mean.
+	inv := 1 / float64(n)
+	pr := p.dPooled.Row(0)[:hidden]
+	for i := 0; i < n; i++ {
+		for j, g := range pr {
+			p.dH.Data[i*hidden+j] += g * inv
+		}
+	}
+	p.sage.BackwardFrom(&f.enc.act, p.dH)
+}
+
+// requireBits fails unless got and want hold the same IEEE-754 bits.
+func requireBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%x), reference %v (%x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestHeadsMatchReference requires Heads and Backward to reproduce the
+// reference bit for bit — distribution, value and every parameter gradient —
+// on the paper's BERT/edge36 shape and on het4 with the capacity features
+// (one of them set to 0, which the head must skip as a zero factor), for the
+// start state (a memo miss, then hits, one of them spelled with chips >= C),
+// a random assignment, and one mixing unassigned, valid and out-of-range
+// chips.
+func TestHeadsMatchReference(t *testing.T) {
+	het := mcm.Het4()
+	bert := workload.BERT()
+	hetCtx := NewGraphContextForPackage(bert, het)
+	hetCtx.ChipFeat = append([]float64(nil), hetCtx.ChipFeat...)
+	hetCtx.ChipFeat[1] = 0
+	hetCfg := QuickConfig(het.Chips)
+	hetCfg.ChipFeatures = true
+	edge := mcm.Edge36()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ctx  *GraphContext
+	}{
+		{"bert-edge36", QuickConfig(edge.Chips), NewGraphContextForPackage(bert, edge)},
+		{"bert-het4-chipfeat", hetCfg, hetCtx},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			pol := NewPolicy(tc.cfg, rng)
+			// Weights as training leaves them: NewPolicy's zero biases would
+			// hide where Heads adds them.
+			for _, param := range pol.Params() {
+				for i := range param.Value.Data {
+					param.Value.Data[i] += 0.1 * rng.NormFloat64()
+				}
+			}
+			ref := pol.Clone()
+			enc := pol.Encode(new(Encoding), tc.ctx)
+			refEnc := ref.Encode(new(Encoding), tc.ctx)
+			rf := &refForward{pooled: mat.New(1, tc.cfg.Hidden+tc.cfg.Chips), v1: mat.New(1, tc.cfg.Hidden), vout: mat.New(1, 1)}
+
+			n, c := tc.ctx.G.NumNodes(), tc.cfg.Chips
+			random, mixed, beyond := make([]int, n), make([]int, n), make([]int, n)
+			for i := range random {
+				random[i] = rng.Intn(c)
+				mixed[i] = rng.Intn(2*c+1) - 1
+				beyond[i] = c + rng.Intn(3)
+			}
+			dLogits := mat.New(n, c)
+			for i := range dLogits.Data {
+				if rng.Intn(5) != 0 {
+					dLogits.Data[i] = rng.NormFloat64()
+				}
+			}
+			// Gradients accumulate across the states, so every one after the
+			// first adds into non-zero accumulators.
+			nn.ZeroGrads(pol.Params())
+			nn.ZeroGrads(ref.Params())
+			for _, s := range []struct {
+				name string
+				prev []int
+			}{
+				{"start (miss)", unassigned(n)},
+				{"random", random},
+				{"start (hit)", unassigned(n)},
+				{"mixed", mixed},
+				{"start spelled >= C (hit)", beyond},
+			} {
+				f := pol.Heads(enc, s.prev)
+				want := refHeads(ref, rf, refEnc, s.prev)
+				requireBits(t, s.name+": Probs", f.Probs.Data, want.Probs.Data)
+				requireBits(t, s.name+": LogProbs", f.LogProbs.Data, want.LogProbs.Data)
+				requireBits(t, s.name+": Value", []float64{f.Value}, []float64{want.Value})
+				dValue := rng.NormFloat64()
+				pol.Backward(f, dLogits, dValue)
+				refBackward(ref, want, dLogits, dValue)
+				for i, param := range pol.Params() {
+					requireBits(t, s.name+": grad "+param.Name, param.Grad.Data, ref.Params()[i].Grad.Data)
+				}
+			}
+		})
+	}
+}

@@ -77,9 +77,11 @@ type Policy struct {
 	fc1, fc2 *nn.Linear
 	vf1, vf2 *nn.Linear
 	params   []*nn.Param
-	// fc1Embed is the view of fc1's weights that multiplies the embedding
-	// columns of the head input: its first Hidden rows.
-	fc1Embed *mat.Dense
+	// fc1Embed and fc1EmbedGrad view the rows of fc1's weights and their
+	// gradient that multiply the embedding columns of the head input: the
+	// first Hidden rows. The rows after them (one per chip, then one per
+	// capacity feature) meet inputs that are 1 or a per-package constant.
+	fc1Embed, fc1EmbedGrad *mat.Dense
 
 	enc Encoding // the record behind Forward, the one-call form of Encode + Heads
 	fwd Forward
@@ -110,6 +112,7 @@ func NewPolicy(cfg Config, rng *rand.Rand) *Policy {
 	p.params = append(p.params, p.vf1.Params()...)
 	p.params = append(p.params, p.vf2.Params()...)
 	p.fc1Embed = mat.FromSlice(cfg.Hidden, cfg.Hidden, p.fc1.W.Value.Data[:cfg.Hidden*cfg.Hidden])
+	p.fc1EmbedGrad = mat.FromSlice(cfg.Hidden, cfg.Hidden, p.fc1.W.Grad.Data[:cfg.Hidden*cfg.Hidden])
 	// The value head's buffers have fixed shapes; the per-node ones are
 	// sized to the graph on use.
 	p.fwd.pooled, p.fwd.v1, p.fwd.vout = mat.New(1, in), mat.New(1, cfg.Hidden), mat.New(1, 1)
@@ -203,22 +206,29 @@ type Encoding struct {
 	act  gnn.Activations
 	h    *mat.Dense // N x Hidden node embeddings, owned by act
 	mean []float64  // column means of h: the value head's pooled embedding
+	// hW is h times the embedding rows of the policy head's first layer:
+	// the part of that layer's pre-activation no state changes.
+	hW *mat.Dense
+	// startProbs and startLogProbs are the action distribution of the
+	// all-unassigned state (every episode's t=0), filled by the first Heads
+	// call on it when started is false.
+	startProbs, startLogProbs *mat.Dense
+	started                   bool
 }
 
 // Forward is one policy evaluation on the state (graph, previous
 // assignment). prev has one entry per node; -1 means unassigned (the state
-// at t=0). It holds everything Backward needs, lives in the policy's
-// scratch, and stays valid until the next evaluation on that policy; copy
-// out what must outlive it.
+// at t=0). It holds everything Backward needs — prev included, which it
+// keeps rather than copies — lives in the policy's scratch, and stays valid
+// until the next evaluation on that policy; copy out what must outlive it.
 type Forward struct {
 	Probs    *mat.Dense // N x C action distribution P (Figure 3's output)
 	LogProbs *mat.Dense // N x C log-probabilities
 	Value    float64
 
 	enc    *Encoding
-	z      *mat.Dense // policy-head input [h ; onehot(prev)]
+	prev   []int
 	a1     *mat.Dense // post-ReLU hidden of the policy head
-	logits *mat.Dense
 	pooled *mat.Dense // value-head input
 	v1     *mat.Dense
 	vout   *mat.Dense
@@ -239,45 +249,69 @@ func (p *Policy) Encode(enc *Encoding, ctx *GraphContext) *Encoding {
 			enc.mean[j] += v * inv
 		}
 	}
+	enc.hW = mat.Resized(enc.hW, enc.h.Rows, p.Cfg.Hidden)
+	mat.Mul(enc.hW, enc.h, p.fc1Embed)
+	enc.started = false
 	return enc
 }
 
 // Heads evaluates the policy and value heads on the state (enc's graph,
 // prev). The weights must be the ones enc was encoded under.
+//
+// The first layer of the policy head sees [h ; onehot(prev) ; ChipFeat],
+// and enc holds its product with h: per node Heads adds the weight row of
+// the assigned chip, the capacity features' rows (zeros skipped) and the
+// bias, in that order — the k-ascending sequence of mat.Mul over the whole
+// input, since 1·w is w. The all-unassigned state's distribution is the
+// same for every episode on enc, so it is computed once.
 func (p *Policy) Heads(enc *Encoding, prev []int) *Forward {
 	n, c, hidden := enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
 	if len(prev) != n {
 		panic(fmt.Sprintf("rl: prev has %d entries for %d nodes", len(prev), n))
 	}
-	extra := p.Cfg.headExtra()
-	chipFeat := enc.ctx.ChipFeat
-	if extra != 0 && len(chipFeat) != extra {
-		panic(fmt.Sprintf("rl: policy wants %d chip features, context has %d (build it with NewGraphContextForPackage)",
-			extra, len(chipFeat)))
-	}
+	chipFeat := p.chipFeat(enc.ctx)
 	f := &p.fwd
-	f.enc = enc
-	f.z = mat.Resized(f.z, n, hidden+c+extra)
+	f.enc, f.prev = enc, prev
+	f.a1 = mat.Resized(f.a1, n, hidden)
+	w1, b1 := p.fc1.W.Value.Data, p.fc1.B.Value.Data
+	start := true
 	for i := 0; i < n; i++ {
-		row := f.z.Row(i)
-		copy(row, enc.h.Row(i))
-		tail := row[hidden:]
-		clear(tail)
+		row := f.a1.Row(i)
+		copy(row, enc.hW.Row(i))
 		if a := prev[i]; a >= 0 && a < c {
-			tail[a] = 1
+			start = false
+			for j, w := range w1[(hidden+a)*hidden:][:len(row)] {
+				row[j] += w
+			}
 		}
-		if extra != 0 {
-			copy(tail[c:], chipFeat)
+		for q, v := range chipFeat {
+			if v != 0 {
+				for j, w := range w1[(hidden+c+q)*hidden:][:len(row)] {
+					row[j] += v * w
+				}
+			}
+		}
+		for j, b := range b1[:len(row)] {
+			row[j] += b
 		}
 	}
-	f.a1 = mat.Resized(f.a1, n, hidden)
-	p.fc1.Forward(f.a1, f.z)
 	nn.ReLU(f.a1, f.a1)
-	f.logits = mat.Resized(f.logits, n, c)
-	p.fc2.Forward(f.logits, f.a1)
 	f.Probs = mat.Resized(f.Probs, n, c)
 	f.LogProbs = mat.Resized(f.LogProbs, n, c)
-	nn.SoftmaxRows(f.Probs, f.LogProbs, f.logits)
+	if start && enc.started {
+		copy(f.Probs.Data, enc.startProbs.Data)
+		copy(f.LogProbs.Data, enc.startLogProbs.Data)
+	} else {
+		p.fc2.Forward(f.LogProbs, f.a1) // the logits, which SoftmaxRows overwrites
+		nn.SoftmaxRows(f.Probs, f.LogProbs, f.LogProbs)
+		if start {
+			enc.startProbs = mat.Resized(enc.startProbs, n, c)
+			enc.startLogProbs = mat.Resized(enc.startLogProbs, n, c)
+			copy(enc.startProbs.Data, f.Probs.Data)
+			copy(enc.startLogProbs.Data, f.LogProbs.Data)
+			enc.started = true
+		}
+	}
 
 	// Value head over the pooled state: mean embedding plus the
 	// normalized chip histogram of the previous assignment.
@@ -298,6 +332,20 @@ func (p *Policy) Heads(enc *Encoding, prev []int) *Forward {
 	return f
 }
 
+// chipFeat returns the capacity features the policy head reads from ctx:
+// none unless the policy was built with Config.ChipFeatures.
+func (p *Policy) chipFeat(ctx *GraphContext) []float64 {
+	extra := p.Cfg.headExtra()
+	if extra == 0 {
+		return nil
+	}
+	if len(ctx.ChipFeat) != extra {
+		panic(fmt.Sprintf("rl: policy wants %d chip features, context has %d (build it with NewGraphContextForPackage)",
+			extra, len(ctx.ChipFeat)))
+	}
+	return ctx.ChipFeat
+}
+
 // Forward runs the whole network, encoder and heads, on one state. Loops
 // that evaluate many states of one graph under fixed weights call Encode
 // once and Heads per state instead.
@@ -307,24 +355,46 @@ func (p *Policy) Forward(ctx *GraphContext, prev []int) *Forward {
 
 // Backward accumulates parameter gradients for a forward pass given the
 // loss gradient with respect to the logits (N x C) and the value output.
-// f must be the policy's latest evaluation (the head layers cache their
-// inputs), and the weights those of f's Encoding.
+// f must be the policy's latest evaluation, and the weights those of f's
+// Encoding.
 func (p *Policy) Backward(f *Forward, dLogits *mat.Dense, dValue float64) {
-	n, hidden := f.enc.h.Rows, p.Cfg.Hidden
-	// Policy head. Of the head-input gradient only the embedding columns
-	// are needed (the one-hot and capacity columns are inputs, not
-	// activations), so fc1 propagates through its embedding rows alone.
+	n, c, hidden := f.enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
 	p.dA1 = mat.Resized(p.dA1, n, hidden)
-	p.fc2.Backward(p.dA1, dLogits)
+	p.fc2.Backward(f.a1, p.dA1, dLogits)
 	nn.ReLUBackward(p.dA1, p.dA1, f.a1)
-	p.fc1.Backward(nil, p.dA1)
+	// fc1's weight gradient, row block by row block of its input
+	// [h ; onehot(prev) ; ChipFeat]: a product for the embedding rows, and
+	// for the rest, whose inputs are 1 or a per-package constant, each
+	// node's dA1 row added in ascending node order — the sequence
+	// mat.MulATBAcc over the whole input performs.
+	mat.MulATBAcc(p.fc1EmbedGrad, f.enc.h, p.dA1)
+	g := p.fc1.W.Grad.Data
+	chipFeat := p.chipFeat(f.enc.ctx)
+	for i := 0; i < n; i++ {
+		d := p.dA1.Row(i)
+		if a := f.prev[i]; a >= 0 && a < c {
+			for j, x := range d {
+				g[(hidden+a)*hidden+j] += x
+			}
+		}
+		for q, v := range chipFeat {
+			if v != 0 {
+				for j, x := range d {
+					g[(hidden+c+q)*hidden+j] += v * x
+				}
+			}
+		}
+	}
+	p.dA1.ColSums(p.fc1.B.Grad.Data)
+	// Of the head-input gradient only the embedding columns are needed (the
+	// one-hot and capacity columns are inputs, not activations).
 	p.dH = mat.Resized(p.dH, n, hidden)
 	mat.MulABT(p.dH, p.dA1, p.fc1Embed)
 	// Value head.
 	p.dVout.Data[0] = dValue
-	p.vf2.Backward(p.dV1, p.dVout)
+	p.vf2.Backward(f.v1, p.dV1, p.dVout)
 	nn.ReLUBackward(p.dV1, p.dV1, f.v1)
-	p.vf1.Backward(p.dPooled, p.dV1)
+	p.vf1.Backward(f.pooled, p.dPooled, p.dV1)
 	// Gradient into the embeddings: policy rows plus the pooled mean.
 	inv := 1 / float64(n)
 	pr := p.dPooled.Row(0)[:hidden]

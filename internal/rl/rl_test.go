@@ -84,6 +84,14 @@ func TestPolicyConditionsOnPrev(t *testing.T) {
 	}
 }
 
+// logitsOf recomputes the logits of f from its hidden layer: Heads keeps
+// none, writing the log-probabilities over them.
+func logitsOf(p *Policy, f *Forward) *mat.Dense {
+	logits := mat.New(f.a1.Rows, p.Cfg.Chips)
+	p.fc2.Forward(logits, f.a1)
+	return logits
+}
+
 // TestPolicyGradientCheck validates Backward end-to-end (SAGE + heads)
 // against finite differences on a surrogate loss sum(logits^2)/2 + value^2/2.
 func TestPolicyGradientCheck(t *testing.T) {
@@ -102,13 +110,13 @@ func TestPolicyGradientCheck(t *testing.T) {
 	loss := func() float64 {
 		f := p.Forward(ctx, prev)
 		var s float64
-		for _, v := range f.logits.Data {
+		for _, v := range logitsOf(p, f).Data {
 			s += v * v
 		}
 		return 0.5*s + 0.5*f.Value*f.Value
 	}
 	f := p.Forward(ctx, prev)
-	dLogits := f.logits.Clone()
+	dLogits := logitsOf(p, f)
 	nn.ZeroGrads(p.Params())
 	p.Backward(f, dLogits, f.Value)
 
@@ -149,7 +157,7 @@ func TestForwardSeesEncoderWeightChange(t *testing.T) {
 	prev := []int{0, 1, -1, 2, 0}
 	loss := func(f *Forward) float64 {
 		var s float64
-		for _, v := range f.logits.Data {
+		for _, v := range logitsOf(p, f).Data {
 			s += v * v
 		}
 		return 0.5*s + 0.5*f.Value*f.Value
@@ -157,7 +165,7 @@ func TestForwardSeesEncoderWeightChange(t *testing.T) {
 	f := p.Forward(ctx, prev)
 	base := loss(f)
 	nn.ZeroGrads(p.Params())
-	p.Backward(f, f.logits.Clone(), f.Value)
+	p.Backward(f, logitsOf(p, f), f.Value)
 
 	const eps = 1e-6
 	checked := 0
@@ -185,6 +193,23 @@ func TestForwardSeesEncoderWeightChange(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no encoder weight had a usable gradient")
 	}
+
+	// The start state's distribution is kept in the Encoding: a weight step
+	// followed by a re-Encode must move it — here through fc2, which Encode
+	// itself never reads — to what a fresh record computes.
+	start := unassigned(len(prev))
+	enc := p.Encode(new(Encoding), ctx)
+	before := p.Heads(enc, start).Probs.Clone()
+	p.fc2.W.Value.Data[0] += 0.5
+	p.Encode(enc, ctx)
+	moved := p.Heads(enc, start).Probs.Clone()
+	requireBits(t, "re-encoded start state", moved.Data, p.Heads(p.Encode(new(Encoding), ctx), start).Probs.Data)
+	for i := range before.Data {
+		if moved.Data[i] != before.Data[i] {
+			return
+		}
+	}
+	t.Fatal("the start state's distribution survived a weight step and a re-Encode")
 }
 
 func TestSampleActionsAndJointLogProb(t *testing.T) {

@@ -45,9 +45,11 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 	defer parallel.ReleaseLanes(lanes)
 	// Exploration weights at collection start: every episode in this batch
 	// samples under the same weight snapshot regardless of worker count.
-	eps0 := make([]float64, len(envs))
+	// Every episode starts from its environment's all-unassigned state,
+	// which episodes and transitions only read, so the batch shares one.
+	eps0, starts := make([]float64, len(envs)), make([][]int, len(envs))
 	for i, e := range envs {
-		eps0[i] = e.ExploreEps()
+		eps0[i], starts[i] = e.ExploreEps(), unassigned(e.Ctx.G.NumNodes())
 	}
 	for len(t.clones) < lanes {
 		t.clones = append(t.clones, &rolloutWorker{pol: NewPolicy(t.Policy.Cfg, nil)})
@@ -86,7 +88,7 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 				}
 				part = rep
 			}
-			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, part, &mixed, eps0[ei], parallel.Rng(iterSeed, r))
+			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, starts[ei], part, &mixed, eps0[ei], parallel.Rng(iterSeed, r))
 		}
 	})
 	return results
@@ -112,13 +114,13 @@ func forkable(envs []*Env) bool {
 // environment snapshot without mutating it: sample y(t) from
 // P(t) = pi(. | G, y(t-1)), hand it to the solver, evaluate the corrected
 // partition. enc is the environment's graph (index ei in the batch) encoded
-// under pol's weights. mixed is the calling worker's buffer for the matrix
+// under pol's weights, and prev its t=0 state, which the episode only
+// reads. mixed is the calling worker's buffer for the matrix
 // SAMPLE mode hands the solver. The exploration weight evolves locally from
 // eps by the same law the environment applies, and all randomness comes from
 // rng.
-func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, part cpsolver.Partitioner, mixed *[][]float64, eps float64, rng *rand.Rand) episodeResult {
+func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, prev []int, part cpsolver.Partitioner, mixed *[][]float64, eps float64, rng *rand.Rand) episodeResult {
 	T := pol.Cfg.Iterations
-	prev := unassigned(env.Ctx.G.NumNodes())
 	res := episodeResult{
 		transitions: make([]transition, 0, T),
 		steps:       make([]stepOutcome, 0, T),
