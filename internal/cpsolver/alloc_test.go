@@ -105,46 +105,70 @@ func TestAssignResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSegmenterSampleSteadyStateAllocs: after the first call of each kind has
-// sized the scratch (DP tables; the term memo on the first matrix), a Sample
-// or a Fit allocates exactly one object — the partition it returns. The
-// defense-in-depth Validate of every emitted partition is part of that call
-// and allocates nothing on a valid partition.
+// TestSegmenterSampleSteadyStateAllocs: after the first calls of each kind
+// have sized the scratch (the DP rows; a slot's weights and matrix; the term
+// memo on the first build that shares an entry with its slot), a Sample or
+// a Fit allocates exactly one object — the partition it returns — whether
+// it draws from stored weights or builds them. The defense-in-depth
+// Validate of every emitted partition is part of that call and allocates
+// nothing on a valid partition. Fit and uniform calls never allocate a
+// slot's matrix.
 func TestSegmenterSampleSteadyStateAllocs(t *testing.T) {
 	g := chain(t, 400)
-	sg, err := NewSegmenter(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(2))
-	probs, flat := probMatrix(400, 8)
-	for i := range flat {
-		flat[i] = rng.Float64()
+	matrices := make([][][]float64, 3)
+	for i := range matrices {
+		probs, flat := probMatrix(400, 8)
+		for j := range flat {
+			flat[j] = rng.Float64()
+		}
+		matrices[i] = probs
 	}
+	// moved is matrices[0] with one entry changed: built in place, through
+	// the memo.
+	moved, flat := probMatrix(400, 8)
+	for i, row := range matrices[0] {
+		copy(moved[i], row)
+	}
+	flat[17] /= 2
 	hint := make([]int, 400)
 	for i := range hint {
 		hint[i] = rng.Intn(8)
 	}
-	calls := map[string]func() (partition.Partition, error){
-		"Sample(nil)":    func() (partition.Partition, error) { return sg.Sample(nil, rng) },
-		"Sample(matrix)": func() (partition.Partition, error) { return sg.Sample(probs, rng) },
-		"Fit":            func() (partition.Partition, error) { return sg.Fit(hint, rng) },
+	calls := map[string]func(sg *Segmenter, i int) (partition.Partition, error){
+		"Sample(nil)":         func(sg *Segmenter, _ int) (partition.Partition, error) { return sg.Sample(nil, rng) },
+		"Sample(matrix)":      func(sg *Segmenter, _ int) (partition.Partition, error) { return sg.Sample(matrices[0], rng) },
+		"Sample(alternating)": func(sg *Segmenter, i int) (partition.Partition, error) { return sg.Sample(matrices[i%2], rng) },
+		"Sample(new matrix)":  func(sg *Segmenter, i int) (partition.Partition, error) { return sg.Sample(matrices[i%3], rng) },
+		"Sample(one entry changed)": func(sg *Segmenter, i int) (partition.Partition, error) {
+			return sg.Sample([][][]float64{matrices[0], moved}[i%2], rng)
+		},
+		"Fit": func(sg *Segmenter, _ int) (partition.Partition, error) { return sg.Fit(hint, rng) },
 	}
 	for name, call := range calls {
-		if _, err := call(); err != nil { // warm-up
-			t.Fatalf("%s: %v", name, err)
+		sg, err := NewSegmenter(g, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for name, call := range calls {
-		allocs := testing.AllocsPerRun(20, func() {
-			p, err := call()
+		i := 0
+		next := func() {
+			p, err := call(sg, i)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", name, err)
 			}
+			i++
 			allocSink = p[len(p)-1]
-		})
-		if allocs != 1 {
+		}
+		for range 3 { // warm-up
+			next()
+		}
+		if allocs := testing.AllocsPerRun(20, next); allocs != 1 {
 			t.Fatalf("%s allocated %.1f objects/op after warm-up, want 1 (the partition)", name, allocs)
+		}
+		if name == "Fit" || name == "Sample(nil)" {
+			if sg.slots[0].val != nil || sg.slots[1].val != nil {
+				t.Fatalf("%s allocated a slot's matrix", name)
+			}
 		}
 	}
 }

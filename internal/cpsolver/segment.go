@@ -30,7 +30,8 @@ import (
 //
 // The sampler is exact, and so is every shortcut it takes: a logarithm is
 // skipped only where its result is already known or cannot change which gap
-// wins, so the partition, both tables and the RNG stream are those of the
+// wins, and a matrix seen before is drawn from the weights it built then, so
+// the partition, the boundary weights and the RNG stream are those of the
 // plain algorithm, which segment_ref_test.go keeps (DESIGN.md §1.2, "What a
 // sample costs", has the arguments).
 type Segmenter struct {
@@ -60,18 +61,15 @@ type Segmenter struct {
 	// partition it returns. A Segmenter is therefore not safe for
 	// concurrent use; parallel callers use replicas.
 	//
-	//	ps      k x N      per-chip prefix sums of calib*log P along the
-	//	                   layout, chip-major: ps[c*N+q] sums positions <= q
-	//	alpha   (k-1)x(N-1) the forward table, boundary-major
-	//	w       N-1        the weights of the boundary being drawn
-	//	bounds  k-1        the drawn boundary gaps
-	//	memoVal, memoTerm  N x k each, position-major: the probability last
-	//	                   seen at (position, chip) and its calib*log term.
-	//	                   Allocated by the first Sample with a non-nil
-	//	                   matrix, never by Fit or uniform sampling.
-	ps, alpha, w      []float64
-	bounds            []int
-	memoVal, memoTerm []float64
+	//	ps      N     one chip's prefix sums of calib*log P along the
+	//	              layout: ps[q] sums positions <= q
+	//	bounds  k-1   the drawn boundary gaps
+	//	slots   the boundary weights of the last two matrices; backward
+	//	        draws from slots[cur]
+	ps     []float64
+	bounds []int
+	slots  [2]weights
+	cur    int
 	// chipCap, when non-nil, is the per-chip static weight bound of
 	// Options.ChipCapacityBytes: samples whose per-chip weight totals
 	// exceed it are rejected and redrawn (the DP's streaming structure
@@ -80,6 +78,34 @@ type Segmenter struct {
 	// pre-heterogeneity RNG stream bit-identical.
 	chipCap []int64
 }
+
+// weights is everything backward reads of one call's DP, (k-1) x (N-1),
+// boundary-major: row j < k-2 holds boundary j's weights given boundary j+1,
+// alpha[j][g'] - ps[j+1][g'], and the last row the last boundary's,
+// alpha[k-2][g] + ps[k-1][N-1] - ps[k-1][g]. Row j's entries past the last
+// gap g' with next[g'] <= N-2 are never read.
+type weights struct {
+	w []float64
+	// val is the matrix w was last built from, N x k position-major
+	// (val[q*k+c] is P[order[q]][c]; a nil row is stored as the row of ones
+	// it stands for: calib*log 1 is +0, the term a nil row adds). It stays
+	// nil until a matrix is built in this slot, so Fit and uniform calls
+	// never allocate it. term, the memo, holds val's calib*log terms from
+	// the first build here that shares an entry with val on; a policy's
+	// matrices never do, annealing proposals nearly always.
+	val, term []float64
+	// fresh reports that w was built from val: a Fit or uniform call writes
+	// w and clears it.
+	fresh bool
+}
+
+// ones stands in for a nil probability row.
+var ones = func() (o [mcm.MaxChips]float64) {
+	for i := range o {
+		o[i] = 1
+	}
+	return o
+}()
 
 // segmentCapacityRetries bounds redraws before a capacity-constrained
 // sample gives up with ErrInfeasible.
@@ -126,9 +152,14 @@ func (sg *Segmenter) Sample(probs [][]float64, rng *rand.Rand) (partition.Partit
 	if n := len(sg.order); probs != nil && len(probs) != n {
 		return nil, fmt.Errorf("cpsolver: probs has %d rows for %d nodes", len(probs), n)
 	}
-	if sg.k > 1 {
-		sg.prefixFromProbs(probs)
-		sg.forward()
+	switch {
+	case sg.k == 1:
+	case probs == nil:
+		s := sg.slot()
+		s.fresh = false
+		sg.forward(s.w, func(_ int, ps []float64) { clear(ps) }) // every term is calib*0
+	default:
+		sg.prepare(probs)
 	}
 	return sg.draw(rng)
 }
@@ -137,19 +168,35 @@ func (sg *Segmenter) Sample(probs [][]float64, rng *rand.Rand) (partition.Partit
 // mirroring FIX mode: agreements with the hint get overwhelming weight, so
 // the sampler keeps y wherever a valid layout allows and repairs the rest
 // with random but span-respecting boundaries.
+//
+// The hint matrix gives a node's hinted chip probability 1 and every other
+// chip 1e-9; its two terms are constants, so no matrix is built and no log
+// is taken per entry. A hint outside 0..chips-1 agrees with no chip.
 func (sg *Segmenter) Fit(y []int, rng *rand.Rand) (partition.Partition, error) {
 	if n := len(sg.order); len(y) != n {
 		return nil, fmt.Errorf("cpsolver: hint has %d entries for %d nodes", len(y), n)
 	}
 	if sg.k > 1 {
-		sg.prefixFromHint(y)
-		sg.forward()
+		s := sg.slot()
+		s.fresh = false
+		agree, disagree := sg.calib*math.Log(1.0), sg.calib*math.Log(1e-9)
+		sg.forward(s.w, func(k int, ps []float64) {
+			acc := 0.0
+			for q, u := range sg.order {
+				t := disagree
+				if y[u] == k {
+					t = agree
+				}
+				acc += t
+				ps[q] = acc
+			}
+		})
 	}
 	return sg.draw(rng)
 }
 
-// draw samples boundaries from the forward table until the layout fits the
-// capacity bound, if there is one. The table does not depend on the draw, so
+// draw samples boundaries from the current weights until the layout fits the
+// capacity bound, if there is one. The weights do not depend on the draw, so
 // a redraw repeats only the backward pass.
 func (sg *Segmenter) draw(rng *rand.Rand) (partition.Partition, error) {
 	p, err := sg.backward(rng)
@@ -181,103 +228,157 @@ func (sg *Segmenter) fitsCapacity(p partition.Partition) bool {
 	return true
 }
 
-// tables returns the prefix-sum table, sizing the DP scratch on first use.
-func (sg *Segmenter) tables() []float64 {
+// slot returns the weights backward draws from, sizing them and the DP
+// scratch on first use.
+func (sg *Segmenter) slot() *weights {
+	n := len(sg.order)
 	if sg.ps == nil {
-		n, c := len(sg.order), sg.k
-		flat := make([]float64, c*n+(c-1)*(n-1)+(n-1))
-		sg.ps, flat = flat[:c*n], flat[c*n:]
-		sg.alpha, sg.w = flat[:(c-1)*(n-1)], flat[(c-1)*(n-1):]
-		sg.bounds = make([]int, c-1)
+		sg.ps, sg.bounds = make([]float64, n), make([]int, sg.k-1)
 	}
-	return sg.ps
+	s := &sg.slots[sg.cur]
+	if s.w == nil {
+		s.w = make([]float64, (sg.k-1)*(n-1))
+	}
+	return s
 }
 
-// prefixFromProbs fills ps from a probability matrix: ps[c][q] is the sum
-// over positions p <= q of calib*log(max(P[order[p]][c], 1e-12)), and a nil
-// row is uniform (log 1 — only relative weights matter). Positions run in
-// the outer loop so a row is read once; each chip still adds its terms in
-// position order. A term is recomputed only when the probability differs
-// from the one this entry held on the previous call (the log is a function
-// of the value alone, and NaN equals nothing, so a NaN is always recomputed):
-// annealing re-randomizes a twentieth of the rows per proposal, so nine
-// entries in ten keep their term; a policy's matrix changes everywhere and
-// none do.
-func (sg *Segmenter) prefixFromProbs(probs [][]float64) {
-	n, c := len(sg.order), sg.k
-	ps := sg.tables()
-	if probs == nil {
-		clear(ps) // every term is calib*0
+// prepare makes the current slot hold probs's weights. A matrix either slot
+// was built from is drawn from as it stands: with T = 2 refinement steps a
+// policy's start state comes back every other sample. A matrix sharing no
+// entry with the current slot is built in the other one, so that the
+// current one survives; anything else (an annealing proposal keeps nine
+// entries in ten) is built in place through the term memo.
+func (sg *Segmenter) prepare(probs [][]float64) {
+	s, other := sg.slot(), &sg.slots[1-sg.cur]
+	switch {
+	case s.fresh && sg.equal(s.val, probs):
 		return
-	}
-	if sg.memoVal == nil {
-		memo := make([]float64, 2*n*c)
-		sg.memoVal, sg.memoTerm = memo[:n*c], memo[n*c:]
-		for i := range sg.memoVal {
-			sg.memoVal[i] = math.NaN()
+	case other.fresh && sg.equal(other.val, probs):
+		sg.cur ^= 1
+		return
+	case s.val == nil: // the first matrix
+	case !sg.shares(s.val, probs):
+		sg.cur ^= 1
+		s = sg.slot()
+	case s.term == nil:
+		s.term = make([]float64, len(s.val))
+		for i := range s.val {
+			s.val[i] = math.NaN() // no term is known yet
 		}
 	}
-	var acc [mcm.MaxChips]float64
+	sg.build(s, probs)
+}
+
+// row returns node u's probabilities on the laid-out chips, ones for a nil
+// row; a row shorter than that panics.
+func (sg *Segmenter) row(probs [][]float64, u int) []float64 {
+	row := probs[u]
+	if row == nil {
+		return ones[:sg.k]
+	}
+	_ = row[sg.k-1]
+	return row[:sg.k]
+}
+
+// equal reports whether probs matches val entry for entry. Equal
+// probabilities have equal terms (±0 both clamp to 1e-12; a NaN equals
+// nothing), so equal matrices have equal weights.
+func (sg *Segmenter) equal(val []float64, probs [][]float64) bool {
+	c := sg.k
 	for q, u := range sg.order {
-		row := probs[u]
-		if row == nil {
-			for k := 0; k < c; k++ {
-				acc[k] += sg.calib * 0 // calib*log 1, added as every term is
-				ps[k*n+q] = acc[k]
+		for k, v := range sg.row(probs, u) {
+			if v != val[q*c+k] {
+				return false
 			}
+		}
+	}
+	return true
+}
+
+// shares reports whether some entry of probs matches val.
+func (sg *Segmenter) shares(val []float64, probs [][]float64) bool {
+	c := sg.k
+	for q, u := range sg.order {
+		for k, v := range sg.row(probs, u) {
+			if v == val[q*c+k] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// build reads probs once, in layout order, into s.val, and writes s's
+// weights from it. With a term memo, a term is recomputed only where the
+// probability differs from the one the entry held (the log is a function of
+// the value alone, and NaN equals nothing, so a NaN is always recomputed);
+// without one, each chip's prefix sums take their logs from val.
+func (sg *Segmenter) build(s *weights, probs [][]float64) {
+	c := sg.k
+	if s.val == nil {
+		s.val = make([]float64, len(sg.order)*c)
+	}
+	val, term := s.val, s.term
+	for q, u := range sg.order {
+		row, dst := sg.row(probs, u), val[q*c:q*c+c]
+		if term == nil {
+			copy(dst, row)
 			continue
 		}
-		_ = row[c-1]
-		val, term := sg.memoVal[q*c:q*c+c], sg.memoTerm[q*c:q*c+c]
-		for k := range val {
-			v := row[k]
-			if v != val[k] {
-				val[k] = v
-				if v < 1e-12 {
-					v = 1e-12
-				}
-				term[k] = sg.calib * math.Log(v)
+		t := term[q*c : q*c+c]
+		for k, v := range row {
+			if v != dst[k] {
+				dst[k] = v
+				t[k] = sg.logTerm(v)
 			}
-			acc[k] += term[k]
-			ps[k*n+q] = acc[k]
 		}
 	}
-}
-
-// prefixFromHint fills ps as prefixFromProbs would from the matrix that
-// gives a node's hinted chip probability 1 and every other chip 1e-9: the
-// two terms are constants, so no matrix is built and no log is taken per
-// entry. A hint outside 0..chips-1 agrees with no chip.
-func (sg *Segmenter) prefixFromHint(y []int) {
-	n, c := len(sg.order), sg.k
-	ps := sg.tables()
-	agree, disagree := sg.calib*math.Log(1.0), sg.calib*math.Log(1e-9)
-	var acc [mcm.MaxChips]float64
-	for q, u := range sg.order {
-		yu := y[u]
-		for k := 0; k < c; k++ {
-			t := disagree
-			if k == yu {
-				t = agree
+	if term != nil {
+		sg.forward(s.w, func(k int, ps []float64) {
+			acc := 0.0
+			for q := range ps {
+				acc += term[q*c+k]
+				ps[q] = acc
 			}
-			acc[k] += t
-			ps[k*n+q] = acc[k]
-		}
+		})
+	} else {
+		sg.forward(s.w, func(k int, ps []float64) {
+			acc := 0.0
+			for q := range ps {
+				acc += sg.logTerm(val[q*c+k])
+				ps[q] = acc
+			}
+		})
 	}
+	s.fresh = true
 }
 
-// forward fills alpha from ps: alpha[k][g] is the log total weight of
-// layouts of the first k+1 segments with boundary k+1 at gap g (gap g =
-// between positions g and g+1; boundaries live at gaps 0..n-2).
-// alpha[0][g] = ps[0][g]; alpha[k][g] = ps[k][g] + LSE over feasible g'
-// (next[g'] <= g) of (alpha[k-1][g'] - ps[k][g']).
-func (sg *Segmenter) forward() {
+// logTerm is a probability's calib*log(max(P, 1e-12)).
+func (sg *Segmenter) logTerm(v float64) float64 {
+	if v < 1e-12 {
+		v = 1e-12
+	}
+	return sg.calib * math.Log(v)
+}
+
+// forward runs the DP one chip at a time, prefix filling ps with chip k's
+// prefix sums, and writes what backward reads into w (see weights).
+// alpha[k][g] is the log total weight of layouts of the first k+1 segments
+// with boundary k+1 at gap g (gap g = between positions g and g+1;
+// boundaries live at gaps 0..n-2): alpha[0][g] = ps[0][g]; alpha[k][g] =
+// ps[k][g] + LSE over feasible g' (next[g'] <= g) of (alpha[k-1][g'] -
+// ps[k][g']), the terms that are row k-1 of the weights. Row k of w holds
+// alpha[k] until chip k+1 turns it into those terms, so alpha takes no
+// memory of its own.
+func (sg *Segmenter) forward(w []float64, prefix func(k int, ps []float64)) {
 	n, nb := len(sg.order), sg.k-1
 	m := n - 1
-	ps, alpha, next := sg.ps, sg.alpha, sg.next[:m]
-	copy(alpha[:m], ps[:m])
+	ps, next := sg.ps, sg.next[:m]
+	prefix(0, ps)
+	copy(w[:m], ps[:m])
 	for k := 1; k < nb; k++ {
-		psk, prev, cur := ps[k*n:k*n+m], alpha[(k-1)*m:k*m], alpha[k*m:(k+1)*m]
+		prefix(k, ps)
+		prev, cur := w[(k-1)*m:k*m], w[k*m:(k+1)*m]
 		// Streaming LSE over g' with next[g'] <= g, exploiting that next
 		// is nondecreasing. log(lseSum) is retaken only at a gap that
 		// admitted a term: elsewhere lseSum is what it was.
@@ -287,13 +388,14 @@ func (sg *Segmenter) forward() {
 		for g := 0; g < m; g++ {
 			admitted := false
 			for gp < m && int(next[gp]) <= g {
-				w := prev[gp] - psk[gp]
-				if !math.IsInf(w, -1) {
-					if w > lseMax {
-						lseSum = lseSum*math.Exp(lseMax-w) + 1
-						lseMax = w
+				x := prev[gp] - ps[gp]
+				prev[gp] = x
+				if !math.IsInf(x, -1) {
+					if x > lseMax {
+						lseSum = lseSum*math.Exp(lseMax-x) + 1
+						lseMax = x
 					} else {
-						lseSum += math.Exp(w - lseMax)
+						lseSum += math.Exp(x - lseMax)
 					}
 					admitted = true
 				}
@@ -305,42 +407,41 @@ func (sg *Segmenter) forward() {
 			if lseSum == 0 {
 				cur[g] = math.Inf(-1)
 			} else {
-				cur[g] = psk[g] + lseMax + logSum
+				cur[g] = ps[g] + lseMax + logSum
 			}
 		}
 	}
+	// The last boundary: alpha[nb-1][g] plus the tail segment on chip k-1
+	// (positions g+1..n-1).
+	prefix(nb, ps)
+	last := w[(nb-1)*m:]
+	for g, a := range last {
+		last[g] = a + ps[n-1] - ps[g]
+	}
 }
 
-// backward draws one layout from the forward table, last boundary first.
+// backward draws one layout from the current weights, last boundary first.
 func (sg *Segmenter) backward(rng *rand.Rand) (partition.Partition, error) {
 	if sg.k == 1 {
 		return sg.emit(nil)
 	}
-	n, c := len(sg.order), sg.k
-	nb, m := c-1, n-1
-	ps, alpha, w, bounds, next := sg.ps, sg.alpha, sg.w, sg.bounds, sg.next[:m]
-	// The last boundary: weight = alpha[nb-1][g] + tail segment on chip
-	// c-1 (positions g+1..n-1).
-	last, tail := alpha[(nb-1)*m:nb*m], ps[(c-1)*n:c*n]
-	for g := range last {
-		w[g] = last[g] + tail[n-1] - tail[g]
-	}
-	g, err := sampleLogWeights(rng, w)
+	nb, m := sg.k-1, len(sg.order)-1
+	w, bounds, next := sg.slots[sg.cur].w, sg.bounds, sg.next[:m]
+	g, err := sampleLogWeights(rng, w[(nb-1)*m:])
 	if err != nil {
 		return nil, fmt.Errorf("cpsolver: segment DP infeasible: %w", err)
 	}
 	bounds[nb-1] = g
 	// Given boundary k at gap g, boundary k-1 sits at a feasible g'
-	// (next[g'] <= g) with weight alpha[k-1][g'] - ps[k][g']. next is
-	// nondecreasing, so the feasible gaps are a prefix, and an infeasible
-	// gap would draw nothing: the weights stop at the first one.
+	// (next[g'] <= g), weighted by row k-1. next is nondecreasing, so the
+	// feasible gaps are a prefix, and an infeasible gap would draw nothing:
+	// the draw stops at the first one.
 	for k := nb - 1; k >= 1; k-- {
-		psk, prev := ps[k*n:k*n+m], alpha[(k-1)*m:k*m]
 		gp := 0
-		for ; gp < m && int(next[gp]) <= bounds[k]; gp++ {
-			w[gp] = prev[gp] - psk[gp]
+		for gp < m && int(next[gp]) <= bounds[k] {
+			gp++
 		}
-		g, err := sampleLogWeights(rng, w[:gp])
+		g, err := sampleLogWeights(rng, w[(k-1)*m:(k-1)*m+gp])
 		if err != nil {
 			return nil, fmt.Errorf("cpsolver: segment DP backward step failed: %w", err)
 		}

@@ -13,8 +13,9 @@ import (
 
 // segmenterPair drives a Segmenter and the reference sampler through the
 // same calls on identically seeded generators and requires, after every
-// call: the same partition or the same error, the same prefix sums and
-// forward table bit for bit, and the same next RNG output — i.e. the same
+// call: the same partition or the same error, the boundary weights the
+// Segmenter draws from equal bit for bit to the ones the reference's prefix
+// sums and forward table give, and the same next RNG output — i.e. the same
 // number of draws was consumed.
 type segmenterPair struct {
 	t          *testing.T
@@ -38,6 +39,23 @@ func (sp *segmenterPair) sample(what string, probs [][]float64) {
 	got, gerr := sp.sg.Sample(probs, sp.rng)
 	want, werr := sp.ref.refSample(probs, sp.rrng)
 	sp.compare(what, got, gerr, want, werr)
+}
+
+// sampleExpecting is sample, also requiring that the call drew from weights
+// an earlier call built (hit) or built its own: the scratch every build
+// writes is poisoned first, and only a build overwrites it.
+func (sp *segmenterPair) sampleExpecting(hit bool, what string, probs [][]float64) {
+	sp.t.Helper()
+	if sp.sg.k == 1 {
+		sp.sample(what, probs)
+		return
+	}
+	const poison = 0x7ff8_dead_beef_0001
+	sp.sg.ps[0] = math.Float64frombits(poison)
+	sp.sample(what, probs)
+	if built := math.Float64bits(sp.sg.ps[0]) != poison; built == hit {
+		sp.t.Fatalf("%s: call %d (%s): built weights %t, want %t", sp.name, sp.calls, what, built, !hit)
+	}
 }
 
 func (sp *segmenterPair) fit(what string, y []int) {
@@ -68,23 +86,31 @@ func (sp *segmenterPair) compare(what string, got partition.Partition, gerr erro
 	if gerr == nil {
 		sp.lastSample = got
 	}
-	n, c := len(sp.sg.order), sp.sg.k
-	for k, row := range sp.ref.logPS {
-		for q, x := range row {
-			if y := sp.sg.ps[k*n+q]; math.Float64bits(x) != math.Float64bits(y) {
-				fail("ps[%d][%d] = %x (%v), reference %x (%v)", k, q, math.Float64bits(y), y, math.Float64bits(x), x)
+	if c := sp.sg.k; c > 1 {
+		if sp.ref.logPS == nil {
+			fail("reference never built its tables")
+		}
+		// What backward reads (see weights): alpha[j][g'] - ps[j+1][g'] at
+		// every gap it can reach, then the last boundary's row.
+		n := len(sp.sg.order)
+		m := n - 1
+		ps, alpha, w := sp.ref.logPS, sp.ref.alpha, sp.sg.slots[sp.sg.cur].w
+		for j := 0; j < c-1; j++ {
+			for g := 0; g < m; g++ {
+				var x float64
+				if j < c-2 {
+					if int(sp.sg.next[g]) > m-1 {
+						break
+					}
+					x = alpha[j][g] - ps[j+1][g]
+				} else {
+					x = alpha[j][g] + ps[c-1][n-1] - ps[c-1][g]
+				}
+				if y := w[j*m+g]; math.Float64bits(x) != math.Float64bits(y) {
+					fail("weight[%d][%d] = %x (%v), reference %x (%v)", j, g, math.Float64bits(y), y, math.Float64bits(x), x)
+				}
 			}
 		}
-	}
-	for k, row := range sp.ref.alpha {
-		for g, x := range row {
-			if y := sp.sg.alpha[k*(n-1)+g]; math.Float64bits(x) != math.Float64bits(y) {
-				fail("alpha[%d][%d] = %x (%v), reference %x (%v)", k, g, math.Float64bits(y), y, math.Float64bits(x), x)
-			}
-		}
-	}
-	if c > 1 && sp.ref.logPS == nil {
-		fail("reference never built its tables")
 	}
 	if a, b := sp.rng.Int63(), sp.rrng.Int63(); a != b {
 		fail("RNG streams diverged: next Int63 %d, reference %d", a, b)
@@ -112,11 +138,12 @@ func probMatrix(n, c int) ([][]float64, []float64) {
 	return rows, flat
 }
 
-// exercise runs the call sequences the issue lists against one segmenter:
-// uniform, annealing-style proposals (a twentieth of the rows changed per
-// call, accepted or reverted), the same matrix twice, a fresh matrix per
-// call, nil rows and hostile values, and hints of every kind in between, so
-// that a memo entry or a table left over from one call is seen by the next.
+// exercise runs these call sequences against one segmenter: uniform,
+// annealing-style proposals (a twentieth of the rows changed per call,
+// accepted or reverted), the same matrix twice, a fresh matrix per call, a
+// policy's start and refined states alternating, nil rows and hostile
+// values, and hints of every kind in between, so that a memo entry or a
+// slot's weights left over from one call are seen by the next.
 // brief drops the one-hostile-value-at-a-time calls (the all-hostile matrix
 // stays): the 10k-node graphs cost 50 ms a call under the race detector.
 func (sp *segmenterPair) exercise(rounds int, brief bool) {
@@ -161,7 +188,44 @@ func (sp *segmenterPair) exercise(rounds int, brief bool) {
 		sp.sample("every row changed", proposal)
 	}
 
-	hostile := []float64{0, 1e-13, math.NaN(), math.Inf(1), 1, 1e-12, math.Copysign(0, -1), 5e-324, 1e300}
+	// A policy's SAMPLE-mode steps: the start state comes back every other
+	// call, and a refined state shares no entry with it. Whatever writes a
+	// slot's weights from something else — a hint, a uniform call, another
+	// matrix, a copy with nil rows (stored as ones) — makes the next call
+	// with its old matrix a miss.
+	start, sflat := probMatrix(n, chips)
+	refined, _ := probMatrix(n, chips)
+	for i := range start {
+		dirichletRow(src, start[i])
+		dirichletRow(src, refined[i])
+	}
+	sp.sampleExpecting(false, "start state", start)
+	sp.sampleExpecting(false, "refined state", refined)
+	sp.sampleExpecting(true, "start state two calls back", start)
+	sp.sampleExpecting(true, "refined state two calls back", refined)
+	sp.sampleExpecting(true, "refined state twice", refined)
+	at := src.Intn(n)*chips + src.Intn(sp.sg.k) // a chip the layouts use
+	was := sflat[at]
+	sflat[at] = math.Nextafter(was, 2)
+	sp.sampleExpecting(false, "start state one ulp away", start)
+	sflat[at] = was
+	sp.sampleExpecting(false, "start state after its one-ulp neighbour", start)
+	sp.sampleExpecting(true, "refined state after both", refined)
+	sp.fit("hint over the refined state's weights", randomHint(src, n, chips))
+	sp.sampleExpecting(false, "refined state after a hint", refined)
+	sp.sampleExpecting(true, "start state after a hint", start)
+	sp.sample("uniform over the start state's weights", nil)
+	sp.sampleExpecting(false, "start state after a uniform call", start)
+	startNil := make([][]float64, n)
+	copy(startNil, start)
+	for i := 1; i < n; i += 2 {
+		startNil[i] = nil
+	}
+	sp.sampleExpecting(false, "start state with nil rows", startNil)
+	sp.sampleExpecting(true, "start state with nil rows twice", startNil)
+	sp.sampleExpecting(false, "start state after its nil-row copy", start)
+	sp.sampleExpecting(true, "refined state after all of it", refined)
+
 	withNil := make([][]float64, n)
 	copy(withNil, proposal)
 	for i := 0; i < n; i += 3 {
@@ -171,7 +235,7 @@ func (sp *segmenterPair) exercise(rounds int, brief bool) {
 	// One hostile value at a time in otherwise ordinary rows, then rows
 	// made of nothing else, then the ordinary matrix again: an entry that
 	// held a NaN, an Inf or a clamped value must not be remembered wrongly.
-	for _, bad := range hostile {
+	for _, bad := range hostileProbs {
 		if brief {
 			break
 		}
@@ -192,7 +256,7 @@ func (sp *segmenterPair) exercise(rounds int, brief bool) {
 	sp.sample("hostile entries restored", proposal)
 	saved := append([]float64(nil), pflat...)
 	for i := range pflat {
-		pflat[i] = hostile[src.Intn(len(hostile))]
+		pflat[i] = hostileProbs[src.Intn(len(hostileProbs))]
 	}
 	sp.sample("nothing but hostile entries", proposal)
 	copy(pflat, saved)
@@ -214,6 +278,11 @@ func (sp *segmenterPair) exercise(rounds int, brief bool) {
 	sp.fit("wrong hint length", make([]int, n+1))
 	sp.sample("matrix after hints", proposal)
 }
+
+// hostileProbs are the probabilities a memo entry or a stored matrix could
+// remember wrongly: zeros of both signs and values under the clamp, NaN,
+// +Inf, and the one value whose term is exactly zero.
+var hostileProbs = []float64{0, 1e-13, math.NaN(), math.Inf(1), 1, 1e-12, math.Copysign(0, -1), 5e-324, 1e300}
 
 // randomHint draws a hint with entries below, inside and above 0..chips-1.
 func randomHint(rng *rand.Rand, n, chips int) []int {
@@ -297,6 +366,113 @@ func TestSegmenterMatchesReference(t *testing.T) {
 	pair = newSegmenterPair(t, "bert/8 impossible capacity", impossible, 12)
 	pair.sample("nil probs", nil)
 	pair.fit("hint", make([]int, g.NumNodes()))
+}
+
+// FuzzSegmenterSequence is the differential on whole call sequences: the
+// shape byte picks the graph and chip count, and each op byte one call — a
+// new matrix, the call of one or two calls back again, the last matrix with
+// one entry moved by an ulp, with nil rows or with a hostile value, a hint,
+// or uniform. Every call must agree with the reference: partition or error,
+// boundary weights, next rng.Int63().
+func FuzzSegmenterSequence(f *testing.F) {
+	f.Add(int64(1), uint8(0x83), []byte{0, 0, 2, 2, 1, 3, 2, 6, 2, 4, 1, 2, 7, 2, 5, 5, 1})
+	f.Add(int64(2), uint8(0x90), []byte{0, 6, 1, 0, 2, 7, 2, 4, 4, 0, 3, 3, 2})
+	f.Add(int64(3), uint8(0x41), []byte{7, 0, 1, 5, 13, 21, 29, 37, 2, 6, 6, 1})
+	f.Add(int64(4), uint8(0xf3), []byte{0, 0, 2, 2, 2, 2, 8, 10, 4, 12, 1, 9})
+	f.Add(int64(5), uint8(0x83), []byte{0, 7, 2, 0, 6, 2, 0, 0, 2, 2})
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, ops []byte) {
+		if len(ops) > 48 {
+			ops = ops[:48]
+		}
+		chips := 1 + int(shape>>4)
+		var g *graph.Graph
+		switch shape % 3 {
+		case 0:
+			g = chain(t, 2+int(shape>>2)%23)
+		case 1:
+			g = skipConn(t)
+		default:
+			fams := randgraph.Families()
+			g = randgraph.Generate(randgraph.Config{Family: fams[int(shape>>2)%len(fams)], Nodes: 150, Seed: seed & 0xff})
+		}
+		sg, err := NewSegmenter(g, chips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := newSegmenterPair(t, "fuzz", sg, seed)
+		src := rand.New(rand.NewSource(seed ^ 0x5e9))
+		n := g.NumNodes()
+		// A call is Fit(hint) when hint is non-nil and Sample(probs)
+		// otherwise; calls[len-1] is the last one made.
+		type call struct {
+			probs [][]float64
+			hint  []int
+		}
+		var calls []call
+		var last [][]float64 // the last matrix passed
+		fresh := func() [][]float64 {
+			probs, _ := probMatrix(n, chips)
+			for _, row := range probs {
+				dirichletRow(src, row)
+			}
+			return probs
+		}
+		// variant copies last (or a new matrix, before the first), each
+		// row its own slice, so that a later edit leaves it alone.
+		variant := func() [][]float64 {
+			if last == nil {
+				last = fresh()
+			}
+			probs := make([][]float64, n)
+			for i, row := range last {
+				probs[i] = append([]float64(nil), row...)
+			}
+			return probs
+		}
+		for _, op := range ops {
+			var next call
+			switch op % 8 {
+			case 0:
+				next.probs = fresh()
+			case 1, 2:
+				if back := int(op % 8); back <= len(calls) {
+					next = calls[len(calls)-back]
+				} else {
+					next.probs = fresh()
+				}
+			case 3:
+				next.probs = variant()
+				row := next.probs[src.Intn(n)]
+				if row != nil {
+					at := src.Intn(len(row))
+					row[at] = math.Nextafter(row[at], 2)
+				}
+			case 4:
+				next.probs = variant()
+				for i := int(op>>3) % 3; i < n; i += 1 + int(op>>5) {
+					next.probs[i] = nil
+				}
+			case 5:
+				next.probs = variant()
+				if row := next.probs[src.Intn(n)]; row != nil {
+					row[src.Intn(len(row))] = hostileProbs[int(op>>3)%len(hostileProbs)]
+				}
+			case 6:
+				next.hint = randomHint(src, n, chips)
+			case 7:
+				// Sample(nil): uniform.
+			}
+			if next.hint != nil {
+				sp.fit("hint", next.hint)
+			} else {
+				sp.sample("matrix", next.probs)
+				if next.probs != nil {
+					last = next.probs
+				}
+			}
+			calls = append(calls, next)
+		}
+	})
 }
 
 // FuzzSampleLogWeights is the same differential on the boundary draw alone:

@@ -12,8 +12,9 @@ import (
 
 // Everything below the constructor is the segment sampler as it stood on the
 // commit before it learned to skip transcendentals (1f86993), kept verbatim
-// as the reference the new code must equal — partition, prefix sums, forward
-// table and RNG state, call for call (TestSegmenterMatchesReference,
+// as the reference the new code must equal — partition, the boundary weights
+// its prefix sums and forward table give, and RNG state, call for call
+// (TestSegmenterMatchesReference, FuzzSegmenterSequence,
 // FuzzSampleLogWeights). Only names changed (ref prefix); to check:
 //
 //	git show 1f86993:internal/cpsolver/segment.go | sed -n '30,62p;95,330p' | sed \

@@ -21,6 +21,7 @@ import (
 func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *rand.Rand) error {
 	enc := policy.Encode(new(Encoding), env.Ctx)
 	var mixed [][]float64 // SAMPLE mode's matrix, rewritten per sample
+	var drawn []int       // SAMPLE mode's raw action draw: the next Heads reads it, nothing keeps it
 	// Every episode's t=0 state, shared: Heads only reads it.
 	start := unassigned(env.Ctx.G.NumNodes())
 	for env.Samples < budget {
@@ -36,7 +37,8 @@ func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *ra
 			if env.UseSampleMode {
 				mixed = MixedProbRows(mixed, f.Probs, env.ExploreEps())
 				env.StepProbs(mixed, rng)
-				prev = SampleActions(f.Probs, rng)
+				drawn = sampleActionsInto(drawn, f.Probs, rng)
+				prev = drawn
 			} else {
 				y := SampleActions(f.Probs, rng)
 				env.StepActions(y, rng)

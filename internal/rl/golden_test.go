@@ -207,8 +207,9 @@ func TestBERTHeapBytes(t *testing.T) {
 }
 
 // TestZeroShotPerSampleAllocs bounds what one more SAMPLE-mode sample costs
-// a deployment on BERT/edge36: the partition, the raw action draw, the
-// cost-model verdict and the trajectory's growth — 16 measured. It was 93
+// a deployment on BERT/edge36: the partition, the cost-model verdict and the
+// trajectory's growth — 5.2 measured (6.2 while each sample drew its raw
+// actions into a fresh slice; the loop now owns one). It was 93
 // while every sample built a fresh N x C matrix and its row headers for the
 // solver (0.67 MB) and the solver's Validate built its chip tables; the loop
 // now owns one matrix and overwrites it, and the tables are fixed-size.

@@ -408,7 +408,16 @@ func (p *Policy) Backward(f *Forward, dLogits *mat.Dense, dValue float64) {
 
 // SampleActions draws one chip per node from the distribution.
 func SampleActions(probs *mat.Dense, rng *rand.Rand) []int {
-	actions := make([]int, probs.Rows)
+	return sampleActionsInto(nil, probs, rng)
+}
+
+// sampleActionsInto is SampleActions writing into dst, which is reused when
+// it has one entry per node and replaced otherwise; nil is a valid start.
+func sampleActionsInto(dst []int, probs *mat.Dense, rng *rand.Rand) []int {
+	actions := dst
+	if len(actions) != probs.Rows {
+		actions = make([]int, probs.Rows)
+	}
 	for i := range actions {
 		row := probs.Row(i)
 		x := rng.Float64()

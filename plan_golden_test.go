@@ -6,8 +6,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
+	"runtime"
 	"testing"
+
+	"mcmpart/internal/parallel"
+	"mcmpart/internal/rl"
 )
 
 // planGoldenRow pins one Planner.Plan call on BERT/edge36 end to end: the
@@ -112,5 +117,38 @@ func TestPlanGolden(t *testing.T) {
 		if w := byKey[fmt.Sprint(row.Method, row.Simulator, row.Seed)]; row != w {
 			t.Errorf("\n got %+v\nwant %+v", row, w)
 		}
+	}
+}
+
+// TestZeroShotPlanHeapBytes holds what one zero-shot plan allocates when,
+// as in serving, the plan builds its own environment and with it its own
+// solver tables: rl's TestBERTHeapBytes reuses one environment, so a table
+// sized per plan never reaches its ceiling. BERT/edge36 at serve-zeroshot's
+// budget, one worker; the ceiling is the bytes measured when the segment
+// sampler kept whole prefix-sum and forward tables and a term memo.
+func TestZeroShotPlanHeapBytes(t *testing.T) {
+	const ceiling = 10134880
+	pl, err := NewPlanner(Edge36())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.installPolicy(rl.NewPolicy(pl.freshPolicyConfig(false), rand.New(rand.NewSource(1))), "")
+	g := BERT()
+	old := parallel.Default()
+	parallel.SetDefault(1)
+	defer parallel.SetDefault(old)
+	plan := func(seed int64) {
+		opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: seed}
+		if _, err := pl.Plan(context.Background(), g, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan(1) // the graph's memoized layout and fingerprint
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plan(2)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Errorf("one zero-shot plan allocates %d bytes, ceiling %d", got, ceiling)
 	}
 }
