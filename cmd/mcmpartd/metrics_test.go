@@ -72,34 +72,6 @@ var metricFamilies = []string{
 	"mcmpart_disk_quarantined_total", "mcmpart_disk_read_seconds", "mcmpart_disk_write_seconds",
 }
 
-// statSeries names, for every numeric ServiceStats field (by JSON tag), the
-// /metrics series that is its other view of the same instrument. "" marks a
-// field with no series. TestDaemonMetricsMatchStats walks the struct, so a
-// field added to ServiceStats without an entry here fails the test.
-var statSeries = map[string]string{
-	"workers":                 `mcmpart_workers`,
-	"queue_depth":             `mcmpart_queue_depth`,
-	"queue_capacity":          `mcmpart_queue_capacity`,
-	"cache_hits":              `mcmpart_cache_hits_total{tier="memory"}`,
-	"cache_misses":            `mcmpart_cache_misses_total{tier="memory"}`,
-	"cache_entries":           `mcmpart_cache_entries`,
-	"cache_capacity":          `mcmpart_cache_capacity`,
-	"plans_executed":          `mcmpart_plans_executed_total`,
-	"plans_coalesced":         `mcmpart_plans_coalesced_total`,
-	"disk_cache_hits":         `mcmpart_cache_hits_total{tier="disk"}`,
-	"disk_cache_writes":       `mcmpart_disk_writes_total`,
-	"disk_cache_write_errors": `mcmpart_disk_write_errors_total`,
-	"disk_cache_quarantined":  `mcmpart_disk_quarantined_total`,
-	"jobs_submitted":          `mcmpart_jobs_submitted_total`,
-	"jobs_queued":             `mcmpart_jobs_queued`,
-	"jobs_running":            `mcmpart_jobs_running`,
-	"jobs_done":               `mcmpart_jobs_total{state="done"}`,
-	"jobs_failed":             `mcmpart_jobs_total{state="failed"}`,
-	"jobs_cancelled":          `mcmpart_jobs_total{state="cancelled"}`,
-	"jobs_shed":               `mcmpart_jobs_shed_total`,
-	"registry_policies":       "", // a directory scan per Stats call, not an instrument
-}
-
 // TestDaemonMetricsMatchStats is the telemetry acceptance test: boot the
 // daemon with one worker, a one-slot queue and a disk tier (so the
 // mcmpart_disk_* families exist), run the scripted workload —
@@ -150,8 +122,21 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		}
 	}
 
-	// A distinct request takes the single queue slot; the next distinct
-	// request must shed with 429/ErrBusy.
+	// Once the worker has dequeued the leader, a distinct request takes the
+	// single queue slot; the next distinct request must shed with 429/ErrBusy.
+	for {
+		jr, err := cl.JobStatus(ctx, leader.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jr.State == mcmpart.JobRunning {
+			break
+		}
+		if jr.State != mcmpart.JobQueued {
+			t.Fatalf("leader finished %s before the queue slot was taken: %+v", jr.State, jr)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	queued, err := cl.SubmitJob(ctx, g, mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 15, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -229,38 +214,35 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		}
 	}
 
-	// /v1/stats and /metrics are two views of one registry: every numeric
-	// field of ServiceStats must equal its series exactly.
-	sv := reflect.Indirect(reflect.ValueOf(stats))
-	seen := 0
+	// /v1/stats and /metrics are two views of one registry: every field of
+	// ServiceStats with a metric tag must equal the series the tag names, and
+	// a number or bool without one must be a fact that reads no instrument.
+	sv := reflect.ValueOf(*stats)
 	for i := 0; i < sv.NumField(); i++ {
+		field := sv.Type().Field(i)
 		var stat float64
-		switch f := sv.Field(i); {
-		case f.CanInt():
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Int:
 			stat = float64(f.Int())
-		case f.CanUint():
+		case reflect.Uint64:
 			stat = float64(f.Uint())
-		case f.CanFloat():
-			stat = f.Float()
+		case reflect.Bool:
+			if f.Bool() {
+				stat = 1
+			}
 		default:
 			continue
 		}
-		tag, _, _ := strings.Cut(sv.Type().Field(i).Tag.Get("json"), ",")
-		series, ok := statSeries[tag]
+		series, ok := field.Tag.Lookup("metric")
 		if !ok {
-			t.Errorf("ServiceStats.%s (%q) is in no row of statSeries: name its /metrics series, or \"\" if it has none", sv.Type().Field(i).Name, tag)
-			continue
-		}
-		seen++
-		if series == "" {
+			if field.Name != "RegistryPolicies" && field.Name != "PolicyInstalled" {
+				t.Errorf("ServiceStats.%s has no metric tag: name the /metrics series it reads", field.Name)
+			}
 			continue
 		}
 		if got, ok := metrics[series]; !ok || got != stat {
-			t.Errorf("%s = %v (present %v) on /metrics but %s = %v on /v1/stats", series, got, ok, tag, stat)
+			t.Errorf("%s = %v (present %v) on /metrics but %s = %v on /v1/stats", series, got, ok, field.Name, stat)
 		}
-	}
-	if seen != len(statSeries) {
-		t.Errorf("statSeries has %d rows but ServiceStats has %d numeric fields they name: delete the stale rows", len(statSeries), seen)
 	}
 
 	// A histogram family is its _sum, _bucket and _count series.

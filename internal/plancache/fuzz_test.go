@@ -50,7 +50,7 @@ func FuzzCacheEntry(f *testing.F) {
 			t.Fatalf("store served unverifiable bytes: %q", got)
 		case ok && !bytes.Equal(got, payload):
 			t.Fatalf("store served %q, entry holds %q", got, payload)
-		case !ok && st.Stats().Quarantined == 0 && err != nil:
+		case !ok && st.quarantined.Value() == 0 && err != nil:
 			t.Fatal("rejected entry was not quarantined")
 		}
 	})

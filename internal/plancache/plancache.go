@@ -62,44 +62,26 @@ const headerLen = 8 + 4 + 4 + 4 + 32
 // of the length fields must not turn into a giant allocation.
 const maxEntryBytes = 1 << 28 // 256 MiB
 
-// Stats is a point-in-time snapshot of store activity.
-type Stats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Writes      uint64 `json:"writes"`
-	WriteErrors uint64 `json:"write_errors"`
-	Quarantined uint64 `json:"quarantined"`
-}
-
-// Metrics are the instruments a Store records into. Open wires standalone
-// instruments so a Store always counts; SetMetrics swaps in
-// registry-backed ones so the same numbers appear on /metrics. Stats()
-// reads whichever set is installed — there is exactly one source of
-// truth.
-type Metrics struct {
-	Hits         *telemetry.Counter
-	Misses       *telemetry.Counter
-	Writes       *telemetry.Counter
-	WriteErrors  *telemetry.Counter
-	Quarantined  *telemetry.Counter
-	ReadSeconds  *telemetry.Histogram // latency of Get, hit or miss
-	WriteSeconds *telemetry.Histogram // latency of Put, success or failure
-}
-
 // Store is a directory of plan entries. All methods are safe for
 // concurrent use.
 type Store struct {
 	dir  string
 	logf func(format string, args ...any)
-	m    Metrics          // immutable after SetMetrics (which must precede first use)
 	now  func() time.Time // time.Now: the latency histograms' clock
+
+	// The store's instruments, set by Instrument (which must precede first
+	// use: Get and Put read them without a lock).
+	writes, writeErrors, quarantined *telemetry.Counter
+	readSeconds                      *telemetry.Histogram // latency of Get, hit or miss
+	writeSeconds                     *telemetry.Histogram // latency of Put, success or failure
 
 	mu  sync.Mutex
 	seq uint64 // temp-file uniquifier; guarded by mu
 }
 
 // Open creates (if needed) and opens a store rooted at dir. logf receives
-// one line per quarantined entry and per write failure; nil discards.
+// one line per quarantined entry and per write failure; nil discards. The
+// store counts into a registry of its own until Instrument moves it.
 func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("plancache: %w", err)
@@ -107,48 +89,20 @@ func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Store{
-		dir:  dir,
-		logf: logf,
-		m: Metrics{
-			Hits:         new(telemetry.Counter),
-			Misses:       new(telemetry.Counter),
-			Writes:       new(telemetry.Counter),
-			WriteErrors:  new(telemetry.Counter),
-			Quarantined:  new(telemetry.Counter),
-			ReadSeconds:  telemetry.NewHistogram(telemetry.DefBuckets),
-			WriteSeconds: telemetry.NewHistogram(telemetry.DefBuckets),
-		},
-		now: time.Now,
-	}, nil
+	s := &Store{dir: dir, logf: logf, now: time.Now}
+	s.Instrument(telemetry.NewRegistry())
+	return s, nil
 }
 
-// SetMetrics replaces the store's instruments with registry-backed ones.
-// Nil fields keep the standalone instrument Open installed. Call before
-// the store's first Get/Put — the fields are read without a lock on the
-// hot path.
-func (s *Store) SetMetrics(m Metrics) {
-	if m.Hits != nil {
-		s.m.Hits = m.Hits
-	}
-	if m.Misses != nil {
-		s.m.Misses = m.Misses
-	}
-	if m.Writes != nil {
-		s.m.Writes = m.Writes
-	}
-	if m.WriteErrors != nil {
-		s.m.WriteErrors = m.WriteErrors
-	}
-	if m.Quarantined != nil {
-		s.m.Quarantined = m.Quarantined
-	}
-	if m.ReadSeconds != nil {
-		s.m.ReadSeconds = m.ReadSeconds
-	}
-	if m.WriteSeconds != nil {
-		s.m.WriteSeconds = m.WriteSeconds
-	}
+// Instrument registers the store's instruments — the mcmpart_disk_*
+// families of the /metrics contract — on reg and records into them from
+// then on. Call it before the store's first Get or Put.
+func (s *Store) Instrument(reg *telemetry.Registry) {
+	s.writes = reg.Counter("mcmpart_disk_writes_total", "Plans durably written to the disk tier.")
+	s.writeErrors = reg.Counter("mcmpart_disk_write_errors_total", "Disk-tier writes that failed (logged; no partial entry remains).")
+	s.quarantined = reg.Counter("mcmpart_disk_quarantined_total", "Disk-tier entries set aside after failing verification.")
+	s.readSeconds = reg.Histogram("mcmpart_disk_read_seconds", "Disk-tier Get latency, hit or miss.", telemetry.DefBuckets)
+	s.writeSeconds = reg.Histogram("mcmpart_disk_write_seconds", "Disk-tier Put latency, success or failure.", telemetry.DefBuckets)
 }
 
 // Dir returns the store's root directory.
@@ -221,11 +175,10 @@ func Decode(data []byte) (key string, payload []byte, err error) {
 // returns bytes that failed verification.
 func (s *Store) Get(key string) (payload []byte, ok bool) {
 	start := s.now()
-	defer func() { s.m.ReadSeconds.Observe(s.now().Sub(start).Seconds()) }()
+	defer func() { s.readSeconds.Observe(s.now().Sub(start).Seconds()) }()
 	path := s.path(key)
 	if err := faultinject.Check(faultinject.PointDiskRead); err != nil {
 		s.logf("plancache: read %s: %v", filepath.Base(path), err)
-		s.m.Misses.Inc()
 		return nil, false
 	}
 	data, err := os.ReadFile(path)
@@ -233,21 +186,17 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.logf("plancache: read %s: %v", filepath.Base(path), err)
 		}
-		s.m.Misses.Inc()
 		return nil, false
 	}
 	storedKey, payload, err := Decode(data)
 	if err != nil {
 		s.quarantine(path, err)
-		s.m.Misses.Inc()
 		return nil, false
 	}
 	if storedKey != key {
 		s.quarantine(path, fmt.Errorf("%w: entry holds key %q, looked up as %q", ErrCorrupt, storedKey, key))
-		s.m.Misses.Inc()
 		return nil, false
 	}
-	s.m.Hits.Inc()
 	return payload, true
 }
 
@@ -264,7 +213,7 @@ func (s *Store) quarantine(path string, reason error) {
 		// that fails the entry stays and will re-quarantine on next touch.
 		_ = os.Remove(path)
 	}
-	s.m.Quarantined.Inc()
+	s.quarantined.Inc()
 }
 
 // Put durably stores payload under key: temp file in the same directory,
@@ -273,13 +222,13 @@ func (s *Store) quarantine(path string, reason error) {
 func (s *Store) Put(key string, payload []byte) error {
 	start := s.now()
 	err := s.put(key, payload)
-	s.m.WriteSeconds.Observe(s.now().Sub(start).Seconds())
+	s.writeSeconds.Observe(s.now().Sub(start).Seconds())
 	if err != nil {
 		s.logf("plancache: write %s: %v", filepath.Base(s.path(key)), err)
-		s.m.WriteErrors.Inc()
+		s.writeErrors.Inc()
 		return err
 	}
-	s.m.Writes.Inc()
+	s.writes.Inc()
 	return nil
 }
 
@@ -335,16 +284,4 @@ func (s *Store) Flush() error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// Stats returns a snapshot of store activity, read from the same
-// instruments the /metrics exposition serves.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Hits:        s.m.Hits.Value(),
-		Misses:      s.m.Misses.Value(),
-		Writes:      s.m.Writes.Value(),
-		WriteErrors: s.m.WriteErrors.Value(),
-		Quarantined: s.m.Quarantined.Value(),
-	}
 }

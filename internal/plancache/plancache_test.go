@@ -34,9 +34,8 @@ func TestRoundTrip(t *testing.T) {
 	if !ok || string(got) != string(payload) {
 		t.Fatalf("round trip: ok=%v got=%q", ok, got)
 	}
-	stats := st.Stats()
-	if stats.Hits != 1 || stats.Misses != 1 || stats.Writes != 1 || stats.Quarantined != 0 {
-		t.Fatalf("stats %+v", stats)
+	if st.writes.Value() != 1 || st.quarantined.Value() != 0 {
+		t.Fatalf("writes %d, quarantined %d", st.writes.Value(), st.quarantined.Value())
 	}
 
 	// A second store over the same directory (the restart) serves the entry.
@@ -85,8 +84,8 @@ func TestCorruptionQuarantined(t *testing.T) {
 			if got, ok := st.Get(key); ok {
 				t.Fatalf("corrupt entry served: %q", got)
 			}
-			if st.Stats().Quarantined != 1 {
-				t.Fatalf("stats %+v: corrupt entry not quarantined", st.Stats())
+			if st.quarantined.Value() != 1 {
+				t.Fatalf("quarantined %d: corrupt entry not counted once", st.quarantined.Value())
 			}
 			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("corrupt entry still live at %s", path)
@@ -118,8 +117,8 @@ func TestKeyMismatchQuarantined(t *testing.T) {
 	if got, ok := st.Get("key-b"); ok {
 		t.Fatalf("mismatched key served: %q", got)
 	}
-	if st.Stats().Quarantined != 1 {
-		t.Fatalf("stats %+v", st.Stats())
+	if st.quarantined.Value() != 1 {
+		t.Fatalf("quarantined %d, want 1", st.quarantined.Value())
 	}
 }
 
@@ -133,8 +132,8 @@ func TestInjectedDiskFaults(t *testing.T) {
 	if err := st.Put("k", []byte("v")); !errors.Is(err, boom) {
 		t.Fatalf("injected write fault not surfaced: %v", err)
 	}
-	if st.Stats().WriteErrors != 1 {
-		t.Fatalf("stats %+v", st.Stats())
+	if st.writeErrors.Value() != 1 {
+		t.Fatalf("write errors %d, want 1", st.writeErrors.Value())
 	}
 	faultinject.Disable()
 	if err := st.Put("k", []byte("v")); err != nil {

@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,9 +41,7 @@ import (
 )
 
 // Counter is a monotonically increasing uint64. The zero value is a valid,
-// unregistered counter at 0 — packages below the registry (e.g. the disk
-// plan cache) count into standalone counters that a service later swaps
-// for registered ones.
+// unregistered counter at 0.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -99,10 +98,10 @@ var DefBuckets = []float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 10,
 }
 
-// NewHistogram builds a standalone (unregistered) histogram with the given
-// finite bucket upper bounds. Bounds are copied and sorted; an +Inf bucket
-// is implicit. Empty bounds give a single +Inf bucket (count and sum only).
-func NewHistogram(bounds []float64) *Histogram {
+// newHistogram builds a histogram with the given finite bucket upper
+// bounds. Bounds are copied and sorted; an +Inf bucket is implicit. Empty
+// bounds give a single +Inf bucket (count and sum only).
+func newHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	sort.Float64s(b)
@@ -229,7 +228,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	s := r.seriesLocked(name, help, kindHistogram, buckets, labels)
 	if s.hist == nil {
 		fam := r.families[name]
-		s.hist = NewHistogram(fam.buckets)
+		s.hist = newHistogram(fam.buckets)
 	}
 	return s.hist
 }
@@ -276,6 +275,77 @@ func labelKey(sorted []Label) string {
 		b.WriteByte(',')
 	}
 	return b.String()
+}
+
+// Fill sets each field of the struct dst points to that carries a
+// `metric:"series"` tag from that series, named as WritePrometheus prints
+// it: `name`, `name{label="value",...}` with labels sorted by name, or a
+// histogram's `name_count{...}` or `name_sum{...}`. Fields are read one at
+// a time in declaration order, so a struct whose invariants depend on read
+// order (a counter that is incremented last read first) states that order
+// by declaring its fields in it. A tag naming no registered series zeroes
+// its field; untagged fields are left as they are. Tagged fields are
+// numbers, or bools that read true when the series is nonzero.
+func (r *Registry) Fill(dst any) {
+	v := reflect.ValueOf(dst).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, ok := v.Type().Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		switch f, x := v.Field(i), r.read(name); {
+		case !x.IsValid():
+			f.SetZero()
+		case f.Kind() == reflect.Bool:
+			f.SetBool(!x.IsZero())
+		default:
+			f.Set(x.Convert(f.Type()))
+		}
+	}
+}
+
+// read returns the current value of the series printed as name, or the
+// zero Value when no such series is registered. The value is read outside
+// the registry lock, as WritePrometheus reads it.
+func (r *Registry) read(name string) reflect.Value {
+	s, sum := r.lookup(name)
+	switch {
+	case s == nil:
+		return reflect.Value{}
+	case s.counter != nil:
+		return reflect.ValueOf(s.counter.Value())
+	case s.gauge != nil:
+		return reflect.ValueOf(s.gauge.Value())
+	case s.gaugeFn != nil:
+		return reflect.ValueOf(s.gaugeFn())
+	case sum:
+		return reflect.ValueOf(s.hist.Sum())
+	}
+	return reflect.ValueOf(s.hist.Count())
+}
+
+// lookup finds the series WritePrometheus prints as name and, for a
+// histogram, whether name is its _sum line rather than its _count line.
+func (r *Registry) lookup(name string) (*series, bool) {
+	family, _, _ := strings.Cut(name, "{")
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fam, suffix := r.families[family], ""
+	for _, sfx := range [...]string{"_count", "_sum"} {
+		if base, ok := strings.CutSuffix(family, sfx); ok && fam == nil {
+			fam, suffix = r.families[base], sfx
+		}
+	}
+	if fam == nil || (fam.kind == kindHistogram) != (suffix != "") {
+		return nil, false
+	}
+	var buf [128]byte
+	for _, s := range fam.series {
+		if string(appendName(buf[:0], family, s.labels, "")) == name {
+			return s, suffix == "_sum"
+		}
+	}
+	return nil, false
 }
 
 // WritePrometheus writes every registered family in Prometheus text

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ func TestCounterAndGauge(t *testing.T) {
 }
 
 func TestHistogramBucketsAndSum(t *testing.T) {
-	h := NewHistogram([]float64{0.01, 0.1, 1})
+	h := newHistogram([]float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 2} {
 		h.Observe(v)
 	}
@@ -117,6 +118,53 @@ lat_seconds_count 3
 	}
 }
 
+// TestRegistryFill pins the tag walk ServiceStats is filled by: every
+// instrument kind, labelled series keyed exactly as the exposition prints
+// them, a tag naming no series zeroing a stale field (a histogram prints no
+// line under its bare name), and an untagged field left alone.
+func TestRegistryFill(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("jobs_total", "j", Label{"state", "done"}, Label{"a", "x"}).Add(3)
+	r.Counter("jobs_total", "j", Label{"state", "failed"}).Add(9)
+	r.Gauge("depth", "d").Set(-2)
+	r.GaugeFunc("ratio", "r", func() float64 { return 0.5 })
+	r.GaugeFunc("on", "o", func() float64 { return 1 })
+	h := r.Histogram("lat_seconds", "l", []float64{1}, Label{"path", "cold"})
+	h.Observe(0.25)
+	h.Observe(2)
+
+	type stats struct {
+		Done  uint64  `metric:"jobs_total{a=\"x\",state=\"done\"}"`
+		Depth int     `metric:"depth"`
+		Ratio float64 `metric:"ratio"`
+		On    bool    `metric:"on"`
+		Count int     `metric:"lat_seconds_count{path=\"cold\"}"`
+		Sum   float64 `metric:"lat_seconds_sum{path=\"cold\"}"`
+		Stale uint64  `metric:"jobs_total{state=\"shed\"}"`
+		Bare  uint64  `metric:"lat_seconds{path=\"cold\"}"`
+		Note  string
+	}
+	got := stats{Stale: 7, Bare: 7, Note: "kept"}
+	r.Fill(&got)
+	want := stats{Done: 3, Depth: -2, Ratio: 0.5, On: true, Count: 2, Sum: 2.25, Note: "kept"}
+	if got != want {
+		t.Fatalf("Fill = %+v, want %+v", got, want)
+	}
+
+	// Each key that read a series is a line of the exposition.
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeFor[stats]()
+	for _, name := range []string{"Done", "Depth", "Ratio", "On", "Count", "Sum"} {
+		f, _ := typ.FieldByName(name)
+		if key := f.Tag.Get("metric"); !strings.Contains(sb.String(), "\n"+key+" ") {
+			t.Errorf("%s's key %s is not a line of the exposition:\n%s", name, key, sb.String())
+		}
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("weird_total", "multi\nline \\help", Label{"p", `a"b\c` + "\n"}).Inc()
@@ -138,7 +186,7 @@ func TestLabelEscaping(t *testing.T) {
 func TestObservationAllocatesNothing(t *testing.T) {
 	var c Counter
 	var g Gauge
-	h := NewHistogram(DefBuckets)
+	h := newHistogram(DefBuckets)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(3)

@@ -87,59 +87,60 @@ type ServiceOptions struct {
 }
 
 // ServiceStats is a point-in-time operational snapshot of a Service. Every
-// counter and gauge here is a read of the same telemetry registry the
-// GET /metrics exposition serves (Service.Metrics), so the JSON and
-// Prometheus views cannot disagree. DESIGN.md §14 documents the metric
-// names as a stable contract.
+// field with a `metric` tag is a read of the series it names on the
+// telemetry registry GET /metrics serves (Service.Metrics), so the JSON and
+// Prometheus views cannot disagree; DESIGN.md §14 documents the names as a
+// stable contract. Tagged fields are read in declaration order, which is
+// why the Jobs block precedes the Cache block (see Stats).
 type ServiceStats struct {
 	Package            string `json:"package"`
 	PackageFingerprint string `json:"package_fingerprint"`
-	Workers            int    `json:"workers"`
+	Workers            int    `json:"workers" metric:"mcmpart_workers"`
 	// QueueDepth is the number of admitted jobs waiting for a worker right
 	// now — the live pressure signal. QueueCapacity is the configured
 	// bound admission sheds at (historically QueueDepth reported the
 	// capacity; the live depth is what a dashboard needs).
-	QueueDepth    int `json:"queue_depth"`
-	QueueCapacity int `json:"queue_capacity"`
+	QueueDepth    int `json:"queue_depth" metric:"mcmpart_queue_depth"`
+	QueueCapacity int `json:"queue_capacity" metric:"mcmpart_queue_capacity"`
+
+	JobsSubmitted uint64 `json:"jobs_submitted" metric:"mcmpart_jobs_submitted_total"`
+	JobsQueued    int    `json:"jobs_queued" metric:"mcmpart_jobs_queued"`
+	JobsRunning   int    `json:"jobs_running" metric:"mcmpart_jobs_running"`
+	JobsDone      uint64 `json:"jobs_done" metric:"mcmpart_jobs_total{state=\"done\"}"`
+	JobsFailed    uint64 `json:"jobs_failed" metric:"mcmpart_jobs_total{state=\"failed\"}"`
+	JobsCancelled uint64 `json:"jobs_cancelled" metric:"mcmpart_jobs_total{state=\"cancelled\"}"`
+	// JobsShed counts submissions rejected with ErrBusy because the queue
+	// was full — load the service refused, which JobsSubmitted never saw.
+	JobsShed uint64 `json:"jobs_shed" metric:"mcmpart_jobs_shed_total"`
 
 	// CacheHits/CacheMisses partition *admitted* jobs by their in-memory
 	// cache outcome: every job counts on exactly one side, a rejected
 	// submission (shed, draining) on neither — so CacheHits+CacheMisses
 	// equals JobsSubmitted once the service is quiescent. Coalesced
 	// requests and disk-tier hits are memory misses.
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	CacheEntries  int    `json:"cache_entries"`
-	CacheCapacity int    `json:"cache_capacity"`
+	CacheHits     uint64 `json:"cache_hits" metric:"mcmpart_cache_hits_total{tier=\"memory\"}"`
+	CacheMisses   uint64 `json:"cache_misses" metric:"mcmpart_cache_misses_total{tier=\"memory\"}"`
+	CacheEntries  int    `json:"cache_entries" metric:"mcmpart_cache_entries"`
+	CacheCapacity int    `json:"cache_capacity" metric:"mcmpart_cache_capacity"`
 
 	// PlansExecuted counts actual planner invocations; PlansCoalesced
 	// counts requests that shared another request's in-flight computation
 	// instead of planning. Under single-flight, N concurrent identical
 	// cold requests add 1 to the former and N-1 to the latter.
-	PlansExecuted  uint64 `json:"plans_executed"`
-	PlansCoalesced uint64 `json:"plans_coalesced"`
+	PlansExecuted  uint64 `json:"plans_executed" metric:"mcmpart_plans_executed_total"`
+	PlansCoalesced uint64 `json:"plans_coalesced" metric:"mcmpart_plans_coalesced_total"`
 
 	// Disk tier (all zero without ServiceOptions.CacheDir). Hits are
 	// in-memory misses served from disk; Quarantined counts entries set
 	// aside after failing verification — corruption detected, never served.
-	DiskCacheHits        uint64 `json:"disk_cache_hits"`
-	DiskCacheWrites      uint64 `json:"disk_cache_writes"`
-	DiskCacheWriteErrors uint64 `json:"disk_cache_write_errors"`
-	DiskCacheQuarantined uint64 `json:"disk_cache_quarantined"`
-
-	JobsSubmitted uint64 `json:"jobs_submitted"`
-	JobsQueued    int    `json:"jobs_queued"`
-	JobsRunning   int    `json:"jobs_running"`
-	JobsDone      uint64 `json:"jobs_done"`
-	JobsFailed    uint64 `json:"jobs_failed"`
-	JobsCancelled uint64 `json:"jobs_cancelled"`
-	// JobsShed counts submissions rejected with ErrBusy because the queue
-	// was full — load the service refused, which JobsSubmitted never saw.
-	JobsShed uint64 `json:"jobs_shed"`
+	DiskCacheHits        uint64 `json:"disk_cache_hits" metric:"mcmpart_cache_hits_total{tier=\"disk\"}"`
+	DiskCacheWrites      uint64 `json:"disk_cache_writes" metric:"mcmpart_disk_writes_total"`
+	DiskCacheWriteErrors uint64 `json:"disk_cache_write_errors" metric:"mcmpart_disk_write_errors_total"`
+	DiskCacheQuarantined uint64 `json:"disk_cache_quarantined" metric:"mcmpart_disk_quarantined_total"`
 
 	// Draining reports that admission is stopped (BeginDrain/Drain/Close)
 	// while previously admitted work finishes.
-	Draining bool `json:"draining"`
+	Draining bool `json:"draining" metric:"mcmpart_draining"`
 
 	PolicyInstalled   bool   `json:"policy_installed"`
 	PolicyFingerprint string `json:"policy_fingerprint,omitempty"`
@@ -254,7 +255,6 @@ type serviceMetrics struct {
 	memHits        *telemetry.Counter
 	memMisses      *telemetry.Counter
 	diskHits       *telemetry.Counter
-	disk           plancache.Metrics // the disk tier's own instruments; zero without one
 	planCold       *telemetry.Histogram
 	planWarm       *telemetry.Histogram
 }
@@ -384,19 +384,9 @@ func (s *Service) openStores(opts ServiceOptions) error {
 		if err != nil {
 			return err
 		}
-		// Register the store's write-side counters and latency histograms
-		// on the service registry. The disk *hit* counter stays service-
-		// owned (m.diskHits): a hit means "served", which additionally
-		// requires the payload to decode — the store's own read counters
-		// include envelope-valid entries quarantined at that later step.
-		s.m.disk = plancache.Metrics{
-			Writes:       s.m.reg.Counter("mcmpart_disk_writes_total", "Plans durably written to the disk tier."),
-			WriteErrors:  s.m.reg.Counter("mcmpart_disk_write_errors_total", "Disk-tier writes that failed (logged; no partial entry remains)."),
-			Quarantined:  s.m.reg.Counter("mcmpart_disk_quarantined_total", "Disk-tier entries set aside after failing verification."),
-			ReadSeconds:  s.m.reg.Histogram("mcmpart_disk_read_seconds", "Disk-tier Get latency, hit or miss.", telemetry.DefBuckets),
-			WriteSeconds: s.m.reg.Histogram("mcmpart_disk_write_seconds", "Disk-tier Put latency, success or failure.", telemetry.DefBuckets),
-		}
-		disk.SetMetrics(s.m.disk)
+		// The disk *hit* counter stays service-owned (m.diskHits): a hit
+		// means "served", which additionally requires the payload to decode.
+		disk.Instrument(s.m.reg)
 		s.disk = disk
 	}
 	if opts.PolicyDir != "" {
@@ -498,47 +488,27 @@ func (s *Service) policies(installed policySnapshot) []PolicyInfo {
 	return out
 }
 
-// Stats returns a point-in-time operational snapshot, read from the same
-// telemetry instruments GET /metrics serves.
+// Stats returns a point-in-time operational snapshot: the facts that are
+// not instruments, then one Fill from the registry GET /metrics serves.
 //
-// Snapshot coherence: the job counters are read *before* the cache
-// counters, and every admission increments its cache-tier counter before
-// jobsSubmitted (see serviceMetrics), so CacheHits+CacheMisses >=
-// JobsSubmitted holds in every snapshot — even mid-burst — and the two
-// sides are equal once the service is quiescent.
+// Snapshot coherence: Fill reads ServiceStats' fields in declaration
+// order, so the job counters are read *before* the cache counters, and
+// every admission increments its cache-tier counter before jobsSubmitted
+// (see serviceMetrics), so CacheHits+CacheMisses >= JobsSubmitted holds in
+// every snapshot — even mid-burst — and the two sides are equal once the
+// service is quiescent.
 func (s *Service) Stats() ServiceStats {
 	installed := s.planner.snapshotPolicy()
 	st := ServiceStats{
 		Package:            s.planner.Package().Name,
 		PackageFingerprint: s.pkgFP,
-		Workers:            s.pool.Workers(),
-		QueueDepth:         s.pool.QueueLen(),
-		QueueCapacity:      s.pool.QueueCap(),
 		PolicyInstalled:    installed.policy != nil,
 		PolicyFingerprint:  installed.fp,
 	}
-	st.JobsSubmitted = s.m.jobsSubmitted.Value()
-	st.JobsDone = s.m.jobsEnded[JobDone].Value()
-	st.JobsFailed = s.m.jobsEnded[JobFailed].Value()
-	st.JobsCancelled = s.m.jobsEnded[JobCancelled].Value()
-	st.JobsShed = s.m.jobsShed.Value()
-	st.JobsQueued = int(s.m.jobsQueued.Value())
-	st.JobsRunning = int(s.m.jobsRunning.Value())
-	st.PlansExecuted = s.m.plansExecuted.Value()
-	st.PlansCoalesced = s.m.plansCoalesced.Value()
-	st.DiskCacheHits = s.m.diskHits.Value()
-	st.CacheHits = s.m.memHits.Value()
-	st.CacheMisses = s.m.memMisses.Value()
-	st.CacheEntries, st.CacheCapacity = s.cache.snapshot()
 	if s.registry != nil {
 		st.RegistryPolicies = len(s.registry.ForPackage(s.planner.Package()))
 	}
-	if s.disk != nil {
-		st.DiskCacheWrites = s.m.disk.Writes.Value()
-		st.DiskCacheWriteErrors = s.m.disk.WriteErrors.Value()
-		st.DiskCacheQuarantined = s.m.disk.Quarantined.Value()
-	}
-	st.Draining = s.draining()
+	s.m.reg.Fill(&st)
 	return st
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -394,29 +395,28 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 	resp.Body.Close()
 
 	metrics := scrapeMetrics(t, srv.URL+"/metrics")
-	same := []struct {
-		series string
-		stat   uint64
-	}{
-		{`mcmpart_jobs_submitted_total`, st.JobsSubmitted},
-		{`mcmpart_jobs_total{state="done"}`, st.JobsDone},
-		{`mcmpart_jobs_total{state="failed"}`, st.JobsFailed},
-		{`mcmpart_jobs_total{state="cancelled"}`, st.JobsCancelled},
-		{`mcmpart_jobs_shed_total`, st.JobsShed},
-		{`mcmpart_cache_hits_total{tier="memory"}`, st.CacheHits},
-		{`mcmpart_cache_misses_total{tier="memory"}`, st.CacheMisses},
-		{`mcmpart_cache_hits_total{tier="disk"}`, st.DiskCacheHits},
-		{`mcmpart_plans_executed_total`, st.PlansExecuted},
-		{`mcmpart_plans_coalesced_total`, st.PlansCoalesced},
-	}
-	for _, s := range same {
-		got, ok := metrics[s.series]
+	// Every tagged field equals the series its tag names; only the disk
+	// tier's series are absent (no CacheDir), and their fields read 0.
+	sv := reflect.ValueOf(st)
+	for i := 0; i < sv.NumField(); i++ {
+		series, ok := sv.Type().Field(i).Tag.Lookup("metric")
 		if !ok {
-			t.Errorf("series %s missing from /metrics", s.series)
 			continue
 		}
-		if uint64(got) != s.stat {
-			t.Errorf("%s = %v on /metrics but %d on /v1/stats", s.series, got, s.stat)
+		var stat float64
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Int:
+			stat = float64(f.Int())
+		case reflect.Uint64:
+			stat = float64(f.Uint())
+		case reflect.Bool:
+			if f.Bool() {
+				stat = 1
+			}
+		}
+		got, present := metrics[series]
+		if got != stat || !present && !strings.HasPrefix(series, "mcmpart_disk_") {
+			t.Errorf("%s = %v (present %v) on /metrics but %s = %v on /v1/stats", series, got, present, sv.Type().Field(i).Name, stat)
 		}
 	}
 	if st.JobsSubmitted != 2 || st.CacheHits != 1 || st.CacheMisses != 1 || st.PlansExecuted != 1 {

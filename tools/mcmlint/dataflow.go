@@ -37,18 +37,6 @@ func cloneFacts(f facts) facts {
 	return c
 }
 
-func equalFacts(a, b facts) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // intersectInto removes from dst every fact not in src, reporting whether
 // dst changed.
 func intersectInto(dst, src facts) bool {
