@@ -145,16 +145,16 @@ func ablationEnv(b *testing.B, useSample bool) *rl.Env {
 	b.Helper()
 	pkg := mcm.Dev8()
 	g := workload.MLP(workload.MLPConfig{Name: "ab", Layers: 10, Input: 512, Hidden: 2048, Output: 256, Batch: 32})
-	pr, err := cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+	pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	model := costmodel.New(pkg)
-	baseTh, _ := model.Evaluate(g, search.Greedy(g, pkg.Chips, pkg.SRAMBytes))
+	baseTh := model.Assess(g, search.GreedyPackage(g, pkg)).Throughput
 	env := rl.NewEnv(rl.NewGraphContext(g), pr, model, baseTh)
 	env.UseSampleMode = useSample
 	env.PartFactory = func() (cpsolver.Partitioner, error) {
-		return cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+		return cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 	}
 	return env
 }

@@ -145,20 +145,6 @@ const (
 	httpLatencyHelp  = "HTTP request latency in seconds, by route pattern."
 )
 
-// httpRoutes enumerates the served patterns so their latency histograms
-// exist (at zero) from the first scrape instead of materializing on first
-// hit. Request counters carry a status-code label and appear on first use.
-var httpRoutes = []string{
-	"POST /v1/plan",
-	"POST /v1/jobs",
-	"GET /v1/jobs/{id}",
-	"DELETE /v1/jobs/{id}",
-	"GET /v1/policies",
-	"GET /v1/stats",
-	"GET /metrics",
-	"GET /healthz",
-}
-
 // statusWriter captures the response code for metrics and logs.
 type statusWriter struct {
 	http.ResponseWriter
@@ -178,14 +164,19 @@ func (w *statusWriter) WriteHeader(code int) {
 // through ServiceOptions.Logger with its request ID.
 func NewHTTPHandler(svc *Service) http.Handler {
 	reg := svc.Metrics()
-	for _, route := range httpRoutes {
-		reg.Histogram("mcmpart_http_request_seconds", httpLatencyHelp, telemetry.DefBuckets,
-			telemetry.Label{Name: "route", Value: route})
-	}
 	var ridSeq atomic.Uint64
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", telemetry.Handler(reg))
-	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
+	// handle serves one pattern and creates its latency histogram, so every
+	// served route is on the first scrape (at zero) instead of materializing
+	// on its first hit. Request counters carry a status-code label and
+	// appear on first use.
+	handle := func(pattern string, h http.HandlerFunc) {
+		reg.Histogram("mcmpart_http_request_seconds", httpLatencyHelp, telemetry.DefBuckets,
+			telemetry.Label{Name: "route", Value: pattern})
+		mux.Handle(pattern, h)
+	}
+	handle("GET /metrics", telemetry.Handler(reg).ServeHTTP)
+	handle("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
 		job, g, ok := submitPlanRequest(svc, w, r)
 		if !ok {
 			return
@@ -208,13 +199,13 @@ func NewHTTPHandler(svc *Service) http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		if job, _, ok := submitPlanRequest(svc, w, r); ok {
 			writeJSON(w, http.StatusAccepted, job.Status())
 		}
 	})
 
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := lookupJob(svc, w, r)
 		if !ok {
 			return
@@ -226,14 +217,14 @@ func NewHTTPHandler(svc *Service) http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	handle("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if job, ok := lookupJob(svc, w, r); ok {
 			job.Cancel()
 			writeJSON(w, http.StatusOK, job.Status())
 		}
 	})
 
-	mux.HandleFunc("GET /v1/policies", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/policies", func(w http.ResponseWriter, r *http.Request) {
 		installed := svc.planner.snapshotPolicy()
 		writeJSON(w, http.StatusOK, PoliciesResponse{
 			Package:            svc.Package().Name,
@@ -244,11 +235,11 @@ func NewHTTPHandler(svc *Service) http.Handler {
 		})
 	})
 
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, svc.Stats())
 	})
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// A draining service reports unhealthy so load balancers stop
 		// routing to it, while the still-open routes (job status, stats)
 		// keep serving the requests it already owns.

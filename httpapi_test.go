@@ -25,6 +25,32 @@ func newTestServer(t *testing.T, opts mcmpart.ServiceOptions) (*mcmpart.Service,
 	return svc, mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{})
 }
 
+// TestFirstScrapeListsEveryRoute: every pattern the API serves (the table at
+// the top of httpapi.go) has its latency histogram on a fresh handler's first
+// scrape, at zero, and no other route has one.
+func TestFirstScrapeListsEveryRoute(t *testing.T) {
+	svc, err := mcmpart.NewService(mcmpart.Dev4(), mcmpart.ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	rec := httptest.NewRecorder()
+	mcmpart.NewHTTPHandler(svc).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	routes := []string{
+		"POST /v1/plan", "POST /v1/jobs", "GET /v1/jobs/{id}", "DELETE /v1/jobs/{id}",
+		"GET /v1/policies", "GET /v1/stats", "GET /metrics", "GET /healthz",
+	}
+	for _, route := range routes {
+		if want := `mcmpart_http_request_seconds_count{route="` + route + `"} 0` + "\n"; !strings.Contains(body, want) {
+			t.Errorf("first scrape lacks %q", strings.TrimSpace(want))
+		}
+	}
+	if n := strings.Count(body, "mcmpart_http_request_seconds_count{"); n != len(routes) {
+		t.Errorf("first scrape has %d route latency histograms, want %d", n, len(routes))
+	}
+}
+
 func TestHTTPPlanRoundTripAndCache(t *testing.T) {
 	svc, cl := newTestServer(t, mcmpart.ServiceOptions{Workers: 2})
 	ctx := context.Background()

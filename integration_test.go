@@ -24,23 +24,26 @@ func TestEndToEndTransferPipeline(t *testing.T) {
 	pkg := mcm.Dev8()
 	model := costmodel.New(pkg)
 	factory := func(g *graph.Graph) (*rl.Env, error) {
-		pr, err := cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+		pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 		if err != nil {
 			return nil, err
 		}
-		baseTh, _ := model.Evaluate(g, search.Greedy(g, pkg.Chips, pkg.SRAMBytes))
+		baseTh := model.Assess(g, search.GreedyPackage(g, pkg)).Throughput
 		env := rl.NewEnv(rl.NewGraphContext(g), pr, model, baseTh)
 		env.UseSampleMode = true
 		return env, nil
 	}
 	ds := workload.Corpus(11)
-	cfg := pretrain.QuickConfig(pkg.Chips)
-	cfg.Policy = rl.Config{Chips: pkg.Chips, Hidden: 12, SAGELayers: 1, Iterations: 2}
+	cfg := pretrain.Config{
+		Policy:            rl.Config{Chips: pkg.Chips, Hidden: 12, SAGELayers: 1, Iterations: 2},
+		PPO:               rl.QuickPPOConfig(),
+		TotalSamples:      64,
+		Checkpoints:       3,
+		ValidationSamples: 4,
+		Seed:              1,
+	}
 	cfg.PPO.Rollouts = 4
 	cfg.PPO.Epochs = 2
-	cfg.TotalSamples = 64
-	cfg.Checkpoints = 3
-	cfg.ValidationSamples = 4
 	res, err := pretrain.Run(context.Background(), ds.Train[:3], ds.Validation[:2], factory, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +88,11 @@ func TestSearchMethodsAgreeOnEvaluator(t *testing.T) {
 	})
 	model := costmodel.New(pkg)
 	mk := func() *rl.Env {
-		pr, err := cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+		pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseTh, _ := model.Evaluate(g, search.Greedy(g, pkg.Chips, pkg.SRAMBytes))
+		baseTh := model.Assess(g, search.GreedyPackage(g, pkg)).Throughput
 		env := rl.NewEnv(rl.NewGraphContext(g), pr, model, baseTh)
 		env.UseSampleMode = true
 		return env
@@ -134,14 +137,14 @@ func TestGreedyBaselineFitsHardwareAcrossCorpus(t *testing.T) {
 	pkg := mcm.Edge36()
 	sim := hwsim.New(pkg, hwsim.Options{})
 	for _, g := range workload.CorpusGraphs(1)[:25] {
-		p := search.Greedy(g, pkg.Chips, pkg.SRAMBytes)
+		p := search.GreedyPackage(g, pkg)
 		res := sim.Evaluate(g, p)
 		if !res.Valid {
 			t.Errorf("%s: greedy baseline fails on hardware: %s", g.Name(), res.FailReason)
 		}
 	}
 	bert := workload.BERT()
-	if res := sim.Evaluate(bert, search.Greedy(bert, pkg.Chips, pkg.SRAMBytes)); !res.Valid {
+	if res := sim.Evaluate(bert, search.GreedyPackage(bert, pkg)); !res.Valid {
 		t.Errorf("BERT greedy baseline fails on hardware: %s", res.FailReason)
 	}
 }

@@ -45,8 +45,8 @@ var ErrInfeasible = fmt.Errorf("analyze: no capacity-feasible layout: %w", cpsol
 // topological layout, its prefix-sum cost views, the pair-rule boundary
 // structure, and the per-position placement domains. Build it once with New
 // and reuse it for bounds and plans; an Analysis is read-only after New and
-// safe for concurrent use except for Plan and FeasibleK (which speculate on
-// the shared domain trail).
+// safe for concurrent use except for Plan (which speculates on the shared
+// domain trail).
 type Analysis struct {
 	g     *graph.Graph
 	pkg   *mcm.Package
@@ -104,8 +104,8 @@ type Analysis struct {
 
 // New runs the static analysis. It errors on cyclic graphs and invalid
 // packages; an instance with no feasible layout is NOT an error here (the
-// bounds are still meaningful) — Plan reports ErrInfeasible, and
-// FeasibleK() comes back empty.
+// bounds are still meaningful) — Plan reports ErrInfeasible, and no
+// chip-prefix size survives propagation.
 func New(g *graph.Graph, pkg *mcm.Package) (*Analysis, error) {
 	if g == nil {
 		return nil, fmt.Errorf("analyze: nil graph")
@@ -415,11 +415,6 @@ func (a *Analysis) probeK(k int) bool {
 
 // Chips returns the package chip count C.
 func (a *Analysis) Chips() int { return a.chips }
-
-// FeasibleK returns the chip-prefix sizes that survive per-K domain
-// propagation (nil when the instance is infeasible). Callers must not
-// mutate the slice.
-func (a *Analysis) FeasibleK() []int { return a.feasibleK }
 
 // Domain returns the placement domain of node v under every K-independent
 // necessary condition: the set of chips v can occupy in some

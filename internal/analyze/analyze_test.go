@@ -45,8 +45,8 @@ func TestChainDomainsAndKRange(t *testing.T) {
 	// Aggregate capacity would admit K=3 (24 MiB over 3 chips) but node
 	// granularity does not (at most 2 nodes per chip); the greedy
 	// chunk-fill propagation closes that integrality gap.
-	if got := a.FeasibleK(); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("FeasibleK = %v, want [4]", got)
+	if got := a.feasibleK; len(got) != 1 || got[0] != 4 {
+		t.Fatalf("feasibleK = %v, want [4]", got)
 	}
 	// The forward greedy fill plus the suffix weights pin six of the eight
 	// nodes outright; only the two nodes straddling an even boundary keep
@@ -174,8 +174,8 @@ func TestInfeasibleWeights(t *testing.T) {
 	if !a.LowerBound().Infeasible {
 		t.Fatal("LowerBound().Infeasible = false, want true")
 	}
-	if got := a.FeasibleK(); len(got) != 0 {
-		t.Fatalf("FeasibleK = %v, want empty", got)
+	if got := a.feasibleK; len(got) != 0 {
+		t.Fatalf("feasibleK = %v, want empty", got)
 	}
 	_, _, err = a.Plan(Options{})
 	if !errors.Is(err, ErrInfeasible) {

@@ -92,9 +92,9 @@ func TestBrokenLegalityOracleFails(t *testing.T) {
 	// A reversed partition is unroutable on the uni-directional ring: the
 	// real simulator rejects it, the lying model does not.
 	p := make(partition.Partition, g.NumNodes())
-	order, _ := g.TopoOrder()
-	for pos, v := range order {
-		p[v] = 3 - 4*pos/len(order)
+	lay, _ := g.Layout()
+	for pos, v := range lay.Order {
+		p[v] = 3 - 4*pos/len(lay.Order)
 	}
 	vs := CheckLegalityAgreement("broken", g, pkg, p, lyingModel, sim)
 	if len(vs) == 0 {

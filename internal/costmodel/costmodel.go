@@ -85,32 +85,21 @@ func (m *Model) Throughput(g *graph.Graph, p partition.Partition) float64 {
 	return 1 / l
 }
 
-// Evaluate implements the evaluation-environment contract shared with the
-// hardware simulator: it returns the predicted throughput and whether the
-// partition is considered valid. The analytical model cannot observe
-// dynamic constraints, so the only partitions it rejects are those whose
-// transfers the topology cannot route — the same static legality the
-// simulator enforces, keeping the two environments in agreement on which
-// partitions are legal at all. Everything else is "valid" here; the
-// memory blind spot is exactly what Sec. 5.4 quantifies.
-func (m *Model) Evaluate(g *graph.Graph, p partition.Partition) (float64, bool) {
+// Assess implements eval.Evaluator, the contract shared with the hardware
+// simulator: the predicted throughput and whether the partition is
+// considered valid. The analytical model cannot observe dynamic
+// constraints, so Utilization is always 0 and the only partitions it
+// rejects are those whose transfers the topology cannot route — the same
+// static legality the simulator enforces, keeping the two environments in
+// agreement on which partitions are legal at all. Everything else is
+// "valid" here; the memory blind spot is exactly what Sec. 5.4 quantifies.
+func (m *Model) Assess(g *graph.Graph, p partition.Partition) eval.Verdict {
 	l := m.Latency(g, p)
 	if math.IsInf(l, 1) {
-		return 0, false
-	}
-	if l <= 0 {
-		return 0, true
-	}
-	return 1 / l, true
-}
-
-// Assess implements eval.Evaluator. The analytical model has no memory
-// model, so Utilization is always 0 and the only failure it can report is
-// an unroutable transfer.
-func (m *Model) Assess(g *graph.Graph, p partition.Partition) eval.Verdict {
-	th, ok := m.Evaluate(g, p)
-	if !ok {
 		return eval.Verdict{FailReason: "unroutable transfer on " + string(m.topo.Kind()) + " topology"}
 	}
-	return eval.Verdict{Throughput: th, Valid: true}
+	if l <= 0 {
+		return eval.Verdict{Valid: true}
+	}
+	return eval.Verdict{Throughput: 1 / l, Valid: true}
 }

@@ -27,7 +27,7 @@ func TestLatencySingleChip(t *testing.T) {
 	m := New(pkg)
 	g := testGraph(t)
 	p := partition.Partition{0, 0, 0, 0}
-	want := pkg.ComputeTime(4e9)
+	want := pkg.ComputeTimeOn(0, 4e9)
 	if got := m.Latency(g, p); got != want {
 		t.Fatalf("Latency = %v, want %v", got, want)
 	}
@@ -62,7 +62,8 @@ func TestCommunicationCharged(t *testing.T) {
 	if far <= near {
 		t.Fatalf("3-hop transfer %v should cost more than 1-hop %v", far, near)
 	}
-	expect := pkg.ComputeTime(1e9) + pkg.TransferTime(0, 1, 1<<24)
+	hops, _ := pkg.PathHops(0, 1)
+	expect := pkg.ComputeTimeOn(0, 1e9) + pkg.HopTransferTime(hops, 1<<24)
 	if diff := near - expect; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("near latency = %v, want %v", near, expect)
 	}
@@ -76,9 +77,8 @@ func TestThroughputReciprocal(t *testing.T) {
 	if got := m.Throughput(g, p); got != 1/l {
 		t.Fatalf("Throughput = %v, want %v", got, 1/l)
 	}
-	th, valid := m.Evaluate(g, p)
-	if !valid || th != 1/l {
-		t.Fatalf("Evaluate = (%v,%v)", th, valid)
+	if v := m.Assess(g, p); !v.Valid || v.Throughput != 1/l {
+		t.Fatalf("Assess = (%v,%v)", v.Throughput, v.Valid)
 	}
 }
 

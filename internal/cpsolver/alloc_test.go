@@ -85,7 +85,7 @@ func TestAssignResetSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := s.TopoOrder()
+	order := s.lay.Order
 	cycle := func() {
 		s.Reset()
 		i := 0

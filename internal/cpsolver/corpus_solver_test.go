@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcmpart/internal/mcm"
 	"mcmpart/internal/workload"
 )
 
@@ -13,7 +14,7 @@ import (
 func TestAutoHandlesWholeCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, g := range workload.CorpusGraphs(1) {
-		pr, err := NewAuto(g, 36, Options{})
+		pr, err := NewAutoPkg(g, mcm.Edge36(), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}

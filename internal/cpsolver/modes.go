@@ -17,12 +17,6 @@ func RandomOrder(rng *rand.Rand, n int) []int {
 	return rng.Perm(n)
 }
 
-// TopoOrder returns the graph's deterministic topological order, the
-// alternative traversal used by the solver-order ablation.
-func (s *Solver) TopoOrder() []int {
-	return append([]int(nil), s.lay.Order...)
-}
-
 // RandomTopoOrder returns a random topological order (Kahn's algorithm with
 // uniformly random choice among ready nodes). For production-scale graphs
 // this is the recommended traversal: conflicts surface at the newest

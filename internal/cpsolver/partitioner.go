@@ -54,27 +54,40 @@ func (sg *Segmenter) FixMode(y []int, rng *rand.Rand) (partition.Partition, erro
 // NumNodes returns the number of nodes in the instance.
 func (sg *Segmenter) NumNodes() int { return len(sg.order) }
 
-// AutoThreshold is the node count above which NewAuto prefers the segment
+// AutoThreshold is the node count above which NewAutoPkg prefers the segment
 // sampler: with dozens of chips and dense skip/residual structure,
 // backtracking search without clause learning stops being tractable beyond
 // tens of nodes, while the contiguous family covers essentially all valid
 // partitions of chain-dominated ML graphs.
 const AutoThreshold = 64
 
-// AutoChips is the chip count above which NewAuto prefers the segment
+// AutoChips is the chip count above which NewAutoPkg prefers the segment
 // sampler even for small graphs: conflict density grows with the action
 // space, and packages beyond ~8 chips push backtracking search past its
 // budget on skip-heavy graphs.
 const AutoChips = 8
 
-// NewAuto picks the right Partitioner for the instance: the CP solver
+// NewAutoPkg picks the right Partitioner for the package: the CP solver
 // (Algorithms 1 and 2) for small graphs on small packages — where it
 // explores the complete valid space, including non-contiguous layouts — and
 // the segment sampler everywhere else. If the segmenter cannot be built it
 // falls back to the CP solver. Options.ChipCapacityBytes applies to either
 // backend (domain pruning plus accumulation in the CP solver, rejection
-// sampling in the segmenter).
-func NewAuto(g *graph.Graph, chips int, opts Options) (Partitioner, error) {
+// sampling in the segmenter). For heterogeneous packages it defaults to each
+// chip's SRAM size, a static per-chip weight-capacity bound (a necessary
+// condition of the dynamic memory constraint, so little dies are never
+// handed layers that cannot fit); homogeneous packages read only pkg.Chips
+// and get no bound, keeping the default path bit-identical to the
+// pre-heterogeneity solver.
+func NewAutoPkg(g *graph.Graph, pkg *mcm.Package, opts Options) (Partitioner, error) {
+	chips := pkg.Chips
+	if pkg.Heterogeneous() && len(opts.ChipCapacityBytes) == 0 {
+		caps := make([]int64, chips)
+		for c := range caps {
+			caps[c] = pkg.ChipSRAM(c)
+		}
+		opts.ChipCapacityBytes = caps
+	}
 	if caps := opts.ChipCapacityBytes; len(caps) != 0 && len(caps) != chips {
 		return nil, fmt.Errorf("cpsolver: %d chip capacities for %d chips", len(caps), chips)
 	}
@@ -86,23 +99,6 @@ func NewAuto(g *graph.Graph, chips int, opts Options) (Partitioner, error) {
 		return sg, nil
 	}
 	return New(g, chips, opts)
-}
-
-// NewAutoPkg builds the automatic Partitioner for a concrete package. For
-// heterogeneous packages it turns each chip's SRAM size into a static
-// per-chip weight-capacity bound (a necessary condition of the dynamic
-// memory constraint, so little dies are never handed layers that cannot
-// fit); homogeneous packages get exactly NewAuto's unconstrained behavior,
-// keeping the default path bit-identical to the pre-heterogeneity solver.
-func NewAutoPkg(g *graph.Graph, pkg *mcm.Package, opts Options) (Partitioner, error) {
-	if pkg.Heterogeneous() && len(opts.ChipCapacityBytes) == 0 {
-		caps := make([]int64, pkg.Chips)
-		for c := range caps {
-			caps[c] = pkg.ChipSRAM(c)
-		}
-		opts.ChipCapacityBytes = caps
-	}
-	return NewAuto(g, pkg.Chips, opts)
 }
 
 var (

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mcmpart/internal/graph"
+	"mcmpart/internal/mcm"
 	"mcmpart/internal/partition"
 	"mcmpart/internal/workload"
 )
@@ -161,7 +162,7 @@ func TestPartitionerContractOnCorpus(t *testing.T) {
 	for _, chips := range []int{4, 36} {
 		for gi := 0; gi < len(graphs); gi += 9 {
 			g := graphs[gi]
-			pr, err := NewAuto(g, chips, Options{})
+			pr, err := NewAutoPkg(g, &mcm.Package{Chips: chips}, Options{})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", g.Name(), chips, err)
 			}

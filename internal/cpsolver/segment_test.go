@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcmpart/internal/graph"
+	"mcmpart/internal/mcm"
 	"mcmpart/internal/partition"
 	"mcmpart/internal/workload"
 )
@@ -175,7 +176,7 @@ func TestSegmenterBERTScale(t *testing.T) {
 
 func TestNewAutoSelectsBySize(t *testing.T) {
 	small := chain(t, 10)
-	p1, err := NewAuto(small, 3, Options{})
+	p1, err := NewAutoPkg(small, &mcm.Package{Chips: 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestNewAutoSelectsBySize(t *testing.T) {
 			big.MustAddEdge(i-1, i, 1)
 		}
 	}
-	p2, err := NewAuto(big, 4, Options{})
+	p2, err := NewAutoPkg(big, mcm.Dev4(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

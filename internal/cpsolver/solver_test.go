@@ -416,7 +416,7 @@ func TestTopoOrderMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := s.TopoOrder()
+	order := s.lay.Order
 	rng := rand.New(rand.NewSource(6))
 	p, err := s.Sample(order, nil, rng)
 	if err != nil {

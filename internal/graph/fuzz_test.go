@@ -141,12 +141,12 @@ func carriedPartitionFits(g, h *Graph) error {
 	if len(gpos) != n || len(hpos) != n {
 		return fmt.Errorf("canonical positions cover %d and %d of %d nodes", len(gpos), len(hpos), n)
 	}
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
 		return err
 	}
 	level := make([]int, n)
-	for _, v := range order {
+	for _, v := range lay.Order {
 		for _, u := range g.Predecessors(v) {
 			if level[u]+1 > level[v] {
 				level[v] = level[u] + 1

@@ -167,15 +167,6 @@ func (g *Graph) InDegree(v int) int { return len(g.InEdges(v)) }
 // OutDegree returns the number of edges leaving v.
 func (g *Graph) OutDegree(v int) int { return len(g.OutEdges(v)) }
 
-// TotalFLOPs returns the sum of node compute costs.
-func (g *Graph) TotalFLOPs() float64 {
-	var sum float64
-	for i := range g.nodes {
-		sum += g.nodes[i].FLOPs
-	}
-	return sum
-}
-
 // TotalParamBytes returns the sum of node weight sizes.
 func (g *Graph) TotalParamBytes() int64 {
 	var sum int64

@@ -88,10 +88,11 @@ func TestAddEdgeErrors(t *testing.T) {
 
 func TestTopoOrderDiamond(t *testing.T) {
 	g := diamond(t)
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
+	order := lay.Order
 	pos := make([]int, g.NumNodes())
 	for i, v := range order {
 		pos[v] = i
@@ -118,12 +119,6 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 	g.MustAddEdge(a, b, 1)
 	g.MustAddEdge(b, c, 1)
 	g.MustAddEdge(c, a, 1)
-	if _, err := g.TopoOrder(); !errors.Is(err, ErrCycle) {
-		t.Fatalf("TopoOrder error = %v, want ErrCycle", err)
-	}
-	if g.IsDAG() {
-		t.Fatal("IsDAG should be false for a cycle")
-	}
 	if err := g.Validate(); !errors.Is(err, ErrCycle) {
 		t.Fatalf("Validate error = %v, want ErrCycle", err)
 	}
@@ -132,9 +127,6 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 	}
 	if _, err := g.Depths(); !errors.Is(err, ErrCycle) {
 		t.Fatalf("Depths error = %v, want ErrCycle", err)
-	}
-	if _, err := g.CriticalPathFLOPs(); !errors.Is(err, ErrCycle) {
-		t.Fatalf("CriticalPathFLOPs error = %v, want ErrCycle", err)
 	}
 	if got, want := g.Fingerprint(), g.rawFingerprint(); got != want {
 		t.Fatalf("cyclic graph fingerprints as %s, want the raw encoding %s", got, want)
@@ -158,24 +150,15 @@ func TestDepths(t *testing.T) {
 	}
 }
 
-func TestCriticalPathFLOPs(t *testing.T) {
-	g := diamond(t)
-	cp, err := g.CriticalPathFLOPs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != 40 { // 4 nodes on the longest path x 10 FLOPs
-		t.Fatalf("critical path = %v, want 40", cp)
-	}
-}
-
 func TestSourcesSinksDegrees(t *testing.T) {
 	g := diamond(t)
-	if src := g.Sources(); len(src) != 1 || src[0] != 0 {
-		t.Fatalf("sources = %v, want [0]", src)
-	}
-	if snk := g.Sinks(); len(snk) != 1 || snk[0] != 4 {
-		t.Fatalf("sinks = %v, want [4]", snk)
+	for v := 0; v < g.NumNodes(); v++ {
+		if src := g.InDegree(v) == 0; src != (v == 0) {
+			t.Fatalf("node %d is a source: %t, want only node 0", v, src)
+		}
+		if snk := g.OutDegree(v) == 0; snk != (v == 4) {
+			t.Fatalf("node %d is a sink: %t, want only node 4", v, snk)
+		}
 	}
 	if g.InDegree(3) != 2 || g.OutDegree(0) != 2 {
 		t.Fatalf("degree mismatch: in(3)=%d out(0)=%d", g.InDegree(3), g.OutDegree(0))
@@ -192,9 +175,6 @@ func TestTotals(t *testing.T) {
 	g := New("g")
 	g.AddNode(Node{FLOPs: 5, ParamBytes: 100})
 	g.AddNode(Node{FLOPs: 7, ParamBytes: 200})
-	if got := g.TotalFLOPs(); got != 12 {
-		t.Fatalf("TotalFLOPs = %v, want 12", got)
-	}
 	if got := g.TotalParamBytes(); got != 300 {
 		t.Fatalf("TotalParamBytes = %v, want 300", got)
 	}
@@ -319,12 +299,12 @@ func TestTopoOrderPropertyRandomDAGs(t *testing.T) {
 		n := int(sz%40) + 2
 		rng := rand.New(rand.NewSource(seed))
 		g := randomDAG(rng, n)
-		order, err := g.TopoOrder()
+		lay, err := g.Layout()
 		if err != nil {
 			return false
 		}
 		pos := make([]int, n)
-		for i, v := range order {
+		for i, v := range lay.Order {
 			pos[v] = i
 		}
 		for _, e := range g.Edges() {

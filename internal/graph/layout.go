@@ -172,23 +172,6 @@ func buildLayout(g *Graph) (*Layout, error) {
 	return l, nil
 }
 
-// TopoOrder returns a deterministic topological order of the nodes (Kahn's
-// algorithm, smallest-ID-first among ready nodes) or ErrCycle if the graph is
-// not a DAG. The slice is the caller's own copy of Layout().Order.
-func (g *Graph) TopoOrder() ([]int, error) {
-	l, err := g.Layout()
-	if err != nil {
-		return nil, err
-	}
-	return append([]int(nil), l.Order...), nil
-}
-
-// IsDAG reports whether the graph is acyclic.
-func (g *Graph) IsDAG() bool {
-	_, err := g.Layout()
-	return err == nil
-}
-
 // Depths returns, for every node, the length of the longest path from any
 // source (in-degree-zero node) to it, in edges. Sources have depth 0.
 // It returns an error if the graph has a cycle.
@@ -211,51 +194,4 @@ func (g *Graph) Depths() ([]int, error) {
 		}
 	}
 	return depth, nil
-}
-
-// CriticalPathFLOPs returns the maximum total FLOPs along any source-to-sink
-// path. It is a lower bound on latency regardless of partitioning and is
-// used by the cost models for normalization.
-func (g *Graph) CriticalPathFLOPs() (float64, error) {
-	l, err := g.Layout()
-	if err != nil {
-		return 0, err
-	}
-	best := make([]float64, len(g.nodes))
-	var max float64
-	for _, v := range l.Order {
-		best[v] += g.nodes[v].FLOPs
-		if best[v] > max {
-			max = best[v]
-		}
-		for _, e := range g.OutEdges(v) {
-			w := g.edges[e].To
-			if best[v] > best[w] {
-				best[w] = best[v]
-			}
-		}
-	}
-	return max, nil
-}
-
-// Sources returns the IDs of nodes with no predecessors, in ID order.
-func (g *Graph) Sources() []int {
-	var src []int
-	for v := range g.nodes {
-		if g.InDegree(v) == 0 {
-			src = append(src, v)
-		}
-	}
-	return src
-}
-
-// Sinks returns the IDs of nodes with no successors, in ID order.
-func (g *Graph) Sinks() []int {
-	var snk []int
-	for v := range g.nodes {
-		if g.OutDegree(v) == 0 {
-			snk = append(snk, v)
-		}
-	}
-	return snk
 }

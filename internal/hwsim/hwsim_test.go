@@ -149,7 +149,7 @@ func TestCostModelAndSimulatorAgreeOnLegality(t *testing.T) {
 			make(partition.Partition, g.NumNodes()), // all on chip 0
 		}
 		for _, p := range cases {
-			_, modelOK := model.Evaluate(g, p)
+			modelOK := model.Assess(g, p).Valid
 			res := sim.Evaluate(g, p)
 			simLegal := res.Valid || !strings.Contains(res.FailReason, "illegal transfer")
 			if modelOK != simLegal {
@@ -323,13 +323,13 @@ func balancedSplit(t *testing.T, g *graph.Graph, chips int) partition.Partition 
 	t.Helper()
 	remaining := g.TotalParamBytes()
 	p := make(partition.Partition, g.NumNodes())
-	order, err := g.TopoOrder()
+	lay, err := g.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
 	chip := 0
 	var acc int64
-	for _, v := range order {
+	for _, v := range lay.Order {
 		// Equal share of what is left over the chips that are left.
 		target := remaining / int64(chips-chip)
 		if acc+g.Node(v).ParamBytes > target && chip < chips-1 {

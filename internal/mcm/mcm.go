@@ -165,42 +165,16 @@ func (p *Package) MaxChipFLOPs() float64 {
 	return max
 }
 
-// Hops returns the number of links a transfer from chip src to chip dst
-// traverses on the package's topology. It panics when the topology admits no
-// route — on the default uni-directional ring that is any dst < src, a
-// transfer that violates the acyclic dataflow constraint and should have
-// been rejected earlier. Callers that must not panic on illegal transfers
-// use PathHops.
-func (p *Package) Hops(src, dst int) int {
-	h, ok := p.PathHops(src, dst)
-	if !ok {
-		panic(fmt.Sprintf("mcm: backwards transfer %d -> %d on uni-directional ring", src, dst))
-	}
-	return h
-}
-
 // PathHops returns the hop count of a src->dst transfer and whether the
-// topology admits such a route at all. Unlike Hops it never panics; the
-// evaluation environments use it so that illegal transfers surface as
-// invalid partitions rather than crashes.
+// topology admits such a route at all. It never panics; the evaluation
+// environments use it so that illegal transfers surface as invalid
+// partitions rather than crashes.
 func (p *Package) PathHops(src, dst int) (int, bool) {
 	topo, err := p.Topo()
 	if err != nil {
 		return 0, false
 	}
 	return topo.Hops(src, dst)
-}
-
-// TransferTime returns the time to move the given number of bytes from chip
-// src to chip dst: per-hop latency plus store-and-forward serialization on
-// each traversed link. Transfers within a chip are free. Like Hops, it
-// panics on a transfer the topology cannot route.
-func (p *Package) TransferTime(src, dst int, bytes int64) float64 {
-	hops := p.Hops(src, dst)
-	if hops == 0 || bytes == 0 {
-		return 0
-	}
-	return p.HopTransferTime(hops, bytes)
 }
 
 // HopTransferTime returns the transfer time of the given payload over a
@@ -211,13 +185,6 @@ func (p *Package) HopTransferTime(hops int, bytes int64) float64 {
 		return 0
 	}
 	return float64(hops) * (p.LinkLatency + float64(bytes)/p.LinkBandwidth)
-}
-
-// ComputeTime returns the ideal time to execute the given amount of work on
-// one homogeneous chiplet at peak rate. Heterogeneous-aware callers use
-// ComputeTimeOn.
-func (p *Package) ComputeTime(flops float64) float64 {
-	return flops / p.PeakFLOPs
 }
 
 // ComputeTimeOn returns the ideal time to execute the given amount of work

@@ -64,42 +64,44 @@ func TestValidateRejectsBadPackages(t *testing.T) {
 
 func TestHopsAndTransferTime(t *testing.T) {
 	p := Dev4()
-	if h := p.Hops(1, 3); h != 2 {
-		t.Fatalf("Hops(1,3) = %d, want 2", h)
+	hops := func(src, dst int) int {
+		t.Helper()
+		h, ok := p.PathHops(src, dst)
+		if !ok {
+			t.Fatalf("PathHops(%d,%d) found no route", src, dst)
+		}
+		return h
 	}
-	if h := p.Hops(2, 2); h != 0 {
-		t.Fatalf("Hops(2,2) = %d, want 0", h)
+	if h := hops(1, 3); h != 2 {
+		t.Fatalf("PathHops(1,3) = %d, want 2", h)
 	}
-	if tt := p.TransferTime(2, 2, 1<<20); tt != 0 {
+	if h := hops(2, 2); h != 0 {
+		t.Fatalf("PathHops(2,2) = %d, want 0", h)
+	}
+	if _, ok := p.PathHops(3, 1); ok {
+		t.Fatal("PathHops(3,1) found a route: links are uni-directional")
+	}
+	if tt := p.HopTransferTime(hops(2, 2), 1<<20); tt != 0 {
 		t.Fatalf("intra-chip transfer should be free, got %v", tt)
 	}
-	if tt := p.TransferTime(0, 1, 0); tt != 0 {
+	if tt := p.HopTransferTime(hops(0, 1), 0); tt != 0 {
 		t.Fatalf("zero-byte transfer should be free, got %v", tt)
 	}
-	one := p.TransferTime(0, 1, 1<<20)
-	two := p.TransferTime(0, 2, 1<<20)
+	one := p.HopTransferTime(hops(0, 1), 1<<20)
+	two := p.HopTransferTime(hops(0, 2), 1<<20)
 	if one <= 0 || two <= one {
 		t.Fatalf("transfer time should grow with hops: 1 hop %v, 2 hops %v", one, two)
 	}
 	want := p.LinkLatency + float64(1<<20)/p.LinkBandwidth
 	if diff := one - want; diff > 1e-15 || diff < -1e-15 {
-		t.Fatalf("TransferTime(0,1) = %v, want %v", one, want)
+		t.Fatalf("HopTransferTime(1 hop) = %v, want %v", one, want)
 	}
-}
-
-func TestHopsPanicsOnBackwardsTransfer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Hops(3,1) should panic: links are uni-directional")
-		}
-	}()
-	Dev4().Hops(3, 1)
 }
 
 func TestComputeTime(t *testing.T) {
 	p := Dev4()
-	if got := p.ComputeTime(p.PeakFLOPs); got != 1 {
-		t.Fatalf("ComputeTime(peak) = %v, want 1s", got)
+	if got := p.ComputeTimeOn(0, p.PeakFLOPs); got != 1 {
+		t.Fatalf("ComputeTimeOn(0, peak) = %v, want 1s", got)
 	}
 }
 

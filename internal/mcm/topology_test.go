@@ -136,7 +136,7 @@ func TestRingHopsMatchLegacyArithmetic(t *testing.T) {
 	}
 }
 
-// TestTransferTimeMonotone checks TransferTime grows with bytes at fixed
+// TestTransferTimeMonotone checks HopTransferTime grows with bytes at fixed
 // hops and with hops at fixed bytes, on every preset.
 func TestTransferTimeMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

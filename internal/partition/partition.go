@@ -186,29 +186,6 @@ func (dist *chipDistances) longestPaths(adj *chipAdjacency, c int) {
 	}
 }
 
-// CutEdges returns the indices (into g.Edges) of edges whose endpoints are on
-// different chips.
-func (p Partition) CutEdges(g *graph.Graph) []int {
-	var cut []int
-	for i, e := range g.Edges() {
-		if p[e.From] != p[e.To] {
-			cut = append(cut, i)
-		}
-	}
-	return cut
-}
-
-// CutBytes returns the total number of bytes crossing chip boundaries.
-func (p Partition) CutBytes(g *graph.Graph) int64 {
-	var sum int64
-	for _, e := range g.Edges() {
-		if p[e.From] != p[e.To] {
-			sum += e.Bytes
-		}
-	}
-	return sum
-}
-
 // ChipLoad aggregates the per-chip resource usage of a partition.
 type ChipLoad struct {
 	// FLOPs is the total compute placed on the chip.

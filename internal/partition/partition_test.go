@@ -141,13 +141,6 @@ func TestTriangleAllowsDirectSkipWithoutIndirectPath(t *testing.T) {
 func TestCutEdgesAndLoads(t *testing.T) {
 	g := fig2Graph(t)
 	p := Partition{0, 0, 1, 1, 1}
-	cut := p.CutEdges(g)
-	if len(cut) != 2 { // edges 0->2 and 1->3
-		t.Fatalf("cut edges = %v, want 2 cuts", cut)
-	}
-	if got := p.CutBytes(g); got != 8 {
-		t.Fatalf("CutBytes = %d, want 8", got)
-	}
 	loads := p.Loads(g, 2)
 	if loads[0].Nodes != 2 || loads[1].Nodes != 3 {
 		t.Fatalf("node loads = %+v", loads)
@@ -155,7 +148,7 @@ func TestCutEdgesAndLoads(t *testing.T) {
 	if loads[0].FLOPs != 2 || loads[1].FLOPs != 3 {
 		t.Fatalf("flop loads = %+v", loads)
 	}
-	if loads[0].BytesOut != 8 || loads[1].BytesIn != 8 {
+	if loads[0].BytesOut != 8 || loads[1].BytesIn != 8 { // edges 0->2 and 1->3
 		t.Fatalf("traffic loads = %+v", loads)
 	}
 }

@@ -105,9 +105,6 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 	s.writeSeconds = reg.Histogram("mcmpart_disk_write_seconds", "Disk-tier Put latency, success or failure.", telemetry.DefBuckets)
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path maps a key to its entry file: keys are arbitrary strings, so the
 // filename is the hex SHA-256 of the key (the key itself is stored inside
 // the entry and verified on read, so a hash collision or a renamed file

@@ -39,7 +39,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// A second store over the same directory (the restart) serves the entry.
-	st2, err := Open(st.Dir(), t.Logf)
+	st2, err := Open(st.dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestInjectedDiskFaults(t *testing.T) {
 
 func TestFlushSweepsTempFiles(t *testing.T) {
 	st := open(t)
-	stray := filepath.Join(st.Dir(), ".tmp-999-1")
+	stray := filepath.Join(st.dir, ".tmp-999-1")
 	if err := os.WriteFile(stray, []byte("torn write"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -50,19 +50,6 @@ type Config struct {
 	Progress func(samples int, bestImprovement float64)
 }
 
-// QuickConfig returns a laptop-scale pipeline configuration for a given
-// chip count; see DESIGN.md for the knobs used by each experiment.
-func QuickConfig(chips int) Config {
-	return Config{
-		Policy:            rl.QuickConfig(chips),
-		PPO:               rl.QuickPPOConfig(),
-		TotalSamples:      2000,
-		Checkpoints:       10,
-		ValidationSamples: 8,
-		Seed:              1,
-	}
-}
-
 // Result is the pipeline output.
 type Result struct {
 	// Checkpoints are the emitted snapshots, oldest first.

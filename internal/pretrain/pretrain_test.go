@@ -18,11 +18,11 @@ func tinyFactory(t *testing.T, pkg *mcm.Package) EnvFactory {
 	t.Helper()
 	model := costmodel.New(pkg)
 	return func(g *graph.Graph) (*rl.Env, error) {
-		pr, err := cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+		pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 		if err != nil {
 			return nil, err
 		}
-		baseTh, _ := model.Evaluate(g, search.Greedy(g, pkg.Chips, pkg.SRAMBytes))
+		baseTh := model.Assess(g, search.GreedyPackage(g, pkg)).Throughput
 		return rl.NewEnv(rl.NewGraphContext(g), pr, model, baseTh), nil
 	}
 }
@@ -39,13 +39,16 @@ func tinyGraphs(n int) []*graph.Graph {
 
 func TestRunEmitsCheckpointsAndPicksBest(t *testing.T) {
 	pkg := mcm.Dev4()
-	cfg := QuickConfig(pkg.Chips)
-	cfg.Policy = rl.Config{Chips: pkg.Chips, Hidden: 8, SAGELayers: 1, Iterations: 1}
+	cfg := Config{
+		Policy:            rl.Config{Chips: pkg.Chips, Hidden: 8, SAGELayers: 1, Iterations: 1},
+		PPO:               rl.QuickPPOConfig(),
+		TotalSamples:      40,
+		Checkpoints:       4,
+		ValidationSamples: 3,
+		Seed:              1,
+	}
 	cfg.PPO.Rollouts = 4
 	cfg.PPO.Epochs = 1
-	cfg.TotalSamples = 40
-	cfg.Checkpoints = 4
-	cfg.ValidationSamples = 3
 	res, err := Run(context.Background(), tinyGraphs(3), tinyGraphs(1), tinyFactory(t, pkg), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +90,14 @@ func TestRunEmitsCheckpointsAndPicksBest(t *testing.T) {
 
 func TestRunRejectsEmptySets(t *testing.T) {
 	pkg := mcm.Dev4()
-	cfg := QuickConfig(pkg.Chips)
+	cfg := Config{
+		Policy:            rl.QuickConfig(pkg.Chips),
+		PPO:               rl.QuickPPOConfig(),
+		TotalSamples:      2000,
+		Checkpoints:       10,
+		ValidationSamples: 8,
+		Seed:              1,
+	}
 	if _, err := Run(context.Background(), nil, tinyGraphs(1), tinyFactory(t, pkg), cfg); err == nil {
 		t.Fatal("empty training set should fail")
 	}

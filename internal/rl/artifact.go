@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"mcmpart/internal/mcm"
@@ -101,8 +100,8 @@ func LoadArtifact(path string, pkg *mcm.Package) (*Policy, error) {
 	if err := a.Snapshot.Validate(); err != nil {
 		return nil, fmt.Errorf("rl: policy artifact %s: %w", path, err)
 	}
-	// The RNG only seeds weights that Restore immediately overwrites.
-	policy := NewPolicy(a.Config, rand.New(rand.NewSource(0)))
+	// No RNG: Restore overwrites every weight, so none is drawn.
+	policy := NewPolicy(a.Config, nil)
 	if err := policy.Restore(a.Snapshot); err != nil {
 		return nil, fmt.Errorf("rl: policy artifact %s: %w", path, err)
 	}

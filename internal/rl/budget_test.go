@@ -74,7 +74,7 @@ func TestBudgetAboveRolloutCountDeterminism(t *testing.T) {
 	if flops := g.NumNodes() * pcfg.Hidden * pcfg.Hidden; flops < mat.ParallelFlopThreshold {
 		t.Fatalf("%d nodes x %d hidden stays under the kernels' parallel threshold", g.NumNodes(), pcfg.Hidden)
 	}
-	newPart := func() (cpsolver.Partitioner, error) { return cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{}) }
+	newPart := func() (cpsolver.Partitioner, error) { return cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{}) }
 	run := func(workers int) (history []float64, weights map[string][]float64) {
 		withWorkers(workers, func() {
 			pr, err := newPart()
@@ -82,7 +82,7 @@ func TestBudgetAboveRolloutCountDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			model := costmodel.New(pkg)
-			baseTh, _ := model.Evaluate(g, search.Greedy(g, pkg.Chips, pkg.SRAMBytes))
+			baseTh := model.Assess(g, search.GreedyPackage(g, pkg)).Throughput
 			env := rl.NewEnv(rl.NewGraphContext(g), pr, model, baseTh)
 			env.PartFactory = newPart
 			rng := rand.New(rand.NewSource(7))

@@ -24,16 +24,16 @@ func detEnv(t testing.TB, useSample bool) *rl.Env {
 	t.Helper()
 	pkg := mcm.Dev8()
 	g := workload.MLP(workload.MLPConfig{Name: "det", Layers: 8, Input: 256, Hidden: 512, Output: 128, Batch: 16})
-	pr, err := cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+	pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := costmodel.New(pkg)
-	baseTh, _ := model.Evaluate(g, search.Greedy(g, pkg.Chips, pkg.SRAMBytes))
+	baseTh := model.Assess(g, search.GreedyPackage(g, pkg)).Throughput
 	env := rl.NewEnv(rl.NewGraphContext(g), pr, model, baseTh)
 	env.UseSampleMode = useSample
 	env.PartFactory = func() (cpsolver.Partitioner, error) {
-		return cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+		return cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 	}
 	return env
 }

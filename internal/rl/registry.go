@@ -79,9 +79,6 @@ func OpenRegistry(dir string) (*Registry, error) {
 	return r, nil
 }
 
-// Dir returns the registry directory.
-func (r *Registry) Dir() string { return r.dir }
-
 // Rescan re-reads the directory. Files that are not readable policy
 // artifacts are skipped, so foreign files in the directory are harmless.
 func (r *Registry) Rescan() error {
@@ -113,13 +110,22 @@ func scanDir(dir string) ([]RegistryEntry, error) {
 	return entries, nil
 }
 
+// artifactHeader is the part of an Artifact a scan reads. Decoding into it
+// still rejects a file that is not JSON, but skips the weights instead of
+// building them.
+type artifactHeader struct {
+	Version            int    `json:"version"`
+	PackageFingerprint string `json:"package_fingerprint"`
+	PackageName        string `json:"package_name"`
+}
+
 // readEntry parses the artifact header of one file.
 func readEntry(path string) (RegistryEntry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return RegistryEntry{}, err
 	}
-	var a Artifact
+	var a artifactHeader
 	if err := json.Unmarshal(data, &a); err != nil {
 		return RegistryEntry{}, err
 	}
@@ -160,14 +166,6 @@ func parseSeq(path, pkgFP string) int {
 		return 0
 	}
 	return n
-}
-
-// Entries returns every readable artifact found by the last scan, sorted by
-// path.
-func (r *Registry) Entries() []RegistryEntry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]RegistryEntry(nil), r.entries...)
 }
 
 // ForPackage returns the entries pre-trained for exactly pkg, oldest first

@@ -20,7 +20,7 @@ func TestRegistryEmptyDirectorySelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Entries(); len(got) != 0 {
+	if got := r.entries; len(got) != 0 {
 		t.Fatalf("empty registry lists %d entries", len(got))
 	}
 	dev4 := mcm.Dev4()
@@ -59,8 +59,8 @@ func TestRegistryCorruptArtifacts(t *testing.T) {
 	if err := r.Rescan(); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Entries()) != 0 {
-		t.Fatalf("garbage artifact was scanned as %d entries", len(r.Entries()))
+	if len(r.entries) != 0 {
+		t.Fatalf("garbage artifact was scanned as %d entries", len(r.entries))
 	}
 	if _, _, found, err := r.LoadLatest(dev4); found || err != nil {
 		t.Fatalf("LoadLatest over garbage = (found=%t, err=%v)", found, err)

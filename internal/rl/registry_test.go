@@ -34,7 +34,7 @@ func TestRegistrySaveScanLoadLatest(t *testing.T) {
 	if e1.Seq != 1 || e2.Seq != 2 {
 		t.Fatalf("sequence numbers = %d, %d; want 1, 2", e1.Seq, e2.Seq)
 	}
-	if got := len(r.Entries()); got != 3 {
+	if got := len(r.entries); got != 3 {
 		t.Fatalf("registry holds %d entries, want 3", got)
 	}
 	if got := len(r.ForPackage(dev4)); got != 2 {
@@ -70,7 +70,7 @@ func TestRegistryIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(r.Entries()); got != 0 {
+	if got := len(r.entries); got != 0 {
 		t.Fatalf("foreign files produced %d entries", got)
 	}
 	_, _, ok, err := r.LoadLatest(mcm.Dev4())
@@ -184,5 +184,30 @@ func TestPolicyFingerprintDistinguishesWeights(t *testing.T) {
 	}
 	if PolicyFingerprint(a) != PolicyFingerprint(a.Clone()) {
 		t.Fatal("a clone must fingerprint identically")
+	}
+}
+
+// TestReadEntryAllocs: a registry scan reads three header fields, so it must
+// not build the weights. While no policy is installed the service rescans on
+// every zero-shot or fine-tune request. Decoding the whole quick-scale
+// artifact took 161 allocations per file; the header alone takes 14.
+func TestReadEntryAllocs(t *testing.T) {
+	dev4 := mcm.Dev4()
+	path := filepath.Join(t.TempDir(), "p.policy.json")
+	if err := SaveArtifact(path, NewPolicy(QuickConfig(dev4.Chips), rand.New(rand.NewSource(1))), dev4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readEntry(path); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := readEntry(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("readEntry: %.0f allocations", allocs)
+	const ceiling = 30
+	if allocs > ceiling {
+		t.Fatalf("readEntry allocated %.0f objects, want <= %d", allocs, ceiling)
 	}
 }

@@ -20,12 +20,12 @@ import (
 func testEnv(t *testing.T, chips int) *Env {
 	t.Helper()
 	g := workload.MLP(workload.MLPConfig{Name: "m", Layers: 6, Input: 256, Hidden: 512, Output: 64, Batch: 16})
-	pr, err := cpsolver.NewAuto(g, chips, cpsolver.Options{})
+	pkg := mcm.Dev4()
+	pkg.Chips = chips
+	pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg := mcm.Dev4()
-	pkg.Chips = chips
 	ev := eval.Func(func(_ *graph.Graph, p partition.Partition) eval.Verdict {
 		// Reward balance directly: throughput proxy = 1/imbalance.
 		return eval.Verdict{Throughput: 1 / p.Imbalance(g), Valid: true}

@@ -114,35 +114,24 @@ func Anneal(ctx context.Context, env *rl.Env, budget int, _ SAConfig, rng *rand.
 	return nil
 }
 
-// Greedy is the production compiler's O(N) heuristic the paper normalizes
-// all throughput numbers against: walk the graph in topological order and
-// fill each chip with operations until a conservative memory watermark,
-// then move to the next chip, placing every cut at the next gap no edge
-// span straddles twice. Filling to capacity is what a validity-first
+// GreedyPackage is the production compiler's O(N) heuristic the paper
+// normalizes all throughput numbers against: walk the graph in topological
+// order and fill each chip with operations until a conservative watermark of
+// its own SRAM, then move to the next chip, placing every cut at the next gap
+// no edge span straddles twice. Filling to capacity is what a validity-first
 // backend does by default — it uses as few chips as memory allows and is
 // oblivious to pipeline balance, which is exactly the headroom the paper's
 // search methods exploit (their BERT partitions reach ~2.6x this baseline).
-func Greedy(g *graph.Graph, chips int, sramBytes int64) partition.Partition {
-	return greedyBudget(g, chips, func(int) int64 { return sramBytes })
-}
-
-// GreedyPackage runs the greedy heuristic against a concrete package,
-// filling each chip to its own SRAM watermark — the heterogeneity-aware
-// form of Greedy. On homogeneous packages it is bit-identical to
-// Greedy(g, pkg.Chips, pkg.SRAMBytes).
+// On a homogeneous package every chip gets the same watermark, 7/10 of
+// pkg.SRAMBytes, so the result is the single-budget heuristic's.
 func GreedyPackage(g *graph.Graph, pkg *mcm.Package) partition.Partition {
-	return greedyBudget(g, pkg.Chips, pkg.ChipSRAM)
-}
-
-// greedyBudget is the shared implementation: sram(c) is chip c's SRAM size.
-func greedyBudget(g *graph.Graph, chips int, sram func(int) int64) partition.Partition {
 	lay, err := g.Layout()
 	if err != nil {
-		panic("search: Greedy: " + err.Error()) // every graph source validates
+		panic("search: GreedyPackage: " + err.Error()) // every graph source validates
 	}
 	order := lay.Order
 	n := len(order)
-	memBudget := sram(0) * 7 / 10
+	memBudget := pkg.ChipSRAM(0) * 7 / 10
 	p := make(partition.Partition, n)
 	chip := 0
 	var memOnChip, maxOut int64
@@ -157,9 +146,9 @@ func greedyBudget(g *graph.Graph, chips int, sram func(int) int64) partition.Par
 		// live activation buffers of the largest tensor seen (fan-outs,
 		// staged I/O and pipeline double-buffering).
 		demand := memOnChip + node.ParamBytes + 4*out
-		if memOnChip > 0 && demand > memBudget && chip < chips-1 && idx > 0 && idx-1 >= minGap {
+		if memOnChip > 0 && demand > memBudget && chip < pkg.Chips-1 && idx > 0 && idx-1 >= minGap {
 			chip++
-			memBudget = sram(chip) * 7 / 10
+			memBudget = pkg.ChipSRAM(chip) * 7 / 10
 			memOnChip = 0
 			maxOut = 0
 			minGap = int(lay.Next[idx-1])

@@ -15,13 +15,12 @@ import (
 
 func modelEnv(t *testing.T, g *graph.Graph, pkg *mcm.Package) *rl.Env {
 	t.Helper()
-	pr, err := cpsolver.NewAuto(g, pkg.Chips, cpsolver.Options{})
+	pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := costmodel.New(pkg)
-	base := Greedy(g, pkg.Chips, pkg.SRAMBytes)
-	baseTh, _ := model.Evaluate(g, base)
+	baseTh := model.Assess(g, GreedyPackage(g, pkg)).Throughput
 	if baseTh <= 0 {
 		t.Fatal("greedy baseline has zero throughput")
 	}
@@ -31,14 +30,14 @@ func modelEnv(t *testing.T, g *graph.Graph, pkg *mcm.Package) *rl.Env {
 func TestGreedyProducesValidPartitions(t *testing.T) {
 	pkg := mcm.Edge36()
 	for _, g := range workload.CorpusGraphs(2)[:20] {
-		p := Greedy(g, pkg.Chips, pkg.SRAMBytes)
+		p := GreedyPackage(g, pkg)
 		if err := p.Validate(g, pkg.Chips); err != nil {
 			t.Errorf("%s: greedy invalid: %v", g.Name(), err)
 		}
 	}
 	// BERT too, including the memory budget behavior.
 	bert := workload.BERT()
-	p := Greedy(bert, pkg.Chips, pkg.SRAMBytes)
+	p := GreedyPackage(bert, pkg)
 	if err := p.Validate(bert, pkg.Chips); err != nil {
 		t.Fatalf("greedy BERT invalid: %v", err)
 	}
@@ -63,7 +62,7 @@ func TestGreedyRespectsMemoryBudget(t *testing.T) {
 			g.MustAddEdge(i-1, i, 16)
 		}
 	}
-	p := Greedy(g, 4, 8<<20) // budget 0.7*8MiB = 5.6MiB
+	p := GreedyPackage(g, mcm.Dev4()) // 4 chips, budget 0.7*8MiB = 5.6MiB
 	if p[0] == p[1] {
 		t.Fatalf("greedy stacked 12 MiB of weights on one 8 MiB chip: %v", p)
 	}
@@ -129,14 +128,22 @@ func TestBudgetNeverOverrun(t *testing.T) {
 	}
 }
 
+// TestGreedyPackageMatchesGreedyOnHomogeneous: a homogeneous package and
+// the same package with its SRAM spelled out per chip give the same baseline,
+// so the per-chip watermarks add nothing on equal dies.
 func TestGreedyPackageMatchesGreedyOnHomogeneous(t *testing.T) {
 	pkg := mcm.Dev8()
+	perChip := mcm.Dev8()
+	perChip.ChipSRAMBytes = make([]int64, perChip.Chips)
+	for c := range perChip.ChipSRAMBytes {
+		perChip.ChipSRAMBytes[c] = pkg.SRAMBytes
+	}
 	for _, g := range workload.CorpusGraphs(4)[:10] {
-		a := Greedy(g, pkg.Chips, pkg.SRAMBytes)
-		b := GreedyPackage(g, pkg)
+		a := GreedyPackage(g, pkg)
+		b := GreedyPackage(g, perChip)
 		for v := range a {
 			if a[v] != b[v] {
-				t.Fatalf("%s: GreedyPackage diverges from Greedy at node %d: %v vs %v", g.Name(), v, a[v], b[v])
+				t.Fatalf("%s: per-chip SRAM diverges from homogeneous at node %d: %v vs %v", g.Name(), v, a[v], b[v])
 			}
 		}
 	}

@@ -8,60 +8,44 @@ import (
 // TestAugmentedCorpusIsOptIn pins that random == 0 changes nothing: the
 // augmentation must never silently alter the paper-faithful default corpus.
 func TestAugmentedCorpusIsOptIn(t *testing.T) {
-	base := Corpus(1)
-	aug := AugmentedCorpus(1, 0)
-	if len(aug.Train) != len(base.Train) || len(aug.Validation) != len(base.Validation) || len(aug.Test) != len(base.Test) {
-		t.Fatalf("AugmentedCorpus(seed, 0) changed the split: %d/%d/%d vs %d/%d/%d",
-			len(aug.Train), len(aug.Validation), len(aug.Test),
-			len(base.Train), len(base.Validation), len(base.Test))
+	base := CorpusGraphs(1)
+	aug := AugmentedCorpusGraphs(1, 0)
+	if len(aug) != len(base) {
+		t.Fatalf("AugmentedCorpusGraphs(seed, 0) returned %d graphs, want %d", len(aug), len(base))
 	}
-	for i := range base.Train {
-		if aug.Train[i].Fingerprint() != base.Train[i].Fingerprint() {
-			t.Fatal("AugmentedCorpus(seed, 0) changed a training graph")
+	for i := range base {
+		if aug[i].Fingerprint() != base[i].Fingerprint() {
+			t.Fatalf("AugmentedCorpusGraphs(seed, 0) changed corpus graph %d", i)
 		}
-	}
-	if got := AugmentedCorpusGraphs(1, 0); len(got) != CorpusSize {
-		t.Fatalf("AugmentedCorpusGraphs(seed, 0) returned %d graphs", len(got))
 	}
 }
 
 // TestAugmentedCorpusAppendsRandomFamilies checks the opt-in path: counts
-// add up, the extra graphs come from the randgraph families, the whole
-// dataset stays deterministic, and most of the augmentation lands in
-// training.
+// add up, the corpus models come first and unchanged, the extra graphs come
+// from the randgraph families, and the whole list stays deterministic.
 func TestAugmentedCorpusAppendsRandomFamilies(t *testing.T) {
 	const extra = 32
-	a := AugmentedCorpus(7, extra)
-	b := AugmentedCorpus(7, extra)
-	total := len(a.Train) + len(a.Validation) + len(a.Test)
-	if total != CorpusSize+extra {
-		t.Fatalf("augmented corpus has %d graphs, want %d", total, CorpusSize+extra)
+	a := AugmentedCorpusGraphs(7, extra)
+	b := AugmentedCorpusGraphs(7, extra)
+	if len(a) != CorpusSize+extra {
+		t.Fatalf("augmented corpus has %d graphs, want %d", len(a), CorpusSize+extra)
 	}
-	if len(a.Train) <= 66 || len(a.Train)-66 < extra/2 {
-		t.Fatalf("training split got %d of %d extra graphs; the bulk must train", len(a.Train)-66, extra)
-	}
-	if len(a.Validation) == 5 && len(a.Test) == 16 {
-		t.Fatal("no random graph reached the held-out splits")
-	}
-	randCount := 0
-	for _, g := range a.All() {
-		if strings.HasPrefix(g.Name(), "rand-") {
-			randCount++
-			if err := g.Validate(); err != nil {
-				t.Fatalf("augmented graph %s invalid: %v", g.Name(), err)
-			}
+	for i, g := range CorpusGraphs(7) {
+		if a[i].Fingerprint() != g.Fingerprint() {
+			t.Fatalf("augmentation changed corpus graph %d", i)
 		}
 	}
-	if randCount != extra {
-		t.Fatalf("found %d rand- graphs, want %d", randCount, extra)
+	for _, g := range a[CorpusSize:] {
+		if !strings.HasPrefix(g.Name(), "rand-") {
+			t.Fatalf("augmented graph %s is not from a randgraph family", g.Name())
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("augmented graph %s invalid: %v", g.Name(), err)
+		}
 	}
-	for i := range a.Train {
-		if a.Train[i].Fingerprint() != b.Train[i].Fingerprint() {
+	for i := range a {
+		if a[i].Fingerprint() != b[i].Fingerprint() {
 			t.Fatal("augmented corpus is not deterministic")
 		}
-	}
-	// Unsplit variant agrees on membership count.
-	if got := AugmentedCorpusGraphs(7, extra); len(got) != CorpusSize+extra {
-		t.Fatalf("AugmentedCorpusGraphs returned %d graphs", len(got))
 	}
 }

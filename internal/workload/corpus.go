@@ -17,14 +17,6 @@ type Dataset struct {
 	Test       []*graph.Graph
 }
 
-// All returns every graph in the dataset (train, then validation, then test).
-func (d *Dataset) All() []*graph.Graph {
-	all := make([]*graph.Graph, 0, len(d.Train)+len(d.Validation)+len(d.Test))
-	all = append(all, d.Train...)
-	all = append(all, d.Validation...)
-	return append(all, d.Test...)
-}
-
 // CorpusSize is the number of models in the pre-training corpus.
 const CorpusSize = 87
 
@@ -44,38 +36,13 @@ func Corpus(seed int64) *Dataset {
 	}
 }
 
-// AugmentedCorpus is Corpus plus an opt-in stream of generated random
-// graphs (internal/randgraph): random == 0 returns exactly Corpus(seed),
-// keeping the paper-faithful 87-model dataset the default. With random > 0,
-// the generated graphs randgraph.Sample(seed, 0..random-1) — layered,
-// branchy, diamond, and skewed-MoE families — are appended to the split:
-// every 16th to validation, every 8th of the rest to test, the bulk to
-// training, so pre-training consumes scenarios the hand-built families
-// never produce while the held-out sets stay representative.
-func AugmentedCorpus(seed int64, random int) *Dataset {
-	ds := Corpus(seed)
-	// The three splits alias one backing array; re-slice before appending
-	// so growing one split cannot overwrite its neighbor.
-	ds.Train = append([]*graph.Graph(nil), ds.Train...)
-	ds.Validation = append([]*graph.Graph(nil), ds.Validation...)
-	ds.Test = append([]*graph.Graph(nil), ds.Test...)
-	for i := 0; i < random; i++ {
-		g := randgraph.Sample(seed, i)
-		switch {
-		case i%16 == 15:
-			ds.Validation = append(ds.Validation, g)
-		case i%8 == 7:
-			ds.Test = append(ds.Test, g)
-		default:
-			ds.Train = append(ds.Train, g)
-		}
-	}
-	return ds
-}
-
-// AugmentedCorpusGraphs is CorpusGraphs plus random generated graphs from
-// the same opt-in stream AugmentedCorpus draws (unsplit; random == 0 is
-// exactly CorpusGraphs).
+// AugmentedCorpusGraphs is CorpusGraphs plus an opt-in stream of generated
+// random graphs (internal/randgraph): random == 0 returns exactly
+// CorpusGraphs(seed), keeping the paper-faithful 87-model corpus the default.
+// With random > 0, the generated graphs randgraph.Sample(seed, 0..random-1)
+// — layered, branchy, diamond, and skewed-MoE families — follow the corpus
+// models, so pre-training consumes scenarios the hand-built families never
+// produce.
 func AugmentedCorpusGraphs(seed int64, random int) []*graph.Graph {
 	graphs := CorpusGraphs(seed)
 	for i := 0; i < random; i++ {

@@ -129,15 +129,14 @@ func TestCorpusSplitSizes(t *testing.T) {
 	if len(ds.Train) != 66 || len(ds.Validation) != 5 || len(ds.Test) != 16 {
 		t.Fatalf("split = %d/%d/%d, want 66/5/16", len(ds.Train), len(ds.Validation), len(ds.Test))
 	}
-	if len(ds.All()) != CorpusSize {
-		t.Fatalf("All() has %d graphs, want %d", len(ds.All()), CorpusSize)
+	if n := len(ds.Train) + len(ds.Validation) + len(ds.Test); n != CorpusSize {
+		t.Fatalf("splits hold %d graphs, want %d", n, CorpusSize)
 	}
 }
 
 func TestCorpusMatchesPaperDescription(t *testing.T) {
-	ds := Corpus(1)
 	names := make(map[string]bool)
-	for _, g := range ds.All() {
+	for _, g := range CorpusGraphs(1) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}

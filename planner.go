@@ -623,7 +623,7 @@ func (pl *Planner) Pretrain(ctx context.Context, graphs []*Graph, opts PretrainO
 	if res == nil {
 		return nil, err
 	}
-	policy := rl.NewPolicy(policyCfg, rand.New(rand.NewSource(opts.Seed)))
+	policy := rl.NewPolicy(policyCfg, nil) // Restore overwrites every weight
 	if rerr := policy.Restore(res.Best()); rerr != nil {
 		return nil, fmt.Errorf("mcmpart: restoring selected checkpoint: %w", rerr)
 	}

@@ -665,13 +665,25 @@ func (s *Service) draining() bool {
 	return s.stopped
 }
 
-// admitCached admits a lookup hit as an already-terminal job. The tier
-// counters partition admissions: a disk hit is a memory miss, and — like
-// every admission — the tier outcome is counted before jobsSubmitted.
+// admitCached admits a lookup hit as an already-terminal job.
 func (s *Service) admitCached(a *admission, res *Result, fromDisk bool) (*Job, error) {
+	job, err := s.registerHit(a, fromDisk)
+	if err != nil {
+		return nil, err
+	}
+	s.finishJob(job, JobDone, res, nil, true)
+	s.m.planWarm.Observe(s.now().Sub(a.start).Seconds())
+	return job, nil
+}
+
+// registerHit is admitCached's critical section: it registers the hit's
+// job under s.mu, released by defer like admit's so no path keeps it. The
+// tier counters partition admissions: a disk hit is a memory miss, and —
+// like every admission — the tier outcome is counted before jobsSubmitted.
+func (s *Service) registerHit(a *admission, fromDisk bool) (*Job, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
-		s.mu.Unlock()
 		return nil, ErrServiceClosed
 	}
 	job := s.registerLocked(a, false)
@@ -682,9 +694,6 @@ func (s *Service) admitCached(a *admission, res *Result, fromDisk bool) (*Job, e
 		s.m.memHits.Inc()
 	}
 	s.m.jobsSubmitted.Inc()
-	s.mu.Unlock()
-	s.finishJob(job, JobDone, res, nil, true)
-	s.m.planWarm.Observe(s.now().Sub(a.start).Seconds())
 	return job, nil
 }
 
