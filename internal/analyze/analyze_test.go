@@ -2,7 +2,10 @@ package analyze
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,22 +46,13 @@ func TestChainDomainsAndKRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Aggregate capacity would admit K=3 (24 MiB over 3 chips) but node
-	// granularity does not (at most 2 nodes per chip); the greedy
-	// chunk-fill propagation closes that integrality gap.
-	if got := a.feasibleK; len(got) != 1 || got[0] != 4 {
-		t.Fatalf("feasibleK = %v, want [4]", got)
+	// granularity does not (at most 2 nodes per chip); constructK's
+	// backward fill closes that integrality gap.
+	if a.constructK(3, make([]int, 2)) {
+		t.Fatal("constructK(3) found a layout; three 8 MiB chips cannot hold eight 3 MiB nodes")
 	}
-	// The forward greedy fill plus the suffix weights pin six of the eight
-	// nodes outright; only the two nodes straddling an even boundary keep
-	// two choices (K-independent analysis cannot anchor the right end).
-	if fixed := a.FixedPlacements(); fixed != 6 {
-		t.Fatalf("FixedPlacements = %d, want 6", fixed)
-	}
-	for v, want := range map[int]int{0: 0, 2: 1, 4: 2, 5: 2, 6: 3, 7: 3} {
-		d := a.Domain(v)
-		if !d.Singleton() || d.Min() != want {
-			t.Fatalf("Domain(%d) = %v, want single chip %d", v, d, want)
-		}
+	if _, info, err := a.Plan(Options{}); err != nil || info.Chips != 4 {
+		t.Fatalf("Plan: K = %d, err = %v; want K = 4", info.Chips, err)
 	}
 }
 
@@ -171,12 +165,6 @@ func TestInfeasibleWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.LowerBound().Infeasible {
-		t.Fatal("LowerBound().Infeasible = false, want true")
-	}
-	if got := a.feasibleK; len(got) != 0 {
-		t.Fatalf("feasibleK = %v, want empty", got)
-	}
 	_, _, err = a.Plan(Options{})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("Plan error = %v, want ErrInfeasible", err)
@@ -243,6 +231,61 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
+// TestPlanConcurrent holds the Analysis concurrency contract: Plan from four
+// goroutines on one Analysis returns what a serial Plan does (run under
+// -race in CI).
+func TestPlanConcurrent(t *testing.T) {
+	pkg := mcm.Het4()
+	g := randgraph.Sample(5, 1)
+	a, err := New(g, pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantInfo, err := a.Plan(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, info, err := a.Plan(Options{})
+			switch {
+			case err != nil:
+				errs[i] = err
+			case info != wantInfo || !slices.Equal(p, want):
+				errs[i] = fmt.Errorf("goroutine %d: plan %v %+v, serial %v %+v", i, p, info, want, wantInfo)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkAnalyze10k times the analytic fast path as serve-warm's setup pays
+// it: New and Plan on the first of its 10k-node layered graphs on edge36.
+func BenchmarkAnalyze10k(b *testing.B) {
+	pkg := mcm.Edge36()
+	g := randgraph.Generate(randgraph.Config{Family: randgraph.FamilyLayered, Nodes: 10_000, Seed: 1})
+	if _, err := g.Layout(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		a, err := New(g, pkg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := a.Plan(Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestScale100k is the headline fast-path check: a 100k-node generated graph
 // is analyzed and planned end to end on the 36-chip package in seconds,
 // producing a ValidateOn-clean partition — no per-candidate simulation, no
@@ -278,6 +321,6 @@ func TestScale100k(t *testing.T) {
 	if limit := 30 * time.Second; planDur > limit {
 		t.Fatalf("analyze+plan took %v, want < %v", planDur, limit)
 	}
-	t.Logf("100k nodes: generate %v, analyze+plan %v, K=%d, latency %.3gs, LB %.3gs, fixed %d/%d",
-		genDur, planDur, info.Chips, info.Latency, info.LB.Total, info.FixedPlacements, g.NumNodes())
+	t.Logf("100k nodes: generate %v, analyze+plan %v, K=%d, latency %.3gs, LB %.3gs",
+		genDur, planDur, info.Chips, info.Latency, info.LB.Total)
 }

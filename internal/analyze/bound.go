@@ -50,9 +50,6 @@ type Bounds struct {
 	Transfer float64
 	// Total is max(Compute, Transfer), the headline bound.
 	Total float64
-	// Infeasible reports that no chip prefix can hold the graph's total
-	// weights at all — every plan attempt will return ErrInfeasible.
-	Infeasible bool
 }
 
 // LowerBound returns the analytic lower bound under the analytical cost
@@ -117,7 +114,6 @@ func (a *Analysis) LowerBoundWith(cp CostParams) Bounds {
 		b.Transfer = a.minEdgePrice
 	}
 	b.Total = math.Max(b.Compute, b.Transfer)
-	b.Infeasible = a.totalParams > a.capPrefix[a.chips] || a.kMax < a.kMin
 	return b
 }
 

@@ -25,30 +25,25 @@ type PlanInfo struct {
 	// Latency/LB.Total is a certificate of how far the plan can be from
 	// optimal at most.
 	LB Bounds
-	// TriedK counts the feasible K values a layout was constructed for.
-	TriedK int
-	// FixedPlacements is how many nodes the domain analysis pinned to a
-	// single chip.
-	FixedPlacements int
 }
 
 // Plan constructs the best contiguous layout the analysis can certify: for
-// every feasible chip-prefix size K it places K-1 boundaries by a
-// balanced-compute walk under the weight, pair-rule, and
-// boundary-capacity constraints, polishes them by coordinate descent on the
-// exact per-chunk costs, and keeps the K with the smallest exact interval
-// (ties to the smallest K). Everything is prefix-sum arithmetic — no
+// every chip-prefix size K it places K-1 boundaries by a balanced-compute
+// walk under the weight, pair-rule, and boundary-capacity constraints
+// (refusing a K that admits no layout), polishes them by coordinate descent
+// on the exact per-chunk costs, and keeps the K with the smallest exact
+// interval (ties to the smallest K). Everything is prefix-sum arithmetic — no
 // evaluator runs — and wholly deterministic.
 func (a *Analysis) Plan(Options) (partition.Partition, PlanInfo, error) {
-	info := PlanInfo{LB: a.LowerBound(), FixedPlacements: a.FixedPlacements()}
-	if a.kMax < a.kMin || len(a.feasibleK) == 0 {
-		return nil, info, fmt.Errorf("graph %s on package %s: %w", a.g.Name(), a.pkg.Name, ErrInfeasible)
-	}
+	info := PlanInfo{LB: a.LowerBound()}
+	// Every chunk holds a position, and the pair rule admits at most
+	// capFrom[0] boundaries.
+	kMax := min(a.chips, int(a.capFrom[0])+1, a.n)
 	bestLat := inf()
 	bestK := -1
 	bestBounds := make([]int, 0, a.chips)
 	scratch := make([]int, a.chips)
-	for _, k := range a.feasibleK {
+	for k := 1; k <= kMax; k++ {
 		bounds := scratch[:k-1]
 		if !a.constructK(k, bounds) {
 			continue
@@ -62,7 +57,6 @@ func (a *Analysis) Plan(Options) (partition.Partition, PlanInfo, error) {
 		if !ok {
 			continue
 		}
-		info.TriedK++
 		if lat < bestLat {
 			bestLat = lat
 			bestK = k
@@ -70,8 +64,7 @@ func (a *Analysis) Plan(Options) (partition.Partition, PlanInfo, error) {
 		}
 	}
 	if bestK < 0 {
-		return nil, info, fmt.Errorf("graph %s on package %s: no feasible K admitted a layout: %w",
-			a.g.Name(), a.pkg.Name, ErrInfeasible)
+		return nil, info, fmt.Errorf("graph %s on package %s: %w", a.g.Name(), a.pkg.Name, ErrInfeasible)
 	}
 	info.Chips = bestK
 	info.Latency = bestLat
@@ -85,16 +78,19 @@ func (a *Analysis) Plan(Options) (partition.Partition, PlanInfo, error) {
 // constructK places the K-1 boundaries of an exactly-K layout, walking the
 // chunks left to right and aiming each boundary at the balanced-compute
 // target while honoring the weight prefix/suffix, per-chunk capacity, and
-// pair-rule constraints. It reports whether a layout was found.
+// pair-rule constraints. It reports whether a layout was found; a K with no
+// capacity-feasible layout is always refused, and Plan validates the one it
+// keeps.
 func (a *Analysis) constructK(k int, bounds []int) bool {
 	n := a.n
 	if k == 1 {
-		return true // probeK already checked the weights fit chip 0
+		return a.prefW[n] <= a.pkg.ChipSRAM(0)
 	}
 	// Backward greedy fill: minB[c] is the smallest gap boundary c can
 	// occupy so every chunk to its right still fits its own chip. This is
 	// per-chunk granularity — aggregate remaining capacity is not enough
-	// (three trailing 16 MiB chips cannot absorb 17 MiB each).
+	// (three 8 MiB chips cannot hold eight 3 MiB nodes even though
+	// 24 <= 24: chips 2 and 1 take two nodes each, leaving chip 0 four).
 	minB := make([]int, k-1)
 	end := n - 1 // last position of the chunk being filled
 	for c := k - 1; c >= 1; c-- {

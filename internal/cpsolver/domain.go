@@ -110,16 +110,3 @@ func maskLE(c int) Domain {
 
 // single returns the domain containing exactly chip c.
 func single(c int) Domain { return Domain(1) << uint(c) }
-
-// Exported constructors for the mask helpers above. The solver's own hot
-// loops keep using the unexported forms; these exist so internal/analyze can
-// express its domain arithmetic in the same bitset vocabulary.
-
-// MaskGE returns the domain of all chips >= c.
-func MaskGE(c int) Domain { return maskGE(c) }
-
-// MaskLE returns the domain of all chips <= c.
-func MaskLE(c int) Domain { return maskLE(c) }
-
-// Single returns the domain containing exactly chip c.
-func Single(c int) Domain { return single(c) }

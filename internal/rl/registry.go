@@ -210,7 +210,9 @@ func (r *Registry) LoadLatest(pkg *mcm.Package) (*Policy, RegistryEntry, bool, e
 // highest existing sequence number for that package fingerprint. The
 // directory is rescanned under the lock first, so artifacts dropped by
 // other processes since the last scan are never overwritten (names that
-// somehow exist anyway are skipped, not clobbered).
+// somehow exist anyway are skipped, not clobbered). A name that cannot be
+// checked at all (say, the directory was replaced by a regular file) is an
+// error, not a name to skip.
 func (r *Registry) Save(policy *Policy, pkg *mcm.Package) (RegistryEntry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -229,8 +231,12 @@ func (r *Registry) Save(policy *Policy, pkg *mcm.Package) (RegistryEntry, error)
 		seq++
 		name := fmt.Sprintf("%s-%.12s-%03d.policy.json", sanitizeName(pkg.Name), want, seq)
 		path = filepath.Join(r.dir, name)
-		if _, err := os.Stat(path); os.IsNotExist(err) {
+		_, err := os.Stat(path)
+		if os.IsNotExist(err) {
 			break
+		}
+		if err != nil {
+			return RegistryEntry{}, fmt.Errorf("rl: choosing a registry artifact name: %w", err)
 		}
 	}
 	if err := SaveArtifact(path, policy, pkg); err != nil {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mcmpart/internal/mcm"
 )
@@ -104,6 +105,41 @@ func TestRegistryCorruptArtifacts(t *testing.T) {
 	}
 	if e.Path != entry.Path {
 		t.Fatalf("error names %s, want %s", e.Path, entry.Path)
+	}
+}
+
+// TestRegistrySaveIntoNonDirectory pins that Save returns when it cannot
+// check a name: with the registry directory replaced by a regular file every
+// Stat fails with something other than not-exist, and a name loop that only
+// stopped on not-exist would spin forever holding the registry's write lock.
+func TestRegistrySaveIntoNonDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "registry")
+	r, err := OpenRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dev4 := mcm.Dev4()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Save(NewPolicy(QuickConfig(dev4.Chips), rand.New(rand.NewSource(1))), dev4)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Save into a regular file succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Save did not return within 5s")
+	}
+	if got := r.ForPackage(dev4); len(got) != 0 {
+		t.Fatalf("failed Save left %d entries", len(got))
 	}
 }
 

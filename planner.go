@@ -459,7 +459,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		// Best-effort: prime the search with the fast path's plan as its
 		// first sample (counted against the sample budget). An infeasible
 		// analysis just leaves the search unseeded.
-		if p, _, err := pl.analyticPartition(g); err == nil {
+		if p, err := pl.analyticPartition(g); err == nil {
 			env.Prime(p)
 		}
 	}
@@ -506,14 +506,14 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 }
 
 // analyticPartition runs the static-analysis fast path on this planner's
-// package: domains, bounds, and a constructed contiguous layout, with no
-// candidate evaluation.
-func (pl *Planner) analyticPartition(g *Graph) (Partition, analyze.PlanInfo, error) {
+// package: a constructed contiguous layout, with no candidate evaluation.
+func (pl *Planner) analyticPartition(g *Graph) (Partition, error) {
 	a, err := analyze.New(g, pl.pkg)
 	if err != nil {
-		return nil, analyze.PlanInfo{}, err
+		return nil, err
 	}
-	return a.Plan(analyze.Options{})
+	p, _, err := a.Plan(analyze.Options{})
+	return p, err
 }
 
 // planAnalytic is MethodAnalytic: the fast path's plan, assessed once in the
@@ -522,7 +522,7 @@ func (pl *Planner) analyticPartition(g *Graph) (Partition, analyze.PlanInfo, err
 // constraints hold by construction) falls back to the greedy baseline, with
 // the rejection recorded in FailCounts.
 func (pl *Planner) planAnalytic(g *Graph, ev eval.Evaluator, greedy Partition, base Verdict, opts PlanOptions) (*Result, error) {
-	p, _, err := pl.analyticPartition(g)
+	p, err := pl.analyticPartition(g)
 	if err != nil {
 		return nil, err
 	}
