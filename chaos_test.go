@@ -1,6 +1,7 @@
 package mcmpart_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -42,7 +43,10 @@ func chainGraph(t *testing.T, n int) *mcmpart.Graph {
 // faults fire on a seeded schedule. The contract under chaos is absolute:
 // every request either returns the bit-identical correct plan for its key
 // or a typed error — never a corrupt, invalid, or non-deterministic plan —
-// and once the faults stop, every key plans cleanly.
+// and once the faults stop, every key plans cleanly. The accounting holds
+// too: every snapshot taken during the storm keeps the tier-before-submit
+// ordering, and at quiescence the job and tier counters balance and Stats
+// equals the exposition.
 func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 	opts := mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 25, Seed: 9}
 	graphs := []*mcmpart.Graph{chainGraph(t, 8), chainGraph(t, 10), chainGraph(t, 12), chainGraph(t, 14)}
@@ -84,6 +88,30 @@ func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 		Seed:        3,
 	})
 
+	// The metrics oracle (DESIGN.md §14.3) reads in-process throughout the
+	// storm: over HTTP the fault middleware would truncate the scrape. Fill
+	// is not an atomic snapshot, so the admission ordering is all a mid-run
+	// read can assert.
+	stopOracle := make(chan struct{})
+	oracleReads := make(chan int)
+	go func() {
+		reads := 0
+		defer func() { oracleReads <- reads }()
+		for {
+			select {
+			case <-stopOracle:
+				return
+			default:
+			}
+			st := svc.Stats()
+			reads++
+			if st.CacheHits+st.CacheMisses < st.JobsSubmitted {
+				t.Errorf("snapshot %d under chaos: cache hits %d + misses %d < jobs submitted %d", reads, st.CacheHits, st.CacheMisses, st.JobsSubmitted)
+				return
+			}
+		}
+	}()
+
 	const requests = 48
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -122,6 +150,11 @@ func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	close(stopOracle)
+	snapshots := <-oracleReads
+	if snapshots == 0 {
+		t.Error("the metrics oracle never read a snapshot under chaos")
+	}
 
 	if successes == 0 {
 		t.Fatal("chaos schedule drowned every request; the suite proved nothing")
@@ -135,8 +168,8 @@ func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 	if !firedSomething {
 		t.Fatal("no fault ever fired; the suite proved nothing")
 	}
-	t.Logf("chaos: %d ok, %d failed (typed), faults fired: eval=%s http=%s dw=%s dr=%s",
-		successes, failures,
+	t.Logf("chaos: %d ok, %d failed (typed), %d snapshots, faults fired: eval=%s http=%s dw=%s dr=%s",
+		successes, failures, snapshots,
 		firedCount(set, faultinject.PointPlanEvaluate),
 		firedCount(set, faultinject.PointHTTPResponse),
 		firedCount(set, faultinject.PointDiskWrite),
@@ -154,9 +187,29 @@ func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 			t.Fatalf("graph %d after chaos diverged: %v", gi, err)
 		}
 	}
-	if st := svc.Stats(); st.DiskCacheWriteErrors == 0 && st.DiskCacheWrites == 0 {
+	st := svc.Stats()
+	if st.DiskCacheWriteErrors == 0 && st.DiskCacheWrites == 0 {
 		t.Error("disk tier never exercised under chaos")
 	}
+
+	// Quiescent accounting: every admitted job is terminal and counted on
+	// exactly one memory tier, and Stats and the exposition read the same
+	// instruments.
+	if st.JobsQueued != 0 || st.JobsRunning != 0 {
+		t.Errorf("after chaos: %d jobs queued, %d running, want none", st.JobsQueued, st.JobsRunning)
+	}
+	if ended := st.JobsDone + st.JobsFailed + st.JobsCancelled; st.JobsSubmitted != ended {
+		t.Errorf("after chaos: %d jobs submitted but %d ended (done %d, failed %d, cancelled %d)",
+			st.JobsSubmitted, ended, st.JobsDone, st.JobsFailed, st.JobsCancelled)
+	}
+	if st.CacheHits+st.CacheMisses != st.JobsSubmitted {
+		t.Errorf("after chaos: cache hits %d + misses %d != jobs submitted %d", st.CacheHits, st.CacheMisses, st.JobsSubmitted)
+	}
+	var exposition bytes.Buffer
+	if err := svc.Metrics().WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	checkStatsMatchMetrics(t, st, parseExposition(t, &exposition))
 }
 
 func firedCount(s *faultinject.Set, p faultinject.Point) string {

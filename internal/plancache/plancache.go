@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -58,8 +59,9 @@ var magic = [8]byte{'M', 'C', 'M', 'P', 'L', 'A', 'N', 'C'}
 // payload bytes.
 const headerLen = 8 + 4 + 4 + 4 + 32
 
-// maxEntryBytes caps how large an entry a reader will accept — corruption
-// of the length fields must not turn into a giant allocation.
+// maxEntryBytes caps how large an entry a reader will accept — neither
+// corruption of the length fields nor an oversized file may turn into a
+// giant allocation.
 const maxEntryBytes = 1 << 28 // 256 MiB
 
 // Store is a directory of plan entries. All methods are safe for
@@ -178,7 +180,11 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 		s.logf("plancache: read %s: %v", filepath.Base(path), err)
 		return nil, false
 	}
-	data, err := os.ReadFile(path)
+	data, err := readEntry(path)
+	if errors.Is(err, ErrCorrupt) {
+		s.quarantine(path, err)
+		return nil, false
+	}
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.logf("plancache: read %s: %v", filepath.Base(path), err)
@@ -195,6 +201,28 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 		return nil, false
 	}
 	return payload, true
+}
+
+// readEntry reads the entry file at path. A file larger than any entry
+// Decode accepts is refused as corrupt before its bytes are allocated.
+func readEntry(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > headerLen+maxEntryBytes {
+		return nil, fmt.Errorf("%w: %d-byte file exceeds the %d-byte cap", ErrCorrupt, fi.Size(), headerLen+maxEntryBytes)
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // Quarantine sets the entry for key aside (e.g. when the caller's own

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,6 +120,33 @@ func TestKeyMismatchQuarantined(t *testing.T) {
 	}
 	if st.quarantined.Value() != 1 {
 		t.Fatalf("quarantined %d, want 1", st.quarantined.Value())
+	}
+}
+
+// TestOversizedFileQuarantinedWithoutReading: a file larger than any entry
+// Decode accepts is quarantined on its size alone — Get must not allocate
+// the file's bytes to find out. The file is sparse, so it costs no disk.
+func TestOversizedFileQuarantinedWithoutReading(t *testing.T) {
+	st := open(t)
+	key := "huge"
+	if err := os.WriteFile(st.path(key), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(st.path(key), headerLen+maxEntryBytes+1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, ok := st.Get(key)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatalf("oversized entry served (%d bytes)", len(got))
+	}
+	if st.quarantined.Value() != 1 {
+		t.Fatalf("quarantined %d, want 1", st.quarantined.Value())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Get allocated %d bytes for an oversized file, want < 1 MiB", grew)
 	}
 }
 

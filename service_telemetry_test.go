@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -334,8 +335,14 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("GET /metrics Content-Type = %q", ct)
 	}
+	return parseExposition(t, resp.Body)
+}
+
+// parseExposition parses a Prometheus text exposition into series → value.
+func parseExposition(t *testing.T, r io.Reader) map[string]float64 {
+	t.Helper()
 	out := make(map[string]float64)
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -355,6 +362,35 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// checkStatsMatchMetrics fails t unless every metric-tagged field of st
+// equals the series its tag names in metrics. Only the disk tier's series
+// may be absent (a service without a CacheDir), and their fields then read 0.
+func checkStatsMatchMetrics(t *testing.T, st mcmpart.ServiceStats, metrics map[string]float64) {
+	t.Helper()
+	sv := reflect.ValueOf(st)
+	for i := 0; i < sv.NumField(); i++ {
+		series, ok := sv.Type().Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		var stat float64
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Int:
+			stat = float64(f.Int())
+		case reflect.Uint64:
+			stat = float64(f.Uint())
+		case reflect.Bool:
+			if f.Bool() {
+				stat = 1
+			}
+		}
+		got, present := metrics[series]
+		if got != stat || !present && !strings.HasPrefix(series, "mcmpart_disk_") {
+			t.Errorf("%s = %v (present %v) in the exposition but %s = %v in the stats", series, got, present, sv.Type().Field(i).Name, stat)
+		}
+	}
 }
 
 // TestMetricsEndpointMatchesStats drives a cold plan and a warm repeat
@@ -395,30 +431,7 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 	resp.Body.Close()
 
 	metrics := scrapeMetrics(t, srv.URL+"/metrics")
-	// Every tagged field equals the series its tag names; only the disk
-	// tier's series are absent (no CacheDir), and their fields read 0.
-	sv := reflect.ValueOf(st)
-	for i := 0; i < sv.NumField(); i++ {
-		series, ok := sv.Type().Field(i).Tag.Lookup("metric")
-		if !ok {
-			continue
-		}
-		var stat float64
-		switch f := sv.Field(i); f.Kind() {
-		case reflect.Int:
-			stat = float64(f.Int())
-		case reflect.Uint64:
-			stat = float64(f.Uint())
-		case reflect.Bool:
-			if f.Bool() {
-				stat = 1
-			}
-		}
-		got, present := metrics[series]
-		if got != stat || !present && !strings.HasPrefix(series, "mcmpart_disk_") {
-			t.Errorf("%s = %v (present %v) on /metrics but %s = %v on /v1/stats", series, got, present, sv.Type().Field(i).Name, stat)
-		}
-	}
+	checkStatsMatchMetrics(t, st, metrics) // no CacheDir: the disk series are absent
 	if st.JobsSubmitted != 2 || st.CacheHits != 1 || st.CacheMisses != 1 || st.PlansExecuted != 1 {
 		t.Fatalf("workload accounting off: %+v", st)
 	}

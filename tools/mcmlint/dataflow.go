@@ -1,27 +1,23 @@
 package main
 
 // Forward dataflow over a funcCFG, and the lock-state transfer functions
-// the concurrency analyzers (guarded v2, lockorder) share.
+// the guarded analyzer runs on it.
 //
 // Facts are strings; a fact set is a map. The engine runs a must-analysis:
 // the meet over incoming edges is set intersection, and a block that was
 // never reached holds nil — the top element — so unreachable code is
 // silently skipped rather than reported against.
 //
-// Lock state uses three fact shapes:
+// Lock state uses two fact shapes:
 //
 //	"e:" + path           this exact expression's mutex is held (e:s.mu)
 //	"c:" + Type.field     some instance of this class of mutex is held
 //	                      (c:Service.mu) — named receiver type + field
-//	"a:" + class + "|" + path
-//	                      the association of the two, kept so lockorder can
-//	                      enumerate (class, expr) pairs currently held
 //
 // A local (non-field) mutex has only its "e:" fact.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -103,7 +99,6 @@ type lockEvent struct {
 	acquire bool
 	expr    string // rendered mutex expression ("s.mu", "mu"); may be ""
 	class   string // "Type.field" for a field of a named type; "" for locals
-	pos     token.Pos
 }
 
 // exprPath renders a selector chain of identifiers ("s.cache.mu").
@@ -164,8 +159,8 @@ func isMutexType(t types.Type) bool {
 }
 
 // asLockEvent decodes call as a Lock/Unlock-family call on a sync mutex.
-// TryLock is (unsoundly) treated as an unconditional acquire — the
-// analyzers document this; the repo does not use TryLock.
+// TryLock is (unsoundly) treated as an unconditional acquire; the repo
+// does not use TryLock.
 func asLockEvent(pass *Pass, call *ast.CallExpr) (lockEvent, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -183,7 +178,7 @@ func asLockEvent(pass *Pass, call *ast.CallExpr) (lockEvent, bool) {
 	if !isMutexType(pass.TypeOf(sel.X)) {
 		return lockEvent{}, false
 	}
-	ev := lockEvent{acquire: acquire, pos: call.Pos()}
+	ev := lockEvent{acquire: acquire}
 	switch mx := ast.Unparen(sel.X).(type) {
 	case *ast.SelectorExpr:
 		ev.expr = exprPath(mx)
@@ -203,7 +198,6 @@ func (ev lockEvent) factNames() []string {
 	}
 	if ev.class != "" {
 		out = append(out, "c:"+ev.class)
-		out = append(out, "a:"+ev.class+"|"+ev.expr)
 	}
 	return out
 }
@@ -216,89 +210,47 @@ func (ev lockEvent) apply(f facts) {
 			delete(f, name)
 		}
 	}
-	if !ev.acquire && ev.class != "" {
-		// Releasing s.mu also drops any association of the class that was
-		// recorded with a different (or empty) rendering of the receiver.
-		for k := range f {
-			if strings.HasPrefix(k, "a:"+ev.class+"|") {
-				delete(f, k)
-			}
-		}
-	}
-}
-
-// heldAssociations decodes the held "a:" facts into (class, expr) pairs,
-// sorted for deterministic reporting.
-func heldAssociations(f facts) [][2]string {
-	var out [][2]string
-	for _, k := range sortedFacts(f) {
-		rest, ok := strings.CutPrefix(k, "a:")
-		if !ok {
-			continue
-		}
-		class, expr, _ := strings.Cut(rest, "|")
-		out = append(out, [2]string{class, expr})
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
 // One-level call summaries
 
-// acqSite is one lock acquisition inside a summarized function, recorded
-// with the receiver slot abstracted to ◊.
-type acqSite struct {
-	class string
-	expr  string
-	pos   token.Pos
-}
-
 // funcSummary is the one-level effect of calling a function: the lock
 // facts it is guaranteed to add (held at every return, starting from
-// none), the facts it may remove (any Unlock in the body), and every
-// acquisition site (for the lock-order graph). Summaries are computed
-// without applying other summaries — strictly one level deep, so the
-// fixpoint stays trivial and the approximation direction is documented.
+// none) and the facts it may remove (any Unlock in the body). Summaries
+// are computed without applying other summaries — strictly one level
+// deep, so the fixpoint stays trivial and the approximation direction is
+// documented.
 type funcSummary struct {
 	netAcquire []string
 	mayRelease []string
-	acquires   []acqSite
 }
 
-// abstractRecv rewrites facts of the receiver r to the ◊ placeholder so a
-// call site can substitute its own receiver path.
+// abstractRecv rewrites an expression fact rooted at the receiver recv to
+// the ◊ placeholder so a call site can substitute its own receiver path.
 func abstractRecv(fact, recv string) string {
-	if recv == "" {
+	path, ok := strings.CutPrefix(fact, "e:")
+	if !ok || recv == "" {
 		return fact
 	}
-	switch {
-	case strings.HasPrefix(fact, "e:"):
-		return "e:" + swapRecvPath(fact[2:], recv)
-	case strings.HasPrefix(fact, "a:"):
-		class, expr, _ := strings.Cut(fact[2:], "|")
-		return "a:" + class + "|" + swapRecvPath(expr, recv)
+	if path == recv {
+		return "e:" + recvPlaceholder
+	}
+	if rest, ok := strings.CutPrefix(path, recv+"."); ok {
+		return "e:" + recvPlaceholder + "." + rest
 	}
 	return fact
 }
 
-func swapRecvPath(path, recv string) string {
-	if path == recv {
-		return recvPlaceholder
-	}
-	if rest, ok := strings.CutPrefix(path, recv+"."); ok {
-		return recvPlaceholder + "." + rest
-	}
-	return path
-}
-
 // concretizeFact substitutes the call-site receiver path for ◊. With no
-// nameable receiver the expression facts are dropped (class facts remain).
+// nameable receiver the expression fact is dropped (only "e:" facts carry
+// ◊; class facts pass through).
 func concretizeFact(fact, recv string) (string, bool) {
 	if !strings.Contains(fact, recvPlaceholder) {
 		return fact, true
 	}
 	if recv == "" {
-		return "", strings.HasPrefix(fact, "c:")
+		return "", false
 	}
 	return strings.ReplaceAll(fact, recvPlaceholder, recv), true
 }
@@ -461,17 +413,7 @@ func summarizeFunc(pass *Pass, fd *ast.FuncDecl) *funcSummary {
 			return true
 		}
 		ev, ok := asLockEvent(pass, call)
-		if !ok {
-			return true
-		}
-		if ev.acquire {
-			if ev.class != "" {
-				sum.acquires = append(sum.acquires, acqSite{
-					class: ev.class,
-					expr:  swapRecvPath(ev.expr, recv),
-					pos:   ev.pos,
-				})
-			}
+		if !ok || ev.acquire {
 			return true
 		}
 		for _, fact := range ev.factNames() {
@@ -489,39 +431,25 @@ func summarizeFunc(pass *Pass, fd *ast.FuncDecl) *funcSummary {
 
 // applyCallSummary transfers a callee's one-level summary into the
 // caller's fact set. *Locked-suffix callees are assumed to preserve lock
-// state (their contract is "caller already holds the lock"). Returns the
-// summary when one was applied, for clients that also want the acquisition
-// sites.
-func applyCallSummary(pass *Pass, sums map[types.Object]*funcSummary, call *ast.CallExpr, f facts) *funcSummary {
+// state (their contract is "caller already holds the lock").
+func applyCallSummary(pass *Pass, sums map[types.Object]*funcSummary, call *ast.CallExpr, f facts) {
 	obj := calleeObject(pass, call)
 	if obj == nil {
-		return nil
+		return
 	}
 	sum, ok := sums[obj]
-	if !ok {
-		return nil
-	}
-	if strings.HasSuffix(obj.Name(), "Locked") {
-		return sum
+	if !ok || strings.HasSuffix(obj.Name(), "Locked") {
+		return
 	}
 	recv := callRecvPath(call)
 	for _, fact := range sum.mayRelease {
 		if conc, ok := concretizeFact(fact, recv); ok {
 			delete(f, conc)
-			if class, isClass := strings.CutPrefix(conc, "c:"); isClass {
-				// Dropping a class fact also drops its associations.
-				for k := range f {
-					if strings.HasPrefix(k, "a:"+class+"|") {
-						delete(f, k)
-					}
-				}
-			}
 		}
 	}
 	for _, fact := range sum.netAcquire {
-		if conc, ok := concretizeFact(fact, recv); ok && conc != "" {
+		if conc, ok := concretizeFact(fact, recv); ok {
 			f[conc] = true
 		}
 	}
-	return sum
 }

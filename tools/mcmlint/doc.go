@@ -2,8 +2,9 @@
 // of the planner/serving stack that no test or race run is guaranteed to
 // reach, checked at every site on every commit. An analyzer is here only
 // if a mutation of product code showed a defect that `go vet`, `go test`
-// and `go test -race` all miss and it catches (CHANGES.md, PR 22, has the
-// matrix; DESIGN.md §12–§13 describe each contract).
+// and `go test -race` all miss and it catches, or while bench/ names it in
+// an ignore directive (CHANGES.md has the mutation matrices; DESIGN.md
+// §12–§13 describe each contract).
 //
 // # Analyzers
 //
@@ -29,22 +30,18 @@
 //	             `// guarded by <Type>.<mu>` is touched only where the mutex
 //	             is held on every path; *Locked functions assert their
 //	             caller holds it, and their call sites are checked.
-//	lockorder    The unit's lock-acquisition graph (direct Lock calls,
-//	             one-level call summaries, imported mutex-bearing receivers)
-//	             is acyclic, and no path re-locks the exact mutex it holds.
 //
 // det, errcontract and hotalloc's fmt rule are one traversal over one rule
-// table (forbid.go). guarded and lockorder share an intraprocedural
-// dataflow engine (cfg.go, dataflow.go): basic blocks built from each
-// function body — branches, loops, switch/select, goto/labels, defer, and
-// no-return calls all modeled — and a forward must-analysis whose join is
-// set intersection, run to fixpoint with a visit budget. "Held" facts track
-// the exact mutex expression (s.mu), its class (Service.mu), and their
-// association; deferred Unlocks keep the lock held to function exit;
-// function literals are separate contexts. Call effects are one-level
-// summaries, never composed through a second call, so the approximation
-// direction is fixed: a missed fact costs precision, never the soundness of
-// a must-hold claim.
+// table (forbid.go). guarded runs on an intraprocedural dataflow engine
+// (cfg.go, dataflow.go): basic blocks built from each function body —
+// branches, loops, switch/select, goto/labels, defer, and no-return calls
+// all modeled — and a forward must-analysis whose join is set
+// intersection, run to fixpoint with a visit budget. "Held" facts track
+// the exact mutex expression (s.mu) and its class (Service.mu); deferred
+// Unlocks keep the lock held to function exit; function literals are
+// separate contexts. Call effects are one-level summaries, never composed
+// through a second call, so the approximation direction is fixed: a missed
+// fact costs precision, never the soundness of a must-hold claim.
 //
 // # Invocation
 //

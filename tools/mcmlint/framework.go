@@ -32,7 +32,6 @@ var allAnalyzers = []*Analyzer{
 	ctxloopAnalyzer,
 	hotallocAnalyzer,
 	guardedAnalyzer,
-	lockorderAnalyzer,
 	goleakAnalyzer,
 	errcontractAnalyzer,
 }

@@ -125,9 +125,6 @@ func TestGoldenHotalloc(t *testing.T) {
 func TestGoldenGuarded(t *testing.T) {
 	runGolden(t, guardedAnalyzer, filepath.Join("testdata", "guarded"))
 }
-func TestGoldenLockorder(t *testing.T) {
-	runGolden(t, lockorderAnalyzer, filepath.Join("testdata", "lockorder"))
-}
 func TestGoldenGoleak(t *testing.T) {
 	runGolden(t, goleakAnalyzer, filepath.Join("testdata", "goleak"))
 }

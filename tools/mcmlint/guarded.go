@@ -1,9 +1,7 @@
 package main
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"regexp"
 	"sort"
@@ -17,8 +15,8 @@ import (
 //	jobs map[string]*Job // guarded by mu
 //
 // must only be read or written while that mutex is held on every path
-// reaching the access. The analysis runs the shared CFG + must-hold-lock
-// dataflow (see cfg.go/dataflow.go): Lock/RLock acquire, Unlock/RUnlock
+// reaching the access. The analysis runs the CFG + must-hold-lock dataflow
+// (see cfg.go/dataflow.go): Lock/RLock acquire, Unlock/RUnlock
 // release, `defer mu.Unlock()` keeps the lock held to function exit, and
 // branches meet by intersection — so an early unlock followed by a field
 // read, or a lock taken on only one branch, is caught where the
@@ -75,12 +73,7 @@ func runGuarded(pass *Pass) {
 	if pass.Info == nil {
 		return
 	}
-	guards, issues := guardedFields(pass)
-	// Annotation problems are guarded's to report; lockorder reuses the
-	// collection for seeding and must not duplicate them.
-	for _, iss := range issues {
-		pass.Reportf(iss.pos, "%s", iss.msg)
-	}
+	guards := guardedFields(pass)
 	if len(guards) == 0 {
 		return
 	}
@@ -280,19 +273,12 @@ func constructedLocals(body *ast.BlockStmt) map[string]bool {
 	return constructed
 }
 
-// guardIssue is one malformed `guarded by` annotation, reported by the
-// guarded analyzer only.
-type guardIssue struct {
-	pos token.Pos
-	msg string
-}
-
 // guardedFields collects `guarded by` annotations per struct type. The
 // sibling form must name a sibling field; the dotted form must name a
 // type declared in this package together with one of its fields —
-// violations come back as issues, annotations that fail drop out of the
+// violations are reported, and annotations that fail drop out of the
 // collection.
-func guardedFields(pass *Pass) (map[string]map[string]guardSpec, []guardIssue) {
+func guardedFields(pass *Pass) map[string]map[string]guardSpec {
 	type annotated struct {
 		typeName string
 		field    *ast.Field
@@ -330,16 +316,15 @@ func guardedFields(pass *Pass) (map[string]map[string]guardSpec, []guardIssue) {
 	}
 
 	out := map[string]map[string]guardSpec{}
-	var issues []guardIssue
 	for _, a := range anns {
 		g := a.guard
 		switch ownerFields, declared := structs[g.owner]; {
 		case g.owner == "" && !structs[a.typeName][g.mu]:
-			issues = append(issues, guardIssue{a.field.Pos(), fmt.Sprintf("field is `guarded by %s` but %s.%s does not exist: the guard must be a sibling field (or use the Type.field form)", g.mu, a.typeName, g.mu)})
+			pass.Reportf(a.field.Pos(), "field is `guarded by %s` but %s.%s does not exist: the guard must be a sibling field (or use the Type.field form)", g.mu, a.typeName, g.mu)
 		case g.owner != "" && !declared:
-			issues = append(issues, guardIssue{a.field.Pos(), fmt.Sprintf("field is `guarded by %s.%s` but type %s is not declared in this package", g.owner, g.mu, g.owner)})
+			pass.Reportf(a.field.Pos(), "field is `guarded by %s.%s` but type %s is not declared in this package", g.owner, g.mu, g.owner)
 		case g.owner != "" && !ownerFields[g.mu]:
-			issues = append(issues, guardIssue{a.field.Pos(), fmt.Sprintf("field is `guarded by %s.%s` but %s has no field %s", g.owner, g.mu, g.owner, g.mu)})
+			pass.Reportf(a.field.Pos(), "field is `guarded by %s.%s` but %s has no field %s", g.owner, g.mu, g.owner, g.mu)
 		default:
 			if out[a.typeName] == nil {
 				out[a.typeName] = map[string]guardSpec{}
@@ -349,7 +334,7 @@ func guardedFields(pass *Pass) (map[string]map[string]guardSpec, []guardIssue) {
 			}
 		}
 	}
-	return out, issues
+	return out
 }
 
 func guardAnnotation(f *ast.Field) (guardSpec, bool) {
