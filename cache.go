@@ -65,78 +65,76 @@ func canonicalize(res *Result, pos []int) {
 	res.Partition = canon
 }
 
-// planCache is a bounded LRU of completed plans. All methods are safe for
-// concurrent use. An entry is shared, not copied: put keeps the pointer it
-// is given and get returns it, so whoever holds one must not write through
-// it — the Service never does, and never hands one to a caller (Job.Result
-// copies). A hit is therefore bit-identical to the plan that populated the
-// entry.
+// planCache is the Service's bounded LRU: of completed plans by cache key,
+// and — as the request memo — of keyed requests by body digest. All methods
+// are safe for concurrent use. A value is shared, not copied: put keeps
+// what it is given and get returns it, so whoever holds one must not write
+// through it — the Service never does, and never hands a plan to a caller
+// (Job.Result copies). A hit is therefore bit-identical to the plan that
+// populated the entry.
 //
 // The cache does not count its own hits and misses: a lookup happens
 // before the Service decides whether the request is admitted, and the
 // hit/miss counters must account admitted jobs only (see serviceMetrics).
 // The Service increments its tier counters at the admission points.
-type planCache struct {
+type planCache[K comparable, V any] struct {
 	mu    sync.Mutex
-	cap   int                      // immutable after newPlanCache
-	ll    *list.List               // guarded by mu; front = most recently used
-	items map[string]*list.Element // guarded by mu
+	cap   int                 // immutable after newPlanCache
+	ll    *list.List          // guarded by mu; front = most recently used
+	items map[K]*list.Element // guarded by mu
 }
 
-type planCacheEntry struct {
-	key string
-	res *Result
+type planCacheEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
 // newPlanCache returns a cache bounded to max entries; max <= 0 disables
 // caching (every get is a miss, every put a no-op).
-func newPlanCache(max int) *planCache {
-	c := &planCache{cap: max}
+func newPlanCache[K comparable, V any](max int) *planCache[K, V] {
+	c := &planCache[K, V]{cap: max}
 	if max > 0 {
 		c.ll = list.New()
-		c.items = make(map[string]*list.Element, max)
+		c.items = make(map[K]*list.Element, max)
 	}
 	return c
 }
 
-func (c *planCache) get(key string) (*Result, bool) {
+func (c *planCache[K, V]) get(key K) (val V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
-		return nil, false
+		return val, false
 	}
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return val, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*planCacheEntry).res, true
+	return el.Value.(*planCacheEntry[K, V]).val, true
 }
 
-func (c *planCache) put(key string, res *Result) {
-	if res == nil {
-		return
-	}
+func (c *planCache[K, V]) put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
 		return
 	}
 	if el, ok := c.items[key]; ok {
-		el.Value.(*planCacheEntry).res = res
+		el.Value.(*planCacheEntry[K, V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&planCacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&planCacheEntry[K, V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*planCacheEntry).key)
+		delete(c.items, oldest.Value.(*planCacheEntry[K, V]).key)
 	}
 }
 
 // snapshot returns (current size, capacity).
-func (c *planCache) snapshot() (size, capacity int) {
+func (c *planCache[K, V]) snapshot() (size, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap > 0 {

@@ -205,6 +205,11 @@ func TestChaosDaemonUnderInjectedFaults(t *testing.T) {
 	if st.CacheHits+st.CacheMisses != st.JobsSubmitted {
 		t.Errorf("after chaos: cache hits %d + misses %d != jobs submitted %d", st.CacheHits, st.CacheMisses, st.JobsSubmitted)
 	}
+	// A memo hit is a cache hit counted first, and the memo counter is read
+	// after the Cache block: only at quiescence is the bound exact.
+	if st.RequestMemoHits > st.CacheHits+st.DiskCacheHits {
+		t.Errorf("after chaos: %d requests served through the memo but %d+%d cache hits", st.RequestMemoHits, st.CacheHits, st.DiskCacheHits)
+	}
 	var exposition bytes.Buffer
 	if err := svc.Metrics().WritePrometheus(&exposition); err != nil {
 		t.Fatal(err)

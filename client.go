@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -311,10 +312,24 @@ func (c *Client) SubmitJob(ctx context.Context, g *Graph, opts PlanOptions) (Job
 	return st, err
 }
 
+// jobPath is the route of one job: the ID escaped into one path segment, so
+// that no ID addresses another route or another job. An ID no segment can
+// carry ("", ".", "..") is an ErrInvalidRequest, and no request is sent.
+func jobPath(id string) (string, error) {
+	if id == "" || id == "." || id == ".." {
+		return "", fmt.Errorf("%w: job ID %q cannot be a path segment", ErrInvalidRequest, id)
+	}
+	return "/v1/jobs/" + url.PathEscape(id), nil
+}
+
 // JobStatus fetches the current status (and result, once terminal) of a job.
 func (c *Client) JobStatus(ctx context.Context, id string) (*JobResponse, error) {
+	path, err := jobPath(id)
+	if err != nil {
+		return nil, err
+	}
 	var resp JobResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &resp); err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -323,7 +338,11 @@ func (c *Client) JobStatus(ctx context.Context, id string) (*JobResponse, error)
 // CancelJob cancels a job; the daemon keeps its best-so-far result.
 func (c *Client) CancelJob(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
+	path, err := jobPath(id)
+	if err != nil {
+		return st, err
+	}
+	err = c.do(ctx, http.MethodDelete, path, nil, &st)
 	return st, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,6 +277,44 @@ func TestClientSentinelsRoundTripRealDaemon(t *testing.T) {
 	svc.Close()
 	if _, err := cl.Plan(ctx, g, mcmpart.PlanOptions{}); !errors.Is(err, mcmpart.ErrServiceClosed) {
 		t.Fatalf("plan after Close: err = %v, want ErrServiceClosed", err)
+	}
+}
+
+// TestClientEscapesJobIDs: a job ID is one path segment. Pasted into the
+// path unescaped, each of these addressed another route ("../stats" fetched
+// /v1/stats and decoded it as a zero JobResponse), another job ("x?y=1" was
+// job "x") or no URL at all ("%zz"); escaped, each reaches the job routes
+// as itself, an unknown job. An ID no segment can carry is refused with
+// ErrInvalidRequest before any request is sent.
+func TestClientEscapesJobIDs(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1})
+	h := mcmpart.NewHTTPHandler(svc)
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	cl := mcmpart.NewClient(srv.URL, srv.Client(), mcmpart.ClientOptions{})
+	ctx := context.Background()
+	calls := map[string]func(id string) error{
+		"JobStatus": func(id string) error { _, err := cl.JobStatus(ctx, id); return err },
+		"CancelJob": func(id string) error { _, err := cl.CancelJob(ctx, id); return err },
+	}
+	for name, call := range calls {
+		for _, id := range []string{"../stats", "a/b", "x?y=1", "job-1#frag", "%zz"} {
+			err := call(id)
+			var ae *mcmpart.APIError
+			if !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound || ae.Message != fmt.Sprintf("unknown job %q", id) {
+				t.Errorf("%s(%q) = %v, want a 404 naming the job %q", name, id, err, id)
+			}
+		}
+		for _, id := range []string{"", ".", ".."} {
+			before := requests.Load()
+			if err := call(id); !errors.Is(err, mcmpart.ErrInvalidRequest) || requests.Load() != before {
+				t.Errorf("%s(%q) = %v after %d requests, want ErrInvalidRequest and none", name, id, err, requests.Load()-before)
+			}
+		}
 	}
 }
 

@@ -70,6 +70,7 @@ var metricFamilies = []string{
 	"mcmpart_cache_capacity", "mcmpart_draining", "mcmpart_http_requests_total",
 	"mcmpart_http_request_seconds", "mcmpart_disk_writes_total", "mcmpart_disk_write_errors_total",
 	"mcmpart_disk_quarantined_total", "mcmpart_disk_read_seconds", "mcmpart_disk_write_seconds",
+	"mcmpart_request_memo_hits_total",
 }
 
 // TestDaemonMetricsMatchStats is the telemetry acceptance test: boot the
@@ -84,7 +85,9 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 	ctx := context.Background()
 	g := mcmpart.CorpusGraphs(1)[84]
 
-	// Cold plan, then the warm repeat.
+	// Cold plan, then the warm repeat: the Client marshals the graph to the
+	// same bytes, so the second, identical POST is served through the
+	// request memo.
 	fast := mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 15, Seed: 3}
 	cold, err := cl.Plan(ctx, g, fast)
 	if err != nil {
@@ -188,6 +191,7 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		{`mcmpart_cache_hits_total{tier="memory"}`, 1},
 		{`mcmpart_cache_misses_total{tier="memory"}`, 6},
 		{`mcmpart_cache_hits_total{tier="disk"}`, 0},
+		{`mcmpart_request_memo_hits_total`, 1},
 		{`mcmpart_plans_executed_total`, 3},
 		{`mcmpart_plans_coalesced_total`, 3},
 		{`mcmpart_disk_writes_total`, 3},

@@ -2,6 +2,7 @@ package mcmpart
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -177,7 +178,7 @@ func NewHTTPHandler(svc *Service) http.Handler {
 	}
 	handle("GET /metrics", telemetry.Handler(reg).ServeHTTP)
 	handle("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		job, g, ok := submitPlanRequest(svc, w, r)
+		job, graphFP, ok := submitPlanRequest(svc, w, r)
 		if !ok {
 			return
 		}
@@ -191,7 +192,7 @@ func NewHTTPHandler(svc *Service) http.Handler {
 			Result:           resultToWire(res),
 			Cached:           status.Cached,
 			Coalesced:        status.Coalesced,
-			GraphFingerprint: g.Fingerprint(),
+			GraphFingerprint: graphFP,
 		}
 		if err != nil {
 			resp.Error = err.Error()
@@ -301,10 +302,14 @@ func lookupJob(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, 
 }
 
 // submitPlanRequest is the shared front half of the plan and jobs
-// endpoints: it reads the body, decodes it and submits it — a request with
-// no graph, like any other ill-formed one, is Submit's to refuse. On
-// failure the error response is already written and ok is false.
-func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, g *Graph, ok bool) {
+// endpoints: it reads the body, and serves it from the request memo when
+// the service has keyed these exact bytes before and their plan is cached
+// (Service.submitKnown); otherwise it decodes and submits it — a request
+// with no graph, like any other ill-formed one, is Submit's to refuse — and
+// remembers what keying it produced once it is a job. graphFP is the
+// fingerprint the cache keyed on. On failure the error response is already
+// written and ok is false.
+func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, graphFP string, ok bool) {
 	body, err := readRequestBody(w, r)
 	if err != nil {
 		code := http.StatusBadRequest
@@ -312,19 +317,24 @@ func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (jo
 			code = http.StatusRequestEntityTooLarge
 		}
 		writeJSON(w, code, ErrorResponse{Error: "reading request: " + err.Error()})
-		return nil, nil, false
+		return nil, "", false
+	}
+	digest := sha256.Sum256(body)
+	if job, graphFP, ok := svc.submitKnown(r.Context(), digest); ok {
+		return job, graphFP, true
 	}
 	req, err := decodePlanRequest(body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "decoding request: " + err.Error()})
-		return nil, nil, false
+		return nil, "", false
 	}
-	job, err = svc.Submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
+	job, keyed, err := svc.submit(r.Context(), PlanRequest{Graph: req.Graph, Options: req.Options.Options()})
 	if err != nil {
 		writeServiceError(w, err)
-		return nil, nil, false
+		return nil, "", false
 	}
-	return job, req.Graph, true
+	svc.memo.put(digest, keyed)
+	return job, keyed.graphFP, true
 }
 
 // readRequestBody reads the body once, into a buffer of its declared length

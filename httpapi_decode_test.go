@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -193,6 +194,60 @@ func BenchmarkDecodePlanRequest10k(b *testing.B) {
 		if _, err := decodePlanRequest(body); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// knownBodyPoster returns a function that POSTs body to /v1/plan through
+// NewHTTPHandler on a service that has already served it once, so that
+// every call is a byte-identical resubmission whose plan is cached.
+func knownBodyPoster(tb testing.TB, body []byte) func() {
+	tb.Helper()
+	svc, err := NewService(Edge36(), ServiceOptions{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { svc.Close() })
+	h := NewHTTPHandler(svc)
+	post := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("POST /v1/plan: %d %.200s", rec.Code, rec.Body)
+		}
+	}
+	post()
+	return post
+}
+
+// TestPostKnownBodyBytes: the second POST of serve-warm's body allocates
+// what reading, digesting and answering it takes. Decoded, validated and
+// fingerprinted again it was 7.2 MB; through the request memo it is 2.1 MB.
+// The decode alone is 3.1 MB, so the ceiling fails whenever it runs.
+func TestPostKnownBodyBytes(t *testing.T) {
+	post := knownBodyPoster(t, warmRequestBody(t))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	post()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a known body's POST allocated %.2f MB", float64(got)/(1<<20))
+	if got > 3<<20 {
+		t.Errorf("a known body's POST allocated %.2f MB, ceiling 3 MB: was it decoded again?", float64(got)/(1<<20))
+	}
+}
+
+// BenchmarkPostKnownBody10k is what a byte-identical resubmission of
+// serve-warm's body costs through the handler once the service has keyed
+// it: read, digest, lookup, remap, copy and encode — no decode and no
+// fingerprint (BenchmarkDecodePlanRequest10k is the decode it skips).
+func BenchmarkPostKnownBody10k(b *testing.B) {
+	body := warmRequestBody(b)
+	post := knownBodyPoster(b, body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }
 

@@ -2,6 +2,7 @@ package mcmpart
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,6 +139,13 @@ type ServiceStats struct {
 	DiskCacheWriteErrors uint64 `json:"disk_cache_write_errors" metric:"mcmpart_disk_write_errors_total"`
 	DiskCacheQuarantined uint64 `json:"disk_cache_quarantined" metric:"mcmpart_disk_quarantined_total"`
 
+	// RequestMemoHits counts HTTP plan requests served through the request
+	// memo: a body byte-identical to one the service keyed before, whose
+	// plan was cached, answered with no decode and no fingerprint. Each is a
+	// cache hit counted before it, and read after the Cache block, so
+	// RequestMemoHits <= CacheHits+DiskCacheHits at quiescence.
+	RequestMemoHits uint64 `json:"request_memo_hits" metric:"mcmpart_request_memo_hits_total"`
+
 	// Draining reports that admission is stopped (BeginDrain/Drain/Close)
 	// while previously admitted work finishes.
 	Draining bool `json:"draining" metric:"mcmpart_draining"`
@@ -202,7 +210,8 @@ type PlanRequest struct {
 type Service struct {
 	planner  *Planner
 	pkgFP    string
-	cache    *planCache
+	cache    *planCache[string, *Result]
+	memo     *planCache[[sha256.Size]byte, keyedRequest] // request memo: body SHA-256 → its keying (submitKnown)
 	disk     *plancache.Store
 	registry *rl.Registry
 	pool     *parallel.Pool
@@ -255,6 +264,7 @@ type serviceMetrics struct {
 	memHits        *telemetry.Counter
 	memMisses      *telemetry.Counter
 	diskHits       *telemetry.Counter
+	memoHits       *telemetry.Counter
 	planCold       *telemetry.Histogram
 	planWarm       *telemetry.Histogram
 }
@@ -276,6 +286,7 @@ func newServiceMetrics() *serviceMetrics {
 		memHits:        reg.Counter("mcmpart_cache_hits_total", "Plan-cache hits, by tier.", telemetry.Label{Name: "tier", Value: "memory"}),
 		memMisses:      reg.Counter("mcmpart_cache_misses_total", "Plan-cache misses, by tier.", telemetry.Label{Name: "tier", Value: "memory"}),
 		diskHits:       reg.Counter("mcmpart_cache_hits_total", "Plan-cache hits, by tier.", telemetry.Label{Name: "tier", Value: "disk"}),
+		memoHits:       reg.Counter("mcmpart_request_memo_hits_total", "Plan requests whose body was byte-identical to one already keyed, served from the cache with no decode or fingerprint."),
 		planCold:       reg.Histogram("mcmpart_plan_seconds", "Plan service latency: cold runs the planner, warm serves from cache.", telemetry.DefBuckets, telemetry.Label{Name: "path", Value: "cold"}),
 		planWarm:       reg.Histogram("mcmpart_plan_seconds", "Plan service latency: cold runs the planner, warm serves from cache.", telemetry.DefBuckets, telemetry.Label{Name: "path", Value: "warm"}),
 	}
@@ -335,7 +346,8 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 	s := &Service{
 		planner:  planner,
 		pkgFP:    rl.PackageFingerprint(pkg),
-		cache:    newPlanCache(cacheEntries),
+		cache:    newPlanCache[string, *Result](cacheEntries),
+		memo:     newPlanCache[[sha256.Size]byte, keyedRequest](cacheEntries),
 		pool:     parallel.NewPool(opts.Workers, opts.QueueDepth),
 		logger:   logger,
 		m:        m,
@@ -549,15 +561,22 @@ func (s *Service) ensurePolicy(method Method) (policySnapshot, error) {
 	return installed, nil
 }
 
+// keyedRequest is what keying a request produced, less the policy reading:
+// what the request memo keeps per body. It holds no graph and no body.
+type keyedRequest struct {
+	opts    PlanOptions // normalized
+	graphFP string
+	pos     []int // canonical positions of the graph's node IDs; shared, read-only
+}
+
 // admission is one request on its way through Submit's stages.
 type admission struct {
-	graph  *Graph
-	opts   PlanOptions    // normalized
+	keyedRequest
+	graph  *Graph         // nil on the memo path, which never plans
 	policy policySnapshot // what ensurePolicy read; key and flight carry it
 	rid    string
 	start  time.Time // when Submit began, for the warm-path latency
 	key    string
-	pos    []int // canonical positions of graph's node IDs
 }
 
 // Submit validates and admits one plan request, returning the Job tracking
@@ -584,15 +603,54 @@ type admission struct {
 // out or written again: the jobs of a key share it, and Job.Result makes
 // the one deep copy a caller receives.
 func (s *Service) Submit(ctx context.Context, req PlanRequest) (*Job, error) {
+	job, _, err := s.submit(ctx, req)
+	return job, err
+}
+
+// submit is Submit, also returning what keying the request produced — what
+// the HTTP front end remembers for the request's body once it is a job.
+func (s *Service) submit(ctx context.Context, req PlanRequest) (*Job, keyedRequest, error) {
 	a := admission{start: s.now(), rid: RequestIDFrom(ctx)}
 	if err := s.normalize(ctx, req, &a); err != nil {
-		return nil, err
+		return nil, a.keyedRequest, err
 	}
 	s.keyRequest(&a)
+	var job *Job
+	var err error
 	if res, fromDisk, ok := s.lookup(a.key); ok {
-		return s.admitCached(&a, res, fromDisk)
+		job, err = s.admitCached(&a, res, fromDisk)
+	} else {
+		job, err = s.admit(&a)
 	}
-	return s.admit(&a)
+	return job, a.keyedRequest, err
+}
+
+// submitKnown serves a request body the memo holds (digest is its SHA-256)
+// with the back half of Submit on the memo's entry — ctx, the policy
+// reading, the key, the lookup — and no decode, Validate or fingerprint.
+// It serves only a lookup hit, and so never plans: for every other outcome
+// (an unknown body, an ended ctx, a policy error, a miss, a refused
+// admission) ok is false, and the caller decodes and Submits the body as
+// if it were new.
+func (s *Service) submitKnown(ctx context.Context, digest [sha256.Size]byte) (job *Job, graphFP string, ok bool) {
+	a := admission{start: s.now(), rid: RequestIDFrom(ctx)}
+	if a.keyedRequest, ok = s.memo.get(digest); !ok || ctx.Err() != nil {
+		return nil, "", false
+	}
+	var err error
+	if a.policy, err = s.ensurePolicy(a.opts.Method); err != nil {
+		return nil, "", false
+	}
+	a.key = planCacheKey(a.graphFP, s.pkgFP, a.policy.fp, a.opts)
+	res, fromDisk, ok := s.lookup(a.key)
+	if !ok {
+		return nil, "", false
+	}
+	if job, err = s.admitCached(&a, res, fromDisk); err != nil {
+		return nil, "", false
+	}
+	s.m.memoHits.Inc() // after the tier counter admitCached moved
+	return job, a.graphFP, true
 }
 
 // normalize validates the request and resolves every default, including
@@ -610,11 +668,11 @@ func (s *Service) normalize(ctx context.Context, req PlanRequest, a *admission) 
 	return err
 }
 
-// keyRequest canonicalizes the graph: the cache key and the node positions
-// results for that key are stored by.
+// keyRequest canonicalizes the graph — its fingerprint and the node
+// positions results for its key are stored by — and keys the request.
 func (s *Service) keyRequest(a *admission) {
-	a.key = planCacheKey(a.graph.Fingerprint(), s.pkgFP, a.policy.fp, a.opts)
-	a.pos = graph.CanonicalPositions(a.graph)
+	a.graphFP, a.pos = a.graph.Fingerprint(), graph.CanonicalPositions(a.graph)
+	a.key = planCacheKey(a.graphFP, s.pkgFP, a.policy.fp, a.opts)
 }
 
 // lookup consults the memory tier, then the disk tier (it does IO, so this

@@ -254,6 +254,118 @@ func TestScrapesAndLookupsDuringSubmitBurst(t *testing.T) {
 	}
 }
 
+// TestKnownBodyBurstUnderScrapesAndLookups is for -race, in the pattern of
+// TestScrapesAndLookupsDuringSubmitBurst: 16 goroutines POST one body — the
+// first decode, plan, coalesce and write the request memo, the rest are read
+// from it — while /metrics is scraped and every job ID returned is looked
+// up. Every job ends with the same plan, the memo hits are cache hits, and
+// once the burst is over the body is served through the memo.
+func TestKnownBodyBurstUnderScrapesAndLookups(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2, QueueDepth: 256})
+	h := mcmpart.NewHTTPHandler(svc)
+	body, err := json.Marshal(mcmpart.PlanRequestWire{
+		Graph:   smallGraph(t),
+		Options: mcmpart.PlanOptionsWire{Method: mcmpart.MethodRandom, SampleBudget: 5, Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		return rec
+	}
+	const posters = 16
+	const perPoster = 4
+
+	ids := make(chan string, posters*perPoster)
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perPoster; i++ {
+				rec := post()
+				var st mcmpart.JobStatus
+				if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+					t.Errorf("POST /v1/jobs = %d: %s", rec.Code, rec.Body)
+					return
+				}
+				ids <- st.ID
+			}
+		}()
+	}
+	loadDone := make(chan struct{})
+	go func() { wg.Wait(); close(loadDone) }()
+
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() { // the scraper
+		defer readers.Done()
+		for {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "mcmpart_request_memo_hits_total ") {
+				t.Errorf("GET /metrics = %d without mcmpart_request_memo_hits_total", rec.Code)
+				return
+			}
+			select {
+			case <-loadDone:
+				return
+			default:
+			}
+		}
+	}()
+	var jobs []*mcmpart.Job
+	go func() { // the poller
+		defer readers.Done()
+		for {
+			select {
+			case id := <-ids:
+				job, ok := svc.Job(id)
+				if !ok {
+					t.Errorf("job %s not addressable right after POST returned it", id)
+					continue
+				}
+				jobs = append(jobs, job)
+			case <-loadDone:
+				return
+			}
+		}
+	}()
+	readers.Wait()
+	for len(ids) > 0 {
+		job, ok := svc.Job(<-ids)
+		if !ok {
+			t.Fatal("a job not addressable after the burst")
+		}
+		jobs = append(jobs, job)
+	}
+	if len(jobs) != posters*perPoster {
+		t.Fatalf("saw %d jobs, want %d", len(jobs), posters*perPoster)
+	}
+	want, err := jobs[0].Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range jobs[1:] {
+		got, err := job.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resultsBitIdentical(want, got); err != nil {
+			t.Fatalf("job %s: %v", job.ID(), err)
+		}
+	}
+	st := svc.Stats()
+	if st.RequestMemoHits > st.CacheHits+st.DiskCacheHits {
+		t.Fatalf("memo hits %d but cache hits %d+%d", st.RequestMemoHits, st.CacheHits, st.DiskCacheHits)
+	}
+	if rec := post(); rec.Code != http.StatusAccepted || svc.Stats().RequestMemoHits != st.RequestMemoHits+1 {
+		t.Fatalf("the body after the burst: %d, not served through the memo", rec.Code)
+	}
+}
+
 // TestPlanBatchCtxCancel covers the mid-batch cancellation path: the
 // results slice stays index-aligned with the requests, the returned error
 // is the first failure in request order, and no goroutines leak.
