@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -167,5 +171,54 @@ func TestDaemonHealthzReportsDraining(t *testing.T) {
 			break // transport error: the daemon has moved past draining to down
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestDaemonShutdownDeliversRequestInFlight pins drain step 4 (DESIGN.md
+// §10): a synchronous request still being received when the signal arrives
+// gets its whole response, and run returns only after it has. Serve returns
+// as soon as Shutdown closes the listener, so run must wait for Shutdown
+// itself, or the process exits under the handler.
+func TestDaemonShutdownDeliversRequestInFlight(t *testing.T) {
+	d := bootDaemonHandle(t, []string{"-addr", "127.0.0.1:0", "-mcm", "dev4"})
+	body := `{"graph":{"name":"g","nodes":[{"id":0,"op":4,"flops":10,"output_bytes":8},{"id":1,"op":7}],` +
+		`"edges":[{"from":0,"to":1,"bytes":8}]},"options":{"method":"random","sample_budget":4,"seed":1}}`
+	half := len(body) / 2
+	conn, err := net.Dial("tcp", d.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST /v1/plan HTTP/1.1\r\nHost: mcmpartd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body[:half]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	d.Signal()
+	select {
+	case code := <-d.done:
+		d.done <- code
+		t.Fatalf("run returned %d while a request was still being received", code)
+	case <-time.After(500 * time.Millisecond):
+	}
+	if _, err := io.WriteString(conn, body[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no response to the request in flight: %v", err)
+	}
+	if _, err := io.ReadAll(resp.Body); err != nil {
+		t.Fatalf("response body cut off: %v", err)
+	}
+	resp.Body.Close()
+	// Admission stopped at the signal, so the late plan is refused — whole.
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("request in flight at shutdown: status %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if code := d.Wait(t); code != 0 {
+		t.Fatalf("daemon exited with code %d", code)
 	}
 }

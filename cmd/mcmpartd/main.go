@@ -153,7 +153,12 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// Serve returns as soon as Shutdown closes the listener, while Shutdown
+	// is still waiting on active requests: run returns only once shutDown
+	// is closed, so those responses are delivered before the process exits.
+	shutDown := make(chan struct{})
 	go func() {
+		defer close(shutDown)
 		<-ctx.Done()
 		// Drain before shutting the listener down: the server keeps
 		// answering during the drain — new plans with 503 + Retry-After,
@@ -178,7 +183,10 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 	}
 	if err := server.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Print(err)
+		stop()
+		<-shutDown
 		return 1
 	}
+	<-shutDown
 	return 0
 }

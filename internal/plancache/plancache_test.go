@@ -3,10 +3,12 @@ package plancache
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"mcmpart/internal/faultinject"
@@ -47,6 +49,38 @@ func TestRoundTrip(t *testing.T) {
 	got, ok = st2.Get(key)
 	if !ok || string(got) != string(payload) {
 		t.Fatalf("restart read: ok=%v got=%q", ok, got)
+	}
+}
+
+// TestConcurrentPuts is for -race: writers Put distinct keys into one
+// store at once, each Put drawing its temp-file name from the store's
+// sequence number, and every entry reads back afterwards.
+func TestConcurrentPuts(t *testing.T) {
+	st := open(t)
+	const writers, perWriter = 8, 4
+	key := func(w, i int) string { return fmt.Sprintf("writer-%d|entry-%d", w, i) }
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWriter {
+				if err := st.Put(key(w, i), []byte(key(w, i))); err != nil {
+					t.Errorf("Put %s: %v", key(w, i), err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range writers {
+		for i := range perWriter {
+			if got, ok := st.Get(key(w, i)); !ok || string(got) != key(w, i) {
+				t.Errorf("Get %s: ok=%v got=%q", key(w, i), ok, got)
+			}
+		}
+	}
+	if n := st.writes.Value(); n != writers*perWriter {
+		t.Fatalf("%d writes counted, want %d", n, writers*perWriter)
 	}
 }
 

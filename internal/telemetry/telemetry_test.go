@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -198,31 +199,49 @@ func TestObservationAllocatesNothing(t *testing.T) {
 }
 
 // TestConcurrentScrapeAndObserve exercises observation racing exposition
-// and registration — run under -race in CI.
+// and registration — run under -race in CI. The workers start with the
+// first scrape, scrapes run until the workers are done, and every tenth
+// observation registers a new series of a shared family and a new family,
+// so both of Registry.mu's fields are written while WritePrometheus reads
+// them.
 func TestConcurrentScrapeAndObserve(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
 	h := r.Histogram("h_seconds", "h", DefBuckets)
 	const perWorker = 500
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			<-start
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				h.Observe(float64(i%10) / 100)
 				r.Counter("dyn_total", "dynamic", Label{"w", string(rune('a' + w))}).Inc()
+				if i%10 == 0 {
+					n := strconv.Itoa(w*perWorker + i)
+					r.Counter("dyn_total", "dynamic", Label{"w", n}).Inc()
+					r.Counter("dyn_"+n+"_total", "dynamic family").Inc()
+				}
 			}
 		}(w)
 	}
-	for i := 0; i < 50; i++ {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	close(start)
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
 		var sb strings.Builder
 		if err := r.WritePrometheus(&sb); err != nil {
 			t.Error(err)
 		}
 	}
-	wg.Wait()
 	if c.Value() != 4*perWorker || h.Count() != 4*perWorker {
 		t.Fatalf("recorded %d/%d observations, want %d", c.Value(), h.Count(), 4*perWorker)
 	}

@@ -174,8 +174,8 @@ sampling:
 // at scrape time (planCache.snapshot), and the job table lookup
 // (Service.Job). With the lock dropped from Service.Job the whole suite
 // passed `go test -race . ./cmd/mcmpartd` clean before this test, and
-// planCache.snapshot was caught only through Service.Stats; mcmlint's
-// guarded analyzer flagged both (DESIGN.md §13.6).
+// planCache.snapshot was caught only through Service.Stats; here -race
+// reports both (DESIGN.md §12: every mutex-guarded field has such a test).
 func TestScrapesAndLookupsDuringSubmitBurst(t *testing.T) {
 	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2, QueueDepth: 256})
 	h := mcmpart.NewHTTPHandler(svc)
@@ -252,6 +252,61 @@ func TestScrapesAndLookupsDuringSubmitBurst(t *testing.T) {
 	if st := svc.Stats(); st.CacheEntries == 0 {
 		t.Fatal("the burst left nothing in the cache: it never exercised put against the scraper")
 	}
+}
+
+// TestScrapesAndHealthChecksDuringDrain is for -race, in the pattern of
+// TestScrapesAndLookupsDuringSubmitBurst: GET /healthz and GET /metrics (the
+// mcmpart_draining gauge func) read whether admission is stopped while
+// BeginDrain and Drain stop it on another goroutine. Each reader polls from
+// before the drain until it has reported the drain ten times, so it reads
+// the flag both before and after it changes.
+func TestScrapesAndHealthChecksDuringDrain(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2})
+	h := mcmpart.NewHTTPHandler(svc)
+	drained := map[string]func(*httptest.ResponseRecorder) bool{
+		"/healthz": func(rec *httptest.ResponseRecorder) bool { return rec.Code == http.StatusServiceUnavailable },
+		"/metrics": func(rec *httptest.ResponseRecorder) bool {
+			return strings.Contains(rec.Body.String(), "\nmcmpart_draining 1\n")
+		},
+	}
+	var warm, readers sync.WaitGroup
+	for path, isDrained := range drained {
+		warm.Add(1)
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			warmed := sync.OnceFunc(warm.Done)
+			defer warmed()
+			deadline := time.Now().Add(10 * time.Second)
+			for i, seen := 0, 0; seen < 10; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				switch {
+				case isDrained(rec):
+					seen++
+				case rec.Code != http.StatusOK:
+					t.Errorf("GET %s = %d", path, rec.Code)
+					return
+				case seen > 0:
+					t.Errorf("GET %s reported the drain, then stopped reporting it", path)
+					return
+				}
+				if i == 10 {
+					warmed()
+				}
+				if time.Now().After(deadline) {
+					t.Errorf("GET %s never reported the drain", path)
+					return
+				}
+			}
+		}()
+	}
+	warm.Wait()
+	svc.BeginDrain()
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Errorf("Drain: %v", err)
+	}
+	readers.Wait()
 }
 
 // TestKnownBodyBurstUnderScrapesAndLookups is for -race, in the pattern of

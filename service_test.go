@@ -342,6 +342,87 @@ func TestServiceConcurrentSubmit(t *testing.T) {
 	}
 }
 
+// TestJobIDsDistinctUnderHitBurst is for -race: goroutines submit one
+// cached request at once, so every admission is a cache hit contending for
+// the job sequence and the job table. Every job gets its own ID and is the
+// job the table returns for it.
+func TestJobIDsDistinctUnderHitBurst(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2})
+	req := mcmpart.PlanRequest{Graph: smallGraph(t), Options: mcmpart.PlanOptions{Method: mcmpart.MethodRandom, SampleBudget: 3, Seed: 1}}
+	if _, err := svc.Plan(context.Background(), req.Graph, req.Options); err != nil {
+		t.Fatal(err)
+	}
+	const submitters, each = 8, 100
+	jobs := make([][]*mcmpart.Job, submitters)
+	var wg sync.WaitGroup
+	for w := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				job, err := svc.Submit(context.Background(), req)
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				jobs[w] = append(jobs[w], job)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, js := range jobs {
+		for _, job := range js {
+			if seen[job.ID()] {
+				t.Fatalf("job ID %s handed out twice", job.ID())
+			}
+			seen[job.ID()] = true
+			if got, ok := svc.Job(job.ID()); !ok || got != job {
+				t.Fatalf("the job table does not return job %s for its ID", job.ID())
+			}
+		}
+	}
+}
+
+// TestJobSnapshotsPolledWhilePlanning is for -race: one goroutine per job
+// polls Status and Result from admission until the job is terminal, while a
+// worker marks it running, records its progress and finishes it — a reader
+// against every writer of the fields Job.mu guards. Every key is submitted
+// twice at once, so followers and cache hits are polled too.
+func TestJobSnapshotsPolledWhilePlanning(t *testing.T) {
+	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 2, QueueDepth: 64})
+	g := smallGraph(t)
+	var pollers sync.WaitGroup
+	var jobs []*mcmpart.Job
+	for seed := int64(1); seed <= 8; seed++ {
+		for range 2 {
+			job, err := svc.Submit(context.Background(), mcmpart.PlanRequest{Graph: g, Options: mcmpart.PlanOptions{
+				Method: mcmpart.MethodRandom, SampleBudget: 40, Seed: seed,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, job)
+			pollers.Add(1)
+			go func() {
+				defer pollers.Done()
+				for !job.Status().State.Terminal() {
+					job.Result()
+				}
+			}()
+		}
+	}
+	pollers.Wait()
+	for _, job := range jobs {
+		if st := job.Status(); st.State != mcmpart.JobDone || st.Error != "" {
+			t.Fatalf("job %s ended %s (%q)", job.ID(), st.State, st.Error)
+		}
+		if res, err := job.Result(); res == nil || err != nil {
+			t.Fatalf("job %s: result %v, error %v", job.ID(), res, err)
+		}
+	}
+}
+
 // TestServiceJobCancelKeepsBestSoFar: cancelling a running job keeps the
 // best-so-far result, and the job reports the cancelled state.
 func TestServiceJobCancelKeepsBestSoFar(t *testing.T) {

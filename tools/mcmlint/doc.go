@@ -26,22 +26,11 @@
 //	             a cancelled plan runs to budget exhaustion.
 //	goleak       Every go statement is tied to a shutdown signal: a context,
 //	             a channel receive, or a WaitGroup.
-//	guarded      A field annotated `// guarded by <mu>` or
-//	             `// guarded by <Type>.<mu>` is touched only where the mutex
-//	             is held on every path; *Locked functions assert their
-//	             caller holds it, and their call sites are checked.
 //
 // det, errcontract and hotalloc's fmt rule are one traversal over one rule
-// table (forbid.go). guarded runs on an intraprocedural dataflow engine
-// (cfg.go, dataflow.go): basic blocks built from each function body —
-// branches, loops, switch/select, goto/labels, defer, and no-return calls
-// all modeled — and a forward must-analysis whose join is set
-// intersection, run to fixpoint with a visit budget. "Held" facts track
-// the exact mutex expression (s.mu) and its class (Service.mu); deferred
-// Unlocks keep the lock held to function exit; function literals are
-// separate contexts. Call effects are one-level summaries, never composed
-// through a second call, so the approximation direction is fixed: a missed
-// fact costs precision, never the soundness of a must-hold claim.
+// table (forbid.go). Mutex discipline is not here: a `// guarded by`
+// comment is documentation, and the concurrent test that drives the field
+// under go test -race is the check (DESIGN.md §12).
 //
 // # Invocation
 //

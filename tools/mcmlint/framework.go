@@ -31,7 +31,6 @@ var allAnalyzers = []*Analyzer{
 	detAnalyzer,
 	ctxloopAnalyzer,
 	hotallocAnalyzer,
-	guardedAnalyzer,
 	goleakAnalyzer,
 	errcontractAnalyzer,
 }
@@ -207,7 +206,7 @@ func (l *exportLookup) open(path string) (io.ReadCloser, error) {
 }
 
 // loadUnit parses and type-checks one package build unit. Test files are
-// skipped (they may exercise nondeterminism and guarded state on purpose).
+// skipped (they may exercise nondeterminism on purpose).
 // Type-checking prefers the gc export data cmd/go provides (exp != nil):
 // one fast read per import instead of compiling dependencies from source.
 // If that fails — or outside go vet — it falls back to the source importer,

@@ -122,9 +122,6 @@ func TestGoldenCtxloop(t *testing.T) {
 func TestGoldenHotalloc(t *testing.T) {
 	runGolden(t, hotallocAnalyzer, filepath.Join("testdata", "hotalloc"))
 }
-func TestGoldenGuarded(t *testing.T) {
-	runGolden(t, guardedAnalyzer, filepath.Join("testdata", "guarded"))
-}
 func TestGoldenGoleak(t *testing.T) {
 	runGolden(t, goleakAnalyzer, filepath.Join("testdata", "goleak"))
 }

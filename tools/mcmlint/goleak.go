@@ -9,8 +9,8 @@ import (
 // goleakAnalyzer requires every `go` statement to be tied to a shutdown
 // signal, the drain contract of DESIGN.md §10: a service that cannot stop
 // its goroutines cannot drain. A spawn passes if the spawned body (a
-// function literal, or a same-unit function declaration — one level, like
-// the call summaries) observes any of:
+// function literal, or a same-unit function declaration — one level)
+// observes any of:
 //
 //   - a context: ctx.Done() / ctx.Err() on a context.Context;
 //   - a channel: a receive (<-ch, including select cases) or a
@@ -117,6 +117,20 @@ func bodyObservesSignal(pass *Pass, body *ast.BlockStmt) bool {
 		return true
 	})
 	return tied
+}
+
+// calleeObject resolves the called function's object, or nil.
+func calleeObject(pass *Pass, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return pass.Info.Uses[fun]
+	case *ast.SelectorExpr:
+		if sel, ok := pass.Info.Selections[fun]; ok {
+			return sel.Obj()
+		}
+		return pass.Info.Uses[fun.Sel]
+	}
+	return nil
 }
 
 func isSignalType(t types.Type) bool {

@@ -9,7 +9,7 @@ import (
 
 // lintVersion keys cmd/go's vet result cache (via -V=full): bump it
 // whenever any analyzer's rules change, or stale results will be served.
-const lintVersion = "v6.0.0"
+const lintVersion = "v7.0.0"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
