@@ -13,17 +13,19 @@ import (
 // in the key; everything else (graph names, node insertion order, Progress
 // callbacks) is deliberately not. See DESIGN.md, "The cache-key contract".
 //
-// The leading v=2 names the entry layout: partitions are stored by
-// canonical node position (see canonicalize). Entries a pre-v2 daemon wrote
-// to a shared disk tier hold ID-ordered partitions under unversioned keys,
-// which no v2 lookup can name — they are never served.
+// The leading v=3 names the entry layout: partitions are stored by
+// canonical node position (see canonicalize), in the canonical order of
+// graph.Fingerprint's 64-bit signatures. Entries an older daemon wrote to a
+// shared disk tier are under keys no lookup here can form: unversioned
+// (ID-ordered partitions) or v=2 (positions from SHA-256 signatures, and a
+// fingerprint over attribute digests) — they are never served.
 func planCacheKey(graphFP, pkgFP, policyFP string, opts PlanOptions) string {
 	if !opts.Method.usesPolicy() {
 		// From-scratch methods are policy-independent: hitting the cache
 		// across policy installs is correct and desirable.
 		policyFP = ""
 	}
-	return fmt.Sprintf("v=2|g=%s|p=%s|w=%s|m=%s|b=%d|s=%d|sim=%t|a=%t",
+	return fmt.Sprintf("v=3|g=%s|p=%s|w=%s|m=%s|b=%d|s=%d|sim=%t|a=%t",
 		graphFP, pkgFP, policyFP, opts.Method, opts.SampleBudget, opts.Seed, opts.UseSimulator, opts.SeedFromAnalytic)
 }
 

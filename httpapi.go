@@ -113,6 +113,8 @@ type PlanResponse struct {
 	// computation (single-flight) instead of planning itself.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// GraphFingerprint is the canonical fingerprint the cache keyed on.
+	// Its value is fixed within a cache-key version (v=3| today) and
+	// changes with it.
 	GraphFingerprint string `json:"graph_fingerprint"`
 	// Error carries ctx-style partial failures (timeout with best-so-far).
 	Error string `json:"error,omitempty"`

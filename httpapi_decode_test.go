@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -154,12 +155,19 @@ func TestDecodePlanRequestRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// warmGraph is serve-warm's 10k-node layered graph.
+func warmGraph() *Graph {
+	return randgraph.Generate(randgraph.Config{Family: randgraph.FamilyLayered, Nodes: 10_000, Seed: 42})
+}
+
+// warmOptions are the options of serve-warm's request.
+var warmOptions = PlanOptionsWire{Method: MethodAnalytic, SampleBudget: 1, Seed: 1}
+
 // warmRequestBody is serve-warm's request: the 10k-node layered graph and a
 // full set of options, 1.65 MB on the wire.
 func warmRequestBody(tb testing.TB) []byte {
 	tb.Helper()
-	g := randgraph.Generate(randgraph.Config{Family: randgraph.FamilyLayered, Nodes: 10_000, Seed: 42})
-	body, err := json.Marshal(PlanRequestWire{Graph: g, Options: PlanOptionsWire{Method: MethodAnalytic, SampleBudget: 1, Seed: 1}})
+	body, err := json.Marshal(PlanRequestWire{Graph: warmGraph(), Options: warmOptions})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -197,10 +205,10 @@ func BenchmarkDecodePlanRequest10k(b *testing.B) {
 	}
 }
 
-// knownBodyPoster returns a function that POSTs body to /v1/plan through
-// NewHTTPHandler on a service that has already served it once, so that
-// every call is a byte-identical resubmission whose plan is cached.
-func knownBodyPoster(tb testing.TB, body []byte) func() {
+// warmedPoster returns a service that has already served warm through
+// NewHTTPHandler, and a function that POSTs a body to /v1/plan there: a
+// body for warm's graph and options is answered from the plan cache.
+func warmedPoster(tb testing.TB, warm []byte) (*Service, func(body []byte)) {
 	tb.Helper()
 	svc, err := NewService(Edge36(), ServiceOptions{Workers: 1})
 	if err != nil {
@@ -208,15 +216,24 @@ func knownBodyPoster(tb testing.TB, body []byte) func() {
 	}
 	tb.Cleanup(func() { svc.Close() })
 	h := NewHTTPHandler(svc)
-	post := func() {
+	post := func(body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			tb.Fatalf("POST /v1/plan: %d %.200s", rec.Code, rec.Body)
 		}
 	}
-	post()
-	return post
+	post(warm)
+	return svc, post
+}
+
+// knownBodyPoster returns a function that POSTs body to /v1/plan on a
+// service that has already served it once, so that every call is a
+// byte-identical resubmission whose plan is cached.
+func knownBodyPoster(tb testing.TB, body []byte) func() {
+	tb.Helper()
+	_, post := warmedPoster(tb, body)
+	return func() { post(body) }
 }
 
 // TestPostKnownBodyBytes: the second POST of serve-warm's body allocates
@@ -248,6 +265,55 @@ func BenchmarkPostKnownBody10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post()
+	}
+}
+
+// renamedRequestBody is the request for g under fresh names of the same
+// lengths, derived from tag: other bytes, the same structure and so the same
+// plan-cache key — serve-warm's renamed class.
+func renamedRequestBody(tb testing.TB, g *Graph, opts PlanOptionsWire, tag int) []byte {
+	tb.Helper()
+	name := func(old string, i int) string {
+		fresh := fmt.Sprintf("%08x%08x", tag, i)
+		for len(fresh) < len(old) {
+			fresh += fresh
+		}
+		return fresh[len(fresh)-len(old):]
+	}
+	out := NewGraph(name(g.Name(), 0))
+	for _, n := range g.Nodes() {
+		n.Name = name(n.Name, n.ID+1)
+		out.AddNode(n)
+	}
+	for _, e := range g.Edges() {
+		out.MustAddEdge(e.From, e.To, e.Bytes)
+	}
+	body, err := json.Marshal(PlanRequestWire{Graph: out, Options: opts})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkPostRenamedBody10k is what serve-warm's renamed class costs
+// through the handler: each op posts the 10k-node graph under fresh names,
+// so the request memo misses and the body is decoded, validated and
+// fingerprinted before the plan cache hits and the response is encoded
+// (BenchmarkPostKnownBody10k is the memo hit beside it).
+func BenchmarkPostRenamedBody10k(b *testing.B) {
+	g := warmGraph()
+	svc, post := warmedPoster(b, warmRequestBody(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		body := renamedRequestBody(b, g, warmOptions, i+1)
+		b.StartTimer()
+		post(body)
+	}
+	b.StopTimer()
+	if st := svc.Stats(); st.PlansExecuted != 1 || st.RequestMemoHits != 0 {
+		b.Fatalf("stats %+v: want every renamed body a plan-cache hit past a memo miss", st)
 	}
 }
 

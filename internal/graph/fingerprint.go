@@ -1,12 +1,13 @@
 package graph
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -23,10 +24,10 @@ import (
 // same model built in a different traversal order as a different model and
 // re-plan it from scratch.
 //
-// Canonicalization: every node gets a structural signature combining a hash
-// of its full ancestor structure (computed forward in topological order) and
-// of its full descendant structure (computed backward), each folding in the
-// node's operator and cost fields plus the byte sizes of the incident edges.
+// Canonicalization: every node gets a 64-bit structural signature mixing
+// its full ancestor structure (folded forward in topological order) and its
+// full descendant structure (folded backward), each folding in the node's
+// operator and cost fields plus the byte sizes of the incident edges.
 // Signature ranks are then refined against neighbor ranks to a fixpoint;
 // whenever a group of nodes remains tied, the group is individualized and
 // refinement re-run, so a tie-break choice propagates consistently to the
@@ -36,6 +37,14 @@ import (
 // descendant structure, and the individualization order among them cannot
 // change the encoding for any graph whose ties are true automorphisms —
 // which covers the replicated-branch patterns real models exhibit.
+//
+// Only the final hash is cryptographic. It is SHA-256 over an injective
+// encoding of the graph relabeled by canonical position — node count, every
+// node's raw attribute record in canonical order, edge count, the edges —
+// so equal fingerprints mean equal graphs position by position. Signatures
+// and refinement keys only choose the order; a collision among them can
+// perturb it (a spurious cache miss), never make two different graphs
+// encode alike.
 func (g *Graph) Fingerprint() string { return g.fingerprinted().fingerprint }
 
 // CanonicalPositions returns, for every node ID, the node's position in the
@@ -59,7 +68,9 @@ func (g *Graph) fingerprinted() *derived {
 func (g *Graph) fingerprint() (string, []int) {
 	n := len(g.nodes)
 	if n == 0 {
-		return hexSHA256(make([]byte, 8)), nil
+		w := newEncoder()
+		w.u64(0)
+		return w.sum(), nil
 	}
 	lay, err := g.Layout()
 	if err != nil {
@@ -69,8 +80,7 @@ func (g *Graph) fingerprint() (string, []int) {
 		return g.rawFingerprint(), nil
 	}
 
-	attr := attrDigests(g)
-	pos, _ := canonicalPositions(g, signatures(g, lay.Order, attr))
+	pos, _ := canonicalPositions(g, signatures(g, lay.Order))
 	perm := make([]int32, n)
 	for v, p := range pos {
 		perm[p] = int32(v)
@@ -79,13 +89,12 @@ func (g *Graph) fingerprint() (string, []int) {
 	// Edges are hashed sorted by (from, to, bytes) position triple: walking
 	// the nodes in canonical order and sorting each one's own out-list
 	// emits exactly that sequence.
-	le := binary.LittleEndian
-	buf := make([]byte, 0, 16+sha256.Size*n+24*len(g.edges))
-	buf = le.AppendUint64(buf, uint64(n))
+	w := newEncoder()
+	w.u64(uint64(n))
 	for _, v := range perm {
-		buf = append(buf, attr[v][:]...)
+		w.node(&g.nodes[v])
 	}
-	buf = le.AppendUint64(buf, uint64(len(g.edges)))
+	w.u64(uint64(len(g.edges)))
 	var out [][2]uint64 // (position of To, bytes), reused
 	for p, v := range perm {
 		out = out[:0]
@@ -97,92 +106,103 @@ func (g *Graph) fingerprint() (string, []int) {
 			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 		})
 		for _, o := range out {
-			buf = le.AppendUint64(buf, uint64(p))
-			buf = le.AppendUint64(buf, o[0])
-			buf = le.AppendUint64(buf, o[1])
+			w.u64(uint64(p))
+			w.u64(o[0])
+			w.u64(o[1])
 		}
 	}
-	return hexSHA256(buf), pos
+	return w.sum(), pos
 }
 
-func hexSHA256(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+// encoder streams an encoding of little-endian uint64 words into one
+// SHA-256 through a small reused chunk, so the encoding is never held
+// whole.
+type encoder struct {
+	h     hash.Hash
+	n     int // bytes of chunk in use
+	chunk [4096]byte
 }
 
-// attrDigests hashes the ID- and name-independent fields of every node.
-func attrDigests(g *Graph) [][sha256.Size]byte {
-	attr := make([][sha256.Size]byte, len(g.nodes))
-	for v := range g.nodes {
-		nd := &g.nodes[v]
-		var b [32]byte
-		binary.LittleEndian.PutUint64(b[0:], uint64(nd.Op))
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(nd.FLOPs))
-		binary.LittleEndian.PutUint64(b[16:], uint64(nd.ParamBytes))
-		binary.LittleEndian.PutUint64(b[24:], uint64(nd.OutputBytes))
-		attr[v] = sha256.Sum256(b[:])
+func newEncoder() *encoder { return &encoder{h: sha256.New()} }
+
+func (w *encoder) u64(x uint64) {
+	if w.n == len(w.chunk) {
+		w.h.Write(w.chunk[:])
+		w.n = 0
 	}
-	return attr
+	binary.LittleEndian.PutUint64(w.chunk[w.n:], x)
+	w.n += 8
 }
 
-// signatures returns every node's structural signature: the hash of its
-// ancestor digest (folded forward along the topological order) and its
-// descendant digest (folded backward along it).
-func signatures(g *Graph, order []int, attr [][sha256.Size]byte) [][sha256.Size]byte {
-	n := len(order)
-	up := make([][sha256.Size]byte, n)
-	down := make([][sha256.Size]byte, n)
-	var s digestScratch
+// node writes a node's attribute record: the ID- and name-independent
+// fields, raw, 32 bytes.
+func (w *encoder) node(nd *Node) {
+	w.u64(uint64(nd.Op))
+	w.u64(math.Float64bits(nd.FLOPs))
+	w.u64(uint64(nd.ParamBytes))
+	w.u64(uint64(nd.OutputBytes))
+}
+
+// sum returns the hex SHA-256 of everything written.
+func (w *encoder) sum() string {
+	w.h.Write(w.chunk[:w.n])
+	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+// attrMix mixes a node's attribute record to 64 bits.
+func attrMix(nd *Node) uint64 {
+	return mix3(mix3(uint64(nd.Op), math.Float64bits(nd.FLOPs), uint64(nd.ParamBytes)), uint64(nd.OutputBytes), 'a')
+}
+
+// signatures returns every node's 64-bit structural signature: the mix of
+// its ancestor half (folded forward along the topological order) and its
+// descendant half (folded backward along it).
+//
+// A half folds the node's attribute mix with the sorted multiset of
+// (edge bytes, the neighbor's half) over its predecessor edges or its
+// successor edges. Folding forward with predecessor edges, every
+// predecessor's half is done before the node's: it mixes the full ancestor
+// structure. Backward with successor edges, the full descendant structure.
+// Both passes overwrite an array of attribute mixes in place.
+func signatures(g *Graph, order []int) []uint64 {
+	up := make([]uint64, len(order))
+	for v := range up {
+		up[v] = attrMix(&g.nodes[v])
+	}
+	down := slices.Clone(up)
+	var items []uint64 // one node's incident-edge items, reused
+	fold := func(v int, half []uint64, successors bool) {
+		incident, tag := g.InEdges(v), uint64('u')
+		if successors {
+			incident, tag = g.OutEdges(v), 'd'
+		}
+		items = items[:0]
+		for _, ei := range incident {
+			e := &g.edges[ei]
+			nb := e.From
+			if successors {
+				nb = e.To
+			}
+			items = append(items, mix3(uint64(e.Bytes), half[nb], tag))
+		}
+		slices.Sort(items)
+		k := half[v]
+		for _, item := range items {
+			k = mix64(k ^ item)
+		}
+		half[v] = k
+	}
 	for _, v := range order {
-		up[v] = s.neighborDigest(g, v, attr, up, false)
+		fold(v, up, false)
 	}
-	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		down[v] = s.neighborDigest(g, v, attr, down, true)
+	for i := len(order) - 1; i >= 0; i-- {
+		fold(order[i], down, true)
 	}
 	sig := up // up[v] is last read when sig[v] is written
 	for v := range sig {
-		s.buf = append(append(s.buf[:0], up[v][:]...), down[v][:]...)
-		sig[v] = sha256.Sum256(s.buf)
+		sig[v] = mix3(up[v], down[v], 's')
 	}
 	return sig
-}
-
-// digestScratch is the storage neighborDigest reuses from node to node.
-type digestScratch struct {
-	items [][8 + sha256.Size]byte
-	buf   []byte
-}
-
-// neighborDigest folds node v's attribute digest with the sorted multiset of
-// (edge bytes, digest of the neighbor), over predecessor edges or successor
-// edges. done holds the digests of the nodes already folded in this
-// direction: called along the topological order with predecessor edges it
-// digests the full ancestor structure; called against the order with
-// successor edges, the full descendant structure.
-func (s *digestScratch) neighborDigest(g *Graph, v int, attr, done [][sha256.Size]byte, successors bool) [sha256.Size]byte {
-	incident := g.InEdges(v)
-	if successors {
-		incident = g.OutEdges(v)
-	}
-	s.items = s.items[:0]
-	for _, ei := range incident {
-		e := &g.edges[ei]
-		nb := e.From
-		if successors {
-			nb = e.To
-		}
-		var item [8 + sha256.Size]byte
-		binary.LittleEndian.PutUint64(item[:], uint64(e.Bytes))
-		copy(item[8:], done[nb][:])
-		s.items = append(s.items, item)
-	}
-	slices.SortFunc(s.items, func(a, b [8 + sha256.Size]byte) int { return bytes.Compare(a[:], b[:]) })
-	s.buf = append(s.buf[:0], attr[v][:]...)
-	for i := range s.items {
-		s.buf = append(s.buf, s.items[i][:]...)
-	}
-	return sha256.Sum256(s.buf)
 }
 
 // canonicalPositions turns structural signatures into a total canonical
@@ -228,17 +248,18 @@ func (s *digestScratch) neighborDigest(g *Graph, v int, attr, done [][sha256.Siz
 // started with. Each key, each split and each peel is then the one
 // refinement over the whole graph arrives at, and the positions equal its
 // positions node for node: fingerprint_ref_test.go keeps that algorithm,
-// TestFingerprintMatchesReference and FuzzFingerprint compare the two.
+// TestFingerprintMatchesReference and FuzzFingerprint feed it the same
+// signatures and compare the two.
 //
-// The keys use cheap 64-bit mixing rather than a cryptographic hash. A
-// collision leaves two distinguishable nodes in one class. Whole-graph
-// refinement would key them again from renumbered ranks the next round and
-// part them; here they stay together until a neighbor's class splits or the
-// class is peeled. Either way the worst outcome is a perturbed canonical
+// The signatures and keys use cheap 64-bit mixing rather than a
+// cryptographic hash. A collision leaves two distinguishable nodes in one
+// class. Whole-graph refinement would key them again from renumbered ranks
+// the next round and part them; here they stay together until a neighbor's
+// class splits or the class is peeled. Either way the worst outcome is a perturbed canonical
 // *order* — a spurious cache miss, ~2^-64 per node pair, and only then a
 // position that differs from the reference — never a false cache hit: the
 // fingerprint hashes the actual relabeled attributes and edges with SHA-256.
-func canonicalPositions(g *Graph, sig [][sha256.Size]byte) (pos []int, keyed int) {
+func canonicalPositions(g *Graph, sig []uint64) (pos []int, keyed int) {
 	n := len(sig)
 	r := refiner{
 		g:      g,
@@ -249,10 +270,30 @@ func canonicalPositions(g *Graph, sig [][sha256.Size]byte) (pos []int, keyed int
 		key:    make([]uint64, n),
 		queued: make([]bool, n),
 	}
-	for i := range r.perm {
-		r.perm[i] = int32(i)
+	// Sort the nodes by signature as one []uint64, each node ID in the low
+	// bits of its signature: sorting plain words is the cheapest sort there
+	// is, and this one was the largest step of the fingerprint. A run of
+	// words that share the high bits is then in ID order, so it is re-sorted
+	// by whole signature (TestCanonicalPositionsOrdersBySignature).
+	mask := uint64(1)<<bits.Len(uint(n)) - 1
+	packed := r.key // free until the first round
+	for v := range packed {
+		packed[v] = sig[v]&^mask | uint64(v)
 	}
-	slices.SortFunc(r.perm, func(a, b int32) int { return bytes.Compare(sig[a][:], sig[b][:]) })
+	slices.Sort(packed)
+	for i, w := range packed {
+		r.perm[i] = int32(w & mask)
+	}
+	for s := 0; s < n; {
+		e := s + 1
+		for e < n && packed[e]&^mask == packed[s]&^mask {
+			e++
+		}
+		if e-s > 1 {
+			slices.SortFunc(r.perm[s:e], func(a, b int32) int { return cmp.Compare(sig[a], sig[b]) })
+		}
+		s = e
+	}
 	for s := 0; s < n; {
 		e := s + 1
 		for e < n && sig[r.perm[e]] == sig[r.perm[s]] {
@@ -442,18 +483,16 @@ func mix3(a, b, c uint64) uint64 {
 // rawFingerprint hashes nodes and edges in ID order, without
 // canonicalization. It is the fallback for graphs Layout rejects.
 func (g *Graph) rawFingerprint() string {
-	le := binary.LittleEndian
-	attr := attrDigests(g)
-	buf := make([]byte, 0, 16+sha256.Size*len(attr)+24*len(g.edges))
-	buf = le.AppendUint64(buf, uint64(len(attr)))
-	for v := range attr {
-		buf = append(buf, attr[v][:]...)
+	w := newEncoder()
+	w.u64(uint64(len(g.nodes)))
+	for v := range g.nodes {
+		w.node(&g.nodes[v])
 	}
-	buf = le.AppendUint64(buf, uint64(len(g.edges)))
+	w.u64(uint64(len(g.edges)))
 	for _, e := range g.edges {
-		buf = le.AppendUint64(buf, uint64(e.From))
-		buf = le.AppendUint64(buf, uint64(e.To))
-		buf = le.AppendUint64(buf, uint64(e.Bytes))
+		w.u64(uint64(e.From))
+		w.u64(uint64(e.To))
+		w.u64(uint64(e.Bytes))
 	}
-	return hexSHA256(buf)
+	return w.sum()
 }

@@ -5,6 +5,7 @@ package graph_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -65,12 +66,16 @@ func permuted(g *graph.Graph, seed int64) *graph.Graph {
 	return out
 }
 
-// TestFingerprintMatchesReference: the worklist canonicalizer returns the
-// fingerprint and the canonical positions of the whole-graph refinement it
-// replaced (fingerprint_ref_test.go) on the golden's graph set, the
-// conformance sweep's generated stream and the adversarial tie shapes —
-// and on a node-permuted copy of each, where the descending-ID peel order
-// lands on different nodes.
+// TestFingerprintMatchesReference holds the worklist canonicalizer to the
+// whole-graph refinement it replaced (fingerprint_ref_test.go) across the
+// v=3 key change, on the golden's graph set, the conformance sweep's
+// generated stream and the adversarial tie shapes — and on a node-permuted
+// copy of each, where the descending-ID peel order lands on different
+// nodes:
+//   - the canonical positions are the reference refinement's, node for
+//     node, when the reference is fed the 64-bit signatures (RefPositions);
+//   - two of these graphs share a fingerprint iff they share the reference's
+//     v=2 fingerprint, so the key change neither merges nor splits a key.
 func TestFingerprintMatchesReference(t *testing.T) {
 	graphs := layoutTestGraphs()
 	for i := 0; i < 40; i++ {
@@ -80,20 +85,21 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		graphs = append(graphs, adversarialTwins(twins))
 	}
 	graphs = append(graphs, parallelChains(2, 3), parallelChains(6, 40))
+	var all []*graph.Graph
 	for i, g := range graphs {
 		twin := permuted(g, int64(i)+1)
 		for _, x := range []*graph.Graph{g, twin} {
-			wantFP, wantPos := graph.RefFingerprint(x)
-			if got := x.Fingerprint(); got != wantFP {
-				t.Errorf("%s: fingerprint %s, reference %s", x, got, wantFP)
-			}
-			if !slices.Equal(graph.CanonicalPositions(x), wantPos) {
+			if !slices.Equal(graph.CanonicalPositions(x), graph.RefPositions(x)) {
 				t.Errorf("%s: canonical positions differ from the reference", x)
 			}
 		}
 		if g.Fingerprint() != twin.Fingerprint() {
 			t.Errorf("%s: node permutation changed the fingerprint", g)
 		}
+		all = append(all, g, twin)
+	}
+	if err := graph.SameKeyPartition(all); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -144,5 +150,23 @@ func TestFingerprintAllocs(t *testing.T) {
 		if allocs > tc.ceiling {
 			t.Errorf("%s: cold Fingerprint allocates %.0f times, ceiling %.0f", tc.g, allocs, tc.ceiling)
 		}
+	}
+}
+
+// TestFingerprintBytes holds what a cold Fingerprint of the 10k-node layered
+// graph allocates, layout and adjacency included (fresh Clone). With a
+// SHA-256 per node and per signature and the whole encoding built in one
+// buffer before hashing it was 2.57 MB; with 64-bit signatures and the
+// encoding streamed through a 4 KB chunk it is 1.03 MB (MB = 2^20 bytes).
+func TestFingerprintBytes(t *testing.T) {
+	g := layered10k().Clone()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_ = g.Fingerprint()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a cold Fingerprint of %s allocated %.2f MB", g, float64(got)/(1<<20))
+	if got > 1536<<10 {
+		t.Errorf("a cold Fingerprint of %s allocated %.2f MB, ceiling 1.5 MB", g, float64(got)/(1<<20))
 	}
 }

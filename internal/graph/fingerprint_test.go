@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -200,5 +202,26 @@ func TestFingerprintSymmetricTwinsStable(t *testing.T) {
 	b := build([]int{3, 2, 1, 0}).Fingerprint()
 	if a != b {
 		t.Fatalf("symmetric twins made the fingerprint order-dependent: %s != %s", a, b)
+	}
+}
+
+// TestCanonicalPositionsOrdersBySignature: canonicalPositions sorts node IDs
+// packed into the low bits of their signatures, so signatures that differ
+// only in those bits come out in ID order and must be re-sorted. Four
+// isolated nodes, three of them with signatures that share every bit above
+// the ID's three: positions follow the signatures, as in the reference.
+func TestCanonicalPositionsOrdersBySignature(t *testing.T) {
+	g := New("isolated")
+	for i := 0; i < 4; i++ {
+		g.AddNode(Node{Op: 1})
+	}
+	sig := []uint64{0x10 | 5, 0x10 | 1, 0x10 | 3, 0x08}
+	pos, _ := canonicalPositions(g, sig)
+	b := make([][]byte, len(sig))
+	for v, s := range sig {
+		b[v] = binary.BigEndian.AppendUint64(nil, s)
+	}
+	if want := refCanonicalPositions(g, b); !slices.Equal(pos, want) || !slices.Equal(pos, []int{3, 1, 2, 0}) {
+		t.Errorf("positions %v, want %v (the reference's %v)", pos, []int{3, 1, 2, 0}, want)
 	}
 }

@@ -68,8 +68,14 @@ func fingerprintGoldenRows() []fingerprintGoldenRow {
 
 // TestFingerprintGolden compares fingerprints and canonical positions with
 // testdata/fingerprint_golden.json, which was written by this same function
-// on the commit before Graph.Layout existed (2515b93) and is never
-// regenerated: a change that moves a row has changed the plan-cache key.
+// on the commit before Graph.Layout existed (2515b93) and regenerated once,
+// by this function, when the plan-cache key went from v=2| to v=3|: 64-bit
+// structural signatures order the nodes and the raw attribute records are
+// hashed in place of their SHA-256 digests, which moves every fingerprint
+// and canonical position (every name, node count and edge count stayed).
+// TestFingerprintMatchesReference holds that change to the v=2 reference.
+// Within a key version it is never regenerated: a change that moves a row
+// has changed the plan-cache key.
 func TestFingerprintGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/fingerprint_golden.json")
 	if err != nil {
