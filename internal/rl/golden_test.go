@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -21,15 +23,19 @@ import (
 	"mcmpart/internal/workload"
 )
 
-// Training goldens. The hashes below were captured on the commit *before*
-// the kernels were tiled and the encoder pass was hoisted out of the
-// per-transition loop; they pin every float bit of the trained weights, so
-// any change to accumulation order anywhere in mat/nn/gnn/rl — or an
-// activation record that outlives the weights it was computed from — moves
-// them. They are never regenerated to make a change pass.
+// Training goldens: SHA-256 over every float bit of the weights after two
+// PPO iterations, so any change to accumulation order anywhere in
+// mat/nn/gnn/rl — or an activation record that outlives the weights it was
+// computed from — moves them. They are not regenerated to make a change
+// pass. They were regenerated once, on the commit after 8102d27, when the
+// encoder backward moved from once per transition to once per graph per
+// minibatch: that sums the encoder's and fc1's embedding-row gradients over
+// a minibatch's transitions before the product, a different rounding of the
+// same sum. TestTrainingMatchesPerTransitionBackward pins the training they
+// replaced to within rounding.
 const (
-	goldenBERT     = "ddde87f9956e2953080bfd24a4aae09b495b3bb96935ccadb14b7c4d40b57b53"
-	goldenMultiEnv = "0f1428aefa9a821ce293d1e13d8995ba184fe582487340651d8127f9a961fc6c"
+	goldenBERT     = "a1945a1328d081f99f571e5bda72d13c20b86dbdd722b96a43744b161f019e77"
+	goldenMultiEnv = "0db11cdd0f83d5f72befd5a9ac9be70372874a0a00a46167c0d053ede224e090"
 )
 
 // snapshotHash is SHA-256 over the snapshot's parameters in name order:
@@ -70,9 +76,9 @@ func goldenEnv(t testing.TB, g *graph.Graph, pkg *mcm.Package) *rl.Env {
 	return env
 }
 
-// trainTwice hashes a fresh policy of shape pcfg after two PPO iterations
+// trainTwice returns a fresh policy of shape pcfg after two PPO iterations
 // over envs.
-func trainTwice(pcfg rl.Config, envs []*rl.Env, workers int) string {
+func trainTwice(pcfg rl.Config, envs []*rl.Env, workers int) *rl.Policy {
 	rng := rand.New(rand.NewSource(11))
 	policy := rl.NewPolicy(pcfg, rng)
 	trainer := rl.NewTrainer(policy, rl.QuickPPOConfig(), rng)
@@ -80,7 +86,7 @@ func trainTwice(pcfg rl.Config, envs []*rl.Env, workers int) string {
 		trainer.Iterate(envs)
 		trainer.Iterate(envs)
 	})
-	return snapshotHash(policy.Snapshot())
+	return policy
 }
 
 // TestTrainingGoldenBERT pins two PPO iterations on the paper's headline
@@ -93,8 +99,62 @@ func TestTrainingGoldenBERT(t *testing.T) {
 	pkg := mcm.Edge36()
 	bert := workload.BERT()
 	for _, workers := range []int{1, 2} {
-		if got := trainTwice(rl.QuickConfig(pkg.Chips), []*rl.Env{goldenEnv(t, bert, pkg)}, workers); got != goldenBERT {
+		policy := trainTwice(rl.QuickConfig(pkg.Chips), []*rl.Env{goldenEnv(t, bert, pkg)}, workers)
+		if got := snapshotHash(policy.Snapshot()); got != goldenBERT {
 			t.Errorf("workers=%d: snapshot hash %s, want %s", workers, got, goldenBERT)
+		}
+	}
+}
+
+// TestTrainingMatchesPerTransitionBackward runs TestTrainingGoldenBERT's
+// two iterations against the weights and best-so-far History they ended
+// with while the encoder backward ran once per transition (commit 8102d27,
+// testdata/bert_two_iterations_per_transition.json, 9221 weights): every
+// weight within 1e-12 and the History identical, so moving that backward
+// to once per graph per minibatch changed the training by rounding alone.
+func TestTrainingMatchesPerTransitionBackward(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two BERT-sized PPO iterations")
+	}
+	data, err := os.ReadFile("testdata/bert_two_iterations_per_transition.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Snapshot nn.Snapshot `json:"snapshot"`
+		History  []float64   `json:"history"`
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	pkg := mcm.Edge36()
+	env := goldenEnv(t, workload.BERT(), pkg)
+	got := trainTwice(rl.QuickConfig(pkg.Chips), []*rl.Env{env}, 1).Snapshot()
+	if len(got) != len(want.Snapshot) {
+		t.Fatalf("%d parameters, snapshot has %d", len(got), len(want.Snapshot))
+	}
+	var worst float64
+	weights := 0
+	for name, w := range want.Snapshot {
+		g := got[name]
+		if len(g) != len(w) {
+			t.Fatalf("%s: %d weights, snapshot has %d", name, len(g), len(w))
+		}
+		for i := range w {
+			worst = max(worst, math.Abs(g[i]-w[i]))
+		}
+		weights += len(w)
+	}
+	if weights != 9221 || !(worst <= 1e-12) {
+		t.Fatalf("max |Δw| = %.3g over %d weights, want <= 1e-12 over 9221", worst, weights)
+	}
+	t.Logf("max |Δw| = %.3g over %d weights", worst, weights)
+	if len(env.History) != len(want.History) {
+		t.Fatalf("History has %d entries, snapshot %d", len(env.History), len(want.History))
+	}
+	for i, h := range want.History {
+		if math.Float64bits(env.History[i]) != math.Float64bits(h) {
+			t.Fatalf("History[%d] = %v, snapshot %v", i, env.History[i], h)
 		}
 	}
 }
@@ -123,7 +183,7 @@ func TestTrainingGoldenMultiEnv(t *testing.T) {
 		if len(nodes) != len(graphs) {
 			t.Fatalf("graphs must differ in node count, got %v", nodes)
 		}
-		if got := trainTwice(pcfg, envs, workers); got != goldenMultiEnv {
+		if got := snapshotHash(trainTwice(pcfg, envs, workers).Snapshot()); got != goldenMultiEnv {
 			t.Errorf("workers=%d: snapshot hash %s, want %s", workers, got, goldenMultiEnv)
 		}
 	}

@@ -21,16 +21,25 @@ import (
 //
 //	git show 4a63c0f:internal/rl/policy.go | sed -n '213,225p;247,299p;312,337p' | sed \
 //	  -e 's/^type Forward struct/type refForward struct/' \
-//	  -e 's/^func (p \*Policy) Heads(enc \*Encoding, prev \[\]int) \*Forward {/func refHeads(p *Policy, f *refForward, enc *Encoding, prev []int) *refForward {/' \
-//	  -e 's/^func (p \*Policy) Backward(f \*Forward,/func refBackward(p *Policy, f *refForward,/' \
+//	  -e 's/^func (p \*Policy) Heads(enc \*Encoding, prev \[\]int) \*Forward {/func refHeads(p *refPolicy, f *refForward, enc *Encoding, prev []int) *refForward {/' \
+//	  -e 's/^func (p \*Policy) Backward(f \*Forward,/func refBackward(p *refPolicy, f *refForward,/' \
 //	  -e 's/p\.fc2\.Backward(/p.fc2.Backward(f.a1, /; s/p\.fc1\.Backward(/p.fc1.Backward(f.z, /' \
 //	  -e 's/p\.vf2\.Backward(/p.vf2.Backward(f.v1, /; s/p\.vf1\.Backward(/p.vf1.Backward(f.pooled, /' |
 //	  diff - <(sed -n '/^type refForward struct/,/^}$/p;/^func refHeads/,/^}$/p;/^func refBackward/,/^}$/p' internal/rl/heads_ref_test.go)
 //
 // The sed expressions are the two signature changes: the functions are no
-// longer methods, and nn.Linear.Backward takes the layer input it no longer
-// caches. The diff is one line: refHeads does not take `f := &p.fwd`, as
-// the policy's scratch has no z or logits; its caller passes the record.
+// longer methods — of refPolicy, which adds back the embedding-gradient
+// scratch Policy no longer keeps — and nn.Linear.Backward takes the layer
+// input it no longer caches. The diff is one line: refHeads does not take
+// `f := &p.fwd`, as the policy's scratch has no z or logits; its caller
+// passes the record.
+
+// refPolicy is a Policy plus the scratch refBackward writes the embedding
+// gradient into; the policy's encoder half borrows dA1 for that.
+type refPolicy struct {
+	*Policy
+	dH *mat.Dense
+}
 
 type refForward struct {
 	Probs    *mat.Dense // N x C action distribution P (Figure 3's output)
@@ -46,7 +55,7 @@ type refForward struct {
 	vout   *mat.Dense
 }
 
-func refHeads(p *Policy, f *refForward, enc *Encoding, prev []int) *refForward {
+func refHeads(p *refPolicy, f *refForward, enc *Encoding, prev []int) *refForward {
 	n, c, hidden := enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
 	if len(prev) != n {
 		panic(fmt.Sprintf("rl: prev has %d entries for %d nodes", len(prev), n))
@@ -99,7 +108,7 @@ func refHeads(p *Policy, f *refForward, enc *Encoding, prev []int) *refForward {
 	return f
 }
 
-func refBackward(p *Policy, f *refForward, dLogits *mat.Dense, dValue float64) {
+func refBackward(p *refPolicy, f *refForward, dLogits *mat.Dense, dValue float64) {
 	n, hidden := f.enc.h.Rows, p.Cfg.Hidden
 	// Policy head. Of the head-input gradient only the embedding columns
 	// are needed (the one-hot and capacity columns are inputs, not
@@ -144,6 +153,14 @@ func requireBits(t *testing.T, what string, got, want []float64) {
 // start state (a memo miss, then hits, one of them spelled with chips >= C),
 // a random assignment, and one mixing unassigned, valid and out-of-range
 // chips.
+//
+// In its per-record mode it runs Backward's head half per state and the
+// encoder half once, as a PPO minibatch does, against the reference's
+// per-state backward: the encoder and fc1-embedding gradients are then
+// summed over the states before the product, so every gradient must lie
+// within 1e-12 of that parameter's reference gradient norm. A third case
+// runs the paper's network depth and width (8 x 128), where rounding
+// compounds through the layers, over ten states of a corpus graph.
 func TestHeadsMatchReference(t *testing.T) {
 	het := mcm.Het4()
 	bert := workload.BERT()
@@ -157,64 +174,111 @@ func TestHeadsMatchReference(t *testing.T) {
 		name string
 		cfg  Config
 		ctx  *GraphContext
+		// rounds repeats the five states, drawing fresh random ones.
+		rounds int
 	}{
-		{"bert-edge36", QuickConfig(edge.Chips), NewGraphContextForPackage(bert, edge)},
-		{"bert-het4-chipfeat", hetCfg, hetCtx},
+		{"bert-edge36", QuickConfig(edge.Chips), NewGraphContextForPackage(bert, edge), 1},
+		{"bert-het4-chipfeat", hetCfg, hetCtx, 1},
+		{"corpus-edge36-paper-shape", DefaultConfig(edge.Chips), NewGraphContextForPackage(workload.CorpusGraphs(1)[0], edge), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(21))
-			pol := NewPolicy(tc.cfg, rng)
-			// Weights as training leaves them: NewPolicy's zero biases would
-			// hide where Heads adds them.
-			for _, param := range pol.Params() {
-				for i := range param.Value.Data {
-					param.Value.Data[i] += 0.1 * rng.NormFloat64()
+			for _, perRecord := range []bool{false, true} {
+				mode := "per-state"
+				if perRecord {
+					mode = "per-record"
 				}
-			}
-			ref := pol.Clone()
-			enc := pol.Encode(new(Encoding), tc.ctx)
-			refEnc := ref.Encode(new(Encoding), tc.ctx)
-			rf := &refForward{pooled: mat.New(1, tc.cfg.Hidden+tc.cfg.Chips), v1: mat.New(1, tc.cfg.Hidden), vout: mat.New(1, 1)}
-
-			n, c := tc.ctx.G.NumNodes(), tc.cfg.Chips
-			random, mixed, beyond := make([]int, n), make([]int, n), make([]int, n)
-			for i := range random {
-				random[i] = rng.Intn(c)
-				mixed[i] = rng.Intn(2*c+1) - 1
-				beyond[i] = c + rng.Intn(3)
-			}
-			dLogits := mat.New(n, c)
-			for i := range dLogits.Data {
-				if rng.Intn(5) != 0 {
-					dLogits.Data[i] = rng.NormFloat64()
-				}
-			}
-			// Gradients accumulate across the states, so every one after the
-			// first adds into non-zero accumulators.
-			nn.ZeroGrads(pol.Params())
-			nn.ZeroGrads(ref.Params())
-			for _, s := range []struct {
-				name string
-				prev []int
-			}{
-				{"start (miss)", unassigned(n)},
-				{"random", random},
-				{"start (hit)", unassigned(n)},
-				{"mixed", mixed},
-				{"start spelled >= C (hit)", beyond},
-			} {
-				f := pol.Heads(enc, s.prev)
-				want := refHeads(ref, rf, refEnc, s.prev)
-				requireBits(t, s.name+": Probs", f.Probs.Data, want.Probs.Data)
-				requireBits(t, s.name+": LogProbs", f.LogProbs.Data, want.LogProbs.Data)
-				requireBits(t, s.name+": Value", []float64{f.Value}, []float64{want.Value})
-				dValue := rng.NormFloat64()
-				pol.Backward(f, dLogits, dValue)
-				refBackward(ref, want, dLogits, dValue)
-				for i, param := range pol.Params() {
-					requireBits(t, s.name+": grad "+param.Name, param.Grad.Data, ref.Params()[i].Grad.Data)
-				}
+				t.Run(mode, func(t *testing.T) { checkHeadsAgainstReference(t, tc.cfg, tc.ctx, tc.rounds, perRecord) })
 			}
 		})
 	}
+}
+
+// checkHeadsAgainstReference is one case and mode of TestHeadsMatchReference.
+func checkHeadsAgainstReference(t *testing.T, cfg Config, ctx *GraphContext, rounds int, perRecord bool) {
+	rng := rand.New(rand.NewSource(21))
+	pol := NewPolicy(cfg, rng)
+	// Weights as training leaves them: NewPolicy's zero biases would
+	// hide where Heads adds them.
+	for _, param := range pol.Params() {
+		for i := range param.Value.Data {
+			param.Value.Data[i] += 0.1 * rng.NormFloat64()
+		}
+	}
+	ref := &refPolicy{Policy: pol.Clone()}
+	enc := pol.Encode(new(Encoding), ctx)
+	refEnc := ref.Encode(new(Encoding), ctx)
+	rf := &refForward{pooled: mat.New(1, cfg.Hidden+cfg.Chips), v1: mat.New(1, cfg.Hidden), vout: mat.New(1, 1)}
+
+	type state struct {
+		name string
+		prev []int
+	}
+	n, c := ctx.G.NumNodes(), cfg.Chips
+	var states []state
+	for r := 0; r < rounds; r++ {
+		random, mixed, beyond := make([]int, n), make([]int, n), make([]int, n)
+		for i := range random {
+			random[i] = rng.Intn(c)
+			mixed[i] = rng.Intn(2*c+1) - 1
+			beyond[i] = c + rng.Intn(3)
+		}
+		states = append(states,
+			state{"start (miss)", unassigned(n)},
+			state{"random", random},
+			state{"start (hit)", unassigned(n)},
+			state{"mixed", mixed},
+			state{"start spelled >= C (hit)", beyond},
+		)
+	}
+	dLogits := mat.New(n, c)
+	for i := range dLogits.Data {
+		if rng.Intn(5) != 0 {
+			dLogits.Data[i] = rng.NormFloat64()
+		}
+	}
+	// Gradients accumulate across the states, so every one after the
+	// first adds into non-zero accumulators.
+	nn.ZeroGrads(pol.Params())
+	nn.ZeroGrads(ref.Params())
+	for _, s := range states {
+		f := pol.Heads(enc, s.prev)
+		want := refHeads(ref, rf, refEnc, s.prev)
+		requireBits(t, s.name+": Probs", f.Probs.Data, want.Probs.Data)
+		requireBits(t, s.name+": LogProbs", f.LogProbs.Data, want.LogProbs.Data)
+		requireBits(t, s.name+": Value", []float64{f.Value}, []float64{want.Value})
+		dValue := rng.NormFloat64()
+		if perRecord {
+			pol.backwardHeads(f, dLogits, dValue)
+		} else {
+			pol.Backward(f, dLogits, dValue)
+		}
+		refBackward(ref, want, dLogits, dValue)
+		if !perRecord {
+			for i, param := range pol.Params() {
+				requireBits(t, s.name+": grad "+param.Name, param.Grad.Data, ref.Params()[i].Grad.Data)
+			}
+		}
+	}
+	if !perRecord {
+		return
+	}
+	pol.backwardEncoder(enc)
+	worst := 0.0
+	for i, param := range pol.Params() {
+		want := ref.Params()[i].Grad.Data
+		var sq, d float64
+		for j, w := range want {
+			sq += w * w
+			d = max(d, math.Abs(param.Grad.Data[j]-w))
+		}
+		norm := math.Sqrt(sq)
+		if !(d <= 1e-12*norm) {
+			t.Fatalf("%d states, one encoder backward: grad %s differs from the reference by up to %.3g, norm %.3g",
+				len(states), param.Name, d, norm)
+		}
+		if norm > 0 {
+			worst = max(worst, d/norm)
+		}
+	}
+	t.Logf("%d states: max |Δgrad| / ‖grad‖ over parameters %.3g", len(states), worst)
 }

@@ -85,8 +85,10 @@ type Policy struct {
 
 	enc Encoding // the record behind Forward, the one-call form of Encode + Heads
 	fwd Forward
-	// Backward scratch.
-	dA1, dH, dV1, dPooled, dVout *mat.Dense
+	// Backward scratch. dA1 holds a transition's policy-head gradient in
+	// the head half and, idle in between, the embedding gradient in the
+	// encoder half.
+	dA1, dV1, dPooled, dVout *mat.Dense
 }
 
 // NewPolicy builds a policy for the given configuration. A nil rng leaves
@@ -201,6 +203,15 @@ func NewGraphContextForPackage(g *graph.Graph, pkg *mcm.Package) *GraphContext {
 // contains no optimizer step and no Restore — a rollout batch, a PPO
 // minibatch, one ZeroShot call — and encode again in the next. The zero
 // value is ready for Encode, and re-encoding reuses its buffers.
+//
+// The backward pass is split the same way. Everything below the policy
+// head's first layer is linear in that layer's gradient, so the head half
+// of Backward, run once per transition, only adds the transition's share of
+// the embedding gradient to the record, and the encoder half, run once per
+// record before the weights change, backpropagates the sum through fc1's
+// embedding rows and the encoder in one pass. Encode panics on a record
+// whose sum the encoder half has not yet consumed: re-encoding would drop
+// those transitions' encoder gradients.
 type Encoding struct {
 	ctx  *GraphContext
 	act  gnn.Activations
@@ -214,6 +225,13 @@ type Encoding struct {
 	// call on it when started is false.
 	startProbs, startLogProbs *mat.Dense
 	started                   bool
+	// dA1 and dPooled sum, over the pending transitions evaluated on the
+	// record, the gradient of the policy head's first-layer pre-activation
+	// (N x Hidden) and the value head's pooled-embedding gradient (Hidden).
+	// pending counts those transitions; the encoder half resets it.
+	dA1     *mat.Dense
+	dPooled []float64
+	pending int
 }
 
 // Forward is one policy evaluation on the state (graph, previous
@@ -237,6 +255,9 @@ type Forward struct {
 // Encode runs the encoder over ctx, recording the pass in enc, and returns
 // enc.
 func (p *Policy) Encode(enc *Encoding, ctx *GraphContext) *Encoding {
+	if enc.pending != 0 {
+		panic(fmt.Sprintf("rl: Encode over a record holding the head gradients of %d transitions its encoder backward has not consumed", enc.pending))
+	}
 	enc.ctx = ctx
 	enc.h = p.sage.Encode(&enc.act, ctx.Adj, ctx.X)
 	if len(enc.mean) != p.Cfg.Hidden {
@@ -356,20 +377,32 @@ func (p *Policy) Forward(ctx *GraphContext, prev []int) *Forward {
 // Backward accumulates parameter gradients for a forward pass given the
 // loss gradient with respect to the logits (N x C) and the value output.
 // f must be the policy's latest evaluation, and the weights those of f's
-// Encoding.
+// Encoding. It is the head half and the encoder half back to back; a loop
+// over many states of one graph (a PPO minibatch) runs the head half per
+// state and the encoder half once per record, which sums the fc1-embedding
+// and encoder gradients over the states before the product.
 func (p *Policy) Backward(f *Forward, dLogits *mat.Dense, dValue float64) {
-	n, c, hidden := f.enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
+	p.backwardHeads(f, dLogits, dValue)
+	p.backwardEncoder(f.enc)
+}
+
+// backwardHeads is Backward's head half: it accumulates the gradients of
+// fc2, of fc1's one-hot and capacity rows and bias, and of the value head,
+// and adds what the embeddings receive — the policy head's first-layer
+// gradient and the pooled-embedding gradient — to f's record.
+func (p *Policy) backwardHeads(f *Forward, dLogits *mat.Dense, dValue float64) {
+	enc := f.enc
+	n, c, hidden := enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
 	p.dA1 = mat.Resized(p.dA1, n, hidden)
 	p.fc2.Backward(f.a1, p.dA1, dLogits)
 	nn.ReLUBackward(p.dA1, p.dA1, f.a1)
 	// fc1's weight gradient, row block by row block of its input
-	// [h ; onehot(prev) ; ChipFeat]: a product for the embedding rows, and
-	// for the rest, whose inputs are 1 or a per-package constant, each
-	// node's dA1 row added in ascending node order — the sequence
-	// mat.MulATBAcc over the whole input performs.
-	mat.MulATBAcc(p.fc1EmbedGrad, f.enc.h, p.dA1)
+	// [h ; onehot(prev) ; ChipFeat]: the embedding rows are the encoder
+	// half's product, and the rest, whose inputs are 1 or a per-package
+	// constant, take each node's dA1 row in ascending node order — the
+	// sequence mat.MulATBAcc over the whole input performs.
 	g := p.fc1.W.Grad.Data
-	chipFeat := p.chipFeat(f.enc.ctx)
+	chipFeat := p.chipFeat(enc.ctx)
 	for i := 0; i < n; i++ {
 		d := p.dA1.Row(i)
 		if a := f.prev[i]; a >= 0 && a < c {
@@ -386,24 +419,51 @@ func (p *Policy) Backward(f *Forward, dLogits *mat.Dense, dValue float64) {
 		}
 	}
 	p.dA1.ColSums(p.fc1.B.Grad.Data)
-	// Of the head-input gradient only the embedding columns are needed (the
-	// one-hot and capacity columns are inputs, not activations).
-	p.dH = mat.Resized(p.dH, n, hidden)
-	mat.MulABT(p.dH, p.dA1, p.fc1Embed)
 	// Value head.
 	p.dVout.Data[0] = dValue
 	p.vf2.Backward(f.v1, p.dV1, p.dVout)
 	nn.ReLUBackward(p.dV1, p.dV1, f.v1)
 	p.vf1.Backward(f.pooled, p.dPooled, p.dV1)
-	// Gradient into the embeddings: policy rows plus the pooled mean.
-	inv := 1 / float64(n)
+	// The embeddings' share, summed on the record. The first transition
+	// copies, so a lone one reaches the encoder half with its own bits.
 	pr := p.dPooled.Row(0)[:hidden]
-	for i := 0; i < n; i++ {
-		for j, g := range pr {
-			p.dH.Data[i*hidden+j] += g * inv
+	if enc.pending == 0 {
+		enc.dA1 = mat.Resized(enc.dA1, n, hidden)
+		enc.dA1.CopyFrom(p.dA1)
+		enc.dPooled = append(enc.dPooled[:0], pr...)
+	} else {
+		enc.dA1.Add(p.dA1)
+		for j, x := range pr {
+			enc.dPooled[j] += x
 		}
 	}
-	p.sage.BackwardFrom(&f.enc.act, p.dH)
+	enc.pending++
+}
+
+// backwardEncoder is Backward's encoder half: it backpropagates the head
+// gradients summed on enc through fc1's embedding rows and the encoder, and
+// leaves enc with none pending. The weights must still be those enc was
+// encoded under.
+func (p *Policy) backwardEncoder(enc *Encoding) {
+	if enc.pending == 0 {
+		return
+	}
+	n, hidden := enc.h.Rows, p.Cfg.Hidden
+	mat.MulATBAcc(p.fc1EmbedGrad, enc.h, enc.dA1)
+	// Of the head-input gradient only the embedding columns are needed (the
+	// one-hot and capacity columns are inputs, not activations): policy
+	// rows plus the pooled mean.
+	dH := mat.Resized(p.dA1, n, hidden)
+	p.dA1 = dH
+	mat.MulABT(dH, enc.dA1, p.fc1Embed)
+	inv := 1 / float64(n)
+	for i := 0; i < n; i++ {
+		for j, g := range enc.dPooled {
+			dH.Data[i*hidden+j] += g * inv
+		}
+	}
+	p.sage.BackwardFrom(&enc.act, dH)
+	enc.pending = 0
 }
 
 // SampleActions draws one chip per node from the distribution.

@@ -106,6 +106,16 @@ func (e *encodings) of(pol *Policy, ei int, ctx *GraphContext) *Encoding {
 	return e.recs[ei]
 }
 
+// backward runs the encoder half of the backward pass on every record this
+// scope filled, in environment-index order.
+func (e *encodings) backward(pol *Policy) {
+	for i, rec := range e.recs {
+		if e.filled[i] {
+			pol.backwardEncoder(rec)
+		}
+	}
+}
+
 // NewTrainer builds a PPO trainer.
 func NewTrainer(policy *Policy, cfg PPOConfig, rng *rand.Rand) *Trainer {
 	opt := nn.NewAdam(policy.Params(), cfg.LR)
@@ -177,7 +187,8 @@ func (t *Trainer) Iterate(envs []*Env) IterationStats {
 			}
 			nn.ZeroGrads(t.Policy.Params())
 			// The weights are fixed until opt.Step below, so each graph in
-			// the minibatch is encoded once, at its first transition.
+			// the minibatch is encoded once, at its first transition, and
+			// backpropagated through once, after its last.
 			t.encs.begin(len(envs))
 			var pl, vl, ent float64
 			for _, idx := range order[lo:hi] {
@@ -186,6 +197,7 @@ func (t *Trainer) Iterate(envs []*Env) IterationStats {
 				vl += v
 				ent += e
 			}
+			t.encs.backward(t.Policy)
 			t.opt.Step()
 			stats.PolicyLoss += pl
 			stats.ValueLoss += vl
@@ -199,8 +211,9 @@ func (t *Trainer) Iterate(envs []*Env) IterationStats {
 	return stats
 }
 
-// update accumulates the gradients of one transition's PPO loss, scaled by
-// 1/batch, and returns its loss components.
+// update accumulates the head gradients of one transition's PPO loss,
+// scaled by 1/batch, and returns its loss components. Its encoder
+// gradients wait on the transition's record for encodings.backward.
 func (t *Trainer) update(tr *transition, batch float64) (policyLoss, valueLoss, entropy float64) {
 	f := t.Policy.Heads(t.encs.of(t.Policy, tr.ei, tr.env.Ctx), tr.prev)
 	logpNew := JointLogProb(f.LogProbs, tr.action)
@@ -243,7 +256,7 @@ func (t *Trainer) update(tr *transition, batch float64) (policyLoss, valueLoss, 
 	vErr := f.Value - tr.ret
 	valueLoss = 0.5 * vErr * vErr
 	dValue := t.Cfg.ValueCoef * vErr * scale
-	t.Policy.Backward(f, dLogits, dValue)
+	t.Policy.backwardHeads(f, dLogits, dValue)
 	return policyLoss, valueLoss, entropy
 }
 

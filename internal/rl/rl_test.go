@@ -2,6 +2,7 @@ package rl
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -210,6 +211,30 @@ func TestForwardSeesEncoderWeightChange(t *testing.T) {
 		}
 	}
 	t.Fatal("the start state's distribution survived a weight step and a re-Encode")
+}
+
+// TestEncodeRefusesPendingHeadGradients: re-encoding a record that still
+// holds head gradients its encoder backward has not consumed would drop
+// those transitions' encoder gradients, so Encode panics on it; once the
+// encoder half has run, the record encodes again.
+func TestEncodeRefusesPendingHeadGradients(t *testing.T) {
+	env := testEnv(t, 4)
+	p := NewPolicy(QuickConfig(4), rand.New(rand.NewSource(1)))
+	prev := unassigned(env.Ctx.G.NumNodes())
+	enc := p.Encode(new(Encoding), env.Ctx)
+	p.backwardHeads(p.Heads(enc, prev), mat.New(len(prev), 4), 1)
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("Encode over a record with pending head gradients did not panic")
+			} else if !strings.Contains(fmt.Sprint(r), "1 transitions") {
+				t.Fatalf("panic %q does not name the pending transitions", r)
+			}
+		}()
+		p.Encode(enc, env.Ctx)
+	}()
+	p.backwardEncoder(enc)
+	p.Encode(enc, env.Ctx)
 }
 
 func TestSampleActionsAndJointLogProb(t *testing.T) {
