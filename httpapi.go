@@ -2,13 +2,15 @@ package mcmpart
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -168,6 +170,7 @@ func (w *statusWriter) WriteHeader(code int) {
 func NewHTTPHandler(svc *Service) http.Handler {
 	reg := svc.Metrics()
 	var ridSeq atomic.Uint64
+	spare := new(bodySpare)
 	mux := http.NewServeMux()
 	// handle serves one pattern and creates its latency histogram, so every
 	// served route is on the first scrape (at zero) instead of materializing
@@ -180,7 +183,7 @@ func NewHTTPHandler(svc *Service) http.Handler {
 	}
 	handle("GET /metrics", telemetry.Handler(reg).ServeHTTP)
 	handle("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		job, graphFP, ok := submitPlanRequest(svc, w, r)
+		job, graphFP, ok := submitPlanRequest(svc, spare, w, r)
 		if !ok {
 			return
 		}
@@ -199,11 +202,11 @@ func NewHTTPHandler(svc *Service) http.Handler {
 		if err != nil {
 			resp.Error = err.Error()
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writePlanResponse(w, &resp)
 	})
 
 	handle("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		if job, _, ok := submitPlanRequest(svc, w, r); ok {
+		if job, _, ok := submitPlanRequest(svc, spare, w, r); ok {
 			writeJSON(w, http.StatusAccepted, job.Status())
 		}
 	})
@@ -310,9 +313,11 @@ func lookupJob(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, 
 // with no graph, like any other ill-formed one, is Submit's to refuse — and
 // remembers what keying it produced once it is a job. graphFP is the
 // fingerprint the cache keyed on. On failure the error response is already
-// written and ok is false.
-func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (job *Job, graphFP string, ok bool) {
-	body, err := readRequestBody(w, r)
+// written and ok is false. The body's buffer becomes the spare on return:
+// the memo keeps a tag of it, and the decoded request a copy of what it
+// needs (TestDecodedRequestDoesNotAliasBody).
+func submitPlanRequest(svc *Service, spare *bodySpare, w http.ResponseWriter, r *http.Request) (job *Job, graphFP string, ok bool) {
+	body, err := readRequestBody(spare, w, r)
 	if err != nil {
 		code := http.StatusBadRequest
 		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
@@ -321,8 +326,9 @@ func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (jo
 		writeJSON(w, code, ErrorResponse{Error: "reading request: " + err.Error()})
 		return nil, "", false
 	}
-	digest := sha256.Sum256(body)
-	if job, graphFP, ok := svc.submitKnown(r.Context(), digest); ok {
+	defer spare.release(body)
+	tag := svc.requestTag(body)
+	if job, graphFP, ok := svc.submitKnown(r.Context(), tag); ok {
 		return job, graphFP, true
 	}
 	req, err := decodePlanRequest(body)
@@ -335,26 +341,65 @@ func submitPlanRequest(svc *Service, w http.ResponseWriter, r *http.Request) (jo
 		writeServiceError(w, err)
 		return nil, "", false
 	}
-	svc.memo.put(digest, keyed)
+	svc.memo.put(tag, keyed)
 	return job, keyed.graphFP, true
 }
 
 // readRequestBody reads the body once, into a buffer of its declared length
-// when it declares one, and refuses (*http.MaxBytesError, a 413) more than
-// maxRequestBytes — by the header alone when that already says so, so that a
-// lying Content-Length allocates nothing.
-func readRequestBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// from spare when it declares one, and refuses (*http.MaxBytesError, a 413)
+// more than maxRequestBytes — by the header alone when that already says
+// so, so that a lying Content-Length allocates nothing. The caller hands
+// the body back with spare.release once nothing reads it.
+//
+// A body read to its end is closed here. Left open, net/http drains it
+// after the handler through io.Discard, whose 8 KB buffer comes from a
+// per-P pool: a read of nothing that allocated the buffer whenever that
+// P's pool was empty, so which requests allocated it was a matter of
+// scheduling. Closed at EOF, the connection stays open for the next
+// request (TestReadRequestBodyClosesAtEOF).
+func readRequestBody(spare *bodySpare, w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if r.ContentLength > maxRequestBytes {
 		return nil, &http.MaxBytesError{Limit: maxRequestBytes}
 	}
 	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	var buf []byte
+	var err error
 	if r.ContentLength < 0 { // chunked
-		return io.ReadAll(body)
+		buf, err = io.ReadAll(body)
+	} else {
+		buf = spare.borrow(int(r.ContentLength))
+		if _, err = io.ReadFull(body, buf); err != nil {
+			spare.release(buf)
+		}
 	}
-	buf := make([]byte, r.ContentLength)
-	_, err := io.ReadFull(body, buf)
-	return buf, err
+	if err != nil {
+		return nil, err
+	}
+	_ = body.Close() // at EOF: nothing left to drain, nothing to report
+	return buf, nil
 }
+
+// bodySpare is a handler's one spare request-body buffer: the buffer of the
+// last body no request reads any more, kept for the next declared-length
+// body that fits in it. A known body is read, tagged and let go, so without
+// it every POST would allocate — and zero — a buffer as large as its body.
+// It is one slot rather than a sync.Pool: the pool's per-P slots, emptied
+// by every other GC, made which request allocated a buffer a matter of
+// scheduling, and with it a run's allocation per request. What it keeps is
+// one buffer of at most maxRequestBytes.
+type bodySpare struct{ buf atomic.Pointer[[]byte] }
+
+// borrow returns an n-byte buffer: the spare when it is large enough, a new
+// one otherwise. Its bytes are whatever the last request left.
+func (s *bodySpare) borrow(n int) []byte {
+	if p := s.buf.Swap(nil); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]byte, n)
+}
+
+// release makes b the spare; the caller keeps no reference to it.
+func (s *bodySpare) release(b []byte) { s.buf.Store(&b) }
 
 // The members of a plan request, indexed by the constants beside them.
 var requestFields = [...]string{"graph", "options"}
@@ -433,10 +478,151 @@ func writeServiceError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
+// writeJSON answers code with v as encoding/json encodes it, indented one
+// space per level. v is encoded before anything is written, so a value
+// encoding/json refuses (a NaN or an infinity among its floats) is a 500
+// with an ErrorResponse, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = enc.Encode(ErrorResponse{Error: "encoding response: " + err.Error()})
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody answers code with an encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
+}
+
+// writePlanResponse answers a plan with appendPlanResponse's bytes; one it
+// cannot encode (a non-finite float) goes to writeJSON, which refuses it
+// with a 500.
+func writePlanResponse(w http.ResponseWriter, resp *PlanResponse) {
+	b, ok := appendPlanResponse(nil, resp)
+	if !ok {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	writeBody(w, http.StatusOK, b)
+}
+
+// appendPlanResponse appends resp to b byte for byte as writeJSON encodes
+// it — encoding/json's output indented one space per level, then a newline
+// — with no reflection and no second indenting pass: the plan route's
+// encoder. Strings go through json.Marshal, so their escaping is
+// encoding/json's; fail_counts keys are sorted as encoding/json sorts map
+// keys. ok is false when a float is NaN or infinite, which encoding/json
+// refuses. TestWireBytes and TestPlanResponseMatchesEncodingJSON hold it to
+// writeJSON's bytes.
+func appendPlanResponse(b []byte, resp *PlanResponse) (_ []byte, ok bool) {
+	res := resp.Result
+	size := 128 + len(resp.GraphFingerprint) + len(resp.Error)
+	if res != nil {
+		size += 8*len(res.Partition) + 32*len(res.History) + 48*len(res.FailCounts)
+	}
+	b = slices.Grow(b, size)
+	b = append(b, "{\n \"result\": "...)
+	if res == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, "{\n  \"partition\": "...)
+		switch {
+		case res.Partition == nil:
+			b = append(b, "null"...)
+		case len(res.Partition) == 0:
+			b = append(b, "[]"...)
+		default:
+			b = append(b, '[')
+			for i, chip := range res.Partition {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, "\n   "...)
+				b = strconv.AppendInt(b, int64(chip), 10)
+			}
+			b = append(b, "\n  ]"...)
+		}
+		b = append(b, ",\n  \"throughput\": "...)
+		if b, ok = appendJSONFloat(b, res.Throughput); !ok {
+			return b, false
+		}
+		b = append(b, ",\n  \"improvement\": "...)
+		if b, ok = appendJSONFloat(b, res.Improvement); !ok {
+			return b, false
+		}
+		b = append(b, ",\n  \"samples\": "...)
+		b = strconv.AppendInt(b, int64(res.Samples), 10)
+		if len(res.History) > 0 {
+			b = append(b, ",\n  \"history\": ["...)
+			for i, v := range res.History {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, "\n   "...)
+				if b, ok = appendJSONFloat(b, v); !ok {
+					return b, false
+				}
+			}
+			b = append(b, "\n  ]"...)
+		}
+		if len(res.FailCounts) > 0 {
+			b = append(b, ",\n  \"fail_counts\": {"...)
+			for i, reason := range slices.Sorted(maps.Keys(res.FailCounts)) {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, "\n   "...)
+				b = appendJSONString(b, reason)
+				b = append(b, ": "...)
+				b = strconv.AppendInt(b, int64(res.FailCounts[reason]), 10)
+			}
+			b = append(b, "\n  }"...)
+		}
+		b = append(b, "\n }"...)
+	}
+	b = append(b, ",\n \"cached\": "...)
+	b = strconv.AppendBool(b, resp.Cached)
+	if resp.Coalesced {
+		b = append(b, ",\n \"coalesced\": true"...)
+	}
+	b = append(b, ",\n \"graph_fingerprint\": "...)
+	b = appendJSONString(b, resp.GraphFingerprint)
+	if resp.Error != "" {
+		b = append(b, ",\n \"error\": "...)
+		b = appendJSONString(b, resp.Error)
+	}
+	return append(b, "\n}\n"...), true
+}
+
+// appendJSONString appends s as encoding/json writes a string.
+func appendJSONString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always encodes
+	return append(b, q...)
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the shortest
+// decimal that round-trips, in 'f' form unless its magnitude is below 1e-6
+// or at least 1e21, and then in 'e' form with a one-digit negative
+// exponent unpadded (1e-7, not 1e-07). ok is false for NaN and ±Inf.
+func appendJSONFloat(b []byte, f float64) (_ []byte, ok bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
 }

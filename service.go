@@ -2,7 +2,9 @@ package mcmpart
 
 import (
 	"context"
-	"crypto/sha256"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -211,7 +213,8 @@ type Service struct {
 	planner  *Planner
 	pkgFP    string
 	cache    *planCache[string, *Result]
-	memo     *planCache[[sha256.Size]byte, keyedRequest] // request memo: body SHA-256 → its keying (submitKnown)
+	memo     *planCache[[16]byte, keyedRequest] // request memo: body tag (requestTag) → its keying (submitKnown)
+	memoMAC  cipher.AEAD                        // the memo's keyed tag; built once, read-only
 	disk     *plancache.Store
 	registry *rl.Registry
 	pool     *parallel.Pool
@@ -341,13 +344,18 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
+	memoMAC, err := newMemoMAC()
+	if err != nil {
+		return nil, err
+	}
 	root, shutdown := context.WithCancel(context.Background())
 	m := newServiceMetrics()
 	s := &Service{
 		planner:  planner,
 		pkgFP:    rl.PackageFingerprint(pkg),
 		cache:    newPlanCache[string, *Result](cacheEntries),
-		memo:     newPlanCache[[sha256.Size]byte, keyedRequest](cacheEntries),
+		memo:     newPlanCache[[16]byte, keyedRequest](cacheEntries),
+		memoMAC:  memoMAC,
 		pool:     parallel.NewPool(opts.Workers, opts.QueueDepth),
 		logger:   logger,
 		m:        m,
@@ -625,16 +633,16 @@ func (s *Service) submit(ctx context.Context, req PlanRequest) (*Job, keyedReque
 	return job, a.keyedRequest, err
 }
 
-// submitKnown serves a request body the memo holds (digest is its SHA-256)
+// submitKnown serves a request body the memo holds (tag is its requestTag)
 // with the back half of Submit on the memo's entry — ctx, the policy
 // reading, the key, the lookup — and no decode, Validate or fingerprint.
 // It serves only a lookup hit, and so never plans: for every other outcome
 // (an unknown body, an ended ctx, a policy error, a miss, a refused
 // admission) ok is false, and the caller decodes and Submits the body as
 // if it were new.
-func (s *Service) submitKnown(ctx context.Context, digest [sha256.Size]byte) (job *Job, graphFP string, ok bool) {
+func (s *Service) submitKnown(ctx context.Context, tag [16]byte) (job *Job, graphFP string, ok bool) {
 	a := admission{start: s.now(), rid: RequestIDFrom(ctx)}
-	if a.keyedRequest, ok = s.memo.get(digest); !ok || ctx.Err() != nil {
+	if a.keyedRequest, ok = s.memo.get(tag); !ok || ctx.Err() != nil {
 		return nil, "", false
 	}
 	var err error
@@ -651,6 +659,38 @@ func (s *Service) submitKnown(ctx context.Context, digest [sha256.Size]byte) (jo
 	}
 	s.m.memoHits.Inc() // after the tier counter admitCached moved
 	return job, a.graphFP, true
+}
+
+// memoNonce is the one nonce the memo's AEAD is used with. Reusing a GCM
+// nonce under one key gives the key away to whoever sees what was sealed;
+// requestTag seals no plaintext, and its tags never leave the process.
+var memoNonce [12]byte
+
+// newMemoMAC builds the AEAD behind requestTag: AES-128-GCM under a key
+// drawn from crypto/rand, so the key is the Service's own and unknowable
+// to whoever sends the bodies.
+func newMemoMAC() (cipher.AEAD, error) {
+	var key [16]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		return nil, err
+	}
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		return nil, err
+	}
+	return cipher.NewGCM(block)
+}
+
+// requestTag is the request memo's key for a body: its 128-bit AES-GMAC
+// tag under the Service's key — GCM sealing an empty plaintext with the
+// body as additional data (NIST SP 800-38D). Under a secret key two
+// distinct bodies share a tag with probability at most (⌈len/16⌉+1)/2¹²⁸
+// (about 2⁻¹⁰⁶ at maxRequestBytes). The tag keys the memo and nothing
+// else: no cache key, plan or response is computed from it (DESIGN.md §8,
+// "The Submit pipeline"). It costs one pass over the body.
+func (s *Service) requestTag(body []byte) (tag [16]byte) {
+	s.memoMAC.Seal(tag[:0], memoNonce[:], nil, body)
+	return tag
 }
 
 // normalize validates the request and resolves every default, including

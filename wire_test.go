@@ -70,8 +70,9 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 }
 
 // TestWireBytes pins the bytes of a request as Client encodes it and of a
-// plan response as the handler encodes it, every field set, against
-// literals captured on 3dc5296 (before PlanOptionsWire became PlanOptions).
+// plan response as writeJSON and the plan route's own encoder write it,
+// every field set, against literals captured on 3dc5296 (before
+// PlanOptionsWire became PlanOptions).
 func TestWireBytes(t *testing.T) {
 	g := NewGraph("g")
 	a := g.AddNode(Node{Name: "a", Op: OpKind(4), FLOPs: 10, OutputBytes: 8})
@@ -100,5 +101,16 @@ func TestWireBytes(t *testing.T) {
 	const wantResp = "{\n \"result\": {\n  \"partition\": [\n   0,\n   1\n  ],\n  \"throughput\": 1.5,\n  \"improvement\": 1.25,\n  \"samples\": 3,\n  \"history\": [\n   1,\n   1.25,\n   1.25\n  ],\n  \"fail_counts\": {\n   \"sram\": 2\n  }\n },\n \"cached\": true,\n \"coalesced\": true,\n \"graph_fingerprint\": \"fp\",\n \"error\": \"context deadline exceeded\"\n}\n"
 	if got := rec.Body.String(); got != wantResp {
 		t.Errorf("response bytes moved:\n got %q\nwant %q", got, wantResp)
+	}
+
+	// The plan route's own encoder writes the same bytes.
+	rec = httptest.NewRecorder()
+	writePlanResponse(rec, &PlanResponse{
+		Result: &ResultWire{Partition: Partition{0, 1}, Throughput: 1.5, Improvement: 1.25, Samples: 3,
+			History: []float64{1, 1.25, 1.25}, FailCounts: map[string]int{"sram": 2}},
+		Cached: true, Coalesced: true, GraphFingerprint: "fp", Error: "context deadline exceeded",
+	})
+	if got := rec.Body.String(); got != wantResp {
+		t.Errorf("the plan route's response bytes moved:\n got %q\nwant %q", got, wantResp)
 	}
 }
