@@ -179,6 +179,103 @@ func TestKernelsKeepNonFiniteSemantics(t *testing.T) {
 	}
 }
 
+// maskedMulABT is the reference MulABTMaskRows must equal bit for bit:
+// MulABT, then the ReLU backward's mask written out — +0 wherever the mask
+// entry is not positive.
+func maskedMulABT(a, b, mask *Dense) *Dense {
+	want := New(a.Rows, b.Rows)
+	MulABT(want, a, b)
+	for i, m := range mask.Data {
+		if !(m > 0) {
+			want.Data[i] = 0
+		}
+	}
+	return want
+}
+
+// maskRows runs MulABTMaskRows over every row of out, split into row
+// blocks at any size when the worker count allows, as a stage that fans out
+// over rows calls it.
+func maskRows(out, a, b, mask *Dense) {
+	RowBlocks(out.Rows, ParallelFlopThreshold, func(_ struct{}, lo, hi int) { MulABTMaskRows(out, a, b, mask, lo, hi) }, struct{}{})
+}
+
+// TestMulABTMaskRowsMatchesMaskedMulABT requires the masked product to
+// reproduce MulABT followed by the mask bit for bit: rows of a without a
+// zero, rows with exact zeros and negative zeros, a whole zero row, mask entries that are 0, -0,
+// negative and NaN, 1 to 7 rows of b so that every partial tile of kept
+// columns occurs, k and column counts beyond one compaction chunk, an out
+// holding garbage, and one and eight workers.
+func TestMulABTMaskRowsMatchesMaskedMulABT(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type shape struct{ m, k, n int }                              // a is m x k, b is n x k
+	shapes := []shape{{2138, 36, 32}, {300, 70, 9}, {45, 11, 70}} // fc2's input gradient on BERT/edge36; k, then columns, beyond a chunk
+	for n := 1; n <= 7; n++ {
+		shapes = append(shapes, shape{37, 29, n}, shape{19, 4, n})
+	}
+	for _, s := range shapes {
+		a := kernelInput(rng, s.m, s.k, false)
+		for i := 0; i < s.m; i += 2 { // every other row without a zero: the dense path
+			for j, v := range a.Row(i) {
+				if v == 0 {
+					a.Row(i)[j] = rng.NormFloat64()
+				}
+			}
+		}
+		clear(a.Row(s.m / 2))
+		b := kernelInput(rng, s.n, s.k, false)
+		mask := randMat(rng, s.m, s.n)
+		for i := range mask.Data {
+			switch rng.Intn(8) {
+			case 0:
+				mask.Data[i] = 0
+			case 1:
+				mask.Data[i] = math.Copysign(0, -1)
+			case 2:
+				mask.Data[i] = math.NaN()
+			}
+		}
+		want := maskedMulABT(a, b, mask)
+		for _, workers := range []int{1, 8} {
+			got := kernelInput(rng, s.m, s.n, false)
+			withWorkers(workers, func() { maskRows(got, a, b, mask) })
+			requireSameBits(t, fmt.Sprintf("MulABTMaskRows %dx%dx%d workers=%d", s.m, s.k, s.n, workers), got, want)
+		}
+	}
+}
+
+// TestMulABTMaskRowsNonFinite pins what the mask and the zero-factor skip
+// mean beyond finite operands: a masked element is +0 even where its
+// product would be NaN, and a kept element leaves out 0·Inf and -0·Inf, as
+// MulABT does, so it never becomes a NaN. Five kept columns: a four-wide
+// tile, then one on its own.
+func TestMulABTMaskRowsNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	a := FromSlice(1, 3, []float64{0, 2, math.Copysign(0, -1)})
+	b := FromSlice(8, 3, []float64{
+		inf, 3, inf, // kept: 6
+		1, nan, 1, // masked by 0
+		inf, 3, -inf, // masked by a negative entry
+		inf, 3, inf, // kept
+		inf, 3, inf, // kept
+		nan, nan, nan, // masked by NaN
+		inf, 3, inf, // kept
+		inf, 3, -inf, // kept
+	})
+	mask := FromSlice(1, 8, []float64{1, 0, -1, 2, 3, nan, 4, 5})
+	out := FromSlice(1, 8, []float64{nan, nan, nan, nan, nan, nan, nan, nan})
+	MulABTMaskRows(out, a, b, mask, 0, 1)
+	for j, v := range out.Data {
+		want := 6.0
+		if !(mask.Data[j] > 0) {
+			want = 0
+		}
+		if math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("column %d = %v (%x), want %v", j, v, math.Float64bits(v), want)
+		}
+	}
+}
+
 // Kernel benchmarks at the shapes one PPO transition on BERT/edge36 runs
 // (N = 2138 nodes, hidden 32, 36 chips), with post-ReLU sparsity where the
 // network has it. "ref" is the scalar nest the kernel replaced.
@@ -211,6 +308,16 @@ func BenchmarkKernels(b *testing.B) {
 		{"MulATB/fc2", func() { MulATB(outHC, a1, dLogits) }, func() { outHC.Zero(); refMulATBRows(outHC, a1, dLogits) }},
 		{"MulABT/fc2", func() { MulABT(outNH, dLogits, w2) }, func() { refMulABT(outNH, dLogits, w2) }},
 		{"MulABT/sage", func() { MulABT(outNH, dA1, wSelf) }, func() { refMulABT(outNH, dA1, wSelf) }},
+		// fc2's input gradient as the head computed it before the masked
+		// kernel: the dense product, then the ReLU mask.
+		{"MulABTMaskRows/fc2", func() { MulABTMaskRows(outNH, dLogits, w2, a1, 0, n) }, func() {
+			MulABT(outNH, dLogits, w2)
+			for i, m := range a1.Data {
+				if !(m > 0) {
+					outNH.Data[i] = 0
+				}
+			}
+		}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

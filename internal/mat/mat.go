@@ -154,11 +154,20 @@ func accumulate(or, b, vals []float64, offs []int) {
 // once per row instead of once per tile keeps the branch out of the inner
 // loop.
 func mulRows(out, a, b *Dense) {
-	rowRange(a.Rows, a.Rows*a.Cols*b.Cols, mulRowsBlock, out, a, b)
+	RowBlocks(a.Rows, a.Rows*a.Cols*b.Cols, operands.mulAdd, operands{out, a, b})
 }
 
-// mulRowsBlock is mulRows over output rows [lo, hi).
-func mulRowsBlock(out, a, b *Dense, lo, hi int) {
+// operands are the matrices of one product: the argument RowBlocks hands
+// the row bodies of Mul, MulATB and MulABT, which are its methods.
+type operands struct{ out, a, b *Dense }
+
+// mulAdd is mulRows over output rows [lo, hi).
+func (o operands) mulAdd(lo, hi int) { MulAddRows(o.out, o.a, o.b, lo, hi) }
+
+// MulAddRows is MulAdd over output rows [lo, hi), serially: mulRows' body,
+// and what a stage that fans out over rows itself (RowBlocks) calls on its
+// blocks. Shapes are the caller's to check.
+func MulAddRows(out, a, b *Dense, lo, hi int) {
 	var vals [chunk]float64
 	var offs [chunk]int
 	for i := lo; i < hi; i++ {
@@ -208,11 +217,12 @@ func MulATBAcc(out, a, b *Dense) {
 // zeros dropped) before the next chunk is touched — the scalar nest walked
 // the whole of a's column, a cache line per element, once per output row.
 func mulATBRows(out, a, b *Dense) {
-	rowRange(a.Cols, a.Rows*a.Cols*b.Cols, mulATBRowsBlock, out, a, b)
+	RowBlocks(a.Cols, a.Rows*a.Cols*b.Cols, operands.mulATB, operands{out, a, b})
 }
 
-// mulATBRowsBlock is mulATBRows over output rows [lo, hi).
-func mulATBRowsBlock(out, a, b *Dense, lo, hi int) {
+// mulATB is mulATBRows over output rows [lo, hi).
+func (o operands) mulATB(lo, hi int) {
+	out, a, b := o.out, o.a, o.b
 	var vals [chunk]float64
 	var offs [chunk]int
 	for k0 := 0; k0 < a.Rows; k0 += chunk {
@@ -247,11 +257,12 @@ func MulABT(out, a, b *Dense) {
 		panic(fmt.Sprintf("mat: MulABT shape mismatch (%dx%d)@(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	rowRange(a.Rows, a.Rows*a.Cols*b.Rows, mulABTBlock, out, a, b)
+	RowBlocks(a.Rows, a.Rows*a.Cols*b.Rows, operands.mulABT, operands{out, a, b})
 }
 
-// mulABTBlock is MulABT over output rows [lo, hi).
-func mulABTBlock(out, a, b *Dense, lo, hi int) {
+// mulABT is MulABT over output rows [lo, hi).
+func (o operands) mulABT(lo, hi int) {
+	out, a, b := o.out, o.a, o.b
 	var vals [chunk]float64
 	var offs [chunk]int
 	kk := a.Cols
@@ -335,7 +346,8 @@ func dotCompacted(or, b []float64, kk int, vals []float64, offs []int) {
 	offs = offs[:len(vals)]
 	j := 0
 	for ; j+4 <= len(or); j += 4 {
-		dotCompacted4(or[j:j+4:j+4], b[j*kk:(j+4)*kk], vals, offs)
+		js := [4]int{j, j + 1, j + 2, j + 3}
+		dotCompacted4(or, b, kk, js[:], vals, offs)
 	}
 	for ; j < len(or); j++ {
 		br := b[j*kk : (j+1)*kk]
@@ -347,13 +359,121 @@ func dotCompacted(or, b []float64, kk int, vals []float64, offs []int) {
 	}
 }
 
-// dotCompacted4 is dotCompacted over one tile: the four rows of b, four
-// outputs t. A function of its own so that the loop's pointers fit in
-// registers.
-func dotCompacted4(t, b []float64, vals []float64, offs []int) {
-	kk := len(b) / 4
-	b0, b1, b2, b3 := b[:kk], b[kk : 2*kk][:kk], b[2*kk : 3*kk][:kk], b[3*kk : 4*kk][:kk]
-	s0, s1, s2, s3 := t[0], t[1], t[2], t[3]
+// MulABTMaskRows writes output rows [lo, hi) of a @ bᵀ masked by mask: the
+// element (i, j) is row i of a dotted with row j of b where mask's (i, j) is
+// positive, and +0 everywhere else — MulABT followed by a ReLU's backward
+// mask (mask is the forward output), without the products the mask
+// discards. It runs serially, for a stage that fans out over rows itself
+// (RowBlocks). A kept element is its products added one at a time in
+// ascending k from zero, zero a-factors left out, as MulABT sums it. Per row,
+// the kept columns are compacted first (a chunk at a time) and dotted four
+// at once in independent chains. A row of a with exact zeros has its
+// non-zero factors compacted too, as MulABT's does; a row without any — a
+// gradient of logits — is dotted as it stands.
+func MulABTMaskRows(out, a, b, mask *Dense, lo, hi int) {
+	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows || mask.Rows != out.Rows || mask.Cols != out.Cols {
+		panic(fmt.Sprintf("mat: MulABTMaskRows shape mismatch (%dx%d)@(%dx%d)ᵀ->(%dx%d) mask (%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols, mask.Rows, mask.Cols))
+	}
+	var vals [chunk]float64
+	var offs [chunk]int
+	var cols [chunk]int
+	kk, nc := a.Cols, out.Cols
+	for i := lo; i < hi; i++ {
+		ar := a.Data[i*kk : (i+1)*kk]
+		or := out.Data[i*nc : (i+1)*nc]
+		mr := mask.Data[i*nc : (i+1)*nc]
+		clear(or)
+		dense := !hasZero(ar)
+		for j0 := 0; j0 < nc; j0 += chunk {
+			m := keptCols(&cols, mr, j0)
+			if dense {
+				for q := 0; q < m; q += 4 {
+					dotDense4(or, b.Data, ar, cols[q:q+4:q+4])
+				}
+				continue
+			}
+			for k0 := 0; k0 < kk; k0 += chunk {
+				n := 0
+				for k, av := range ar[k0:min(k0+chunk, kk)] {
+					vals[n], offs[n] = av, k0+k
+					if av != 0 {
+						n++
+					}
+				}
+				for q := 0; q < m; q += 4 {
+					dotCompacted4(or, b.Data, kk, cols[q:q+4:q+4], vals[:n], offs[:n])
+				}
+			}
+		}
+	}
+}
+
+// hasZero reports whether ar holds an exact zero.
+func hasZero(ar []float64) bool {
+	for _, v := range ar {
+		if v == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// keptCols writes into cols the indexes j in [j0, j0+chunk) where mr[j] is
+// positive, ascending, and returns how many it wrote after repeating the
+// last of them up to a multiple of four: a tile of four that dots a column
+// twice writes it twice with the same bits, and costs what a lone column
+// dotted in one chain would. chunk is a multiple of four, so the repeats
+// stay inside cols.
+func keptCols(cols *[chunk]int, mr []float64, j0 int) int {
+	m := 0
+	for j, mv := range mr[j0:min(j0+chunk, len(mr))] {
+		// Written unconditionally, kept conditionally: no branch on the
+		// data. m < chunk here, which the mask tells the compiler. The test
+		// is mv > 0 on the bits — those of +0, less one, wrap around, and
+		// negatives and NaNs lie above +Inf's — so that it compiles to a
+		// flag set and an add; with the float compare's conditional move
+		// the whole kernel ran a quarter slower.
+		cols[m&(chunk-1)] = j0 + j
+		var kept int
+		if math.Float64bits(mv)-1 < math.Float64bits(math.Inf(1)) {
+			kept = 1
+		}
+		m += kept
+	}
+	for ; m%4 != 0; m++ {
+		cols[m] = cols[m-1]
+	}
+	return m
+}
+
+// dotDense4 writes into or[j], for the four kept columns j in js, the dot
+// product of ar with row j of b (rows of len(ar) values), each summed in
+// ascending k from zero in a chain of its own.
+func dotDense4(or, b, ar []float64, js []int) {
+	kk := len(ar)
+	js = js[:4]
+	j0, j1, j2, j3 := js[0], js[1], js[2], js[3]
+	b0, b1, b2, b3 := b[j0*kk:][:kk], b[j1*kk:][:kk], b[j2*kk:][:kk], b[j3*kk:][:kk]
+	var s0, s1, s2, s3 float64
+	for k, av := range ar {
+		s0 += av * b0[k]
+		s1 += av * b1[k]
+		s2 += av * b2[k]
+		s3 += av * b3[k]
+	}
+	or[j0], or[j1], or[j2], or[j3] = s0, s1, s2, s3
+}
+
+// dotCompacted4 is dotCompacted over one tile: it adds
+// sum_c vals[c] * b[j*kk+offs[c]] to or[j] for the four columns j in js —
+// four consecutive ones, or four a mask kept. A function of its own so that
+// the loop's pointers fit in registers.
+func dotCompacted4(or, b []float64, kk int, js []int, vals []float64, offs []int) {
+	js = js[:4]
+	j0, j1, j2, j3 := js[0], js[1], js[2], js[3]
+	b0, b1, b2, b3 := b[j0*kk:][:kk], b[j1*kk:][:kk], b[j2*kk:][:kk], b[j3*kk:][:kk]
+	s0, s1, s2, s3 := or[j0], or[j1], or[j2], or[j3]
 	offs = offs[:len(vals)]
 	for c, av := range vals {
 		k := offs[c]
@@ -362,7 +482,7 @@ func dotCompacted4(t, b []float64, vals []float64, offs []int) {
 		s2 += av * b2[k]
 		s3 += av * b3[k]
 	}
-	t[0], t[1], t[2], t[3] = s0, s1, s2, s3
+	or[j0], or[j1], or[j2], or[j3] = s0, s1, s2, s3
 }
 
 // Axpy computes y += s * x over raw slices — the scalar-vector kernel the

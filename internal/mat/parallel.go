@@ -11,24 +11,29 @@ import "mcmpart/internal/parallel"
 // worker count — the property the determinism tests pin down.
 const ParallelFlopThreshold = 1 << 17
 
-// rowRange runs kernel(out, a, b, lo, hi) over the output rows [0, rows),
-// split into per-worker blocks when the flop estimate warrants it, in one
-// serial call otherwise. Extra workers are reserved from the process-wide
-// lane budget (package parallel's doc comment), so matmuls issued from
-// inside an already-fanned-out layer fall back to serial execution instead
-// of oversubscribing; the split never affects results. The kernel and its
-// operands arrive as plain arguments so that only the fan-out path builds a
-// closure: a serial product allocates nothing.
-func rowRange(rows, flops int, kernel func(out, a, b *Dense, lo, hi int), out, a, b *Dense) {
+// RowBlocks runs kernel(arg, lo, hi) over the rows [0, rows), split into
+// per-worker blocks when flops, the multiply-adds the whole call performs,
+// reach ParallelFlopThreshold, in one serial call otherwise. Extra workers
+// are reserved from the process-wide lane budget (package parallel's doc
+// comment), so a stage issued from inside an already-fanned-out one falls
+// back to serial execution instead of oversubscribing. It is the one
+// fan-out rule of every row-parallel stage, this package's kernels and the
+// policy head's alike: kernel must write only its rows' outputs, so the
+// split never affects results.
+//
+// The kernel and its operands arrive as plain arguments — a top-level
+// function or method expression and a value — so that only the fan-out
+// path builds a closure: a serial call allocates nothing.
+func RowBlocks[T any](rows, flops int, kernel func(arg T, lo, hi int), arg T) {
 	if flops < ParallelFlopThreshold {
-		kernel(out, a, b, 0, rows)
+		kernel(arg, 0, rows)
 		return
 	}
 	lanes := parallel.AcquireLanes(rows - 1)
 	defer parallel.ReleaseLanes(lanes)
 	if lanes == 0 {
-		kernel(out, a, b, 0, rows)
+		kernel(arg, 0, rows)
 		return
 	}
-	parallel.ForEachBlock(lanes+1, rows, func(_, lo, hi int) { kernel(out, a, b, lo, hi) })
+	parallel.ForEachBlock(lanes+1, rows, func(_, lo, hi int) { kernel(arg, lo, hi) })
 }

@@ -12,9 +12,13 @@ import (
 // Both passes select on the bit pattern instead of branching on the value:
 // about half of a layer's units are off, in no pattern a branch predictor
 // can learn, and the integer form compiles to a conditional move.
-func ReLU(out, x *mat.Dense) {
-	o := out.Data[:len(x.Data)]
-	for i, v := range x.Data {
+func ReLU(out, x *mat.Dense) { ReLURow(out.Data, x.Data) }
+
+// ReLURow is ReLU over raw slices, a row or any part of one: out = relu(x),
+// out at least as long as x. out may alias x.
+func ReLURow(out, x []float64) {
+	o := out[:len(x)]
+	for i, v := range x {
 		b := math.Float64bits(v)
 		if !(v > 0) {
 			b = 0
@@ -36,35 +40,30 @@ func ReLUBackward(dX, dOut, out *mat.Dense) {
 	}
 }
 
-// SoftmaxRows writes the row-wise softmax of logits into probs and the
-// row-wise log-softmax into logProbs, sharing one pass of exponentials
-// between them. Both are numerically stable (max-subtracted). logProbs may
-// alias logits — each logit is read before its log-probability is written —
-// but probs may not.
-func SoftmaxRows(probs, logProbs, logits *mat.Dense) {
-	for r := 0; r < logits.Rows; r++ {
-		row := logits.Row(r)
-		p := probs.Row(r)
-		max := math.Inf(-1)
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
+// SoftmaxRow writes the softmax of the logits row into p and its
+// log-softmax into lp — one row of a distribution over actions — sharing
+// one pass of exponentials between them. Both are numerically stable
+// (max-subtracted). lp may alias row — each logit is read before its
+// log-probability is written — but p may not.
+func SoftmaxRow(p, lp, row []float64) {
+	max := math.Inf(-1)
+	for _, v := range row {
+		if v > max {
+			max = v
 		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - max)
-			p[j] = e
-			sum += e
-		}
-		inv := 1 / sum
-		for j := range p {
-			p[j] *= inv
-		}
-		lse := max + math.Log(sum)
-		lp := logProbs.Row(r)
-		for j, v := range row {
-			lp[j] = v - lse
-		}
+	}
+	var sum float64
+	for j, v := range row {
+		e := math.Exp(v - max)
+		p[j] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for j := range p {
+		p[j] *= inv
+	}
+	lse := max + math.Log(sum)
+	for j, v := range row {
+		lp[j] = v - lse
 	}
 }

@@ -117,7 +117,9 @@ func TestReLUSelectsExactly(t *testing.T) {
 func TestSoftmaxRows(t *testing.T) {
 	logits := mat.FromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
 	out, lout := mat.New(2, 3), mat.New(2, 3)
-	SoftmaxRows(out, lout, logits)
+	for r := 0; r < 2; r++ {
+		SoftmaxRow(out.Row(r), lout.Row(r), logits.Row(r))
+	}
 	for r := 0; r < 2; r++ {
 		var sum float64
 		for _, v := range out.Row(r) {
@@ -141,9 +143,9 @@ func TestSoftmaxRows(t *testing.T) {
 	}
 }
 
-// TestSoftmaxRowsMatchesSeparatePasses pins the shared-exponential pass to
-// the bits of the two independent passes it replaced (softmax, then
-// log-softmax, each exponentiating every logit itself).
+// TestSoftmaxRowsMatchesSeparatePasses pins SoftmaxRow's shared-exponential
+// pass, row by row, to the bits of the two independent passes it replaced
+// (softmax, then log-softmax, each exponentiating every logit itself).
 func TestSoftmaxRowsMatchesSeparatePasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	logits := mat.New(64, 36)
@@ -151,8 +153,8 @@ func TestSoftmaxRowsMatchesSeparatePasses(t *testing.T) {
 		logits.Data[i] = 8 * rng.NormFloat64()
 	}
 	probs, logProbs := mat.New(64, 36), mat.New(64, 36)
-	SoftmaxRows(probs, logProbs, logits)
 	for r := 0; r < logits.Rows; r++ {
+		SoftmaxRow(probs.Row(r), logProbs.Row(r), logits.Row(r))
 		row := logits.Row(r)
 		max := math.Inf(-1)
 		for _, v := range row {

@@ -266,6 +266,31 @@ func TestBERTHeapBytes(t *testing.T) {
 	})
 }
 
+// TestIterateBERTTwoWorkerAllocs holds one steady-state PPO iteration on
+// BERT/edge36 at two workers to the 1866 allocations it made before the
+// policy head ran as row-block stages. At two workers every head stage and
+// kernel of an update fans out, three times per transition — the policy
+// head's forward, fc2's weight gradient and the head half's per-node stage —
+// so a fourth fan-out, or a stage operand that escapes to the heap on every
+// call, lands here; TestIterateAllocs runs serially on a graph too small to
+// split.
+func TestIterateBERTTwoWorkerAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("BERT-sized PPO iterations; the count is the program's only without -race")
+	}
+	const ceiling = 1866
+	pkg := mcm.Edge36()
+	envs := []*rl.Env{goldenEnv(t, workload.BERT(), pkg)}
+	rng := rand.New(rand.NewSource(11))
+	trainer := rl.NewTrainer(rl.NewPolicy(rl.QuickConfig(pkg.Chips), rng), rl.QuickPPOConfig(), rng)
+	withWorkers(2, func() {
+		trainer.Iterate(envs) // size the scratch
+		if allocs := testing.AllocsPerRun(2, func() { trainer.Iterate(envs) }); allocs > ceiling {
+			t.Fatalf("Iterate at two workers allocates %v times in steady state, ceiling %d", allocs, ceiling)
+		}
+	})
+}
+
 // TestZeroShotPerSampleAllocs bounds what one more SAMPLE-mode sample costs
 // a deployment on BERT/edge36: the partition, the cost-model verdict and the
 // trajectory's growth — 5.2 measured (6.2 while each sample drew its raw

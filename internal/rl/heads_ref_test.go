@@ -9,6 +9,7 @@ import (
 	"mcmpart/internal/mat"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/nn"
+	"mcmpart/internal/parallel"
 	"mcmpart/internal/workload"
 )
 
@@ -24,15 +25,25 @@ import (
 //	  -e 's/^func (p \*Policy) Heads(enc \*Encoding, prev \[\]int) \*Forward {/func refHeads(p *refPolicy, f *refForward, enc *Encoding, prev []int) *refForward {/' \
 //	  -e 's/^func (p \*Policy) Backward(f \*Forward,/func refBackward(p *refPolicy, f *refForward,/' \
 //	  -e 's/p\.fc2\.Backward(/p.fc2.Backward(f.a1, /; s/p\.fc1\.Backward(/p.fc1.Backward(f.z, /' \
-//	  -e 's/p\.vf2\.Backward(/p.vf2.Backward(f.v1, /; s/p\.vf1\.Backward(/p.vf1.Backward(f.pooled, /' |
+//	  -e 's/p\.vf2\.Backward(/p.vf2.Backward(f.v1, /; s/p\.vf1\.Backward(/p.vf1.Backward(f.pooled, /' \
+//	  -e 's/nn\.SoftmaxRows(/softmaxRows(/' |
 //	  diff - <(sed -n '/^type refForward struct/,/^}$/p;/^func refHeads/,/^}$/p;/^func refBackward/,/^}$/p' internal/rl/heads_ref_test.go)
 //
-// The sed expressions are the two signature changes: the functions are no
-// longer methods — of refPolicy, which adds back the embedding-gradient
-// scratch Policy no longer keeps — and nn.Linear.Backward takes the layer
-// input it no longer caches. The diff is one line: refHeads does not take
-// `f := &p.fwd`, as the policy's scratch has no z or logits; its caller
-// passes the record.
+// The sed expressions are two signature changes and a rename: the
+// functions are no longer methods — of refPolicy, which adds back the
+// embedding-gradient scratch Policy no longer keeps — nn.Linear.Backward
+// takes the layer input it no longer caches, and nn.SoftmaxRows, which the
+// policy no longer calls, is softmaxRows below. The diff is one line:
+// refHeads does not take `f := &p.fwd`, as the policy's scratch has no z or
+// logits; its caller passes the record.
+
+// softmaxRows is nn.SoftmaxRows as it stood when the policy head called it
+// on the whole logit matrix: nn.SoftmaxRow on every row.
+func softmaxRows(probs, logProbs, logits *mat.Dense) {
+	for r := 0; r < logits.Rows; r++ {
+		nn.SoftmaxRow(probs.Row(r), logProbs.Row(r), logits.Row(r))
+	}
+}
 
 // refPolicy is a Policy plus the scratch refBackward writes the embedding
 // gradient into; the policy's encoder half borrows dA1 for that.
@@ -87,7 +98,7 @@ func refHeads(p *refPolicy, f *refForward, enc *Encoding, prev []int) *refForwar
 	p.fc2.Forward(f.logits, f.a1)
 	f.Probs = mat.Resized(f.Probs, n, c)
 	f.LogProbs = mat.Resized(f.LogProbs, n, c)
-	nn.SoftmaxRows(f.Probs, f.LogProbs, f.logits)
+	softmaxRows(f.Probs, f.LogProbs, f.logits)
 
 	// Value head over the pooled state: mean embedding plus the
 	// normalized chip histogram of the previous assignment.
@@ -161,6 +172,11 @@ func requireBits(t *testing.T, what string, got, want []float64) {
 // within 1e-12 of that parameter's reference gradient norm. A third case
 // runs the paper's network depth and width (8 x 128), where rounding
 // compounds through the layers, over ten states of a corpus graph.
+//
+// Every case runs at one worker and at eight, so that both the serial and
+// the row-split stages of Heads and the head half are held to the
+// reference; under -race the split checks that their row blocks write
+// disjoint rows.
 func TestHeadsMatchReference(t *testing.T) {
 	het := mcm.Het4()
 	bert := workload.BERT()
@@ -187,14 +203,28 @@ func TestHeadsMatchReference(t *testing.T) {
 				if perRecord {
 					mode = "per-record"
 				}
-				t.Run(mode, func(t *testing.T) { checkHeadsAgainstReference(t, tc.cfg, tc.ctx, tc.rounds, perRecord) })
+				t.Run(mode, func(t *testing.T) {
+					for _, workers := range []int{1, 8} {
+						withWorkers(workers, func() { checkHeadsAgainstReference(t, tc.cfg, tc.ctx, tc.rounds, perRecord, workers) })
+					}
+				})
 			}
 		})
 	}
 }
 
-// checkHeadsAgainstReference is one case and mode of TestHeadsMatchReference.
-func checkHeadsAgainstReference(t *testing.T, cfg Config, ctx *GraphContext, rounds int, perRecord bool) {
+// withWorkers runs fn under a temporary process-default worker count, the
+// budget the head stages reserve their lanes from.
+func withWorkers(w int, fn func()) {
+	old := parallel.Default()
+	parallel.SetDefault(w)
+	defer parallel.SetDefault(old)
+	fn()
+}
+
+// checkHeadsAgainstReference is one case and mode of TestHeadsMatchReference
+// at one worker count.
+func checkHeadsAgainstReference(t *testing.T, cfg Config, ctx *GraphContext, rounds int, perRecord bool, workers int) {
 	rng := rand.New(rand.NewSource(21))
 	pol := NewPolicy(cfg, rng)
 	// Weights as training leaves them: NewPolicy's zero biases would
@@ -223,17 +253,25 @@ func checkHeadsAgainstReference(t *testing.T, cfg Config, ctx *GraphContext, rou
 			beyond[i] = c + rng.Intn(3)
 		}
 		states = append(states,
-			state{"start (miss)", unassigned(n)},
-			state{"random", random},
-			state{"start (hit)", unassigned(n)},
-			state{"mixed", mixed},
-			state{"start spelled >= C (hit)", beyond},
+			state{fmt.Sprintf("workers=%d start (miss)", workers), unassigned(n)},
+			state{fmt.Sprintf("workers=%d random", workers), random},
+			state{fmt.Sprintf("workers=%d start (hit)", workers), unassigned(n)},
+			state{fmt.Sprintf("workers=%d mixed", workers), mixed},
+			state{fmt.Sprintf("workers=%d start spelled >= C (hit)", workers), beyond},
 		)
 	}
 	dLogits := mat.New(n, c)
 	for i := range dLogits.Data {
 		if rng.Intn(5) != 0 {
 			dLogits.Data[i] = rng.NormFloat64()
+		}
+	}
+	// A row of exact zeros, and one whose zeros are all negative: fc2's
+	// input gradient leaves both kinds of factor out.
+	clear(dLogits.Row(0))
+	for j, v := range dLogits.Row(1) {
+		if v == 0 {
+			dLogits.Row(1)[j] = math.Copysign(0, -1)
 		}
 	}
 	// Gradients accumulate across the states, so every one after the
@@ -248,7 +286,7 @@ func checkHeadsAgainstReference(t *testing.T, cfg Config, ctx *GraphContext, rou
 		requireBits(t, s.name+": Value", []float64{f.Value}, []float64{want.Value})
 		dValue := rng.NormFloat64()
 		if perRecord {
-			pol.backwardHeads(f, dLogits, dValue)
+			pol.backwardHeads(f, dLogits, nil, dValue)
 		} else {
 			pol.Backward(f, dLogits, dValue)
 		}
@@ -273,12 +311,12 @@ func checkHeadsAgainstReference(t *testing.T, cfg Config, ctx *GraphContext, rou
 		}
 		norm := math.Sqrt(sq)
 		if !(d <= 1e-12*norm) {
-			t.Fatalf("%d states, one encoder backward: grad %s differs from the reference by up to %.3g, norm %.3g",
-				len(states), param.Name, d, norm)
+			t.Fatalf("workers=%d, %d states, one encoder backward: grad %s differs from the reference by up to %.3g, norm %.3g",
+				workers, len(states), param.Name, d, norm)
 		}
 		if norm > 0 {
 			worst = max(worst, d/norm)
 		}
 	}
-	t.Logf("%d states: max |Δgrad| / ‖grad‖ over parameters %.3g", len(states), worst)
+	t.Logf("workers=%d, %d states: max |Δgrad| / ‖grad‖ over parameters %.3g", workers, len(states), worst)
 }

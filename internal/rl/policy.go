@@ -69,7 +69,10 @@ func QuickConfig(chips int) Config {
 // Besides its weights a policy owns the scratch of one evaluation in
 // flight: the Forward it returns and the temporaries of Backward are reused
 // by the next call, so a training loop allocates nothing per transition.
-// That makes a policy single-threaded; rollout workers each run on a Clone.
+// Within one call that scratch is written by disjoint row blocks, which
+// Heads and Backward may run on several workers (mat.RowBlocks); across
+// calls a policy serves one caller at a time — rollout workers each run on
+// a Clone.
 type Policy struct {
 	Cfg Config
 
@@ -85,6 +88,11 @@ type Policy struct {
 
 	enc Encoding // the record behind Forward, the one-call form of Encode + Heads
 	fwd Forward
+	// The operands of the row-block stages of Heads and backwardHeads beyond
+	// the policy's own scratch, set before each fan-out so that the fan-out
+	// captures only the policy.
+	heads headsStage
+	grad  gradStage
 	// Backward scratch. dA1 holds a transition's policy-head gradient in
 	// the head half and, idle in between, the embedding gradient in the
 	// encoder half.
@@ -285,53 +293,39 @@ func (p *Policy) Encode(enc *Encoding, ctx *GraphContext) *Encoding {
 // bias, in that order — the k-ascending sequence of mat.Mul over the whole
 // input, since 1·w is w. The all-unassigned state's distribution is the
 // same for every episode on enc, so it is computed once.
+//
+// The policy head is one row-block stage (headsRows), fanned out once under
+// mat.RowBlocks' rule and sized by its fc2 product: every node's row runs
+// the first layer, the ReLU, fc2 and the softmax without reading another's.
 func (p *Policy) Heads(enc *Encoding, prev []int) *Forward {
 	n, c, hidden := enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
 	if len(prev) != n {
 		panic(fmt.Sprintf("rl: prev has %d entries for %d nodes", len(prev), n))
 	}
-	chipFeat := p.chipFeat(enc.ctx)
 	f := &p.fwd
 	f.enc, f.prev = enc, prev
 	f.a1 = mat.Resized(f.a1, n, hidden)
-	w1, b1 := p.fc1.W.Value.Data, p.fc1.B.Value.Data
-	start := true
-	for i := 0; i < n; i++ {
-		row := f.a1.Row(i)
-		copy(row, enc.hW.Row(i))
-		if a := prev[i]; a >= 0 && a < c {
-			start = false
-			for j, w := range w1[(hidden+a)*hidden:][:len(row)] {
-				row[j] += w
-			}
-		}
-		for q, v := range chipFeat {
-			if v != 0 {
-				for j, w := range w1[(hidden+c+q)*hidden:][:len(row)] {
-					row[j] += v * w
-				}
-			}
-		}
-		for j, b := range b1[:len(row)] {
-			row[j] += b
-		}
-	}
-	nn.ReLU(f.a1, f.a1)
 	f.Probs = mat.Resized(f.Probs, n, c)
 	f.LogProbs = mat.Resized(f.LogProbs, n, c)
-	if start && enc.started {
-		copy(f.Probs.Data, enc.startProbs.Data)
-		copy(f.LogProbs.Data, enc.startLogProbs.Data)
-	} else {
-		p.fc2.Forward(f.LogProbs, f.a1) // the logits, which SoftmaxRows overwrites
-		nn.SoftmaxRows(f.Probs, f.LogProbs, f.LogProbs)
-		if start {
-			enc.startProbs = mat.Resized(enc.startProbs, n, c)
-			enc.startLogProbs = mat.Resized(enc.startLogProbs, n, c)
-			copy(enc.startProbs.Data, f.Probs.Data)
-			copy(enc.startLogProbs.Data, f.LogProbs.Data)
-			enc.started = true
+	start := true
+	for _, a := range prev {
+		if a >= 0 && a < c {
+			start = false
+			break
 		}
+	}
+	p.heads = headsStage{chipFeat: p.chipFeat(enc.ctx), memo: start && enc.started}
+	flops := n * hidden * c
+	if p.heads.memo {
+		flops = 0 // the first layer alone: what the serial build cost before
+	}
+	mat.RowBlocks(n, flops, (*Policy).headsRows, p)
+	if start && !enc.started {
+		enc.startProbs = mat.Resized(enc.startProbs, n, c)
+		enc.startLogProbs = mat.Resized(enc.startLogProbs, n, c)
+		copy(enc.startProbs.Data, f.Probs.Data)
+		copy(enc.startLogProbs.Data, f.LogProbs.Data)
+		enc.started = true
 	}
 
 	// Value head over the pooled state: mean embedding plus the
@@ -351,6 +345,61 @@ func (p *Policy) Heads(enc *Encoding, prev []int) *Forward {
 	p.vf2.Forward(f.vout, f.v1)
 	f.Value = f.vout.At(0, 0)
 	return f
+}
+
+// headsStage is what headsRows reads beyond the policy's evaluation in
+// flight (p.fwd).
+type headsStage struct {
+	chipFeat []float64
+	// memo: the state is the all-unassigned one and enc holds its
+	// distribution, so the rows need only the first layer (Backward's a1).
+	memo bool
+}
+
+// headsRows runs the policy head for nodes [lo, hi): the first layer,
+// completed from enc.hW in the order Heads documents, the ReLU, then fc2's
+// product in mat.Mul's per-row sequence, its bias, and the softmax and
+// log-softmax — or, on a memo hit, a copy of the start state's rows.
+func (p *Policy) headsRows(lo, hi int) {
+	s, f := &p.heads, &p.fwd
+	enc := f.enc
+	c, hidden := p.Cfg.Chips, p.Cfg.Hidden
+	w1, b1, b2 := p.fc1.W.Value.Data, p.fc1.B.Value.Data, p.fc2.B.Value.Data
+	for i := lo; i < hi; i++ {
+		row := f.a1.Row(i)
+		copy(row, enc.hW.Row(i))
+		if a := f.prev[i]; a >= 0 && a < c {
+			for j, w := range w1[(hidden+a)*hidden:][:len(row)] {
+				row[j] += w
+			}
+		}
+		for q, v := range s.chipFeat {
+			if v != 0 {
+				for j, w := range w1[(hidden+c+q)*hidden:][:len(row)] {
+					row[j] += v * w
+				}
+			}
+		}
+		for j, b := range b1[:len(row)] {
+			row[j] += b
+		}
+		nn.ReLURow(row, row)
+	}
+	if s.memo {
+		copy(f.Probs.Data[lo*c:hi*c], enc.startProbs.Data[lo*c:hi*c])
+		copy(f.LogProbs.Data[lo*c:hi*c], enc.startLogProbs.Data[lo*c:hi*c])
+		return
+	}
+	// The logits go into LogProbs, which the softmax overwrites.
+	clear(f.LogProbs.Data[lo*c : hi*c])
+	mat.MulAddRows(f.LogProbs, f.a1, p.fc2.W.Value, lo, hi)
+	for i := lo; i < hi; i++ {
+		lr := f.LogProbs.Row(i)
+		for j, b := range b2[:len(lr)] {
+			lr[j] += b
+		}
+		nn.SoftmaxRow(f.Probs.Row(i), lr, lr)
+	}
 }
 
 // chipFeat returns the capacity features the policy head reads from ctx:
@@ -382,20 +431,32 @@ func (p *Policy) Forward(ctx *GraphContext, prev []int) *Forward {
 // state and the encoder half once per record, which sums the fc1-embedding
 // and encoder gradients over the states before the product.
 func (p *Policy) Backward(f *Forward, dLogits *mat.Dense, dValue float64) {
-	p.backwardHeads(f, dLogits, dValue)
+	p.backwardHeads(f, dLogits, nil, dValue)
 	p.backwardEncoder(f.enc)
 }
 
 // backwardHeads is Backward's head half: it accumulates the gradients of
 // fc2, of fc1's one-hot and capacity rows and bias, and of the value head,
 // and adds what the embeddings receive — the policy head's first-layer
-// gradient and the pooled-embedding gradient — to f's record.
-func (p *Policy) backwardHeads(f *Forward, dLogits *mat.Dense, dValue float64) {
+// gradient and the pooled-embedding gradient — to f's record. With a
+// non-nil loss it first writes dLogits (N x C) from it; with nil, dLogits
+// holds the gradient already.
+//
+// The per-node part is one row-block stage (gradRows), fanned out once
+// under mat.RowBlocks' rule; every gradient that sums over nodes — fc2's
+// weights and bias, fc1's one-hot and capacity rows and bias — is then a
+// node-ascending pass, as the whole-matrix kernels summed it.
+func (p *Policy) backwardHeads(f *Forward, dLogits *mat.Dense, loss *logitGrad, dValue float64) {
 	enc := f.enc
 	n, c, hidden := enc.h.Rows, p.Cfg.Chips, p.Cfg.Hidden
 	p.dA1 = mat.Resized(p.dA1, n, hidden)
-	p.fc2.Backward(f.a1, p.dA1, dLogits)
-	nn.ReLUBackward(p.dA1, p.dA1, f.a1)
+	first := enc.pending == 0
+	if first {
+		enc.dA1 = mat.Resized(enc.dA1, n, hidden)
+	}
+	p.grad = gradStage{f: f, dLogits: dLogits, loss: loss, first: first}
+	mat.RowBlocks(n, n*c*hidden, (*Policy).gradRows, p)
+	p.fc2.Backward(f.a1, nil, dLogits)
 	// fc1's weight gradient, row block by row block of its input
 	// [h ; onehot(prev) ; ChipFeat]: the embedding rows are the encoder
 	// half's product, and the rest, whose inputs are 1 or a per-package
@@ -424,20 +485,49 @@ func (p *Policy) backwardHeads(f *Forward, dLogits *mat.Dense, dValue float64) {
 	p.vf2.Backward(f.v1, p.dV1, p.dVout)
 	nn.ReLUBackward(p.dV1, p.dV1, f.v1)
 	p.vf1.Backward(f.pooled, p.dPooled, p.dV1)
-	// The embeddings' share, summed on the record. The first transition
-	// copies, so a lone one reaches the encoder half with its own bits.
+	// The pooled embedding's share, summed on the record like dA1's.
 	pr := p.dPooled.Row(0)[:hidden]
-	if enc.pending == 0 {
-		enc.dA1 = mat.Resized(enc.dA1, n, hidden)
-		enc.dA1.CopyFrom(p.dA1)
+	if first {
 		enc.dPooled = append(enc.dPooled[:0], pr...)
 	} else {
-		enc.dA1.Add(p.dA1)
 		for j, x := range pr {
 			enc.dPooled[j] += x
 		}
 	}
 	enc.pending++
+}
+
+// gradStage is what gradRows reads beyond the policy's scratch.
+type gradStage struct {
+	f       *Forward
+	dLogits *mat.Dense
+	loss    *logitGrad // nil: dLogits is given
+	// first: no transition is pending on the record, so its dA1 sum starts
+	// as a copy of this one's — a lone transition reaches the encoder half
+	// with its own bits.
+	first bool
+}
+
+// gradRows runs the head half's per-node stage for nodes [lo, hi): the
+// logit gradient, when the stage has a loss, then fc2's input gradient
+// through the ReLU — dLogits·W2ᵀ where a1 > 0 and +0 elsewhere, the
+// products the mask discards never formed — and that row's addition to the
+// record's dA1 sum.
+func (p *Policy) gradRows(lo, hi int) {
+	s := &p.grad
+	f, hidden := s.f, p.Cfg.Hidden
+	if s.loss != nil {
+		s.loss.rows(s.dLogits, f, lo, hi)
+	}
+	mat.MulABTMaskRows(p.dA1, s.dLogits, p.fc2.W.Value, f.a1, lo, hi)
+	d, sum := p.dA1.Data[lo*hidden:hi*hidden], f.enc.dA1.Data[lo*hidden:hi*hidden]
+	if s.first {
+		copy(sum, d)
+		return
+	}
+	for j, x := range d {
+		sum[j] += x
+	}
 }
 
 // backwardEncoder is Backward's encoder half: it backpropagates the head

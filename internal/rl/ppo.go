@@ -73,6 +73,7 @@ type Trainer struct {
 	buf     []transition
 	order   []int
 	dLogits *mat.Dense
+	grad    logitGrad // the logit gradient of the transition update is on, for the head half's stage
 }
 
 // encodings holds one activation record per environment index and fills
@@ -230,13 +231,31 @@ func (t *Trainer) update(tr *transition, batch float64) (policyLoss, valueLoss, 
 	}
 	entropy = MeanEntropy(f.Probs, f.LogProbs)
 
-	// Gradient wrt logits: policy term + entropy bonus.
+	// Gradient wrt logits: policy term + entropy bonus, written row block
+	// by row block inside the head half's stage.
 	n, c := f.Probs.Rows, f.Probs.Cols
 	t.dLogits = mat.Resized(t.dLogits, n, c)
-	dLogits := t.dLogits
-	scale := 1 / batch
-	beta := t.Cfg.EntropyCoef / float64(n)
-	for i := 0; i < n; i++ {
+	t.grad = logitGrad{action: tr.action, dLogp: dLogp, beta: t.Cfg.EntropyCoef / float64(n), scale: 1 / batch}
+	vErr := f.Value - tr.ret
+	valueLoss = 0.5 * vErr * vErr
+	dValue := t.Cfg.ValueCoef * vErr * t.grad.scale
+	t.Policy.backwardHeads(f, t.dLogits, &t.grad, dValue)
+	return policyLoss, valueLoss, entropy
+}
+
+// logitGrad is one transition's PPO loss gradient with respect to the
+// logits, by row: the clipped surrogate's dL/dlogpNew through the sampled
+// action's log-probability, plus the entropy bonus, scaled by 1/batch.
+type logitGrad struct {
+	action []int
+	// dLogp is dL/dlogpNew, beta the entropy weight per node, scale
+	// 1/batch.
+	dLogp, beta, scale float64
+}
+
+// rows writes rows [lo, hi) of dLogits for the distribution f.
+func (g *logitGrad) rows(dLogits *mat.Dense, f *Forward, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		pi := f.Probs.Row(i)
 		li := f.LogProbs.Row(i)
 		di := dLogits.Row(i)
@@ -245,19 +264,14 @@ func (t *Trainer) update(tr *transition, batch float64) (policyLoss, valueLoss, 
 		for j := range pi {
 			hRow -= pi[j] * li[j]
 		}
-		a := tr.action[i]
+		a := g.action[i]
 		for j := range di {
-			g := dLogp * (indicator(j == a) - pi[j])
+			v := g.dLogp * (indicator(j == a) - pi[j])
 			// d(-H)/dlogit_j = p_j*(log p_j + H).
-			g += beta * pi[j] * (li[j] + hRow)
-			di[j] = g * scale
+			v += g.beta * pi[j] * (li[j] + hRow)
+			di[j] = v * g.scale
 		}
 	}
-	vErr := f.Value - tr.ret
-	valueLoss = 0.5 * vErr * vErr
-	dValue := t.Cfg.ValueCoef * vErr * scale
-	t.Policy.backwardHeads(f, dLogits, dValue)
-	return policyLoss, valueLoss, entropy
 }
 
 func indicator(b bool) float64 {

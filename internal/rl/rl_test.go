@@ -222,7 +222,7 @@ func TestEncodeRefusesPendingHeadGradients(t *testing.T) {
 	p := NewPolicy(QuickConfig(4), rand.New(rand.NewSource(1)))
 	prev := unassigned(env.Ctx.G.NumNodes())
 	enc := p.Encode(new(Encoding), env.Ctx)
-	p.backwardHeads(p.Heads(enc, prev), mat.New(len(prev), 4), 1)
+	p.backwardHeads(p.Heads(enc, prev), mat.New(len(prev), 4), nil, 1)
 	func() {
 		defer func() {
 			if r := recover(); r == nil {
@@ -360,5 +360,50 @@ func TestTrainUntilRespectsBudget(t *testing.T) {
 	}
 	if env.Samples > 10+cfg.Rollouts*policy.Cfg.Iterations {
 		t.Fatalf("overshot budget excessively: %d", env.Samples)
+	}
+}
+
+// headStageBench returns a policy of the bert-rl workload's shape (BERT on
+// edge36, quick network), BERT encoded under it, and a random assignment:
+// the state a PPO update's t=1 transition evaluates.
+func headStageBench() (*Policy, *Encoding, []int) {
+	pkg := mcm.Edge36()
+	ctx := NewGraphContextForPackage(workload.BERT(), pkg)
+	rng := rand.New(rand.NewSource(1))
+	p := NewPolicy(QuickConfig(pkg.Chips), rng)
+	prev := make([]int, ctx.G.NumNodes())
+	for i := range prev {
+		prev[i] = rng.Intn(pkg.Chips)
+	}
+	return p, p.Encode(new(Encoding), ctx), prev
+}
+
+// BenchmarkHeadsBERT times the policy head's forward stage on one
+// transition at bert-rl's shape, with the value head: one Heads call on a
+// state the start-state memo does not cover.
+func BenchmarkHeadsBERT(b *testing.B) {
+	p, enc, prev := headStageBench()
+	p.Heads(enc, prev)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Heads(enc, prev)
+	}
+}
+
+// BenchmarkBackwardHeadsBERT times one transition's loss-gradient stage and
+// the rest of the head half of its backward pass at bert-rl's shape: the
+// PPO logit gradient, fc2's masked input gradient, and the node-ascending
+// weight and bias gradients, as a minibatch's update runs them.
+func BenchmarkBackwardHeadsBERT(b *testing.B) {
+	p, enc, prev := headStageBench()
+	f := p.Heads(enc, prev)
+	loss := &logitGrad{action: prev, dLogp: -0.7, beta: DefaultPPOConfig().EntropyCoef / float64(len(prev)), scale: 1.0 / 16}
+	dLogits := mat.New(len(prev), p.Cfg.Chips)
+	p.backwardHeads(f, dLogits, loss, 0.1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.backwardHeads(f, dLogits, loss, 0.1)
 	}
 }

@@ -16,9 +16,9 @@ type episodeResult struct {
 }
 
 // rolloutWorker is what a rollout worker beyond the first owns: a clone of
-// the trainer's policy (a policy's scratch is single-threaded), brought up
-// to date at the start of every batch, and that clone's activation records.
-// The trainer keeps them from one batch to the next.
+// the trainer's policy (a policy's scratch serves one caller at a time),
+// brought up to date at the start of every batch, and that clone's
+// activation records. The trainer keeps them from one batch to the next.
 type rolloutWorker struct {
 	pol  *Policy
 	encs encodings
