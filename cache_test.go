@@ -93,3 +93,52 @@ func TestVersionUpgradeMissesNeverHits(t *testing.T) {
 		t.Errorf("the v=3 entry holds %d chips, want a fresh plan for %d nodes", len(w.Partition), g.NumNodes())
 	}
 }
+
+// TestAdmitRechecksTheCache: a flight that stores its key's plan and retires
+// between a request's lookup and its admission has left the plan in the
+// memory cache, and admit serves it as a hit instead of planning the key a
+// second time. The window is taken deterministically: the request is keyed,
+// its lookup misses, the plan is stored, and then the request is admitted.
+func TestAdmitRechecksTheCache(t *testing.T) {
+	g := CorpusGraphs(1)[0]
+	svc, err := NewService(Dev8(), ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	req := PlanRequest{Graph: g, Options: PlanOptions{Method: MethodRandom, SampleBudget: 8, Seed: 3}}
+	a := admission{start: svc.now()}
+	if err := svc.normalize(ctx, req, &a); err != nil {
+		t.Fatal(err)
+	}
+	svc.keyRequest(&a)
+	if _, _, ok := svc.lookup(a.key); ok {
+		t.Fatal("lookup hit before anything was stored")
+	}
+	res, err := svc.Planner().Plan(ctx, g, req.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(res.Partition)
+	canonicalize(res, a.pos)
+	svc.store(a.key, res)
+
+	job, err := svc.admit(&a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := job.Status(); st.State != JobDone || !st.Cached {
+		t.Fatalf("admitted job %+v: want done and cached", st)
+	}
+	got, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Partition, want) {
+		t.Fatalf("admitted job's partition %v, planned %v", got.Partition, want)
+	}
+	if st := svc.Stats(); st.PlansExecuted != 0 || st.CacheHits != 1 || st.CacheMisses != 0 || st.JobsSubmitted != 1 {
+		t.Fatalf("stats %+v: want one memory hit and no plan executed", st)
+	}
+}

@@ -30,10 +30,11 @@ import (
 //
 // The sampler is exact, and so is every shortcut it takes: a logarithm is
 // skipped only where its result is already known or cannot change which gap
-// wins, and a matrix seen before is drawn from the weights it built then, so
-// the partition, the boundary weights and the RNG stream are those of the
-// plain algorithm, which segment_ref_test.go keeps (DESIGN.md §1.2, "What a
-// sample costs", has the arguments).
+// wins, a weight no draw can read is not computed, and a matrix seen before
+// (the uniform one included) is drawn from the weights it built then, so the
+// partition, every boundary weight a draw reads and the RNG stream are those
+// of the plain algorithm, which segment_ref_test.go keeps (DESIGN.md §1.2,
+// "What a sample costs", has the arguments).
 type Segmenter struct {
 	g *graph.Graph
 	// chips is the package chip count C (the policy action space);
@@ -70,6 +71,11 @@ type Segmenter struct {
 	bounds []int
 	slots  [2]weights
 	cur    int
+	// hi is the window: hi[j] is the last gap boundary j can occupy in a
+	// complete layout, the last g with CapFrom[next[g]] >= k-2-j (the
+	// boundaries after j must fit from next[g] on). It is nondecreasing in
+	// j, and hi[k-2] = N-2. Only gaps up to hi[j] are computed or read.
+	hi [mcm.MaxChips]int32
 	// chipCap, when non-nil, is the per-chip static weight bound of
 	// Options.ChipCapacityBytes: samples whose per-chip weight totals
 	// exceed it are rejected and redrawn (the DP's streaming structure
@@ -82,8 +88,8 @@ type Segmenter struct {
 // weights is everything backward reads of one call's DP, (k-1) x (N-1),
 // boundary-major: row j < k-2 holds boundary j's weights given boundary j+1,
 // alpha[j][g'] - ps[j+1][g'], and the last row the last boundary's,
-// alpha[k-2][g] + ps[k-1][N-1] - ps[k-1][g]. Row j's entries past the last
-// gap g' with next[g'] <= N-2 are never read.
+// alpha[k-2][g] + ps[k-1][N-1] - ps[k-1][g]. Row j's entries past hi[j] are
+// never read, and never written: they hold whatever the slot held before.
 type weights struct {
 	w []float64
 	// val is the matrix w was last built from, N x k position-major
@@ -97,6 +103,9 @@ type weights struct {
 	// fresh reports that w was built from val: a Fit or uniform call writes
 	// w and clears it.
 	fresh bool
+	// uniform reports that w holds the uniform weights: a Fit call or a
+	// build writes w and clears it.
+	uniform bool
 }
 
 // ones stands in for a nil probability row.
@@ -133,6 +142,13 @@ func NewSegmenter(g *graph.Graph, chips int) (*Segmenter, error) {
 	if sg.calib > 1 {
 		sg.calib = 1
 	}
+	nb, gap := sg.k-1, len(sg.order)-2
+	for j := nb - 1; j >= 0; j-- {
+		for int(lay.CapFrom[lay.Next[gap]]) < nb-1-j {
+			gap--
+		}
+		sg.hi[j] = int32(gap)
+	}
 	return sg, nil
 }
 
@@ -155,13 +171,24 @@ func (sg *Segmenter) Sample(probs [][]float64, rng *rand.Rand) (partition.Partit
 	switch {
 	case sg.k == 1:
 	case probs == nil:
-		s := sg.slot()
-		s.fresh = false
-		sg.forward(s.w, func(_ int, ps []float64) { clear(ps) }) // every term is calib*0
+		sg.uniform()
 	default:
 		sg.prepare(probs)
 	}
 	return sg.draw(rng)
+}
+
+// uniform makes the current slot hold the uniform weights. Every term is
+// calib*log 1 = +0, so the weights depend on nothing but the graph: a slot
+// that holds them is drawn from as it stands.
+func (sg *Segmenter) uniform() {
+	s := sg.slot()
+	if s.uniform {
+		return
+	}
+	s.fresh = false
+	sg.forward(s.w, func(_ int, ps []float64) { clear(ps) })
+	s.uniform = true
 }
 
 // Fit projects a (possibly invalid) hint onto the contiguous family,
@@ -178,13 +205,13 @@ func (sg *Segmenter) Fit(y []int, rng *rand.Rand) (partition.Partition, error) {
 	}
 	if sg.k > 1 {
 		s := sg.slot()
-		s.fresh = false
+		s.fresh, s.uniform = false, false
 		agree, disagree := sg.calib*math.Log(1.0), sg.calib*math.Log(1e-9)
 		sg.forward(s.w, func(k int, ps []float64) {
 			acc := 0.0
-			for q, u := range sg.order {
+			for q := range ps {
 				t := disagree
-				if y[u] == k {
+				if y[sg.order[q]] == k {
 					t = agree
 				}
 				acc += t
@@ -311,23 +338,31 @@ func (sg *Segmenter) shares(val []float64, probs [][]float64) bool {
 // build reads probs once, in layout order, into s.val, and writes s's
 // weights from it. With a term memo, a term is recomputed only where the
 // probability differs from the one the entry held (the log is a function of
-// the value alone, and NaN equals nothing, so a NaN is always recomputed);
-// without one, each chip's prefix sums take their logs from val.
+// the value alone, and NaN equals nothing, so a NaN is always recomputed)
+// and a prefix sum reads it: chip c's sums stop at hi[c] for every chip but
+// the last, so position q reads the terms of chips lo.. only, lo being the
+// number of windows that end before q. Without a memo, each chip's prefix
+// sums take their logs from val.
 func (sg *Segmenter) build(s *weights, probs [][]float64) {
 	c := sg.k
 	if s.val == nil {
 		s.val = make([]float64, len(sg.order)*c)
 	}
 	val, term := s.val, s.term
+	lo := 0
 	for q, u := range sg.order {
 		row, dst := sg.row(probs, u), val[q*c:q*c+c]
 		if term == nil {
 			copy(dst, row)
 			continue
 		}
+		for lo < c-1 && int(sg.hi[lo]) < q {
+			lo++
+		}
+		copy(dst[:lo], row[:lo])
 		t := term[q*c : q*c+c]
-		for k, v := range row {
-			if v != dst[k] {
+		for k := lo; k < c; k++ {
+			if v := row[k]; v != dst[k] {
 				dst[k] = v
 				t[k] = sg.logTerm(v)
 			}
@@ -350,7 +385,7 @@ func (sg *Segmenter) build(s *weights, probs [][]float64) {
 			}
 		})
 	}
-	s.fresh = true
+	s.fresh, s.uniform = true, false
 }
 
 // logTerm is a probability's calib*log(max(P, 1e-12)).
@@ -361,8 +396,9 @@ func (sg *Segmenter) logTerm(v float64) float64 {
 	return sg.calib * math.Log(v)
 }
 
-// forward runs the DP one chip at a time, prefix filling ps with chip k's
-// prefix sums, and writes what backward reads into w (see weights).
+// forward runs the DP one chip at a time, prefix filling the ps slice it is
+// passed with chip k's prefix sums, and writes what backward reads into w
+// (see weights).
 // alpha[k][g] is the log total weight of layouts of the first k+1 segments
 // with boundary k+1 at gap g (gap g = between positions g and g+1;
 // boundaries live at gaps 0..n-2): alpha[0][g] = ps[0][g]; alpha[k][g] =
@@ -370,22 +406,29 @@ func (sg *Segmenter) logTerm(v float64) float64 {
 // ps[k][g']), the terms that are row k-1 of the weights. Row k of w holds
 // alpha[k] until chip k+1 turns it into those terms, so alpha takes no
 // memory of its own.
+//
+// Row k and chip k's prefix sums stop at hi[k], all but the last chip's: a
+// g' admitted at g <= hi[k] has CapFrom[next[g']] >= CapFrom[g] >= nb-k, so
+// g' <= hi[k-1], and backward reads row k-1 only at g' with next[g'] <=
+// bounds[k] <= hi[k] (DESIGN.md §1.2).
 func (sg *Segmenter) forward(w []float64, prefix func(k int, ps []float64)) {
 	n, nb := len(sg.order), sg.k-1
 	m := n - 1
 	ps, next := sg.ps, sg.next[:m]
-	prefix(0, ps)
-	copy(w[:m], ps[:m])
+	end := int(sg.hi[0]) + 1
+	prefix(0, ps[:end])
+	copy(w[:end], ps[:end])
 	for k := 1; k < nb; k++ {
-		prefix(k, ps)
-		prev, cur := w[(k-1)*m:k*m], w[k*m:(k+1)*m]
+		end = int(sg.hi[k]) + 1
+		prefix(k, ps[:end])
+		prev, cur := w[(k-1)*m:k*m], w[k*m:k*m+end]
 		// Streaming LSE over g' with next[g'] <= g, exploiting that next
 		// is nondecreasing. log(lseSum) is retaken only at a gap that
 		// admitted a term: elsewhere lseSum is what it was.
 		lseMax := math.Inf(-1)
 		lseSum, logSum := 0.0, 0.0
 		gp := 0
-		for g := 0; g < m; g++ {
+		for g := range cur {
 			admitted := false
 			for gp < m && int(next[gp]) <= g {
 				x := prev[gp] - ps[gp]

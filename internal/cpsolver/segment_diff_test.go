@@ -14,9 +14,15 @@ import (
 // segmenterPair drives a Segmenter and the reference sampler through the
 // same calls on identically seeded generators and requires, after every
 // call: the same partition or the same error, the boundary weights the
-// Segmenter draws from equal bit for bit to the ones the reference's prefix
-// sums and forward table give, and the same next RNG output — i.e. the same
-// number of draws was consumed.
+// Segmenter draws from equal bit for bit, inside the windows, to the ones
+// the reference's prefix sums and forward table give, and the same next RNG
+// output — i.e. the same number of draws was consumed.
+//
+// Before every call, every weight outside the windows, in both slots, is
+// poisoned with -Inf; after it, the poison must be intact. So no build
+// writes there, and every draw reads weights poisoned outside the windows:
+// a -Inf consumes no rng.Float64 where the reference's finite weight
+// consumes one, so a read outside a window desynchronises the streams.
 type segmenterPair struct {
 	t          *testing.T
 	name       string
@@ -27,7 +33,15 @@ type segmenterPair struct {
 	lastSample partition.Partition
 }
 
+// newSegmenterPair sizes both of sg's slots, which builds otherwise do on
+// first use, so that the poison reaches a slot's first build too.
 func newSegmenterPair(t *testing.T, name string, sg *Segmenter, seed int64) *segmenterPair {
+	if sg.k > 1 {
+		for range sg.slots {
+			sg.slot()
+			sg.cur ^= 1
+		}
+	}
 	return &segmenterPair{
 		t: t, name: name, sg: sg, ref: newRefSegmenter(sg),
 		rng: rand.New(rand.NewSource(seed)), rrng: rand.New(rand.NewSource(seed)),
@@ -36,6 +50,7 @@ func newSegmenterPair(t *testing.T, name string, sg *Segmenter, seed int64) *seg
 
 func (sp *segmenterPair) sample(what string, probs [][]float64) {
 	sp.t.Helper()
+	sp.poison()
 	got, gerr := sp.sg.Sample(probs, sp.rng)
 	want, werr := sp.ref.refSample(probs, sp.rrng)
 	sp.compare(what, got, gerr, want, werr)
@@ -60,9 +75,29 @@ func (sp *segmenterPair) sampleExpecting(hit bool, what string, probs [][]float6
 
 func (sp *segmenterPair) fit(what string, y []int) {
 	sp.t.Helper()
+	sp.poison()
 	got, gerr := sp.sg.Fit(y, sp.rng)
 	want, werr := sp.ref.refFit(y, sp.rrng)
 	sp.compare(what, got, gerr, want, werr)
+}
+
+// outside calls f on every weight outside the windows of both slots.
+func (sp *segmenterPair) outside(f func(slot, j, g int, w *float64)) {
+	m := len(sp.sg.order) - 1
+	for i, s := range sp.sg.slots {
+		if s.w == nil { // a single chip: no boundaries
+			continue
+		}
+		for j := 0; j < sp.sg.k-1; j++ {
+			for g := int(sp.sg.hi[j]) + 1; g < m; g++ {
+				f(i, j, g, &s.w[j*m+g])
+			}
+		}
+	}
+}
+
+func (sp *segmenterPair) poison() {
+	sp.outside(func(_, _, _ int, w *float64) { *w = math.Inf(-1) })
 }
 
 func (sp *segmenterPair) compare(what string, got partition.Partition, gerr error, want partition.Partition, werr error) {
@@ -86,22 +121,26 @@ func (sp *segmenterPair) compare(what string, got partition.Partition, gerr erro
 	if gerr == nil {
 		sp.lastSample = got
 	}
+	sp.outside(func(slot, j, g int, w *float64) {
+		if !math.IsInf(*w, -1) {
+			fail("slot %d weight[%d][%d] = %v, past the window's end %d: a build wrote outside it", slot, j, g, *w, sp.sg.hi[j])
+		}
+	})
 	if c := sp.sg.k; c > 1 {
 		if sp.ref.logPS == nil {
 			fail("reference never built its tables")
 		}
 		// What backward reads (see weights): alpha[j][g'] - ps[j+1][g'] at
-		// every gap it can reach, then the last boundary's row.
+		// every gap of j's window, then the last boundary's row. The
+		// reference computes the gaps past a window too; the Segmenter does
+		// not, and the poison stands in for them.
 		n := len(sp.sg.order)
 		m := n - 1
 		ps, alpha, w := sp.ref.logPS, sp.ref.alpha, sp.sg.slots[sp.sg.cur].w
 		for j := 0; j < c-1; j++ {
-			for g := 0; g < m; g++ {
+			for g := 0; g <= int(sp.sg.hi[j]); g++ {
 				var x float64
 				if j < c-2 {
-					if int(sp.sg.next[g]) > m-1 {
-						break
-					}
 					x = alpha[j][g] - ps[j+1][g]
 				} else {
 					x = alpha[j][g] + ps[c-1][n-1] - ps[c-1][g]
@@ -152,7 +191,10 @@ func (sp *segmenterPair) exercise(rounds int, brief bool) {
 	src := rand.New(rand.NewSource(int64(n)*131 + int64(chips)))
 
 	sp.sample("nil probs", nil)
-	sp.sample("nil probs again", nil)
+	sp.sampleExpecting(true, "nil probs again", nil)
+	sp.fit("hint over the uniform weights", randomHint(src, n, chips))
+	sp.sampleExpecting(false, "nil probs after a hint", nil)
+	sp.sampleExpecting(true, "nil probs after that", nil)
 
 	current, flat := probMatrix(n, chips)
 	for i := range flat {
@@ -380,6 +422,7 @@ func FuzzSegmenterSequence(f *testing.F) {
 	f.Add(int64(3), uint8(0x41), []byte{7, 0, 1, 5, 13, 21, 29, 37, 2, 6, 6, 1})
 	f.Add(int64(4), uint8(0xf3), []byte{0, 0, 2, 2, 2, 2, 8, 10, 4, 12, 1, 9})
 	f.Add(int64(5), uint8(0x83), []byte{0, 7, 2, 0, 6, 2, 0, 0, 2, 2})
+	f.Add(int64(6), uint8(0x90), []byte{7, 7, 6, 7, 0, 7, 2, 7})
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, ops []byte) {
 		if len(ops) > 48 {
 			ops = ops[:48]
@@ -629,6 +672,54 @@ func BenchmarkSegmenterSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := sg.Sample(proposals[i%len(proposals)], rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = p
+	}
+}
+
+// BenchmarkSegmenterSampleAnneal is SAMPLE mode on BERT/36 the way
+// search.Anneal drives it: each call re-draws a twentieth of the rows of the
+// matrix the last call saw, so every build goes through the term memo.
+func BenchmarkSegmenterSampleAnneal(b *testing.B) {
+	sg, _ := segmenterBenchProposals(b)
+	n, c := sg.NumNodes(), 36
+	rng := rand.New(rand.NewSource(1))
+	probs, flat := probMatrix(n, c)
+	for i := range flat {
+		flat[i] = 1 / float64(c)
+	}
+	// The re-drawn rows come from a pool, so that the loop times the
+	// sampler and not the Dirichlet draws.
+	pool, _ := probMatrix(64, c)
+	for _, row := range pool {
+		dirichletRow(rng, row)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < n/20; j++ {
+			copy(probs[rng.Intn(n)], pool[rng.Intn(len(pool))])
+		}
+		p, err := sg.Sample(probs, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = p
+	}
+}
+
+// BenchmarkSegmenterSampleUniform is the solver's share of a random-search
+// sample: Sample(nil) on BERT/36, which draws from the uniform weights the
+// first call built.
+func BenchmarkSegmenterSampleUniform(b *testing.B) {
+	sg, _ := segmenterBenchProposals(b)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := sg.Sample(nil, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

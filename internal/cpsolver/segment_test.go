@@ -1,6 +1,7 @@
 package cpsolver
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -214,19 +215,63 @@ func TestNewAutoSelectsBySize(t *testing.T) {
 	}
 }
 
-func BenchmarkSegmenterSampleBERT(b *testing.B) {
+// TestForwardStopsAtTheWindow: a build writes boundary j's weights at the
+// gaps of its window, 0..hi[j], and no others — a matrix, a uniform call and
+// a hint alike. On BERT/36 the windows hold 58 254 of the 74 795 entries.
+// (40 744 of them are gaps some complete layout puts the boundary at: the
+// gaps before a boundary's earliest one are -Inf for finite probabilities,
+// but a NaN prefix sum makes them NaN, which the draw reads, so they are
+// computed.)
+func TestForwardStopsAtTheWindow(t *testing.T) {
 	g := workload.BERT()
-	sg, err := NewSegmenter(g, 36)
+	const chips = 36
+	sg, err := NewSegmenter(g, chips)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := sg.Sample(nil, rng)
-		if err != nil {
-			b.Fatal(err)
+	n := g.NumNodes()
+	m := n - 1
+	window := 0
+	for j := 0; j < chips-1; j++ {
+		window += int(sg.hi[j]) + 1
+	}
+	if window != 58_254 || (chips-1)*m != 74_795 {
+		t.Fatalf("windows hold %d of %d entries, want 58254 of 74795", window, (chips-1)*m)
+	}
+	rng := rand.New(rand.NewSource(3))
+	probs, flat := probMatrix(n, chips)
+	for i := range flat {
+		flat[i] = rng.Float64()
+	}
+	hint := randomHint(rng, n, chips)
+	builds := []struct {
+		name string
+		call func() (partition.Partition, error)
+	}{
+		{"matrix", func() (partition.Partition, error) { return sg.Sample(probs, rng) }},
+		{"uniform", func() (partition.Partition, error) { return sg.Sample(nil, rng) }},
+		{"hint", func() (partition.Partition, error) { return sg.Fit(hint, rng) }},
+	}
+	// Not a NaN: a forward that read past a window would carry a NaN's
+	// payload into what it wrote there, and the sentinel would come back.
+	sentinel := math.Float64frombits(0x3ff0_5e17_dead_0001)
+	for _, b := range builds {
+		w := sg.slot().w
+		for i := range w {
+			w[i] = sentinel
 		}
-		benchSink = p
+		if _, err := b.call(); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if &sg.slot().w[0] != &w[0] {
+			t.Fatalf("%s: built in the other slot", b.name)
+		}
+		for j := 0; j < chips-1; j++ {
+			for gap, x := range w[j*m : (j+1)*m] {
+				if untouched := math.Float64bits(x) == math.Float64bits(sentinel); untouched != (gap > int(sg.hi[j])) {
+					t.Fatalf("%s: weight[%d][%d] untouched %t, window ends at %d", b.name, j, gap, untouched, sg.hi[j])
+				}
+			}
+		}
 	}
 }

@@ -769,21 +769,31 @@ func (s *Service) admitCached(a *admission, res *Result, fromDisk bool) (*Job, e
 	if err != nil {
 		return nil, err
 	}
-	s.finishJob(job, JobDone, res, nil, true)
-	s.m.planWarm.Observe(s.now().Sub(a.start).Seconds())
+	s.finishHit(a, job, res)
 	return job, nil
 }
 
+// finishHit ends a hit's registered job with the cached result.
+func (s *Service) finishHit(a *admission, job *Job, res *Result) {
+	s.finishJob(job, JobDone, res, nil, true)
+	s.m.planWarm.Observe(s.now().Sub(a.start).Seconds())
+}
+
 // registerHit is admitCached's critical section: it registers the hit's
-// job under s.mu, released by defer like admit's so no path keeps it. The
-// tier counters partition admissions: a disk hit is a memory miss, and —
-// like every admission — the tier outcome is counted before jobsSubmitted.
+// job under s.mu, released by defer like admit's so no path keeps it.
 func (s *Service) registerHit(a *admission, fromDisk bool) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
 		return nil, ErrServiceClosed
 	}
+	return s.registerHitLocked(a, fromDisk), nil
+}
+
+// registerHitLocked registers a hit's job. The tier counters partition
+// admissions: a disk hit is a memory miss, and — like every admission —
+// the tier outcome is counted before jobsSubmitted.
+func (s *Service) registerHitLocked(a *admission, fromDisk bool) *Job {
 	job := s.registerLocked(a, false)
 	if fromDisk {
 		s.m.memMisses.Inc()
@@ -792,7 +802,7 @@ func (s *Service) registerHit(a *admission, fromDisk bool) (*Job, error) {
 		s.m.memHits.Inc()
 	}
 	s.m.jobsSubmitted.Inc()
-	return job, nil
+	return job
 }
 
 // admit admits a lookup miss: onto the key's in-flight plan if there is
@@ -801,22 +811,40 @@ func (s *Service) registerHit(a *admission, fromDisk bool) (*Job, error) {
 // flight, so a shed request (ErrBusy) leaves nothing behind — no job, no
 // ID, no gauge movement. The worker that picks the flight up cannot
 // outrun that registration: runFlight takes s.mu, held here, first.
+//
+// Before it opens a flight, admit looks the memory cache up again: a
+// flight that stored the key's plan and retired since the lookup (runFlight
+// stores before it retires, and retires under s.mu) has left the plan
+// there, and the request is admitted as the hit it now is.
 func (s *Service) admit(a *admission) (*Job, error) {
+	job, res, err := s.admitMiss(a)
+	if res != nil {
+		s.finishHit(a, job, res)
+	}
+	return job, err
+}
+
+// admitMiss is admit's critical section. It returns the cached result
+// when the re-check hits; the caller finishes that job outside s.mu.
+func (s *Service) admitMiss(a *admission) (*Job, *Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
-		return nil, ErrServiceClosed
+		return nil, nil, ErrServiceClosed
 	}
 	fl, coalesced := s.inflight[a.key]
 	if !coalesced {
+		if res, ok := s.cache.get(a.key); ok {
+			return s.registerHitLocked(a, false), res, nil
+		}
 		fl = &flight{key: a.key, graph: a.graph, opts: a.opts, policy: a.policy}
 		fl.opts.Progress = nil
 		if err := s.pool.TrySubmit(func() { s.runFlight(fl) }); err != nil {
 			if errors.Is(err, parallel.ErrPoolFull) {
 				s.m.jobsShed.Inc()
-				return nil, ErrBusy
+				return nil, nil, ErrBusy
 			}
-			return nil, ErrServiceClosed
+			return nil, nil, ErrServiceClosed
 		}
 		s.inflight[a.key] = fl
 		s.m.jobsQueued.Inc()
@@ -831,7 +859,7 @@ func (s *Service) admit(a *admission) (*Job, error) {
 		fl.leader = job
 	}
 	s.m.jobsSubmitted.Inc()
-	return job, nil
+	return job, nil, nil
 }
 
 // registerLocked creates the job for an admitted request and enters it in
