@@ -139,6 +139,19 @@ func TestDaemonEndToEndCachedZeroShot(t *testing.T) {
 	if stats.CacheHits != 1 || stats.CacheMisses != 1 {
 		t.Fatalf("stats report %d hits / %d misses, want 1 / 1", stats.CacheHits, stats.CacheMisses)
 	}
+	if stats.DeploymentReuses != 0 {
+		t.Fatalf("stats report %d deployment reuses after one plan, want 0", stats.DeploymentReuses)
+	}
+
+	// Another seed misses the plan cache but plans from the graph's
+	// deployment, which the first plan built under the same policy.
+	opts.Seed = 8
+	if third, err := cl.Plan(ctx, held, opts); err != nil || third.Cached {
+		t.Fatalf("a new seed's plan: %+v, %v; want a fresh plan", third, err)
+	}
+	if stats, err = cl.Stats(ctx); err != nil || stats.DeploymentReuses != 1 {
+		t.Fatalf("stats %+v, %v: want 1 deployment reuse after a repeat graph's plan", stats, err)
+	}
 }
 
 // TestDaemonSmoke boots a bare daemon (no policy) and drives the cheap

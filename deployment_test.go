@@ -1,0 +1,451 @@
+package mcmpart
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"log/slog"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"testing"
+
+	"mcmpart/internal/graph"
+	"mcmpart/internal/parallel"
+	"mcmpart/internal/rl"
+)
+
+// The deployments of an installed policy (deployment.go): a repeat graph's
+// deployed-policy plan runs from the context, encoding and environment an
+// earlier plan of the identical graph built under the same weights, and
+// plans exactly what a cold plan does.
+
+// resultBits renders every field of a result, floats by their bits.
+func resultBits(r *Result) string {
+	hist := make([]uint64, len(r.History))
+	for i, h := range r.History {
+		hist[i] = math.Float64bits(h)
+	}
+	return fmt.Sprintf("%v %x %x %d %x %v", r.Partition, math.Float64bits(r.Throughput), math.Float64bits(r.Improvement), r.Samples, hist, r.FailCounts)
+}
+
+// deployedPlanner returns an Edge36 planner with a fresh quick policy
+// installed, and that policy.
+func deployedPlanner(tb testing.TB) (*Planner, *rl.Policy) {
+	tb.Helper()
+	pl, err := NewPlanner(Edge36())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	policy := rl.NewPolicy(pl.freshPolicyConfig(false), rand.New(rand.NewSource(1)))
+	pl.installPolicy(policy, "")
+	return pl, policy
+}
+
+// planReused is Plan, also reporting whether the plan reused a deployment.
+func planReused(tb testing.TB, pl *Planner, g *Graph, opts PlanOptions) (*Result, bool) {
+	tb.Helper()
+	opts, err := normalizeRequest(g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, reused, err := pl.plan(context.Background(), g, opts, pl.snapshotPolicy())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, reused
+}
+
+// coldPlan plans on a fresh install of policy: a snapshot with no
+// deployments.
+func coldPlan(tb testing.TB, pl *Planner, policy *rl.Policy, g *Graph, opts PlanOptions) *Result {
+	tb.Helper()
+	pl.installPolicy(policy, "")
+	res, reused := planReused(tb, pl, g, opts)
+	if reused {
+		tb.Fatal("a plan on a fresh install reused a deployment")
+	}
+	return res
+}
+
+// TestDeployedPlansMatchColdPlans: zero-shot and fine-tune, on the cost
+// model and the simulator, seeds 1-4, on BERT and a corpus graph, each
+// planned cold (a fresh install) and then warm, on one planner that planned
+// every earlier case — so every warm plan but each graph's first runs from
+// its graph's deployment and on an environment earlier plans, of either
+// method, left. Every Result must be float-bit identical.
+func TestDeployedPlansMatchColdPlans(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	if testing.Short() || raceEnabled {
+		seeds = seeds[:1]
+	}
+	warm, policy := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	reuses := 0
+	for _, g := range []*Graph{BERT(), CorpusGraphs(1)[40]} {
+		first := true
+		for _, method := range []Method{MethodZeroShot, MethodFineTune} {
+			for _, sim := range []bool{false, true} {
+				for _, seed := range seeds {
+					opts := PlanOptions{Method: method, SampleBudget: 16, Seed: seed, UseSimulator: sim}
+					want := coldPlan(t, cold, policy, g, opts)
+					got, reused := planReused(t, warm, g, opts)
+					if reused == first {
+						t.Fatalf("%s %v: reused %t on the graph's first plan %t", g.Name(), opts, reused, first)
+					}
+					first = false
+					if reused {
+						reuses++
+					}
+					if resultBits(want) != resultBits(got) {
+						t.Errorf("%s %s simulator=%t seed %d: the warm plan differs from the cold one", g.Name(), method, sim, seed)
+					}
+				}
+			}
+		}
+	}
+	if want := 2*2*2*len(seeds) - 2; reuses != want {
+		t.Fatalf("%d plans reused a deployment, want %d", reuses, want)
+	}
+}
+
+// variant returns a copy of g changed by edit: a graph that shares g's
+// fingerprint-relevant structure but is not Identical to it.
+func variant(g *Graph, edit func(nodes []graph.Node, edges []graph.Edge)) *Graph {
+	nodes, edges := append([]graph.Node(nil), g.Nodes()...), append([]graph.Edge(nil), g.Edges()...)
+	edit(nodes, edges)
+	out := NewGraph(g.Name())
+	for _, n := range nodes {
+		out.AddNode(n)
+	}
+	for _, e := range edges {
+		out.MustAddEdge(e.From, e.To, e.Bytes)
+	}
+	return out
+}
+
+// TestNearIdenticalGraphsGetTheirOwnDeployment: graphs that differ from a
+// deployed one only in one node's name, in a FLOPs of -0 against +0, or in
+// the insertion order of two edges do not find its deployment, and plan what
+// a cold plan of each does. Mutation caught: deployments matched by
+// fingerprint, canonical positions, or a comparison that skips names or
+// reads floats by value.
+func TestNearIdenticalGraphsGetTheirOwnDeployment(t *testing.T) {
+	warm, policy := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	base := variant(CorpusGraphs(1)[40], func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = 0 })
+	variants := map[string]*Graph{
+		"node name": variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[1].Name += "'" }),
+		"-0 FLOPs":  variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = math.Copysign(0, -1) }),
+		"edge order": variant(base, func(_ []graph.Node, edges []graph.Edge) {
+			edges[0], edges[len(edges)-1] = edges[len(edges)-1], edges[0]
+		}),
+	}
+	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 3}
+	planReused(t, warm, base, opts)
+	for name, g := range variants {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for round := 0; round < 2; round++ {
+			got, reused := planReused(t, warm, g, opts)
+			if reused != (round == 1) {
+				t.Errorf("%s, plan %d: reused a deployment %t", name, round, reused)
+			}
+			if w, gb := resultBits(coldPlan(t, cold, policy, g, opts)), resultBits(got); w != gb {
+				t.Errorf("%s, plan %d: warm plan differs from a cold one", name, round)
+			}
+		}
+	}
+}
+
+// TestDeploymentKeepsItsOwnGraph: a caller that grows its graph after a
+// plan and plans it again gets the grown graph's cold plan — the deployment
+// was built on a clone, so it neither matches the grown graph nor changes
+// with it. Mutation caught: a deployment built on the caller's graph.
+func TestDeploymentKeepsItsOwnGraph(t *testing.T) {
+	warm, policy := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	g := CorpusGraphs(1)[40].Clone()
+	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 8, Seed: 4}
+	planReused(t, warm, g, opts)
+	last := g.NumNodes() - 1
+	id := g.AddNode(g.Node(last))
+	g.MustAddEdge(last, id, g.Node(last).OutputBytes)
+	got, reused := planReused(t, warm, g, opts)
+	if reused {
+		t.Fatal("the grown graph's plan reused the deployment of the graph before it grew")
+	}
+	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
+		t.Fatal("the grown graph's plan differs from its cold plan")
+	}
+}
+
+// TestInstallDropsDeployments: after an install no plan runs from a
+// deployment the previous policy's weights made — not even when the new
+// policy is the same one installed again — and a plan under a new policy is
+// that policy's cold plan.
+func TestInstallDropsDeployments(t *testing.T) {
+	pl, a := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	b := rl.NewPolicy(a.Cfg, rand.New(rand.NewSource(2)))
+	g := CorpusGraphs(1)[40]
+	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 2}
+	planReused(t, pl, g, opts)
+	for _, p := range []*rl.Policy{a, b} {
+		pl.installPolicy(p, "")
+		got, reused := planReused(t, pl, g, opts)
+		if reused {
+			t.Fatal("a plan after an install reused a deployment")
+		}
+		if resultBits(got) != resultBits(coldPlan(t, cold, p, g, opts)) {
+			t.Fatal("a plan after an install is not the installed policy's cold plan")
+		}
+	}
+}
+
+// TestDeploymentsStayInTheirBound: a deployment whose estimate alone
+// exceeds the set's bound is not kept; one that fits while its environment
+// does not is kept without it; and one that needs another's room evicts the
+// least recently used. The set never counts more than its bound.
+func TestDeploymentsStayInTheirBound(t *testing.T) {
+	pl, policy := deployedPlanner(t)
+	a, b := CorpusGraphs(1)[40], CorpusGraphs(1)[41]
+	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 4, Seed: 1}
+	planReused(t, pl, a, opts)
+	planReused(t, pl, b, opts)
+	set := pl.snapshotPolicy().deployments
+	if len(set.kept) != 2 || len(set.kept[0].idle) != 1 || len(set.kept[1].idle) != 1 {
+		t.Fatalf("under the default bound %d deployments are kept, want 2 with an idle environment each", len(set.kept))
+	}
+	da, db := set.kept[1], set.kept[0]
+	aBytes, bBytes := da.Bytes()+da.EnvBytes(), db.Bytes()+db.EnvBytes()
+	if set.bytes != aBytes+bBytes {
+		t.Fatalf("the set counts %d bytes, its deployments and environments hold %d", set.bytes, aBytes+bBytes)
+	}
+	// bounded installs policy again with an empty set bounded by limit.
+	bounded := func(limit int64) *deployments {
+		pl.installPolicy(policy, "")
+		set := pl.snapshotPolicy().deployments
+		set.limit = limit
+		return set
+	}
+	check := func(what string, set *deployments, g *Graph, wantReused bool) {
+		t.Helper()
+		if _, reused := planReused(t, pl, g, opts); reused != wantReused {
+			t.Errorf("%s: %s's plan reused a deployment %t, want %t", what, g.Name(), reused, wantReused)
+		}
+		if set.bytes > set.limit {
+			t.Errorf("%s: the set counts %d bytes, bound %d", what, set.bytes, set.limit)
+		}
+	}
+
+	set = bounded(da.Bytes() - 1)
+	check("over the bound", set, a, false)
+	check("over the bound", set, a, false)
+	if len(set.kept) != 0 || set.bytes != 0 {
+		t.Errorf("over the bound: %d deployments kept, %d bytes counted", len(set.kept), set.bytes)
+	}
+
+	set = bounded(da.Bytes())
+	check("no room for an environment", set, a, false)
+	check("no room for an environment", set, a, true)
+	if len(set.kept) != 1 || len(set.kept[0].idle) != 0 || set.bytes != da.Bytes() {
+		t.Errorf("no room for an environment: %d deployments kept, %d bytes counted", len(set.kept), set.bytes)
+	}
+
+	set = bounded(max(aBytes, bBytes))
+	check("room for one", set, a, false)
+	check("room for one", set, b, false)
+	if len(set.kept) != 1 || !set.kept[0].Ctx.G.Identical(b) {
+		t.Errorf("room for one: %d deployments kept, want b's alone", len(set.kept))
+	}
+	check("room for one", set, a, false)
+}
+
+// TestConcurrentPlansShareADeployment: plans under one installed policy,
+// run at once, share their graphs' deployments — each encoding read by all,
+// environments taken and put back concurrently — and each plans what the
+// serial cold plan of its graph and seed does. First one graph under the
+// default bound; then three under a bound with room for one deployment, so
+// that adds, evictions and dropped environments race with takes and puts.
+// Run under -race in CI: every field the set's mutex guards is read and
+// written here on several goroutines.
+func TestConcurrentPlansShareADeployment(t *testing.T) {
+	warm, policy := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	graphs := []*Graph{CorpusGraphs(1)[40], CorpusGraphs(1)[41], CorpusGraphs(1)[42]}
+	const seeds = 4
+	want := make(map[[2]int]string)
+	for gi, g := range graphs {
+		for seed := 1; seed <= seeds; seed++ {
+			want[[2]int{gi, seed}] = resultBits(coldPlan(t, cold, policy, g, PlanOptions{Method: MethodZeroShot, SampleBudget: 12, Seed: int64(seed)}))
+		}
+	}
+	run := func(n int) {
+		var wg sync.WaitGroup
+		for round := 0; round < 2; round++ {
+			for gi := 0; gi < n; gi++ {
+				for seed := 1; seed <= seeds; seed++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						// A graph of its own, as a decoded request brings.
+						res, err := warm.Plan(context.Background(), graphs[gi].Clone(), PlanOptions{Method: MethodZeroShot, SampleBudget: 12, Seed: int64(seed)})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if resultBits(res) != want[[2]int{gi, seed}] {
+							t.Errorf("a concurrent plan of graph %d, seed %d differs from its cold plan", gi, seed)
+						}
+					}()
+				}
+			}
+			wg.Wait()
+		}
+	}
+	run(1)
+	if set := warm.snapshotPolicy().deployments; len(set.kept) != 1 || len(set.kept[0].idle) == 0 {
+		t.Fatalf("after concurrent plans of one graph the set keeps %d deployments", len(set.kept))
+	}
+	set := warm.snapshotPolicy().deployments
+	set.mu.Lock()
+	set.limit = 0
+	for _, g := range graphs {
+		d := rl.NewDeployment(policy.Clone(), warm.graphContext(g, policy.Cfg))
+		set.limit = max(set.limit, d.Bytes()+d.EnvBytes())
+	}
+	set.mu.Unlock()
+	run(len(graphs))
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	if set.bytes > set.limit || len(set.kept) > 1 {
+		t.Fatalf("under a bound with room for one deployment the set keeps %d, %d bytes", len(set.kept), set.bytes)
+	}
+}
+
+// TestReusedEnvironmentCallsNoEarlierProgress: a plan whose environment an
+// earlier plan with a progress callback left calls that callback never, and
+// its own once per sample.
+func TestReusedEnvironmentCallsNoEarlierProgress(t *testing.T) {
+	pl, _ := deployedPlanner(t)
+	g := CorpusGraphs(1)[40]
+	var first, second int
+	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 6, Seed: 1, Progress: func(ProgressEvent) { first++ }}
+	planReused(t, pl, g, opts)
+	if first != 6 {
+		t.Fatalf("the first plan's callback ran %d times, want 6", first)
+	}
+	opts.Seed, opts.Progress = 2, nil
+	if _, reused := planReused(t, pl, g, opts); !reused {
+		t.Fatal("the second plan did not reuse the deployment")
+	}
+	opts.Seed, opts.Progress = 3, func(ProgressEvent) { second++ }
+	planReused(t, pl, g, opts)
+	if first != 6 || second != 6 {
+		t.Fatalf("callbacks ran %d and %d times, want 6 and 6: a reused environment called an earlier plan's", first, second)
+	}
+}
+
+// TestServiceCountsAndLogsDeploymentReuses: a zero-shot request for a graph
+// the service planned before under the same policy counts one deployment
+// reuse, and its request's log line says which tier served it and that it
+// reused a deployment; a cache hit's says the memory tier and no reuse.
+func TestServiceCountsAndLogsDeploymentReuses(t *testing.T) {
+	var logs bytes.Buffer
+	svc, err := NewService(Edge36(), ServiceOptions{Workers: 1, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	svc.planner.installPolicy(rl.NewPolicy(svc.planner.freshPolicyConfig(false), rand.New(rand.NewSource(1))), "")
+	h := NewHTTPHandler(svc)
+	g := CorpusGraphs(1)[40]
+	type line struct {
+		Tier             string `json:"tier"`
+		DeploymentReused bool   `json:"deployment_reused"`
+	}
+	want := []line{{tierPlanner, false}, {tierPlanner, true}, {tierMemory, false}}
+	for i, seed := range []int64{1, 2, 2} {
+		logs.Reset()
+		body, err := json.Marshal(PlanRequestWire{Graph: g, Options: PlanOptionsWire{Method: MethodZeroShot, SampleBudget: 4, Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)
+		}
+		var got line
+		if err := json.Unmarshal(logs.Bytes(), &got); err != nil {
+			t.Fatalf("request %d's log line %q: %v", i, logs.String(), err)
+		}
+		if got != want[i] {
+			t.Errorf("request %d logged %+v, want %+v", i, got, want[i])
+		}
+	}
+	if st := svc.Stats(); st.DeploymentReuses != 1 || st.PlansExecuted != 2 {
+		t.Fatalf("deployment reuses %d over %d plans, want 1 over 2", st.DeploymentReuses, st.PlansExecuted)
+	}
+}
+
+// BenchmarkPlanZeroShotWarmBERT times what a repeat zero-shot request costs
+// the planner: BERT on Edge36 under an installed policy, its deployment
+// built by an earlier plan, a new seed per iteration at serve-zeroshot's
+// budget.
+func BenchmarkPlanZeroShotWarmBERT(b *testing.B) {
+	pl, _ := deployedPlanner(b)
+	g := BERT()
+	plan := func(seed int64) {
+		if _, err := pl.Plan(context.Background(), g, PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: seed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	plan(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan(int64(i + 2))
+	}
+}
+
+// TestFirstDeployedPlanHeapBytes holds what the first zero-shot plan of a
+// graph under an installed policy allocates: the plan, and the deployment
+// it builds — a clone of the graph with its adjacency and layout, the
+// context, the encoding and start distribution, and the environment.
+// BERT/edge36 at serve-zeroshot's budget, one worker; the ceiling is the
+// 10 165 296 bytes measured when deployments were introduced, 0.3 MB above
+// a plan that built no deployment (the clone).
+func TestFirstDeployedPlanHeapBytes(t *testing.T) {
+	const ceiling = 10200000
+	pl, _ := deployedPlanner(t)
+	g := BERT()
+	opts, err := normalizeRequest(g, PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := parallel.Default()
+	parallel.SetDefault(1)
+	defer parallel.SetDefault(old)
+	installed := pl.snapshotPolicy()
+	if _, _, err := pl.plan(context.Background(), g, opts, installed); err != nil { // the graph's memoized layout
+		t.Fatal(err)
+	}
+	installed.deployments = newDeployments()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, reused, err := pl.plan(context.Background(), g, opts, installed)
+	runtime.ReadMemStats(&after)
+	if err != nil || reused {
+		t.Fatalf("plan: reused %t, %v", reused, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Errorf("a graph's first zero-shot plan allocates %d bytes, ceiling %d", got, ceiling)
+	}
+}

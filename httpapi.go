@@ -150,10 +150,13 @@ const (
 	httpLatencyHelp  = "HTTP request latency in seconds, by route pattern."
 )
 
-// statusWriter captures the response code for metrics and logs.
+// statusWriter captures the response code for metrics and logs, and, on
+// the plan route, what served the plan (Job.served) for the log line.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code             int
+	tier             string
+	deploymentReused bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -167,10 +170,13 @@ func (w *statusWriter) WriteHeader(code int) {
 // request is measured into the service's telemetry registry
 // (mcmpart_http_requests_total, mcmpart_http_request_seconds) and logged
 // through ServiceOptions.Logger with its request ID.
-func NewHTTPHandler(svc *Service) http.Handler {
+func NewHTTPHandler(svc *Service) http.Handler { return newHTTPHandler(svc, new(bodySpare)) }
+
+// newHTTPHandler is NewHTTPHandler reading request bodies into spare's
+// buffer.
+func newHTTPHandler(svc *Service, spare *bodySpare) http.Handler {
 	reg := svc.Metrics()
 	var ridSeq atomic.Uint64
-	spare := new(bodySpare)
 	mux := http.NewServeMux()
 	// handle serves one pattern and creates its latency histogram, so every
 	// served route is on the first scrape (at zero) instead of materializing
@@ -188,6 +194,9 @@ func NewHTTPHandler(svc *Service) http.Handler {
 			return
 		}
 		res, err := awaitJob(r.Context(), job)
+		if sw, ok := w.(*statusWriter); ok {
+			sw.tier, sw.deploymentReused = job.served()
+		}
 		if err != nil && res == nil {
 			writeServiceError(w, err)
 			return
@@ -279,14 +288,22 @@ func NewHTTPHandler(svc *Service) http.Handler {
 			telemetry.Label{Name: "code", Value: strconv.Itoa(sw.code)}).Inc()
 		reg.Histogram("mcmpart_http_request_seconds", httpLatencyHelp, telemetry.DefBuckets,
 			telemetry.Label{Name: "route", Value: route}).Observe(elapsed.Seconds())
-		svc.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+		attrs := [...]slog.Attr{
 			slog.String("request_id", rid),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.String("route", route),
 			slog.Int("status", sw.code),
 			slog.Duration("duration", elapsed),
-		)
+			// What served the plan, on the plan route only.
+			slog.String("tier", sw.tier),
+			slog.Bool("deployment_reused", sw.deploymentReused),
+		}
+		n := len(attrs)
+		if sw.tier == "" {
+			n -= 2
+		}
+		svc.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs[:n]...)
 	})
 }
 
@@ -386,8 +403,14 @@ func readRequestBody(spare *bodySpare, w http.ResponseWriter, r *http.Request) (
 // It is one slot rather than a sync.Pool: the pool's per-P slots, emptied
 // by every other GC, made which request allocated a buffer a matter of
 // scheduling, and with it a run's allocation per request. What it keeps is
-// one buffer of at most maxRequestBytes.
+// one buffer of at most maxSpareBytes: a larger body's buffer goes when its
+// request does, so one large POST does not pin its size for the handler's
+// lifetime.
 type bodySpare struct{ buf atomic.Pointer[[]byte] }
+
+// maxSpareBytes is the largest buffer a bodySpare keeps: above the 1.65 MB
+// of a 10k-node graph's request, below the 17 MB of a 100k-node one.
+const maxSpareBytes = 4 << 20
 
 // borrow returns an n-byte buffer: the spare when it is large enough, a new
 // one otherwise. Its bytes are whatever the last request left.
@@ -398,8 +421,13 @@ func (s *bodySpare) borrow(n int) []byte {
 	return make([]byte, n)
 }
 
-// release makes b the spare; the caller keeps no reference to it.
-func (s *bodySpare) release(b []byte) { s.buf.Store(&b) }
+// release makes b the spare when it is at most maxSpareBytes; the caller
+// keeps no reference to it.
+func (s *bodySpare) release(b []byte) {
+	if cap(b) <= maxSpareBytes {
+		s.buf.Store(&b)
+	}
+}
 
 // The members of a plan request, indexed by the constants beside them.
 var requestFields = [...]string{"graph", "options"}

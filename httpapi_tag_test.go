@@ -108,3 +108,27 @@ func TestConcurrentBodiesGetTheirOwnPlans(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestBodySpareDropsALargeBuffer: after a 20 MiB POST and then a small one,
+// the handler's spare holds no buffer above maxSpareBytes, and the small
+// POST is served. Mutation caught: release keeping every buffer, so that
+// one large body pins its size for the handler's lifetime (the small body
+// borrows it and hands it back).
+func TestBodySpareDropsALargeBuffer(t *testing.T) {
+	svc, _ := memoTestService(t, ServiceOptions{Workers: 1})
+	spare := new(bodySpare)
+	h := newHTTPHandler(svc, spare)
+	small := requestBody(t, CorpusGraphs(1)[3], memoOpts)
+	large := slices.Concat(bytes.Repeat([]byte(" "), 20<<20), small)
+	for _, body := range [][]byte{large, small} {
+		if rec, _ := postPlan(t, h, body); rec.Code != http.StatusOK {
+			t.Fatalf("%d-byte POST: %d %.200s", len(body), rec.Code, rec.Body)
+		}
+		if p := spare.buf.Load(); p != nil && cap(*p) > maxSpareBytes {
+			t.Fatalf("after a %d-byte POST the spare holds a %d-byte buffer, cap %d", len(body), cap(*p), maxSpareBytes)
+		}
+	}
+	if p := spare.buf.Load(); p == nil || cap(*p) < len(small) {
+		t.Fatal("the small body's buffer is not kept for the next request")
+	}
+}

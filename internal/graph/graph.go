@@ -176,6 +176,25 @@ func (g *Graph) TotalParamBytes() int64 {
 	return sum
 }
 
+// Identical reports whether g and h hold the same content, field by field:
+// the graph name, every node in ID order (names included, FLOPs compared by
+// their bits, so -0 and +0 differ) and every edge in insertion order, which
+// OutEdges/InEdges and the layout's tie-breaks read. Equal fingerprints or
+// canonical positions do not imply it; it implies both.
+func (g *Graph) Identical(h *Graph) bool {
+	if g.name != h.name || len(g.nodes) != len(h.nodes) || len(g.edges) != len(h.edges) {
+		return false
+	}
+	for i := range g.nodes {
+		a, b := &g.nodes[i], &h.nodes[i]
+		if a.ID != b.ID || a.Op != b.Op || math.Float64bits(a.FLOPs) != math.Float64bits(b.FLOPs) ||
+			a.ParamBytes != b.ParamBytes || a.OutputBytes != b.OutputBytes || a.Name != b.Name {
+			return false
+		}
+	}
+	return slices.Equal(g.edges, h.edges)
+}
+
 // Clone returns a deep copy of the graph. The copy starts with nothing
 // memoized.
 func (g *Graph) Clone() *Graph {

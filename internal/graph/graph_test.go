@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -190,6 +191,33 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if g.HasEdge(4, 5) {
 		t.Fatal("original gained the clone's edge")
+	}
+}
+
+// TestIdentical: a clone is identical, and each one-field change — the
+// graph's name, a node's name, a FLOPs of -0 against +0, any other node
+// field, an edge's bytes, two edges' insertion order — is not.
+func TestIdentical(t *testing.T) {
+	g := diamond(t)
+	if !g.Identical(g.Clone()) {
+		t.Fatal("a clone is not identical to its original")
+	}
+	for name, change := range map[string]func(*Graph){
+		"graph name":  func(c *Graph) { c.SetName("other") },
+		"node name":   func(c *Graph) { c.nodes[2].Name = "m" },
+		"-0 FLOPs":    func(c *Graph) { c.nodes[0].FLOPs = 0; g.nodes[0].FLOPs = math.Copysign(0, -1) },
+		"op":          func(c *Graph) { c.nodes[1].Op = OpSoftmax },
+		"param bytes": func(c *Graph) { c.nodes[1].ParamBytes++ },
+		"out bytes":   func(c *Graph) { c.nodes[4].OutputBytes++ },
+		"edge bytes":  func(c *Graph) { c.edges[3].Bytes++ },
+		"edge order":  func(c *Graph) { c.edges[1], c.edges[2] = c.edges[2], c.edges[1] },
+	} {
+		g = diamond(t)
+		c := g.Clone()
+		change(c)
+		if g.Identical(c) || c.Identical(g) {
+			t.Errorf("%s: graphs that differ read identical", name)
+		}
 	}
 }
 

@@ -3,6 +3,10 @@ package rl
 import (
 	"context"
 	"math/rand"
+	"unsafe"
+
+	"mcmpart/internal/gnn"
+	"mcmpart/internal/graph"
 )
 
 // ZeroShot deploys a (pre-trained) policy on an environment without any
@@ -14,16 +18,22 @@ import (
 // No weight changes during deployment, so the graph is encoded once and
 // every sample costs only the policy head — and every episode's first
 // sample not even that much of it (Heads computes the start state's
-// distribution once per Encoding).
+// distribution once per Encoding). A Deployment keeps that encoding from
+// one call to the next.
 //
 // Cancelling ctx stops the loop before the next sample and returns
 // ctx.Err(); the environment keeps its best-so-far trajectory.
 func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *rand.Rand) error {
 	enc := policy.Encode(new(Encoding), env.Ctx)
+	return zeroShot(ctx, policy, enc, unassigned(env.Ctx.G.NumNodes()), env, budget, rng)
+}
+
+// zeroShot is ZeroShot on an encoding of env's graph under policy's weights,
+// from the t=0 state start, which every episode shares: Heads only reads
+// both.
+func zeroShot(ctx context.Context, policy *Policy, enc *Encoding, start []int, env *Env, budget int, rng *rand.Rand) error {
 	var mixed [][]float64 // SAMPLE mode's matrix, rewritten per sample
 	var drawn []int       // SAMPLE mode's raw action draw: the next Heads reads it, nothing keeps it
-	// Every episode's t=0 state, shared: Heads only reads it.
-	start := unassigned(env.Ctx.G.NumNodes())
 	for env.Samples < budget {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -47,6 +57,73 @@ func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *ra
 		}
 	}
 	return nil
+}
+
+// Deployment is what a deployed policy keeps of one graph from one plan to
+// the next: the graph's context, and its Encoding under the policy's
+// weights with the all-unassigned state's distribution already filled. The
+// embedding depends on the graph and the weights alone (Figure 3), so every
+// zero-shot plan of the graph under those weights reads the same record.
+//
+// Nothing writes to a Deployment after NewDeployment returns, so any number
+// of plans may read it at once, each on its own policy (a policy's scratch
+// serves one caller) holding the weights the deployment was built under. It
+// is valid for exactly as long as those weights are: whoever keeps one
+// keys it by them and drops it when they are replaced.
+type Deployment struct {
+	Ctx   *GraphContext
+	enc   Encoding
+	start []int // the t=0 state, every episode's
+	bytes int64 // Bytes' estimate
+}
+
+// NewDeployment encodes ctx's graph under policy's weights and fills the
+// start state's distribution. policy's scratch is overwritten; its weights
+// are only read.
+func NewDeployment(policy *Policy, ctx *GraphContext) *Deployment {
+	g := ctx.G
+	d := &Deployment{Ctx: ctx, start: unassigned(g.NumNodes())}
+	policy.Heads(policy.Encode(&d.enc, ctx), d.start)
+	// The estimate Bytes reports: the graph (nodes, their names, edges, and
+	// the adjacency and layout memoized on it), the context (the encoder's
+	// CSR adjacency and features), and the record (every layer's aggregate
+	// and output, the embedding product, the start distribution and its
+	// logarithm, and the start state).
+	n, e := int64(g.NumNodes()), int64(g.NumEdges())
+	d.bytes = n*int64(unsafe.Sizeof(graph.Node{})) + e*int64(unsafe.Sizeof(graph.Edge{})) + 40*n + 8*e
+	for _, node := range g.Nodes() {
+		d.bytes += int64(len(node.Name))
+	}
+	features := int64(gnn.FeatureDim)
+	d.bytes += 12*n + 8*e + 8*n*features + 8*int64(len(ctx.ChipFeat))
+	hidden, layers, chips := int64(policy.Cfg.Hidden), int64(policy.Cfg.SAGELayers), int64(policy.Cfg.Chips)
+	d.bytes += 8 * n * (features + hidden*(2*layers-1) + hidden + 2*chips + 1)
+	return d
+}
+
+// ZeroShot is the package-level ZeroShot from the deployment's encoding:
+// env must run on the deployment's context, and policy must hold the
+// weights the deployment was built under. It plans bit for bit what
+// ZeroShot plans on a fresh encoding.
+func (d *Deployment) ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *rand.Rand) error {
+	if env.Ctx != d.Ctx {
+		panic("rl: a deployment's zero-shot plan on an environment of another context")
+	}
+	return zeroShot(ctx, policy, &d.enc, d.start, env, budget, rng)
+}
+
+// Bytes estimates what the deployment holds, from its shapes (see
+// NewDeployment).
+func (d *Deployment) Bytes() int64 { return d.bytes }
+
+// EnvBytes bounds what one environment on the deployment's graph holds
+// once it has planned: the segment sampler's tables, the larger of the two
+// partitioners' — a prefix-sum row, and two weight slots of (C-1) x (N-1)
+// boundary weights, the N x C matrix they were built from and its term
+// memo (which a policy's matrices never build: DESIGN.md §1.2).
+func (d *Deployment) EnvBytes() int64 {
+	n, c := int64(d.Ctx.G.NumNodes()), int64(d.enc.startProbs.Cols)
+	return 8 * (n + 2*((c-1)*(n-1)+2*n*c))
 }
 
 // FineTune continues PPO training of a (pre-trained) policy on a single

@@ -200,9 +200,14 @@ func (e *Env) StepProbs(probs [][]float64, rng *rand.Rand) float64 {
 // BestImprovement returns the best-so-far improvement over the baseline.
 func (e *Env) BestImprovement() float64 { return e.BestThroughput / e.Baseline }
 
-// Reset clears the search trajectory but keeps the graph, solver and
-// baseline.
+// Reset clears what a search set — its trajectory and progress callback —
+// and keeps the graph, the solver (whose tables a later search reuses: it
+// samples the same partitions from the same RNG stream whatever it sampled
+// before), the evaluator and the baseline. A deployment's environment is
+// Reset when its plan hands it back, and the next plan on it sets its own
+// Eval, Baseline and OnSample.
 func (e *Env) Reset() {
+	e.OnSample = nil
 	e.Samples = 0
 	e.ValidSamples = 0
 	e.Best = nil

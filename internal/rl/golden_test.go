@@ -217,6 +217,19 @@ func zeroShotPlan(tb testing.TB, policy *rl.Policy, env *rl.Env) func() {
 	}
 }
 
+// deployedPlan is zeroShotPlan from a Deployment of env's graph under
+// policy's weights: what a repeat graph's serve-zeroshot op plans.
+func deployedPlan(tb testing.TB, policy *rl.Policy, env *rl.Env) func() {
+	env.UseSampleMode = true
+	dep := rl.NewDeployment(policy.Clone(), env.Ctx)
+	return func() {
+		env.Reset()
+		if err := dep.ZeroShot(context.Background(), policy.Clone(), env, 16, rand.New(rand.NewSource(2))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkZeroShotBERT times one zero-shot plan on BERT/edge36.
 func BenchmarkZeroShotBERT(b *testing.B) {
 	pkg := mcm.Edge36()
@@ -243,17 +256,30 @@ func heapBytes(fn func()) uint64 {
 // BenchmarkZeroShotBERT times) and of one steady-state PPO iteration on
 // BERT/edge36 at their figures from when the policy head built its whole
 // input matrix and kept its logits: an Encoding's embedding product and
-// start-state distribution are paid for by those two. One worker, so that
-// no kernel or rollout fan-out allocates of its own.
+// start-state distribution are paid for by those two. It holds a zero-shot
+// plan from a Deployment — what a repeat graph's plan costs a deployed
+// policy: the policy's clone, its head scratch and the samples, with no
+// encoding, start distribution or environment — at the bytes measured when
+// deployments were introduced (3 011 920). One worker, so that no kernel or
+// rollout fan-out allocates of its own.
 func TestBERTHeapBytes(t *testing.T) {
-	const zeroShotCeiling, iterateCeiling = 7270416, 808960
+	const zeroShotCeiling, deployedCeiling, iterateCeiling = 7270416, 3050000, 808960
 	g, pkg := workload.BERT(), mcm.Edge36()
 	pcfg := rl.QuickConfig(pkg.Chips)
 	withWorkers(1, func() {
-		plan := zeroShotPlan(t, rl.NewPolicy(pcfg, rand.New(rand.NewSource(1))), goldenEnv(t, g, pkg))
+		policy := rl.NewPolicy(pcfg, rand.New(rand.NewSource(1)))
+		plan := zeroShotPlan(t, policy, goldenEnv(t, g, pkg))
 		plan() // the graph's and the solver's lazily built state
 		if got := heapBytes(plan); got > zeroShotCeiling {
 			t.Errorf("one zero-shot plan allocates %d bytes, ceiling %d", got, zeroShotCeiling)
+		}
+
+		deployed := deployedPlan(t, policy, goldenEnv(t, g, pkg))
+		deployed()
+		got := heapBytes(deployed)
+		t.Logf("a deployed zero-shot plan allocates %d bytes", got)
+		if got > deployedCeiling {
+			t.Errorf("a zero-shot plan from a deployment allocates %d bytes, ceiling %d: did per-graph work move back into the plan?", got, deployedCeiling)
 		}
 
 		rng := rand.New(rand.NewSource(11))

@@ -209,8 +209,9 @@ func NewGraphContextForPackage(g *graph.Graph, pkg *mcm.Package) *GraphContext {
 // A record belongs to whoever called Encode and is valid for exactly as
 // long as the weights it was computed from: hold it within a scope that
 // contains no optimizer step and no Restore — a rollout batch, a PPO
-// minibatch, one ZeroShot call — and encode again in the next. The zero
-// value is ready for Encode, and re-encoding reuses its buffers.
+// minibatch, one ZeroShot call, a Deployment kept with the weights that
+// made it — and encode again in the next. The zero value is ready for
+// Encode, and re-encoding reuses its buffers.
 //
 // The backward pass is split the same way. Everything below the policy
 // head's first layer is linear in that layer's gradient, so the head half

@@ -3,6 +3,7 @@ package mcmpart
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // JobState is the lifecycle phase of an asynchronous plan job.
@@ -89,9 +90,13 @@ type Job struct {
 	// progress is the caller's PlanOptions.Progress (immutable after
 	// Submit; may be nil). A coalesced job's receives the leader's stream.
 	progress ProgressFunc
-	// coalesced marks a job riding another request's in-flight plan
-	// (immutable after Submit).
-	coalesced bool
+	// tier is what serves the job (immutable after Submit): a cache tier
+	// for a hit, tierCoalesced for a job riding another request's
+	// in-flight plan, tierPlanner for a flight's leader.
+	tier string
+	// deployed reports that a plan this job ran reused the deployment an
+	// earlier plan of its graph built (Planner.deploy).
+	deployed atomic.Bool
 	// ctx is the job's execution context: derived from the service
 	// lifecycle, cancelled by Cancel.
 	ctx    context.Context
@@ -127,7 +132,7 @@ func (j *Job) Status() JobStatus {
 		ID:              j.id,
 		State:           j.state,
 		Cached:          j.cached,
-		Coalesced:       j.coalesced,
+		Coalesced:       j.tier == tierCoalesced,
 		Samples:         j.samples,
 		BestImprovement: j.best,
 		RequestID:       j.requestID,
@@ -170,6 +175,20 @@ func (j *Job) Wait(ctx context.Context) (*Result, error) {
 // best-so-far result. Cancel returns immediately; observe completion via
 // Wait or Done. Cancelling a terminal job is a no-op.
 func (j *Job) Cancel() { j.cancel() }
+
+// The tiers a job is served by (Job.tier).
+const (
+	tierMemory    = "memory"
+	tierDisk      = "disk"
+	tierCoalesced = "coalesced"
+	tierPlanner   = "planner"
+)
+
+// served reports the tier that serves the job and whether a plan it ran
+// reused a deployment — what its request's log line says of it.
+func (j *Job) served() (tier string, deploymentReused bool) {
+	return j.tier, j.deployed.Load()
+}
 
 // markRunning flips a queued job to running; it reports false if the job
 // already finished (e.g. cancelled while queued).

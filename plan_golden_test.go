@@ -120,12 +120,13 @@ func TestPlanGolden(t *testing.T) {
 	}
 }
 
-// TestZeroShotPlanHeapBytes holds what one zero-shot plan allocates when,
-// as in serving, the plan builds its own environment and with it its own
-// solver tables: rl's TestBERTHeapBytes reuses one environment, so a table
-// sized per plan never reaches its ceiling. BERT/edge36 at serve-zeroshot's
-// budget, one worker; the ceiling is the bytes measured when the segment
-// sampler kept whole prefix-sum and forward tables and a term memo.
+// TestZeroShotPlanHeapBytes holds what one zero-shot plan allocates through
+// the Planner: BERT/edge36 at serve-zeroshot's budget, one worker. The
+// ceiling is the bytes measured when the segment sampler kept whole
+// prefix-sum and forward tables and a term memo, and every plan built its
+// own environment; since a plan runs from its graph's deployment, plan(2)
+// reuses the one plan(1) built (about 3 MB), and TestFirstDeployedPlanHeapBytes
+// holds the plan that builds it.
 func TestZeroShotPlanHeapBytes(t *testing.T) {
 	const ceiling = 10134880
 	pl, err := NewPlanner(Edge36())
@@ -143,7 +144,7 @@ func TestZeroShotPlanHeapBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan(1) // the graph's memoized layout and fingerprint
+	plan(1) // the graph's memoized layout and fingerprint, and its deployment
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	plan(2)

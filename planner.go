@@ -237,6 +237,9 @@ type policySnapshot struct {
 	// ftPPO is the PPO configuration MethodFineTune continues training
 	// with, aligned with the scale the policy was pre-trained at.
 	ftPPO rl.PPOConfig
+	// deployments are what the deployed-policy methods keep of the graphs
+	// they planned under policy's weights; nil when none is installed.
+	deployments *deployments
 }
 
 // NewPlanner builds a planning session for the package. The package is
@@ -271,7 +274,7 @@ func (pl *Planner) PolicyFingerprint() string { return pl.snapshotPolicy().fp }
 // with is a pure function of the installed policy — the property the plan
 // cache's policy-fingerprint key relies on.
 func (pl *Planner) installPolicy(policy *rl.Policy, path string) {
-	snap := policySnapshot{policy: policy, fp: rl.PolicyFingerprint(policy), path: path, ftPPO: ftPPOFor(policy)}
+	snap := policySnapshot{policy: policy, fp: rl.PolicyFingerprint(policy), path: path, ftPPO: ftPPOFor(policy), deployments: newDeployments()}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.installed = snap
@@ -389,7 +392,8 @@ func (pl *Planner) Plan(ctx context.Context, g *Graph, opts PlanOptions) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	return pl.plan(ctx, g, opts, pl.snapshotPolicy())
+	res, _, err := pl.plan(ctx, g, opts, pl.snapshotPolicy())
+	return res, err
 }
 
 // normalizeRequest is the front door every plan passes exactly once —
@@ -409,45 +413,59 @@ func normalizeRequest(g *Graph, opts PlanOptions) (PlanOptions, error) {
 // plan is Plan behind the front door, on a request normalizeRequest passed,
 // under a given reading of the installed policy: the Service passes the one
 // its request was keyed under, so the plan it stores is the plan its key
-// names whatever is installed in the meantime.
-func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, installed policySnapshot) (*Result, error) {
+// names whatever is installed in the meantime. reused reports that a
+// deployed-policy method planned from a deployment an earlier plan of the
+// graph built under that reading.
+func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, installed policySnapshot) (res *Result, reused bool, err error) {
 	ev := pl.evaluator(opts.UseSimulator, opts.Seed)
 
-	// The deployed-policy methods need the network shape the installed
-	// policy was trained with; the from-scratch methods always use the
-	// package's fresh shape, regardless of any loaded artifact — "scratch"
-	// must mean the same configuration on every planner.
-	policyCfg := pl.freshPolicyConfig(false)
-	if opts.Method.usesPolicy() {
-		if installed.policy == nil {
-			return nil, fmt.Errorf("%w: method %q needs Pretrain or LoadPolicy first", ErrPolicyRequired, opts.Method)
-		}
-		policyCfg = installed.policy.Cfg
+	if opts.Method.usesPolicy() && installed.policy == nil {
+		return nil, false, fmt.Errorf("%w: method %q needs Pretrain or LoadPolicy first", ErrPolicyRequired, opts.Method)
 	}
+	// MethodRL always uses the package's fresh network shape, regardless of
+	// any loaded artifact — "scratch" must mean the same configuration on
+	// every planner.
+	scratchCfg := pl.freshPolicyConfig(false)
 
 	greedy, base, err := pl.baseline(g, ev)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if opts.Method == MethodGreedy {
 		if opts.Progress != nil {
 			opts.Progress(ProgressEvent{Samples: 1, BestImprovement: 1})
 		}
-		return &Result{Partition: greedy, Throughput: base.Throughput, Improvement: 1, Samples: 1, History: []float64{1}}, nil
+		return &Result{Partition: greedy, Throughput: base.Throughput, Improvement: 1, Samples: 1, History: []float64{1}}, false, nil
 	}
 	if opts.Method == MethodAnalytic {
-		return pl.planAnalytic(g, ev, greedy, base, opts)
+		res, err := pl.planAnalytic(g, ev, greedy, base, opts)
+		return res, false, err
 	}
 
-	// The search methods run no policy and read only the graph from their
-	// environment's context, so theirs carries no encoder inputs.
-	gctx := &rl.GraphContext{G: g}
-	if opts.Method != MethodRandom && opts.Method != MethodSA {
-		gctx = pl.graphContext(g, policyCfg)
-	}
-	env, err := pl.buildEnv(g, gctx, ev, base.Throughput)
-	if err != nil {
-		return nil, err
+	var env *rl.Env
+	var policy *rl.Policy // the deployed-policy methods' own clone of the installed policy
+	var d *deployment
+	if opts.Method.usesPolicy() {
+		// A policy's scratch serves one caller, and fine-tuning updates
+		// weights: each plan runs on its own clone, and the planner's
+		// installed policy stays the pristine pre-trained artifact. The
+		// graph's context, encoding and environment come from its
+		// deployment, built by the first plan of the graph under these
+		// weights.
+		policy = installed.policy.Clone()
+		if d, env, reused, err = pl.deploy(g, installed, policy, ev, base.Throughput); err != nil {
+			return nil, false, err
+		}
+	} else {
+		// The search methods run no policy and read only the graph from
+		// their environment's context, so theirs carries no encoder inputs.
+		gctx := &rl.GraphContext{G: g}
+		if opts.Method == MethodRL {
+			gctx = pl.graphContext(g, scratchCfg)
+		}
+		if env, err = pl.buildEnv(g, gctx, ev, base.Throughput); err != nil {
+			return nil, false, err
+		}
 	}
 	if opts.Progress != nil {
 		progress := opts.Progress
@@ -471,38 +489,43 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	case MethodSA:
 		runErr = search.Anneal(ctx, env, opts.SampleBudget, search.SAConfig{}, rng)
 	case MethodRL:
-		policy := rl.NewPolicy(policyCfg, rng)
+		policy := rl.NewPolicy(scratchCfg, rng)
 		trainer := rl.NewTrainer(policy, rl.QuickPPOConfig(), rng)
 		_, runErr = trainer.TrainUntil(ctx, []*rl.Env{env}, opts.SampleBudget)
 	case MethodZeroShot:
-		// The deployed-policy methods drive the solver in SAMPLE mode,
-		// the configuration the policy was pre-trained under (Sec. 5.1's
-		// choice for the transfer experiments).
-		env.UseSampleMode = true
-		runErr = rl.ZeroShot(ctx, installed.policy.Clone(), env, opts.SampleBudget, rng)
+		// The deployed-policy methods drive the solver in SAMPLE mode
+		// (deploy set it), the configuration the policy was pre-trained
+		// under (Sec. 5.1's choice for the transfer experiments).
+		runErr = d.ZeroShot(ctx, policy, env, opts.SampleBudget, rng)
 	case MethodFineTune:
-		env.UseSampleMode = true
-		// Fine-tuning updates weights; clone so the planner's installed
-		// policy stays the pristine pre-trained artifact for reuse.
-		_, runErr = rl.FineTune(ctx, installed.policy.Clone(), env, installed.ftPPO, opts.SampleBudget, rng)
+		_, runErr = rl.FineTune(ctx, policy, env, installed.ftPPO, opts.SampleBudget, rng)
 	default:
 		// normalized() already rejected unknown methods.
-		return nil, fmt.Errorf("%w: unknown method %q", ErrInvalidRequest, opts.Method)
+		return nil, false, fmt.Errorf("%w: unknown method %q", ErrInvalidRequest, opts.Method)
 	}
-	if env.Best == nil {
-		if runErr != nil {
-			return nil, runErr
+	if env.Best != nil {
+		res = &Result{
+			Partition:   env.Best,
+			Throughput:  env.BestThroughput,
+			Improvement: env.BestImprovement(),
+			Samples:     env.Samples,
+			History:     append([]float64(nil), env.History...),
+			FailCounts:  env.FailCounts,
 		}
-		return nil, fmt.Errorf("%w within %d samples", ErrNoPlan, env.Samples)
 	}
-	return &Result{
-		Partition:   env.Best,
-		Throughput:  env.BestThroughput,
-		Improvement: env.BestImprovement(),
-		Samples:     env.Samples,
-		History:     append([]float64(nil), env.History...),
-		FailCounts:  env.FailCounts,
-	}, runErr
+	samples := env.Samples
+	if d != nil {
+		// Only a plan that returns hands its environment back: one that
+		// panicked mid-sample may have left its solver's tables half built.
+		installed.deployments.put(d, env)
+	}
+	if res == nil {
+		if runErr != nil {
+			return nil, reused, runErr
+		}
+		return nil, reused, fmt.Errorf("%w within %d samples", ErrNoPlan, samples)
+	}
+	return res, reused, runErr
 }
 
 // analyticPartition runs the static-analysis fast path on this planner's

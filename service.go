@@ -132,6 +132,12 @@ type ServiceStats struct {
 	// cold requests add 1 to the former and N-1 to the latter.
 	PlansExecuted  uint64 `json:"plans_executed" metric:"mcmpart_plans_executed_total"`
 	PlansCoalesced uint64 `json:"plans_coalesced" metric:"mcmpart_plans_coalesced_total"`
+	// DeploymentReuses counts executed plans by a deployed-policy method
+	// (zero-shot, fine-tune) that ran from their graph's deployment — its
+	// context, encoding and an idle environment, built by an earlier plan
+	// of the identical graph under the same installed policy — instead of
+	// building their own. At quiescence it is at most PlansExecuted.
+	DeploymentReuses uint64 `json:"deployment_reuses" metric:"mcmpart_deployment_reuses_total"`
 
 	// Disk tier (all zero without ServiceOptions.CacheDir). Hits are
 	// in-memory misses served from disk; Quarantined counts entries set
@@ -264,6 +270,7 @@ type serviceMetrics struct {
 	jobsRunning    *telemetry.Gauge
 	plansExecuted  *telemetry.Counter
 	plansCoalesced *telemetry.Counter
+	deployReuses   *telemetry.Counter
 	memHits        *telemetry.Counter
 	memMisses      *telemetry.Counter
 	diskHits       *telemetry.Counter
@@ -286,6 +293,7 @@ func newServiceMetrics() *serviceMetrics {
 		jobsRunning:    reg.Gauge("mcmpart_jobs_running", "Jobs a worker is currently planning."),
 		plansExecuted:  reg.Counter("mcmpart_plans_executed_total", "Actual planner invocations (cache misses that ran)."),
 		plansCoalesced: reg.Counter("mcmpart_plans_coalesced_total", "Requests that shared another request's in-flight plan."),
+		deployReuses:   reg.Counter("mcmpart_deployment_reuses_total", "Executed deployed-policy plans that ran from their graph's deployment under the installed policy instead of building one."),
 		memHits:        reg.Counter("mcmpart_cache_hits_total", "Plan-cache hits, by tier.", telemetry.Label{Name: "tier", Value: "memory"}),
 		memMisses:      reg.Counter("mcmpart_cache_misses_total", "Plan-cache misses, by tier.", telemetry.Label{Name: "tier", Value: "memory"}),
 		diskHits:       reg.Counter("mcmpart_cache_hits_total", "Plan-cache hits, by tier.", telemetry.Label{Name: "tier", Value: "disk"}),
@@ -794,7 +802,11 @@ func (s *Service) registerHit(a *admission, fromDisk bool) (*Job, error) {
 // admissions: a disk hit is a memory miss, and — like every admission —
 // the tier outcome is counted before jobsSubmitted.
 func (s *Service) registerHitLocked(a *admission, fromDisk bool) *Job {
-	job := s.registerLocked(a, false)
+	tier := tierMemory
+	if fromDisk {
+		tier = tierDisk
+	}
+	job := s.registerLocked(a, tier)
 	if fromDisk {
 		s.m.memMisses.Inc()
 		s.m.diskHits.Inc()
@@ -849,7 +861,11 @@ func (s *Service) admitMiss(a *admission) (*Job, *Result, error) {
 		s.inflight[a.key] = fl
 		s.m.jobsQueued.Inc()
 	}
-	job := s.registerLocked(a, coalesced)
+	tier := tierPlanner
+	if coalesced {
+		tier = tierCoalesced
+	}
+	job := s.registerLocked(a, tier)
 	s.m.memMisses.Inc() // tier outcome first, then jobsSubmitted
 	if coalesced {
 		fl.followers = append(fl.followers, job)
@@ -866,7 +882,7 @@ func (s *Service) admitMiss(a *admission) (*Job, *Result, error) {
 // the job table. Every registered job holds one jobsWG count until its
 // terminal transition (finishJob); callers register only once admission is
 // certain, so neither ever needs undoing.
-func (s *Service) registerLocked(a *admission, coalesced bool) *Job {
+func (s *Service) registerLocked(a *admission, tier string) *Job {
 	s.seq++
 	ctx, cancel := context.WithCancel(s.root)
 	job := &Job{
@@ -874,7 +890,7 @@ func (s *Service) registerLocked(a *admission, coalesced bool) *Job {
 		requestID: a.rid,
 		progress:  a.opts.Progress,
 		pos:       a.pos,
-		coalesced: coalesced,
+		tier:      tier,
 		ctx:       ctx,
 		cancel:    cancel,
 		done:      make(chan struct{}),
@@ -970,7 +986,12 @@ func (s *Service) planOnce(fl *flight, job *Job) (res *Result, err error) {
 	if ferr := faultinject.Check(faultinject.PointPlanEvaluate); ferr != nil {
 		return nil, fmt.Errorf("mcmpart: injected evaluator fault: %w", ferr)
 	}
-	return s.planner.plan(job.ctx, fl.graph, opts, fl.policy)
+	res, reused, err := s.planner.plan(job.ctx, fl.graph, opts, fl.policy)
+	if reused {
+		s.m.deployReuses.Inc()
+		job.deployed.Store(true)
+	}
+	return res, err
 }
 
 // promoteNext takes the first still-waiting follower off the flight to
