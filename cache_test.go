@@ -124,7 +124,7 @@ func TestAdmitRechecksTheCache(t *testing.T) {
 	canonicalize(res, a.pos)
 	svc.store(a.key, res)
 
-	job, err := svc.admit(&a)
+	job, err := svc.admit(&a, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

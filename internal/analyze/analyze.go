@@ -44,12 +44,8 @@ type Analysis struct {
 	n     int
 	chips int
 
-	// order, pos, next and capFrom are the graph layout's Order, Pos, Next
-	// (the pair rule) and CapFrom: shared with the graph, read-only.
-	order   []int
-	pos     []int32
-	next    []int32
-	capFrom []int32
+	// lay is the graph's layout: shared with the graph, read-only.
+	lay *graph.Layout
 
 	// prefF[p] / prefW[p] are the FLOPs / weight bytes of positions < p.
 	prefF []float64
@@ -93,10 +89,7 @@ func New(g *graph.Graph, pkg *mcm.Package) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{
-		g: g, pkg: pkg, n: g.NumNodes(), chips: pkg.Chips,
-		order: lay.Order, pos: lay.Pos, next: lay.Next, capFrom: lay.CapFrom,
-	}
+	a := &Analysis{g: g, pkg: pkg, n: g.NumNodes(), chips: pkg.Chips, lay: lay}
 	a.buildPrefixes()
 	a.buildChipPrefixes()
 	return a, nil
@@ -108,7 +101,7 @@ func (a *Analysis) buildPrefixes() {
 	n := a.n
 	a.prefF = make([]float64, n+1)
 	a.prefW = make([]int64, n+1)
-	for p, v := range a.order {
+	for p, v := range a.lay.Order {
 		nd := a.g.Node(v)
 		a.prefF[p+1] = a.prefF[p] + nd.FLOPs
 		a.prefW[p+1] = a.prefW[p] + nd.ParamBytes
@@ -131,7 +124,7 @@ func (a *Analysis) buildPrefixes() {
 		// Zero-byte edges constrain the layout (pair rule) but are priced at
 		// zero by HopTransferTime, so they stay out of the cut totals.
 		if e.Bytes > 0 {
-			pu, pv := a.pos[e.From], a.pos[e.To]
+			pu, pv := a.lay.Pos[e.From], a.lay.Pos[e.To]
 			a.gapBytes[pu] += e.Bytes
 			a.gapEdges[pu]++
 			if int(pv) < n-1 {

@@ -36,9 +36,7 @@ type PlanInfo struct {
 // evaluator runs — and wholly deterministic.
 func (a *Analysis) Plan(Options) (partition.Partition, PlanInfo, error) {
 	info := PlanInfo{LB: a.LowerBound()}
-	// Every chunk holds a position, and the pair rule admits at most
-	// capFrom[0] boundaries.
-	kMax := min(a.chips, int(a.capFrom[0])+1, a.n)
+	kMax := a.lay.Chips(a.chips)
 	bestLat := inf()
 	bestK := -1
 	bestBounds := make([]int, 0, a.chips)
@@ -68,7 +66,7 @@ func (a *Analysis) Plan(Options) (partition.Partition, PlanInfo, error) {
 	}
 	info.Chips = bestK
 	info.Latency = bestLat
-	p := a.emit(bestBounds)
+	p := partition.Partition(a.lay.Emit(bestBounds))
 	if err := p.Validate(a.g, a.chips); err != nil {
 		return nil, info, fmt.Errorf("analyze: internal error: constructed layout is invalid: %w", err)
 	}
@@ -115,7 +113,7 @@ func (a *Analysis) constructK(k int, bounds []int) bool {
 		start := prev + 1 // first position of chunk c
 		lo := 0
 		if c > 0 {
-			lo = int(a.next[prev])
+			lo = int(a.lay.Next[prev])
 		}
 		if minB[c] > lo {
 			lo = minB[c]
@@ -128,7 +126,7 @@ func (a *Analysis) constructK(k int, bounds []int) bool {
 		}
 		// Remaining boundary capacity: k-2-c more boundaries after this one.
 		if rem := int32(k - 2 - c); rem > 0 {
-			if g := sort.Search(n-1, func(g int) bool { return a.capFrom[a.next[g]] < rem }) - 1; g < hi {
+			if g := sort.Search(n-1, func(g int) bool { return a.lay.CapFrom[a.lay.Next[g]] < rem }) - 1; g < hi {
 				hi = g
 			}
 		}
@@ -170,14 +168,14 @@ func (a *Analysis) refineK(k int, bounds []int) bool {
 		lo := 0
 		if i > 0 {
 			start = bounds[i-1] + 1
-			lo = int(a.next[bounds[i-1]])
+			lo = int(a.lay.Next[bounds[i-1]])
 		}
 		end := n - 1 // last position of chunk i+1
 		hi := n - 2
 		if i < k-2 {
 			end = bounds[i+1]
 			// Pair rule against the right neighbor: next[g] <= bounds[i+1].
-			hi = sort.Search(n-1, func(g int) bool { return int(a.next[g]) > end }) - 1
+			hi = sort.Search(n-1, func(g int) bool { return int(a.lay.Next[g]) > end }) - 1
 		}
 		// Chunk i's weight on chip i, chunk i+1's weight on chip i+1.
 		wLimit := a.prefW[start] + a.pkg.ChipSRAM(i)
@@ -258,19 +256,4 @@ func (a *Analysis) latencyOf(k int, bounds []int) (float64, bool) {
 		}
 	}
 	return max, true
-}
-
-// emit materializes the partition from ascending boundary gaps, exactly as
-// cpsolver's Segmenter does.
-func (a *Analysis) emit(bounds []int) partition.Partition {
-	p := make(partition.Partition, a.n)
-	chip, bi := 0, 0
-	for pos, v := range a.order {
-		p[v] = chip
-		if bi < len(bounds) && bounds[bi] == pos {
-			chip++
-			bi++
-		}
-	}
-	return p
 }

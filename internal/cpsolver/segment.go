@@ -43,8 +43,9 @@ type Segmenter struct {
 	// prefix of the chips).
 	chips int
 	k     int
-	// order and next are the graph layout's Order and Next (the pair
-	// rule): shared with the graph, read-only.
+	// lay is the graph's layout, and order and next are its Order and Next
+	// (the pair rule): shared with the graph, read-only.
+	lay   *graph.Layout
 	order []int
 	next  []int32
 	// calib tempers per-node log-likelihoods to a per-segment average:
@@ -134,10 +135,7 @@ func NewSegmenter(g *graph.Graph, chips int) (*Segmenter, error) {
 	if err != nil {
 		return nil, err
 	}
-	sg := &Segmenter{g: g, chips: chips, k: chips, order: lay.Order, next: lay.Next}
-	if capacity := int(lay.CapFrom[0]); capacity < chips-1 {
-		sg.k = capacity + 1
-	}
+	sg := &Segmenter{g: g, chips: chips, k: lay.Chips(chips), lay: lay, order: lay.Order, next: lay.Next}
 	sg.calib = math.Sqrt(float64(sg.k) / float64(len(sg.order)))
 	if sg.calib > 1 {
 		sg.calib = 1
@@ -495,16 +493,7 @@ func (sg *Segmenter) backward(rng *rand.Rand) (partition.Partition, error) {
 
 // emit materializes the partition from boundary gaps (sorted ascending).
 func (sg *Segmenter) emit(bounds []int) (partition.Partition, error) {
-	p := make(partition.Partition, len(sg.order))
-	chip := 0
-	bi := 0
-	for pos, v := range sg.order {
-		p[v] = chip
-		for bi < len(bounds) && bounds[bi] == pos {
-			chip++
-			bi++
-		}
-	}
+	p := partition.Partition(sg.lay.Emit(bounds))
 	if err := p.Validate(sg.g, sg.chips); err != nil {
 		return nil, fmt.Errorf("cpsolver: internal error: segmenter emitted invalid partition: %w", err)
 	}

@@ -256,37 +256,6 @@ func (s *Solver) resetKeepStats() {
 	s.backtracks = 0
 }
 
-// Restrict permanently limits node u to the given chips, as a root-level
-// constraint that survives Reset (compilers use this to pin I/O ops to
-// specific chips). It must be called while no decisions are outstanding.
-// It returns ErrInfeasible if the restriction admits no solution, in which
-// case the solver is left unusable.
-func (s *Solver) Restrict(u int, allowed []int) error {
-	if len(s.decisions) != 0 {
-		return fmt.Errorf("cpsolver: Restrict with %d outstanding decisions", len(s.decisions))
-	}
-	var nd Domain
-	for _, c := range allowed {
-		if c < 0 || c >= s.chips {
-			return fmt.Errorf("cpsolver: Restrict chip %d out of range 0..%d", c, s.chips-1)
-		}
-		nd |= single(c)
-	}
-	nd &= s.doms[u]
-	if nd.Empty() {
-		return ErrInfeasible
-	}
-	if nd != s.doms[u] {
-		s.setDomain(int32(u), nd)
-		s.enqueue(int32(u))
-		if s.propagate() {
-			return ErrInfeasible
-		}
-	}
-	s.rootMark = len(s.trail)
-	return nil
-}
-
 // Assign implements the paper's set_domain(u, {c}): it records a decision
 // assigning node u to chip c, propagates, and on conflict backtracks to an
 // earlier decision. It returns the new decision index (which may be lower

@@ -140,42 +140,6 @@ func TestTriangleBacktrack(t *testing.T) {
 	}
 }
 
-func TestRestrictPinsAndSurvivesReset(t *testing.T) {
-	s, err := New(chain(t, 4), 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Restrict(0, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	if d := s.Domain(0); !d.Singleton() || d.Min() != 0 {
-		t.Fatalf("dom(0) = %v after Reset, want {0}", d)
-	}
-	if err := s.Restrict(0, []int{99}); err == nil {
-		t.Fatal("out-of-range Restrict should fail")
-	}
-}
-
-func TestRestrictInfeasible(t *testing.T) {
-	s, err := New(chain(t, 2), 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Restrict(0, []int{1}); err != nil {
-		// Pinning the head to chip 1 forces the tail to chip 1 and
-		// leaves chip 0 unused: infeasible right away.
-		if !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("error = %v, want ErrInfeasible", err)
-		}
-		return
-	}
-	// Some propagation orders only detect it on the follow-up restrict.
-	if err := s.Restrict(1, []int{1}); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("error = %v, want ErrInfeasible", err)
-	}
-}
-
 func TestSampleUniformProducesValidPartitions(t *testing.T) {
 	g := skipConn(t)
 	s, err := New(g, 3, Options{})

@@ -32,6 +32,29 @@ type Layout struct {
 	CapFrom []int32
 }
 
+// Chips is how many of a package's chips a contiguous layout can use: the
+// pair rule admits at most CapFrom[0] boundaries (Eq. 3 permits any chip
+// prefix). CapFrom[0] is at most n-1, so every chunk holds a position.
+func (l *Layout) Chips(chips int) int {
+	return min(chips, int(l.CapFrom[0])+1)
+}
+
+// Emit is the partition of a contiguous layout: the node at each position
+// gets the chip of its chunk, and the chip advances after every boundary
+// gap in bounds (ascending).
+func (l *Layout) Emit(bounds []int) []int {
+	p := make([]int, len(l.Order))
+	chip, bi := 0, 0
+	for pos, v := range l.Order {
+		p[v] = chip
+		for bi < len(bounds) && bounds[bi] == pos {
+			chip++
+			bi++
+		}
+	}
+	return p
+}
+
 // derived is everything memoized from the graph's nodes and edges: the
 // packed adjacency, the layout and the canonicalization. One record serves
 // one graph state — (nodes, edges) counts are the staleness rule, because

@@ -111,7 +111,6 @@ type Job struct {
 	// this job's own node IDs — and then drops pos, so a retained job does
 	// not pin a slice the size of its graph.
 	pos     []int   // guarded by mu
-	cached  bool    // guarded by mu
 	samples int     // guarded by mu
 	best    float64 // guarded by mu
 	result  *Result // guarded by mu
@@ -131,7 +130,7 @@ func (j *Job) Status() JobStatus {
 	st := JobStatus{
 		ID:              j.id,
 		State:           j.state,
-		Cached:          j.cached,
+		Cached:          j.state.Terminal() && (j.tier == tierMemory || j.tier == tierDisk),
 		Coalesced:       j.tier == tierCoalesced,
 		Samples:         j.samples,
 		BestImprovement: j.best,
@@ -223,7 +222,7 @@ func (j *Job) recordProgress(ev ProgressEvent) {
 // own, in the job's node order. The winner must call release once its
 // accounting is done: Done() does not fire here, so that a waiter it wakes
 // finds the service's counters already moved.
-func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
+func (j *Job) finish(state JobState, res *Result, err error) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -241,7 +240,6 @@ func (j *Job) finish(state JobState, res *Result, err error, cached bool) bool {
 	}
 	j.pos = nil
 	j.err = err
-	j.cached = cached
 	if res != nil {
 		j.samples = res.Samples
 		j.best = res.Improvement

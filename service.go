@@ -631,13 +631,8 @@ func (s *Service) submit(ctx context.Context, req PlanRequest) (*Job, keyedReque
 		return nil, a.keyedRequest, err
 	}
 	s.keyRequest(&a)
-	var job *Job
-	var err error
-	if res, fromDisk, ok := s.lookup(a.key); ok {
-		job, err = s.admitCached(&a, res, fromDisk)
-	} else {
-		job, err = s.admit(&a)
-	}
+	res, fromDisk, _ := s.lookup(a.key)
+	job, err := s.admit(&a, res, fromDisk)
 	return job, a.keyedRequest, err
 }
 
@@ -662,10 +657,10 @@ func (s *Service) submitKnown(ctx context.Context, tag [16]byte) (job *Job, grap
 	if !ok {
 		return nil, "", false
 	}
-	if job, err = s.admitCached(&a, res, fromDisk); err != nil {
+	if job, err = s.admit(&a, res, fromDisk); err != nil {
 		return nil, "", false
 	}
-	s.m.memoHits.Inc() // after the tier counter admitCached moved
+	s.m.memoHits.Inc() // after the tier counter admit moved
 	return job, a.graphFP, true
 }
 
@@ -763,125 +758,82 @@ func (s *Service) store(key string, res *Result) {
 }
 
 // draining reports that admission is stopped — what Stats, /healthz, and
-// the mcmpart_draining gauge show. (The two admit functions read the same
-// field under the lock they already hold.)
+// the mcmpart_draining gauge show. (admit reads the same field under the
+// lock it already holds.)
 func (s *Service) draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stopped
 }
 
-// admitCached admits a lookup hit as an already-terminal job.
-func (s *Service) admitCached(a *admission, res *Result, fromDisk bool) (*Job, error) {
-	job, err := s.registerHit(a, fromDisk)
-	if err != nil {
-		return nil, err
-	}
-	s.finishHit(a, job, res)
-	return job, nil
-}
-
-// finishHit ends a hit's registered job with the cached result.
-func (s *Service) finishHit(a *admission, job *Job, res *Result) {
-	s.finishJob(job, JobDone, res, nil, true)
-	s.m.planWarm.Observe(s.now().Sub(a.start).Seconds())
-}
-
-// registerHit is admitCached's critical section: it registers the hit's
-// job under s.mu, released by defer like admit's so no path keeps it.
-func (s *Service) registerHit(a *admission, fromDisk bool) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return nil, ErrServiceClosed
-	}
-	return s.registerHitLocked(a, fromDisk), nil
-}
-
-// registerHitLocked registers a hit's job. The tier counters partition
-// admissions: a disk hit is a memory miss, and — like every admission —
-// the tier outcome is counted before jobsSubmitted.
-func (s *Service) registerHitLocked(a *admission, fromDisk bool) *Job {
-	tier := tierMemory
-	if fromDisk {
-		tier = tierDisk
-	}
-	job := s.registerLocked(a, tier)
-	if fromDisk {
-		s.m.memMisses.Inc()
-		s.m.diskHits.Inc()
-	} else {
-		s.m.memHits.Inc()
-	}
-	s.m.jobsSubmitted.Inc()
-	return job
-}
-
-// admit admits a lookup miss: onto the key's in-flight plan if there is
-// one (single-flight), otherwise as the leader of a new flight handed to
-// the pool. The job is registered only once the pool has accepted the
-// flight, so a shed request (ErrBusy) leaves nothing behind — no job, no
-// ID, no gauge movement. The worker that picks the flight up cannot
-// outrun that registration: runFlight takes s.mu, held here, first.
-//
-// Before it opens a flight, admit looks the memory cache up again: a
-// flight that stored the key's plan and retired since the lookup (runFlight
-// stores before it retires, and retires under s.mu) has left the plan
-// there, and the request is admitted as the hit it now is.
-func (s *Service) admit(a *admission) (*Job, error) {
-	job, res, err := s.admitMiss(a)
-	if res != nil {
-		s.finishHit(a, job, res)
+// admit makes a request a job, in one critical section under s.mu. hit is
+// the lookup's result (nil on a miss) and fromDisk the tier it came from.
+// Admission is refused once stopped. A lookup hit is registered as served
+// by its tier. A miss coalesces onto the key's in-flight plan if there is
+// one (single-flight); otherwise it looks the memory cache up again — a
+// flight that stored the key's plan and retired since the lookup
+// (runFlight stores before it retires, and retires under s.mu) has left
+// the plan there — and is admitted as the hit it now is; otherwise it
+// leads a new flight handed to the pool. The leader is registered only
+// once the pool has accepted the flight, so a shed request (ErrBusy)
+// leaves nothing behind — no job, no ID, no gauge movement — and the
+// worker that picks the flight up cannot outrun the registration:
+// runFlight takes s.mu, held here, first. A hit's job is finished outside
+// the lock, already terminal, without consuming a worker.
+func (s *Service) admit(a *admission, hit *Result, fromDisk bool) (*Job, error) {
+	job, err := func() (*Job, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.stopped {
+			return nil, ErrServiceClosed
+		}
+		tier := tierMemory
+		if hit != nil && fromDisk {
+			tier = tierDisk
+		}
+		var fl *flight
+		if hit == nil {
+			var ok bool
+			if fl, ok = s.inflight[a.key]; ok {
+				tier = tierCoalesced
+			} else if hit, ok = s.cache.get(a.key); !ok {
+				fl = &flight{key: a.key, graph: a.graph, opts: a.opts, policy: a.policy}
+				fl.opts.Progress = nil
+				if err := s.pool.TrySubmit(func() { s.runFlight(fl) }); err != nil {
+					if errors.Is(err, parallel.ErrPoolFull) {
+						s.m.jobsShed.Inc()
+						return nil, ErrBusy
+					}
+					return nil, ErrServiceClosed
+				}
+				s.inflight[a.key] = fl
+				s.m.jobsQueued.Inc()
+				tier = tierPlanner
+			}
+		}
+		job := s.registerLocked(a, tier)
+		switch tier {
+		case tierCoalesced:
+			fl.followers = append(fl.followers, job)
+			context.AfterFunc(job.ctx, func() { s.detach(fl, job) })
+		case tierPlanner:
+			fl.leader = job
+		}
+		return job, nil
+	}()
+	if hit != nil && err == nil {
+		s.finishJob(job, JobDone, hit, nil)
+		s.m.planWarm.Observe(s.now().Sub(a.start).Seconds())
 	}
 	return job, err
 }
 
-// admitMiss is admit's critical section. It returns the cached result
-// when the re-check hits; the caller finishes that job outside s.mu.
-func (s *Service) admitMiss(a *admission) (*Job, *Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return nil, nil, ErrServiceClosed
-	}
-	fl, coalesced := s.inflight[a.key]
-	if !coalesced {
-		if res, ok := s.cache.get(a.key); ok {
-			return s.registerHitLocked(a, false), res, nil
-		}
-		fl = &flight{key: a.key, graph: a.graph, opts: a.opts, policy: a.policy}
-		fl.opts.Progress = nil
-		if err := s.pool.TrySubmit(func() { s.runFlight(fl) }); err != nil {
-			if errors.Is(err, parallel.ErrPoolFull) {
-				s.m.jobsShed.Inc()
-				return nil, nil, ErrBusy
-			}
-			return nil, nil, ErrServiceClosed
-		}
-		s.inflight[a.key] = fl
-		s.m.jobsQueued.Inc()
-	}
-	tier := tierPlanner
-	if coalesced {
-		tier = tierCoalesced
-	}
-	job := s.registerLocked(a, tier)
-	s.m.memMisses.Inc() // tier outcome first, then jobsSubmitted
-	if coalesced {
-		fl.followers = append(fl.followers, job)
-		s.m.plansCoalesced.Inc()
-		context.AfterFunc(job.ctx, func() { s.detach(fl, job) })
-	} else {
-		fl.leader = job
-	}
-	s.m.jobsSubmitted.Inc()
-	return job, nil, nil
-}
-
-// registerLocked creates the job for an admitted request and enters it in
-// the job table. Every registered job holds one jobsWG count until its
-// terminal transition (finishJob); callers register only once admission is
-// certain, so neither ever needs undoing.
+// registerLocked creates the job for an admitted request, enters it in the
+// job table and counts it: its tier outcome first, then jobsSubmitted. The
+// tier counters partition admissions — a disk hit, a coalesced job and a
+// flight's leader are memory misses. Every registered job holds one jobsWG
+// count until its terminal transition (finishJob); admit registers only
+// once admission is certain, so neither ever needs undoing.
 func (s *Service) registerLocked(a *admission, tier string) *Job {
 	s.seq++
 	ctx, cancel := context.WithCancel(s.root)
@@ -898,6 +850,19 @@ func (s *Service) registerLocked(a *admission, tier string) *Job {
 	}
 	s.jobsWG.Add(1)
 	s.jobs.addLocked(job)
+	switch tier {
+	case tierMemory:
+		s.m.memHits.Inc()
+	case tierDisk:
+		s.m.memMisses.Inc()
+		s.m.diskHits.Inc()
+	case tierCoalesced:
+		s.m.memMisses.Inc()
+		s.m.plansCoalesced.Inc()
+	default:
+		s.m.memMisses.Inc()
+	}
+	s.m.jobsSubmitted.Inc()
 	return job
 }
 
@@ -914,7 +879,7 @@ func (s *Service) detach(fl *flight, job *Job) {
 	}
 	s.mu.Unlock()
 	if i >= 0 {
-		s.finishJob(job, JobCancelled, nil, job.ctx.Err(), false)
+		s.finishJob(job, JobCancelled, nil, job.ctx.Err())
 	}
 }
 
@@ -943,7 +908,7 @@ func (s *Service) runFlight(fl *flight) {
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// Best-so-far semantics: a cancelled plan may still carry a
 			// result — it belongs to the cancelled leader only.
-			s.finishJob(job, JobCancelled, res, err, false)
+			s.finishJob(job, JobCancelled, res, err)
 			job = s.promoteNext(fl)
 		default:
 			s.resolveFlight(fl, job, JobFailed, nil, err)
@@ -1018,7 +983,7 @@ func (s *Service) resolveFlight(fl *flight, leader *Job, state JobState, res *Re
 	fl.followers = nil
 	s.mu.Unlock()
 	for _, job := range waiting {
-		s.finishJob(job, state, res, err, false)
+		s.finishJob(job, state, res, err)
 	}
 }
 
@@ -1030,8 +995,8 @@ func (s *Service) resolveFlight(fl *flight, leader *Job, state JobState, res *Re
 // the job's Done() and releases its drain count — whoever Done() wakes sees
 // Stats() that already include this job. Safe to call twice (only the
 // transition that wins counts).
-func (s *Service) finishJob(job *Job, state JobState, res *Result, err error, cached bool) {
-	if !job.finish(state, res, err, cached) {
+func (s *Service) finishJob(job *Job, state JobState, res *Result, err error) {
+	if !job.finish(state, res, err) {
 		return
 	}
 	s.m.jobsEnded[state].Inc()
