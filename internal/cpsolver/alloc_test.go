@@ -11,49 +11,6 @@ import (
 // allocSink defeats dead-code elimination in the AllocsPerRun bodies.
 var allocSink int
 
-// TestDomainForEachZeroAlloc pins the zero-allocation contract of the hot
-// iteration form: Values() builds a slice per call, ForEach must not.
-func TestDomainForEachZeroAlloc(t *testing.T) {
-	d := Domain(0b1011010110)
-	allocs := testing.AllocsPerRun(200, func() {
-		sum := 0
-		d.ForEach(func(c int) bool {
-			sum += c
-			return true
-		})
-		allocSink = sum
-	})
-	if allocs != 0 {
-		t.Fatalf("Domain.ForEach allocated %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestDomainForEachOrderAndEarlyStop(t *testing.T) {
-	d := Domain(0b101101)
-	var got []int
-	d.ForEach(func(c int) bool {
-		got = append(got, c)
-		return true
-	})
-	want := d.Values()
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %v, Values %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach visited %v, Values %v", got, want)
-		}
-	}
-	visits := 0
-	d.ForEach(func(c int) bool {
-		visits++
-		return visits < 2
-	})
-	if visits != 2 {
-		t.Fatalf("early stop visited %d chips, want 2", visits)
-	}
-}
-
 // TestSampleValueZeroAlloc pins the solver's value-sampling path (the inner
 // loop of every Sample/Fix solve) to zero allocations.
 func TestSampleValueZeroAlloc(t *testing.T) {
@@ -190,7 +147,7 @@ func TestNewSegmenterWarmAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocSink = sg.LayoutChips()
+		allocSink = sg.k
 	})
 	if allocs > ceiling {
 		t.Fatalf("NewSegmenter on a warm graph allocated %.1f objects, want <= %d", allocs, ceiling)

@@ -48,28 +48,6 @@ func (d Domain) Max() int {
 	return 63 - bits.LeadingZeros64(uint64(d))
 }
 
-// Values returns the chips in the domain in increasing order. It allocates;
-// hot paths iterate with ForEach instead.
-func (d Domain) Values() []int {
-	vals := make([]int, 0, d.Count())
-	for rest := d; rest != 0; rest &= rest - 1 {
-		vals = append(vals, bits.TrailingZeros64(uint64(rest)))
-	}
-	return vals
-}
-
-// ForEach calls fn for each chip in the domain in increasing order, stopping
-// early when fn returns false. It is the zero-allocation iteration form the
-// solver's sampling and propagation loops use (see the AllocsPerRun
-// regression test).
-func (d Domain) ForEach(fn func(c int) bool) {
-	for rest := d; rest != 0; rest &= rest - 1 {
-		if !fn(bits.TrailingZeros64(uint64(rest))) {
-			return
-		}
-	}
-}
-
 // String renders the domain as "{0,1,5}".
 func (d Domain) String() string {
 	var b strings.Builder

@@ -1,7 +1,6 @@
 package cpsolver
 
 import (
-	"fmt"
 	"math/rand"
 
 	"mcmpart/internal/graph"
@@ -70,35 +69,32 @@ const AutoChips = 8
 // NewAutoPkg picks the right Partitioner for the package: the CP solver
 // (Algorithms 1 and 2) for small graphs on small packages — where it
 // explores the complete valid space, including non-contiguous layouts — and
-// the segment sampler everywhere else. If the segmenter cannot be built it
-// falls back to the CP solver. Options.ChipCapacityBytes applies to either
-// backend (domain pruning plus accumulation in the CP solver, rejection
-// sampling in the segmenter). For heterogeneous packages it defaults to each
-// chip's SRAM size, a static per-chip weight-capacity bound (a necessary
+// the segment sampler everywhere else. On a heterogeneous package each
+// chip's SRAM size bounds the weights placed on it, in either backend
+// (domain pruning plus accumulation in the CP solver, rejection sampling in
+// the segmenter): a static per-chip weight-capacity bound, a necessary
 // condition of the dynamic memory constraint, so little dies are never
-// handed layers that cannot fit); homogeneous packages read only pkg.Chips
+// handed layers that cannot fit. Homogeneous packages read only pkg.Chips
 // and get no bound, keeping the default path bit-identical to the
 // pre-heterogeneity solver.
-func NewAutoPkg(g *graph.Graph, pkg *mcm.Package, opts Options) (Partitioner, error) {
+func NewAutoPkg(g *graph.Graph, pkg *mcm.Package, _ Options) (Partitioner, error) {
 	chips := pkg.Chips
-	if pkg.Heterogeneous() && len(opts.ChipCapacityBytes) == 0 {
-		caps := make([]int64, chips)
+	var caps []int64
+	if pkg.Heterogeneous() {
+		caps = make([]int64, chips)
 		for c := range caps {
 			caps[c] = pkg.ChipSRAM(c)
 		}
-		opts.ChipCapacityBytes = caps
-	}
-	if caps := opts.ChipCapacityBytes; len(caps) != 0 && len(caps) != chips {
-		return nil, fmt.Errorf("cpsolver: %d chip capacities for %d chips", len(caps), chips)
 	}
 	if g.NumNodes() <= AutoThreshold && chips <= AutoChips {
-		return New(g, chips, opts)
+		return newSolver(g, chips, caps)
 	}
-	if sg, err := NewSegmenter(g, chips); err == nil {
-		sg.chipCap = opts.ChipCapacityBytes
-		return sg, nil
+	sg, err := NewSegmenter(g, chips)
+	if err != nil {
+		return nil, err
 	}
-	return New(g, chips, opts)
+	sg.chipCap = caps
+	return sg, nil
 }
 
 var (

@@ -2,6 +2,7 @@ package cpsolver
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,9 +28,7 @@ func randomLayeredDAG(rng *rand.Rand, n int) *graph.Graph {
 		}
 		if i > 3 && rng.Intn(4) == 0 {
 			back := 2 + rng.Intn(3)
-			if !g.HasEdge(i-back, i) {
-				g.MustAddEdge(i-back, i, int64(1+rng.Intn(1<<12)))
-			}
+			g.MustAddEdge(i-back, i, int64(1+rng.Intn(1<<12)))
 		}
 	}
 	return g
@@ -83,7 +82,7 @@ func TestSegmenterAlwaysEmitsValidPartitions(t *testing.T) {
 }
 
 // TestSegmenterUsesLayoutChipsExactly: every emitted layout uses exactly the
-// LayoutChips prefix — never fewer (wasted parallelism) nor more (invalid).
+// layout chip prefix sg.k — never fewer (wasted parallelism) nor more (invalid).
 func TestSegmenterUsesLayoutChipsExactly(t *testing.T) {
 	f := func(seed int64, szRaw, chipRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -98,7 +97,7 @@ func TestSegmenterUsesLayoutChipsExactly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.NumChipsUsed() == sg.LayoutChips()
+		return slices.Max(p)+1 == sg.k
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -130,8 +129,11 @@ func TestSolverDomainsNeverWidenUnderDecisions(t *testing.T) {
 			if d.Empty() {
 				return false
 			}
-			vals := d.Values()
-			if _, err := s.Assign(u, vals[rng.Intn(len(vals))]); err != nil {
+			c := d.Min()
+			for skip := rng.Intn(d.Count()); skip > 0; skip-- {
+				c = (d & maskGE(c+1)).Min()
+			}
+			if _, err := s.Assign(u, c); err != nil {
 				break
 			}
 			for v := 0; v < n; v++ {

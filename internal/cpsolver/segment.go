@@ -77,8 +77,8 @@ type Segmenter struct {
 	// boundaries after j must fit from next[g] on). It is nondecreasing in
 	// j, and hi[k-2] = N-2. Only gaps up to hi[j] are computed or read.
 	hi [mcm.MaxChips]int32
-	// chipCap, when non-nil, is the per-chip static weight bound of
-	// Options.ChipCapacityBytes: samples whose per-chip weight totals
+	// chipCap, when non-nil, is the per-chip static weight bound NewAutoPkg
+	// sets on heterogeneous packages: samples whose per-chip weight totals
 	// exceed it are rejected and redrawn (the DP's streaming structure
 	// cannot carry a knapsack side constraint exactly). A nil bound (the
 	// homogeneous default) draws exactly one sample per call, keeping the
@@ -149,10 +149,6 @@ func NewSegmenter(g *graph.Graph, chips int) (*Segmenter, error) {
 	}
 	return sg, nil
 }
-
-// LayoutChips returns the number of chips layouts actually use, which is
-// less than Chips when the graph's boundary capacity cannot host them all.
-func (sg *Segmenter) LayoutChips() int { return sg.k }
 
 // Chips returns the chip count C.
 func (sg *Segmenter) Chips() int { return sg.chips }

@@ -3,6 +3,7 @@ package cpsolver
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcmpart/internal/graph"
@@ -27,7 +28,7 @@ func TestSegmenterChainUniform(t *testing.T) {
 		if err := p.Validate(g, 3); err != nil {
 			t.Fatalf("invalid partition %v: %v", p, err)
 		}
-		if p.NumChipsUsed() != 3 {
+		if slices.Max(p)+1 != 3 {
 			t.Fatalf("segmenter should use all chips, got %v", p)
 		}
 		counts[p.String()]++
@@ -114,8 +115,8 @@ func TestSegmenterPrefixWhenCapacityShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sg.Chips() != 3 || sg.LayoutChips() != 2 {
-		t.Fatalf("Chips=%d LayoutChips=%d, want 3/2", sg.Chips(), sg.LayoutChips())
+	if sg.Chips() != 3 || sg.k != 2 {
+		t.Fatalf("Chips=%d layout chips=%d, want 3/2", sg.Chips(), sg.k)
 	}
 	p, err := sg.Sample(nil, rand.New(rand.NewSource(9)))
 	if err != nil {
@@ -124,7 +125,7 @@ func TestSegmenterPrefixWhenCapacityShort(t *testing.T) {
 	if err := p.Validate(g, 3); err != nil {
 		t.Fatal(err)
 	}
-	if p.NumChipsUsed() != 2 {
+	if slices.Max(p)+1 != 2 {
 		t.Fatalf("layout should use the 2-chip prefix, got %v", p)
 	}
 }
@@ -165,8 +166,8 @@ func TestSegmenterBERTScale(t *testing.T) {
 		if err := p.Validate(g, 36); err != nil {
 			t.Fatal(err)
 		}
-		if p.NumChipsUsed() != 36 {
-			t.Fatalf("sample uses %d chips, want 36", p.NumChipsUsed())
+		if used := slices.Max(p) + 1; used != 36 {
+			t.Fatalf("sample uses %d chips, want 36", used)
 		}
 		seen[p.String()] = true
 	}

@@ -83,17 +83,10 @@ type decision struct {
 	trailMark int
 }
 
-// Options configure a Solver.
-type Options struct {
-	// ChipCapacityBytes, when non-empty (length = chip count), adds a
-	// per-chip memory bound to the static constraints: the total weight
-	// footprint placed on chip c may not exceed ChipCapacityBytes[c]. It
-	// is a necessary condition for the dynamic SRAM constraint —
-	// heterogeneous packages use it so little dies are not handed layers
-	// that can never fit (see NewAutoPkg). Activations are still only
-	// checked dynamically by the simulator.
-	ChipCapacityBytes []int64
-}
+// Options is New's and NewAutoPkg's parameter. It has no fields: it stays
+// only because bench/probes.go, which only ROADMAP item 1 may edit, names it
+// in a call.
+type Options struct{}
 
 // maxBacktracks bounds the total number of undone decisions per Sample/Fix
 // solve (across restarts) before the solver gives up with
@@ -135,9 +128,9 @@ type Solver struct {
 	// says how urgently the assignment must climb toward the last chip.
 	lay *graph.Layout
 
-	// Per-chip static memory bound (nil when Options.ChipCapacityBytes is
-	// unset): nodeParams caches each node's weight footprint and paramUsed
-	// the total bound onto each chip, maintained through the trail.
+	// Per-chip static memory bound (nil on homogeneous packages; see
+	// NewAutoPkg): nodeParams caches each node's weight footprint and
+	// paramUsed the total bound onto each chip, maintained through the trail.
 	capacity   []int64
 	nodeParams []int64
 	paramUsed  []int64
@@ -159,7 +152,15 @@ type Solver struct {
 // number of chips and runs root propagation. It returns an error if the
 // graph is invalid, the chip count is out of range, or the instance is
 // infeasible at the root.
-func New(g *graph.Graph, chips int, opts Options) (*Solver, error) {
+func New(g *graph.Graph, chips int, _ Options) (*Solver, error) {
+	return newSolver(g, chips, nil)
+}
+
+// newSolver is New with a per-chip static memory bound: unless caps is nil
+// (one entry per chip otherwise), the total weight footprint placed on chip
+// c may not exceed caps[c]. It is a necessary condition of the dynamic SRAM
+// constraint; activations are still only checked by the simulator.
+func newSolver(g *graph.Graph, chips int, caps []int64) (*Solver, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -186,10 +187,7 @@ func New(g *graph.Graph, chips int, opts Options) (*Solver, error) {
 	for i := range s.adjCount {
 		s.adjCount[i] = make([]int32, chips)
 	}
-	if caps := opts.ChipCapacityBytes; len(caps) != 0 {
-		if len(caps) != chips {
-			return nil, fmt.Errorf("cpsolver: %d chip capacities for %d chips", len(caps), chips)
-		}
+	if caps != nil {
 		s.capacity = caps
 		s.paramUsed = make([]int64, chips)
 		s.nodeParams = make([]int64, n)

@@ -291,12 +291,9 @@ func TestSamplePropertyRandomDAGs(t *testing.T) {
 		}
 		for v := 1; v < n; v++ {
 			u := rng.Intn(v)
-			if !g.HasEdge(u, v) {
-				g.MustAddEdge(u, v, 4)
-			}
+			g.MustAddEdge(u, v, 4)
 			if rng.Intn(3) == 0 {
-				u2 := rng.Intn(v)
-				if !g.HasEdge(u2, v) {
+				if u2 := rng.Intn(v); u2 != u {
 					g.MustAddEdge(u2, v, 4)
 				}
 			}
@@ -336,9 +333,6 @@ func TestDomainOps(t *testing.T) {
 	}
 	if !d.Has(5) || d.Has(4) {
 		t.Fatalf("Has wrong: %v", d)
-	}
-	if got := d.Values(); len(got) != 3 || got[0] != 3 || got[2] != 7 {
-		t.Fatalf("Values = %v", got)
 	}
 	if s := d.String(); s != "{3,5,7}" {
 		t.Fatalf("String = %q", s)

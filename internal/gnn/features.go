@@ -12,7 +12,6 @@ import (
 
 	"mcmpart/internal/graph"
 	"mcmpart/internal/mat"
-	"mcmpart/internal/parallel"
 )
 
 // FeatureDim is the width of the static node-feature vector: a one-hot
@@ -103,26 +102,22 @@ func (a *Adjacency) NumNodes() int { return len(a.invDeg) }
 
 // aggregate computes out[v] = mean over neighbors u of in[u] (zero for
 // isolated nodes). out and in must be N x D and distinct. Output rows are
-// independent, so large graphs split rows across the worker pool with
-// results identical at any worker count.
+// independent, so mat.RowBlocks splits large graphs' rows across the worker
+// pool with results identical at any worker count.
 func (a *Adjacency) aggregate(out, in *mat.Dense) {
 	out.Zero()
-	n := a.NumNodes()
-	if len(a.neigh)*in.Cols < mat.ParallelFlopThreshold {
-		a.aggregateRows(out, in, 0, n)
-		return
-	}
-	lanes := parallel.AcquireLanes(n - 1)
-	defer parallel.ReleaseLanes(lanes)
-	if lanes == 0 {
-		a.aggregateRows(out, in, 0, n)
-		return
-	}
-	parallel.ForEachBlock(lanes+1, n, func(_, lo, hi int) { a.aggregateRows(out, in, lo, hi) })
+	mat.RowBlocks(a.NumNodes(), len(a.neigh)*in.Cols, aggregation.rows, aggregation{a, out, in})
 }
 
-// aggregateRows is aggregate over output rows [lo, hi) of a zeroed out.
-func (a *Adjacency) aggregateRows(out, in *mat.Dense, lo, hi int) {
+// aggregation is one aggregate call's operands, handed to each row block.
+type aggregation struct {
+	a       *Adjacency
+	out, in *mat.Dense
+}
+
+// rows is aggregate over output rows [lo, hi) of a zeroed out.
+func (ag aggregation) rows(lo, hi int) {
+	a, out, in := ag.a, ag.out, ag.in
 	d := in.Cols
 	for v := lo; v < hi; v++ {
 		ov := out.Data[v*d : (v+1)*d]

@@ -8,6 +8,7 @@ import (
 	"mcmpart/internal/graph"
 	"mcmpart/internal/mat"
 	"mcmpart/internal/nn"
+	"mcmpart/internal/parallel"
 	"mcmpart/internal/workload"
 )
 
@@ -60,7 +61,7 @@ func TestAdjacencyAggregate(t *testing.T) {
 	adj := BuildAdjacency(g)
 	in := mat.New(5, 1)
 	for i := 0; i < 5; i++ {
-		in.Set(i, 0, float64(i+1))
+		in.Data[i] = float64(i + 1)
 	}
 	out := mat.New(5, 1)
 	adj.aggregate(out, in)
@@ -97,6 +98,37 @@ func TestAggregateScatterAreTransposes(t *testing.T) {
 	}
 	if math.Abs(lhs-rhs) > 1e-10 {
 		t.Fatalf("<Ax,y>=%v but <x,Aᵀy>=%v", lhs, rhs)
+	}
+}
+
+// TestAggregateWorkerCountIndependent: an aggregation above
+// mat.ParallelFlopThreshold splits its rows across workers, and its output
+// is the same bits at one worker and at four.
+func TestAggregateWorkerCountIndependent(t *testing.T) {
+	g := workload.BERT()
+	adj := BuildAdjacency(g)
+	n, d := g.NumNodes(), 64
+	if flops := len(adj.neigh) * d; flops < mat.ParallelFlopThreshold {
+		t.Fatalf("BERT's aggregation is %d flops, below the fan-out threshold %d", flops, mat.ParallelFlopThreshold)
+	}
+	rng := rand.New(rand.NewSource(3))
+	in := mat.New(n, d)
+	for i := range in.Data {
+		in.Data[i] = rng.NormFloat64()
+	}
+	aggregateAt := func(workers int) *mat.Dense {
+		old := parallel.Default()
+		parallel.SetDefault(workers)
+		defer parallel.SetDefault(old)
+		out := mat.New(n, d)
+		adj.aggregate(out, in)
+		return out
+	}
+	serial, split := aggregateAt(1), aggregateAt(4)
+	for i := range serial.Data {
+		if math.Float64bits(serial.Data[i]) != math.Float64bits(split.Data[i]) {
+			t.Fatalf("element %d = %v at four workers, %v at one", i, split.Data[i], serial.Data[i])
+		}
 	}
 }
 

@@ -60,8 +60,9 @@ func TestDecodeMatchesReference(t *testing.T) {
 // buffer. Zeroing the buffer after the decode changes no name and not the
 // fingerprint.
 func TestDecodeDoesNotAliasInput(t *testing.T) {
-	src := workload.BERT()
-	src.SetName("bert, with a name to copy")
+	cfg := workload.DefaultBERTConfig()
+	cfg.Name = "bert, with a name to copy"
+	src := workload.BuildBERT(cfg)
 	body, err := json.Marshal(src)
 	if err != nil {
 		t.Fatal(err)

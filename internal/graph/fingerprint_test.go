@@ -113,7 +113,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestFingerprintIgnoresNames(t *testing.T) {
 	a := fpDiamond(t, [4]int{0, 1, 2, 3})
 	b := fpDiamond(t, [4]int{0, 1, 2, 3})
-	b.SetName("renamed")
+	b.name = "renamed"
 	for i := range b.nodes {
 		b.nodes[i].Name = "x"
 	}

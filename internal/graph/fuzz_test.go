@@ -151,8 +151,8 @@ func carriedPartitionFits(g, h *Graph) error {
 	}
 	level := make([]int, n)
 	for _, v := range lay.Order {
-		for _, u := range g.Predecessors(v) {
-			if level[u]+1 > level[v] {
+		for _, e := range g.InEdges(v) {
+			if u := g.edges[e].From; level[u]+1 > level[v] {
 				level[v] = level[u] + 1
 			}
 		}

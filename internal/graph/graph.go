@@ -65,9 +65,6 @@ func New(name string) *Graph { return &Graph{name: name} }
 // Name returns the graph's name.
 func (g *Graph) Name() string { return g.name }
 
-// SetName renames the graph.
-func (g *Graph) SetName(name string) { g.name = name }
-
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
@@ -120,17 +117,6 @@ func (g *Graph) MustAddEdge(from, to int, bytes int64) {
 	}
 }
 
-// HasEdge reports whether an edge from -> to exists. It scans the edge
-// list, which suits the builders that ask while still adding edges.
-func (g *Graph) HasEdge(from, to int) bool {
-	for _, e := range g.edges {
-		if e.From == from && e.To == to {
-			return true
-		}
-	}
-	return false
-}
-
 // OutEdges returns the indices (into Edges) of edges leaving node v, in
 // insertion order. The slice is shared; callers must not modify it. The
 // adjacency behind this and the accessors below is derived on the first read
@@ -149,16 +135,6 @@ func (g *Graph) Successors(v int) []int {
 		out[i] = g.edges[e].To
 	}
 	return out
-}
-
-// Predecessors returns the IDs of nodes v directly depends on.
-func (g *Graph) Predecessors(v int) []int {
-	edges := g.InEdges(v)
-	in := make([]int, len(edges))
-	for i, e := range edges {
-		in[i] = g.edges[e].From
-	}
-	return in
 }
 
 // InDegree returns the number of edges entering v.

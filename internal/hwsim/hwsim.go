@@ -122,9 +122,6 @@ func New(pkg *mcm.Package, opts Options) *Simulator {
 	return &Simulator{pkg: pkg, topo: topo, seed: opts.Seed}
 }
 
-// Package returns the simulated package.
-func (s *Simulator) Package() *mcm.Package { return s.pkg }
-
 // Result is the outcome of running one partition.
 type Result struct {
 	// Valid reports H(G,f): false means the compiler backend rejected the

@@ -51,9 +51,6 @@ func Resized(m *Dense, rows, cols int) *Dense {
 // At returns the element at (r, c).
 func (m *Dense) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
-// Set writes the element at (r, c).
-func (m *Dense) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
 // Row returns a view of row r.
 func (m *Dense) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
@@ -493,21 +490,6 @@ func Axpy(s float64, x, y []float64) {
 	}
 	for i, v := range x {
 		y[i] += s * v
-	}
-}
-
-// Add computes m += o elementwise.
-func (m *Dense) Add(o *Dense) {
-	m.mustSameShape(o)
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
-}
-
-// Scale multiplies every element by s.
-func (m *Dense) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
 	}
 }
 

@@ -29,7 +29,7 @@ func naiveMul(a, b *Dense) *Dense {
 			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(k, j)
 			}
-			out.Set(i, j, s)
+			out.Row(i)[j] = s
 		}
 	}
 	return out
@@ -74,7 +74,7 @@ func TestMulVariantsAgreeWithNaive(t *testing.T) {
 		a2T := New(m, k)
 		for i := 0; i < k; i++ {
 			for j := 0; j < m; j++ {
-				a2T.Set(j, i, a2.At(i, j))
+				a2T.Row(j)[i] = a2.At(i, j)
 			}
 		}
 		if !approxEqual(outT, naiveMul(a2T, b), 1e-10) {
@@ -87,7 +87,7 @@ func TestMulVariantsAgreeWithNaive(t *testing.T) {
 		b2T := New(k, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < k; j++ {
-				b2T.Set(j, i, b2.At(i, j))
+				b2T.Row(j)[i] = b2.At(i, j)
 			}
 		}
 		return approxEqual(outB, naiveMul(a, b2T), 1e-10)
@@ -98,17 +98,7 @@ func TestMulVariantsAgreeWithNaive(t *testing.T) {
 }
 
 func TestElementwiseOps(t *testing.T) {
-	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	o := FromSlice(2, 2, []float64{10, 20, 30, 40})
-	m.Add(o)
-	if m.At(1, 1) != 44 {
-		t.Fatalf("Add wrong: %v", m.Data)
-	}
-	m = FromSlice(2, 2, []float64{1, 2, 3, 4})
-	m.Scale(2)
-	if m.At(0, 1) != 4 {
-		t.Fatalf("Scale wrong: %v", m.Data)
-	}
+	m := FromSlice(2, 2, []float64{2, 4, 6, 8})
 	m.AddRowVector([]float64{100, 200})
 	if m.At(0, 0) != 102 || m.At(1, 1) != 208 {
 		t.Fatalf("AddRowVector wrong: %v", m.Data)
@@ -129,7 +119,7 @@ func TestElementwiseOps(t *testing.T) {
 func TestCloneAndCopy(t *testing.T) {
 	m := FromSlice(1, 3, []float64{1, 2, 3})
 	c := m.Clone()
-	c.Set(0, 0, 99)
+	c.Data[0] = 99
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone should be deep")
 	}
@@ -162,7 +152,6 @@ func TestShapePanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"mul":      func() { Mul(New(1, 1), New(2, 3), New(2, 3)) },
 		"fromsize": func() { FromSlice(2, 2, []float64{1}) },
-		"add":      func() { New(1, 2).Add(New(2, 1)) },
 		"rowvec":   func() { New(1, 2).AddRowVector([]float64{1}) },
 		"negative": func() { New(-1, 2) },
 	} {

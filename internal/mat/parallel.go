@@ -17,9 +17,9 @@ const ParallelFlopThreshold = 1 << 17
 // are reserved from the process-wide lane budget (package parallel's doc
 // comment), so a stage issued from inside an already-fanned-out one falls
 // back to serial execution instead of oversubscribing. It is the one
-// fan-out rule of every row-parallel stage, this package's kernels and the
-// policy head's alike: kernel must write only its rows' outputs, so the
-// split never affects results.
+// fan-out rule of every row-parallel stage, this package's kernels, the GNN's
+// aggregation and the policy head's alike: kernel must write only its rows'
+// outputs, so the split never affects results.
 //
 // The kernel and its operands arrive as plain arguments — a top-level
 // function or method expression and a value — so that only the fan-out

@@ -69,7 +69,7 @@ func TestMulAddMatchesMulPlusAdd(t *testing.T) {
 	want := base.Clone()
 	prod := New(13, 11)
 	Mul(prod, a, b)
-	want.Add(prod)
+	Axpy(1, prod.Data, want.Data)
 
 	got := base.Clone()
 	MulAdd(got, a, b)
@@ -94,7 +94,7 @@ func TestMulATBAccMatchesMulATBPlusAdd(t *testing.T) {
 	want := base.Clone()
 	prod := New(13, 5)
 	MulATB(prod, a, b)
-	want.Add(prod)
+	Axpy(1, prod.Data, want.Data)
 
 	got := base.Clone()
 	MulATBAcc(got, a, b)

@@ -30,27 +30,6 @@ func (p Partition) Clone() Partition {
 	return append(Partition(nil), p...)
 }
 
-// NumChipsUsed returns the number of distinct chips that host at least one
-// node. For a valid partition this equals max(p)+1.
-func (p Partition) NumChipsUsed() int {
-	used := make(map[int]bool, len(p))
-	for _, c := range p {
-		used[c] = true
-	}
-	return len(used)
-}
-
-// MaxChip returns the highest chip ID used, or -1 for an empty partition.
-func (p Partition) MaxChip() int {
-	max := -1
-	for _, c := range p {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // Violation kinds distinguishable with errors.Is.
 var (
 	ErrLength             = errors.New("partition: wrong length")
@@ -184,60 +163,6 @@ func (dist *chipDistances) longestPaths(adj *chipAdjacency, c int) {
 			dist[a][b] = best
 		}
 	}
-}
-
-// ChipLoad aggregates the per-chip resource usage of a partition.
-type ChipLoad struct {
-	// FLOPs is the total compute placed on the chip.
-	FLOPs float64
-	// ParamBytes is the total weight footprint placed on the chip.
-	ParamBytes int64
-	// Nodes is the number of nodes placed on the chip.
-	Nodes int
-	// BytesIn and BytesOut are the cut-edge traffic entering and leaving
-	// the chip.
-	BytesIn, BytesOut int64
-}
-
-// Loads returns per-chip resource usage for chips 0..chips-1.
-func (p Partition) Loads(g *graph.Graph, chips int) []ChipLoad {
-	loads := make([]ChipLoad, chips)
-	for v, c := range p {
-		n := g.Node(v)
-		loads[c].FLOPs += n.FLOPs
-		loads[c].ParamBytes += n.ParamBytes
-		loads[c].Nodes++
-	}
-	for _, e := range g.Edges() {
-		a, b := p[e.From], p[e.To]
-		if a != b {
-			loads[a].BytesOut += e.Bytes
-			loads[b].BytesIn += e.Bytes
-		}
-	}
-	return loads
-}
-
-// Imbalance returns max-chip FLOPs divided by mean-chip FLOPs across the
-// chips actually used; 1.0 is perfectly balanced. It is a cheap proxy for
-// partition quality used in logs and tests.
-func (p Partition) Imbalance(g *graph.Graph) float64 {
-	used := p.MaxChip() + 1
-	if used <= 0 {
-		return 0
-	}
-	loads := p.Loads(g, used)
-	var sum, max float64
-	for _, l := range loads {
-		sum += l.FLOPs
-		if l.FLOPs > max {
-			max = l.FLOPs
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	return max / (sum / float64(used))
 }
 
 // String renders the partition compactly, e.g. "[0 0 1 2 2]".

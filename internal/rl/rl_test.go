@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,11 +30,28 @@ func testEnv(t *testing.T, chips int) *Env {
 	}
 	ev := eval.Func(func(_ *graph.Graph, p partition.Partition) eval.Verdict {
 		// Reward balance directly: throughput proxy = 1/imbalance.
-		return eval.Verdict{Throughput: 1 / p.Imbalance(g), Valid: true}
+		return eval.Verdict{Throughput: 1 / imbalance(g, p), Valid: true}
 	})
 	base := ev.Assess(g, make(partition.Partition, g.NumNodes())).Throughput
 	ctx := NewGraphContext(g)
 	return NewEnv(ctx, pr, ev, base/2) // baseline below single-chip
+}
+
+// imbalance returns the partition's max-chip FLOPs divided by its mean-chip
+// FLOPs across the chips it uses; 1 is perfectly balanced.
+func imbalance(g *graph.Graph, p partition.Partition) float64 {
+	flops := make([]float64, slices.Max(p)+1)
+	for v, c := range p {
+		flops[c] += g.Node(v).FLOPs
+	}
+	var sum float64
+	for _, f := range flops {
+		sum += f
+	}
+	if sum == 0 {
+		return 1
+	}
+	return slices.Max(flops) / (sum / float64(len(flops)))
 }
 
 func TestPolicyForwardShapes(t *testing.T) {
@@ -331,7 +349,9 @@ func TestSnapshotRestoreChangesNothing(t *testing.T) {
 	snap := p.Snapshot()
 	// Perturb and restore.
 	for _, param := range p.Params() {
-		param.Value.Scale(1.5)
+		for i := range param.Value.Data {
+			param.Value.Data[i] *= 1.5
+		}
 	}
 	if err := p.Restore(snap); err != nil {
 		t.Fatal(err)

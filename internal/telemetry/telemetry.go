@@ -7,7 +7,7 @@
 //
 // Design constraints, in order:
 //
-//   - Observation is the hot path: Counter.Inc, Gauge.Set, and
+//   - Observation is the hot path: Counter.Inc, Gauge.Inc/Dec, and
 //     Histogram.Observe are single atomic operations (a short CAS loop for
 //     the histogram sum) and allocate nothing, so instrumenting a
 //     per-request or per-sample path costs nanoseconds and never feeds the
@@ -49,9 +49,6 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n. Counters are monotonic; there is deliberately no Sub.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -60,12 +57,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Inc adds 1.
 func (g *Gauge) Inc() { g.v.Add(1) }

@@ -10,18 +10,18 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
 	var g Gauge
-	g.Set(7)
 	g.Inc()
 	g.Dec()
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	g.Dec()
+	if g.Value() != -1 {
+		t.Fatalf("gauge = %d, want -1", g.Value())
 	}
 }
 
@@ -77,8 +77,11 @@ func TestKindMismatchPanics(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("jobs_total", "jobs processed", Label{"state", "done"}).Add(3)
-	r.Counter("jobs_total", "jobs processed", Label{"state", "failed"}).Add(1)
+	done := r.Counter("jobs_total", "jobs processed", Label{"state", "done"})
+	for range 3 {
+		done.Inc()
+	}
+	r.Counter("jobs_total", "jobs processed", Label{"state", "failed"}).Inc()
 	r.GaugeFunc("depth", "queue depth", func() float64 { return 2 })
 	h := r.Histogram("lat_seconds", "latency", []float64{0.5, 1})
 	h.Observe(0.2)
@@ -125,9 +128,14 @@ lat_seconds_count 3
 // line under its bare name), and an untagged field left alone.
 func TestRegistryFill(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("jobs_total", "j", Label{"state", "done"}, Label{"a", "x"}).Add(3)
-	r.Counter("jobs_total", "j", Label{"state", "failed"}).Add(9)
-	r.Gauge("depth", "d").Set(-2)
+	done := r.Counter("jobs_total", "j", Label{"state", "done"}, Label{"a", "x"})
+	for range 3 {
+		done.Inc()
+	}
+	r.Counter("jobs_total", "j", Label{"state", "failed"}).Inc()
+	depth := r.Gauge("depth", "d")
+	depth.Dec()
+	depth.Dec()
 	r.GaugeFunc("ratio", "r", func() float64 { return 0.5 })
 	r.GaugeFunc("on", "o", func() float64 { return 1 })
 	h := r.Histogram("lat_seconds", "l", []float64{1}, Label{"path", "cold"})
@@ -190,8 +198,8 @@ func TestObservationAllocatesNothing(t *testing.T) {
 	h := newHistogram(DefBuckets)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.Set(3)
-		g.Add(-1)
+		g.Inc()
+		g.Dec()
 		h.Observe(0.042)
 	}); n != 0 {
 		t.Fatalf("observation allocated %v times per run, want 0", n)
