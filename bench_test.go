@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"mcmpart"
 	"mcmpart/internal/costmodel"
 	"mcmpart/internal/cpsolver"
 	"mcmpart/internal/experiments"
@@ -65,8 +66,8 @@ func BenchmarkTable1Capabilities(b *testing.B) {
 func BenchmarkFigure5TestSetCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := sharedFig5(b)
-		b.ReportMetric(res.Final[experiments.MethodRL], "RL-final-x")
-		b.ReportMetric(res.Final[experiments.MethodRandom], "Random-final-x")
+		b.ReportMetric(res.Final[mcmpart.MethodRL], "RL-final-x")
+		b.ReportMetric(res.Final[mcmpart.MethodRandom], "Random-final-x")
 		fmt.Println(res.Format())
 	}
 }
@@ -87,20 +88,19 @@ func BenchmarkFigure6BERTCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f5 := sharedFig5(b)
 		res, err := experiments.Figure6(context.Background(), experiments.Fig6Config{
-			Scale:      experiments.ScaleQuick,
-			Seed:       1,
-			Pretrained: f5.Pretrained,
-			PolicyCfg:  f5.PolicyCfg,
+			Scale:   experiments.ScaleQuick,
+			Seed:    1,
+			Planner: f5.Planner,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Final[experiments.MethodRL], "RL-final-x")
+		b.ReportMetric(res.Final[mcmpart.MethodRL], "RL-final-x")
 		b.ReportMetric(res.RLvsRandomPct, "RL-vs-Random-%")
 		fmt.Println(res.Format())
 		t3 := experiments.Table3(res)
 		fmt.Println(t3.Format("Table 3: samples to reach BERT improvement (hardware simulator)"))
-		fmt.Println(experiments.SearchTimeSummary(res, t3))
+		fmt.Println(experiments.SearchTimeSummary(t3))
 	}
 }
 
@@ -113,8 +113,7 @@ func BenchmarkTable3BERTSampleEfficiency(b *testing.B) {
 			Scale:        experiments.ScaleQuick,
 			Seed:         2,
 			SampleBudget: 120,
-			Pretrained:   f5.Pretrained,
-			PolicyCfg:    f5.PolicyCfg,
+			Planner:      f5.Planner,
 		})
 		if err != nil {
 			b.Fatal(err)

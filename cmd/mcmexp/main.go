@@ -94,12 +94,7 @@ func main() {
 
 	var f6 *experiments.Fig6Result
 	if run("fig6") || run("table3") {
-		f6, err = experiments.Figure6(ctx, experiments.Fig6Config{
-			Scale:      scale,
-			Seed:       *seed,
-			Pretrained: f5.Pretrained,
-			PolicyCfg:  f5.PolicyCfg,
-		})
+		f6, err = experiments.Figure6(ctx, experiments.Fig6Config{Scale: scale, Seed: *seed, Planner: f5.Planner})
 		if err != nil {
 			fatal(err)
 		}
@@ -110,7 +105,7 @@ func main() {
 	if run("table3") {
 		t3 := experiments.Table3(f6)
 		fmt.Println(t3.Format("Table 3: samples to reach BERT improvement (hardware simulator)"))
-		fmt.Println(experiments.SearchTimeSummary(f6, t3))
+		fmt.Println(experiments.SearchTimeSummary(t3))
 		fmt.Println()
 	}
 

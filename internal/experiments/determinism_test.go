@@ -53,11 +53,11 @@ func TestFigure5WorkerCountDeterminism(t *testing.T) {
 			t.Fatalf("%s curve differs between workers=1 and workers=8", m)
 		}
 	}
-	if !reflect.DeepEqual(r1.Pretrained.Scores, r8.Pretrained.Scores) {
-		t.Fatalf("validation scores differ: %v vs %v", r1.Pretrained.Scores, r8.Pretrained.Scores)
+	if !reflect.DeepEqual(r1.Pretrain.Scores, r8.Pretrain.Scores) {
+		t.Fatalf("validation scores differ: %v vs %v", r1.Pretrain.Scores, r8.Pretrain.Scores)
 	}
-	if r1.Pretrained.BestIndex != r8.Pretrained.BestIndex {
-		t.Fatalf("selected checkpoint differs: %d vs %d", r1.Pretrained.BestIndex, r8.Pretrained.BestIndex)
+	if r1.Pretrain.BestIndex != r8.Pretrain.BestIndex {
+		t.Fatalf("selected checkpoint differs: %d vs %d", r1.Pretrain.BestIndex, r8.Pretrain.BestIndex)
 	}
 }
 
@@ -97,8 +97,7 @@ func TestFigure6WorkerCountDeterminism(t *testing.T) {
 				Scale:        ScaleQuick,
 				Seed:         1,
 				SampleBudget: 24,
-				Pretrained:   f5.Pretrained,
-				PolicyCfg:    f5.PolicyCfg,
+				Planner:      f5.Planner,
 			})
 			if err != nil {
 				t.Fatal(err)

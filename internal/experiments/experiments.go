@@ -4,6 +4,10 @@
 // same rows/series the paper reports; cmd/mcmexp and the repository-root
 // benchmarks are thin wrappers around this package.
 //
+// Figures 5 and 6 and the heterogeneity sweep plan through the facade's
+// Planner — Pretrain, then one Plan call per trial — so they measure the
+// code the daemon serves (DESIGN.md §2, "Figures").
+//
 // Experiments run at two scales: ScaleQuick (default; minutes on one CPU
 // core, reduced sample budgets and network sizes) and ScaleFull (the
 // paper's budgets and the paper's 8x128 network). DESIGN.md records
@@ -13,12 +17,7 @@ package experiments
 import (
 	"fmt"
 
-	"mcmpart/internal/cpsolver"
-	"mcmpart/internal/eval"
-	"mcmpart/internal/graph"
-	"mcmpart/internal/mcm"
-	"mcmpart/internal/rl"
-	"mcmpart/internal/search"
+	"mcmpart"
 )
 
 // Scale selects experiment budgets.
@@ -28,7 +27,8 @@ const (
 	// ScaleQuick runs reduced budgets sized for a single CPU core.
 	ScaleQuick Scale = iota
 	// ScaleFull runs the paper's budgets (5000/800 samples, 20000
-	// pre-training samples, the 8x128 network).
+	// pre-training samples, the paper's 8x128 network for the pre-trained
+	// policy).
 	ScaleFull
 )
 
@@ -43,54 +43,17 @@ func ParseScale(s string) (Scale, error) {
 	return 0, fmt.Errorf("experiments: unknown scale %q (quick or full)", s)
 }
 
-// Method identifies a search strategy in the figures.
-type Method string
-
-// The five strategies of Figures 5 and 6.
-const (
-	MethodRandom     Method = "Random"
-	MethodSA         Method = "SA"
-	MethodRL         Method = "RL"
-	MethodZeroshot   Method = "RL Zeroshot"
-	MethodFinetuning Method = "RL Finetuning"
-)
-
-// Methods lists the strategies in the paper's legend order.
-var Methods = []Method{MethodRandom, MethodSA, MethodRL, MethodZeroshot, MethodFinetuning}
-
-// newEnv wires a graph to a partitioner, an evaluator and the greedy
-// baseline, producing an RL/search environment. The partitioner factory
-// enables concurrent rollout collection (one solver replica per worker).
-func newEnv(g *graph.Graph, pkg *mcm.Package, ev eval.Evaluator) (*rl.Env, error) {
-	pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: partitioner for %s: %w", g.Name(), err)
-	}
-	base := search.GreedyPackage(g, pkg)
-	bv := ev.Assess(g, base)
-	if !bv.Valid || bv.Throughput <= 0 {
-		return nil, fmt.Errorf("experiments: greedy baseline invalid on %s", g.Name())
-	}
-	env := rl.NewEnv(rl.NewGraphContext(g), pr, ev, bv.Throughput)
-	env.UseSampleMode = true
-	env.PartFactory = func() (cpsolver.Partitioner, error) {
-		return cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
-	}
-	return env, nil
+// Methods lists the five strategies of Figures 5 and 6 in the paper's
+// legend order.
+var Methods = []mcmpart.Method{
+	mcmpart.MethodRandom, mcmpart.MethodSA, mcmpart.MethodRL, mcmpart.MethodZeroShot, mcmpart.MethodFineTune,
 }
 
-// policyConfig returns the network shape for a scale.
-func policyConfig(scale Scale, chips int) rl.Config {
-	if scale == ScaleFull {
-		return rl.DefaultConfig(chips)
-	}
-	return rl.QuickConfig(chips)
-}
-
-// ppoConfig returns the PPO hyper-parameters for a scale.
-func ppoConfig(scale Scale) rl.PPOConfig {
-	if scale == ScaleFull {
-		return rl.DefaultPPOConfig()
-	}
-	return rl.QuickPPOConfig()
+// labels are the paper's legend names for Methods.
+var labels = map[mcmpart.Method]string{
+	mcmpart.MethodRandom:   "Random",
+	mcmpart.MethodSA:       "SA",
+	mcmpart.MethodRL:       "RL",
+	mcmpart.MethodZeroShot: "RL Zeroshot",
+	mcmpart.MethodFineTune: "RL Finetuning",
 }

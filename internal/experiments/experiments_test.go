@@ -6,11 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"mcmpart/internal/costmodel"
 	"mcmpart/internal/cpsolver"
 	"mcmpart/internal/mcm"
-	"mcmpart/internal/rl"
-	"mcmpart/internal/workload"
 )
 
 // tinyFig5 runs the Figure 5 pipeline with the smallest budgets that still
@@ -68,8 +65,7 @@ func TestFigure6SmokeAndTable3(t *testing.T) {
 		Scale:        ScaleQuick,
 		Seed:         3,
 		SampleBudget: 10,
-		Pretrained:   f5.Pretrained,
-		PolicyCfg:    f5.PolicyCfg,
+		Planner:      f5.Planner,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +80,7 @@ func TestFigure6SmokeAndTable3(t *testing.T) {
 		t.Fatalf("Figure 6 format broken:\n%s", out)
 	}
 	t3 := Table3(res)
-	summary := SearchTimeSummary(res, t3)
+	summary := SearchTimeSummary(t3)
 	if summary == "" {
 		t.Fatal("empty search-time summary")
 	}
@@ -198,17 +194,4 @@ func TestParseScale(t *testing.T) {
 	if _, err := ParseScale("bogus"); err == nil {
 		t.Fatal("bogus scale should fail")
 	}
-}
-
-func TestNewEnvUsesGreedyBaseline(t *testing.T) {
-	pkg := mcm.Dev8()
-	ds := workload.Corpus(1)
-	env, err := newEnv(ds.Test[0], pkg, costmodel.New(pkg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Baseline <= 0 {
-		t.Fatal("baseline must be positive")
-	}
-	var _ *rl.Env = env
 }

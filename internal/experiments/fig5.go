@@ -2,28 +2,23 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
-	"mcmpart/internal/costmodel"
+	"mcmpart"
 	"mcmpart/internal/graph"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
-	"mcmpart/internal/pretrain"
-	"mcmpart/internal/rl"
-	"mcmpart/internal/search"
 	"mcmpart/internal/workload"
 )
 
 // Fig5Config parameterizes the pre-training experiment of Sec. 5.2
-// (Figure 5 and Table 2).
+// (Figure 5 and Table 2) on the Edge36 package.
 type Fig5Config struct {
 	Scale Scale
 	Seed  int64
-	// Pkg defaults to Edge36.
-	Pkg *mcm.Package
 	// SampleBudget is the per-graph evaluation budget (paper: 5000).
 	SampleBudget int
 	// TestGraphs caps how many of the 16 test graphs run (0 = all).
@@ -37,9 +32,6 @@ type Fig5Config struct {
 
 // withDefaults fills the scale-dependent budgets.
 func (c Fig5Config) withDefaults() Fig5Config {
-	if c.Pkg == nil {
-		c.Pkg = mcm.Edge36()
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -68,18 +60,18 @@ func (c Fig5Config) withDefaults() Fig5Config {
 }
 
 // Fig5Result holds the geomean improvement curves of Figure 5 plus the
-// pre-trained checkpoint reused by the BERT experiments.
+// planner whose pre-trained policy the BERT experiments reuse.
 type Fig5Result struct {
 	Cfg Fig5Config
 	// Curves maps each method to its geomean best-so-far improvement per
 	// sample over the test graphs.
-	Curves map[Method][]float64
+	Curves map[mcmpart.Method][]float64
 	// Final is each method's improvement at the end of the budget.
-	Final map[Method]float64
-	// Pretrained is the validation-selected checkpoint.
-	Pretrained *pretrain.Result
-	// PolicyCfg is the network shape the checkpoint requires.
-	PolicyCfg rl.Config
+	Final map[mcmpart.Method]float64
+	// Planner holds the validation-selected policy.
+	Planner *mcmpart.Planner
+	// Pretrain reports the pre-training run that selected it.
+	Pretrain *mcmpart.PretrainReport
 }
 
 // Figure5 reproduces the pre-training experiment: pre-train on the training
@@ -89,22 +81,25 @@ type Fig5Result struct {
 func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 	cfg = cfg.withDefaults()
 	ds := workload.Corpus(cfg.Seed)
-	ev := costmodel.New(cfg.Pkg)
-	policyCfg := policyConfig(cfg.Scale, cfg.Pkg.Chips)
+	pl, err := mcmpart.NewPlanner(mcm.Edge36())
+	if err != nil {
+		return nil, err
+	}
 
-	// Pre-training pipeline (training + validation workers, Figure 4).
+	// Pre-training pipeline (training + validation workers, Figure 4): the
+	// planner holds out the corpus slice's tail, the validation set.
 	train := ds.Train
 	if cfg.TrainGraphs > 0 && cfg.TrainGraphs < len(train) {
 		train = train[:cfg.TrainGraphs]
 	}
-	factory := func(g *graph.Graph) (*rl.Env, error) { return newEnv(g, cfg.Pkg, ev) }
-	pre, err := pretrain.Run(ctx, train, ds.Validation, factory, pretrain.Config{
-		Policy:            policyCfg,
-		PPO:               ppoConfig(cfg.Scale),
+	corpus := append(append([]*graph.Graph(nil), train...), ds.Validation...)
+	report, err := pl.Pretrain(ctx, corpus, mcmpart.PretrainOptions{
 		TotalSamples:      cfg.PretrainSamples,
 		Checkpoints:       10,
 		ValidationSamples: 8,
+		ValidationGraphs:  len(ds.Validation),
 		Seed:              cfg.Seed,
+		FullScale:         cfg.Scale == ScaleFull,
 	})
 	if err != nil {
 		return nil, err
@@ -115,38 +110,32 @@ func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 		test = test[:cfg.TestGraphs]
 	}
 	res := &Fig5Result{
-		Cfg:        cfg,
-		Curves:     make(map[Method][]float64),
-		Final:      make(map[Method]float64),
-		Pretrained: pre,
-		PolicyCfg:  policyCfg,
+		Cfg:      cfg,
+		Curves:   make(map[mcmpart.Method][]float64),
+		Final:    make(map[mcmpart.Method]float64),
+		Planner:  pl,
+		Pretrain: report,
 	}
-	// The (graph, method) trials are independent — each builds its own
-	// environment and derives its RNG from the pair's fixed seed — so they
-	// fan out across the lanes the process budget grants, results assembled
-	// in index order. A trial's own rollout fan-out finds the budget drawn
-	// down by as much; by the determinism contract that changes wall-clock
-	// only, never results.
+	// The (graph, method) trials are independent plans, each seeded from
+	// the pair's graph index, so they fan out across the lanes the process
+	// budget grants, results assembled in index order. A trial's own
+	// rollout fan-out finds the budget drawn down by as much; by the
+	// determinism contract that changes wall-clock only, never results.
 	items := len(test) * len(Methods)
 	lanes := parallel.AcquireLanes(items - 1)
 	defer parallel.ReleaseLanes(lanes)
 	hists, err := parallel.MapErr(lanes+1, items, func(idx int) ([]float64, error) {
 		gi, mi := idx/len(Methods), idx%len(Methods)
-		g, m := test[gi], Methods[mi]
-		env, err := newEnv(g, cfg.Pkg, ev)
-		if err != nil {
-			return nil, err
-		}
-		seed := cfg.Seed + int64(gi)*101
-		if err := runMethod(ctx, m, env, policyCfg, ppoConfig(cfg.Scale), pre, cfg.SampleBudget, seed); err != nil {
-			return nil, fmt.Errorf("experiments: %s on %s: %w", m, g.Name(), err)
-		}
-		return env.History, nil
+		return history(ctx, pl, test[gi], mcmpart.PlanOptions{
+			Method:       Methods[mi],
+			SampleBudget: cfg.SampleBudget,
+			Seed:         cfg.Seed + int64(gi)*101,
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	histories := make(map[Method][][]float64)
+	histories := make(map[mcmpart.Method][][]float64)
 	for idx, h := range hists {
 		histories[Methods[idx%len(Methods)]] = append(histories[Methods[idx%len(Methods)]], h)
 	}
@@ -157,41 +146,17 @@ func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 	return res, nil
 }
 
-// runMethod executes one strategy on one environment for the budget.
-func runMethod(ctx context.Context, m Method, env *rl.Env, policyCfg rl.Config, ppoCfg rl.PPOConfig, pre *pretrain.Result, budget int, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	// The RL methods drive the solver in SAMPLE mode: the policy's full
-	// distribution blends with the solver's completion weighting, which
-	// is what keeps early (high-entropy) policies at the Random baseline's
-	// sample quality instead of below it. The FIX-vs-SAMPLE comparison is
-	// covered by BenchmarkAblationSolverMode.
-	env.UseSampleMode = true
-	switch m {
-	case MethodRandom:
-		return search.Random(ctx, env, budget, rng)
-	case MethodSA:
-		return search.Anneal(ctx, env, budget, search.SAConfig{}, rng)
-	case MethodRL:
-		policy := rl.NewPolicy(policyCfg, rng)
-		trainer := rl.NewTrainer(policy, ppoCfg, rng)
-		_, err := trainer.TrainUntil(ctx, []*rl.Env{env}, budget)
-		return err
-	case MethodZeroshot:
-		policy := rl.NewPolicy(policyCfg, rng)
-		if err := policy.Restore(pre.Best()); err != nil {
-			return err
-		}
-		return rl.ZeroShot(ctx, policy, env, budget, rng)
-	case MethodFinetuning:
-		policy := rl.NewPolicy(policyCfg, rng)
-		if err := policy.Restore(pre.Best()); err != nil {
-			return err
-		}
-		_, err := rl.FineTune(ctx, policy, env, ppoCfg, budget, rng)
-		return err
-	default:
-		return fmt.Errorf("unknown method %q", m)
+// history is one trial: a plan of g, whose curve is the plan's best-so-far
+// history. A plan that found no valid partition records the all-zero curve.
+func history(ctx context.Context, pl *mcmpart.Planner, g *graph.Graph, opts mcmpart.PlanOptions) ([]float64, error) {
+	res, err := pl.Plan(ctx, g, opts)
+	if errors.Is(err, mcmpart.ErrNoPlan) {
+		return make([]float64, opts.SampleBudget), nil
 	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s on %s: %w", labels[opts.Method], g.Name(), err)
+	}
+	return res.History, nil
 }
 
 // Format prints the Figure 5 series at a few sample points plus the final
@@ -207,7 +172,7 @@ func (r *Fig5Result) Format() string {
 	}
 	b.WriteByte('\n')
 	for _, m := range Methods {
-		fmt.Fprintf(&b, "%-14s", m)
+		fmt.Fprintf(&b, "%-14s", labels[m])
 		for _, p := range points {
 			fmt.Fprintf(&b, "%10.3f", r.Curves[m][p-1])
 		}
@@ -215,7 +180,7 @@ func (r *Fig5Result) Format() string {
 	}
 	b.WriteByte('\n')
 	for _, m := range Methods {
-		fmt.Fprintf(&b, "final %-14s %.3fx\n", m, r.Final[m])
+		fmt.Fprintf(&b, "final %-14s %.3fx\n", labels[m], r.Final[m])
 	}
 	return b.String()
 }
@@ -242,12 +207,12 @@ var Table2Thresholds = []float64{1.60, 1.70, 1.80}
 type ThresholdTable struct {
 	Thresholds []float64
 	// Samples[m][i] is the 1-based sample count, or -1 for never.
-	Samples map[Method][]int
+	Samples map[mcmpart.Method][]int
 }
 
 // NewThresholdTable derives the table from per-method geomean curves.
-func NewThresholdTable(curves map[Method][]float64, thresholds []float64) *ThresholdTable {
-	t := &ThresholdTable{Thresholds: thresholds, Samples: make(map[Method][]int)}
+func NewThresholdTable(curves map[mcmpart.Method][]float64, thresholds []float64) *ThresholdTable {
+	t := &ThresholdTable{Thresholds: thresholds, Samples: make(map[mcmpart.Method][]int)}
 	for _, m := range Methods {
 		row := make([]int, len(thresholds))
 		for i, th := range thresholds {
@@ -268,9 +233,9 @@ func (t *ThresholdTable) Format(caption string) string {
 		fmt.Fprintf(&b, "%18s", fmt.Sprintf(">= %.2fx", th))
 	}
 	b.WriteByte('\n')
-	rlRow := t.Samples[MethodRL]
+	rlRow := t.Samples[mcmpart.MethodRL]
 	for _, m := range Methods {
-		fmt.Fprintf(&b, "%-14s", m)
+		fmt.Fprintf(&b, "%-14s", labels[m])
 		for i, s := range t.Samples[m] {
 			if s < 0 {
 				fmt.Fprintf(&b, "%18s", "N.A. (N.A.)")
@@ -301,7 +266,7 @@ func Table2(r *Fig5Result) *ThresholdTable {
 // 95% of the way from the first sample's level to the best final level).
 // The paper's absolute levels depend on its proprietary platform; the
 // reproduction target for Tables 2 and 3 is the sample-reduction factors.
-func adaptThresholds(curves map[Method][]float64, paper []float64) []float64 {
+func adaptThresholds(curves map[mcmpart.Method][]float64, paper []float64) []float64 {
 	var lo, hi float64
 	reached := 0
 	for _, m := range Methods {

@@ -5,40 +5,31 @@ import (
 	"fmt"
 	"strings"
 
-	"mcmpart/internal/hwsim"
-	"mcmpart/internal/mcm"
+	"mcmpart"
 	"mcmpart/internal/parallel"
-	"mcmpart/internal/pretrain"
-	"mcmpart/internal/rl"
 	"mcmpart/internal/workload"
 )
+
+// secondsPerSample converts sample counts to the paper's wall-clock framing:
+// the paper measured 26.97 s per hardware sample.
+const secondsPerSample = 26.97
 
 // Fig6Config parameterizes the BERT deployment experiment of Sec. 5.3
 // (Figure 6 and Table 3): search on "real hardware" (the simulator).
 type Fig6Config struct {
 	Scale Scale
 	Seed  int64
-	Pkg   *mcm.Package
 	// SampleBudget is the hardware-evaluation budget (paper: 800).
 	SampleBudget int
-	// Pretrained supplies the checkpoint from the Figure 5 pipeline; when
-	// nil, Figure6 runs that pipeline itself.
-	Pretrained *pretrain.Result
-	PolicyCfg  rl.Config
-	// SecondsPerSample converts sample counts to the paper's wall-clock
-	// framing (the paper measured 26.97 s per hardware sample).
-	SecondsPerSample float64
+	// Planner plans every trial, with the pre-trained policy the
+	// deployed-policy methods need: Figure 5's. When nil, Figure6 runs
+	// Figure 5 for it.
+	Planner *mcmpart.Planner
 }
 
 func (c Fig6Config) withDefaults() Fig6Config {
-	if c.Pkg == nil {
-		c.Pkg = mcm.Edge36()
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.SecondsPerSample == 0 {
-		c.SecondsPerSample = 26.97
 	}
 	if c.SampleBudget == 0 {
 		if c.Scale == ScaleFull {
@@ -53,8 +44,8 @@ func (c Fig6Config) withDefaults() Fig6Config {
 // Fig6Result holds the BERT improvement curves over the greedy heuristic.
 type Fig6Result struct {
 	Cfg    Fig6Config
-	Curves map[Method][]float64
-	Final  map[Method]float64
+	Curves map[mcmpart.Method][]float64
+	Final  map[mcmpart.Method]float64
 	// RLvsRandomPct and RLvsSAPct are the headline percentages of
 	// Sec. 5.3 (paper: 6.11% and 5.85%).
 	RLvsRandomPct, RLvsSAPct float64
@@ -67,52 +58,44 @@ type Fig6Result struct {
 func Figure6(ctx context.Context, cfg Fig6Config) (*Fig6Result, error) {
 	cfg = cfg.withDefaults()
 	bert := workload.BERT()
-	ev := hwsim.New(cfg.Pkg, hwsim.Options{Seed: cfg.Seed})
 
-	pre := cfg.Pretrained
-	policyCfg := cfg.PolicyCfg
-	if pre == nil {
-		f5, err := Figure5(ctx, Fig5Config{Scale: cfg.Scale, Seed: cfg.Seed, Pkg: cfg.Pkg})
+	pl := cfg.Planner
+	if pl == nil {
+		f5, err := Figure5(ctx, Fig5Config{Scale: cfg.Scale, Seed: cfg.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: pre-training for Figure 6: %w", err)
 		}
-		pre = f5.Pretrained
-		policyCfg = f5.PolicyCfg
+		pl = f5.Planner
 	}
 
 	res := &Fig6Result{
 		Cfg:    cfg,
-		Curves: make(map[Method][]float64),
-		Final:  make(map[Method]float64),
+		Curves: make(map[mcmpart.Method][]float64),
+		Final:  make(map[mcmpart.Method]float64),
 	}
-	// The five strategies are independent trials: each gets its own
-	// environment and a seed derived from its method index, so they fan out
-	// across the lanes the process budget grants with results identical to
-	// a serial run.
+	// The five strategies are independent plans, each seeded from its
+	// method index, so they fan out across the lanes the process budget
+	// grants with results identical to a serial run.
 	lanes := parallel.AcquireLanes(len(Methods) - 1)
 	defer parallel.ReleaseLanes(lanes)
 	hists, err := parallel.MapErr(lanes+1, len(Methods), func(mi int) ([]float64, error) {
-		m := Methods[mi]
-		env, err := newEnv(bert, cfg.Pkg, ev)
-		if err != nil {
-			return nil, err
-		}
-		seed := cfg.Seed + int64(mi)*733
-		if err := runMethod(ctx, m, env, policyCfg, ppoConfig(cfg.Scale), pre, cfg.SampleBudget, seed); err != nil {
-			return nil, fmt.Errorf("experiments: %s on BERT: %w", m, err)
-		}
-		return env.History, nil
+		return history(ctx, pl, bert, mcmpart.PlanOptions{
+			Method:       Methods[mi],
+			SampleBudget: cfg.SampleBudget,
+			Seed:         cfg.Seed + int64(mi)*733,
+			UseSimulator: true,
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
 	for mi, m := range Methods {
-		// Single graph: the curve is the environment history itself.
+		// Single graph: the curve is the plan's history itself.
 		res.Curves[m] = geomeanCurves([][]float64{hists[mi]}, cfg.SampleBudget)
 		res.Final[m] = res.Curves[m][len(res.Curves[m])-1]
 	}
-	res.RLvsRandomPct = 100 * (res.Final[MethodRL]/res.Final[MethodRandom] - 1)
-	res.RLvsSAPct = 100 * (res.Final[MethodRL]/res.Final[MethodSA] - 1)
+	res.RLvsRandomPct = 100 * (res.Final[mcmpart.MethodRL]/res.Final[mcmpart.MethodRandom] - 1)
+	res.RLvsSAPct = 100 * (res.Final[mcmpart.MethodRL]/res.Final[mcmpart.MethodSA] - 1)
 	return res, nil
 }
 
@@ -128,7 +111,7 @@ func (r *Fig6Result) Format() string {
 	}
 	b.WriteByte('\n')
 	for _, m := range Methods {
-		fmt.Fprintf(&b, "%-14s", m)
+		fmt.Fprintf(&b, "%-14s", labels[m])
 		for _, p := range points {
 			fmt.Fprintf(&b, "%10.3f", r.Curves[m][p-1])
 		}
@@ -151,15 +134,15 @@ func Table3(r *Fig6Result) *ThresholdTable {
 // SearchTimeSummary renders the paper's "3 hours -> 9 minutes" claim from
 // the measured sample counts: the time RL-from-scratch and fine-tuning need
 // to reach the highest threshold both methods attain.
-func SearchTimeSummary(r *Fig6Result, t *ThresholdTable) string {
-	rlRow, ftRow := t.Samples[MethodRL], t.Samples[MethodFinetuning]
+func SearchTimeSummary(t *ThresholdTable) string {
+	rlRow, ftRow := t.Samples[mcmpart.MethodRL], t.Samples[mcmpart.MethodFineTune]
 	for i := len(t.Thresholds) - 1; i >= 0; i-- {
 		if rlRow[i] > 0 && ftRow[i] > 0 {
-			rlMin := float64(rlRow[i]) * r.Cfg.SecondsPerSample / 60
-			ftMin := float64(ftRow[i]) * r.Cfg.SecondsPerSample / 60
+			rlMin := float64(rlRow[i]) * secondsPerSample / 60
+			ftMin := float64(ftRow[i]) * secondsPerSample / 60
 			return fmt.Sprintf(
 				"reaching %.2fx at %.2f s/sample: RL from scratch %.0f min, fine-tuning %.0f min (paper: >3 h -> ~9 min)",
-				t.Thresholds[i], r.Cfg.SecondsPerSample, rlMin, ftMin)
+				t.Thresholds[i], secondsPerSample, rlMin, ftMin)
 		}
 	}
 	return "search-time summary: no threshold reached by both RL and fine-tuning"

@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
+	"mcmpart"
 	"mcmpart/internal/graph"
-	"mcmpart/internal/hwsim"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
-	"mcmpart/internal/search"
 	"mcmpart/internal/workload"
 )
 
@@ -62,8 +63,9 @@ type HeteroRow struct {
 	Chips    int
 	Hetero   bool
 	// GreedyThroughput is the compiler heuristic's simulated throughput
-	// (the row's normalization baseline); GreedyValid is false when the
-	// workload does not fit the package under the heuristic at all.
+	// (the row's normalization baseline); GreedyValid is false, and
+	// GreedyThroughput 0, when the workload does not fit the package under
+	// the heuristic at all.
 	GreedyThroughput float64
 	GreedyValid      bool
 	// RandomImprovement and SAImprovement are each method's best-found
@@ -79,13 +81,13 @@ type HeteroResult struct {
 	Rows []HeteroRow
 }
 
-// HeteroSweep runs the heterogeneity/topology sweep: for every package,
-// evaluate the greedy heuristic on the hardware simulator, then let Random
-// search and simulated annealing spend the evaluation budget, all through
-// the package-aware constraint machinery (per-chip capacity bounds on
-// heterogeneous packages, route-aware pricing on every topology). Each
-// package's searches derive their RNG from (Seed, packageIndex), so the
-// sweep is worker-count independent.
+// HeteroSweep runs the heterogeneity/topology sweep: for every package, plan
+// the greedy heuristic on the hardware simulator, then let Random search and
+// simulated annealing spend the evaluation budget, all through a Planner on
+// the package (per-chip capacity bounds on heterogeneous packages,
+// route-aware pricing on every topology). Each package's plans share one
+// seed derived from (Seed, packageIndex), so the sweep is worker-count
+// independent.
 func HeteroSweep(ctx context.Context, cfg HeteroConfig) (*HeteroResult, error) {
 	cfg = cfg.withDefaults()
 	res := &HeteroResult{Cfg: cfg, Rows: make([]HeteroRow, len(cfg.Packages))}
@@ -93,47 +95,7 @@ func HeteroSweep(ctx context.Context, cfg HeteroConfig) (*HeteroResult, error) {
 	lanes := parallel.AcquireLanes(len(cfg.Packages) - 1)
 	defer parallel.ReleaseLanes(lanes)
 	parallel.ForEach(lanes+1, len(cfg.Packages), func(i int) {
-		pkg := cfg.Packages[i]
-		row := HeteroRow{
-			Package:  pkg.Name,
-			Topology: pkg.TopologyKind(),
-			Chips:    pkg.Chips,
-			Hetero:   pkg.Heterogeneous(),
-		}
-		if err := pkg.Validate(); err != nil {
-			errs[i] = err
-			return
-		}
-		ev := hwsim.New(pkg, hwsim.Options{Seed: cfg.Seed})
-		base := search.GreedyPackage(cfg.Graph, pkg)
-		bv := ev.Assess(cfg.Graph, base)
-		row.GreedyThroughput = bv.Throughput
-		row.GreedyValid = bv.Valid && bv.Throughput > 0
-		if !row.GreedyValid {
-			res.Rows[i] = row
-			return
-		}
-		// Random, then annealing: each in a fresh environment, from the
-		// same (Seed, packageIndex) stream.
-		env, err := newEnv(cfg.Graph, pkg, ev)
-		if err == nil {
-			err = search.Random(ctx, env, cfg.Budget, parallel.Rng(cfg.Seed, i))
-		}
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		row.RandomImprovement = env.BestImprovement()
-		env, err = newEnv(cfg.Graph, pkg, ev)
-		if err == nil {
-			err = search.Anneal(ctx, env, cfg.Budget, search.SAConfig{}, parallel.Rng(cfg.Seed, i))
-		}
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		row.SAImprovement = env.BestImprovement()
-		res.Rows[i] = row
+		res.Rows[i], errs[i] = heteroRow(ctx, cfg, i)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -141,6 +103,61 @@ func HeteroSweep(ctx context.Context, cfg HeteroConfig) (*HeteroResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// heteroRow plans package i's row: greedy, then Random and annealing from
+// the same seed.
+func heteroRow(ctx context.Context, cfg HeteroConfig, i int) (HeteroRow, error) {
+	pkg := cfg.Packages[i]
+	row := HeteroRow{
+		Package:  pkg.Name,
+		Topology: pkg.TopologyKind(),
+		Chips:    pkg.Chips,
+		Hetero:   pkg.Heterogeneous(),
+	}
+	pl, err := mcmpart.NewPlanner(pkg)
+	if err != nil {
+		return row, err
+	}
+	opts := mcmpart.PlanOptions{
+		Method:       mcmpart.MethodGreedy,
+		SampleBudget: cfg.Budget,
+		Seed:         planSeed(cfg.Seed, i),
+		UseSimulator: true,
+	}
+	greedy, err := pl.Plan(ctx, cfg.Graph, opts)
+	if errors.Is(err, mcmpart.ErrNoPlan) {
+		return row, nil
+	}
+	if err != nil {
+		return row, err
+	}
+	row.GreedyThroughput, row.GreedyValid = greedy.Throughput, true
+	final := func(m mcmpart.Method) (float64, error) {
+		opts.Method = m
+		h, err := history(ctx, pl, cfg.Graph, opts)
+		if err != nil {
+			return 0, err
+		}
+		return h[len(h)-1], nil
+	}
+	if row.RandomImprovement, err = final(mcmpart.MethodRandom); err != nil {
+		return row, err
+	}
+	row.SAImprovement, err = final(mcmpart.MethodSA)
+	return row, err
+}
+
+// planSeed is a non-negative PlanOptions.Seed that starts the same
+// math/rand stream as parallel.Rng(base, i). A source keeps only its seed
+// modulo 2³¹−1 and replaces residue 0 with a default of its own, so any seed
+// in (0, 2³¹−1] with the same residue will do; 2³¹−1 stands in for 0.
+func planSeed(base int64, i int) int64 {
+	s := parallel.Seed(base, i) % math.MaxInt32
+	if s <= 0 {
+		s += math.MaxInt32
+	}
+	return s
 }
 
 // Format renders the sweep as a table.

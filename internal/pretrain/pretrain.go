@@ -4,7 +4,9 @@
 // the policy weights; a validation worker replays every checkpoint on the
 // validation-set graphs and picks the one with the best average reward. The
 // chosen checkpoint is what deployment warm-starts from, either zero-shot
-// or with fine-tuning (internal/rl.ZeroShot / rl.FineTune).
+// or with fine-tuning (rl.Deployment.ZeroShot / rl.FineTune); the
+// validation worker scores each checkpoint through the same
+// Deployment.ZeroShot the planner's zero-shot plans run.
 package pretrain
 
 import (
@@ -160,7 +162,8 @@ func Run(ctx context.Context, train, validation []*graph.Graph, factory EnvFacto
 }
 
 // scoreCheckpoints is the validation worker: a zero-shot score per
-// checkpoint, averaged over the validation graphs. Checkpoints score
+// checkpoint, averaged over the validation graphs, each graph planned from
+// a deployment of it under the checkpoint's weights. Checkpoints score
 // independently — each gets its own scorer policy, fresh environments, and
 // an RNG derived from (Seed+1, checkpoint index) — so they fan out across
 // the lanes the process budget grants with scores identical at any count.
@@ -179,7 +182,7 @@ func scoreCheckpoints(ctx context.Context, checkpoints []nn.Snapshot, validation
 			if err != nil {
 				return 0, fmt.Errorf("pretrain: validation env for %s: %w", g.Name(), err)
 			}
-			if err := rl.ZeroShot(ctx, scorer, env, cfg.ValidationSamples, vrng); err != nil {
+			if err := rl.NewDeployment(scorer, env.Ctx).ZeroShot(ctx, scorer, env, cfg.ValidationSamples, vrng); err != nil {
 				return 0, err
 			}
 			score += env.BestImprovement()

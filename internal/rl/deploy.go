@@ -23,6 +23,9 @@ import (
 //
 // Cancelling ctx stops the loop before the next sample and returns
 // ctx.Err(); the environment keeps its best-so-far trajectory.
+//
+// Its one caller is bench/probes.go, which only ROADMAP item 1 may edit;
+// item 1(b) points that probe at Deployment.ZeroShot and deletes this.
 func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *rand.Rand) error {
 	enc := policy.Encode(new(Encoding), env.Ctx)
 	return zeroShot(ctx, policy, enc, unassigned(env.Ctx.G.NumNodes()), env, budget, rng)
