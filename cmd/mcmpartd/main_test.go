@@ -149,8 +149,8 @@ func TestDaemonEndToEndCachedZeroShot(t *testing.T) {
 	if third, err := cl.Plan(ctx, held, opts); err != nil || third.Cached {
 		t.Fatalf("a new seed's plan: %+v, %v; want a fresh plan", third, err)
 	}
-	if stats, err = cl.Stats(ctx); err != nil || stats.DeploymentReuses != 1 {
-		t.Fatalf("stats %+v, %v: want 1 deployment reuse after a repeat graph's plan", stats, err)
+	if stats, err = cl.Stats(ctx); err != nil || stats.DeploymentReuses != 1 || stats.DeploymentBytes <= 0 {
+		t.Fatalf("stats %+v, %v: want 1 deployment reuse after a repeat graph's plan, and the deployment's bytes counted", stats, err)
 	}
 }
 

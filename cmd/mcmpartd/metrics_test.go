@@ -70,7 +70,7 @@ var metricFamilies = []string{
 	"mcmpart_cache_capacity", "mcmpart_draining", "mcmpart_http_requests_total",
 	"mcmpart_http_request_seconds", "mcmpart_disk_writes_total", "mcmpart_disk_write_errors_total",
 	"mcmpart_disk_quarantined_total", "mcmpart_disk_read_seconds", "mcmpart_disk_write_seconds",
-	"mcmpart_request_memo_hits_total", "mcmpart_deployment_reuses_total",
+	"mcmpart_request_memo_hits_total", "mcmpart_deployment_reuses_total", "mcmpart_retained_bytes",
 }
 
 // TestDaemonMetricsMatchStats is the telemetry acceptance test: boot the
@@ -194,7 +194,8 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		{`mcmpart_request_memo_hits_total`, 1},
 		{`mcmpart_plans_executed_total`, 3},
 		{`mcmpart_plans_coalesced_total`, 3},
-		{`mcmpart_deployment_reuses_total`, 0}, // the script plans no deployed-policy method
+		{`mcmpart_deployment_reuses_total`, 0},             // the script plans no deployed-policy method
+		{`mcmpart_retained_bytes{store="deployments"}`, 0}, // and the daemon has no policy installed
 		{`mcmpart_disk_writes_total`, 3},
 		{`mcmpart_plan_seconds_count{path="cold"}`, 3},
 		{`mcmpart_plan_seconds_count{path="warm"}`, 1},
@@ -227,7 +228,7 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		field := sv.Type().Field(i)
 		var stat float64
 		switch f := sv.Field(i); f.Kind() {
-		case reflect.Int:
+		case reflect.Int, reflect.Int64:
 			stat = float64(f.Int())
 		case reflect.Uint64:
 			stat = float64(f.Uint())

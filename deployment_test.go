@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -209,9 +210,10 @@ func TestInstallDropsDeployments(t *testing.T) {
 }
 
 // TestDeploymentsStayInTheirBound: a deployment whose estimate alone
-// exceeds the set's bound is not kept; one that fits while its environment
-// does not is kept without it; and one that needs another's room evicts the
-// least recently used. The set never counts more than its bound.
+// exceeds the set's bound is not kept; one that fits while its kit does not
+// is kept without it; and one that needs another's room evicts the least
+// recently used. The set counts every idle kit — its environment and its
+// clone — and never more than its bound.
 func TestDeploymentsStayInTheirBound(t *testing.T) {
 	pl, policy := deployedPlanner(t)
 	a, b := CorpusGraphs(1)[40], CorpusGraphs(1)[41]
@@ -220,12 +222,12 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 	planReused(t, pl, b, opts)
 	set := pl.snapshotPolicy().deployments
 	if len(set.kept) != 2 || len(set.kept[0].idle) != 1 || len(set.kept[1].idle) != 1 {
-		t.Fatalf("under the default bound %d deployments are kept, want 2 with an idle environment each", len(set.kept))
+		t.Fatalf("under the default bound %d deployments are kept, want 2 with an idle kit each", len(set.kept))
 	}
 	da, db := set.kept[1], set.kept[0]
-	aBytes, bBytes := da.Bytes()+da.EnvBytes(), db.Bytes()+db.EnvBytes()
+	aBytes, bBytes := da.Bytes()+da.KitBytes(), db.Bytes()+db.KitBytes()
 	if set.bytes != aBytes+bBytes {
-		t.Fatalf("the set counts %d bytes, its deployments and environments hold %d", set.bytes, aBytes+bBytes)
+		t.Fatalf("the set counts %d bytes, its deployments and kits hold %d", set.bytes, aBytes+bBytes)
 	}
 	// bounded installs policy again with an empty set bounded by limit.
 	bounded := func(limit int64) *deployments {
@@ -252,10 +254,10 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 	}
 
 	set = bounded(da.Bytes())
-	check("no room for an environment", set, a, false)
-	check("no room for an environment", set, a, true)
+	check("no room for a kit", set, a, false)
+	check("no room for a kit", set, a, true)
 	if len(set.kept) != 1 || len(set.kept[0].idle) != 0 || set.bytes != da.Bytes() {
-		t.Errorf("no room for an environment: %d deployments kept, %d bytes counted", len(set.kept), set.bytes)
+		t.Errorf("no room for a kit: %d deployments kept, %d bytes counted", len(set.kept), set.bytes)
 	}
 
 	set = bounded(max(aBytes, bBytes))
@@ -267,14 +269,34 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 	check("room for one", set, a, false)
 }
 
+// checkIdleKitsDistinct fails unless every idle kit of set holds an
+// environment and a clone no other idle kit holds: a kit listed twice is
+// handed to two plans at once.
+func checkIdleKitsDistinct(t *testing.T, set *deployments) {
+	t.Helper()
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	envs, clones := make(map[*rl.Env]bool), make(map[*rl.Policy]bool)
+	for _, d := range set.kept {
+		for _, k := range d.idle {
+			if envs[k.env] || clones[k.policy] {
+				t.Errorf("an environment or a clone is idle in two kits")
+			}
+			envs[k.env], clones[k.policy] = true, true
+		}
+	}
+}
+
 // TestConcurrentPlansShareADeployment: plans under one installed policy,
 // run at once, share their graphs' deployments — each encoding read by all,
-// environments taken and put back concurrently — and each plans what the
-// serial cold plan of its graph and seed does. First one graph under the
-// default bound; then three under a bound with room for one deployment, so
-// that adds, evictions and dropped environments race with takes and puts.
-// Run under -race in CI: every field the set's mutex guards is read and
-// written here on several goroutines.
+// kits taken and put back concurrently — and each plans what the serial
+// cold plan of its graph and seed does. First one graph under the default
+// bound; then three under a bound with room for one deployment, so that
+// adds, evictions and dropped kits race with takes and puts. No two
+// in-flight plans hold one clone or one environment: every plan checks, at
+// every sample, that the idle kits are distinct, and under -race (CI) two
+// plans writing one clone's scratch fail the run. Every field the set's
+// mutex guards is read and written here on several goroutines.
 func TestConcurrentPlansShareADeployment(t *testing.T) {
 	warm, policy := deployedPlanner(t)
 	cold, _ := deployedPlanner(t)
@@ -286,6 +308,8 @@ func TestConcurrentPlansShareADeployment(t *testing.T) {
 			want[[2]int{gi, seed}] = resultBits(coldPlan(t, cold, policy, g, PlanOptions{Method: MethodZeroShot, SampleBudget: 12, Seed: int64(seed)}))
 		}
 	}
+	set := warm.snapshotPolicy().deployments
+	progress := func(ProgressEvent) { checkIdleKitsDistinct(t, set) }
 	run := func(n int) {
 		var wg sync.WaitGroup
 		for round := 0; round < 2; round++ {
@@ -295,7 +319,7 @@ func TestConcurrentPlansShareADeployment(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						// A graph of its own, as a decoded request brings.
-						res, err := warm.Plan(context.Background(), graphs[gi].Clone(), PlanOptions{Method: MethodZeroShot, SampleBudget: 12, Seed: int64(seed)})
+						res, err := warm.Plan(context.Background(), graphs[gi].Clone(), PlanOptions{Method: MethodZeroShot, SampleBudget: 12, Seed: int64(seed), Progress: progress})
 						if err != nil {
 							t.Error(err)
 							return
@@ -310,18 +334,19 @@ func TestConcurrentPlansShareADeployment(t *testing.T) {
 		}
 	}
 	run(1)
-	if set := warm.snapshotPolicy().deployments; len(set.kept) != 1 || len(set.kept[0].idle) == 0 {
+	checkIdleKitsDistinct(t, set)
+	if len(set.kept) != 1 || len(set.kept[0].idle) == 0 {
 		t.Fatalf("after concurrent plans of one graph the set keeps %d deployments", len(set.kept))
 	}
-	set := warm.snapshotPolicy().deployments
 	set.mu.Lock()
 	set.limit = 0
 	for _, g := range graphs {
 		d := rl.NewDeployment(policy.Clone(), warm.graphContext(g, policy.Cfg))
-		set.limit = max(set.limit, d.Bytes()+d.EnvBytes())
+		set.limit = max(set.limit, d.Bytes()+d.KitBytes())
 	}
 	set.mu.Unlock()
 	run(len(graphs))
+	checkIdleKitsDistinct(t, set)
 	set.mu.Lock()
 	defer set.mu.Unlock()
 	if set.bytes > set.limit || len(set.kept) > 1 {
@@ -349,6 +374,101 @@ func TestReusedEnvironmentCallsNoEarlierProgress(t *testing.T) {
 	planReused(t, pl, g, opts)
 	if first != 6 || second != 6 {
 		t.Fatalf("callbacks ran %d and %d times, want 6 and 6: a reused environment called an earlier plan's", first, second)
+	}
+}
+
+// TestCancelledPlanReturnsItsKit: a zero-shot plan cancelled mid-episode
+// hands its kit back as a plan that ran to its budget does, and the next
+// plan of the graph, on that kit — its solver's tables and its clone's
+// scratch as the cancelled plan left them — is the cold plan bit for bit.
+func TestCancelledPlanReturnsItsKit(t *testing.T) {
+	warm, policy := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	g := CorpusGraphs(1)[40]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelled, err := normalizeRequest(g, PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 1, Progress: func(ev ProgressEvent) {
+		if ev.Samples == 5 { // the first step of an episode
+			cancel()
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := warm.snapshotPolicy()
+	if res, _, err := warm.plan(ctx, g, cancelled, installed); !errors.Is(err, context.Canceled) || res == nil || res.Samples != 5 {
+		t.Fatalf("the cancelled plan returned %+v, %v; want its 5 samples and context.Canceled", res, err)
+	}
+	set := installed.deployments
+	if len(set.kept) != 1 || len(set.kept[0].idle) != 1 {
+		t.Fatalf("after a cancelled plan %d deployments are kept, want 1 with its kit", len(set.kept))
+	}
+	k := set.kept[0].idle[0]
+	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 2}
+	got, reused := planReused(t, warm, g, opts)
+	if idle := set.kept[0].idle; !reused || len(idle) != 1 || idle[0] != k {
+		t.Fatal("the next plan did not run on the cancelled plan's kit")
+	}
+	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
+		t.Fatal("the plan on a cancelled plan's kit differs from the cold plan")
+	}
+}
+
+// TestPanickedPlanReturnsNoKit: a plan that panics mid-sample hands back
+// neither its environment nor its clone, either of which it may have left
+// half written, and the next plan of the graph runs on a new kit and plans
+// the cold plan. Mutation caught: a deferred put.
+func TestPanickedPlanReturnsNoKit(t *testing.T) {
+	warm, policy := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	g := CorpusGraphs(1)[40]
+	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 8, Seed: 1}
+	planReused(t, warm, g, opts)
+	set := warm.snapshotPolicy().deployments
+	d := set.kept[0]
+	k := d.idle[0]
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the plan did not panic")
+			}
+		}()
+		panicking := opts
+		panicking.Progress = func(ProgressEvent) { panic("mid-plan") }
+		planReused(t, warm, g, panicking)
+	}()
+	if len(d.idle) != 0 || set.bytes != d.Bytes() {
+		t.Fatalf("after a panicked plan the deployment has %d idle kits and the set counts %d bytes, want none and %d", len(d.idle), set.bytes, d.Bytes())
+	}
+	opts.Seed = 2
+	got, reused := planReused(t, warm, g, opts)
+	if !reused || len(d.idle) != 1 || d.idle[0].env == k.env || d.idle[0].policy == k.policy {
+		t.Fatal("the next plan did not run on a new kit")
+	}
+	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
+		t.Fatal("the plan after a panicked one differs from the cold plan")
+	}
+}
+
+// TestFineTuneLeavesTheKitsClone: a fine-tune plan runs on a kit's
+// environment but trains a clone of its own, so the kit it hands back holds
+// the installed weights and the zero-shot plan that takes it next plans the
+// cold plan. Mutation caught: a fine-tune plan that trains the kit's clone.
+func TestFineTuneLeavesTheKitsClone(t *testing.T) {
+	warm, policy := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	g := CorpusGraphs(1)[40]
+	planReused(t, warm, g, PlanOptions{Method: MethodFineTune, SampleBudget: 64, Seed: 1})
+	if k := warm.snapshotPolicy().deployments.kept[0].idle[0]; rl.PolicyFingerprint(k.policy) != warm.PolicyFingerprint() {
+		t.Fatal("a fine-tune plan handed back a kit whose clone no longer holds the installed weights")
+	}
+	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 1}
+	got, reused := planReused(t, warm, g, opts)
+	if !reused {
+		t.Fatal("the zero-shot plan did not reuse the fine-tune plan's deployment")
+	}
+	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
+		t.Fatal("a zero-shot plan on a fine-tune plan's kit differs from the cold plan")
 	}
 }
 
@@ -390,8 +510,13 @@ func TestServiceCountsAndLogsDeploymentReuses(t *testing.T) {
 			t.Errorf("request %d logged %+v, want %+v", i, got, want[i])
 		}
 	}
-	if st := svc.Stats(); st.DeploymentReuses != 1 || st.PlansExecuted != 2 {
+	st := svc.Stats()
+	if st.DeploymentReuses != 1 || st.PlansExecuted != 2 {
 		t.Fatalf("deployment reuses %d over %d plans, want 1 over 2", st.DeploymentReuses, st.PlansExecuted)
+	}
+	d := svc.planner.snapshotPolicy().deployments.kept[0]
+	if want := d.Bytes() + d.KitBytes(); st.DeploymentBytes != want {
+		t.Fatalf("the stats count %d deployment bytes, the graph's deployment and idle kit hold %d", st.DeploymentBytes, want)
 	}
 }
 

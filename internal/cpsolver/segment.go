@@ -472,11 +472,13 @@ func (sg *Segmenter) backward(rng *rand.Rand) (partition.Partition, error) {
 	// Given boundary k at gap g, boundary k-1 sits at a feasible g'
 	// (next[g'] <= g), weighted by row k-1. next is nondecreasing, so the
 	// feasible gaps are a prefix, and an infeasible gap would draw nothing:
-	// the draw stops at the first one.
+	// the draw stops at the first one. next[g'] > g', so the drawn gap lies
+	// below g and each boundary's prefix is a prefix of the one before it:
+	// gp walks down from the previous count, O(N) over the whole draw.
+	gp := m
 	for k := nb - 1; k >= 1; k-- {
-		gp := 0
-		for gp < m && int(next[gp]) <= bounds[k] {
-			gp++
+		for gp > 0 && int(next[gp-1]) > bounds[k] {
+			gp--
 		}
 		g, err := sampleLogWeights(rng, w[(k-1)*m:(k-1)*m+gp])
 		if err != nil {

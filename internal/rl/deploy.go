@@ -33,10 +33,9 @@ func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *ra
 
 // zeroShot is ZeroShot on an encoding of env's graph under policy's weights,
 // from the t=0 state start, which every episode shares: Heads only reads
-// both.
+// both. SAMPLE mode's matrix and raw draw are policy's scratch, which the
+// next call on policy overwrites whole.
 func zeroShot(ctx context.Context, policy *Policy, enc *Encoding, start []int, env *Env, budget int, rng *rand.Rand) error {
-	var mixed [][]float64 // SAMPLE mode's matrix, rewritten per sample
-	var drawn []int       // SAMPLE mode's raw action draw: the next Heads reads it, nothing keeps it
 	for env.Samples < budget {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -48,10 +47,10 @@ func zeroShot(ctx context.Context, policy *Policy, enc *Encoding, start []int, e
 			}
 			f := policy.Heads(enc, prev)
 			if env.UseSampleMode {
-				mixed = MixedProbRows(mixed, f.Probs, env.ExploreEps())
-				env.StepProbs(mixed, rng)
-				drawn = sampleActionsInto(drawn, f.Probs, rng)
-				prev = drawn
+				policy.mixed = MixedProbRows(policy.mixed, f.Probs, env.ExploreEps())
+				env.StepProbs(policy.mixed, rng)
+				policy.drawn = sampleActionsInto(policy.drawn, f.Probs, rng)
+				prev = policy.drawn
 			} else {
 				y := SampleActions(f.Probs, rng)
 				env.StepActions(y, rng)
@@ -77,7 +76,8 @@ type Deployment struct {
 	Ctx   *GraphContext
 	enc   Encoding
 	start []int // the t=0 state, every episode's
-	bytes int64 // Bytes' estimate
+	// bytes and kitBytes are Bytes' and KitBytes' estimates.
+	bytes, kitBytes int64
 }
 
 // NewDeployment encodes ctx's graph under policy's weights and fills the
@@ -101,7 +101,32 @@ func NewDeployment(policy *Policy, ctx *GraphContext) *Deployment {
 	d.bytes += 12*n + 8*e + 8*n*features + 8*int64(len(ctx.ChipFeat))
 	hidden, layers, chips := int64(policy.Cfg.Hidden), int64(policy.Cfg.SAGELayers), int64(policy.Cfg.Chips)
 	d.bytes += 8 * n * (features + hidden*(2*layers-1) + hidden + 2*chips + 1)
+	// The estimate KitBytes reports, object by object: an environment's
+	// segment sampler tables, the larger of the two partitioners' — a
+	// prefix-sum row, the C-1 drawn boundaries, and two weight slots of
+	// (C-1) x (N-1) boundary weights and the N x C matrix they were built
+	// from, with no term memo, which a policy's matrices never build
+	// (DESIGN.md §1.2) — and a clone of policy: every weight and its
+	// gradient, the head scratch Heads sizes (N x Hidden first-layer
+	// activations, N x C probabilities and log-probabilities) and zeroShot's
+	// (the N x C mixed matrix with its row headers, and the N-entry draw).
+	words := func(k int64) int64 { return heapObject(8 * k) }
+	d.kitBytes = words(n) + words(chips-1) + 2*(words((chips-1)*(n-1))+words(n*chips))
+	for _, p := range policy.params {
+		d.kitBytes += words(int64(len(p.Value.Data))) + words(int64(len(p.Grad.Data)))
+	}
+	d.kitBytes += words(n*hidden) + 3*words(n*chips) + heapObject(n*int64(unsafe.Sizeof([]float64(nil)))) + words(n)
 	return d
+}
+
+// heapObject is what the heap holds for one object of size bytes: above
+// 32 KiB the allocator hands out whole 8 KiB pages.
+func heapObject(size int64) int64 {
+	const page = 8 << 10
+	if size <= 32<<10 {
+		return size
+	}
+	return (size + page - 1) / page * page
 }
 
 // ZeroShot is the package-level ZeroShot from the deployment's encoding:
@@ -119,15 +144,11 @@ func (d *Deployment) ZeroShot(ctx context.Context, policy *Policy, env *Env, bud
 // NewDeployment).
 func (d *Deployment) Bytes() int64 { return d.bytes }
 
-// EnvBytes bounds what one environment on the deployment's graph holds
-// once it has planned: the segment sampler's tables, the larger of the two
-// partitioners' — a prefix-sum row, and two weight slots of (C-1) x (N-1)
-// boundary weights, the N x C matrix they were built from and its term
-// memo (which a policy's matrices never build: DESIGN.md §1.2).
-func (d *Deployment) EnvBytes() int64 {
-	n, c := int64(d.Ctx.G.NumNodes()), int64(d.enc.startProbs.Cols)
-	return 8 * (n + 2*((c-1)*(n-1)+2*n*c))
-}
+// KitBytes estimates what one idle plan kit on the deployment's graph holds
+// once it has planned: an environment on the deployment's context and a
+// clone of the policy the deployment was built under, whose scratch is
+// sized for the graph (see NewDeployment).
+func (d *Deployment) KitBytes() int64 { return d.kitBytes }
 
 // FineTune continues PPO training of a (pre-trained) policy on a single
 // environment until the evaluation budget is consumed — the paper's

@@ -218,13 +218,15 @@ func zeroShotPlan(tb testing.TB, policy *rl.Policy, env *rl.Env) func() {
 }
 
 // deployedPlan is zeroShotPlan from a Deployment of env's graph under
-// policy's weights: what a repeat graph's serve-zeroshot op plans.
+// policy's weights, every plan on one clone of policy as on one planner kit:
+// what a repeat graph's serve-zeroshot op plans.
 func deployedPlan(tb testing.TB, policy *rl.Policy, env *rl.Env) func() {
 	env.UseSampleMode = true
-	dep := rl.NewDeployment(policy.Clone(), env.Ctx)
+	clone := policy.Clone()
+	dep := rl.NewDeployment(clone, env.Ctx)
 	return func() {
 		env.Reset()
-		if err := dep.ZeroShot(context.Background(), policy.Clone(), env, 16, rand.New(rand.NewSource(2))); err != nil {
+		if err := dep.ZeroShot(context.Background(), clone, env, 16, rand.New(rand.NewSource(2))); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -257,13 +259,14 @@ func heapBytes(fn func()) uint64 {
 // BERT/edge36 at their figures from when the policy head built its whole
 // input matrix and kept its logits: an Encoding's embedding product and
 // start-state distribution are paid for by those two. It holds a zero-shot
-// plan from a Deployment — what a repeat graph's plan costs a deployed
-// policy: the policy's clone, its head scratch and the samples, with no
-// encoding, start distribution or environment — at the bytes measured when
-// deployments were introduced (3 011 920). One worker, so that no kernel or
-// rollout fan-out allocates of its own.
+// plan from a Deployment on a clone an earlier plan sized — what a repeat
+// graph's plan costs a deployed policy: the samples, with no encoding,
+// start distribution, environment, clone or head scratch — at the 360 496
+// bytes measured when the planner began pooling clones with environments
+// (3 011 920 while every plan cloned the policy and sized its scratch). One
+// worker, so that no kernel or rollout fan-out allocates of its own.
 func TestBERTHeapBytes(t *testing.T) {
-	const zeroShotCeiling, deployedCeiling, iterateCeiling = 7270416, 3050000, 808960
+	const zeroShotCeiling, deployedCeiling, iterateCeiling = 7270416, 362000, 808960
 	g, pkg := workload.BERT(), mcm.Edge36()
 	pcfg := rl.QuickConfig(pkg.Chips)
 	withWorkers(1, func() {

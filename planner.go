@@ -445,16 +445,21 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	var env *rl.Env
 	var policy *rl.Policy // the deployed-policy methods' own clone of the installed policy
 	var d *deployment
+	var k kit
 	if opts.Method.usesPolicy() {
 		// A policy's scratch serves one caller, and fine-tuning updates
-		// weights: each plan runs on its own clone, and the planner's
+		// weights: each plan runs on a clone of its own, and the planner's
 		// installed policy stays the pristine pre-trained artifact. The
-		// graph's context, encoding and environment come from its
-		// deployment, built by the first plan of the graph under these
-		// weights.
-		policy = installed.policy.Clone()
-		if d, env, reused, err = pl.deploy(g, installed, policy, ev, base.Throughput); err != nil {
+		// graph's context and encoding come from its deployment, built by
+		// the first plan of the graph under these weights, and the
+		// environment and a zero-shot plan's clone from one of its kits; a
+		// fine-tune plan trains a fresh clone and leaves the kit's as it is.
+		if d, k, reused, err = pl.deploy(g, installed, ev, base.Throughput); err != nil {
 			return nil, false, err
+		}
+		env, policy = k.env, k.policy
+		if opts.Method == MethodFineTune {
+			policy = installed.policy.Clone()
 		}
 	} else {
 		// The search methods run no policy and read only the graph from
@@ -515,9 +520,10 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	}
 	samples := env.Samples
 	if d != nil {
-		// Only a plan that returns hands its environment back: one that
-		// panicked mid-sample may have left its solver's tables half built.
-		installed.deployments.put(d, env)
+		// Only a plan that returns hands its kit back: one that panicked
+		// mid-sample may have left its solver's tables or its clone's
+		// scratch half built.
+		installed.deployments.put(d, k)
 	}
 	if res == nil {
 		if runErr != nil {

@@ -138,6 +138,11 @@ type ServiceStats struct {
 	// of the identical graph under the same installed policy — instead of
 	// building their own. At quiescence it is at most PlansExecuted.
 	DeploymentReuses uint64 `json:"deployment_reuses" metric:"mcmpart_deployment_reuses_total"`
+	// DeploymentBytes is what the installed policy's deployments keep right
+	// now, counted from shapes: every kept deployment and its idle kits,
+	// never more than their 64 MiB bound (DESIGN.md §8, "What outlives a
+	// request"). 0 when no policy is installed.
+	DeploymentBytes int64 `json:"deployment_bytes" metric:"mcmpart_retained_bytes{store=\"deployments\"}"`
 
 	// Disk tier (all zero without ServiceOptions.CacheDir). Hits are
 	// in-memory misses served from disk; Quarantined counts entries set
@@ -387,6 +392,9 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 		func() float64 { size, _ := s.cache.snapshot(); return float64(size) })
 	m.reg.GaugeFunc("mcmpart_cache_capacity", "In-memory plan-cache entry bound (0 = caching disabled).",
 		func() float64 { _, capacity := s.cache.snapshot(); return float64(capacity) })
+	m.reg.GaugeFunc("mcmpart_retained_bytes", "Bytes a store keeps beyond the requests that filled it, counted from shapes.",
+		func() float64 { return float64(s.planner.snapshotPolicy().deployments.counted()) },
+		telemetry.Label{Name: "store", Value: "deployments"})
 	m.reg.GaugeFunc("mcmpart_draining", "1 while admission is stopped (BeginDrain/Drain/Close), else 0.",
 		func() float64 {
 			if s.draining() {
