@@ -1,9 +1,9 @@
 package mcmpart
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // planCacheKey builds the canonical cache key of one plan: the graph's
@@ -67,80 +67,123 @@ func canonicalize(res *Result, pos []int) {
 	res.Partition = canon
 }
 
-// planCache is the Service's bounded LRU: of completed plans by cache key,
-// and — as the request memo — of keyed requests by body digest. All methods
-// are safe for concurrent use. A value is shared, not copied: put keeps
-// what it is given and get returns it, so whoever holds one must not write
-// through it — the Service never does, and never hands a plan to a caller
-// (Job.Result copies). A hit is therefore bit-identical to the plan that
-// populated the entry.
+// planCache is the one bounded store of everything that outlives a
+// request: completed plans by cache key, keyed requests by body digest (the
+// request memo), terminal jobs by ID, and an installed policy's deployments
+// by graph fingerprint. It keeps the most recently used entries whose sizes
+// sum to at most limit bytes, each entry weighed by size(val) when it is
+// put. All methods are safe for concurrent use. A value is shared, not
+// copied: put keeps what it is given and get returns it, so whoever holds
+// one must not write through it — the Service never does, and never hands
+// a plan to a caller (Job.Result copies). A hit is therefore bit-identical
+// to the plan that populated the entry.
 //
 // The cache does not count its own hits and misses: a lookup happens
 // before the Service decides whether the request is admitted, and the
 // hit/miss counters must account admitted jobs only (see serviceMetrics).
 // The Service increments its tier counters at the admission points.
 type planCache[K comparable, V any] struct {
+	limit int64         // immutable after newPlanCache
+	size  func(V) int64 // immutable after newPlanCache
+
 	mu    sync.Mutex
-	cap   int                 // immutable after newPlanCache
-	ll    *list.List          // guarded by mu; front = most recently used
-	items map[K]*list.Element // guarded by mu
+	root  planCacheEntry[K, V]        // guarded by mu; root.next is the most recently used entry, root.prev the least
+	items map[K]*planCacheEntry[K, V] // guarded by mu
+	used  int64                       // guarded by mu; the sum of the entries' sizes
 }
 
+// planCacheEntry is one entry, linked into its cache's recency ring.
 type planCacheEntry[K comparable, V any] struct {
-	key K
-	val V
+	key        K
+	val        V
+	size       int64
+	prev, next *planCacheEntry[K, V]
 }
 
-// newPlanCache returns a cache bounded to max entries; max <= 0 disables
-// caching (every get is a miss, every put a no-op).
-func newPlanCache[K comparable, V any](max int) *planCache[K, V] {
-	c := &planCache[K, V]{cap: max}
-	if max > 0 {
-		c.ll = list.New()
-		c.items = make(map[K]*list.Element, max)
-	}
+// entryBytes is what a cache spends on an entry besides its value: the
+// entry itself, its map slot, and its key — a plan-cache key, the longest,
+// is about 250 bytes. The size functions of the stores of small values add
+// it.
+const entryBytes = 512
+
+// newPlanCache returns a cache bounded to limit bytes, each value weighed
+// by size. size reads only the value's shape — slice lengths times element
+// size, string lengths, and fixed struct sizes — so it is exact and cheap.
+func newPlanCache[K comparable, V any](limit int64, size func(V) int64) *planCache[K, V] {
+	c := &planCache[K, V]{limit: limit, size: size, items: make(map[K]*planCacheEntry[K, V])}
+	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
 
 func (c *planCache[K, V]) get(key K) (val V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return val, false
-	}
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if !ok {
 		return val, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*planCacheEntry[K, V]).val, true
+	e.unlink()
+	c.pushFront(e)
+	return e.val, true
 }
 
+// put keeps val under key as the most recently used entry, replacing and
+// re-weighing the value an existing entry holds, and then evicts the least
+// recently used entries until the rest fit the limit. A value larger than
+// the limit on its own is not kept, and removes the entry it would replace.
 func (c *planCache[K, V]) put(key K, val V) {
+	size := c.size(val)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
+	e, ok := c.items[key]
+	if ok {
+		e.unlink()
+		c.used -= e.size
+	}
+	if size > c.limit {
+		delete(c.items, key)
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		el.Value.(*planCacheEntry[K, V]).val = val
-		c.ll.MoveToFront(el)
-		return
+	if !ok {
+		e = &planCacheEntry[K, V]{key: key}
+		c.items[key] = e
 	}
-	c.items[key] = c.ll.PushFront(&planCacheEntry[K, V]{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*planCacheEntry[K, V]).key)
+	e.val, e.size = val, size
+	c.pushFront(e)
+	c.used += size
+	for c.used > c.limit {
+		oldest := c.root.prev
+		oldest.unlink()
+		c.used -= oldest.size
+		delete(c.items, oldest.key)
 	}
 }
 
-// snapshot returns (current size, capacity).
-func (c *planCache[K, V]) snapshot() (size, capacity int) {
+// snapshot returns how many entries the cache holds and their bytes.
+func (c *planCache[K, V]) snapshot() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap > 0 {
-		size = c.ll.Len()
+	return len(c.items), c.used
+}
+
+func (e *planCacheEntry[K, V]) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *planCache[K, V]) pushFront(e *planCacheEntry[K, V]) {
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// resultBytes is what a Result holds: the struct, its partition and
+// history, and its failure counts' keys and slots. nil holds nothing.
+func resultBytes(r *Result) int64 {
+	if r == nil {
+		return 0
 	}
-	return size, c.cap
+	n := int64(unsafe.Sizeof(*r)) + int64(len(r.Partition))*int64(unsafe.Sizeof(0)) + int64(len(r.History))*int64(unsafe.Sizeof(0.0))
+	for k := range r.FailCounts {
+		n += int64(len(k)) + int64(unsafe.Sizeof(k)+unsafe.Sizeof(0))
+	}
+	return n
 }

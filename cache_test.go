@@ -142,3 +142,117 @@ func TestAdmitRechecksTheCache(t *testing.T) {
 		t.Fatalf("stats %+v: want one memory hit and no plan executed", st)
 	}
 }
+
+// entries returns the cache's keys and values, most recently used first.
+func (c *planCache[K, V]) entries() (keys []K, vals []V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for e := c.root.next; e != &c.root; e = e.next {
+		keys, vals = append(keys, e.key), append(vals, e.val)
+	}
+	return keys, vals
+}
+
+// values returns the cache's values, most recently used first.
+func (c *planCache[K, V]) values() []V {
+	_, vals := c.entries()
+	return vals
+}
+
+// refLRU is the reference FuzzPlanCache holds planCache to: a slice of
+// (key, size) pairs, most recently used first, that a put evicts from the
+// back until the sizes fit the limit.
+type refLRU struct {
+	limit   int64
+	entries []refEntry
+}
+
+type refEntry struct {
+	key  byte
+	size int64
+}
+
+func (r *refLRU) remove(key byte) (refEntry, bool) {
+	for i, e := range r.entries {
+		if e.key == key {
+			r.entries = slices.Delete(r.entries, i, i+1)
+			return e, true
+		}
+	}
+	return refEntry{}, false
+}
+
+func (r *refLRU) get(key byte) (int64, bool) {
+	e, ok := r.remove(key)
+	if ok {
+		r.entries = slices.Insert(r.entries, 0, e)
+	}
+	return e.size, ok
+}
+
+func (r *refLRU) put(key byte, size int64) {
+	r.remove(key)
+	if size > r.limit {
+		return
+	}
+	r.entries = slices.Insert(r.entries, 0, refEntry{key, size})
+	for r.used() > r.limit {
+		r.entries = r.entries[:len(r.entries)-1]
+	}
+}
+
+func (r *refLRU) used() (n int64) {
+	for _, e := range r.entries {
+		n += e.size
+	}
+	return n
+}
+
+// FuzzPlanCache is a differential of planCache against refLRU. The first
+// byte is the limit; then each pair of bytes is one operation on one of
+// eight keys: a get, or a put of a value that weighs the second byte.
+// After every operation both hold the same entries in the same order, a
+// get finds what the reference finds, and the cache counts the sum of its
+// entries' sizes, never more than the limit.
+func FuzzPlanCache(f *testing.F) {
+	f.Add([]byte{10, 8, 4, 9, 4, 10, 3, 0, 0, 8, 11, 1, 0})
+	f.Add([]byte{5, 8, 6, 9, 5, 8, 2, 9, 9, 1, 0})
+	f.Add([]byte{0, 8, 0, 9, 1, 0, 0})
+	f.Add([]byte{10, 8, 4, 9, 2, 8, 11, 0, 0, 1, 0})
+	f.Add([]byte{255, 8, 200, 9, 100, 10, 50, 8, 1, 2, 0, 9, 255})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		c := newPlanCache[byte](int64(ops[0]), func(v int64) int64 { return v })
+		ref := &refLRU{limit: int64(ops[0])}
+		for i := 1; i+1 < len(ops); i += 2 {
+			key, arg := ops[i]&7, int64(ops[i+1])
+			if ops[i]&8 != 0 {
+				c.put(key, arg)
+				ref.put(key, arg)
+			} else {
+				got, ok := c.get(key)
+				want, wantOK := ref.get(key)
+				if ok != wantOK || got != want {
+					t.Fatalf("op %d: get(%d) = %d, %t; the reference's %d, %t", i/2, key, got, ok, want, wantOK)
+				}
+			}
+			keys, vals := c.entries()
+			entries, used := c.snapshot()
+			if len(ref.entries) != len(keys) || entries != len(keys) {
+				t.Fatalf("op %d: %d entries (%d in the map), the reference %d", i/2, len(keys), entries, len(ref.entries))
+			}
+			var sum int64
+			for j, e := range ref.entries {
+				if keys[j] != e.key || vals[j] != e.size {
+					t.Fatalf("op %d: entry %d is (%d, %d), the reference's (%d, %d)", i/2, j, keys[j], vals[j], e.key, e.size)
+				}
+				sum += vals[j]
+			}
+			if used != sum || used > c.limit {
+				t.Fatalf("op %d: the cache counts %d bytes, its entries hold %d, limit %d", i/2, used, sum, c.limit)
+			}
+		}
+	})
+}

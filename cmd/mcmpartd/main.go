@@ -1,12 +1,12 @@
 // Command mcmpartd serves partition planning over HTTP: a long-lived
-// mcmpart.Service — concurrency-safe planner, bounded plan cache,
+// mcmpart.Service — concurrency-safe planner, byte-bounded plan cache,
 // directory-backed policy registry, async job queue — behind the JSON API
 // documented on mcmpart.NewHTTPHandler.
 //
 // Usage:
 //
 //	mcmpartd [-addr :7433] [-mcm dev8] [-policy-dir DIR] [-policy FILE]
-//	         [-pool-workers N] [-queue N] [-cache N] [-cache-dir DIR]
+//	         [-pool-workers N] [-queue N] [-cache-dir DIR]
 //	         [-drain-timeout D] [-workers N] [-log-json]
 //
 // -mcm selects the package the daemon plans for: a preset name (dev4,
@@ -21,8 +21,10 @@
 // artifact instead (both may be given; -policy wins at startup).
 //
 // -pool-workers bounds how many plans run concurrently; -queue how many
-// admitted jobs may wait (further submissions get HTTP 429). -cache bounds
-// the plan cache in entries (0 keeps the default 256, negative disables).
+// admitted jobs may wait (further submissions get HTTP 429). What the
+// daemon keeps between requests — plans, known request bodies, finished
+// jobs, a policy's per-graph deployments — is bounded in bytes by
+// constants, not flags (DESIGN.md §8, "What outlives a request").
 // -cache-dir adds a crash-safe persistent plan-cache tier under the
 // in-memory cache: completed plans are written through and survive daemon
 // restarts bit-identically. -workers sets the process-wide compute budget
@@ -98,7 +100,6 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 	policyPath := fs.String("policy", "", "explicit policy artifact to install at startup")
 	poolWorkers := fs.Int("pool-workers", 0, "concurrent plans (0 = process default)")
 	queueDepth := fs.Int("queue", 0, "job queue depth (0 = 4x pool workers)")
-	cacheEntries := fs.Int("cache", 0, "plan cache entries (0 = default 256, negative disables)")
 	cacheDir := fs.String("cache-dir", "", "persistent plan cache directory (created if missing); plans survive restarts")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long a shutdown signal lets in-flight plans finish before cancelling them (best-so-far results are kept)")
 	workers := fs.Int("workers", runtime.NumCPU(), "compute budget the running plans share (kernels, rollouts)")
@@ -121,12 +122,11 @@ func run(ctx context.Context, args []string, ready chan<- string) int {
 		return 1
 	}
 	svc, err := mcmpart.NewService(pkg, mcmpart.ServiceOptions{
-		Workers:      *poolWorkers,
-		QueueDepth:   *queueDepth,
-		CacheEntries: *cacheEntries,
-		CacheDir:     *cacheDir,
-		PolicyDir:    *policyDir,
-		Logger:       logger,
+		Workers:    *poolWorkers,
+		QueueDepth: *queueDepth,
+		CacheDir:   *cacheDir,
+		PolicyDir:  *policyDir,
+		Logger:     logger,
 	})
 	if err != nil {
 		log.Print(err)

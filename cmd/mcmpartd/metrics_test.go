@@ -67,7 +67,7 @@ var metricFamilies = []string{
 	"mcmpart_cache_hits_total", "mcmpart_cache_misses_total", "mcmpart_plans_executed_total",
 	"mcmpart_plans_coalesced_total", "mcmpart_plan_seconds", "mcmpart_queue_depth",
 	"mcmpart_queue_capacity", "mcmpart_workers", "mcmpart_workers_busy", "mcmpart_cache_entries",
-	"mcmpart_cache_capacity", "mcmpart_draining", "mcmpart_http_requests_total",
+	"mcmpart_draining", "mcmpart_http_requests_total",
 	"mcmpart_http_request_seconds", "mcmpart_disk_writes_total", "mcmpart_disk_write_errors_total",
 	"mcmpart_disk_quarantined_total", "mcmpart_disk_read_seconds", "mcmpart_disk_write_seconds",
 	"mcmpart_request_memo_hits_total", "mcmpart_deployment_reuses_total", "mcmpart_retained_bytes",
@@ -217,6 +217,14 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		}
 		if got != w.value {
 			t.Errorf("%s = %v, want %v", w.series, got, w.value)
+		}
+	}
+	// The stores that outlive a request hold what the script left: its
+	// three plans, the known body, its seven jobs. Each counts bytes, which
+	// the stats below must agree with.
+	for _, store := range []string{"cache", "memo", "jobs"} {
+		if series := `mcmpart_retained_bytes{store="` + store + `"}`; metrics[series] <= 0 {
+			t.Errorf("%s = %v, want the bytes of what the script left", series, metrics[series])
 		}
 	}
 

@@ -209,11 +209,56 @@ func TestInstallDropsDeployments(t *testing.T) {
 	}
 }
 
+// TestReloadKeepsTheDeployments: ReloadPolicies that finds the registry
+// artifact already installed keeps the installed snapshot, so a graph
+// planned zero-shot before still plans from its deployment. Mutation
+// caught: a reload that reinstalls the same artifact, emptying the set.
+func TestReloadKeepsTheDeployments(t *testing.T) {
+	svc, err := NewService(Edge36(), ServiceOptions{Workers: 1, PolicyDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	svc.planner.installPolicy(rl.NewPolicy(svc.planner.freshPolicyConfig(false), rand.New(rand.NewSource(1))), "")
+	if err := svc.SavePolicyToRegistry(); err != nil {
+		t.Fatal(err)
+	}
+	g := CorpusGraphs(1)[40]
+	for seed := int64(1); seed <= 3; seed++ {
+		if err := svc.ReloadPolicies(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Plan(context.Background(), g, PlanOptions{Method: MethodZeroShot, SampleBudget: 4, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := svc.Stats(); st.DeploymentReuses != 2 || st.PlansExecuted != 3 {
+		t.Fatalf("%d of %d plans reused a deployment, want 2 of 3: a reload dropped them", st.DeploymentReuses, st.PlansExecuted)
+	}
+}
+
+// installBounded installs policy on pl with an empty set of deployments
+// bounded by limit, and returns the set.
+func installBounded(pl *Planner, policy *rl.Policy, limit int64) *planCache[string, *deployment] {
+	pl.installPolicy(policy, "")
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	pl.installed.deployments = newPlanCache[string](limit, (*deployment).bytes)
+	return pl.installed.deployments
+}
+
+// idleKits returns how many idle kits d holds.
+func idleKits(d *deployment) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.idle)
+}
+
 // TestDeploymentsStayInTheirBound: a deployment whose estimate alone
 // exceeds the set's bound is not kept; one that fits while its kit does not
 // is kept without it; and one that needs another's room evicts the least
-// recently used. The set counts every idle kit — its environment and its
-// clone — and never more than its bound.
+// recently used. The set counts every kit a deployment owns — its
+// environment and its clone — and never more than its bound.
 func TestDeploymentsStayInTheirBound(t *testing.T) {
 	pl, policy := deployedPlanner(t)
 	a, b := CorpusGraphs(1)[40], CorpusGraphs(1)[41]
@@ -221,50 +266,45 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 	planReused(t, pl, a, opts)
 	planReused(t, pl, b, opts)
 	set := pl.snapshotPolicy().deployments
-	if len(set.kept) != 2 || len(set.kept[0].idle) != 1 || len(set.kept[1].idle) != 1 {
-		t.Fatalf("under the default bound %d deployments are kept, want 2 with an idle kit each", len(set.kept))
+	kept := set.values()
+	if len(kept) != 2 || idleKits(kept[0]) != 1 || idleKits(kept[1]) != 1 {
+		t.Fatalf("under the default bound %d deployments are kept, want 2 with an idle kit each", len(kept))
 	}
-	da, db := set.kept[1], set.kept[0]
+	da, db := kept[1], kept[0]
 	aBytes, bBytes := da.Bytes()+da.KitBytes(), db.Bytes()+db.KitBytes()
-	if set.bytes != aBytes+bBytes {
-		t.Fatalf("the set counts %d bytes, its deployments and kits hold %d", set.bytes, aBytes+bBytes)
+	if _, used := set.snapshot(); used != aBytes+bBytes {
+		t.Fatalf("the set counts %d bytes, its deployments and kits hold %d", used, aBytes+bBytes)
 	}
-	// bounded installs policy again with an empty set bounded by limit.
-	bounded := func(limit int64) *deployments {
-		pl.installPolicy(policy, "")
-		set := pl.snapshotPolicy().deployments
-		set.limit = limit
-		return set
-	}
-	check := func(what string, set *deployments, g *Graph, wantReused bool) {
+	check := func(what string, set *planCache[string, *deployment], g *Graph, wantReused bool) {
 		t.Helper()
 		if _, reused := planReused(t, pl, g, opts); reused != wantReused {
 			t.Errorf("%s: %s's plan reused a deployment %t, want %t", what, g.Name(), reused, wantReused)
 		}
-		if set.bytes > set.limit {
-			t.Errorf("%s: the set counts %d bytes, bound %d", what, set.bytes, set.limit)
+		if _, used := set.snapshot(); used > set.limit {
+			t.Errorf("%s: the set counts %d bytes, bound %d", what, used, set.limit)
 		}
 	}
 
-	set = bounded(da.Bytes() - 1)
+	set = installBounded(pl, policy, da.Bytes()-1)
 	check("over the bound", set, a, false)
 	check("over the bound", set, a, false)
-	if len(set.kept) != 0 || set.bytes != 0 {
-		t.Errorf("over the bound: %d deployments kept, %d bytes counted", len(set.kept), set.bytes)
+	if entries, used := set.snapshot(); entries != 0 || used != 0 {
+		t.Errorf("over the bound: %d deployments kept, %d bytes counted", entries, used)
 	}
 
-	set = bounded(da.Bytes())
+	set = installBounded(pl, policy, da.Bytes())
 	check("no room for a kit", set, a, false)
 	check("no room for a kit", set, a, true)
-	if len(set.kept) != 1 || len(set.kept[0].idle) != 0 || set.bytes != da.Bytes() {
-		t.Errorf("no room for a kit: %d deployments kept, %d bytes counted", len(set.kept), set.bytes)
+	kept = set.values()
+	if _, used := set.snapshot(); len(kept) != 1 || idleKits(kept[0]) != 0 || used != da.Bytes() {
+		t.Errorf("no room for a kit: %d deployments kept, %d bytes counted", len(kept), used)
 	}
 
-	set = bounded(max(aBytes, bBytes))
+	set = installBounded(pl, policy, max(aBytes, bBytes))
 	check("room for one", set, a, false)
 	check("room for one", set, b, false)
-	if len(set.kept) != 1 || !set.kept[0].Ctx.G.Identical(b) {
-		t.Errorf("room for one: %d deployments kept, want b's alone", len(set.kept))
+	if kept := set.values(); len(kept) != 1 || !kept[0].Ctx.G.Identical(b) {
+		t.Errorf("room for one: %d deployments kept, want b's alone", len(kept))
 	}
 	check("room for one", set, a, false)
 }
@@ -272,18 +312,18 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 // checkIdleKitsDistinct fails unless every idle kit of set holds an
 // environment and a clone no other idle kit holds: a kit listed twice is
 // handed to two plans at once.
-func checkIdleKitsDistinct(t *testing.T, set *deployments) {
+func checkIdleKitsDistinct(t *testing.T, set *planCache[string, *deployment]) {
 	t.Helper()
-	set.mu.Lock()
-	defer set.mu.Unlock()
 	envs, clones := make(map[*rl.Env]bool), make(map[*rl.Policy]bool)
-	for _, d := range set.kept {
+	for _, d := range set.values() {
+		d.mu.Lock()
 		for _, k := range d.idle {
 			if envs[k.env] || clones[k.policy] {
 				t.Errorf("an environment or a clone is idle in two kits")
 			}
 			envs[k.env], clones[k.policy] = true, true
 		}
+		d.mu.Unlock()
 	}
 }
 
@@ -292,11 +332,12 @@ func checkIdleKitsDistinct(t *testing.T, set *deployments) {
 // kits taken and put back concurrently — and each plans what the serial
 // cold plan of its graph and seed does. First one graph under the default
 // bound; then three under a bound with room for one deployment, so that
-// adds, evictions and dropped kits race with takes and puts. No two
+// puts, evictions and dropped kits race with takes and puts. No two
 // in-flight plans hold one clone or one environment: every plan checks, at
 // every sample, that the idle kits are distinct, and under -race (CI) two
-// plans writing one clone's scratch fail the run. Every field the set's
-// mutex guards is read and written here on several goroutines.
+// plans writing one clone's scratch fail the run. Every field a
+// deployment's mutex guards is read and written here on several
+// goroutines.
 func TestConcurrentPlansShareADeployment(t *testing.T) {
 	warm, policy := deployedPlanner(t)
 	cold, _ := deployedPlanner(t)
@@ -308,8 +349,7 @@ func TestConcurrentPlansShareADeployment(t *testing.T) {
 			want[[2]int{gi, seed}] = resultBits(coldPlan(t, cold, policy, g, PlanOptions{Method: MethodZeroShot, SampleBudget: 12, Seed: int64(seed)}))
 		}
 	}
-	set := warm.snapshotPolicy().deployments
-	progress := func(ProgressEvent) { checkIdleKitsDistinct(t, set) }
+	progress := func(ProgressEvent) { checkIdleKitsDistinct(t, warm.snapshotPolicy().deployments) }
 	run := func(n int) {
 		var wg sync.WaitGroup
 		for round := 0; round < 2; round++ {
@@ -334,23 +374,21 @@ func TestConcurrentPlansShareADeployment(t *testing.T) {
 		}
 	}
 	run(1)
+	set := warm.snapshotPolicy().deployments
 	checkIdleKitsDistinct(t, set)
-	if len(set.kept) != 1 || len(set.kept[0].idle) == 0 {
-		t.Fatalf("after concurrent plans of one graph the set keeps %d deployments", len(set.kept))
+	if kept := set.values(); len(kept) != 1 || idleKits(kept[0]) == 0 {
+		t.Fatalf("after concurrent plans of one graph the set keeps %d deployments", len(kept))
 	}
-	set.mu.Lock()
-	set.limit = 0
+	var limit int64
 	for _, g := range graphs {
 		d := rl.NewDeployment(policy.Clone(), warm.graphContext(g, policy.Cfg))
-		set.limit = max(set.limit, d.Bytes()+d.KitBytes())
+		limit = max(limit, d.Bytes()+d.KitBytes())
 	}
-	set.mu.Unlock()
+	set = installBounded(warm, policy, limit)
 	run(len(graphs))
 	checkIdleKitsDistinct(t, set)
-	set.mu.Lock()
-	defer set.mu.Unlock()
-	if set.bytes > set.limit || len(set.kept) > 1 {
-		t.Fatalf("under a bound with room for one deployment the set keeps %d, %d bytes", len(set.kept), set.bytes)
+	if entries, used := set.snapshot(); used > limit || entries > 1 {
+		t.Fatalf("under a bound with room for one deployment the set keeps %d, %d bytes", entries, used)
 	}
 }
 
@@ -399,14 +437,14 @@ func TestCancelledPlanReturnsItsKit(t *testing.T) {
 	if res, _, err := warm.plan(ctx, g, cancelled, installed); !errors.Is(err, context.Canceled) || res == nil || res.Samples != 5 {
 		t.Fatalf("the cancelled plan returned %+v, %v; want its 5 samples and context.Canceled", res, err)
 	}
-	set := installed.deployments
-	if len(set.kept) != 1 || len(set.kept[0].idle) != 1 {
-		t.Fatalf("after a cancelled plan %d deployments are kept, want 1 with its kit", len(set.kept))
+	kept := installed.deployments.values()
+	if len(kept) != 1 || len(kept[0].idle) != 1 {
+		t.Fatalf("after a cancelled plan %d deployments are kept, want 1 with its kit", len(kept))
 	}
-	k := set.kept[0].idle[0]
+	k := kept[0].idle[0]
 	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 2}
 	got, reused := planReused(t, warm, g, opts)
-	if idle := set.kept[0].idle; !reused || len(idle) != 1 || idle[0] != k {
+	if idle := kept[0].idle; !reused || len(idle) != 1 || idle[0] != k {
 		t.Fatal("the next plan did not run on the cancelled plan's kit")
 	}
 	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
@@ -417,7 +455,8 @@ func TestCancelledPlanReturnsItsKit(t *testing.T) {
 // TestPanickedPlanReturnsNoKit: a plan that panics mid-sample hands back
 // neither its environment nor its clone, either of which it may have left
 // half written, and the next plan of the graph runs on a new kit and plans
-// the cold plan. Mutation caught: a deferred put.
+// the cold plan. The lost kit stays counted, as a kit out on a plan is,
+// until its deployment leaves the set. Mutation caught: a deferred put.
 func TestPanickedPlanReturnsNoKit(t *testing.T) {
 	warm, policy := deployedPlanner(t)
 	cold, _ := deployedPlanner(t)
@@ -425,7 +464,7 @@ func TestPanickedPlanReturnsNoKit(t *testing.T) {
 	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 8, Seed: 1}
 	planReused(t, warm, g, opts)
 	set := warm.snapshotPolicy().deployments
-	d := set.kept[0]
+	d := set.values()[0]
 	k := d.idle[0]
 	func() {
 		defer func() {
@@ -437,8 +476,8 @@ func TestPanickedPlanReturnsNoKit(t *testing.T) {
 		panicking.Progress = func(ProgressEvent) { panic("mid-plan") }
 		planReused(t, warm, g, panicking)
 	}()
-	if len(d.idle) != 0 || set.bytes != d.Bytes() {
-		t.Fatalf("after a panicked plan the deployment has %d idle kits and the set counts %d bytes, want none and %d", len(d.idle), set.bytes, d.Bytes())
+	if _, used := set.snapshot(); len(d.idle) != 0 || used != d.Bytes()+d.KitBytes() {
+		t.Fatalf("after a panicked plan the deployment has %d idle kits and the set counts %d bytes, want none and %d", len(d.idle), used, d.Bytes()+d.KitBytes())
 	}
 	opts.Seed = 2
 	got, reused := planReused(t, warm, g, opts)
@@ -459,7 +498,7 @@ func TestFineTuneLeavesTheKitsClone(t *testing.T) {
 	cold, _ := deployedPlanner(t)
 	g := CorpusGraphs(1)[40]
 	planReused(t, warm, g, PlanOptions{Method: MethodFineTune, SampleBudget: 64, Seed: 1})
-	if k := warm.snapshotPolicy().deployments.kept[0].idle[0]; rl.PolicyFingerprint(k.policy) != warm.PolicyFingerprint() {
+	if k := warm.snapshotPolicy().deployments.values()[0].idle[0]; rl.PolicyFingerprint(k.policy) != warm.PolicyFingerprint() {
 		t.Fatal("a fine-tune plan handed back a kit whose clone no longer holds the installed weights")
 	}
 	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 1}
@@ -514,7 +553,7 @@ func TestServiceCountsAndLogsDeploymentReuses(t *testing.T) {
 	if st.DeploymentReuses != 1 || st.PlansExecuted != 2 {
 		t.Fatalf("deployment reuses %d over %d plans, want 1 over 2", st.DeploymentReuses, st.PlansExecuted)
 	}
-	d := svc.planner.snapshotPolicy().deployments.kept[0]
+	d := svc.planner.snapshotPolicy().deployments.values()[0]
 	if want := d.Bytes() + d.KitBytes(); st.DeploymentBytes != want {
 		t.Fatalf("the stats count %d deployment bytes, the graph's deployment and idle kit hold %d", st.DeploymentBytes, want)
 	}

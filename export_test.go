@@ -9,5 +9,8 @@ var (
 	StatusTable = statusTable
 )
 
-// MaxRetainedJobs is the job table's retention bound (TestMaxRetainedJobs).
-const MaxRetainedJobs = maxRetainedJobs
+// RetiredJobBytes is the retired jobs' bound, and JobBytes what they count
+// for one (TestMaxRetainedJobs).
+const RetiredJobBytes = retiredJobBytes
+
+func JobBytes(j *Job) int64 { return j.bytes() }

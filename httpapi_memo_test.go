@@ -98,12 +98,13 @@ func TestRequestMemoServesIdenticalBytes(t *testing.T) {
 	}
 }
 
-// TestRequestMemoReplansAnEvictedPlan: with one cache entry, a known body
-// whose plan another graph's plan evicted misses the lookup, decodes, and
-// plans again — the same plan as the first time. Mutation caught: serving
-// from the memo entry without the lookup.
+// TestRequestMemoReplansAnEvictedPlan: with room for one plan in the
+// cache, a known body whose plan another graph's plan evicted misses the
+// lookup, decodes, and plans again — the same plan as the first time.
+// Mutation caught: serving from the memo entry without the lookup.
 func TestRequestMemoReplansAnEvictedPlan(t *testing.T) {
-	svc, h := memoTestService(t, ServiceOptions{Workers: 1, CacheEntries: 1})
+	svc, h := memoTestService(t, ServiceOptions{Workers: 1})
+	svc.cache = newPlanCache[string](1, func(*Result) int64 { return 1 }) // every plan weighs the whole bound
 	graphs := CorpusGraphs(1)
 	body := requestBody(t, graphs[3], memoOpts)
 	_, first := postPlan(t, h, body)

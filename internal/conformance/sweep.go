@@ -136,10 +136,7 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*Report, error) {
 
 		model := costmodel.New(pkg)
 		sim := hwsim.New(pkg, hwsim.Options{Seed: cfg.Seed})
-		svc, err := mcmpart.NewService(pkg, mcmpart.ServiceOptions{
-			Workers:      1,
-			CacheEntries: 2 * cfg.GraphsPerPreset * len(cfg.Methods),
-		})
+		svc, err := mcmpart.NewService(pkg, mcmpart.ServiceOptions{Workers: 1})
 		if err != nil {
 			return nil, err
 		}

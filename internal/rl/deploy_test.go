@@ -74,7 +74,7 @@ func TestDeploymentBytesEstimate(t *testing.T) {
 // from the deployment and been Reset — an environment on the deployment's
 // context, its solver's tables built, and a clone of the policy with its
 // head and zero-shot scratch sized — so the byte bound on a policy's
-// deployments counts its idle kits.
+// deployments counts the kits they own.
 func TestKitBytesEstimate(t *testing.T) {
 	g, pkg := workload.BERT(), mcm.Edge36()
 	policy := rl.NewPolicy(rl.QuickConfig(pkg.Chips), rand.New(rand.NewSource(1)))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // JobState is the lifecycle phase of an asynchronous plan job.
@@ -79,7 +80,7 @@ func RequestIDFrom(ctx context.Context) string {
 
 // Job is one asynchronous plan submitted to a Service. A Job is handed out
 // by Service.Submit and remains valid after completion (the Service retains
-// a bounded history of terminal jobs for status queries). The retained
+// terminal jobs within a byte bound for status queries). The retained
 // result is never handed out: Result returns a deep copy each time, so no
 // two callers (and no caller plus what the Service keeps) ever alias the
 // same Result.
@@ -256,34 +257,15 @@ func (j *Job) release() {
 	close(j.done)
 }
 
-// maxRetainedJobs bounds how many jobs a Service keeps addressable by ID
-// for status queries.
-const maxRetainedJobs = 1024
-
-// jobTable is the Service's ID → Job index and its retention bound. Live
-// jobs are never evicted; terminal ones are, oldest first, once the table
-// holds more than maxRetainedJobs. The terminal transition feeds retired,
-// so an eviction pops the front of a queue instead of searching for a
-// victim.
-type jobTable struct {
-	byID    map[string]*Job // guarded by Service.mu
-	retired []string        // guarded by Service.mu; terminal job IDs, in finishing order
-}
-
-func (t *jobTable) addLocked(j *Job) {
-	t.byID[j.id] = j
-	t.evictLocked()
-}
-
-// retireLocked records that the job with this ID reached a terminal state.
-func (t *jobTable) retireLocked(id string) {
-	t.retired = append(t.retired, id)
-	t.evictLocked()
-}
-
-func (t *jobTable) evictLocked() {
-	for len(t.byID) > maxRetainedJobs && len(t.retired) > 0 {
-		delete(t.byID, t.retired[0])
-		t.retired = t.retired[1:]
+// bytes is what the Service's retired jobs count for a terminal job: the
+// entry, the Job with its ended context and closed done channel (256
+// bytes), its ID and request ID, its result and its error's message.
+func (j *Job) bytes() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := entryBytes + 256 + int64(unsafe.Sizeof(*j)) + int64(len(j.id)+len(j.requestID)) + resultBytes(j.result)
+	if j.err != nil {
+		n += int64(len(j.err.Error()))
 	}
+	return n
 }

@@ -238,8 +238,8 @@ type policySnapshot struct {
 	// with, aligned with the scale the policy was pre-trained at.
 	ftPPO rl.PPOConfig
 	// deployments are what the deployed-policy methods keep of the graphs
-	// they planned under policy's weights; nil when none is installed.
-	deployments *deployments
+	// they planned under policy's weights; empty when none is installed.
+	deployments *planCache[string, *deployment]
 }
 
 // NewPlanner builds a planning session for the package. The package is
@@ -251,7 +251,7 @@ func NewPlanner(pkg *Package) (*Planner, error) {
 	if err := pkg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Planner{pkg: pkg}, nil
+	return &Planner{pkg: pkg, installed: policySnapshot{deployments: newDeployments()}}, nil
 }
 
 // Package returns the package this planner is bound to.
@@ -272,11 +272,16 @@ func (pl *Planner) PolicyFingerprint() string { return pl.snapshotPolicy().fp }
 // fine-tune PPO configuration is derived from the policy's network shape
 // (full-scale network → full-scale PPO), so the pair MethodFineTune runs
 // with is a pure function of the installed policy — the property the plan
-// cache's policy-fingerprint key relies on.
+// cache's policy-fingerprint key relies on. Reinstalling the registry
+// artifact that is installed, with the same weights, keeps the installed
+// snapshot and its deployments; any other install starts an empty set.
 func (pl *Planner) installPolicy(policy *rl.Policy, path string) {
 	snap := policySnapshot{policy: policy, fp: rl.PolicyFingerprint(policy), path: path, ftPPO: ftPPOFor(policy), deployments: newDeployments()}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
+	if path != "" && path == pl.installed.path && snap.fp == pl.installed.fp {
+		return
+	}
 	pl.installed = snap
 }
 
@@ -523,7 +528,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		// Only a plan that returns hands its kit back: one that panicked
 		// mid-sample may have left its solver's tables or its clone's
 		// scratch half built.
-		installed.deployments.put(d, k)
+		d.put(k)
 	}
 	if res == nil {
 		if runErr != nil {

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"mcmpart/internal/faultinject"
 	"mcmpart/internal/graph"
@@ -55,8 +56,10 @@ var (
 )
 
 // ServiceOptions configure NewService. The zero value is a working
-// configuration: process-default workers, a 4x queue, a 256-entry cache,
-// no disk tier, no policy directory, and no log output.
+// configuration: process-default workers, a 4x queue, no disk tier, no
+// policy directory, and no log output. What the service keeps between
+// requests is bounded in bytes by constants, not options (DESIGN.md §8,
+// "What outlives a request").
 type ServiceOptions struct {
 	// Workers is the number of plans that may run concurrently
 	// (0 = process default, see internal worker-pool default; negative is
@@ -66,9 +69,6 @@ type ServiceOptions struct {
 	// (0 = 4x Workers; negative is an error). When the queue is full,
 	// Submit returns ErrBusy.
 	QueueDepth int
-	// CacheEntries bounds the in-memory plan cache (0 = 256 entries;
-	// negative disables caching).
-	CacheEntries int
 	// CacheDir, when set, opens a crash-safe persistent plan-cache tier
 	// under the in-memory LRU (created if missing). Completed plans are
 	// written through (temp file + fsync + atomic rename, versioned and
@@ -121,10 +121,9 @@ type ServiceStats struct {
 	// submission (shed, draining) on neither — so CacheHits+CacheMisses
 	// equals JobsSubmitted once the service is quiescent. Coalesced
 	// requests and disk-tier hits are memory misses.
-	CacheHits     uint64 `json:"cache_hits" metric:"mcmpart_cache_hits_total{tier=\"memory\"}"`
-	CacheMisses   uint64 `json:"cache_misses" metric:"mcmpart_cache_misses_total{tier=\"memory\"}"`
-	CacheEntries  int    `json:"cache_entries" metric:"mcmpart_cache_entries"`
-	CacheCapacity int    `json:"cache_capacity" metric:"mcmpart_cache_capacity"`
+	CacheHits    uint64 `json:"cache_hits" metric:"mcmpart_cache_hits_total{tier=\"memory\"}"`
+	CacheMisses  uint64 `json:"cache_misses" metric:"mcmpart_cache_misses_total{tier=\"memory\"}"`
+	CacheEntries int    `json:"cache_entries" metric:"mcmpart_cache_entries"`
 
 	// PlansExecuted counts actual planner invocations; PlansCoalesced
 	// counts requests that shared another request's in-flight computation
@@ -138,10 +137,13 @@ type ServiceStats struct {
 	// of the identical graph under the same installed policy — instead of
 	// building their own. At quiescence it is at most PlansExecuted.
 	DeploymentReuses uint64 `json:"deployment_reuses" metric:"mcmpart_deployment_reuses_total"`
-	// DeploymentBytes is what the installed policy's deployments keep right
-	// now, counted from shapes: every kept deployment and its idle kits,
-	// never more than their 64 MiB bound (DESIGN.md §8, "What outlives a
-	// request"). 0 when no policy is installed.
+	// What the stores that outlive a request keep right now, counted from
+	// shapes, each within its bound (DESIGN.md §8, "What outlives a
+	// request"): plans, keyed requests, terminal jobs, and the installed
+	// policy's deployments with the kits they own.
+	CacheBytes      int64 `json:"cache_bytes" metric:"mcmpart_retained_bytes{store=\"cache\"}"`
+	MemoBytes       int64 `json:"memo_bytes" metric:"mcmpart_retained_bytes{store=\"memo\"}"`
+	JobBytes        int64 `json:"job_bytes" metric:"mcmpart_retained_bytes{store=\"jobs\"}"`
 	DeploymentBytes int64 `json:"deployment_bytes" metric:"mcmpart_retained_bytes{store=\"deployments\"}"`
 
 	// Disk tier (all zero without ServiceOptions.CacheDir). Hits are
@@ -202,7 +204,7 @@ type PlanRequest struct {
 // application shares across all callers. It adds what a multi-tenant
 // deployment needs beyond a bare Planner:
 //
-//   - a bounded LRU plan cache keyed by canonical graph fingerprint ×
+//   - a byte-bounded LRU plan cache keyed by canonical graph fingerprint ×
 //     package fingerprint × policy fingerprint × normalized options, so
 //     repeated requests for the same model return instantly and
 //     bit-identically — optionally backed by a crash-safe disk tier
@@ -253,9 +255,17 @@ type Service struct {
 	// Drain, or Close stops it, and it never reopens.
 	stopped  bool               // guarded by mu
 	seq      int                // guarded by mu
-	jobs     jobTable           // guarded by mu
 	inflight map[string]*flight // guarded by mu
+	// live holds the jobs not yet terminal, which are never evicted; the
+	// terminal transition moves a job to retired, which keeps the most
+	// recently finished or looked up within retiredJobBytes.
+	live    map[string]*Job // guarded by mu
+	retired *planCache[string, *Job]
 }
+
+// The byte bounds of the plan cache, the request memo and the terminal
+// jobs (DESIGN.md §8, "What outlives a request").
+const cacheBytes, memoBytes, retiredJobBytes = 4 << 20, 4 << 20, 16 << 20
 
 // serviceMetrics bundles the Service's instruments. Counters are never
 // decremented (Prometheus monotonicity); live quantities are gauges or
@@ -349,10 +359,6 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 	if opts.QueueDepth < 0 {
 		return nil, fmt.Errorf("%w: QueueDepth %d is negative; use 0 for the default (4x workers)", ErrInvalidRequest, opts.QueueDepth)
 	}
-	cacheEntries := opts.CacheEntries
-	if cacheEntries == 0 {
-		cacheEntries = 256
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -366,8 +372,8 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 	s := &Service{
 		planner:  planner,
 		pkgFP:    rl.PackageFingerprint(pkg),
-		cache:    newPlanCache[string, *Result](cacheEntries),
-		memo:     newPlanCache[[16]byte, keyedRequest](cacheEntries),
+		cache:    newPlanCache[string](cacheBytes, func(r *Result) int64 { return entryBytes + resultBytes(r) }),
+		memo:     newPlanCache[[16]byte](memoBytes, keyedRequest.bytes),
 		memoMAC:  memoMAC,
 		pool:     parallel.NewPool(opts.Workers, opts.QueueDepth),
 		logger:   logger,
@@ -375,8 +381,9 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 		now:      time.Now,
 		root:     root,
 		shutdown: shutdown,
-		jobs:     jobTable{byID: make(map[string]*Job)},
 		inflight: make(map[string]*flight),
+		live:     make(map[string]*Job),
+		retired:  newPlanCache[string](retiredJobBytes, (*Job).bytes),
 	}
 	// Live quantities are read straight from the owning structures at
 	// scrape time — there is no second copy to fall out of sync.
@@ -389,12 +396,15 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 	m.reg.GaugeFunc("mcmpart_workers_busy", "Workers executing a task right now.",
 		func() float64 { return float64(s.pool.Busy()) })
 	m.reg.GaugeFunc("mcmpart_cache_entries", "Plans currently held by the in-memory cache.",
-		func() float64 { size, _ := s.cache.snapshot(); return float64(size) })
-	m.reg.GaugeFunc("mcmpart_cache_capacity", "In-memory plan-cache entry bound (0 = caching disabled).",
-		func() float64 { _, capacity := s.cache.snapshot(); return float64(capacity) })
-	m.reg.GaugeFunc("mcmpart_retained_bytes", "Bytes a store keeps beyond the requests that filled it, counted from shapes.",
-		func() float64 { return float64(s.planner.snapshotPolicy().deployments.counted()) },
-		telemetry.Label{Name: "store", Value: "deployments"})
+		func() float64 { entries, _ := s.cache.snapshot(); return float64(entries) })
+	stores := map[string]func() (entries int, bytes int64){
+		"cache": s.cache.snapshot, "memo": s.memo.snapshot, "jobs": s.retired.snapshot,
+		"deployments": func() (int, int64) { return s.planner.snapshotPolicy().deployments.snapshot() },
+	}
+	for store, snapshot := range stores {
+		m.reg.GaugeFunc("mcmpart_retained_bytes", "Bytes a store keeps beyond the requests that filled it, counted from shapes.",
+			func() float64 { _, bytes := snapshot(); return float64(bytes) }, telemetry.Label{Name: "store", Value: store})
+	}
 	m.reg.GaugeFunc("mcmpart_draining", "1 while admission is stopped (BeginDrain/Drain/Close), else 0.",
 		func() float64 {
 			if s.draining() {
@@ -558,8 +568,10 @@ func (s *Service) Metrics() *telemetry.Registry { return s.m.reg }
 func (s *Service) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs.byID[id]
-	return j, ok
+	if j, ok := s.live[id]; ok {
+		return j, true
+	}
+	return s.retired.get(id)
 }
 
 // ensurePolicy takes the request's one reading of the installed policy —
@@ -591,6 +603,12 @@ type keyedRequest struct {
 	opts    PlanOptions // normalized
 	graphFP string
 	pos     []int // canonical positions of the graph's node IDs; shared, read-only
+}
+
+// bytes is what the request memo counts for k: the entry, the struct, its
+// fingerprint and its positions.
+func (k keyedRequest) bytes() int64 {
+	return entryBytes + int64(unsafe.Sizeof(k)) + int64(len(k.graphFP)) + int64(len(k.pos))*int64(unsafe.Sizeof(0))
 }
 
 // admission is one request on its way through Submit's stages.
@@ -857,7 +875,7 @@ func (s *Service) registerLocked(a *admission, tier string) *Job {
 		state:     JobQueued,
 	}
 	s.jobsWG.Add(1)
-	s.jobs.addLocked(job)
+	s.live[job.id] = job
 	switch tier {
 	case tierMemory:
 		s.m.memHits.Inc()
@@ -998,10 +1016,10 @@ func (s *Service) resolveFlight(fl *flight, leader *Job, state JobState, res *Re
 // finishJob is the terminal transition, and the single point where a
 // result is handed to a job: Job.finish maps it from canonical order to the
 // job's own node IDs without writing to it, and Job.Result copies on the
-// way out, so no caller can corrupt another's result. It updates
-// the terminal counters and feeds the retention queue, and only then fires
-// the job's Done() and releases its drain count — whoever Done() wakes sees
-// Stats() that already include this job. Safe to call twice (only the
+// way out, so no caller can corrupt another's result. It updates the
+// terminal counters and moves the job from the live jobs to the retired
+// ones, and only then fires the job's Done() and releases its drain count —
+// whoever Done() wakes sees Stats() that already include this job. Safe to call twice (only the
 // transition that wins counts).
 func (s *Service) finishJob(job *Job, state JobState, res *Result, err error) {
 	if !job.finish(state, res, err) {
@@ -1009,7 +1027,8 @@ func (s *Service) finishJob(job *Job, state JobState, res *Result, err error) {
 	}
 	s.m.jobsEnded[state].Inc()
 	s.mu.Lock()
-	s.jobs.retireLocked(job.id)
+	s.retired.put(job.id, job)
+	delete(s.live, job.id)
 	s.mu.Unlock()
 	job.release()
 	s.jobsWG.Done()

@@ -247,11 +247,11 @@ func TestShedLeavesNothingBehind(t *testing.T) {
 }
 
 // TestMaxRetainedJobs pins the retention bound: a burst of terminal jobs
-// past the bound evicts the oldest terminal ones (Service.Job false, HTTP
-// 404), keeps the table at the bound, and never evicts a live job. The
-// burst is cache hits on one small graph, microseconds each.
+// whose bytes pass the retired jobs' bound evicts the least recently
+// finished ones (Service.Job false, HTTP 404), keeps the rest within the
+// bound, and never evicts a live job. The burst is cache hits on one small
+// graph, microseconds each, and every terminal job weighs the same.
 func TestMaxRetainedJobs(t *testing.T) {
-	const bound = mcmpart.MaxRetainedJobs
 	svc := newTestService(t, mcmpart.ServiceOptions{Workers: 1})
 	srv := httptest.NewServer(mcmpart.NewHTTPHandler(svc))
 	defer srv.Close()
@@ -259,12 +259,14 @@ func TestMaxRetainedJobs(t *testing.T) {
 	ctx := context.Background()
 	greedy := mcmpart.PlanRequest{Graph: g, Options: mcmpart.PlanOptions{Method: mcmpart.MethodGreedy}}
 
-	ids := make([]string, 0, bound+64)
 	first, err := svc.Submit(ctx, greedy) // fills the cache; every later one is a hit
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-first.Done()
+	size := mcmpart.JobBytes(first)
+	bound := int(mcmpart.RetiredJobBytes / size) // terminal jobs the bound holds
+	ids := make([]string, 0, bound+64)
 	ids = append(ids, first.ID())
 
 	started, release := make(chan struct{}), make(chan struct{})
@@ -281,6 +283,9 @@ func TestMaxRetainedJobs(t *testing.T) {
 		if !job.Status().State.Terminal() {
 			t.Fatalf("burst job %s is not an already-terminal cache hit", job.ID())
 		}
+		if got := mcmpart.JobBytes(job); got != size {
+			t.Fatalf("burst job %s weighs %d bytes, the first %d", job.ID(), got, size)
+		}
 		ids = append(ids, job.ID())
 	}
 
@@ -293,14 +298,14 @@ func TestMaxRetainedJobs(t *testing.T) {
 		if ok {
 			retained++
 		}
-		// Oldest terminal first: exactly the newest bound-1 terminal jobs
-		// share the table with the live one.
-		if want := i >= len(ids)-(bound-1); ok != want {
+		// Least recently finished first: exactly the newest bound terminal
+		// jobs are retained beside the live one.
+		if want := i >= len(ids)-bound; ok != want {
 			t.Fatalf("job %s (terminal #%d of %d): retained = %t, want %t", id, i, len(ids), ok, want)
 		}
 	}
-	if retained+1 != bound {
-		t.Fatalf("table holds %d terminal jobs + 1 live, want %d in all", retained, bound)
+	if st := svc.Stats(); retained != bound || st.JobBytes != int64(bound)*size {
+		t.Fatalf("%d terminal jobs retained in %d bytes, want %d in %d", retained, st.JobBytes, bound, int64(bound)*size)
 	}
 	resp, err := http.Get(srv.URL + "/v1/jobs/" + ids[0])
 	if err != nil {

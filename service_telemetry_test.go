@@ -544,7 +544,7 @@ func checkStatsMatchMetrics(t *testing.T, st mcmpart.ServiceStats, metrics map[s
 		}
 		var stat float64
 		switch f := sv.Field(i); f.Kind() {
-		case reflect.Int:
+		case reflect.Int, reflect.Int64:
 			stat = float64(f.Int())
 		case reflect.Uint64:
 			stat = float64(f.Uint())
