@@ -3,6 +3,7 @@ package mcmpart
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -69,10 +70,11 @@ func canonicalize(res *Result, pos []int) {
 
 // planCache is the one bounded store of everything that outlives a
 // request: completed plans by cache key, keyed requests by body digest (the
-// request memo), terminal jobs by ID, and an installed policy's deployments
-// by graph fingerprint. It keeps the most recently used entries whose sizes
-// sum to at most limit bytes, each entry weighed by size(val) when it is
-// put. All methods are safe for concurrent use. A value is shared, not
+// request memo), terminal jobs by ID, and by graph fingerprint an installed
+// policy's deployments and the RL-from-scratch training kits (kitpool.go).
+// It keeps the most recently used entries whose sizes sum to at most limit
+// bytes, each entry weighed by size(val) when it is put or re-weighed. All
+// methods are safe for concurrent use. A value is shared, not
 // copied: put keeps what it is given and get returns it, so whoever holds
 // one must not write through it — the Service never does, and never hands
 // a plan to a caller (Job.Result copies). A hit is therefore bit-identical
@@ -85,6 +87,11 @@ func canonicalize(res *Result, pos []int) {
 type planCache[K comparable, V any] struct {
 	limit int64         // immutable after newPlanCache
 	size  func(V) int64 // immutable after newPlanCache
+	// evictions counts the entries put evicted and the values it did not
+	// keep for their size (mcmpart_evictions_total). A store that replaces
+	// its cache (an install's deployments) hands the counter on before the
+	// new cache is shared.
+	evictions *atomic.Uint64
 
 	mu    sync.Mutex
 	root  planCacheEntry[K, V]        // guarded by mu; root.next is the most recently used entry, root.prev the least
@@ -110,7 +117,7 @@ const entryBytes = 512
 // by size. size reads only the value's shape — slice lengths times element
 // size, string lengths, and fixed struct sizes — so it is exact and cheap.
 func newPlanCache[K comparable, V any](limit int64, size func(V) int64) *planCache[K, V] {
-	c := &planCache[K, V]{limit: limit, size: size, items: make(map[K]*planCacheEntry[K, V])}
+	c := &planCache[K, V]{limit: limit, size: size, evictions: new(atomic.Uint64), items: make(map[K]*planCacheEntry[K, V])}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
@@ -135,6 +142,24 @@ func (c *planCache[K, V]) put(key K, val V) {
 	size := c.size(val)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.keepLocked(key, val, size)
+}
+
+// reweigh is put of val under key when c still holds val there, and
+// nothing otherwise: the owner of a value whose size changes (a per-graph
+// kit pool) re-weighs it without putting back a value c evicted or
+// replaced, so that evictions counts only what c let go.
+func reweigh[K, V comparable](c *planCache[K, V], key K, val V) {
+	size := c.size(val)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.items[key]; ok && e.val == val {
+		c.keepLocked(key, val, size)
+	}
+}
+
+// keepLocked is put's body. c.mu must be held.
+func (c *planCache[K, V]) keepLocked(key K, val V, size int64) {
 	e, ok := c.items[key]
 	if ok {
 		e.unlink()
@@ -142,6 +167,7 @@ func (c *planCache[K, V]) put(key K, val V) {
 	}
 	if size > c.limit {
 		delete(c.items, key)
+		c.evictions.Add(1)
 		return
 	}
 	if !ok {
@@ -156,6 +182,7 @@ func (c *planCache[K, V]) put(key K, val V) {
 		oldest.unlink()
 		c.used -= oldest.size
 		delete(c.items, oldest.key)
+		c.evictions.Add(1)
 	}
 }
 
@@ -164,6 +191,13 @@ func (c *planCache[K, V]) snapshot() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items), c.used
+}
+
+// reading returns what /metrics reports of the cache: the bytes it counts
+// and its evictions so far.
+func (c *planCache[K, V]) reading() (bytes int64, evictions uint64) {
+	_, bytes = c.snapshot()
+	return bytes, c.evictions.Load()
 }
 
 func (e *planCacheEntry[K, V]) unlink() {

@@ -161,10 +161,12 @@ func (c *planCache[K, V]) values() []V {
 
 // refLRU is the reference FuzzPlanCache holds planCache to: a slice of
 // (key, size) pairs, most recently used first, that a put evicts from the
-// back until the sizes fit the limit.
+// back until the sizes fit the limit, counting each entry it evicts and
+// each value it does not keep.
 type refLRU struct {
-	limit   int64
-	entries []refEntry
+	limit     int64
+	entries   []refEntry
+	evictions uint64
 }
 
 type refEntry struct {
@@ -193,11 +195,13 @@ func (r *refLRU) get(key byte) (int64, bool) {
 func (r *refLRU) put(key byte, size int64) {
 	r.remove(key)
 	if size > r.limit {
+		r.evictions++
 		return
 	}
 	r.entries = slices.Insert(r.entries, 0, refEntry{key, size})
 	for r.used() > r.limit {
 		r.entries = r.entries[:len(r.entries)-1]
+		r.evictions++
 	}
 }
 
@@ -212,8 +216,9 @@ func (r *refLRU) used() (n int64) {
 // byte is the limit; then each pair of bytes is one operation on one of
 // eight keys: a get, or a put of a value that weighs the second byte.
 // After every operation both hold the same entries in the same order, a
-// get finds what the reference finds, and the cache counts the sum of its
-// entries' sizes, never more than the limit.
+// get finds what the reference finds, the cache counts the sum of its
+// entries' sizes, never more than the limit, and as many evictions as the
+// reference.
 func FuzzPlanCache(f *testing.F) {
 	f.Add([]byte{10, 8, 4, 9, 4, 10, 3, 0, 0, 8, 11, 1, 0})
 	f.Add([]byte{5, 8, 6, 9, 5, 8, 2, 9, 9, 1, 0})
@@ -253,6 +258,33 @@ func FuzzPlanCache(f *testing.F) {
 			if used != sum || used > c.limit {
 				t.Fatalf("op %d: the cache counts %d bytes, its entries hold %d, limit %d", i/2, used, sum, c.limit)
 			}
+			if got := c.evictions.Load(); got != ref.evictions {
+				t.Fatalf("op %d: the cache counts %d evictions, the reference %d", i/2, got, ref.evictions)
+			}
 		}
 	})
+}
+
+// TestReweighOnlyWhatItHolds: reweigh re-weighs a value the cache holds
+// under its key, evicting as put does, and does nothing for a value the
+// cache evicted or replaced — it neither puts it back nor counts an
+// eviction.
+func TestReweighOnlyWhatItHolds(t *testing.T) {
+	type val struct{ size int64 }
+	c := newPlanCache[string](10, func(v *val) int64 { return v.size })
+	a, b := &val{4}, &val{4}
+	c.put("a", a)
+	c.put("b", b)
+	b.size = 7
+	reweigh(c, "b", b) // a no longer fits beside it
+	if entries, used := c.snapshot(); entries != 1 || used != 7 || c.evictions.Load() != 1 {
+		t.Fatalf("after re-weighing b the cache holds %d entries, %d bytes, %d evictions; want 1, 7, 1", entries, used, c.evictions.Load())
+	}
+	a.size = 1
+	reweigh(c, "a", a) // evicted
+	c.put("b", &val{2})
+	reweigh(c, "b", b) // replaced
+	if entries, used := c.snapshot(); entries != 1 || used != 2 || c.evictions.Load() != 1 {
+		t.Fatalf("re-weighing what the cache let go left %d entries, %d bytes, %d evictions; want 1, 2, 1", entries, used, c.evictions.Load())
+	}
 }

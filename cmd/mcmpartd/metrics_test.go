@@ -71,6 +71,7 @@ var metricFamilies = []string{
 	"mcmpart_http_request_seconds", "mcmpart_disk_writes_total", "mcmpart_disk_write_errors_total",
 	"mcmpart_disk_quarantined_total", "mcmpart_disk_read_seconds", "mcmpart_disk_write_seconds",
 	"mcmpart_request_memo_hits_total", "mcmpart_deployment_reuses_total", "mcmpart_retained_bytes",
+	"mcmpart_evictions_total", "mcmpart_rl_plans_total",
 }
 
 // TestDaemonMetricsMatchStats is the telemetry acceptance test: boot the
@@ -196,6 +197,16 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		{`mcmpart_plans_coalesced_total`, 3},
 		{`mcmpart_deployment_reuses_total`, 0},             // the script plans no deployed-policy method
 		{`mcmpart_retained_bytes{store="deployments"}`, 0}, // and the daemon has no policy installed
+		{`mcmpart_retained_bytes{store="training"}`, 0},    // nor an RL-from-scratch method
+		{`mcmpart_rl_plans_total{kit="none"}`, 0},
+		{`mcmpart_rl_plans_total{kit="new"}`, 0},
+		{`mcmpart_rl_plans_total{kit="reused"}`, 0},
+		// Every store's bound holds what the script leaves.
+		{`mcmpart_evictions_total{store="cache"}`, 0},
+		{`mcmpart_evictions_total{store="memo"}`, 0},
+		{`mcmpart_evictions_total{store="jobs"}`, 0},
+		{`mcmpart_evictions_total{store="deployments"}`, 0},
+		{`mcmpart_evictions_total{store="training"}`, 0},
 		{`mcmpart_disk_writes_total`, 3},
 		{`mcmpart_plan_seconds_count{path="cold"}`, 3},
 		{`mcmpart_plan_seconds_count{path="warm"}`, 1},

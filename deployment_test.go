@@ -257,7 +257,7 @@ func idleKits(d *deployment) int {
 // TestDeploymentsStayInTheirBound: a deployment whose estimate alone
 // exceeds the set's bound is not kept; one that fits while its kit does not
 // is kept without it; and one that needs another's room evicts the least
-// recently used. The set counts every kit a deployment owns — its
+// recently used. The set counts every idle kit a deployment holds — its
 // environment and its clone — and never more than its bound.
 func TestDeploymentsStayInTheirBound(t *testing.T) {
 	pl, policy := deployedPlanner(t)
@@ -271,7 +271,7 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 		t.Fatalf("under the default bound %d deployments are kept, want 2 with an idle kit each", len(kept))
 	}
 	da, db := kept[1], kept[0]
-	aBytes, bBytes := da.Bytes()+da.KitBytes(), db.Bytes()+db.KitBytes()
+	aBytes, bBytes := da.base.Bytes()+da.base.KitBytes(), db.base.Bytes()+db.base.KitBytes()
 	if _, used := set.snapshot(); used != aBytes+bBytes {
 		t.Fatalf("the set counts %d bytes, its deployments and kits hold %d", used, aBytes+bBytes)
 	}
@@ -285,25 +285,25 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 		}
 	}
 
-	set = installBounded(pl, policy, da.Bytes()-1)
+	set = installBounded(pl, policy, da.base.Bytes()-1)
 	check("over the bound", set, a, false)
 	check("over the bound", set, a, false)
 	if entries, used := set.snapshot(); entries != 0 || used != 0 {
 		t.Errorf("over the bound: %d deployments kept, %d bytes counted", entries, used)
 	}
 
-	set = installBounded(pl, policy, da.Bytes())
+	set = installBounded(pl, policy, da.base.Bytes())
 	check("no room for a kit", set, a, false)
 	check("no room for a kit", set, a, true)
 	kept = set.values()
-	if _, used := set.snapshot(); len(kept) != 1 || idleKits(kept[0]) != 0 || used != da.Bytes() {
+	if _, used := set.snapshot(); len(kept) != 1 || idleKits(kept[0]) != 0 || used != da.base.Bytes() {
 		t.Errorf("no room for a kit: %d deployments kept, %d bytes counted", len(kept), used)
 	}
 
 	set = installBounded(pl, policy, max(aBytes, bBytes))
 	check("room for one", set, a, false)
 	check("room for one", set, b, false)
-	if kept := set.values(); len(kept) != 1 || !kept[0].Ctx.G.Identical(b) {
+	if kept := set.values(); len(kept) != 1 || !kept[0].base.Ctx.G.Identical(b) {
 		t.Errorf("room for one: %d deployments kept, want b's alone", len(kept))
 	}
 	check("room for one", set, a, false)
@@ -454,9 +454,9 @@ func TestCancelledPlanReturnsItsKit(t *testing.T) {
 
 // TestPanickedPlanReturnsNoKit: a plan that panics mid-sample hands back
 // neither its environment nor its clone, either of which it may have left
-// half written, and the next plan of the graph runs on a new kit and plans
-// the cold plan. The lost kit stays counted, as a kit out on a plan is,
-// until its deployment leaves the set. Mutation caught: a deferred put.
+// half written — its deployment stopped counting the kit when the plan took
+// it — and the next plan of the graph runs on a new kit and plans the cold
+// plan. Mutations caught: a deferred put, and a taken kit left counted.
 func TestPanickedPlanReturnsNoKit(t *testing.T) {
 	warm, policy := deployedPlanner(t)
 	cold, _ := deployedPlanner(t)
@@ -476,13 +476,16 @@ func TestPanickedPlanReturnsNoKit(t *testing.T) {
 		panicking.Progress = func(ProgressEvent) { panic("mid-plan") }
 		planReused(t, warm, g, panicking)
 	}()
-	if _, used := set.snapshot(); len(d.idle) != 0 || used != d.Bytes()+d.KitBytes() {
-		t.Fatalf("after a panicked plan the deployment has %d idle kits and the set counts %d bytes, want none and %d", len(d.idle), used, d.Bytes()+d.KitBytes())
+	if _, used := set.snapshot(); len(d.idle) != 0 || used != d.base.Bytes() {
+		t.Fatalf("after a panicked plan the deployment has %d idle kits and the set counts %d bytes, want none and %d", len(d.idle), used, d.base.Bytes())
 	}
 	opts.Seed = 2
 	got, reused := planReused(t, warm, g, opts)
 	if !reused || len(d.idle) != 1 || d.idle[0].env == k.env || d.idle[0].policy == k.policy {
 		t.Fatal("the next plan did not run on a new kit")
+	}
+	if _, used := set.snapshot(); used != d.base.Bytes()+d.base.KitBytes() {
+		t.Fatalf("with the new kit idle the set counts %d bytes, want %d", used, d.base.Bytes()+d.base.KitBytes())
 	}
 	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
 		t.Fatal("the plan after a panicked one differs from the cold plan")
@@ -554,7 +557,7 @@ func TestServiceCountsAndLogsDeploymentReuses(t *testing.T) {
 		t.Fatalf("deployment reuses %d over %d plans, want 1 over 2", st.DeploymentReuses, st.PlansExecuted)
 	}
 	d := svc.planner.snapshotPolicy().deployments.values()[0]
-	if want := d.Bytes() + d.KitBytes(); st.DeploymentBytes != want {
+	if want := d.base.Bytes() + d.base.KitBytes(); st.DeploymentBytes != want {
 		t.Fatalf("the stats count %d deployment bytes, the graph's deployment and idle kit hold %d", st.DeploymentBytes, want)
 	}
 }

@@ -55,18 +55,25 @@ func NewSAGE(inDim, hidden, depth int, rng *rand.Rand) *SAGE {
 		}
 		//mcmlint:ignore hotalloc construction: Depth iterations once per encoder, never per pass
 		name := fmt.Sprintf("sage%d", l)
-		ws := &nn.Param{Name: name + ".self", Value: mat.New(in, hidden), Grad: mat.New(in, hidden)}
-		wn := &nn.Param{Name: name + ".neigh", Value: mat.New(in, hidden), Grad: mat.New(in, hidden)}
-		b := &nn.Param{Name: name + ".bias", Value: mat.New(1, hidden), Grad: mat.New(1, hidden)}
-		if rng != nil {
-			ws.Value.XavierInit(rng)
-			wn.Value.XavierInit(rng)
-		}
-		s.wSelf = append(s.wSelf, ws)
-		s.wNeigh = append(s.wNeigh, wn)
-		s.bias = append(s.bias, b)
+		s.wSelf = append(s.wSelf, &nn.Param{Name: name + ".self", Value: mat.New(in, hidden), Grad: mat.New(in, hidden)})
+		s.wNeigh = append(s.wNeigh, &nn.Param{Name: name + ".neigh", Value: mat.New(in, hidden), Grad: mat.New(in, hidden)})
+		s.bias = append(s.bias, &nn.Param{Name: name + ".bias", Value: mat.New(1, hidden), Grad: mat.New(1, hidden)})
+	}
+	if rng != nil {
+		s.Init(rng)
 	}
 	return s
+}
+
+// Init draws every layer's weights from rng (Xavier, layer by layer, the
+// self weights before the neighbor weights) and zeroes the biases: an
+// encoder as NewSAGE builds it from rng.
+func (s *SAGE) Init(rng *rand.Rand) {
+	for l := 0; l < s.Depth; l++ {
+		s.wSelf[l].Value.XavierInit(rng)
+		s.wNeigh[l].Value.XavierInit(rng)
+		s.bias[l].Value.Zero()
+	}
 }
 
 // Params returns all trainable parameters.

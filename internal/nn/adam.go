@@ -41,6 +41,16 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return a
 }
 
+// Reset zeroes the moment estimates and the step count: the optimizer as
+// NewAdam returns it, over the same parameters.
+func (a *Adam) Reset() {
+	for i := range a.m {
+		clear(a.m[i])
+		clear(a.v[i])
+	}
+	a.step = 0
+}
+
 // fanout is how many parameters a per-parameter loop may work on at once:
 // all of them above the size threshold, one below it.
 func (a *Adam) fanout() int {

@@ -48,9 +48,16 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 		B: newParam(name+".b", 1, out),
 	}
 	if rng != nil {
-		l.W.Value.XavierInit(rng)
+		l.Init(rng)
 	}
 	return l
+}
+
+// Init draws the layer's weights from rng (Xavier) and zeroes its bias: a
+// layer as NewLinear builds it from rng.
+func (l *Linear) Init(rng *rand.Rand) {
+	l.W.Value.XavierInit(rng)
+	l.B.Value.Zero()
 }
 
 // Params returns the layer's trainable parameters.

@@ -22,6 +22,11 @@ var (
 // explicit (TrySubmit fails fast when the queue is full instead of
 // buffering unboundedly), and Close drains what was admitted.
 //
+// Tasks draw on the lane budget like any fan-out: one task runs as the
+// process's first goroutine, and each task that starts while another runs
+// holds one lane until it ends, so that a fan-out inside a task finds the
+// budget drawn down by the tasks running beside it.
+//
 // The determinism contract of this package still applies to what runs
 // inside a task: tasks must not share mutable state except through their
 // own synchronization, and any randomness must be derived from stable task
@@ -53,8 +58,12 @@ func NewPool(workers, queue int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for fn := range p.tasks {
-				p.busy.Add(1)
+				lanes := 0
+				if p.busy.Add(1) > 1 {
+					lanes = AcquireLanes(1)
+				}
 				fn()
+				ReleaseLanes(lanes)
 				p.busy.Add(-1)
 			}
 		}()

@@ -1,0 +1,130 @@
+package rl
+
+import (
+	"unsafe"
+
+	"mcmpart/internal/graph"
+)
+
+// The estimates of what the per-graph objects a planner keeps from one
+// plan to the next hold (Deployment.Bytes and KitBytes, Env.Bytes,
+// Trainer.Bytes), from shapes: the graph's node count N, the chip count C
+// and the network's widths. A store bounded by bytes weighs what it keeps
+// by them.
+
+// heapObject is what the heap holds for one object of size bytes: above
+// 32 KiB the allocator hands out whole 8 KiB pages.
+func heapObject(size int64) int64 {
+	const page = 8 << 10
+	if size <= 32<<10 {
+		return size
+	}
+	return (size + page - 1) / page * page
+}
+
+// words is what the heap holds for a slice of k 8-byte words.
+func words(k int64) int64 { return heapObject(8 * k) }
+
+// partBytes is what a partitioner on an n-node graph over chips chips
+// holds once it has sampled: the segmenter's tables, the larger of the two
+// partitioners' — a prefix-sum row, the C-1 drawn boundaries, and one
+// weight slot of (C-1) x (N-1) boundary weights per matrix it keeps. FIX
+// mode keeps one; SAMPLE mode two, each with the N x C matrix it was built
+// from, and no term memo, which a policy's matrices never build (DESIGN.md
+// §1.2).
+func partBytes(n, chips int64, sampleMode bool) int64 {
+	b := words(n) + words(chips-1)
+	if sampleMode {
+		return b + 2*(words((chips-1)*(n-1))+words(n*chips))
+	}
+	return b + words((chips-1)*(n-1))
+}
+
+// weightBytes is every weight of p and its gradient.
+func (p *Policy) weightBytes() int64 {
+	var b int64
+	for _, param := range p.params {
+		b += words(int64(len(param.Value.Data))) + words(int64(len(param.Grad.Data)))
+	}
+	return b
+}
+
+// headBytes is the head scratch Heads sizes on an n-node graph: the N x
+// Hidden first-layer activations and the N x C probabilities and
+// log-probabilities.
+func (p *Policy) headBytes(n int64) int64 {
+	return words(n*int64(p.Cfg.Hidden)) + 2*words(n*int64(p.Cfg.Chips))
+}
+
+// recordBytes is what an activation record Encode and Heads filled holds:
+// every encoder layer's aggregate and output, the embedding product, the
+// start distribution and its logarithm, and the mean embedding; with
+// trained, also the head gradients the backward pass sums on it. A record
+// never encoded holds nothing.
+func (p *Policy) recordBytes(enc *Encoding, trained bool) int64 {
+	if enc.ctx == nil {
+		return 0
+	}
+	n, hidden := int64(enc.ctx.G.NumNodes()), int64(p.Cfg.Hidden)
+	b := words(n*int64(enc.ctx.X.Cols)) + int64(2*p.Cfg.SAGELayers-1)*words(n*hidden) +
+		words(n*hidden) + 2*words(n*int64(p.Cfg.Chips)) + 8*hidden
+	if trained {
+		b += words(n*hidden) + 8*hidden
+	}
+	return b
+}
+
+// Bytes estimates what ctx holds: its graph — nodes, their names, edges,
+// and the adjacency and layout memoized on it — the encoder's CSR
+// adjacency and features, and the capacity features.
+func (ctx *GraphContext) Bytes() int64 {
+	g := ctx.G
+	n, e := int64(g.NumNodes()), int64(g.NumEdges())
+	b := n*int64(unsafe.Sizeof(graph.Node{})) + e*int64(unsafe.Sizeof(graph.Edge{})) + 40*n + 8*e
+	for _, node := range g.Nodes() {
+		b += int64(len(node.Name))
+	}
+	return b + 12*n + 8*e + 8*int64(len(ctx.X.Data)) + 8*int64(len(ctx.ChipFeat))
+}
+
+// Bytes estimates what e holds besides its context once it is Reset: its
+// partitioner's tables, in the mode e samples in.
+func (e *Env) Bytes() int64 {
+	return partBytes(int64(e.Ctx.G.NumNodes()), int64(e.Part.Chips()), e.UseSampleMode)
+}
+
+// Bytes estimates what t holds between runs, once it has trained on its
+// environments: the policy's weights and gradients with Adam's two moments
+// of the same shapes, its head and backward scratch — the first layer's
+// and the encoder's three N x Hidden gradients, the logit gradient — an
+// activation record per environment, the batch buffers, and each rollout
+// worker's clone, records and partitioner replicas. Per-node scratch is
+// sized to the largest graph. It counts neither the environments
+// (Env.Bytes) nor their contexts.
+func (t *Trainer) Bytes() int64 {
+	p := t.Policy
+	var n int64
+	for _, rec := range t.encs.recs {
+		if rec.ctx != nil {
+			n = max(n, int64(rec.ctx.G.NumNodes()))
+		}
+	}
+	hidden, chips := int64(p.Cfg.Hidden), int64(p.Cfg.Chips)
+	b := 2*p.weightBytes() + p.headBytes(n) + 4*words(n*hidden) + words(n*chips) +
+		heapObject(int64(cap(t.buf))*int64(unsafe.Sizeof(transition{}))) + words(int64(cap(t.order)))
+	for _, rec := range t.encs.recs {
+		b += p.recordBytes(rec, true)
+	}
+	for _, w := range t.clones {
+		b += w.pol.weightBytes() + w.pol.headBytes(n)
+		for _, rec := range w.encs.recs {
+			b += w.pol.recordBytes(rec, false)
+		}
+		for _, r := range w.parts {
+			if r.part != nil {
+				b += partBytes(int64(r.env.Ctx.G.NumNodes()), int64(r.part.Chips()), r.env.UseSampleMode)
+			}
+		}
+	}
+	return b
+}

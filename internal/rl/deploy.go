@@ -4,9 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"unsafe"
-
-	"mcmpart/internal/gnn"
-	"mcmpart/internal/graph"
 )
 
 // ZeroShot deploys a (pre-trained) policy on an environment without any
@@ -87,46 +84,18 @@ func NewDeployment(policy *Policy, ctx *GraphContext) *Deployment {
 	g := ctx.G
 	d := &Deployment{Ctx: ctx, start: unassigned(g.NumNodes())}
 	policy.Heads(policy.Encode(&d.enc, ctx), d.start)
-	// The estimate Bytes reports: the graph (nodes, their names, edges, and
-	// the adjacency and layout memoized on it), the context (the encoder's
-	// CSR adjacency and features), and the record (every layer's aggregate
-	// and output, the embedding product, the start distribution and its
-	// logarithm, and the start state).
-	n, e := int64(g.NumNodes()), int64(g.NumEdges())
-	d.bytes = n*int64(unsafe.Sizeof(graph.Node{})) + e*int64(unsafe.Sizeof(graph.Edge{})) + 40*n + 8*e
-	for _, node := range g.Nodes() {
-		d.bytes += int64(len(node.Name))
-	}
-	features := int64(gnn.FeatureDim)
-	d.bytes += 12*n + 8*e + 8*n*features + 8*int64(len(ctx.ChipFeat))
-	hidden, layers, chips := int64(policy.Cfg.Hidden), int64(policy.Cfg.SAGELayers), int64(policy.Cfg.Chips)
-	d.bytes += 8 * n * (features + hidden*(2*layers-1) + hidden + 2*chips + 1)
-	// The estimate KitBytes reports, object by object: an environment's
-	// segment sampler tables, the larger of the two partitioners' — a
-	// prefix-sum row, the C-1 drawn boundaries, and two weight slots of
-	// (C-1) x (N-1) boundary weights and the N x C matrix they were built
-	// from, with no term memo, which a policy's matrices never build
-	// (DESIGN.md §1.2) — and a clone of policy: every weight and its
-	// gradient, the head scratch Heads sizes (N x Hidden first-layer
-	// activations, N x C probabilities and log-probabilities) and zeroShot's
-	// (the N x C mixed matrix with its row headers, and the N-entry draw).
-	words := func(k int64) int64 { return heapObject(8 * k) }
-	d.kitBytes = words(n) + words(chips-1) + 2*(words((chips-1)*(n-1))+words(n*chips))
-	for _, p := range policy.params {
-		d.kitBytes += words(int64(len(p.Value.Data))) + words(int64(len(p.Grad.Data)))
-	}
-	d.kitBytes += words(n*hidden) + 3*words(n*chips) + heapObject(n*int64(unsafe.Sizeof([]float64(nil)))) + words(n)
+	// The estimate Bytes reports: the context (GraphContext.Bytes) and the
+	// record — every layer's aggregate and output, the embedding product,
+	// the start distribution and its logarithm — and the start state.
+	n, chips := int64(g.NumNodes()), int64(policy.Cfg.Chips)
+	d.bytes = ctx.Bytes() + policy.recordBytes(&d.enc, false) + words(n)
+	// The estimate KitBytes reports: an environment's SAMPLE-mode tables
+	// (Env.Bytes) and a clone of policy — every weight and its gradient, the
+	// head scratch Heads sizes, and zeroShot's: the N x C mixed matrix with
+	// its row headers, and the N-entry draw.
+	d.kitBytes = partBytes(n, chips, true) + policy.weightBytes() + policy.headBytes(n) +
+		words(n*chips) + heapObject(n*int64(unsafe.Sizeof([]float64(nil)))) + words(n)
 	return d
-}
-
-// heapObject is what the heap holds for one object of size bytes: above
-// 32 KiB the allocator hands out whole 8 KiB pages.
-func heapObject(size int64) int64 {
-	const page = 8 << 10
-	if size <= 32<<10 {
-		return size
-	}
-	return (size + page - 1) / page * page
 }
 
 // ZeroShot is the package-level ZeroShot from the deployment's encoding:

@@ -39,8 +39,9 @@ type Env struct {
 	NoSolver bool
 	// PartFactory builds an independent Partitioner replica over the same
 	// instance. Concurrent rollout collection needs one replica per worker
-	// (Solver and Segmenter keep per-solve scratch, so a single instance is
-	// not safe for concurrent use); when nil, the trainer falls back to
+	// beyond the first, which the trainer keeps (Solver and Segmenter keep
+	// per-solve scratch, so a single instance is not safe for concurrent
+	// use); when nil, the trainer falls back to
 	// serial collection on this environment — results are identical either
 	// way, only wall-clock differs. Eval must be safe for concurrent use
 	// whenever a factory is set (the cost model and hardware simulator are).

@@ -111,16 +111,16 @@ func NewPolicy(cfg Config, rng *rand.Rand) *Policy {
 		panic(fmt.Sprintf("rl: invalid config %+v", cfg))
 	}
 	p := &Policy{Cfg: cfg}
-	p.sage = gnn.NewSAGE(gnn.FeatureDim, cfg.Hidden, cfg.SAGELayers, rng)
+	p.sage = gnn.NewSAGE(gnn.FeatureDim, cfg.Hidden, cfg.SAGELayers, nil)
 	in := cfg.Hidden + cfg.Chips
 	// The policy head additionally sees the per-chip capacity features on
 	// heterogeneous packages; the value head pools over embeddings and the
 	// chip histogram only (capacities are constant per package, so they
 	// carry no per-state information for the baseline).
-	p.fc1 = nn.NewLinear("policy.fc1", in+cfg.headExtra(), cfg.Hidden, rng)
-	p.fc2 = nn.NewLinear("policy.fc2", cfg.Hidden, cfg.Chips, rng)
-	p.vf1 = nn.NewLinear("value.fc1", in, cfg.Hidden, rng)
-	p.vf2 = nn.NewLinear("value.fc2", cfg.Hidden, 1, rng)
+	p.fc1 = nn.NewLinear("policy.fc1", in+cfg.headExtra(), cfg.Hidden, nil)
+	p.fc2 = nn.NewLinear("policy.fc2", cfg.Hidden, cfg.Chips, nil)
+	p.vf1 = nn.NewLinear("value.fc1", in, cfg.Hidden, nil)
+	p.vf2 = nn.NewLinear("value.fc2", cfg.Hidden, 1, nil)
 	p.params = append(p.params, p.sage.Params()...)
 	p.params = append(p.params, p.fc1.Params()...)
 	p.params = append(p.params, p.fc2.Params()...)
@@ -132,7 +132,22 @@ func NewPolicy(cfg Config, rng *rand.Rand) *Policy {
 	// sized to the graph on use.
 	p.fwd.pooled, p.fwd.v1, p.fwd.vout = mat.New(1, in), mat.New(1, cfg.Hidden), mat.New(1, 1)
 	p.dPooled, p.dV1, p.dVout = mat.New(1, in), mat.New(1, cfg.Hidden), mat.New(1, 1)
+	if rng != nil {
+		p.init(rng)
+	}
 	return p
+}
+
+// init draws every weight from rng, encoder first, then the policy and the
+// value head layer by layer, and zeroes every bias: the one order a policy
+// from rng is drawn in, so that a policy re-drawn from a stream holds what
+// a new one from that stream does.
+func (p *Policy) init(rng *rand.Rand) {
+	p.sage.Init(rng)
+	p.fc1.Init(rng)
+	p.fc2.Init(rng)
+	p.vf1.Init(rng)
+	p.vf2.Init(rng)
 }
 
 // Params returns all trainable parameters.

@@ -66,10 +66,12 @@ type Trainer struct {
 	opt *nn.Adam
 	rng *rand.Rand
 
-	// Scratch that survives from one Iterate to the next, so a steady-state
-	// iteration allocates only what it hands out (transitions, partitions).
+	// Scratch that survives from one Iterate to the next, and across
+	// Restart, so a steady-state iteration allocates only what it hands out
+	// (transitions, partitions). Bytes estimates it.
 	encs    encodings // Policy's activation records, one per environment
 	clones  []*rolloutWorker
+	lanes   int // the rollout workers the last batch ran on, clones[:lanes]
 	buf     []transition
 	order   []int
 	dLogits *mat.Dense
@@ -122,6 +124,30 @@ func NewTrainer(policy *Policy, cfg PPOConfig, rng *rand.Rand) *Trainer {
 	opt := nn.NewAdam(policy.Params(), cfg.LR)
 	opt.MaxGradNorm = cfg.MaxGradNorm
 	return &Trainer{Policy: policy, Cfg: cfg, opt: opt, rng: rng}
+}
+
+// Restart readies t to train its policy from scratch again, from what
+// NewTrainer(NewPolicy(t.Policy.Cfg, rng), t.Cfg, rng) starts from: it
+// re-draws every weight from rng in NewPolicy's order, zeroes Adam's
+// moments and step count, and makes rng the trainer's stream. Everything
+// else t holds — the policy's and its rollout workers' scratch, the
+// activation records, the batch buffers, the partitioner replicas — is
+// written before it is read, so a run after Restart trains bit for bit what
+// a new trainer does, and sizes none of it again.
+func (t *Trainer) Restart(rng *rand.Rand) {
+	t.Policy.init(rng)
+	t.opt.Reset()
+	t.rng = rng
+}
+
+// TrimWorkers drops the rollout workers — each a policy clone with its
+// records and partitioner replicas — that t's last batch did not run on, so
+// that a trainer kept between runs holds the workers the lane budget last
+// granted rather than every one it ever grew. A later batch granted more
+// lanes builds them again; the batch is bit for bit the same either way.
+func (t *Trainer) TrimWorkers() {
+	clear(t.clones[t.lanes:])
+	t.clones = t.clones[:t.lanes]
 }
 
 // IterationStats summarizes one PPO iteration.
@@ -209,6 +235,9 @@ func (t *Trainer) Iterate(envs []*Env) IterationStats {
 	stats.PolicyLoss /= total
 	stats.ValueLoss /= total
 	stats.MeanEntropy /= total
+	// The transitions hold their episodes' actions; the batch is done with
+	// them, and the buffer keeps only its room.
+	clear(buf)
 	return stats
 }
 

@@ -17,11 +17,44 @@ type episodeResult struct {
 
 // rolloutWorker is what a rollout worker beyond the first owns: a clone of
 // the trainer's policy (a policy's scratch serves one caller at a time),
-// brought up to date at the start of every batch, and that clone's
-// activation records. The trainer keeps them from one batch to the next.
+// brought up to date at the start of every batch, that clone's activation
+// records, and a replica of each environment's partitioner (Solver and
+// Segmenter keep per-solve scratch). The trainer keeps them from one batch
+// to the next, and across Restart from one run to the next.
+// The first worker runs on the trainer's own policy and records and on the
+// environments' own partitioners.
 type rolloutWorker struct {
-	pol  *Policy
-	encs encodings
+	pol   *Policy
+	encs  encodings
+	parts []replica // by environment index
+}
+
+// replica is a partitioner Env.PartFactory built for env.
+type replica struct {
+	env  *Env
+	part cpsolver.Partitioner
+}
+
+// partFor returns w's replica of the partitioner of env, the batch's
+// environment ei, building it when w holds none for env. A replica samples
+// what a new one does from the same RNG stream, whatever it sampled before
+// (the partitioners' contract), so it is kept for as long as env is.
+func (w *rolloutWorker) partFor(env *Env, ei int) cpsolver.Partitioner {
+	for len(w.parts) <= ei {
+		w.parts = append(w.parts, replica{})
+	}
+	r := &w.parts[ei]
+	if r.env != env {
+		part, err := env.PartFactory()
+		if err != nil {
+			// Replica construction re-runs a constructor that already
+			// succeeded for env.Part; a failure here is a programming
+			// error, not an input condition.
+			panic("rl: PartFactory failed: " + err.Error())
+		}
+		*r = replica{env: env, part: part}
+	}
+	return r.part
 }
 
 // collect gathers Cfg.Rollouts episodes, fanning them across the lanes the
@@ -29,8 +62,8 @@ type rolloutWorker struct {
 // contract: episode r derives its RNG from (iterSeed, r) and starts from
 // the environments' state at collection start, so the batch is bit-for-bit
 // identical on one worker and on N; only wall-clock changes. Each worker
-// runs on its own policy clone and, when more than one worker is active, on
-// partitioner replicas built by Env.PartFactory. Environments without a
+// beyond the first runs on its own policy clone and on partitioner
+// replicas built by Env.PartFactory (rolloutWorker). Environments without a
 // factory force serial collection (same code path, same results). No weight
 // changes during collection, so each worker encodes each of its graphs once
 // for the whole batch.
@@ -54,18 +87,14 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 	for len(t.clones) < lanes {
 		t.clones = append(t.clones, &rolloutWorker{pol: NewPolicy(t.Policy.Cfg, nil)})
 	}
+	t.lanes = lanes
 	results := make([]episodeResult, rollouts)
 	parallel.ForEachBlock(lanes+1, rollouts, func(w, lo, hi int) {
-		pol, encs := t.Policy, &t.encs
-		var replicas map[int]cpsolver.Partitioner
-		if lanes > 0 {
-			// Workers beyond the first need private policy scratch; every
-			// worker needs private solver scratch, covered by replicas.
-			if w > 0 {
-				pol, encs = t.clones[w-1].pol, &t.clones[w-1].encs
-				pol.copyWeights(t.Policy)
-			}
-			replicas = make(map[int]cpsolver.Partitioner)
+		pol, encs, worker := t.Policy, &t.encs, (*rolloutWorker)(nil)
+		if w > 0 {
+			worker = t.clones[w-1]
+			pol, encs = worker.pol, &worker.encs
+			pol.copyWeights(t.Policy)
 		}
 		encs.begin(len(envs))
 		var mixed [][]float64 // this worker's SAMPLE-mode matrix
@@ -73,20 +102,8 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 			ei := r % len(envs)
 			env := envs[ei]
 			part := env.Part
-			if replicas != nil && usesSolver(env) {
-				rep, ok := replicas[ei]
-				if !ok {
-					var err error
-					rep, err = env.PartFactory()
-					if err != nil {
-						// Replica construction re-runs a constructor that
-						// already succeeded for env.Part; a failure here is
-						// a programming error, not an input condition.
-						panic("rl: PartFactory failed: " + err.Error())
-					}
-					replicas[ei] = rep
-				}
-				part = rep
+			if worker != nil && usesSolver(env) {
+				part = worker.partFor(env, ei)
 			}
 			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, starts[ei], part, &mixed, eps0[ei], parallel.Rng(iterSeed, r))
 		}

@@ -141,12 +141,13 @@ const (
 // series is one label combination within a family: exactly one of the
 // value fields is set, matching the family kind.
 type series struct {
-	labels  []Label // sorted by name; immutable after registration
-	key     string  // canonical label key, for get-or-create
-	counter *Counter
-	gauge   *Gauge
-	gaugeFn func() float64
-	hist    *Histogram
+	labels    []Label // sorted by name; immutable after registration
+	key       string  // canonical label key, for get-or-create
+	counter   *Counter
+	counterFn func() uint64
+	gauge     *Gauge
+	gaugeFn   func() float64
+	hist      *Histogram
 }
 
 // family is every series sharing one metric name.
@@ -178,10 +179,25 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.seriesLocked(name, help, kindCounter, nil, labels)
+	if s.counterFn != nil {
+		panic("telemetry: series " + name + " is registered as a CounterFunc")
+	}
 	if s.counter == nil {
 		s.counter = &Counter{}
 	}
 	return s.counter
+}
+
+// CounterFunc registers a counter whose value is read from fn at scrape
+// time — for counts the structure that owns them keeps (a store's
+// evictions). fn must never decrease. Re-registering the same series
+// replaces fn.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.seriesLocked(name, help, kindCounter, nil, labels)
+	s.counter = nil
+	s.counterFn = fn
 }
 
 // Gauge returns the gauge for name and labels, registering on first use.
@@ -305,6 +321,8 @@ func (r *Registry) read(name string) reflect.Value {
 		return reflect.Value{}
 	case s.counter != nil:
 		return reflect.ValueOf(s.counter.Value())
+	case s.counterFn != nil:
+		return reflect.ValueOf(s.counterFn())
 	case s.gauge != nil:
 		return reflect.ValueOf(s.gauge.Value())
 	case s.gaugeFn != nil:
@@ -400,6 +418,11 @@ func appendSeries(buf []byte, fam *family, s *series) []byte {
 		buf = appendName(buf, fam.name, s.labels, "")
 		buf = append(buf, ' ')
 		buf = strconv.AppendUint(buf, s.counter.Value(), 10)
+		buf = append(buf, '\n')
+	case s.counterFn != nil:
+		buf = appendName(buf, fam.name, s.labels, "")
+		buf = append(buf, ' ')
+		buf = strconv.AppendUint(buf, s.counterFn(), 10)
 		buf = append(buf, '\n')
 	case s.gaugeFn != nil:
 		buf = appendName(buf, fam.name, s.labels, "")

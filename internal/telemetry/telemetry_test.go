@@ -82,6 +82,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 		done.Inc()
 	}
 	r.Counter("jobs_total", "jobs processed", Label{"state", "failed"}).Inc()
+	r.CounterFunc("jobs_total", "jobs processed", func() uint64 { return 5 }, Label{"state", "shed"})
 	r.GaugeFunc("depth", "queue depth", func() float64 { return 2 })
 	h := r.Histogram("lat_seconds", "latency", []float64{0.5, 1})
 	h.Observe(0.2)
@@ -100,6 +101,7 @@ depth 2
 # TYPE jobs_total counter
 jobs_total{state="done"} 3
 jobs_total{state="failed"} 1
+jobs_total{state="shed"} 5
 # HELP lat_seconds latency
 # TYPE lat_seconds histogram
 lat_seconds_bucket{le="0.5"} 1
@@ -138,6 +140,7 @@ func TestRegistryFill(t *testing.T) {
 	depth.Dec()
 	r.GaugeFunc("ratio", "r", func() float64 { return 0.5 })
 	r.GaugeFunc("on", "o", func() float64 { return 1 })
+	r.CounterFunc("evictions_total", "e", func() uint64 { return 4 })
 	h := r.Histogram("lat_seconds", "l", []float64{1}, Label{"path", "cold"})
 	h.Observe(0.25)
 	h.Observe(2)
@@ -147,6 +150,7 @@ func TestRegistryFill(t *testing.T) {
 		Depth int     `metric:"depth"`
 		Ratio float64 `metric:"ratio"`
 		On    bool    `metric:"on"`
+		Evict uint64  `metric:"evictions_total"`
 		Count int     `metric:"lat_seconds_count{path=\"cold\"}"`
 		Sum   float64 `metric:"lat_seconds_sum{path=\"cold\"}"`
 		Stale uint64  `metric:"jobs_total{state=\"shed\"}"`
@@ -155,7 +159,7 @@ func TestRegistryFill(t *testing.T) {
 	}
 	got := stats{Stale: 7, Bare: 7, Note: "kept"}
 	r.Fill(&got)
-	want := stats{Done: 3, Depth: -2, Ratio: 0.5, On: true, Count: 2, Sum: 2.25, Note: "kept"}
+	want := stats{Done: 3, Depth: -2, Ratio: 0.5, On: true, Evict: 4, Count: 2, Sum: 2.25, Note: "kept"}
 	if got != want {
 		t.Fatalf("Fill = %+v, want %+v", got, want)
 	}
@@ -166,7 +170,7 @@ func TestRegistryFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	typ := reflect.TypeFor[stats]()
-	for _, name := range []string{"Done", "Depth", "Ratio", "On", "Count", "Sum"} {
+	for _, name := range []string{"Done", "Depth", "Ratio", "On", "Evict", "Count", "Sum"} {
 		f, _ := typ.FieldByName(name)
 		if key := f.Tag.Get("metric"); !strings.Contains(sb.String(), "\n"+key+" ") {
 			t.Errorf("%s's key %s is not a line of the exposition:\n%s", name, key, sb.String())

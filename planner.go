@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"mcmpart/internal/analyze"
 	"mcmpart/internal/costmodel"
@@ -216,6 +217,12 @@ type PretrainReport struct {
 // the concurrency contract Service builds on (see DESIGN.md).
 type Planner struct {
 	pkg *Package
+	// training is what RL-from-scratch plans keep of the graphs they
+	// trained on (training.go); it outlives installs, which it does not
+	// depend on. rlPlans counts those plans by what they ran on (kitNone,
+	// kitNew, kitReused).
+	training *planCache[string, *trainingKits]
+	rlPlans  [3]atomic.Uint64
 
 	// mu guards the installed policy. The policy value itself is immutable
 	// once installed: planning methods clone it before any weight update.
@@ -251,7 +258,7 @@ func NewPlanner(pkg *Package) (*Planner, error) {
 	if err := pkg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Planner{pkg: pkg, installed: policySnapshot{deployments: newDeployments()}}, nil
+	return &Planner{pkg: pkg, training: newTrainingKits(), installed: policySnapshot{deployments: newDeployments()}}, nil
 }
 
 // Package returns the package this planner is bound to.
@@ -282,6 +289,7 @@ func (pl *Planner) installPolicy(policy *rl.Policy, path string) {
 	if path != "" && path == pl.installed.path && snap.fp == pl.installed.fp {
 		return
 	}
+	snap.deployments.evictions = pl.installed.deployments.evictions
 	pl.installed = snap
 }
 
@@ -427,10 +435,6 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	if opts.Method.usesPolicy() && installed.policy == nil {
 		return nil, false, fmt.Errorf("%w: method %q needs Pretrain or LoadPolicy first", ErrPolicyRequired, opts.Method)
 	}
-	// MethodRL always uses the package's fresh network shape, regardless of
-	// any loaded artifact — "scratch" must mean the same configuration on
-	// every planner.
-	scratchCfg := pl.freshPolicyConfig(false)
 
 	greedy, base, err := pl.baseline(g, ev)
 	if err != nil {
@@ -447,11 +451,15 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		return res, false, err
 	}
 
+	rng := rand.New(rand.NewSource(opts.Seed))
 	var env *rl.Env
 	var policy *rl.Policy // the deployed-policy methods' own clone of the installed policy
 	var d *deployment
 	var k kit
-	if opts.Method.usesPolicy() {
+	var tk *trainingKits
+	var trk trainingKit
+	switch {
+	case opts.Method.usesPolicy():
 		// A policy's scratch serves one caller, and fine-tuning updates
 		// weights: each plan runs on a clone of its own, and the planner's
 		// installed policy stays the pristine pre-trained artifact. The
@@ -466,14 +474,18 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		if opts.Method == MethodFineTune {
 			policy = installed.policy.Clone()
 		}
-	} else {
+	case opts.Method == MethodRL:
+		// The environment, policy, trainer and rollout workers come from
+		// one of the graph's training kits; the policy's weights are drawn
+		// from rng, as a fresh one's are.
+		if tk, trk, err = pl.takeTrainingKit(g, ev, base.Throughput, rng); err != nil {
+			return nil, false, err
+		}
+		env = trk.env
+	default:
 		// The search methods run no policy and read only the graph from
 		// their environment's context, so theirs carries no encoder inputs.
-		gctx := &rl.GraphContext{G: g}
-		if opts.Method == MethodRL {
-			gctx = pl.graphContext(g, scratchCfg)
-		}
-		if env, err = pl.buildEnv(g, gctx, ev, base.Throughput); err != nil {
+		if env, err = pl.buildEnv(g, &rl.GraphContext{G: g}, ev, base.Throughput); err != nil {
 			return nil, false, err
 		}
 	}
@@ -491,7 +503,6 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 			env.Prime(p)
 		}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	var runErr error
 	switch opts.Method {
 	case MethodRandom:
@@ -499,14 +510,12 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	case MethodSA:
 		runErr = search.Anneal(ctx, env, opts.SampleBudget, search.SAConfig{}, rng)
 	case MethodRL:
-		policy := rl.NewPolicy(scratchCfg, rng)
-		trainer := rl.NewTrainer(policy, rl.QuickPPOConfig(), rng)
-		_, runErr = trainer.TrainUntil(ctx, []*rl.Env{env}, opts.SampleBudget)
+		_, runErr = trk.trainer.TrainUntil(ctx, []*rl.Env{env}, opts.SampleBudget)
 	case MethodZeroShot:
 		// The deployed-policy methods drive the solver in SAMPLE mode
 		// (deploy set it), the configuration the policy was pre-trained
 		// under (Sec. 5.1's choice for the transfer experiments).
-		runErr = d.ZeroShot(ctx, policy, env, opts.SampleBudget, rng)
+		runErr = d.base.ZeroShot(ctx, policy, env, opts.SampleBudget, rng)
 	case MethodFineTune:
 		_, runErr = rl.FineTune(ctx, policy, env, installed.ftPPO, opts.SampleBudget, rng)
 	default:
@@ -524,11 +533,15 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		}
 	}
 	samples := env.Samples
+	// Only a plan that returns hands its kit back: one that panicked
+	// mid-sample may have left its solver's tables or its scratch half
+	// built, and is dropped with its kit, which its store stopped counting
+	// when the plan took it.
 	if d != nil {
-		// Only a plan that returns hands its kit back: one that panicked
-		// mid-sample may have left its solver's tables or its clone's
-		// scratch half built.
-		d.put(k)
+		d.put(installed.deployments, k)
+	}
+	if tk != nil {
+		tk.put(pl.training, trk.weighed())
 	}
 	if res == nil {
 		if runErr != nil {

@@ -137,14 +137,34 @@ type ServiceStats struct {
 	// of the identical graph under the same installed policy — instead of
 	// building their own. At quiescence it is at most PlansExecuted.
 	DeploymentReuses uint64 `json:"deployment_reuses" metric:"mcmpart_deployment_reuses_total"`
+	// RL-from-scratch plans by what they ran on: RLPlansFirst ran cold on a
+	// graph the training store had no sighting of, and kept nothing;
+	// RLPlansNewKit built the kit a repeat graph keeps; RLPlansReusedKit ran
+	// on an idle kit an earlier plan of the identical graph left. Their sum
+	// counts every RL plan the planner ran (a library caller's too), and
+	// the share of the last two is the share of RL plans that repeat a
+	// graph past the plan cache — the traffic the training store serves.
+	RLPlansFirst     uint64 `json:"rl_plans_first" metric:"mcmpart_rl_plans_total{kit=\"none\"}"`
+	RLPlansNewKit    uint64 `json:"rl_plans_new_kit" metric:"mcmpart_rl_plans_total{kit=\"new\"}"`
+	RLPlansReusedKit uint64 `json:"rl_plans_reused_kit" metric:"mcmpart_rl_plans_total{kit=\"reused\"}"`
 	// What the stores that outlive a request keep right now, counted from
 	// shapes, each within its bound (DESIGN.md §8, "What outlives a
-	// request"): plans, keyed requests, terminal jobs, and the installed
-	// policy's deployments with the kits they own.
+	// request"): plans, keyed requests, terminal jobs, the installed
+	// policy's deployments with the kits they own, and the RL-from-scratch
+	// plans' graph contexts with their idle training kits.
 	CacheBytes      int64 `json:"cache_bytes" metric:"mcmpart_retained_bytes{store=\"cache\"}"`
 	MemoBytes       int64 `json:"memo_bytes" metric:"mcmpart_retained_bytes{store=\"memo\"}"`
 	JobBytes        int64 `json:"job_bytes" metric:"mcmpart_retained_bytes{store=\"jobs\"}"`
 	DeploymentBytes int64 `json:"deployment_bytes" metric:"mcmpart_retained_bytes{store=\"deployments\"}"`
+	TrainingBytes   int64 `json:"training_bytes" metric:"mcmpart_retained_bytes{store=\"training\"}"`
+	// How many entries each of those stores evicted to make room, plus the
+	// values it did not keep because they alone exceed its bound. The
+	// deployments count on across installs.
+	CacheEvictions      uint64 `json:"cache_evictions" metric:"mcmpart_evictions_total{store=\"cache\"}"`
+	MemoEvictions       uint64 `json:"memo_evictions" metric:"mcmpart_evictions_total{store=\"memo\"}"`
+	JobEvictions        uint64 `json:"job_evictions" metric:"mcmpart_evictions_total{store=\"jobs\"}"`
+	DeploymentEvictions uint64 `json:"deployment_evictions" metric:"mcmpart_evictions_total{store=\"deployments\"}"`
+	TrainingEvictions   uint64 `json:"training_evictions" metric:"mcmpart_evictions_total{store=\"training\"}"`
 
 	// Disk tier (all zero without ServiceOptions.CacheDir). Hits are
 	// in-memory misses served from disk; Quarantined counts entries set
@@ -397,13 +417,21 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 		func() float64 { return float64(s.pool.Busy()) })
 	m.reg.GaugeFunc("mcmpart_cache_entries", "Plans currently held by the in-memory cache.",
 		func() float64 { entries, _ := s.cache.snapshot(); return float64(entries) })
-	stores := map[string]func() (entries int, bytes int64){
-		"cache": s.cache.snapshot, "memo": s.memo.snapshot, "jobs": s.retired.snapshot,
-		"deployments": func() (int, int64) { return s.planner.snapshotPolicy().deployments.snapshot() },
+	stores := map[string]func() (bytes int64, evictions uint64){
+		"cache": s.cache.reading, "memo": s.memo.reading, "jobs": s.retired.reading,
+		"deployments": func() (int64, uint64) { return s.planner.snapshotPolicy().deployments.reading() },
+		"training":    s.planner.training.reading,
 	}
-	for store, snapshot := range stores {
+	for use, kit := range [...]string{kitNone: "none", kitNew: "new", kitReused: "reused"} {
+		m.reg.CounterFunc("mcmpart_rl_plans_total", "RL-from-scratch plans by what they ran on: a graph's first, cold and kept nowhere; a repeat graph's on a training kit it built; or on one an earlier plan left idle.",
+			s.planner.rlPlans[use].Load, telemetry.Label{Name: "kit", Value: kit})
+	}
+	for store, read := range stores {
+		label := telemetry.Label{Name: "store", Value: store}
 		m.reg.GaugeFunc("mcmpart_retained_bytes", "Bytes a store keeps beyond the requests that filled it, counted from shapes.",
-			func() float64 { _, bytes := snapshot(); return float64(bytes) }, telemetry.Label{Name: "store", Value: store})
+			func() float64 { bytes, _ := read(); return float64(bytes) }, label)
+		m.reg.CounterFunc("mcmpart_evictions_total", "Entries a store evicted to make room, and values it did not keep because they alone exceed its bound.",
+			func() uint64 { _, evictions := read(); return evictions }, label)
 	}
 	m.reg.GaugeFunc("mcmpart_draining", "1 while admission is stopped (BeginDrain/Drain/Close), else 0.",
 		func() float64 {
