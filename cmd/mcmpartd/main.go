@@ -24,9 +24,9 @@
 // admitted jobs may wait (further submissions get HTTP 429). What the
 // daemon keeps between requests — plans, known request bodies, finished
 // jobs, a policy's per-graph deployments, the RL training kits of graphs
-// planned RL more than once — is bounded in bytes by constants, not flags
-// (DESIGN.md §8, "What outlives a request"); mcmpart_rl_plans_total{kit}
-// reports how many RL plans repeat a graph.
+// planned RL — is bounded in bytes by constants, not flags (DESIGN.md §8,
+// "What outlives a request"); mcmpart_rl_plans_total{kit} reports how many
+// RL plans ran on a kit an earlier plan of their graph left.
 // -cache-dir adds a crash-safe persistent plan-cache tier under the
 // in-memory cache: completed plans are written through and survive daemon
 // restarts bit-identically. -workers sets the process-wide compute budget

@@ -198,7 +198,6 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		{`mcmpart_deployment_reuses_total`, 0},             // the script plans no deployed-policy method
 		{`mcmpart_retained_bytes{store="deployments"}`, 0}, // and the daemon has no policy installed
 		{`mcmpart_retained_bytes{store="training"}`, 0},    // nor an RL-from-scratch method
-		{`mcmpart_rl_plans_total{kit="none"}`, 0},
 		{`mcmpart_rl_plans_total{kit="new"}`, 0},
 		{`mcmpart_rl_plans_total{kit="reused"}`, 0},
 		// Every store's bound holds what the script leaves.

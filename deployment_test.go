@@ -47,28 +47,34 @@ func deployedPlanner(tb testing.TB) (*Planner, *rl.Policy) {
 	return pl, policy
 }
 
-// planReused is Plan, also reporting whether the plan reused a deployment.
+// planReused is Plan, also reporting whether the plan reused a deployment
+// or, for MethodRL, an idle training kit.
 func planReused(tb testing.TB, pl *Planner, g *Graph, opts PlanOptions) (*Result, bool) {
 	tb.Helper()
 	opts, err := normalizeRequest(g, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	kits := pl.rlPlans[kitReused].Load()
 	res, reused, err := pl.plan(context.Background(), g, opts, pl.snapshotPolicy())
 	if err != nil {
 		tb.Fatal(err)
 	}
+	if opts.Method == MethodRL {
+		reused = pl.rlPlans[kitReused].Load() != kits
+	}
 	return res, reused
 }
 
-// coldPlan plans on a fresh install of policy: a snapshot with no
-// deployments.
+// coldPlan plans on a fresh install of policy and an empty training store:
+// with no deployments and no training kits.
 func coldPlan(tb testing.TB, pl *Planner, policy *rl.Policy, g *Graph, opts PlanOptions) *Result {
 	tb.Helper()
 	pl.installPolicy(policy, "")
+	pl.training = newTrainingKits()
 	res, reused := planReused(tb, pl, g, opts)
 	if reused {
-		tb.Fatal("a plan on a fresh install reused a deployment")
+		tb.Fatal("a plan on a fresh install and an empty training store reused an entry")
 	}
 	return res
 }
@@ -131,13 +137,11 @@ func variant(g *Graph, edit func(nodes []graph.Node, edges []graph.Edge)) *Graph
 
 // TestNearIdenticalGraphsGetTheirOwnDeployment: graphs that differ from a
 // deployed one only in one node's name, in a FLOPs of -0 against +0, or in
-// the insertion order of two edges do not find its deployment, and plan what
-// a cold plan of each does. Mutation caught: deployments matched by
-// fingerprint, canonical positions, or a comparison that skips names or
-// reads floats by value.
+// the insertion order of two edges do not find its deployment, or for an
+// RL plan its training kits, and plan what a cold plan of each does.
+// Mutation caught: entries matched by fingerprint, canonical positions, or
+// a comparison that skips names or reads floats by value.
 func TestNearIdenticalGraphsGetTheirOwnDeployment(t *testing.T) {
-	warm, policy := deployedPlanner(t)
-	cold, _ := deployedPlanner(t)
 	base := variant(CorpusGraphs(1)[40], func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = 0 })
 	variants := map[string]*Graph{
 		"node name": variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[1].Name += "'" }),
@@ -146,43 +150,55 @@ func TestNearIdenticalGraphsGetTheirOwnDeployment(t *testing.T) {
 			edges[0], edges[len(edges)-1] = edges[len(edges)-1], edges[0]
 		}),
 	}
-	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 3}
-	planReused(t, warm, base, opts)
-	for name, g := range variants {
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for round := 0; round < 2; round++ {
-			got, reused := planReused(t, warm, g, opts)
-			if reused != (round == 1) {
-				t.Errorf("%s, plan %d: reused a deployment %t", name, round, reused)
+	for _, method := range []Method{MethodZeroShot, MethodRL} {
+		warm, policy := deployedPlanner(t)
+		cold, _ := deployedPlanner(t)
+		opts := PlanOptions{Method: method, SampleBudget: 16, Seed: 3}
+		planReused(t, warm, base, opts)
+		for name, g := range variants {
+			if err := g.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if w, gb := resultBits(coldPlan(t, cold, policy, g, opts)), resultBits(got); w != gb {
-				t.Errorf("%s, plan %d: warm plan differs from a cold one", name, round)
+			for round := 0; round < 2; round++ {
+				got, reused := planReused(t, warm, g, opts)
+				if reused != (round == 1) {
+					t.Errorf("%s %s, plan %d: reused an entry %t", method, name, round, reused)
+				}
+				if w, gb := resultBits(coldPlan(t, cold, policy, g, opts)), resultBits(got); w != gb {
+					t.Errorf("%s %s, plan %d: warm plan differs from a cold one", method, name, round)
+				}
 			}
 		}
 	}
 }
 
 // TestDeploymentKeepsItsOwnGraph: a caller that grows its graph after a
-// plan and plans it again gets the grown graph's cold plan — the deployment
-// was built on a clone, so it neither matches the grown graph nor changes
-// with it. Mutation caught: a deployment built on the caller's graph.
+// plan and plans it again gets the grown graph's cold plan — the deployment,
+// or for an RL plan the training kits' entry, was built on a clone, so it
+// neither matches the grown graph nor changes with it, and the graph as it
+// was before it grew still finds it. Mutation caught: an entry built on the
+// caller's graph.
 func TestDeploymentKeepsItsOwnGraph(t *testing.T) {
-	warm, policy := deployedPlanner(t)
-	cold, _ := deployedPlanner(t)
-	g := CorpusGraphs(1)[40].Clone()
-	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 8, Seed: 4}
-	planReused(t, warm, g, opts)
-	last := g.NumNodes() - 1
-	id := g.AddNode(g.Node(last))
-	g.MustAddEdge(last, id, g.Node(last).OutputBytes)
-	got, reused := planReused(t, warm, g, opts)
-	if reused {
-		t.Fatal("the grown graph's plan reused the deployment of the graph before it grew")
-	}
-	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
-		t.Fatal("the grown graph's plan differs from its cold plan")
+	for _, method := range []Method{MethodZeroShot, MethodRL} {
+		warm, policy := deployedPlanner(t)
+		cold, _ := deployedPlanner(t)
+		orig := CorpusGraphs(1)[40]
+		g := orig.Clone()
+		opts := PlanOptions{Method: method, SampleBudget: 8, Seed: 4}
+		planReused(t, warm, g, opts)
+		last := g.NumNodes() - 1
+		id := g.AddNode(g.Node(last))
+		g.MustAddEdge(last, id, g.Node(last).OutputBytes)
+		got, reused := planReused(t, warm, g, opts)
+		if reused {
+			t.Fatalf("%s: the grown graph's plan reused the entry of the graph before it grew", method)
+		}
+		if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
+			t.Fatalf("%s: the grown graph's plan differs from its cold plan", method)
+		}
+		if got, reused := planReused(t, warm, orig, opts); !reused || resultBits(got) != resultBits(coldPlan(t, cold, policy, orig, opts)) {
+			t.Fatalf("%s: the graph as it was before it grew reused its entry %t, or planned other than its cold plan", method, reused)
+		}
 	}
 }
 
@@ -415,40 +431,66 @@ func TestReusedEnvironmentCallsNoEarlierProgress(t *testing.T) {
 	}
 }
 
-// TestCancelledPlanReturnsItsKit: a zero-shot plan cancelled mid-episode
-// hands its kit back as a plan that ran to its budget does, and the next
-// plan of the graph, on that kit — its solver's tables and its clone's
-// scratch as the cancelled plan left them — is the cold plan bit for bit.
+// storeKits returns how many entries set holds and the idle kits of all of
+// them.
+func storeKits[D any](set *planCache[string, *kitPool[D]]) (entries int, idle []kit) {
+	kept := set.values()
+	for _, p := range kept {
+		p.mu.Lock()
+		idle = append(idle, p.idle...)
+		p.mu.Unlock()
+	}
+	return len(kept), idle
+}
+
+// TestCancelledPlanReturnsItsKit: a zero-shot plan cancelled mid-episode,
+// or an RL plan cancelled mid-iteration — which stops when the iteration
+// ends (TrainUntil) — hands its kit back as a plan that ran to its budget
+// does, and the next plan of the graph, on that kit — its solver's tables
+// and its clone's or its trainer's scratch as the cancelled plan left them
+// — is the cold plan bit for bit.
 func TestCancelledPlanReturnsItsKit(t *testing.T) {
-	warm, policy := deployedPlanner(t)
-	cold, _ := deployedPlanner(t)
-	g := CorpusGraphs(1)[40]
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cancelled, err := normalizeRequest(g, PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 1, Progress: func(ev ProgressEvent) {
-		if ev.Samples == 5 { // the first step of an episode
-			cancel()
+	for _, c := range []struct {
+		method          Method
+		budget, samples int // the cancelled plan's budget, and the samples it returns
+	}{{MethodZeroShot, 16, 5}, {MethodRL, 32, 16}} {
+		warm, policy := deployedPlanner(t)
+		cold, _ := deployedPlanner(t)
+		g := CorpusGraphs(1)[40]
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled, err := normalizeRequest(g, PlanOptions{Method: c.method, SampleBudget: c.budget, Seed: 1, Progress: func(ev ProgressEvent) {
+			if ev.Samples == 5 { // the first step of an episode
+				cancel()
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	installed := warm.snapshotPolicy()
-	if res, _, err := warm.plan(ctx, g, cancelled, installed); !errors.Is(err, context.Canceled) || res == nil || res.Samples != 5 {
-		t.Fatalf("the cancelled plan returned %+v, %v; want its 5 samples and context.Canceled", res, err)
-	}
-	kept := installed.deployments.values()
-	if len(kept) != 1 || len(kept[0].idle) != 1 {
-		t.Fatalf("after a cancelled plan %d deployments are kept, want 1 with its kit", len(kept))
-	}
-	k := kept[0].idle[0]
-	opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: 2}
-	got, reused := planReused(t, warm, g, opts)
-	if idle := kept[0].idle; !reused || len(idle) != 1 || idle[0] != k {
-		t.Fatal("the next plan did not run on the cancelled plan's kit")
-	}
-	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
-		t.Fatal("the plan on a cancelled plan's kit differs from the cold plan")
+		installed := warm.snapshotPolicy()
+		res, _, err := warm.plan(ctx, g, cancelled, installed)
+		cancel()
+		if !errors.Is(err, context.Canceled) || res == nil || res.Samples != c.samples {
+			t.Fatalf("%s: the cancelled plan returned %+v, %v; want its %d samples and context.Canceled", c.method, res, err, c.samples)
+		}
+		kits := func() (int, []kit) {
+			if c.method == MethodRL {
+				return storeKits(warm.training)
+			}
+			return storeKits(installed.deployments)
+		}
+		entries, idle := kits()
+		if entries != 1 || len(idle) != 1 {
+			t.Fatalf("%s: after a cancelled plan %d entries are kept, want 1 with its kit", c.method, entries)
+		}
+		k := idle[0]
+		opts := PlanOptions{Method: c.method, SampleBudget: 16, Seed: 2}
+		got, reused := planReused(t, warm, g, opts)
+		if _, idle := kits(); !reused || len(idle) != 1 || idle[0].env != k.env {
+			t.Fatalf("%s: the next plan did not run on the cancelled plan's kit", c.method)
+		}
+		if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
+			t.Fatalf("%s: the plan on a cancelled plan's kit differs from the cold plan", c.method)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // policy's deployments (deployment.go) and the planner's training kits
 // (training.go): base, what every plan of the graph shares, built once on
 // a clone of the graph, and a free list of idle kits, each what one plan
-// runs on besides base. A plan takes an idle kit, or builds one when none
-// is idle, and hands it back with put once it is done.
+// runs on besides base. A plan takes an entry and a kit with takeKit, and
+// hands the kit back with put once it is done.
 //
 // The store is keyed by graph fingerprint, and a graph finds the entry
 // under its fingerprint only when it is Identical to the graph the entry
@@ -21,95 +21,105 @@ import (
 // a plan is the plan's, and one whose plan panicked mid-sample — which may
 // have left its solver's tables or its scratch half built — is never handed
 // back, so it stops being counted when it is taken.
-type kitPool[D any, K poolKit] struct {
-	base      D      // immutable
-	g         *Graph // immutable: the clone base was built on
-	fp        string // immutable; the store's key
-	baseBytes int64  // immutable: what base holds
+type kitPool[D any] struct {
+	base      D                               // immutable
+	g         *Graph                          // immutable: the clone base was built on
+	fp        string                          // immutable; the store's key
+	baseBytes int64                           // immutable: what base holds
+	set       *planCache[string, *kitPool[D]] // immutable: the store the entry was put in
 	mu        sync.Mutex
-	idle      []K // guarded by mu
+	idle      []kit // guarded by mu
 	// weight is what the store counts for the entry: base and the idle
 	// kits. It changes only under mu, and the entry is re-weighed before mu
 	// is released, so the store weighs it as its last change left it.
 	weight atomic.Int64
 }
 
-// poolKit is what a pool's kits are: each runs on an environment, and
-// weighs what it held when its plan handed it back.
-type poolKit interface {
-	environment() *rl.Env
-	size() int64
+// kit is what one plan of an entry's graph runs on besides the entry's
+// base: an environment on the base's context, and either a clone of the
+// policy a deployment was built under (policy) or a trainer whose policy,
+// optimizer, activation records, rollout workers with their partitioner
+// replicas and batch buffers are sized for the graph (trainer). An idle
+// kit's environment is Reset, so that it holds no trajectory and calls no
+// earlier request's callback.
+type kit struct {
+	env     *rl.Env
+	policy  *rl.Policy
+	trainer *rl.Trainer
+	bytes   int64 // what the store counts for the kit while it is idle
 }
 
 // newKitStore returns an empty store of per-graph kit pools bounded to
 // limit bytes.
-func newKitStore[D any, K poolKit](limit int64) *planCache[string, *kitPool[D, K]] {
-	return newPlanCache[string](limit, (*kitPool[D, K]).bytes)
+func newKitStore[D any](limit int64) *planCache[string, *kitPool[D]] {
+	return newPlanCache[string](limit, (*kitPool[D]).bytes)
 }
 
-// addKitPool puts in set, under fp, a new entry of base, which holds
-// baseBytes and was built on clone, a clone of the graph whose fingerprint
-// is fp (nil for an entry no graph finds, a training store's sighting); it
-// replaces whatever set holds under fp, and is not kept when base alone
-// exceeds set's bound.
-func addKitPool[D any, K poolKit](set *planCache[string, *kitPool[D, K]], fp string, clone *Graph, base D, baseBytes int64) *kitPool[D, K] {
-	p := &kitPool[D, K]{base: base, g: clone, fp: fp, baseBytes: baseBytes}
-	p.weight.Store(baseBytes)
-	set.put(fp, p)
-	return p
-}
-
-// kitPoolOf returns set's entry for g, and false when set holds none that
-// was built on a graph Identical to g.
-func kitPoolOf[D any, K poolKit](set *planCache[string, *kitPool[D, K]], g *Graph) (*kitPool[D, K], bool) {
-	p, ok := set.get(g.Fingerprint())
-	if !ok || p.g == nil || !p.g.Identical(g) {
-		return nil, false
+// takeKit returns set's entry for g and, when the entry has one, an idle
+// kit of it, which the caller readies for its plan; otherwise a zero kit,
+// for the caller to build one on the entry's base. held reports that set
+// held the entry: one built on a graph Identical to g under g's
+// fingerprint. When it held none, the entry is new, its base newBase's on
+// a clone of g, and replaces whatever set holds under the fingerprint; it
+// is not kept when its base alone exceeds set's bound.
+func takeKit[D any](set *planCache[string, *kitPool[D]], g *Graph, newBase func(clone *Graph) (base D, bytes int64)) (p *kitPool[D], k kit, held bool) {
+	fp := g.Fingerprint()
+	if p, held = set.get(fp); held && p.g.Identical(g) {
+		return p, p.take(), true
 	}
-	return p, true
+	clone := g.Clone()
+	base, bytes := newBase(clone)
+	p = &kitPool[D]{base: base, g: clone, fp: fp, baseBytes: bytes, set: set}
+	p.weight.Store(bytes)
+	set.put(fp, p)
+	return p, kit{}, false
 }
 
 // bytes is what the store counts for p.
-func (p *kitPool[D, K]) bytes() int64 { return p.weight.Load() }
+func (p *kitPool[D]) bytes() int64 { return p.weight.Load() }
 
-// reweighLocked counts p's base and idle kits, and re-weighs p in set if
-// set still holds it. p.mu must be held.
-func (p *kitPool[D, K]) reweighLocked(set *planCache[string, *kitPool[D, K]]) {
+// reweighLocked counts p's base and idle kits, and re-weighs p in its store
+// if the store still holds it. p.mu must be held.
+func (p *kitPool[D]) reweighLocked() {
 	w := p.baseBytes
 	for _, k := range p.idle {
-		w += k.size()
+		w += k.bytes
 	}
 	p.weight.Store(w)
-	reweigh(set, p.fp, p)
+	reweigh(p.set, p.fp, p)
 }
 
-// take returns one of p's idle kits, and false when none is idle.
-func (p *kitPool[D, K]) take(set *planCache[string, *kitPool[D, K]]) (k K, ok bool) {
+// take returns one of p's idle kits, and a zero kit when none is idle.
+func (p *kitPool[D]) take() (k kit) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.idle)
 	if n == 0 {
-		return k, false
+		return k
 	}
 	k = p.idle[n-1]
-	var zero K
-	p.idle[n-1] = zero
+	p.idle[n-1] = kit{}
 	p.idle = p.idle[:n-1]
-	p.reweighLocked(set)
-	return k, true
+	p.reweighLocked()
+	return k
 }
 
-// put hands k, which a plan on p's base has finished with and whose size
-// is what it holds now, back to p's idle list, its environment Reset so
-// that it holds no trajectory and calls no earlier request's callback. A
-// kit that does not fit in set beside p's base and idle kits is dropped.
-func (p *kitPool[D, K]) put(set *planCache[string, *kitPool[D, K]], k K) {
-	k.environment().Reset()
+// put hands k, which a plan on p's base has finished with, back to p's
+// idle list, its environment Reset. A trainer keeps the rollout workers its
+// last batch ran on, and its kit is weighed as it then holds; a
+// deployment's kit keeps the weight it was built with. A kit that does not
+// fit in p's store beside p's base and idle kits is dropped.
+func (p *kitPool[D]) put(k kit) {
+	if k.trainer != nil {
+		k.trainer.TrimWorkers()
+		k.bytes = k.env.Bytes() + k.trainer.Bytes()
+	}
+	k.env.Reset()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.weight.Load()+k.size() > set.limit {
+	if p.weight.Load()+k.bytes > p.set.limit {
 		return
 	}
 	p.idle = append(p.idle, k)
-	p.reweighLocked(set)
+	p.reweighLocked()
 }

@@ -219,10 +219,10 @@ type Planner struct {
 	pkg *Package
 	// training is what RL-from-scratch plans keep of the graphs they
 	// trained on (training.go); it outlives installs, which it does not
-	// depend on. rlPlans counts those plans by what they ran on (kitNone,
-	// kitNew, kitReused).
+	// depend on. rlPlans counts those plans by what they ran on (kitNew,
+	// kitReused).
 	training *planCache[string, *trainingKits]
-	rlPlans  [3]atomic.Uint64
+	rlPlans  [2]atomic.Uint64
 
 	// mu guards the installed policy. The policy value itself is immutable
 	// once installed: planning methods clone it before any weight update.
@@ -456,8 +456,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	var policy *rl.Policy // the deployed-policy methods' own clone of the installed policy
 	var d *deployment
 	var k kit
-	var tk *trainingKits
-	var trk trainingKit
+	var put func(kit) // hands k back to the entry it came from
 	switch {
 	case opts.Method.usesPolicy():
 		// A policy's scratch serves one caller, and fine-tuning updates
@@ -470,7 +469,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		if d, k, reused, err = pl.deploy(g, installed, ev, base.Throughput); err != nil {
 			return nil, false, err
 		}
-		env, policy = k.env, k.policy
+		env, policy, put = k.env, k.policy, d.put
 		if opts.Method == MethodFineTune {
 			policy = installed.policy.Clone()
 		}
@@ -478,10 +477,11 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		// The environment, policy, trainer and rollout workers come from
 		// one of the graph's training kits; the policy's weights are drawn
 		// from rng, as a fresh one's are.
-		if tk, trk, err = pl.takeTrainingKit(g, ev, base.Throughput, rng); err != nil {
+		var e *trainingKits
+		if e, k, err = pl.takeTrainingKit(g, ev, base.Throughput, rng); err != nil {
 			return nil, false, err
 		}
-		env = trk.env
+		env, put = k.env, e.put
 	default:
 		// The search methods run no policy and read only the graph from
 		// their environment's context, so theirs carries no encoder inputs.
@@ -510,7 +510,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	case MethodSA:
 		runErr = search.Anneal(ctx, env, opts.SampleBudget, search.SAConfig{}, rng)
 	case MethodRL:
-		_, runErr = trk.trainer.TrainUntil(ctx, []*rl.Env{env}, opts.SampleBudget)
+		_, runErr = k.trainer.TrainUntil(ctx, []*rl.Env{env}, opts.SampleBudget)
 	case MethodZeroShot:
 		// The deployed-policy methods drive the solver in SAMPLE mode
 		// (deploy set it), the configuration the policy was pre-trained
@@ -537,11 +537,8 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	// mid-sample may have left its solver's tables or its scratch half
 	// built, and is dropped with its kit, which its store stopped counting
 	// when the plan took it.
-	if d != nil {
-		d.put(installed.deployments, k)
-	}
-	if tk != nil {
-		tk.put(pl.training, trk.weighed())
+	if put != nil {
+		put(k)
 	}
 	if res == nil {
 		if runErr != nil {

@@ -137,14 +137,12 @@ type ServiceStats struct {
 	// of the identical graph under the same installed policy — instead of
 	// building their own. At quiescence it is at most PlansExecuted.
 	DeploymentReuses uint64 `json:"deployment_reuses" metric:"mcmpart_deployment_reuses_total"`
-	// RL-from-scratch plans by what they ran on: RLPlansFirst ran cold on a
-	// graph the training store had no sighting of, and kept nothing;
-	// RLPlansNewKit built the kit a repeat graph keeps; RLPlansReusedKit ran
-	// on an idle kit an earlier plan of the identical graph left. Their sum
-	// counts every RL plan the planner ran (a library caller's too), and
-	// the share of the last two is the share of RL plans that repeat a
-	// graph past the plan cache — the traffic the training store serves.
-	RLPlansFirst     uint64 `json:"rl_plans_first" metric:"mcmpart_rl_plans_total{kit=\"none\"}"`
+	// RL-from-scratch plans by what they ran on: RLPlansNewKit built a kit,
+	// which its graph's entry in the training store keeps; RLPlansReusedKit
+	// ran on an idle kit an earlier plan of the identical graph left. Their
+	// sum counts every RL plan the planner ran (a library caller's too), and
+	// the share of the second is the share of RL plans the training store
+	// served.
 	RLPlansNewKit    uint64 `json:"rl_plans_new_kit" metric:"mcmpart_rl_plans_total{kit=\"new\"}"`
 	RLPlansReusedKit uint64 `json:"rl_plans_reused_kit" metric:"mcmpart_rl_plans_total{kit=\"reused\"}"`
 	// What the stores that outlive a request keep right now, counted from
@@ -422,8 +420,8 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 		"deployments": func() (int64, uint64) { return s.planner.snapshotPolicy().deployments.reading() },
 		"training":    s.planner.training.reading,
 	}
-	for use, kit := range [...]string{kitNone: "none", kitNew: "new", kitReused: "reused"} {
-		m.reg.CounterFunc("mcmpart_rl_plans_total", "RL-from-scratch plans by what they ran on: a graph's first, cold and kept nowhere; a repeat graph's on a training kit it built; or on one an earlier plan left idle.",
+	for use, kit := range [...]string{kitNew: "new", kitReused: "reused"} {
+		m.reg.CounterFunc("mcmpart_rl_plans_total", "RL-from-scratch plans by what they ran on: a training kit the plan built, or one an earlier plan of the graph left idle.",
 			s.planner.rlPlans[use].Load, telemetry.Label{Name: "kit", Value: kit})
 	}
 	for store, read := range stores {

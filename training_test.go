@@ -11,11 +11,11 @@ import (
 	"mcmpart/internal/rl"
 )
 
-// The planner's training kits (training.go): a graph's first RL plan runs
-// cold and keeps a sighting of the graph alone; a repeat graph's RL plan
-// runs on the context, environment, trainer, rollout workers and
-// partitioner replicas an earlier RL plan of the identical graph built, and
-// trains exactly what a cold plan does.
+// The planner's training kits (training.go): a graph's first RL plan builds
+// the graph's context, environment, trainer, rollout workers and
+// partitioner replicas and keeps them; a repeat graph's RL plan runs on
+// what an earlier RL plan of the identical graph kept, and trains exactly
+// what a cold plan does.
 
 // withWorkers runs fn under a temporary process-default worker count.
 func withWorkers(w int, fn func()) {
@@ -26,8 +26,7 @@ func withWorkers(w int, fn func()) {
 }
 
 // coldRLPlan plans g on a new planner, with no training kit to take, and
-// returns the plan's result bits. The plan leaves a sighting of g in the
-// store and nothing else.
+// returns the plan's result bits.
 func coldRLPlan(tb testing.TB, g *Graph, opts PlanOptions) string {
 	tb.Helper()
 	pl, err := NewPlanner(Edge36())
@@ -38,51 +37,45 @@ func coldRLPlan(tb testing.TB, g *Graph, opts PlanOptions) string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if entries, used := pl.training.snapshot(); entries != 1 || used != sightingBytes || len(idleTrainingKits(pl, g)) != 0 {
-		tb.Fatalf("a graph's first RL plan left %d entries, %d bytes in the training store, want a sighting of %d", entries, used, sightingBytes)
-	}
 	return resultBits(res)
 }
 
-// keptRLBytes is what the training store counts once g is planned twice on
-// a new planner: g's context and one kit.
+// keptRLBytes is what the training store counts once g is planned on a new
+// planner: g's context and one kit.
 func keptRLBytes(tb testing.TB, g *Graph, opts PlanOptions) int64 {
 	tb.Helper()
 	pl, err := NewPlanner(Edge36())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for range 2 {
-		if _, err := pl.Plan(context.Background(), g, opts); err != nil {
-			tb.Fatal(err)
-		}
+	if _, err := pl.Plan(context.Background(), g, opts); err != nil {
+		tb.Fatal(err)
 	}
 	_, used := pl.training.snapshot()
 	if len(idleTrainingKits(pl, g)) != 1 {
-		tb.Fatal("a repeat graph's RL plan left no kit in the training store")
+		tb.Fatal("a graph's RL plan left no kit in the training store")
 	}
 	return used
 }
 
 // idleTrainingKits returns the idle kits of g's entry in pl's store, nil
 // when the store holds none for g.
-func idleTrainingKits(pl *Planner, g *Graph) []trainingKit {
+func idleTrainingKits(pl *Planner, g *Graph) []kit {
 	e, ok := pl.training.get(g.Fingerprint())
 	if !ok {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]trainingKit(nil), e.idle...)
+	return append([]kit(nil), e.idle...)
 }
 
 // TestWarmRLPlansMatchColdPlans: RL plans on the cost model and the
 // simulator, seeds 1-4, on BERT and a corpus graph, at one worker and then
 // at eight, each planned cold (a new planner) and warm on one planner that
-// planned every earlier case — so each graph's first warm plan keeps
-// nothing, its second builds the kit, and every later one runs on the kit
-// the plan before it handed back, whose trainer grows seven rollout workers
-// when the count goes up. Every Result must be float-bit identical (under
+// planned every earlier case — so each graph's first warm plan builds the
+// kit, and every later one runs on the kit the plan before it handed back,
+// whose trainer grows seven rollout workers when the count goes up. Every Result must be float-bit identical (under
 // -short and -race: the corpus graph, seed 1), and the planner counts each
 // plan by what it ran on. Mutations caught: a kit whose trainer is not
 // Restarted, or whose environment keeps the previous plan's evaluator.
@@ -98,8 +91,7 @@ func TestWarmRLPlansMatchColdPlans(t *testing.T) {
 	want := make(map[[3]int64]string)
 	plans := 0
 	for gi, g := range graphs {
-		var kit *rl.Trainer
-		first := true
+		var trainer *rl.Trainer
 		for _, workers := range []int{1, 8} {
 			for sim := range 2 {
 				for _, seed := range seeds {
@@ -116,15 +108,10 @@ func TestWarmRLPlansMatchColdPlans(t *testing.T) {
 					})
 					plans++
 					idle := idleTrainingKits(warm, g)
-					switch {
-					case first && len(idle) != 0:
-						t.Fatalf("%s %v: the graph's first RL plan kept a kit", g.Name(), opts)
-					case !first && (len(idle) != 1 || (kit != nil && idle[0].trainer != kit)):
+					if len(idle) != 1 || (trainer != nil && idle[0].trainer != trainer) {
 						t.Fatalf("%s %v: the warm plan did not hand back the kit the plan before it used", g.Name(), opts)
-					case !first:
-						kit = idle[0].trainer
 					}
-					first = false
+					trainer = idle[0].trainer
 					if resultBits(got) != want[key] {
 						t.Errorf("%s simulator=%t seed %d at %d workers: the warm plan differs from the cold one", g.Name(), sim == 1, seed, workers)
 					}
@@ -133,8 +120,8 @@ func TestWarmRLPlansMatchColdPlans(t *testing.T) {
 		}
 	}
 	n := uint64(len(graphs))
-	if none, built, reused := warm.rlPlans[kitNone].Load(), warm.rlPlans[kitNew].Load(), warm.rlPlans[kitReused].Load(); none != n || built != n || reused != uint64(plans)-2*n {
-		t.Errorf("the planner counts %d first, %d new-kit and %d reused-kit RL plans of %d, want %d, %d, %d", none, built, reused, plans, n, n, uint64(plans)-2*n)
+	if built, reused := warm.rlPlans[kitNew].Load(), warm.rlPlans[kitReused].Load(); built != n || reused != uint64(plans)-n {
+		t.Errorf("the planner counts %d new-kit and %d reused-kit RL plans of %d, want %d, %d", built, reused, plans, n, uint64(plans)-n)
 	}
 }
 
@@ -157,15 +144,14 @@ func checkIdleTrainingKitsDistinct(t *testing.T, set *planCache[string, *trainin
 }
 
 // checkTrainingWeights fails unless the store counts what its entries hold:
-// each entry its context (or a sighting's bytes) and its idle kits as they
-// were weighed.
+// each entry its context and its idle kits as they were weighed.
 func checkTrainingWeights(t *testing.T, set *planCache[string, *trainingKits]) {
 	t.Helper()
 	var sum int64
 	for _, e := range set.values() {
 		e.mu.Lock()
 		sum += e.baseBytes
-		if e.base != nil && e.baseBytes != e.base.Bytes() {
+		if e.baseBytes != e.base.Bytes() {
 			t.Errorf("an entry weighs its context %d bytes, the context holds %d", e.baseBytes, e.base.Bytes())
 		}
 		for _, k := range e.idle {
@@ -182,7 +168,7 @@ func checkTrainingWeights(t *testing.T, set *planCache[string, *trainingKits]) {
 // and hand back its training kits concurrently, and each plans what the
 // serial cold plan of its seed does. First one graph under the default
 // bound; then three under a bound with room for one graph's context and
-// kit, so that sightings, puts, evictions and dropped kits race with takes. No two
+// kit, so that puts, evictions and dropped kits race with takes. No two
 // in-flight plans hold one trainer or one environment: every plan checks,
 // at every sample, that the idle kits are distinct, and under -race (CI)
 // two plans writing one trainer's scratch fail the run. Every field an
@@ -233,7 +219,7 @@ func TestConcurrentRLPlansTradeKits(t *testing.T) {
 	if kept := warm.training.values(); len(kept) != 1 || len(idleTrainingKits(warm, graphs[0])) == 0 {
 		t.Fatalf("after concurrent RL plans of one graph the store keeps %d entries", len(kept))
 	}
-	warm.training = newKitStore[*rl.GraphContext, trainingKit](limit)
+	warm.training = newKitStore[*rl.GraphContext](limit)
 	run(len(graphs))
 	checkIdleTrainingKitsDistinct(t, warm.training)
 	checkTrainingWeights(t, warm.training)
@@ -254,10 +240,8 @@ func TestPanickedRLPlanReturnsNoKit(t *testing.T) {
 	}
 	g := CorpusGraphs(1)[40]
 	opts := PlanOptions{Method: MethodRL, SampleBudget: 16, Seed: 1}
-	for range 2 { // the second keeps a kit
-		if _, err := pl.Plan(context.Background(), g, opts); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := pl.Plan(context.Background(), g, opts); err != nil {
+		t.Fatal(err)
 	}
 	lost := idleTrainingKits(pl, g)[0]
 	func() {
@@ -290,9 +274,9 @@ func TestPanickedRLPlanReturnsNoKit(t *testing.T) {
 
 // TestRepeatRLPlanHeapBytes holds what a repeat graph's RL plan allocates
 // through the Planner: BERT/edge36 at bert-rl's budget, one worker. plan(2)
-// runs on the kit plan(3) handed back (plan(1), the graph's first, kept
-// none) — environment, trainer, policy and records sized — so it allocates
-// its samples and transitions alone:
+// runs on the kit plan(1), the graph's first, built and plan(3) handed back
+// — environment, trainer, policy and records sized — so it allocates its
+// samples and transitions alone:
 // 1 421 488 bytes measured when training kits were introduced, against
 // 11 860 016 while every plan built its context, environment, policy and
 // trainer and sized their scratch (19.7 MB at two workers, with a rollout
@@ -313,8 +297,8 @@ func TestRepeatRLPlanHeapBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		plan(1) // the graph's memoized layout and fingerprint, and its sighting
-		plan(3) // its kit
+		plan(1) // the graph's memoized layout and fingerprint, and its kit
+		plan(3)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		plan(2)
@@ -365,8 +349,8 @@ func TestRetainedTrainingHeapStaysInItsBound(t *testing.T) {
 	if st.TrainingBytes > trainingBytes || st.TrainingEvictions == 0 {
 		t.Errorf("the training store counts %d bytes after %d evictions, bound %d", st.TrainingBytes, st.TrainingEvictions, trainingBytes)
 	}
-	if st.RLPlansFirst != variants || st.RLPlansNewKit != variants || st.RLPlansReusedKit != 0 {
-		t.Errorf("the service counts %d first, %d new-kit and %d reused-kit RL plans, want %d, %d, 0", st.RLPlansFirst, st.RLPlansNewKit, st.RLPlansReusedKit, variants, variants)
+	if st.RLPlansNewKit != variants || st.RLPlansReusedKit != variants {
+		t.Errorf("the service counts %d new-kit and %d reused-kit RL plans, want %d, %d", st.RLPlansNewKit, st.RLPlansReusedKit, variants, variants)
 	}
 	if grown > trainingBytes+slack {
 		t.Errorf("the heap grew by %d bytes over %d RL plans, bound %d", grown, variants, trainingBytes+slack)
@@ -388,8 +372,7 @@ func BenchmarkPlanRLWarmBERT(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	plan(1) // the graph's sighting
-	plan(2) // its kit
+	plan(1) // the graph's kit
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -397,97 +380,54 @@ func BenchmarkPlanRLWarmBERT(b *testing.B) {
 	}
 }
 
-// TestFirstRLPlanHeapBytes holds what a graph's first RL plan costs the
-// planner beyond the plan: BERT/edge36 at bert-rl's budget, one worker, on
-// a new planner and a new graph. The plan runs cold on the graph itself and
-// keeps a sighting alone — no clone of the graph, no context or kit left to
-// evict another graph's — so it allocates what a plan with no store did
-// (11 822 960 bytes, 483 objects measured before training kits) plus the
-// graph's fingerprint (≈0.14 MB, 45 objects), and the heap after a GC holds
-// nothing more than the sighting. Mutations caught: a first plan that keeps
-// its kit (+10.7 MB held) or clones the graph (+0.17 MB allocated).
+// TestFirstRLPlanHeapBytes holds what a graph's first RL plan allocates:
+// the plan, and the training kit it builds and keeps — a clone of the graph
+// with its adjacency and layout, the context, the environment and the
+// trainer. BERT/edge36 at bert-rl's budget, one worker; the ceiling is the
+// 12 127 744 bytes measured when every first plan began to keep its kit,
+// 0.30 MB above the 11 823 552 of a first plan that ran cold on the graph
+// and kept nothing (the clone). What the plan keeps stays within the
+// store's bound.
 func TestFirstRLPlanHeapBytes(t *testing.T) {
-	const ceiling = 12050000
-	const keptCeiling = 64 << 10
+	const ceiling = 12160000
 	if raceEnabled {
-		t.Skip("a BERT RL plan; the race detector checks no allocation")
+		t.Skip("two BERT RL plans; the race detector checks no allocation")
 	}
 	pl, err := NewPlanner(Edge36())
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := BERT()
+	opts := PlanOptions{Method: MethodRL, SampleBudget: 32, Seed: 1}
 	withWorkers(1, func() {
-		var before, after, kept runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if _, err := pl.Plan(context.Background(), g, PlanOptions{Method: MethodRL, SampleBudget: 32, Seed: 1}); err != nil {
+		if _, err := pl.Plan(context.Background(), g, opts); err != nil { // the graph's memoized layout and fingerprint
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		runtime.GC()
-		runtime.ReadMemStats(&kept)
-		runtime.KeepAlive(g)
-		if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
-			t.Errorf("a graph's first RL plan allocates %d bytes, ceiling %d: does it clone the graph or build a kit to keep?", got, ceiling)
-		}
-		if grown := int64(kept.HeapAlloc) - int64(before.HeapAlloc); grown > keptCeiling {
-			t.Errorf("a graph's first RL plan leaves %d bytes on the heap, ceiling %d", grown, keptCeiling)
-		}
-	})
-	if entries, used := pl.training.snapshot(); entries != 1 || used != sightingBytes {
-		t.Errorf("the training store holds %d entries, %d bytes, want a sighting of %d", entries, used, sightingBytes)
-	}
-}
-
-// TestRLPlansOfDistinctGraphsKeepNoKits: a stream of graphs each planned RL
-// once — 24 corpus graphs — keeps a sighting per graph and no kit: the
-// store counts 24 sightings, its bound evicts nothing, and every plan
-// counts as a graph's first. Planning one of them again builds its kit.
-func TestRLPlansOfDistinctGraphsKeepNoKits(t *testing.T) {
-	pl, err := NewPlanner(Edge36())
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := CorpusGraphs(1)[40:64]
-	if testing.Short() || raceEnabled {
-		graphs = graphs[:4]
-	}
-	opts := PlanOptions{Method: MethodRL, SampleBudget: 8, Seed: 1}
-	for _, g := range graphs {
+		pl.training = newTrainingKits()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, err := pl.Plan(context.Background(), g, opts); err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+			t.Errorf("a graph's first RL plan allocates %d bytes, ceiling %d", got, ceiling)
+		}
+	})
+	if entries, used := pl.training.snapshot(); entries != 1 || used > trainingBytes || len(idleTrainingKits(pl, g)) != 1 {
+		t.Errorf("a graph's first RL plan leaves %d entries, %d bytes in the training store, want its kit within %d", entries, used, trainingBytes)
 	}
-	n := int64(len(graphs))
-	if entries, used := pl.training.snapshot(); entries != int(n) || used != n*sightingBytes || pl.training.evictions.Load() != 0 {
-		t.Fatalf("%d graphs planned once leave %d entries, %d bytes, %d evictions in the training store, want %d sightings of %d bytes", n, entries, used, pl.training.evictions.Load(), n, sightingBytes)
-	}
-	if first := pl.rlPlans[kitNone].Load(); first != uint64(n) || pl.rlPlans[kitNew].Load() != 0 {
-		t.Fatalf("%d graphs planned once count %d first plans and %d with a new kit", n, first, pl.rlPlans[kitNew].Load())
-	}
-	if _, err := pl.Plan(context.Background(), graphs[0], opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(idleTrainingKits(pl, graphs[0])) != 1 || pl.rlPlans[kitNew].Load() != 1 {
-		t.Fatal("a graph planned a second time kept no kit")
-	}
-	checkTrainingWeights(t, pl.training)
 }
 
 // TestTrainingStoreCountsRealEvictions: evictions count only what the
-// store let go. A graph whose context alone exceeds the store's bound is not
-// kept, and that is one eviction; its plans then alternate between a
-// sighting and an entry that is not kept. And a kit handed back to an entry
-// the store evicted while the kit's plan ran re-weighs nothing: the entry
-// stays out and what evicted it stays in. Mutation caught: a re-weigh that
-// puts back an evicted entry.
+// store let go. A kit handed back to an entry the store evicted while the
+// kit's plan ran re-weighs nothing: the entry stays out and what evicted it
+// stays in. Mutation caught: a re-weigh that puts back an evicted entry.
 func TestTrainingStoreCountsRealEvictions(t *testing.T) {
 	pl, err := NewPlanner(Edge36())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.training = newKitStore[*rl.GraphContext, trainingKit](2 * sightingBytes)
 	a := CorpusGraphs(1)[40]
 	plan := func(g *Graph, seed int64, progress func(ProgressEvent)) {
 		t.Helper()
@@ -495,19 +435,9 @@ func TestTrainingStoreCountsRealEvictions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for seed := int64(1); seed <= 4; seed++ {
-		plan(a, seed, nil)
-	}
-	if ev := pl.training.evictions.Load(); ev != 2 {
-		t.Errorf("four RL plans of a graph whose context exceeds the bound count %d evictions, want 2", ev)
-	}
-	if none, built := pl.rlPlans[kitNone].Load(), pl.rlPlans[kitNew].Load(); none != 2 || built != 2 {
-		t.Errorf("the planner counts %d first and %d new-kit plans, want 2 and 2", none, built)
-	}
-
 	// Room for one graph's context and kit; b is a's shape under another
 	// fingerprint, so its context and kit weigh what a's do.
-	pl.training = newKitStore[*rl.GraphContext, trainingKit](keptRLBytes(t, a, PlanOptions{Method: MethodRL, SampleBudget: 8, Seed: 1}))
+	pl.training = newKitStore[*rl.GraphContext](keptRLBytes(t, a, PlanOptions{Method: MethodRL, SampleBudget: 8, Seed: 1}))
 	b := variant(a, func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs++ })
 	plan(a, 1, nil)
 	plan(a, 2, nil) // a's entry and kit fill the bound
@@ -520,19 +450,20 @@ func TestTrainingStoreCountsRealEvictions(t *testing.T) {
 		nested = true
 		plan(b, 1, nil)
 		plan(b, 2, nil) // b's kit evicts a's entry while a's plan holds its kit
-		if _, held := kitPoolOf(pl.training, a); held {
+		if _, held := pl.training.get(a.Fingerprint()); held {
 			t.Fatal("b's entry and kit did not evict a's entry")
 		}
 		ev = pl.training.evictions.Load()
 	})
-	if _, held := kitPoolOf(pl.training, a); held || len(idleTrainingKits(pl, b)) != 1 || pl.training.evictions.Load() != ev {
+	if _, held := pl.training.get(a.Fingerprint()); held || len(idleTrainingKits(pl, b)) != 1 || pl.training.evictions.Load() != ev {
 		t.Errorf("a kit handed back to an evicted entry put it back (held %t, %d evictions, want %d)", held, pl.training.evictions.Load(), ev)
 	}
 	checkTrainingWeights(t, pl.training)
 }
 
 // BenchmarkPlanRLFirstBERT times what a graph's first RL-from-scratch plan
-// costs: a new planner and a new BERT graph per op, at bert-rl's budget.
+// costs: a new planner and a new BERT graph per op, at bert-rl's budget;
+// the plan builds the graph's training kit and keeps it.
 // TestFirstRLPlanHeapBytes holds its bytes.
 func BenchmarkPlanRLFirstBERT(b *testing.B) {
 	b.ReportAllocs()
