@@ -71,7 +71,7 @@ var metricFamilies = []string{
 	"mcmpart_http_request_seconds", "mcmpart_disk_writes_total", "mcmpart_disk_write_errors_total",
 	"mcmpart_disk_quarantined_total", "mcmpart_disk_read_seconds", "mcmpart_disk_write_seconds",
 	"mcmpart_request_memo_hits_total", "mcmpart_deployment_reuses_total", "mcmpart_retained_bytes",
-	"mcmpart_evictions_total", "mcmpart_rl_plans_total",
+	"mcmpart_evictions_total", "mcmpart_rl_plans_total", "mcmpart_structure_memo_hits_total",
 }
 
 // TestDaemonMetricsMatchStats is the telemetry acceptance test: boot the
@@ -193,6 +193,10 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		{`mcmpart_cache_misses_total{tier="memory"}`, 6},
 		{`mcmpart_cache_hits_total{tier="disk"}`, 0},
 		{`mcmpart_request_memo_hits_total`, 1},
+		// Every request after the cold one sends g's structure again: the
+		// leader, its three followers, the queued and the shed request are
+		// keyed with no fingerprint (the warm repeat skips keying).
+		{`mcmpart_structure_memo_hits_total`, 6},
 		{`mcmpart_plans_executed_total`, 3},
 		{`mcmpart_plans_coalesced_total`, 3},
 		{`mcmpart_deployment_reuses_total`, 0},             // the script plans no deployed-policy method

@@ -626,7 +626,7 @@ func BenchmarkPlanZeroShotWarmBERT(b *testing.B) {
 
 // TestFirstDeployedPlanHeapBytes holds what the first zero-shot plan of a
 // graph under an installed policy allocates: the plan, and the deployment
-// it builds — a clone of the graph with its adjacency and layout, the
+// it builds — a clone of the graph sharing its adjacency and layout, the
 // context, the encoding and start distribution, and the environment.
 // BERT/edge36 at serve-zeroshot's budget, one worker; the ceiling is the
 // 10 165 296 bytes measured when deployments were introduced, 0.3 MB above

@@ -456,15 +456,16 @@ func decodePlanRequest(body []byte) (req PlanRequestWire, err error) {
 	if err := sc.Open('{', "a request object"); err != nil {
 		return req, err
 	}
-	for first := true; ; first = false {
-		key, ok, err := sc.Member(first)
+	for first, next := true, 0; ; first = false {
+		field, key, ok, err := sc.MemberOf(first, requestFields[:], next)
 		if err != nil {
 			return req, err
 		}
 		if !ok {
 			return req, sc.End()
 		}
-		switch jsonscan.Field(key, requestFields[:]) {
+		next = field + 1
+		switch field {
 		case requestGraph:
 			req.Graph, err = graph.DecodeJSON(sc)
 		case requestOptions:

@@ -186,8 +186,9 @@ func TestRequestMemoRekeysUnderANewPolicy(t *testing.T) {
 }
 
 // TestRequestMemoRemembersOnlyJobs: a body Submit refused — 400, 409, 429 —
-// leaves no memo entry and is refused the same way again. Mutation caught:
-// writing the entry before Submit has returned a job.
+// leaves no memo entry and is refused the same way again; the one entry
+// left is g's structure, which the two Submits that became jobs keyed.
+// Mutation caught: writing the entry before Submit has returned a job.
 func TestRequestMemoRemembersOnlyJobs(t *testing.T) {
 	svc, h := memoTestService(t, ServiceOptions{Workers: 1, QueueDepth: 1})
 	g := CorpusGraphs(1)[3]
@@ -234,8 +235,11 @@ func TestRequestMemoRemembersOnlyJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if size, _ := svc.memo.snapshot(); size != 0 {
-		t.Fatalf("the memo holds %d entries after only refused bodies, want 0", size)
+	if _, ok := svc.memo.get(svc.structureTag(g)); !ok {
+		t.Fatal("the memo does not hold the structure of the graph two jobs were keyed on")
+	}
+	if size, _ := svc.memo.snapshot(); size != 1 {
+		t.Fatalf("the memo holds %d entries after only refused bodies, want 1 (the graph's structure)", size)
 	}
 }
 

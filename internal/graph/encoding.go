@@ -48,7 +48,9 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// The member names of the wire form, indexed by the constants beside them.
+// The member names of the wire form, indexed by the constants beside them,
+// in the order MarshalJSON writes them: each member is decoded expecting
+// the one after the member before it (jsonscan.MemberOf).
 var (
 	graphFields = [...]string{"name", "nodes", "edges"}
 	nodeFields  = [...]string{"id", "name", "op", "flops", "param_bytes", "output_bytes"}
@@ -115,15 +117,16 @@ func (d *decoder) graph() error {
 	if err := d.Open('{', "a graph object"); err != nil {
 		return err
 	}
-	for first := true; ; first = false {
-		key, ok, err := d.Member(first)
+	for first, next := true, 0; ; first = false {
+		field, _, ok, err := d.MemberOf(first, graphFields[:], next)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		switch jsonscan.Field(key, graphFields[:]) {
+		next = field + 1
+		switch field {
 		case graphName:
 			var s []byte
 			if s, ok, err = d.Text(); ok {
@@ -213,13 +216,14 @@ func (d *decoder) node(n *Node, arrayStart int) error {
 		return err
 	}
 	nameStart := len(d.arena)
-	for first := true; ; first = false {
-		key, ok, err := d.Member(first)
+	for first, next := true, 0; ; first = false {
+		field, _, ok, err := d.MemberOf(first, nodeFields[:], next)
 		if !ok || err != nil {
 			return err
 		}
+		next = field + 1
 		// A member that is null is not set: it keeps what it had.
-		switch jsonscan.Field(key, nodeFields[:]) {
+		switch field {
 		case nodeID:
 			err = d.Int(&n.ID)
 		case nodeName:
@@ -271,12 +275,13 @@ func (d *decoder) edge(e *Edge) error {
 	if err := d.Open('{', "an edge object"); err != nil {
 		return err
 	}
-	for first := true; ; first = false {
-		key, ok, err := d.Member(first)
+	for first, next := true, 0; ; first = false {
+		field, _, ok, err := d.MemberOf(first, edgeFields[:], next)
 		if !ok || err != nil {
 			return err
 		}
-		switch jsonscan.Field(key, edgeFields[:]) {
+		next = field + 1
+		switch field {
 		case edgeFrom:
 			err = d.Int(&e.From)
 		case edgeTo:

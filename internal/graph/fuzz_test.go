@@ -61,7 +61,10 @@ func FuzzParseJSON(f *testing.F) {
 // FuzzFingerprint fuzzes the canonical-fingerprint contract on decoded
 // graphs: the fingerprint is deterministic, survives Clone, is invariant
 // under node-insertion-order permutation, and changes when a node's
-// operator kind changes. Against the whole-graph refinement in
+// operator kind changes. A renamed copy has the graph's StructureDigest
+// and, seeded with its fingerprint and canonical positions, reports what
+// canonicalizing the copy cold does; changing an operator, an edge's bytes
+// or the edge order changes the digest. Against the whole-graph refinement in
 // fingerprint_ref_test.go: the canonical positions of the decoded graph and
 // of its permuted rebuild are what it makes of the 64-bit signatures
 // (RefPositions), and the graph, the rebuild and the mutated graph share a
@@ -129,10 +132,60 @@ func FuzzFingerprint(f *testing.F) {
 		if mutated.Fingerprint() == fp {
 			t.Fatalf("operator mutation did not change the fingerprint")
 		}
+		checkSeededRename(t, &g)
+		if mutated.StructureDigest() == g.StructureDigest() {
+			t.Fatalf("operator mutation did not change the structure digest")
+		}
+		if m := g.NumEdges(); m > 0 {
+			edges := slices.Clone(g.Edges())
+			i := int(uint64(permSeed) % uint64(m))
+			edges[i].Bytes ^= 1
+			if withEdges(&g, edges).StructureDigest() == g.StructureDigest() {
+				t.Fatalf("changing edge %d's bytes did not change the structure digest", i)
+			}
+			if m > 1 {
+				edges[i].Bytes ^= 1
+				j := (i + 1) % m
+				edges[i], edges[j] = edges[j], edges[i]
+				if withEdges(&g, edges).StructureDigest() == g.StructureDigest() {
+					t.Fatalf("swapping edges %d and %d did not change the structure digest", i, j)
+				}
+			}
+		}
 		if err := SameKeyPartition([]*Graph{&g, rebuilt, mutated}); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// checkSeededRename renames g's nodes, requires the copy to keep g's
+// StructureDigest, seeds it with g's canonicalization and requires what it
+// reports to be what a cold canonicalization of another renamed copy
+// computes.
+func checkSeededRename(t *testing.T, g *Graph) {
+	t.Helper()
+	renamed := func(tag string) *Graph {
+		out := New(tag)
+		for _, nd := range g.Nodes() {
+			nd.Name = fmt.Sprintf("%s%d", tag, nd.ID)
+			out.AddNode(nd)
+		}
+		out.edges = slices.Clone(g.Edges())
+		return out
+	}
+	seeded, cold := renamed("seeded"), renamed("cold")
+	if seeded.StructureDigest() != g.StructureDigest() {
+		t.Fatalf("renaming changed the structure digest")
+	}
+	seeded.SeedCanonical(g.Fingerprint(), CanonicalPositions(g))
+	if seeded.Fingerprint() != cold.Fingerprint() || !slices.Equal(CanonicalPositions(seeded), CanonicalPositions(cold)) {
+		t.Fatalf("a seeded renamed copy reports another canonicalization than a cold one")
+	}
+}
+
+// withEdges is g's nodes with edges in place of g's edges.
+func withEdges(g *Graph, edges []Edge) *Graph {
+	return &Graph{name: g.name, nodes: g.nodes, edges: edges}
 }
 
 // carriedPartitionFits builds a partition of g (chip = topological level),

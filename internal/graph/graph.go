@@ -177,6 +177,17 @@ func (g *Graph) Clone() *Graph {
 	return &Graph{name: g.name, nodes: slices.Clone(g.nodes), edges: slices.Clone(g.edges)}
 }
 
+// CloneDerived is Clone whose copy shares g's derived record — adjacency,
+// layout, fingerprint and canonical positions — instead of deriving them
+// again: the copy holds the same nodes and edges, and whichever graph fills
+// a part of the record first fills it for both. Either graph that grows
+// afterwards starts a record of its own.
+func (g *Graph) CloneDerived() *Graph {
+	c := g.Clone()
+	c.memo.Store(g.derived())
+	return c
+}
+
 // Validate is the one validator, for graphs built through AddNode/AddEdge
 // and for graphs decoded from the wire alike: at least one node, dense IDs,
 // known operator kinds, finite non-negative costs, well-formed edges, no

@@ -76,8 +76,18 @@ func (s *Scanner) Fail(what string) error {
 }
 
 // peek skips whitespace and returns the byte at pos, 0 at the end of input
-// (which starts no token and closes no container).
+// (which starts no token and closes no container). A compact document has
+// no whitespace, so the byte at pos is returned without entering the loop
+// (and the check inlines at every call).
 func (s *Scanner) peek() byte {
+	if s.pos < len(s.data) && s.data[s.pos] > ' ' {
+		return s.data[s.pos]
+	}
+	return s.skipSpace()
+}
+
+// skipSpace is peek's loop.
+func (s *Scanner) skipSpace() byte {
 	for s.pos < len(s.data) {
 		c := s.data[s.pos]
 		if c > ' ' || c != ' ' && c != '\t' && c != '\r' && c != '\n' {
@@ -153,6 +163,32 @@ func (s *Scanner) Member(first bool) (key []byte, ok bool, err error) {
 	}
 	s.pos++
 	return key, true, nil
+}
+
+// MemberOf is Member for a decoder that knows the name it expects next,
+// names[hint]: it also returns the index in names of the member's name, as
+// Field does, or -1. When the bytes at pos are that name's member prefix —
+// `"name":`, after a comma unless first, with no whitespace between — the
+// member is taken without scanning its name; otherwise it is Member and
+// Field. The name must be a plain token (no escape, quote or control
+// character); every name a caller of ours expects is. A hint outside names
+// expects nothing.
+func (s *Scanner) MemberOf(first bool, names []string, hint int) (field int, key []byte, ok bool, err error) {
+	if hint >= 0 && hint < len(names) {
+		name, data, i := names[hint], s.data, s.pos
+		if !first && i < len(data) && data[i] == ',' {
+			i++
+		}
+		if end := i + len(name) + 1; (first || i > s.pos) && end+1 < len(data) &&
+			data[i] == '"' && data[end] == '"' && data[end+1] == ':' && string(data[i+1:end]) == name {
+			s.pos = end + 2
+			return hint, data[i+1 : end], true, nil
+		}
+	}
+	if key, ok, err = s.Member(first); !ok || err != nil {
+		return -1, nil, ok, err
+	}
+	return Field(key, names), key, true, nil
 }
 
 // Element is Member for arrays: it leaves pos at the next element, or
@@ -314,8 +350,8 @@ func (s *Scanner) number() (tok []byte, integer bool, err error) {
 // anything but an integer literal in range — 1.0, 1e3, "3", true — is an
 // error, as it was a type error to encoding/json.
 func (s *Scanner) Int64(dst *int64) error {
-	if isNull, err := s.Null(); isNull || err != nil {
-		return err
+	if s.peek() == 'n' {
+		return s.literal("null")
 	}
 	data, i := s.data, s.pos
 	neg := i < len(data) && data[i] == '-'

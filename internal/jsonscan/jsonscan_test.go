@@ -121,6 +121,42 @@ func TestFieldFoldsLikeEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestMemberOfIsMemberAndField walks objects with MemberOf under every
+// hint, and with Member and Field, skipping each value: both walks must
+// report the same fields, names, errors and offsets — whether the expected
+// name is there verbatim, folded, escaped, spaced, cut short or absent.
+func TestMemberOfIsMemberAndField(t *testing.T) {
+	names := []string{"id", "name", "op"}
+	for _, doc := range []string{
+		`{"id":1,"name":"a","op":2}`, `{"op":2,"id":1}`, `{"ID":1,"Name":"a"}`, `{"i\u0064":1,"op":2}`,
+		`{ "id" :1 , "name":"a"}`, `{"id":1,"idx":2,"nam":3,"name":4}`, `{}`, `{"id"`, `{"id":`, `{"id"1}`,
+		`{"id":1 "op":2}`, `{"id":1,}`, `{"id":1,"name"`, `{"i`, `{"id":1,"op"`,
+	} {
+		for hint := -1; hint <= len(names); hint++ {
+			want, got := New([]byte(doc)), New([]byte(doc))
+			if want.Open('{', "an object") != nil || got.Open('{', "an object") != nil {
+				t.Fatalf("%s: no object", doc)
+			}
+			for first, next := true, hint; ; first = false {
+				key, ok, err := want.Member(first)
+				field := -1
+				if ok {
+					field = Field(key, names)
+				}
+				gotField, gotKey, gotOK, gotErr := got.MemberOf(first, names, next)
+				if gotField != field || string(gotKey) != string(key) || gotOK != ok || (gotErr == nil) != (err == nil) || got.Offset() != want.Offset() {
+					t.Fatalf("%s, hint %d: MemberOf = %d %q %t %v at %d; Member and Field = %d %q %t %v at %d",
+						doc, next, gotField, gotKey, gotOK, gotErr, got.Offset(), field, key, ok, err, want.Offset())
+				}
+				if !ok || err != nil || want.Skip() != nil || got.Skip() != nil {
+					break
+				}
+				next = field + 1
+			}
+		}
+	}
+}
+
 // TestIntegerMembersTakeIntegerLiterals: an integer member is an optional
 // minus sign and digits with no leading zero, in range — what
 // strconv.ParseInt made of the token for encoding/json — and the error for

@@ -60,14 +60,15 @@ func newKitStore[D any](limit int64) *planCache[string, *kitPool[D]] {
 // for the caller to build one on the entry's base. held reports that set
 // held the entry: one built on a graph Identical to g under g's
 // fingerprint. When it held none, the entry is new, its base newBase's on
-// a clone of g, and replaces whatever set holds under the fingerprint; it
-// is not kept when its base alone exceeds set's bound.
+// a clone of g that shares g's adjacency, layout and fingerprint
+// (Graph.CloneDerived), and replaces whatever set holds under the
+// fingerprint; it is not kept when its base alone exceeds set's bound.
 func takeKit[D any](set *planCache[string, *kitPool[D]], g *Graph, newBase func(clone *Graph) (base D, bytes int64)) (p *kitPool[D], k kit, held bool) {
 	fp := g.Fingerprint()
 	if p, held = set.get(fp); held && p.g.Identical(g) {
 		return p, p.take(), true
 	}
-	clone := g.Clone()
+	clone := g.CloneDerived()
 	base, bytes := newBase(clone)
 	p = &kitPool[D]{base: base, g: clone, fp: fp, baseBytes: bytes, set: set}
 	p.weight.Store(bytes)

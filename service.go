@@ -178,6 +178,12 @@ type ServiceStats struct {
 	// cache hit counted before it, and read after the Cache block, so
 	// RequestMemoHits <= CacheHits+DiskCacheHits at quiescence.
 	RequestMemoHits uint64 `json:"request_memo_hits" metric:"mcmpart_request_memo_hits_total"`
+	// StructureMemoHits counts requests whose graph was not canonicalized:
+	// the request memo held the fingerprint and canonical positions of its
+	// raw structure (Graph.StructureDigest) — the same graph under other
+	// names, other options, or both. It counts at keying, before admission,
+	// so a request refused afterwards counts too.
+	StructureMemoHits uint64 `json:"structure_memo_hits" metric:"mcmpart_structure_memo_hits_total"`
 
 	// Draining reports that admission is stopped (BeginDrain/Drain/Close)
 	// while previously admitted work finishes.
@@ -244,7 +250,7 @@ type Service struct {
 	planner  *Planner
 	pkgFP    string
 	cache    *planCache[string, *Result]
-	memo     *planCache[[16]byte, keyedRequest] // request memo: body tag (requestTag) → its keying (submitKnown)
+	memo     *planCache[[16]byte, keyedRequest] // request memo: body tag (requestTag) → its keying (submitKnown); structure tag (structureTag) → its canonicalization (keyRequest)
 	memoMAC  cipher.AEAD                        // the memo's keyed tag; built once, read-only
 	disk     *plancache.Store
 	registry *rl.Registry
@@ -308,6 +314,7 @@ type serviceMetrics struct {
 	memMisses      *telemetry.Counter
 	diskHits       *telemetry.Counter
 	memoHits       *telemetry.Counter
+	structureHits  *telemetry.Counter
 	planCold       *telemetry.Histogram
 	planWarm       *telemetry.Histogram
 }
@@ -331,6 +338,7 @@ func newServiceMetrics() *serviceMetrics {
 		memMisses:      reg.Counter("mcmpart_cache_misses_total", "Plan-cache misses, by tier.", telemetry.Label{Name: "tier", Value: "memory"}),
 		diskHits:       reg.Counter("mcmpart_cache_hits_total", "Plan-cache hits, by tier.", telemetry.Label{Name: "tier", Value: "disk"}),
 		memoHits:       reg.Counter("mcmpart_request_memo_hits_total", "Plan requests whose body was byte-identical to one already keyed, served from the cache with no decode or fingerprint."),
+		structureHits:  reg.Counter("mcmpart_structure_memo_hits_total", "Plan requests whose graph structure was canonicalized before, keyed with no fingerprint."),
 		planCold:       reg.Histogram("mcmpart_plan_seconds", "Plan service latency: cold runs the planner, warm serves from cache.", telemetry.DefBuckets, telemetry.Label{Name: "path", Value: "cold"}),
 		planWarm:       reg.Histogram("mcmpart_plan_seconds", "Plan service latency: cold runs the planner, warm serves from cache.", telemetry.DefBuckets, telemetry.Label{Name: "path", Value: "warm"}),
 	}
@@ -624,7 +632,8 @@ func (s *Service) ensurePolicy(method Method) (policySnapshot, error) {
 }
 
 // keyedRequest is what keying a request produced, less the policy reading:
-// what the request memo keeps per body. It holds no graph and no body.
+// what the request memo keeps per body, and per graph structure with zero
+// options. It holds no graph and no body.
 type keyedRequest struct {
 	opts    PlanOptions // normalized
 	graphFP string
@@ -764,10 +773,38 @@ func (s *Service) normalize(ctx context.Context, req PlanRequest, a *admission) 
 }
 
 // keyRequest canonicalizes the graph — its fingerprint and the node
-// positions results for its key are stored by — and keys the request.
+// positions results for its key are stored by — and keys the request. A
+// structure the request memo holds under its structureTag is not
+// canonicalized again: the graph is seeded with what the memo keeps
+// (Graph.SeedCanonical), which is what canonicalizing it would compute,
+// and every later reader of its fingerprint — the planner's kit stores
+// too — reads that. Otherwise the graph is canonicalized and the memo
+// remembers the structure.
 func (s *Service) keyRequest(a *admission) {
+	tag := s.structureTag(a.graph)
+	known, ok := s.memo.get(tag)
+	if ok {
+		a.graph.SeedCanonical(known.graphFP, known.pos)
+		s.m.structureHits.Inc()
+	}
 	a.graphFP, a.pos = a.graph.Fingerprint(), graph.CanonicalPositions(a.graph)
+	if !ok {
+		s.memo.put(tag, keyedRequest{graphFP: a.graphFP, pos: a.pos})
+	}
 	a.key = planCacheKey(a.graphFP, s.pkgFP, a.policy.fp, a.opts)
+}
+
+// structureTag is the request memo's key for a graph's raw structure: the
+// requestTag of a 0x00 byte followed by its StructureDigest. The memo keys
+// bodies only once they decoded, and a JSON document never starts with
+// 0x00, so a structure and a body share a tag only as two bodies do (the
+// bound at requestTag). The entry's options are zero: only its fingerprint
+// and positions are read.
+func (s *Service) structureTag(g *Graph) [16]byte {
+	var msg [1 + 32]byte
+	digest := g.StructureDigest()
+	copy(msg[1:], digest[:])
+	return s.requestTag(msg[:])
 }
 
 // lookup consults the memory tier, then the disk tier (it does IO, so this

@@ -381,15 +381,16 @@ func BenchmarkPlanRLWarmBERT(b *testing.B) {
 }
 
 // TestFirstRLPlanHeapBytes holds what a graph's first RL plan allocates:
-// the plan, and the training kit it builds and keeps — a clone of the graph
-// with its adjacency and layout, the context, the environment and the
-// trainer. BERT/edge36 at bert-rl's budget, one worker; the ceiling is the
-// 12 127 744 bytes measured when every first plan began to keep its kit,
-// 0.30 MB above the 11 823 552 of a first plan that ran cold on the graph
-// and kept nothing (the clone). What the plan keeps stays within the
+// the plan, and the training kit it builds and keeps — a clone of the
+// graph's nodes and edges sharing its adjacency and layout
+// (Graph.CloneDerived), the context, the environment and the trainer.
+// BERT/edge36 at bert-rl's budget, one worker: 12 020 288 bytes, 0.20 MB
+// above the 11 823 552 of a first plan that ran cold on the graph and kept
+// nothing. A clone that builds its own adjacency and layout again read
+// 12 127 744, above the ceiling. What the plan keeps stays within the
 // store's bound.
 func TestFirstRLPlanHeapBytes(t *testing.T) {
-	const ceiling = 12160000
+	const ceiling = 12050000
 	if raceEnabled {
 		t.Skip("two BERT RL plans; the race detector checks no allocation")
 	}
@@ -410,7 +411,9 @@ func TestFirstRLPlanHeapBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("a graph's first RL plan allocated %d bytes", got)
+		if got > ceiling {
 			t.Errorf("a graph's first RL plan allocates %d bytes, ceiling %d", got, ceiling)
 		}
 	})
