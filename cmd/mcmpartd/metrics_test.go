@@ -201,8 +201,7 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		{`mcmpart_plans_coalesced_total`, 3},
 		{`mcmpart_deployment_reuses_total`, 0},             // the script plans no deployed-policy method
 		{`mcmpart_retained_bytes{store="deployments"}`, 0}, // and the daemon has no policy installed
-		{`mcmpart_retained_bytes{store="training"}`, 0},    // nor an RL-from-scratch method
-		{`mcmpart_rl_plans_total{kit="new"}`, 0},
+		{`mcmpart_rl_plans_total{kit="new"}`, 0},           // nor an RL-from-scratch method
 		{`mcmpart_rl_plans_total{kit="reused"}`, 0},
 		// Every store's bound holds what the script leaves.
 		{`mcmpart_evictions_total{store="cache"}`, 0},
@@ -234,9 +233,9 @@ func TestDaemonMetricsMatchStats(t *testing.T) {
 		}
 	}
 	// The stores that outlive a request hold what the script left: its
-	// three plans, the known body, its seven jobs. Each counts bytes, which
-	// the stats below must agree with.
-	for _, store := range []string{"cache", "memo", "jobs"} {
+	// three plans, the known body, its seven jobs, and its graph's search
+	// kit. Each counts bytes, which the stats below must agree with.
+	for _, store := range []string{"cache", "memo", "jobs", "training"} {
 		if series := `mcmpart_retained_bytes{store="` + store + `"}`; metrics[series] <= 0 {
 			t.Errorf("%s = %v, want the bytes of what the script left", series, metrics[series])
 		}

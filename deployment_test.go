@@ -444,16 +444,17 @@ func storeKits[D any](set *planCache[string, *kitPool[D]]) (entries int, idle []
 }
 
 // TestCancelledPlanReturnsItsKit: a zero-shot plan cancelled mid-episode,
-// or an RL plan cancelled mid-iteration — which stops when the iteration
-// ends (TrainUntil) — hands its kit back as a plan that ran to its budget
-// does, and the next plan of the graph, on that kit — its solver's tables
-// and its clone's or its trainer's scratch as the cancelled plan left them
-// — is the cold plan bit for bit.
+// an RL plan cancelled mid-iteration — which stops when the iteration ends
+// (TrainUntil) — or an annealing plan cancelled mid-run hands its kit back
+// as a plan that ran to its budget does, and the next plan of the graph, on
+// that kit — its solver's tables and its clone's, its trainer's or its
+// annealing matrix as the cancelled plan left them — is the cold
+// plan bit for bit.
 func TestCancelledPlanReturnsItsKit(t *testing.T) {
 	for _, c := range []struct {
 		method          Method
 		budget, samples int // the cancelled plan's budget, and the samples it returns
-	}{{MethodZeroShot, 16, 5}, {MethodRL, 32, 16}} {
+	}{{MethodZeroShot, 16, 5}, {MethodRL, 32, 16}, {MethodSA, 16, 5}} {
 		warm, policy := deployedPlanner(t)
 		cold, _ := deployedPlanner(t)
 		g := CorpusGraphs(1)[40]
@@ -473,7 +474,7 @@ func TestCancelledPlanReturnsItsKit(t *testing.T) {
 			t.Fatalf("%s: the cancelled plan returned %+v, %v; want its %d samples and context.Canceled", c.method, res, err, c.samples)
 		}
 		kits := func() (int, []kit) {
-			if c.method == MethodRL {
+			if c.method == MethodRL || c.method == MethodSA {
 				return storeKits(warm.training)
 			}
 			return storeKits(installed.deployments)
@@ -485,7 +486,7 @@ func TestCancelledPlanReturnsItsKit(t *testing.T) {
 		k := idle[0]
 		opts := PlanOptions{Method: c.method, SampleBudget: 16, Seed: 2}
 		got, reused := planReused(t, warm, g, opts)
-		if _, idle := kits(); !reused || len(idle) != 1 || idle[0].env != k.env {
+		if _, idle := kits(); (!reused && c.method != MethodSA) || len(idle) != 1 || idle[0].env != k.env {
 			t.Fatalf("%s: the next plan did not run on the cancelled plan's kit", c.method)
 		}
 		if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {

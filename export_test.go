@@ -9,6 +9,10 @@ var (
 	StatusTable = statusTable
 )
 
+// RaceEnabled reports a -race build, whose sync.Pool drops a share of what
+// is put back, so allocation counts are not the program's alone.
+const RaceEnabled = raceEnabled
+
 // RetiredJobBytes is the retired jobs' bound, and JobBytes what they count
 // for one (TestMaxRetainedJobs).
 const RetiredJobBytes = retiredJobBytes

@@ -358,7 +358,7 @@ func submitPlanRequest(svc *Service, spare *bodySpare, w http.ResponseWriter, r 
 		writeServiceError(w, err)
 		return nil, "", false
 	}
-	svc.memo.put(tag, keyed)
+	svc.rememberBody(tag, keyed)
 	return job, keyed.graphFP, true
 }
 

@@ -2,6 +2,7 @@ package mcmpart
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -148,5 +149,74 @@ func TestConcurrentRenamedPostsShareAStructure(t *testing.T) {
 	wg.Wait()
 	if hits := svc.Stats().StructureMemoHits; hits < posters*rounds-posters || hits >= posters*rounds {
 		t.Errorf("%d structure hits over %d POSTs by %d posters, want at least %d and a miss", hits, posters*rounds, posters, posters*rounds-posters)
+	}
+}
+
+// TestRenamedPostsCountTheirPositionsOnce: ten POSTs of serve-warm's
+// 10k-node graph under fresh names each leave a body entry in the request
+// memo, which names its structure's entry rather than holding the
+// structure's 80 kB of positions again: the memo grows by under 2 kB a
+// POST. When each body entry counted the positions it shared with the
+// structure entry it grew by ≈80 kB a POST. The renamed bodies are served
+// from the memo afterwards, through the structure entry.
+func TestRenamedPostsCountTheirPositionsOnce(t *testing.T) {
+	svc, post := warmedPoster(t, warmRequestBody(t))
+	const posts = 10
+	bodies := make([][]byte, posts)
+	for i := range bodies {
+		bodies[i] = renamedRequestBody(t, warmGraph(), warmOptions, i+1)
+	}
+	before := svc.Stats().MemoBytes
+	for _, body := range bodies {
+		post(body)
+	}
+	if grown := (svc.Stats().MemoBytes - before) / posts; grown >= 2<<10 {
+		t.Errorf("a renamed POST grows the request memo by %d bytes, ceiling 2 kB: does its body entry count the structure's positions?", grown)
+	}
+	hits := svc.Stats().RequestMemoHits
+	for _, body := range bodies {
+		post(body)
+	}
+	if got := svc.Stats().RequestMemoHits - hits; got != posts {
+		t.Errorf("%d of %d repeated renamed bodies were served from the memo", got, posts)
+	}
+}
+
+// TestResubmittedGraphTakesNoDigest: a library caller's second Submit of
+// one 10k-node *Graph, whose fingerprint the first computed, is keyed
+// without the graph's StructureDigest or a structure lookup: it allocates
+// what keying and answering a plan-cache hit take — 82 704 bytes, most of
+// them the partition mapped to the graph's node IDs — and not the digest's
+// ≈5 kB on top, under a ceiling 2.3 kB above that, and it does not move
+// StructureMemoHits.
+func TestResubmittedGraphTakesNoDigest(t *testing.T) {
+	svc, err := NewService(Edge36(), ServiceOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	g := warmGraph()
+	req := PlanRequest{Graph: g, Options: warmOptions.Options()}
+	submit := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		job, err := svc.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if _, err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const ceiling = 85000
+	submit()
+	hits := svc.Stats().StructureMemoHits
+	if got := submit(); got > ceiling && !raceEnabled {
+		t.Errorf("a resubmitted graph's Submit allocates %d bytes, ceiling %d: was its digest taken?", got, ceiling)
+	}
+	if got := svc.Stats().StructureMemoHits; got != hits {
+		t.Errorf("a resubmission of a canonicalized graph moved StructureMemoHits from %d to %d", hits, got)
 	}
 }

@@ -153,6 +153,30 @@ func NewSegmenter(g *graph.Graph, chips int) (*Segmenter, error) {
 // Chips returns the chip count C.
 func (sg *Segmenter) Chips() int { return sg.chips }
 
+// Bytes is what the segmenter's tables hold on the heap: the prefix-sum
+// row, the drawn boundaries, and each weight slot's weights, matrix and
+// term memo as far as calls have built them. Which of a slot's tables exist
+// depends on the matrices drawn from (see weights), so a kept segmenter is
+// weighed by what it holds rather than by its shape.
+func (sg *Segmenter) Bytes() int64 {
+	b := words(cap(sg.ps)) + words(cap(sg.bounds))
+	for _, s := range sg.slots {
+		b += words(cap(s.w)) + words(cap(s.val)) + words(cap(s.term))
+	}
+	return b
+}
+
+// words is what the heap holds for a slice of k 8-byte words: above 32 KiB
+// the allocator hands out whole 8 KiB pages.
+func words(k int) int64 {
+	const page = 8 << 10
+	size := 8 * int64(k)
+	if size <= 32<<10 {
+		return size
+	}
+	return (size + page - 1) / page * page
+}
+
 // Sample draws a contiguous partition with probability proportional to
 // prod_u probs[u][f(u)]. probs may be nil (uniform over the family); it is
 // read during the call and not retained. Under a per-chip capacity bound it

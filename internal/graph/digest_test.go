@@ -155,6 +155,39 @@ func BenchmarkStructureDigest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.StructureDigest()
+		// A copy whose derived record holds no digest yet: the memo would
+		// answer the graph itself.
+		b.StopTimer()
+		c := g.Clone()
+		c.OutEdges(0)
+		b.StartTimer()
+		_ = c.StructureDigest()
+	}
+}
+
+// TestCanonicalizedReportsAKnownFingerprint: a graph is Canonicalized once
+// its fingerprint is computed (by either reader) or seeded, and not before,
+// nor after it grew. The Service keys a Canonicalized graph without taking
+// its digest.
+func TestCanonicalizedReportsAKnownFingerprint(t *testing.T) {
+	g := workload.BERT()
+	for name, read := range map[string]func(*graph.Graph){
+		"Fingerprint":        func(g *graph.Graph) { g.Fingerprint() },
+		"CanonicalPositions": func(g *graph.Graph) { graph.CanonicalPositions(g) },
+		"SeedCanonical":      func(c *graph.Graph) { c.SeedCanonical(g.Fingerprint(), graph.CanonicalPositions(g)) },
+	} {
+		c := renamedCopy(g, name)
+		c.Layout()
+		if c.Canonicalized() {
+			t.Fatalf("%s: a graph whose layout alone is built reports itself canonicalized", name)
+		}
+		read(c)
+		if !c.Canonicalized() {
+			t.Fatalf("%s: the graph does not report itself canonicalized", name)
+		}
+		c.AddNode(graph.Node{Name: "grown"})
+		if c.Canonicalized() {
+			t.Fatalf("%s: a graph that grew reports the fingerprint of its old state", name)
+		}
 	}
 }

@@ -61,9 +61,18 @@ func CanonicalPositions(g *Graph) []int { return g.fingerprinted().canonical }
 // filled in.
 func (g *Graph) fingerprinted() *derived {
 	d := g.derived()
-	d.fpOnce.Do(func() { d.fingerprint, d.canonical = g.fingerprint() })
+	d.fpOnce.Do(func() {
+		d.fingerprint, d.canonical = g.fingerprint()
+		d.canonicalized.Store(true)
+	})
 	return d
 }
+
+// Canonicalized reports whether g's fingerprint and canonical positions are
+// already known — computed by Fingerprint or CanonicalPositions, or given
+// by SeedCanonical — so that reading them costs nothing. A graph that grew
+// since is not: its new state has its own.
+func (g *Graph) Canonicalized() bool { return g.derived().canonicalized.Load() }
 
 // StructureDigest returns the SHA-256 of the graph's raw structure: node
 // count, every node's attribute record in ID order, edge count, and the
@@ -72,10 +81,18 @@ func (g *Graph) fingerprinted() *derived {
 // so two graphs with equal digests have equal fingerprints and equal
 // canonical positions; unlike those, the digest is one streaming pass
 // (≈1.2 ms at 10k nodes and 20k edges on a 2-vCPU Xeon, against ≈4.5 ms to
-// canonicalize a graph whose layout is built). It
-// is what a caller that has canonicalized a structure before keys what it
-// found by, to SeedCanonical a renamed copy with it.
+// canonicalize a graph whose layout is built), memoized with them for the
+// graph's state. It is what a caller that has canonicalized a structure
+// before keys what it found by, to SeedCanonical a renamed copy with it, and
+// what the planner keys a graph's search kits by without canonicalizing it.
 func (g *Graph) StructureDigest() [32]byte {
+	d := g.derived()
+	d.digestOnce.Do(func() { d.digest = g.structureDigest() })
+	return d.digest
+}
+
+// structureDigest computes StructureDigest.
+func (g *Graph) structureDigest() [32]byte {
 	w := newEncoder()
 	w.u64(uint64(len(g.nodes)))
 	for v := range g.nodes {
@@ -99,7 +116,10 @@ func (g *Graph) StructureDigest() [32]byte {
 // caller's error and makes every plan keyed on g wrong.
 func (g *Graph) SeedCanonical(fingerprint string, positions []int) {
 	d := g.derived()
-	d.fpOnce.Do(func() { d.fingerprint, d.canonical = fingerprint, positions })
+	d.fpOnce.Do(func() {
+		d.fingerprint, d.canonical = fingerprint, positions
+		d.canonicalized.Store(true)
+	})
 }
 
 func (g *Graph) fingerprint() (string, []int) {

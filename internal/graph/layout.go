@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrCycle is returned when a graph that must be acyclic contains a cycle.
@@ -78,6 +79,12 @@ type derived struct {
 	fpOnce      sync.Once
 	fingerprint string
 	canonical   []int
+	// canonicalized is set once fingerprint and canonical are, by fpOnce's
+	// function (Graph.Canonicalized).
+	canonicalized atomic.Bool
+
+	digestOnce sync.Once
+	digest     [32]byte // Graph.StructureDigest
 }
 
 // derived returns the record for the graph's current state, starting a new

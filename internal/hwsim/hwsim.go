@@ -29,8 +29,8 @@ package hwsim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
+	"sync"
 
 	"mcmpart/internal/eval"
 	"mcmpart/internal/graph"
@@ -160,15 +160,48 @@ func (s *Simulator) opTime(n *graph.Node, chip int) float64 {
 // already satisfy the static constraints; the simulator checks only the
 // dynamic ones (it is the stage after the solver in the compilation flow).
 func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
+	var t tally
+	scheds, err := sched.Compute(g, p, s.pkg.Chips)
+	interval, reason := s.simulate(g, p, scheds, err, &t)
 	chips := s.pkg.Chips
 	res := Result{
-		ChipBusy: make([]float64, chips),
-		PeakMem:  make([]int64, chips),
+		FailReason: reason,
+		ChipBusy:   append([]float64(nil), t.busy[:chips]...),
+		PeakMem:    append([]int64(nil), t.peak[:chips]...),
 	}
-	scheds, err := sched.Compute(g, p, chips)
+	if t.linked && len(t.links) > 0 {
+		res.LinkBusy = append([]float64(nil), t.links...)
+	}
+	if reason == "" {
+		res.Valid = true
+		res.Interval = interval
+		res.Throughput = 1 / interval
+	}
+	return res
+}
+
+// tally is what one run adds up per resource: each chip's compute time and
+// SRAM demand, and each directed link's transfer time (linked reports that
+// the run got as far as the links). A run that fails leaves what it had
+// tallied by then, and zero for the rest.
+type tally struct {
+	busy   [mcm.MaxChips]float64
+	peak   [mcm.MaxChips]int64
+	links  []float64
+	route  []int
+	linked bool
+}
+
+// simulate is one noise-free run of p from its schedules (or the error
+// scheduling it returned) into t. It returns the pipeline interval, or why
+// the partition fails.
+func (s *Simulator) simulate(g *graph.Graph, p partition.Partition, scheds []sched.ChipSchedule, err error, t *tally) (interval float64, reason string) {
+	chips := s.pkg.Chips
+	clear(t.busy[:chips])
+	clear(t.peak[:chips])
+	t.linked = false
 	if err != nil {
-		res.FailReason = err.Error()
-		return res
+		return 0, err.Error()
 	}
 	// Static transfer legality: every cut edge must be routable on the
 	// interconnect. On the uni-directional ring a backwards (dst < src)
@@ -179,17 +212,15 @@ func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
 		a, b := p[e.From], p[e.To]
 		if a != b {
 			if _, ok := s.topo.Hops(a, b); !ok {
-				res.FailReason = s.illegalTransfer(e, a, b)
-				return res
+				return 0, s.illegalTransfer(e, a, b)
 			}
 		}
 	}
 	// Dynamic constraint: every chip's schedule must fit its SRAM.
 	for c := range scheds {
-		res.PeakMem[c] = scheds[c].PeakBytes(pipelineFactor)
-		if res.PeakMem[c] > s.pkg.ChipSRAM(c) {
-			res.FailReason = "out of memory on chip"
-			return res
+		t.peak[c] = scheds[c].PeakBytes(pipelineFactor)
+		if t.peak[c] > s.pkg.ChipSRAM(c) {
+			return 0, "out of memory on chip"
 		}
 	}
 	// Compute time per chip, slowed by allocator pressure near the
@@ -197,50 +228,48 @@ func (s *Simulator) Evaluate(g *graph.Graph, p partition.Partition) Result {
 	nodes := g.Nodes()
 	for c := range scheds {
 		for _, v := range scheds[c].Ops {
-			res.ChipBusy[c] += s.opTime(&nodes[v], c)
+			t.busy[c] += s.opTime(&nodes[v], c)
 		}
-		util := float64(res.PeakMem[c]) / float64(s.pkg.ChipSRAM(c))
+		util := float64(t.peak[c]) / float64(s.pkg.ChipSRAM(c))
 		if util > pressureKnee {
-			res.ChipBusy[c] *= 1 + pressureSlope*(util-pressureKnee)
+			t.busy[c] *= 1 + pressureSlope*(util-pressureKnee)
 		}
 	}
 	// Link contention: a transfer from chip a to chip b occupies every
 	// directed link on its route for its serialization time.
-	if nl := s.topo.NumLinks(); nl > 0 {
-		res.LinkBusy = make([]float64, nl)
-		route := make([]int, 0, nl) // no route visits a link twice
-		for _, e := range g.Edges() {
-			a, b := p[e.From], p[e.To]
-			if a == b {
-				continue
-			}
-			per := s.pkg.LinkLatency + float64(e.Bytes)/s.pkg.LinkBandwidth
-			route, _ = s.topo.AppendRoute(route[:0], a, b)
-			for _, l := range route {
-				res.LinkBusy[l] += per
-			}
+	nl := s.topo.NumLinks()
+	if cap(t.links) < nl {
+		t.links, t.route = make([]float64, nl), make([]int, 0, nl) // no route visits a link twice
+	}
+	t.links = t.links[:nl]
+	clear(t.links)
+	t.linked = true
+	for _, e := range g.Edges() {
+		a, b := p[e.From], p[e.To]
+		if a == b {
+			continue
+		}
+		per := s.pkg.LinkLatency + float64(e.Bytes)/s.pkg.LinkBandwidth
+		t.route, _ = s.topo.AppendRoute(t.route[:0], a, b)
+		for _, l := range t.route {
+			t.links[l] += per
 		}
 	}
 	// The pipeline interval is set by the busiest resource.
-	interval := 0.0
-	for _, t := range res.ChipBusy {
-		if t > interval {
-			interval = t
+	for _, b := range t.busy[:chips] {
+		if b > interval {
+			interval = b
 		}
 	}
-	for _, t := range res.LinkBusy {
-		if t > interval {
-			interval = t
+	for _, b := range t.links {
+		if b > interval {
+			interval = b
 		}
 	}
 	if interval <= 0 {
-		res.FailReason = "empty graph"
-		return res
+		return 0, "empty graph"
 	}
-	res.Valid = true
-	res.Interval = interval
-	res.Throughput = 1 / interval
-	return res
+	return interval, ""
 }
 
 // illegalTransfer words the FailReason of a cut edge the topology cannot
@@ -258,25 +287,41 @@ func (s *Simulator) Measure(g *graph.Graph, p partition.Partition, run int) Resu
 	if !res.Valid {
 		return res
 	}
-	noise := 1 + noiseStd*gaussian(s.noiseSeed(p, run))
-	if noise < 0.5 {
-		noise = 0.5
-	}
-	res.Interval *= noise
+	res.Interval *= s.noise(p, run)
 	res.Throughput = 1 / res.Interval
 	return res
 }
 
+// noise is the factor measurement noise scales run run's interval of p by.
+func (s *Simulator) noise(p partition.Partition, run int) float64 {
+	return max(0.5, 1+noiseStd*gaussian(s.noiseSeed(p, run)))
+}
+
+// sampleRun is the memory one Assess works in, which Assess calls share
+// through runs: the scheduler's scratch and the run's tally.
+type sampleRun struct {
+	sched sched.Scratch
+	tally
+}
+
+var runs = sync.Pool{New: func() any { return new(sampleRun) }}
+
 // Assess implements eval.Evaluator: one measured run (run 0) condensed into
-// the shared verdict, with the peak fractional SRAM utilization across chips.
+// the shared verdict, with the peak fractional SRAM utilization across
+// chips. It is Measure's run in memory it reuses — pooled, so that any
+// number of goroutines may assess at once — and allocates nothing on a
+// partition the simulator accepts or rejects for memory.
 func (s *Simulator) Assess(g *graph.Graph, p partition.Partition) eval.Verdict {
-	res := s.Measure(g, p, 0)
-	v := eval.Verdict{
-		Throughput: res.Throughput,
-		Valid:      res.Valid,
-		FailReason: res.FailReason,
+	r := runs.Get().(*sampleRun)
+	defer runs.Put(r)
+	scheds, err := r.sched.Compute(g, p, s.pkg.Chips)
+	interval, reason := s.simulate(g, p, scheds, err, &r.tally)
+	v := eval.Verdict{FailReason: reason}
+	if reason == "" {
+		v.Valid = true
+		v.Throughput = 1 / (interval * s.noise(p, 0))
 	}
-	for c, mem := range res.PeakMem {
+	for c, mem := range r.peak[:s.pkg.Chips] {
 		if u := float64(mem) / float64(s.pkg.ChipSRAM(c)); u > v.Utilization {
 			v.Utilization = u
 		}
@@ -285,22 +330,30 @@ func (s *Simulator) Assess(g *graph.Graph, p partition.Partition) eval.Verdict {
 }
 
 // noiseSeed hashes the partition content, simulator seed and run index into
-// a deterministic noise source.
+// a deterministic noise source: FNV-1a over each value's eight
+// little-endian bytes, the hash/fnv New64a sum of that byte stream.
 func (s *Simulator) noiseSeed(p partition.Partition, run int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(s.seed))
-	put(uint64(run))
+	h := fnvPut(fnvOffset64, uint64(s.seed))
+	h = fnvPut(h, uint64(run))
 	for _, c := range p {
-		put(uint64(c))
+		h = fnvPut(h, uint64(c))
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-1a's 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvPut folds x's eight little-endian bytes into the FNV-1a hash h.
+func fnvPut(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= x >> (8 * i) & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // gaussian turns a hash into a standard normal sample via Box-Muller on two

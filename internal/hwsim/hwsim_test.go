@@ -1,11 +1,17 @@
 package hwsim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"mcmpart/internal/costmodel"
+	"mcmpart/internal/eval"
 	"mcmpart/internal/graph"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/partition"
@@ -369,13 +375,13 @@ func min3(a, b int) int {
 	return b
 }
 
-// TestEvaluateAllocs pins what one simulator sample allocates on BERT/edge36:
-// the Result's three vectors, a route buffer, and sched.Compute's schedules,
-// op array and three scratch vectors — 9 measured, whatever the graph's size.
-// It was 397 while the scheduler appended per-chip op lists and built a map
-// per chip, and 4 149 before the graph memoized its layout. The ceiling is
-// the guard against a per-sample graph analysis, or a per-chip table, coming
-// back.
+// TestEvaluateAllocs pins what one Evaluate allocates on BERT/edge36: the
+// Result's three vectors, the link tally and its route buffer, and
+// sched.Compute's schedules, op array and three scratch vectors — 10
+// measured, whatever the graph's size. It was 397 while the scheduler
+// appended per-chip op lists and built a map per chip, and 4 149 before the
+// graph memoized its layout. The ceiling is the guard against a per-sample
+// graph analysis, or a per-chip table, coming back.
 func TestEvaluateAllocs(t *testing.T) {
 	g := workload.BERT()
 	sim := New(mcm.Edge36(), Options{})
@@ -386,5 +392,103 @@ func TestEvaluateAllocs(t *testing.T) {
 	const ceiling = 12
 	if allocs := testing.AllocsPerRun(10, func() { sim.Evaluate(g, p) }); allocs > ceiling {
 		t.Fatalf("Evaluate allocates %v times per sample, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestAssessAllocs: a sample the planner scores allocates nothing once the
+// simulator's pooled run memory has held a graph this size — for a
+// partition that fits, and for one rejected out of memory. Assess was
+// Measure's whole Result: 9 allocations and ≈41 kB a BERT sample. Under
+// -race only the verdicts are checked.
+func TestAssessAllocs(t *testing.T) {
+	g := workload.BERT()
+	sim := New(mcm.Edge36(), Options{})
+	fits := balancedSplit(t, g, 36)
+	oom := fits.Clone()
+	for i := range oom {
+		oom[i] = min3(oom[i], 2)
+	}
+	for name, p := range map[string]partition.Partition{"fits": fits, "out of memory": oom} {
+		want := sim.Measure(g, p, 0)
+		if v := sim.Assess(g, p); v.Valid != want.Valid || v.Throughput != want.Throughput {
+			t.Fatalf("%s: Assess = %+v, Measure run 0 = %+v", name, v, want)
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { sim.Assess(g, p) }); allocs != 0 {
+			t.Errorf("%s: Assess allocates %v times per sample, want 0", name, allocs)
+		}
+	}
+}
+
+// TestNoiseSeedIsFNV1a holds the simulator's inlined hash to hash/fnv's
+// 64-bit FNV-1a over the seed, the run and every chip as eight
+// little-endian bytes, which it replaced: a moved bit moves every measured
+// throughput.
+func TestNoiseSeedIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		sim := New(mcm.Dev4(), Options{Seed: rng.Int63() - rng.Int63()})
+		p := make(partition.Partition, rng.Intn(40))
+		for v := range p {
+			p[v] = rng.Intn(4)
+		}
+		run := rng.Intn(10)
+		h := fnv.New64a()
+		put := func(x uint64) {
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], x)
+			h.Write(buf[:])
+		}
+		put(uint64(sim.seed))
+		put(uint64(run))
+		for _, c := range p {
+			put(uint64(c))
+		}
+		if got, want := sim.noiseSeed(p, run), h.Sum64(); got != want {
+			t.Fatalf("trial %d: noiseSeed = %#x, hash/fnv = %#x", trial, got, want)
+		}
+	}
+}
+
+// TestConcurrentAssessMatchesSerial: Assess calls on four goroutines — two
+// packages, graphs of different sizes, so that pooled run memory passes
+// between shapes — return what serial calls do. Under -race it is the check
+// that no two calls share run memory.
+func TestConcurrentAssessMatchesSerial(t *testing.T) {
+	type job struct {
+		sim *Simulator
+		g   *graph.Graph
+		p   partition.Partition
+	}
+	bert := workload.BERT()
+	jobs := []job{
+		{New(mcm.Edge36(), Options{Seed: 2}), bert, balancedSplit(t, bert, 36)},
+		{New(mcm.Dev4(), Options{Seed: 3}), pipelineGraph(t), partition.Partition{0, 0, 1, 1, 2, 2, 3, 3}},
+	}
+	want := make([]eval.Verdict, len(jobs))
+	for i, j := range jobs {
+		want[i] = j.sim.Assess(j.g, j.p)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				i := (w + r) % len(jobs)
+				if got := jobs[i].sim.Assess(jobs[i].g, jobs[i].p); got != want[i] {
+					errs <- fmt.Sprintf("worker %d, job %d: %+v, serial %+v", w, i, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -3,6 +3,7 @@ package rl
 import (
 	"unsafe"
 
+	"mcmpart/internal/cpsolver"
 	"mcmpart/internal/graph"
 )
 
@@ -75,8 +76,9 @@ func (p *Policy) recordBytes(enc *Encoding, trained bool) int64 {
 }
 
 // Bytes estimates what ctx holds: its graph — nodes, their names, edges,
-// and the adjacency and layout memoized on it — the encoder's CSR
-// adjacency and features, and the capacity features.
+// and the adjacency and layout memoized on it — and those of the encoder's
+// CSR adjacency, features and capacity features it has (a search's context
+// has none).
 func (ctx *GraphContext) Bytes() int64 {
 	g := ctx.G
 	n, e := int64(g.NumNodes()), int64(g.NumEdges())
@@ -84,13 +86,29 @@ func (ctx *GraphContext) Bytes() int64 {
 	for _, node := range g.Nodes() {
 		b += int64(len(node.Name))
 	}
-	return b + 12*n + 8*e + 8*int64(len(ctx.X.Data)) + 8*int64(len(ctx.ChipFeat))
+	if ctx.Adj != nil {
+		b += 12*n + 8*e
+	}
+	if ctx.X != nil {
+		b += 8 * int64(len(ctx.X.Data))
+	}
+	return b + 8*int64(len(ctx.ChipFeat))
 }
 
 // Bytes estimates what e holds besides its context once it is Reset: its
-// partitioner's tables, in the mode e samples in.
+// partitioner's tables — what a segmenter holds, the larger segmenter's
+// tables in the mode e samples in for the CP solver — and the probability
+// matrix a search took (ProbMatrix).
 func (e *Env) Bytes() int64 {
-	return partBytes(int64(e.Ctx.G.NumNodes()), int64(e.Part.Chips()), e.UseSampleMode)
+	n, chips := int64(e.Ctx.G.NumNodes()), int64(e.Part.Chips())
+	b := partBytes(n, chips, e.UseSampleMode)
+	if sg, ok := e.Part.(*cpsolver.Segmenter); ok {
+		b = sg.Bytes()
+	}
+	if e.probs != nil {
+		b += words(n*chips) + heapObject(n*int64(unsafe.Sizeof([]float64(nil))))
+	}
+	return b
 }
 
 // Bytes estimates what t holds between runs, once it has trained on its

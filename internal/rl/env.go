@@ -75,6 +75,10 @@ type Env struct {
 	// confidently wrong policy would otherwise starve of gradient) and
 	// decays back to the floor once rewards flow.
 	exploreEps float64
+
+	// probs is the N x C matrix ProbMatrix hands a search; nil until the
+	// first call.
+	probs [][]float64
 }
 
 // NewEnv builds an environment; baseline must be the heuristic throughput
@@ -201,12 +205,29 @@ func (e *Env) StepProbs(probs [][]float64, rng *rand.Rand) float64 {
 // BestImprovement returns the best-so-far improvement over the baseline.
 func (e *Env) BestImprovement() float64 { return e.BestThroughput / e.Baseline }
 
+// ProbMatrix returns an N x C probability matrix the environment keeps for
+// a search that proposes distributions — simulated annealing's — its rows
+// backed by one array. It is sized on the first call and kept by Reset, so
+// a later search on the environment fills the same memory; what it holds is
+// the caller's.
+func (e *Env) ProbMatrix() [][]float64 {
+	if e.probs == nil {
+		n, c := e.Ctx.G.NumNodes(), e.Part.Chips()
+		flat := make([]float64, n*c)
+		e.probs = make([][]float64, n)
+		for i := range e.probs {
+			e.probs[i] = flat[i*c : (i+1)*c]
+		}
+	}
+	return e.probs
+}
+
 // Reset clears what a search set — its trajectory and progress callback —
 // and keeps the graph, the solver (whose tables a later search reuses: it
 // samples the same partitions from the same RNG stream whatever it sampled
-// before), the evaluator and the baseline. A deployment's environment is
-// Reset when its plan hands it back, and the next plan on it sets its own
-// Eval, Baseline and OnSample.
+// before), the probability matrix, the evaluator and the baseline. A kit's
+// environment is Reset when its plan hands it back, and the next plan on it
+// sets its own Eval, Baseline and OnSample.
 func (e *Env) Reset() {
 	e.OnSample = nil
 	e.Samples = 0

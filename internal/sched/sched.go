@@ -37,15 +37,34 @@ func (cs *ChipSchedule) PeakBytes(pipelineFactor float64) int64 {
 	return cs.ParamBytes + int64(pipelineFactor*float64(cs.PeakActivationBytes))
 }
 
-// Compute builds per-chip schedules for the partition. It returns an error
-// if the partition is malformed; static constraint checking is the caller's
-// concern (see partition.Validate).
+// Compute builds per-chip schedules for the partition in memory of their
+// own. It returns an error if the partition is malformed; static constraint
+// checking is the caller's concern (see partition.Validate).
+func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, error) {
+	var sc Scratch
+	return sc.Compute(g, p, chips)
+}
+
+// Scratch is the memory a scheduling pass works in: the schedules, their
+// shared op array and the per-chip and per-position tallies. Its Compute
+// reuses it, so a pass on a graph no larger than the last allocates
+// nothing. A Scratch serves one pass at a time.
+type Scratch struct {
+	scheds []ChipSchedule
+	count  []int   // per chip: ops on it
+	live   []int64 // per chip: the running activation total
+	ops    []int   // N: the op lists, chip after chip
+	freeAt []int64 // N: bytes whose last local use is at a layout position
+}
+
+// Compute is the package's Compute in sc's memory: the schedules and their
+// op lists are sc's, and valid until sc's next Compute.
 //
 // A chip's schedule is the graph's topological order restricted to the
 // chip, so everything here is a pass over Layout.Order: the op lists are a
 // counting sort into one backing array, and "the last local consumer" of a
 // tensor is the consumer with the largest Layout.Pos — no per-chip index.
-func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, error) {
+func (sc *Scratch) Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, error) {
 	n := g.NumNodes()
 	if len(p) != n {
 		return nil, fmt.Errorf("sched: partition has %d entries for %d nodes", len(p), n)
@@ -55,8 +74,7 @@ func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, 
 		return nil, err
 	}
 	nodes, edges := g.Nodes(), g.Edges()
-	scheds := make([]ChipSchedule, chips)
-	count := make([]int, chips)
+	scheds, count, live := resize(&sc.scheds, chips), resize(&sc.count, chips), resize(&sc.live, chips)
 	for _, v := range lay.Order {
 		c := p[v]
 		if c < 0 || c >= chips {
@@ -65,7 +83,7 @@ func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, 
 		count[c]++
 		scheds[c].ParamBytes += nodes[v].ParamBytes
 	}
-	ops := make([]int, n)
+	ops := resize(&sc.ops, n)
 	for c, k := range count {
 		if k > 0 {
 			scheds[c].Ops, ops = ops[:0:k], ops[k:]
@@ -86,7 +104,7 @@ func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, 
 	//
 	// First pass: freeAt[q] accumulates the bytes whose last local use is
 	// the op at layout position q.
-	freeAt := make([]int64, n)
+	freeAt := resize(&sc.freeAt, n)
 	for q, v := range lay.Order {
 		c := p[v]
 		scheds[c].Ops = append(scheds[c].Ops, v)
@@ -108,7 +126,6 @@ func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, 
 	// Second pass: interleave allocation and release per chip, tracking the
 	// peak. Chips only meet in the iteration order; each has its own
 	// running total.
-	live := make([]int64, chips)
 	for c := range scheds {
 		live[c] = scheds[c].BytesIn
 		scheds[c].PeakActivationBytes = live[c]
@@ -122,4 +139,15 @@ func Compute(g *graph.Graph, p partition.Partition, chips int) ([]ChipSchedule, 
 		live[c] -= freeAt[q]
 	}
 	return scheds, nil
+}
+
+// resize makes *buf hold n zero values, growing it only when it is shorter,
+// and returns them.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }

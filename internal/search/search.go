@@ -56,6 +56,13 @@ const (
 // evaluates it, and accepts or rejects the new distribution by the
 // Metropolis rule. Cancelling ctx stops before the next sample and returns
 // ctx.Err(); the environment keeps its best-so-far trajectory.
+//
+// The distribution is the environment's matrix (Env.ProbMatrix), so a
+// kit's environment anneals in the memory its last run filled. A proposal
+// is made in it in place: the rows a move redraws are saved first, and put
+// back, last first, when the move is rejected, so the matrix each sample
+// reads is the current distribution with the move applied, as if it were a
+// copy of it.
 func Anneal(ctx context.Context, env *rl.Env, budget int, _ SAConfig, rng *rand.Rand) error {
 	// The seeding evaluation below consumes one sample; without this guard
 	// a zero (or already exhausted) budget would still burn it and overrun
@@ -68,33 +75,29 @@ func Anneal(ctx context.Context, env *rl.Env, budget int, _ SAConfig, rng *rand.
 	}
 	n := env.Ctx.G.NumNodes()
 	c := env.Part.Chips()
-	current := make([][]float64, n)
-	flat := make([]float64, n*c)
-	for i := range current {
-		current[i] = flat[i*c : (i+1)*c]
-		for j := range current[i] {
-			current[i][j] = 1 / float64(c)
+	probs := env.ProbMatrix()
+	for _, row := range probs {
+		for j := range row {
+			row[j] = 1 / float64(c)
 		}
 	}
-	currentReward := env.StepProbs(current, rng)
+	currentReward := env.StepProbs(probs, rng)
 	temp := saInitTemp
 	k := int(saPerturbFrac * float64(n))
 	if k < 1 {
 		k = 1
 	}
-	proposal := make([][]float64, n)
-	pflat := make([]float64, n*c)
-	for i := range proposal {
-		proposal[i] = pflat[i*c : (i+1)*c]
-	}
+	moved := make([]int, k)       // the rows a move redraws, in order
+	saved := make([]float64, k*c) // and what each held before
 	for env.Samples < budget {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		copy(pflat, flat)
 		//mcmlint:ignore ctxloop perturbing k rows takes no samples; the annealing loop above checks ctx every step
 		for i := 0; i < k; i++ {
-			row := proposal[rng.Intn(n)]
+			moved[i] = rng.Intn(n)
+			row := probs[moved[i]]
+			copy(saved[i*c:(i+1)*c], row)
 			var sum float64
 			for j := range row {
 				row[j] = -math.Log(1 - rng.Float64()) // Exp(1) -> Dirichlet(1)
@@ -104,10 +107,13 @@ func Anneal(ctx context.Context, env *rl.Env, budget int, _ SAConfig, rng *rand.
 				row[j] /= sum
 			}
 		}
-		r := env.StepProbs(proposal, rng)
+		r := env.StepProbs(probs, rng)
 		if r >= currentReward || rng.Float64() < math.Exp((r-currentReward)/temp) {
-			copy(flat, pflat)
 			currentReward = r
+		} else {
+			for i := k - 1; i >= 0; i-- {
+				copy(probs[moved[i]], saved[i*c:(i+1)*c])
+			}
 		}
 		temp *= saCooling
 	}

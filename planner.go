@@ -483,11 +483,14 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		}
 		env, put = k.env, e.put
 	default:
-		// The search methods run no policy and read only the graph from
-		// their environment's context, so theirs carries no encoder inputs.
-		if env, err = pl.buildEnv(g, &rl.GraphContext{G: g}, ev, base.Throughput); err != nil {
+		// The search methods run no policy: their environment comes from
+		// one of the graph's search kits, whose context carries no encoder
+		// inputs.
+		var e *trainingKits
+		if e, k, err = pl.takeSearchKit(g, ev, base.Throughput); err != nil {
 			return nil, false, err
 		}
+		env, put = k.env, e.put
 	}
 	if opts.Progress != nil {
 		progress := opts.Progress

@@ -330,11 +330,17 @@ func TestPlannerAssess(t *testing.T) {
 // allocation ceiling: simulated annealing on the simulator, BERT on edge36,
 // 64 samples. It allocated 296 697 times while every sample re-derived the
 // graph's topological order (71 Kahn passes per plan), 30 299 once the
-// graph memoized it, and 668 now that a sample allocates its partition and
-// the scheduler's five vectors and nothing per chip: what remains is ten
-// objects per sample plus the plan's own tables. The ceiling is the guard
-// against a per-sample graph analysis, or a per-chip table, coming back.
+// graph memoized it, 668 while a sample allocated its partition, the
+// scheduler's five vectors and the simulator's Result, and ≈90 now that a
+// repeat plan runs on its graph's search kit and the simulator scores a
+// sample in pooled memory: a partition per sample plus the plan's own
+// trajectory and best-partition clones. The ceiling is the guard against a
+// per-sample allocation, a per-sample graph analysis, or a per-plan table
+// coming back.
 func TestPlanSAOnSimulatorAllocs(t *testing.T) {
+	if mcmpart.RaceEnabled {
+		t.Skip("under -race the simulator's pooled run memory is dropped at random")
+	}
 	pl, err := mcmpart.NewPlanner(mcmpart.Edge36())
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +353,7 @@ func TestPlanSAOnSimulatorAllocs(t *testing.T) {
 		}
 	}
 	plan()
-	const ceiling = 1_000
+	const ceiling = 120
 	if allocs := testing.AllocsPerRun(3, plan); allocs > ceiling {
 		t.Fatalf("Plan(sa, simulator, 64 samples) allocates %v times, ceiling %d", allocs, ceiling)
 	}

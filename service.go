@@ -631,17 +631,25 @@ func (s *Service) ensurePolicy(method Method) (policySnapshot, error) {
 	return installed, nil
 }
 
-// keyedRequest is what keying a request produced, less the policy reading:
-// what the request memo keeps per body, and per graph structure with zero
-// options. It holds no graph and no body.
+// keyedRequest is what keying a request produced, less the policy reading,
+// and what the request memo keeps: per graph structure, its fingerprint and
+// positions with zero options; per body, its options and its structure's
+// tag, which names the entry that holds the fingerprint and positions for
+// it (rememberBody). It holds no graph and no body.
 type keyedRequest struct {
 	opts    PlanOptions // normalized
 	graphFP string
 	pos     []int // canonical positions of the graph's node IDs; shared, read-only
+	// structure is the structureTag of the request's graph when keying
+	// took one (structured): a graph that came canonicalized is keyed
+	// without it.
+	structure  [16]byte
+	structured bool
 }
 
 // bytes is what the request memo counts for k: the entry, the struct, its
-// fingerprint and its positions.
+// fingerprint and its positions — none in a body entry, whose structure
+// entry holds and counts them.
 func (k keyedRequest) bytes() int64 {
 	return entryBytes + int64(unsafe.Sizeof(k)) + int64(len(k.graphFP)) + int64(len(k.pos))*int64(unsafe.Sizeof(0))
 }
@@ -698,17 +706,23 @@ func (s *Service) submit(ctx context.Context, req PlanRequest) (*Job, keyedReque
 }
 
 // submitKnown serves a request body the memo holds (tag is its requestTag)
-// with the back half of Submit on the memo's entry — ctx, the policy
-// reading, the key, the lookup — and no decode, Validate or fingerprint.
-// It serves only a lookup hit, and so never plans: for every other outcome
-// (an unknown body, an ended ctx, a policy error, a miss, a refused
-// admission) ok is false, and the caller decodes and Submits the body as
-// if it were new.
+// with the back half of Submit on the memo's entries — the body's options,
+// its structure's fingerprint and positions — ctx, the policy reading, the
+// key, the lookup — and no decode, Validate or fingerprint. It serves only
+// a lookup hit, and so never plans: for every other outcome (an unknown
+// body, one whose structure entry is gone, an ended ctx, a policy error, a
+// miss, a refused admission) ok is false, and the caller decodes and
+// Submits the body as if it were new.
 func (s *Service) submitKnown(ctx context.Context, tag [16]byte) (job *Job, graphFP string, ok bool) {
 	a := admission{start: s.now(), rid: RequestIDFrom(ctx)}
-	if a.keyedRequest, ok = s.memo.get(tag); !ok || ctx.Err() != nil {
+	body, ok := s.memo.get(tag)
+	if !ok || ctx.Err() != nil {
 		return nil, "", false
 	}
+	if a.keyedRequest, ok = s.memo.get(body.structure); !ok {
+		return nil, "", false
+	}
+	a.opts = body.opts
 	var err error
 	if a.policy, err = s.ensurePolicy(a.opts.Method); err != nil {
 		return nil, "", false
@@ -774,24 +788,39 @@ func (s *Service) normalize(ctx context.Context, req PlanRequest, a *admission) 
 
 // keyRequest canonicalizes the graph — its fingerprint and the node
 // positions results for its key are stored by — and keys the request. A
-// structure the request memo holds under its structureTag is not
-// canonicalized again: the graph is seeded with what the memo keeps
-// (Graph.SeedCanonical), which is what canonicalizing it would compute,
-// and every later reader of its fingerprint — the planner's kit stores
-// too — reads that. Otherwise the graph is canonicalized and the memo
-// remembers the structure.
+// graph that is Canonicalized already (a caller's graph submitted before)
+// is keyed by what it knows, without its digest. A structure the request
+// memo holds under its structureTag is not canonicalized again: the graph
+// is seeded with what the memo keeps (Graph.SeedCanonical), which is what
+// canonicalizing it would compute, and every later reader of its
+// fingerprint — the planner's kit stores too — reads that. Otherwise the
+// graph is canonicalized and the memo remembers the structure.
 func (s *Service) keyRequest(a *admission) {
-	tag := s.structureTag(a.graph)
-	known, ok := s.memo.get(tag)
-	if ok {
-		a.graph.SeedCanonical(known.graphFP, known.pos)
-		s.m.structureHits.Inc()
+	if !a.graph.Canonicalized() {
+		a.structure, a.structured = s.structureTag(a.graph), true
+		known, ok := s.memo.get(a.structure)
+		if ok {
+			a.graph.SeedCanonical(known.graphFP, known.pos)
+			s.m.structureHits.Inc()
+		} else {
+			s.memo.put(a.structure, keyedRequest{graphFP: a.graph.Fingerprint(), pos: graph.CanonicalPositions(a.graph)})
+		}
 	}
 	a.graphFP, a.pos = a.graph.Fingerprint(), graph.CanonicalPositions(a.graph)
-	if !ok {
-		s.memo.put(tag, keyedRequest{graphFP: a.graphFP, pos: a.pos})
-	}
 	a.key = planCacheKey(a.graphFP, s.pkgFP, a.policy.fp, a.opts)
+}
+
+// rememberBody keeps what keying a request body produced in the request
+// memo under the body's tag (requestTag), for submitKnown: the options and
+// the structure's tag, and not the fingerprint and positions, which the
+// structure entry holds and counts — so a structure's positions are counted
+// once however many bodies, renamed or reworded, name it, and a body whose
+// structure entry is gone is decoded again. A request keyed without its
+// structure is not remembered.
+func (s *Service) rememberBody(tag [16]byte, k keyedRequest) {
+	if k.structured {
+		s.memo.put(tag, keyedRequest{opts: k.opts, structure: k.structure, structured: true})
+	}
 }
 
 // structureTag is the request memo's key for a graph's raw structure: the

@@ -1,6 +1,7 @@
 package mcmpart
 
 import (
+	"encoding/hex"
 	"math/rand"
 
 	"mcmpart/internal/eval"
@@ -8,11 +9,12 @@ import (
 )
 
 // trainingBytes bounds what the planner keeps of the graphs it trained
-// RL-from-scratch plans on (each graph's context plus the bytes of its idle
-// kits): room for three BERT-sized graphs with a kit each at two workers
-// (≈16.4 MB a kit, ≈6.4 MB of it the rollout worker with its clone, record
-// and replica). A kit that does not fit beside its graph's context and idle
-// kits is not kept.
+// RL-from-scratch plans on, and of those it searched (each entry's context
+// plus the bytes of its idle kits): room for three BERT-sized graphs with a
+// training kit each at two workers (≈16.4 MB a kit, ≈6.4 MB of it the
+// rollout worker with its clone, record and replica) and their search kits
+// (≈2.55 MB each once annealed). A kit that does not fit beside its entry's
+// context and idle kits is not kept.
 const trainingBytes = 64 << 20
 
 // newTrainingKits returns the planner's empty store of training kits
@@ -24,7 +26,8 @@ const trainingBytes = 64 << 20
 // request"). A fresh policy's weights are drawn from each plan's seed, so
 // unlike deployments the kits do not depend on what is installed. A
 // graph's first RL plan builds its entry on a clone of the graph and keeps
-// its kit, as a graph's first deployed-policy plan does.
+// its kit, as a graph's first deployed-policy plan does. The store also
+// holds each searched graph's search entry (takeSearchKit).
 func newTrainingKits() *planCache[string, *trainingKits] {
 	return newKitStore[*rl.GraphContext](trainingBytes)
 }
@@ -53,7 +56,7 @@ const (
 // otherwise a new environment and a trainer on a new policy from rng.
 func (pl *Planner) takeTrainingKit(g *Graph, ev eval.Evaluator, baseTh float64, rng *rand.Rand) (*trainingKits, kit, error) {
 	cfg := pl.freshPolicyConfig(false)
-	e, k, _ := takeKit(pl.training, g, func(clone *Graph) (*rl.GraphContext, int64) {
+	e, k, _ := takeKit(pl.training, g, g.Fingerprint(), func(clone *Graph) (*rl.GraphContext, int64) {
 		ctx := pl.graphContext(clone, cfg)
 		return ctx, ctx.Bytes()
 	})
@@ -68,6 +71,40 @@ func (pl *Planner) takeTrainingKit(g *Graph, ev eval.Evaluator, baseTh float64, 
 		k, use = kit{env: env, trainer: rl.NewTrainer(rl.NewPolicy(cfg, rng), rl.QuickPPOConfig(), rng)}, kitNew
 	}
 	pl.rlPlans[use].Add(1)
+	k.env.Eval, k.env.Baseline = ev, baseTh
+	return e, k, nil
+}
+
+// searchKey is the key g's search kits are kept under in the planner's
+// training store: g's StructureDigest, which a graph planned by search
+// alone is never canonicalized for, marked so that it is never a
+// fingerprint, the key of g's training kits beside them. Like fingerprints,
+// equal digests only find the entry; takeKit matches it by Identical.
+func searchKey(g *Graph) string {
+	d := g.StructureDigest()
+	return "search:" + hex.EncodeToString(d[:])
+}
+
+// takeSearchKit returns a kit for a random or annealing plan of g, its
+// environment evaluating with ev against baseTh, and g's search entry in the
+// planner's training store, which the caller hands the kit back to with put
+// once its plan is done. The entry's context holds only the clone of g
+// (the search methods run no policy), and its kits only an environment,
+// whose solver tables and annealing matrix a later search fills again:
+// an idle kit of the entry when it has one, and otherwise a new
+// environment.
+func (pl *Planner) takeSearchKit(g *Graph, ev eval.Evaluator, baseTh float64) (*trainingKits, kit, error) {
+	e, k, _ := takeKit(pl.training, g, searchKey(g), func(clone *Graph) (*rl.GraphContext, int64) {
+		ctx := &rl.GraphContext{G: clone}
+		return ctx, ctx.Bytes()
+	})
+	if k.env == nil {
+		env, err := pl.buildEnv(e.base.G, e.base, ev, baseTh)
+		if err != nil {
+			return nil, kit{}, err
+		}
+		k.env = env
+	}
 	k.env.Eval, k.env.Baseline = ev, baseTh
 	return e, k, nil
 }

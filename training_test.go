@@ -60,8 +60,12 @@ func keptRLBytes(tb testing.TB, g *Graph, opts PlanOptions) int64 {
 
 // idleTrainingKits returns the idle kits of g's entry in pl's store, nil
 // when the store holds none for g.
-func idleTrainingKits(pl *Planner, g *Graph) []kit {
-	e, ok := pl.training.get(g.Fingerprint())
+func idleTrainingKits(pl *Planner, g *Graph) []kit { return idleKitsUnder(pl, g.Fingerprint()) }
+
+// idleKitsUnder returns the idle kits of the entry pl's training store holds
+// under key, nil when it holds none.
+func idleKitsUnder(pl *Planner, key string) []kit {
+	e, ok := pl.training.get(key)
 	if !ok {
 		return nil
 	}
@@ -126,15 +130,15 @@ func TestWarmRLPlansMatchColdPlans(t *testing.T) {
 }
 
 // checkIdleTrainingKitsDistinct fails unless every idle kit in the store
-// holds an environment and a trainer no other idle kit holds: a kit listed
-// twice is handed to two plans at once.
+// holds an environment, and a trainer if it has one, no other idle kit
+// holds: a kit listed twice is handed to two plans at once.
 func checkIdleTrainingKitsDistinct(t *testing.T, set *planCache[string, *trainingKits]) {
 	t.Helper()
 	envs, trainers := make(map[*rl.Env]bool), make(map[*rl.Trainer]bool)
 	for _, e := range set.values() {
 		e.mu.Lock()
 		for _, k := range e.idle {
-			if envs[k.env] || trainers[k.trainer] {
+			if envs[k.env] || (k.trainer != nil && trainers[k.trainer]) {
 				t.Errorf("an environment or a trainer is idle in two kits")
 			}
 			envs[k.env], trainers[k.trainer] = true, true
