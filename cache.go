@@ -70,8 +70,8 @@ func canonicalize(res *Result, pos []int) {
 
 // planCache is the one bounded store of everything that outlives a
 // request: completed plans by cache key, keyed requests by body digest (the
-// request memo), terminal jobs by ID, and by graph fingerprint an installed
-// policy's deployments and the RL-from-scratch training kits (kitpool.go).
+// request memo), terminal jobs by ID, and by graph structure digest an
+// installed policy's deployments and the training kits (kitpool.go).
 // It keeps the most recently used entries whose sizes sum to at most limit
 // bytes, each entry weighed by size(val) when it is put or re-weighed. All
 // methods are safe for concurrent use. A value is shared, not

@@ -23,10 +23,11 @@
 // -pool-workers bounds how many plans run concurrently; -queue how many
 // admitted jobs may wait (further submissions get HTTP 429). What the
 // daemon keeps between requests — plans, known request bodies, finished
-// jobs, a policy's per-graph deployments, the RL training kits of graphs
-// planned RL — is bounded in bytes by constants, not flags (DESIGN.md §8,
-// "What outlives a request"); mcmpart_rl_plans_total{kit} reports how many
-// RL plans ran on a kit an earlier plan of their graph left.
+// jobs, a policy's per-graph deployments, the training kits of graphs
+// planned RL, by random search or by annealing — is bounded in bytes by
+// constants, not flags (DESIGN.md §8, "What outlives a request");
+// mcmpart_rl_plans_total{kit} reports how many RL plans ran on a trainer
+// an earlier RL plan of their graph left.
 // -cache-dir adds a crash-safe persistent plan-cache tier under the
 // in-memory cache: completed plans are written through and survive daemon
 // restarts bit-identically. -workers sets the process-wide compute budget

@@ -20,7 +20,7 @@ const deploymentBytes = 64 << 20
 // to one snapshot, so it lives exactly as long as the weights that made its
 // records, and plans still running under an old snapshot finish on the old
 // one.
-func newDeployments() *planCache[string, *deployment] {
+func newDeployments() *planCache[[32]byte, *deployment] {
 	return newKitStore[*rl.Deployment](deploymentBytes)
 }
 
@@ -40,7 +40,7 @@ type deployment = kitPool[*rl.Deployment]
 // deployment. The caller hands the kit back with put once its plan is done.
 func (pl *Planner) deploy(g *Graph, installed policySnapshot, ev eval.Evaluator, baseTh float64) (d *deployment, k kit, reused bool, err error) {
 	var policy *rl.Policy
-	d, k, reused = takeKit(installed.deployments, g, g.Fingerprint(), func(clone *Graph) (*rl.Deployment, int64) {
+	d, k, reused = takeKit(installed.deployments, g, func(clone *Graph) (*rl.Deployment, int64) {
 		policy = installed.policy.Clone()
 		dep := rl.NewDeployment(policy, pl.graphContext(clone, policy.Cfg))
 		return dep, dep.Bytes()

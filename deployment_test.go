@@ -22,7 +22,7 @@ import (
 
 // The deployments of an installed policy (deployment.go): a repeat graph's
 // deployed-policy plan runs from the context, encoding and environment an
-// earlier plan of the identical graph built under the same weights, and
+// earlier plan of a graph of its structure built under the same weights, and
 // plans exactly what a cold plan does.
 
 // resultBits renders every field of a result, floats by their bits.
@@ -120,12 +120,16 @@ func TestDeployedPlansMatchColdPlans(t *testing.T) {
 	}
 }
 
-// variant returns a copy of g changed by edit: a graph that shares g's
-// fingerprint-relevant structure but is not Identical to it.
+// variant returns a copy of g changed by edit.
 func variant(g *Graph, edit func(nodes []graph.Node, edges []graph.Edge)) *Graph {
 	nodes, edges := append([]graph.Node(nil), g.Nodes()...), append([]graph.Edge(nil), g.Edges()...)
 	edit(nodes, edges)
-	out := NewGraph(g.Name())
+	return rebuild(g.Name(), nodes, edges)
+}
+
+// rebuild returns a graph named name with nodes and edges, in their order.
+func rebuild(name string, nodes []graph.Node, edges []graph.Edge) *Graph {
+	out := NewGraph(name)
 	for _, n := range nodes {
 		out.AddNode(n)
 	}
@@ -135,39 +139,52 @@ func variant(g *Graph, edit func(nodes []graph.Node, edges []graph.Edge)) *Graph
 	return out
 }
 
-// TestNearIdenticalGraphsGetTheirOwnDeployment: graphs that differ from a
-// deployed one only in one node's name, in a FLOPs of -0 against +0, or in
-// the insertion order of two edges do not find its deployment, or for an
-// RL plan its training kits, and plan what a cold plan of each does.
-// Mutation caught: entries matched by fingerprint, canonical positions, or
-// a comparison that skips names or reads floats by value.
-func TestNearIdenticalGraphsGetTheirOwnDeployment(t *testing.T) {
+// TestEntriesAreFoundByStructure: a graph that differs from a planned one
+// only in a node's name or in its own name finds that graph's deployment,
+// or for an RL plan its training kits, on its first plan, since no plan
+// reads a name; one whose FLOPs is -0 where the planned graph's is +0, or
+// whose edges are inserted in another order, gets an entry of its own.
+// Each plans what a cold plan of it does. Mutations caught: entries keyed
+// by fingerprint or canonical positions, or by a digest that reads floats
+// by value or names.
+func TestEntriesAreFoundByStructure(t *testing.T) {
 	base := variant(CorpusGraphs(1)[40], func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = 0 })
-	variants := map[string]*Graph{
-		"node name": variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[1].Name += "'" }),
-		"-0 FLOPs":  variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = math.Copysign(0, -1) }),
-		"edge order": variant(base, func(_ []graph.Node, edges []graph.Edge) {
+	variants := map[string]struct {
+		g      *Graph
+		shares bool // finds base's entry
+	}{
+		"node name":  {variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[1].Name += "'" }), true},
+		"graph name": {rebuild(base.Name()+"'", base.Nodes(), base.Edges()), true},
+		"-0 FLOPs":   {variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = math.Copysign(0, -1) }), false},
+		"edge order": {variant(base, func(_ []graph.Node, edges []graph.Edge) {
 			edges[0], edges[len(edges)-1] = edges[len(edges)-1], edges[0]
-		}),
+		}), false},
 	}
 	for _, method := range []Method{MethodZeroShot, MethodRL} {
 		warm, policy := deployedPlanner(t)
 		cold, _ := deployedPlanner(t)
 		opts := PlanOptions{Method: method, SampleBudget: 16, Seed: 3}
 		planReused(t, warm, base, opts)
-		for name, g := range variants {
-			if err := g.Validate(); err != nil {
+		for name, v := range variants {
+			if err := v.g.Validate(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for round := 0; round < 2; round++ {
-				got, reused := planReused(t, warm, g, opts)
-				if reused != (round == 1) {
+				got, reused := planReused(t, warm, v.g, opts)
+				if reused != (v.shares || round == 1) {
 					t.Errorf("%s %s, plan %d: reused an entry %t", method, name, round, reused)
 				}
-				if w, gb := resultBits(coldPlan(t, cold, policy, g, opts)), resultBits(got); w != gb {
+				if w, gb := resultBits(coldPlan(t, cold, policy, v.g, opts)), resultBits(got); w != gb {
 					t.Errorf("%s %s, plan %d: warm plan differs from a cold one", method, name, round)
 				}
 			}
+		}
+		entries, _ := warm.snapshotPolicy().deployments.snapshot()
+		if method == MethodRL {
+			entries, _ = warm.training.snapshot()
+		}
+		if entries != 3 {
+			t.Errorf("%s: the store keeps %d entries, want base's and two of the variants' own", method, entries)
 		}
 	}
 }
@@ -255,11 +272,11 @@ func TestReloadKeepsTheDeployments(t *testing.T) {
 
 // installBounded installs policy on pl with an empty set of deployments
 // bounded by limit, and returns the set.
-func installBounded(pl *Planner, policy *rl.Policy, limit int64) *planCache[string, *deployment] {
+func installBounded(pl *Planner, policy *rl.Policy, limit int64) *planCache[[32]byte, *deployment] {
 	pl.installPolicy(policy, "")
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	pl.installed.deployments = newPlanCache[string](limit, (*deployment).bytes)
+	pl.installed.deployments = newKitStore[*rl.Deployment](limit)
 	return pl.installed.deployments
 }
 
@@ -291,7 +308,7 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 	if _, used := set.snapshot(); used != aBytes+bBytes {
 		t.Fatalf("the set counts %d bytes, its deployments and kits hold %d", used, aBytes+bBytes)
 	}
-	check := func(what string, set *planCache[string, *deployment], g *Graph, wantReused bool) {
+	check := func(what string, set *planCache[[32]byte, *deployment], g *Graph, wantReused bool) {
 		t.Helper()
 		if _, reused := planReused(t, pl, g, opts); reused != wantReused {
 			t.Errorf("%s: %s's plan reused a deployment %t, want %t", what, g.Name(), reused, wantReused)
@@ -319,7 +336,7 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 	set = installBounded(pl, policy, max(aBytes, bBytes))
 	check("room for one", set, a, false)
 	check("room for one", set, b, false)
-	if kept := set.values(); len(kept) != 1 || !kept[0].base.Ctx.G.Identical(b) {
+	if kept := set.values(); len(kept) != 1 || kept[0].key != b.StructureDigest() {
 		t.Errorf("room for one: %d deployments kept, want b's alone", len(kept))
 	}
 	check("room for one", set, a, false)
@@ -328,7 +345,7 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 // checkIdleKitsDistinct fails unless every idle kit of set holds an
 // environment and a clone no other idle kit holds: a kit listed twice is
 // handed to two plans at once.
-func checkIdleKitsDistinct(t *testing.T, set *planCache[string, *deployment]) {
+func checkIdleKitsDistinct(t *testing.T, set *planCache[[32]byte, *deployment]) {
 	t.Helper()
 	envs, clones := make(map[*rl.Env]bool), make(map[*rl.Policy]bool)
 	for _, d := range set.values() {
@@ -433,7 +450,7 @@ func TestReusedEnvironmentCallsNoEarlierProgress(t *testing.T) {
 
 // storeKits returns how many entries set holds and the idle kits of all of
 // them.
-func storeKits[D any](set *planCache[string, *kitPool[D]]) (entries int, idle []kit) {
+func storeKits[D any](set *planCache[[32]byte, *kitPool[D]]) (entries int, idle []kit) {
 	kept := set.values()
 	for _, p := range kept {
 		p.mu.Lock()

@@ -4,6 +4,7 @@ package graph_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -66,10 +67,10 @@ func TestSeededCanonicalizationIsTheColdOne(t *testing.T) {
 }
 
 // TestStructureDigestSensitivity: the digest covers exactly what the
-// fingerprint reads — every attribute of every node, every edge's
-// endpoints and bytes, and the order of the edges (which the adjacency,
-// the layout's tie-breaks and so the canonical positions follow) — and no
-// name.
+// fingerprint and a plan read — every attribute of every node, FLOPs by
+// its bits (a -0 is not a +0), every edge's endpoints and bytes, and the
+// order of the edges (which the adjacency, the layout's tie-breaks and so
+// the canonical positions follow) — and no name.
 func TestStructureDigestSensitivity(t *testing.T) {
 	base := workload.BERT()
 	want := base.StructureDigest()
@@ -109,6 +110,11 @@ func TestStructureDigestSensitivity(t *testing.T) {
 		if g.StructureDigest() == want {
 			t.Errorf("changing %s left the digest unchanged", name)
 		}
+	}
+	plusZero := rebuild(func(n *graph.Node) { n.FLOPs = 0 }, keepEdges)
+	minusZero := rebuild(func(n *graph.Node) { n.FLOPs = math.Copysign(0, -1) }, keepEdges)
+	if plusZero.StructureDigest() == minusZero.StructureDigest() {
+		t.Error("a FLOPs of -0 digests as one of +0 does")
 	}
 }
 

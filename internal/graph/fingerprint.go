@@ -84,7 +84,9 @@ func (g *Graph) Canonicalized() bool { return g.derived().canonicalized.Load() }
 // canonicalize a graph whose layout is built), memoized with them for the
 // graph's state. It is what a caller that has canonicalized a structure
 // before keys what it found by, to SeedCanonical a renamed copy with it, and
-// what the planner keys a graph's search kits by without canonicalizing it.
+// what the planner keys every per-graph store by without canonicalizing
+// the graph: it covers all that a plan reads of a graph, which reads no
+// name, so graphs with equal digests plan alike.
 func (g *Graph) StructureDigest() [32]byte {
 	d := g.derived()
 	d.digestOnce.Do(func() { d.digest = g.structureDigest() })

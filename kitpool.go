@@ -8,27 +8,25 @@ import (
 )
 
 // kitPool is one graph's entry in a store of per-graph kits — an installed
-// policy's deployments (deployment.go) and the planner's training and
-// search kits (training.go): base, what every plan of the graph shares,
-// built once on a clone of the graph, and a free list of idle kits, each
-// what one plan runs on besides base. A plan takes an entry and a kit with
-// takeKit, and hands the kit back with put once it is done.
+// policy's deployments (deployment.go) and the planner's training kits
+// (training.go): base, what every plan of the graph shares, built once on a
+// clone of the graph, and a free list of idle kits, each what one plan runs
+// on besides base. A plan takes an entry and a kit with takeKit, and hands
+// the kit back with put once it is done.
 //
-// The store is keyed by graph fingerprint — a search kit's entry by the
-// graph's searchKey, so that it and the graph's training entry live side by
-// side — and a graph finds the entry under its key only when it is
-// Identical to the graph the entry was built on (a clone, so no caller can
-// change it). The store counts base and the idle kits, each weighed when
-// its plan hands it back; a kit out on a plan is the plan's, and one whose
-// plan panicked mid-sample — which may have left its solver's tables or its
+// The store is keyed by the graph's StructureDigest, which covers every
+// node's Op, FLOPs bits, ParamBytes and OutputBytes in ID order and every
+// edge in insertion order: all that a plan reads of a graph, which reads no
+// name. The store counts base and the idle kits, each weighed when its plan
+// hands it back; a kit out on a plan is the plan's, and one whose plan
+// panicked mid-sample — which may have left its solver's tables or its
 // scratch half built — is never handed back, so it stops being counted when
 // it is taken.
 type kitPool[D any] struct {
-	base      D                               // immutable
-	g         *Graph                          // immutable: the clone base was built on
-	key       string                          // immutable; the store's key
-	baseBytes int64                           // immutable: what base holds
-	set       *planCache[string, *kitPool[D]] // immutable: the store the entry was put in
+	base      D                                 // immutable
+	key       [32]byte                          // immutable; the store's key
+	baseBytes int64                             // immutable: what base holds
+	set       *planCache[[32]byte, *kitPool[D]] // immutable: the store the entry was put in
 	mu        sync.Mutex
 	idle      []kit // guarded by mu
 	// weight is what the store counts for the entry: base and the idle
@@ -39,12 +37,12 @@ type kitPool[D any] struct {
 
 // kit is what one plan of an entry's graph runs on besides the entry's
 // base: an environment on the base's context, and either a clone of the
-// policy a deployment was built under (policy), a trainer whose policy,
-// optimizer, activation records, rollout workers with their partitioner
-// replicas and batch buffers are sized for the graph (trainer), or neither,
-// for a search, whose state is its environment's. An idle kit's environment
-// is Reset, so that it holds no trajectory and calls no earlier request's
-// callback.
+// policy a deployment was built under (policy), or, once an RL plan has run
+// on a training kit, a trainer whose policy, optimizer, activation records,
+// rollout workers with their partitioner replicas and batch buffers are
+// sized for the graph (trainer). A random or annealing plan runs on the
+// environment alone. An idle kit's environment is Reset, so that it holds
+// no trajectory and calls no earlier request's callback.
 type kit struct {
 	env     *rl.Env
 	policy  *rl.Policy
@@ -54,26 +52,24 @@ type kit struct {
 
 // newKitStore returns an empty store of per-graph kit pools bounded to
 // limit bytes.
-func newKitStore[D any](limit int64) *planCache[string, *kitPool[D]] {
-	return newPlanCache[string](limit, (*kitPool[D]).bytes)
+func newKitStore[D any](limit int64) *planCache[[32]byte, *kitPool[D]] {
+	return newPlanCache[[32]byte](limit, (*kitPool[D]).bytes)
 }
 
-// takeKit returns set's entry for g under key (g's fingerprint, or for a
-// search kit its searchKey) and, when the entry has one, an idle kit of it,
-// which the caller readies for its plan; otherwise a zero kit, for the
+// takeKit returns set's entry for g and, when the entry has one, an idle kit
+// of it, which the caller readies for its plan; otherwise a zero kit, for the
 // caller to build one on the entry's base. held reports that set held the
-// entry: one built on a graph Identical to g under key. When it held none,
-// the entry is new, its base newBase's on a clone of g that shares g's
-// adjacency, layout and fingerprint (Graph.CloneDerived), and replaces
-// whatever set holds under key; it is not kept when its base alone exceeds
-// set's bound.
-func takeKit[D any](set *planCache[string, *kitPool[D]], g *Graph, key string, newBase func(clone *Graph) (base D, bytes int64)) (p *kitPool[D], k kit, held bool) {
-	if p, held = set.get(key); held && p.g.Identical(g) {
+// entry. When it held none, the entry is new, its base newBase's on a clone
+// of g that shares g's adjacency, layout and digest (Graph.CloneDerived),
+// and it is not kept when its base alone exceeds set's bound.
+func takeKit[D any](set *planCache[[32]byte, *kitPool[D]], g *Graph, newBase func(clone *Graph) (base D, bytes int64)) (p *kitPool[D], k kit, held bool) {
+	key := g.StructureDigest()
+	if p, held = set.get(key); held {
 		return p, p.take(), true
 	}
 	clone := g.CloneDerived()
 	base, bytes := newBase(clone)
-	p = &kitPool[D]{base: base, g: clone, key: key, baseBytes: bytes, set: set}
+	p = &kitPool[D]{base: base, key: key, baseBytes: bytes, set: set}
 	p.weight.Store(bytes)
 	set.put(key, p)
 	return p, kit{}, false
@@ -110,9 +106,9 @@ func (p *kitPool[D]) take() (k kit) {
 
 // put hands k, which a plan on p's base has finished with, back to p's
 // idle list, its environment Reset. A trainer keeps the rollout workers its
-// last batch ran on, and its kit is weighed as it then holds, as is a
-// search kit, whose environment's tables grow with the searches run on it;
-// a deployment's kit keeps the weight it was built with. A kit that does
+// last batch ran on, and a training kit is weighed as it then holds, since
+// its environment's tables grow with the searches run on it too; a
+// deployment's kit keeps the weight it was built with. A kit that does
 // not fit in p's store beside p's base and idle kits is dropped.
 func (p *kitPool[D]) put(k kit) {
 	switch {

@@ -145,7 +145,7 @@ func TestZeroShotPlanHeapBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan(1) // the graph's memoized layout and fingerprint, and its deployment
+	plan(1) // the graph's memoized layout and digest, and its deployment
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	plan(2)

@@ -217,11 +217,11 @@ type PretrainReport struct {
 // the concurrency contract Service builds on (see DESIGN.md).
 type Planner struct {
 	pkg *Package
-	// training is what RL-from-scratch plans keep of the graphs they
-	// trained on (training.go); it outlives installs, which it does not
-	// depend on. rlPlans counts those plans by what they ran on (kitNew,
-	// kitReused).
-	training *planCache[string, *trainingKits]
+	// training is what RL-from-scratch, random and annealing plans keep of
+	// the graphs they planned (training.go); it outlives installs, which it
+	// does not depend on. rlPlans counts RL plans by the trainer they ran
+	// on (kitNew, kitReused).
+	training *planCache[[32]byte, *trainingKits]
 	rlPlans  [2]atomic.Uint64
 
 	// mu guards the installed policy. The policy value itself is immutable
@@ -246,7 +246,7 @@ type policySnapshot struct {
 	ftPPO rl.PPOConfig
 	// deployments are what the deployed-policy methods keep of the graphs
 	// they planned under policy's weights; empty when none is installed.
-	deployments *planCache[string, *deployment]
+	deployments *planCache[[32]byte, *deployment]
 }
 
 // NewPlanner builds a planning session for the package. The package is
@@ -457,8 +457,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	var d *deployment
 	var k kit
 	var put func(kit) // hands k back to the entry it came from
-	switch {
-	case opts.Method.usesPolicy():
+	if opts.Method.usesPolicy() {
 		// A policy's scratch serves one caller, and fine-tuning updates
 		// weights: each plan runs on a clone of its own, and the planner's
 		// installed policy stays the pristine pre-trained artifact. The
@@ -473,21 +472,13 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		if opts.Method == MethodFineTune {
 			policy = installed.policy.Clone()
 		}
-	case opts.Method == MethodRL:
-		// The environment, policy, trainer and rollout workers come from
-		// one of the graph's training kits; the policy's weights are drawn
-		// from rng, as a fresh one's are.
+	} else {
+		// RL, random search and annealing run on one of the graph's
+		// training kits; an RL plan's policy, trainer and rollout workers
+		// are the kit's too, its weights drawn from rng as a fresh
+		// policy's are (readyTrainer, below).
 		var e *trainingKits
-		if e, k, err = pl.takeTrainingKit(g, ev, base.Throughput, rng); err != nil {
-			return nil, false, err
-		}
-		env, put = k.env, e.put
-	default:
-		// The search methods run no policy: their environment comes from
-		// one of the graph's search kits, whose context carries no encoder
-		// inputs.
-		var e *trainingKits
-		if e, k, err = pl.takeSearchKit(g, ev, base.Throughput); err != nil {
+		if e, k, err = pl.takeTrainingKit(g, ev, base.Throughput); err != nil {
 			return nil, false, err
 		}
 		env, put = k.env, e.put
@@ -513,6 +504,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	case MethodSA:
 		runErr = search.Anneal(ctx, env, opts.SampleBudget, search.SAConfig{}, rng)
 	case MethodRL:
+		pl.readyTrainer(&k, rng)
 		_, runErr = k.trainer.TrainUntil(ctx, []*rl.Env{env}, opts.SampleBudget)
 	case MethodZeroShot:
 		// The deployed-policy methods drive the solver in SAMPLE mode
@@ -540,9 +532,7 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	// mid-sample may have left its solver's tables or its scratch half
 	// built, and is dropped with its kit, which its store stopped counting
 	// when the plan took it.
-	if put != nil {
-		put(k)
-	}
+	put(k)
 	if res == nil {
 		if runErr != nil {
 			return nil, reused, runErr

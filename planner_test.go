@@ -332,7 +332,7 @@ func TestPlannerAssess(t *testing.T) {
 // graph's topological order (71 Kahn passes per plan), 30 299 once the
 // graph memoized it, 668 while a sample allocated its partition, the
 // scheduler's five vectors and the simulator's Result, and ≈90 now that a
-// repeat plan runs on its graph's search kit and the simulator scores a
+// repeat plan runs on its graph's training kit and the simulator scores a
 // sample in pooled memory: a partition per sample plus the plan's own
 // trajectory and best-partition clones. The ceiling is the guard against a
 // per-sample allocation, a per-sample graph analysis, or a per-plan table

@@ -5,30 +5,25 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"mcmpart/internal/rl"
 )
 
-// The planner's search kits (training.go): a graph's random and annealing
-// plans run on environments the graph's earlier search plans handed back —
-// solver tables and annealing matrix sized — kept in the training store
-// under searchKey, beside the graph's training kits.
-
-// idleSearchKits returns the idle kits of g's search entry in pl's store,
-// nil when the store holds none for g.
-func idleSearchKits(pl *Planner, g *Graph) []kit { return idleKitsUnder(pl, searchKey(g)) }
+// Random and annealing plans on the planner's training kits (training.go):
+// a graph's search plans run on environments the graph's earlier plans —
+// RL, random or annealing — handed back, solver tables and annealing matrix
+// sized, in the graph's one entry; a kit an RL plan ran on keeps its
+// trainer through them.
 
 // TestWarmSearchPlansMatchColdPlans: random and annealing plans on the cost
 // model and the simulator, seeds 1-4, on a corpus graph and BERT, each
 // planned cold (a new planner) and warm on one planner that planned every
 // earlier case and an RL plan of the graph before each seed's pair — so
-// every warm search plan but each graph's first runs on the environment the
-// search plan before it handed back, whichever method that was. Every
-// Result must be float-bit identical (under -short and -race: the corpus
-// graph, seed 1), the graph keeps one search kit, and the RL plans keep
-// running on the graph's one training kit. Mutations caught: a search kit
-// kept under the graph's fingerprint (it replaces the training entry), and
-// an environment that keeps the previous plan's evaluator.
+// every warm plan but each graph's first runs on the kit the plan before it
+// handed back, whichever method that was. Every Result must be float-bit
+// identical (under -short and -race: the corpus graph, seed 1), and each
+// graph keeps one entry with one kit, whose environment and trainer every
+// plan of the graph shares. Mutations caught: a search kit kept in an entry
+// of its own, a search plan that drops the kit's trainer, and an
+// environment that keeps the previous plan's evaluator.
 func TestWarmSearchPlansMatchColdPlans(t *testing.T) {
 	seeds, graphs := []int64{1, 2, 3, 4}, []*Graph{CorpusGraphs(1)[40], BERT()}
 	if testing.Short() || raceEnabled {
@@ -39,18 +34,23 @@ func TestWarmSearchPlansMatchColdPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range graphs {
-		var env *rl.Env
-		var trainer *rl.Trainer
+		var shared kit
+		// sameKit fails unless g's entry holds one idle kit, the one every
+		// plan of g before ran on.
+		sameKit := func(what string) {
+			t.Helper()
+			idle := idleTrainingKits(warm, g)
+			if len(idle) != 1 || idle[0].trainer == nil || (shared.env != nil && (idle[0].env != shared.env || idle[0].trainer != shared.trainer)) {
+				t.Fatalf("%s %s: the plan did not hand back the kit the plans before it ran on", g.Name(), what)
+			}
+			shared = idle[0]
+		}
 		for sim := range 2 {
 			for _, seed := range seeds {
 				if _, err := warm.Plan(context.Background(), g, PlanOptions{Method: MethodRL, SampleBudget: 8, Seed: seed}); err != nil {
 					t.Fatal(err)
 				}
-				idle := idleTrainingKits(warm, g)
-				if len(idle) != 1 || (trainer != nil && idle[0].trainer != trainer) {
-					t.Fatalf("%s: an RL plan between search plans did not run on the graph's training kit", g.Name())
-				}
-				trainer = idle[0].trainer
+				sameKit("RL")
 				for _, m := range []Method{MethodRandom, MethodSA} {
 					opts := PlanOptions{Method: m, SampleBudget: 24, Seed: seed, UseSimulator: sim == 1}
 					want := coldRLPlan(t, g, opts)
@@ -61,24 +61,23 @@ func TestWarmSearchPlansMatchColdPlans(t *testing.T) {
 					if resultBits(got) != want {
 						t.Errorf("%s %s simulator=%t seed %d: the warm plan differs from the cold one", g.Name(), m, sim == 1, seed)
 					}
-					idle := idleSearchKits(warm, g)
-					if len(idle) != 1 || idle[0].trainer != nil || (env != nil && idle[0].env != env) {
-						t.Fatalf("%s %s simulator=%t seed %d: the warm plan did not hand back the search kit the plan before it used", g.Name(), m, sim == 1, seed)
-					}
-					env = idle[0].env
+					sameKit(string(m))
 				}
 			}
 		}
 	}
 	checkTrainingWeights(t, warm.training)
-	if entries, _ := warm.training.snapshot(); entries != 2*len(graphs) {
-		t.Errorf("the training store keeps %d entries, want a training and a search entry for each of %d graphs", entries, len(graphs))
+	if entries, _ := warm.training.snapshot(); entries != len(graphs) {
+		t.Errorf("the training store keeps %d entries, want one for each of %d graphs", entries, len(graphs))
+	}
+	if built := warm.rlPlans[kitNew].Load(); built != uint64(len(graphs)) {
+		t.Errorf("%d RL plans built a trainer, want each graph's first", built)
 	}
 }
 
 // TestConcurrentSAPlansTradeKits: annealing plans of one graph on the
 // simulator, run at once on graphs of their own, take and hand back its
-// search kits concurrently, and each plans what the serial cold plan of its
+// kits concurrently, and each plans what the serial cold plan of its
 // seed does. Every plan checks at every sample that the idle kits are
 // distinct; under -race (CI) two plans annealing in one environment's
 // matrices, or scoring into one simulator run's memory, fail the run.
@@ -119,13 +118,94 @@ func TestConcurrentSAPlansTradeKits(t *testing.T) {
 	}
 	checkIdleTrainingKitsDistinct(t, warm.training)
 	checkTrainingWeights(t, warm.training)
-	if idle := idleSearchKits(warm, g); len(idle) == 0 || len(idle) > seeds {
-		t.Errorf("after concurrent annealing plans the graph keeps %d search kits, want 1 to %d", len(idle), seeds)
+	if idle := idleTrainingKits(warm, g); len(idle) == 0 || len(idle) > seeds {
+		t.Errorf("after concurrent annealing plans the graph keeps %d kits, want 1 to %d", len(idle), seeds)
 	}
 }
 
-// TestSearchKitBytesEstimate: what the store counts for an idle search kit
-// is what the kit keeps, within 1 %, once a random plan and then an
+// TestConcurrentFromScratchPlansTradeKits: RL, random and annealing plans
+// of one graph, run at once on one planner with graphs of their own, take
+// and hand back the graph's kits concurrently — an RL plan builds a trainer
+// on a kit a search plan built, a search plan runs on a kit whose trainer it
+// leaves alone — and each plans what the serial cold plan of its method and
+// seed does. Every plan checks at every sample that the idle kits are
+// distinct; under -race (CI) two plans in one environment or one trainer
+// fail the run. Once the plans are done the graph has one entry, and the
+// store counts exactly what it holds.
+func TestConcurrentFromScratchPlansTradeKits(t *testing.T) {
+	g := CorpusGraphs(1)[40]
+	warm, err := NewPlanner(Edge36())
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := []Method{MethodRL, MethodRandom, MethodSA}
+	const seeds = 2
+	opts := func(m Method, seed int) PlanOptions {
+		return PlanOptions{Method: m, SampleBudget: 16, Seed: int64(seed), UseSimulator: m == MethodSA}
+	}
+	want := make(map[[2]int]string)
+	for mi, m := range methods {
+		for seed := 1; seed <= seeds; seed++ {
+			want[[2]int{mi, seed}] = coldRLPlan(t, g, opts(m, seed))
+		}
+	}
+	progress := func(ProgressEvent) { checkIdleTrainingKitsDistinct(t, warm.training) }
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		for mi, m := range methods {
+			for seed := 1; seed <= seeds; seed++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					o := opts(m, seed)
+					o.Progress = progress
+					res, err := warm.Plan(context.Background(), g.Clone(), o)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if resultBits(res) != want[[2]int{mi, seed}] {
+						t.Errorf("a concurrent %s plan, seed %d, differs from its cold plan", m, seed)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	checkIdleTrainingKitsDistinct(t, warm.training)
+	checkTrainingWeights(t, warm.training)
+	if entries, _ := warm.training.snapshot(); entries != 1 {
+		t.Errorf("after concurrent plans of one graph the store keeps %d entries, want 1", entries)
+	}
+	if idle := idleTrainingKits(warm, g); len(idle) == 0 || len(idle) > len(methods)*seeds {
+		t.Errorf("after concurrent plans the graph keeps %d kits, want 1 to %d", len(idle), len(methods)*seeds)
+	}
+}
+
+// TestPlannerNeverCanonicalizes: an RL, an annealing and a zero-shot plan
+// through Planner.Plan each leave a fresh BERT (under -short and -race: a
+// corpus graph) uncanonicalized, since every per-graph store is keyed by
+// the graph's StructureDigest; only the Service, which keys its plan cache
+// by fingerprint, canonicalizes.
+func TestPlannerNeverCanonicalizes(t *testing.T) {
+	fresh := BERT
+	if testing.Short() || raceEnabled {
+		fresh = func() *Graph { return CorpusGraphs(1)[40] }
+	}
+	pl, _ := deployedPlanner(t)
+	for _, m := range []Method{MethodRL, MethodSA, MethodZeroShot} {
+		g := fresh()
+		if _, err := pl.Plan(context.Background(), g, PlanOptions{Method: m, SampleBudget: 8}); err != nil {
+			t.Fatal(err)
+		}
+		if g.Canonicalized() {
+			t.Errorf("a %s plan canonicalized its graph", m)
+		}
+	}
+}
+
+// TestSearchKitBytesEstimate: what the store counts for an idle kit no RL
+// plan ran on is what the kit keeps, within 1 %, once a random plan and then an
 // annealing plan on the simulator have run on it: the segmenter's prefix
 // sums, boundaries and the weight slot with its matrix and term memo, and
 // the annealing matrix. The kit keeps the difference the heap makes
@@ -150,21 +230,21 @@ func TestSearchKitBytesEstimate(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	e, _ := pl.training.get(searchKey(g))
-	est := uint64(idleSearchKits(pl, g)[0].bytes)
+	e, _ := pl.training.get(g.StructureDigest())
+	est := uint64(idleTrainingKits(pl, g)[0].bytes)
 	runtime.GC() // the simulator's pooled run memory goes at the second collection
 	with := live()
 	e.take()
 	kept := with - live()
 	runtime.KeepAlive(e)
 	if est < kept*99/100 || est > kept*101/100 {
-		t.Errorf("a BERT search kit estimates %d bytes, it keeps %d", est, kept)
+		t.Errorf("a BERT kit no RL plan ran on estimates %d bytes, it keeps %d", est, kept)
 	}
 }
 
 // TestRepeatSAPlanHeapBytes holds what a repeat graph's annealing plan on
 // the simulator allocates through the Planner: BERT/edge36 at
-// bert-search-sim's budget, one worker. plan(2) runs on the search kit
+// bert-search-sim's budget, one worker. plan(2) runs on the kit
 // plan(1), the graph's first, built and plan(3) handed back — segmenter
 // tables and annealing matrix sized — and scores its samples in the
 // simulator's pooled run memory, so it allocates its partitions, the best
@@ -189,7 +269,7 @@ func TestRepeatSAPlanHeapBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		plan(1) // the graph's memoized layout and fingerprint, and its kit
+		plan(1) // the graph's memoized layout and digest, and its kit
 		plan(3)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -203,7 +283,7 @@ func TestRepeatSAPlanHeapBytes(t *testing.T) {
 
 // BenchmarkPlanSASimWarmBERT times a repeat graph's annealing plan on the
 // simulator at bert-search-sim's budget: BERT/edge36, 64 samples, seeds
-// cycling over 1-3 on the graph's search kit.
+// cycling over 1-3 on the graph's training kit.
 func BenchmarkPlanSASimWarmBERT(b *testing.B) {
 	pl, err := NewPlanner(Edge36())
 	if err != nil {

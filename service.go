@@ -134,15 +134,15 @@ type ServiceStats struct {
 	// DeploymentReuses counts executed plans by a deployed-policy method
 	// (zero-shot, fine-tune) that ran from their graph's deployment — its
 	// context, encoding and an idle environment, built by an earlier plan
-	// of the identical graph under the same installed policy — instead of
+	// of a graph of its structure under the same installed policy — instead of
 	// building their own. At quiescence it is at most PlansExecuted.
 	DeploymentReuses uint64 `json:"deployment_reuses" metric:"mcmpart_deployment_reuses_total"`
-	// RL-from-scratch plans by what they ran on: RLPlansNewKit built a kit,
-	// which its graph's entry in the training store keeps; RLPlansReusedKit
-	// ran on an idle kit an earlier plan of the identical graph left. Their
-	// sum counts every RL plan the planner ran (a library caller's too), and
-	// the share of the second is the share of RL plans the training store
-	// served.
+	// RL-from-scratch plans by the trainer they ran on: RLPlansNewKit
+	// built it, on a kit of its graph's entry in the training store that
+	// keeps it; RLPlansReusedKit ran on one an earlier RL plan of a graph
+	// of its structure left on an idle kit. Their sum counts every RL plan
+	// the planner ran (a library caller's too), and the share of the second
+	// is the share of RL plans the training store served.
 	RLPlansNewKit    uint64 `json:"rl_plans_new_kit" metric:"mcmpart_rl_plans_total{kit=\"new\"}"`
 	RLPlansReusedKit uint64 `json:"rl_plans_reused_kit" metric:"mcmpart_rl_plans_total{kit=\"reused\"}"`
 	// What the stores that outlive a request keep right now, counted from
@@ -429,7 +429,7 @@ func NewService(pkg *Package, opts ServiceOptions) (*Service, error) {
 		"training":    s.planner.training.reading,
 	}
 	for use, kit := range [...]string{kitNew: "new", kitReused: "reused"} {
-		m.reg.CounterFunc("mcmpart_rl_plans_total", "RL-from-scratch plans by what they ran on: a training kit the plan built, or one an earlier plan of the graph left idle.",
+		m.reg.CounterFunc("mcmpart_rl_plans_total", "RL-from-scratch plans by the trainer they ran on: one the plan built, or one an earlier RL plan of the graph left on an idle training kit.",
 			s.planner.rlPlans[use].Load, telemetry.Label{Name: "kit", Value: kit})
 	}
 	for store, read := range stores {

@@ -14,8 +14,8 @@ import (
 // The planner's training kits (training.go): a graph's first RL plan builds
 // the graph's context, environment, trainer, rollout workers and
 // partitioner replicas and keeps them; a repeat graph's RL plan runs on
-// what an earlier RL plan of the identical graph kept, and trains exactly
-// what a cold plan does.
+// what an earlier RL plan of a graph of its structure kept, and trains
+// exactly what a cold plan does.
 
 // withWorkers runs fn under a temporary process-default worker count.
 func withWorkers(w int, fn func()) {
@@ -60,12 +60,8 @@ func keptRLBytes(tb testing.TB, g *Graph, opts PlanOptions) int64 {
 
 // idleTrainingKits returns the idle kits of g's entry in pl's store, nil
 // when the store holds none for g.
-func idleTrainingKits(pl *Planner, g *Graph) []kit { return idleKitsUnder(pl, g.Fingerprint()) }
-
-// idleKitsUnder returns the idle kits of the entry pl's training store holds
-// under key, nil when it holds none.
-func idleKitsUnder(pl *Planner, key string) []kit {
-	e, ok := pl.training.get(key)
+func idleTrainingKits(pl *Planner, g *Graph) []kit {
+	e, ok := pl.training.get(g.StructureDigest())
 	if !ok {
 		return nil
 	}
@@ -132,7 +128,7 @@ func TestWarmRLPlansMatchColdPlans(t *testing.T) {
 // checkIdleTrainingKitsDistinct fails unless every idle kit in the store
 // holds an environment, and a trainer if it has one, no other idle kit
 // holds: a kit listed twice is handed to two plans at once.
-func checkIdleTrainingKitsDistinct(t *testing.T, set *planCache[string, *trainingKits]) {
+func checkIdleTrainingKitsDistinct(t *testing.T, set *planCache[[32]byte, *trainingKits]) {
 	t.Helper()
 	envs, trainers := make(map[*rl.Env]bool), make(map[*rl.Trainer]bool)
 	for _, e := range set.values() {
@@ -149,7 +145,7 @@ func checkIdleTrainingKitsDistinct(t *testing.T, set *planCache[string, *trainin
 
 // checkTrainingWeights fails unless the store counts what its entries hold:
 // each entry its context and its idle kits as they were weighed.
-func checkTrainingWeights(t *testing.T, set *planCache[string, *trainingKits]) {
+func checkTrainingWeights(t *testing.T, set *planCache[[32]byte, *trainingKits]) {
 	t.Helper()
 	var sum int64
 	for _, e := range set.values() {
@@ -258,7 +254,7 @@ func TestPanickedRLPlanReturnsNoKit(t *testing.T) {
 		panicking.Progress = func(ProgressEvent) { panic("mid-plan") }
 		_, _ = pl.Plan(context.Background(), g, panicking)
 	}()
-	e, _ := pl.training.get(g.Fingerprint())
+	e, _ := pl.training.get(g.StructureDigest())
 	if _, used := pl.training.snapshot(); len(idleTrainingKits(pl, g)) != 0 || used != e.baseBytes {
 		t.Fatalf("after a panicked plan the store counts %d bytes, want the context's %d alone", used, e.baseBytes)
 	}
@@ -301,7 +297,7 @@ func TestRepeatRLPlanHeapBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		plan(1) // the graph's memoized layout and fingerprint, and its kit
+		plan(1) // the graph's memoized layout and digest, and its kit
 		plan(3)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -405,7 +401,7 @@ func TestFirstRLPlanHeapBytes(t *testing.T) {
 	g := BERT()
 	opts := PlanOptions{Method: MethodRL, SampleBudget: 32, Seed: 1}
 	withWorkers(1, func() {
-		if _, err := pl.Plan(context.Background(), g, opts); err != nil { // the graph's memoized layout and fingerprint
+		if _, err := pl.Plan(context.Background(), g, opts); err != nil { // the graph's memoized layout and digest
 			t.Fatal(err)
 		}
 		pl.training = newTrainingKits()
@@ -443,7 +439,7 @@ func TestTrainingStoreCountsRealEvictions(t *testing.T) {
 		}
 	}
 	// Room for one graph's context and kit; b is a's shape under another
-	// fingerprint, so its context and kit weigh what a's do.
+	// digest, so its context and kit weigh what a's do.
 	pl.training = newKitStore[*rl.GraphContext](keptRLBytes(t, a, PlanOptions{Method: MethodRL, SampleBudget: 8, Seed: 1}))
 	b := variant(a, func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs++ })
 	plan(a, 1, nil)
@@ -457,12 +453,12 @@ func TestTrainingStoreCountsRealEvictions(t *testing.T) {
 		nested = true
 		plan(b, 1, nil)
 		plan(b, 2, nil) // b's kit evicts a's entry while a's plan holds its kit
-		if _, held := pl.training.get(a.Fingerprint()); held {
+		if _, held := pl.training.get(a.StructureDigest()); held {
 			t.Fatal("b's entry and kit did not evict a's entry")
 		}
 		ev = pl.training.evictions.Load()
 	})
-	if _, held := pl.training.get(a.Fingerprint()); held || len(idleTrainingKits(pl, b)) != 1 || pl.training.evictions.Load() != ev {
+	if _, held := pl.training.get(a.StructureDigest()); held || len(idleTrainingKits(pl, b)) != 1 || pl.training.evictions.Load() != ev {
 		t.Errorf("a kit handed back to an evicted entry put it back (held %t, %d evictions, want %d)", held, pl.training.evictions.Load(), ev)
 	}
 	checkTrainingWeights(t, pl.training)
