@@ -247,7 +247,7 @@ func BenchmarkAblationSolverOrder(b *testing.B) {
 	b.Run("random", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Sample(cpsolver.RandomOrder(rng, g.NumNodes()), nil, rng); err != nil {
+			if _, err := s.Sample(nil, cpsolver.RandomOrder(rng, g.NumNodes()), nil, rng); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -255,7 +255,7 @@ func BenchmarkAblationSolverOrder(b *testing.B) {
 	b.Run("topo", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Sample(s.RandomTopoOrder(rng), nil, rng); err != nil {
+			if _, err := s.Sample(nil, s.RandomTopoOrder(rng), nil, rng); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -145,6 +145,23 @@ func (c *planCache[K, V]) put(key K, val V) {
 	c.keepLocked(key, val, size)
 }
 
+// putIfAbsent is put when c holds nothing under key, and otherwise get: it
+// returns the value c holds under key — val, unless c held one already —
+// and reports whether c held one. A val c does not keep (it exceeds the
+// limit alone) is returned all the same.
+func (c *planCache[K, V]) putIfAbsent(key K, val V) (v V, held bool) {
+	size := c.size(val)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.items[key]; ok {
+		e.unlink()
+		c.pushFront(e)
+		return e.val, true
+	}
+	c.keepLocked(key, val, size)
+	return val, false
+}
+
 // reweigh is put of val under key when c still holds val there, and
 // nothing otherwise: the owner of a value whose size changes (a per-graph
 // kit pool) re-weighs it without putting back a value c evicted or

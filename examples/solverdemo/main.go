@@ -57,7 +57,7 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 	fmt.Println("\nSAMPLE mode (Algorithm 1) with a uniform distribution:")
 	for i := 0; i < 3; i++ {
-		p, err := s.Sample(cpsolver.RandomOrder(rng, g.NumNodes()), nil, rng)
+		p, err := s.Sample(nil, cpsolver.RandomOrder(rng, g.NumNodes()), nil, rng)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func main() {
 	}
 
 	fmt.Println("\nFIX mode (Algorithm 2) repairing Figure 2e's invalid hint:")
-	p, err := s.Fix(cpsolver.RandomOrder(rng, g.NumNodes()), []int{0, 1, 0, 1, 2}, rng)
+	p, err := s.Fix(nil, cpsolver.RandomOrder(rng, g.NumNodes()), []int{0, 1, 0, 1, 2}, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestComputeBoundSoundOnSegmentations(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s := 0; s < 40; s++ {
-			p, err := sg.Sample(nil, rng)
+			p, err := sg.Sample(nil, nil, rng)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func (a *Analysis) Plan(Options) (partition.Partition, PlanInfo, error) {
 	}
 	info.Chips = bestK
 	info.Latency = bestLat
-	p := partition.Partition(a.lay.Emit(bestBounds))
+	p := partition.Partition(a.lay.Emit(nil, bestBounds))
 	if err := p.Validate(a.g, a.chips); err != nil {
 		return nil, info, fmt.Errorf("analyze: internal error: constructed layout is invalid: %w", err)
 	}

@@ -65,11 +65,11 @@ func TestAssignResetSteadyStateAllocs(t *testing.T) {
 // TestSegmenterSampleSteadyStateAllocs: after the first calls of each kind
 // have sized the scratch (the DP rows; a slot's weights and matrix; the term
 // memo on the first build that shares an entry with its slot), a Sample or
-// a Fit allocates exactly one object — the partition it returns — whether
-// it draws from stored weights or builds them. The defense-in-depth
-// Validate of every emitted partition is part of that call and allocates
-// nothing on a valid partition. Fit and uniform calls never allocate a
-// slot's matrix.
+// a Fit into a reused destination allocates nothing, and one without a
+// destination exactly one object — the partition it returns — whether it
+// draws from stored weights or builds them. The defense-in-depth Validate
+// of every emitted partition is part of that call and allocates nothing on
+// a valid partition. Fit and uniform calls never allocate a slot's matrix.
 func TestSegmenterSampleSteadyStateAllocs(t *testing.T) {
 	g := chain(t, 400)
 	rng := rand.New(rand.NewSource(2))
@@ -92,39 +92,60 @@ func TestSegmenterSampleSteadyStateAllocs(t *testing.T) {
 	for i := range hint {
 		hint[i] = rng.Intn(8)
 	}
-	calls := map[string]func(sg *Segmenter, i int) (partition.Partition, error){
-		"Sample(nil)":         func(sg *Segmenter, _ int) (partition.Partition, error) { return sg.Sample(nil, rng) },
-		"Sample(matrix)":      func(sg *Segmenter, _ int) (partition.Partition, error) { return sg.Sample(matrices[0], rng) },
-		"Sample(alternating)": func(sg *Segmenter, i int) (partition.Partition, error) { return sg.Sample(matrices[i%2], rng) },
-		"Sample(new matrix)":  func(sg *Segmenter, i int) (partition.Partition, error) { return sg.Sample(matrices[i%3], rng) },
-		"Sample(one entry changed)": func(sg *Segmenter, i int) (partition.Partition, error) {
-			return sg.Sample([][][]float64{matrices[0], moved}[i%2], rng)
+	type call func(sg *Segmenter, dst partition.Partition, i int) (partition.Partition, error)
+	calls := map[string]call{
+		"Sample(nil)": func(sg *Segmenter, dst partition.Partition, _ int) (partition.Partition, error) {
+			return sg.Sample(dst, nil, rng)
 		},
-		"Fit": func(sg *Segmenter, _ int) (partition.Partition, error) { return sg.Fit(hint, rng) },
+		"Sample(matrix)": func(sg *Segmenter, dst partition.Partition, _ int) (partition.Partition, error) {
+			return sg.Sample(dst, matrices[0], rng)
+		},
+		"Sample(alternating)": func(sg *Segmenter, dst partition.Partition, i int) (partition.Partition, error) {
+			return sg.Sample(dst, matrices[i%2], rng)
+		},
+		"Sample(new matrix)": func(sg *Segmenter, dst partition.Partition, i int) (partition.Partition, error) {
+			return sg.Sample(dst, matrices[i%3], rng)
+		},
+		"Sample(one entry changed)": func(sg *Segmenter, dst partition.Partition, i int) (partition.Partition, error) {
+			return sg.Sample(dst, [][][]float64{matrices[0], moved}[i%2], rng)
+		},
+		"Fit": func(sg *Segmenter, dst partition.Partition, _ int) (partition.Partition, error) {
+			return sg.Fit(dst, hint, rng)
+		},
 	}
 	for name, call := range calls {
-		sg, err := NewSegmenter(g, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		next := func() {
-			p, err := call(sg, i)
+		for _, reuse := range []bool{false, true} {
+			sg, err := NewSegmenter(g, 8)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatal(err)
 			}
-			i++
-			allocSink = p[len(p)-1]
-		}
-		for range 3 { // warm-up
-			next()
-		}
-		if allocs := testing.AllocsPerRun(20, next); allocs != 1 {
-			t.Fatalf("%s allocated %.1f objects/op after warm-up, want 1 (the partition)", name, allocs)
-		}
-		if name == "Fit" || name == "Sample(nil)" {
-			if sg.slots[0].val != nil || sg.slots[1].val != nil {
-				t.Fatalf("%s allocated a slot's matrix", name)
+			var dst partition.Partition
+			if reuse {
+				dst = make(partition.Partition, g.NumNodes())
+			}
+			i := 0
+			next := func() {
+				p, err := call(sg, dst, i)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				i++
+				allocSink = p[len(p)-1]
+			}
+			for range 3 { // warm-up
+				next()
+			}
+			allocs := testing.AllocsPerRun(20, next)
+			if reuse && allocs != 0 {
+				t.Fatalf("%s into a reused destination allocated %.1f objects/op after warm-up, want 0", name, allocs)
+			}
+			if !reuse && allocs != 1 {
+				t.Fatalf("%s allocated %.1f objects/op after warm-up, want 1 (the partition)", name, allocs)
+			}
+			if name == "Fit" || name == "Sample(nil)" {
+				if sg.slots[0].val != nil || sg.slots[1].val != nil {
+					t.Fatalf("%s allocated a slot's matrix", name)
+				}
 			}
 		}
 	}

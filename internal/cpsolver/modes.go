@@ -157,8 +157,10 @@ func (s *Solver) weightedMass(weights *[64]float64, p []float64, u int, d Domain
 // to the node's current valid domain; the solver propagates after every
 // assignment and backtracks when needed. probs may be nil (uniform — this is
 // exactly the paper's Random search baseline) or an N x C matrix of
-// per-node chip probabilities. The solver is Reset on entry.
-func (s *Solver) Sample(order []int, probs [][]float64, rng *rand.Rand) (partition.Partition, error) {
+// per-node chip probabilities. The solver is Reset on entry. The partition
+// is written into dst and dst returned when dst has one entry per node;
+// otherwise a new partition is returned.
+func (s *Solver) Sample(dst partition.Partition, order []int, probs [][]float64, rng *rand.Rand) (partition.Partition, error) {
 	if err := s.checkOrder(order); err != nil {
 		return nil, err
 	}
@@ -182,7 +184,7 @@ func (s *Solver) Sample(order []int, probs [][]float64, rng *rand.Rand) (partiti
 				return nil, err
 			}
 		}
-		return s.finish()
+		return s.finish(dst)
 	})
 }
 
@@ -246,8 +248,8 @@ func (s *Solver) isTopological(order []int) bool {
 // second pass assigns the remaining nodes random values from their domains
 // until a full valid partition emerges. Backtracking may rewind into the
 // first pass; the loop index follows the solver's decision count exactly as
-// in the paper's pseudocode. The solver is Reset on entry.
-func (s *Solver) Fix(order []int, y []int, rng *rand.Rand) (partition.Partition, error) {
+// in the paper's pseudocode. The solver is Reset on entry. dst is Sample's.
+func (s *Solver) Fix(dst partition.Partition, order []int, y []int, rng *rand.Rand) (partition.Partition, error) {
 	if err := s.checkOrder(order); err != nil {
 		return nil, err
 	}
@@ -276,7 +278,7 @@ func (s *Solver) Fix(order []int, y []int, rng *rand.Rand) (partition.Partition,
 				return nil, err
 			}
 		}
-		return s.finish()
+		return s.finish(dst)
 	})
 }
 
@@ -300,11 +302,12 @@ func (s *Solver) checkOrder(order []int) error {
 	return nil
 }
 
-// finish extracts the full assignment and re-validates it against the
-// partition checker as a defense-in-depth audit; a failure here is a solver
-// bug, reported as an error rather than a panic so callers can log context.
-func (s *Solver) finish() (partition.Partition, error) {
-	sol, ok := s.Solution()
+// finish extracts the full assignment into dst, as Sample does, and
+// re-validates it against the partition checker as a defense-in-depth
+// audit; a failure here is a solver bug, reported as an error rather than a
+// panic so callers can log context.
+func (s *Solver) finish(dst partition.Partition) (partition.Partition, error) {
+	sol, ok := s.Solution(dst)
 	if !ok {
 		return nil, fmt.Errorf("cpsolver: internal error: nodes left unbound after full traversal")
 	}

@@ -13,14 +13,21 @@ import (
 // SampleMode corresponds to the paper's Algorithm 1 (draw assignments from a
 // probability matrix) and FixMode to Algorithm 2 (keep a concrete candidate
 // wherever valid and repair the rest).
+//
+// Both take the destination dst last, spread from a buffer (buf...), so a
+// call without one stays two arguments: they write the partition into dst
+// and return it when dst has one entry per node, and return a new partition
+// otherwise (no dst included). A caller that absorbs each sample before
+// drawing the next passes the same buffer every time, and its samples
+// allocate nothing.
 type Partitioner interface {
 	// SampleMode draws a valid partition biased by the N x C probability
 	// matrix (nil for uniform). The matrix is read during the call and not
 	// retained: the caller may overwrite it for the next sample.
-	SampleMode(probs [][]float64, rng *rand.Rand) (partition.Partition, error)
+	SampleMode(probs [][]float64, rng *rand.Rand, dst ...int) (partition.Partition, error)
 	// FixMode repairs the candidate partition y into a valid one,
 	// preserving y wherever the constraints allow.
-	FixMode(y []int, rng *rand.Rand) (partition.Partition, error)
+	FixMode(y []int, rng *rand.Rand, dst ...int) (partition.Partition, error)
 	// NumNodes and Chips describe the instance.
 	NumNodes() int
 	Chips() int
@@ -28,26 +35,26 @@ type Partitioner interface {
 
 // SampleMode implements Partitioner using Algorithm 1 with a fresh random
 // node order per call, the paper's default.
-func (s *Solver) SampleMode(probs [][]float64, rng *rand.Rand) (partition.Partition, error) {
-	return s.Sample(RandomOrder(rng, s.NumNodes()), probs, rng)
+func (s *Solver) SampleMode(probs [][]float64, rng *rand.Rand, dst ...int) (partition.Partition, error) {
+	return s.Sample(dst, RandomOrder(rng, s.NumNodes()), probs, rng)
 }
 
 // FixMode implements Partitioner using Algorithm 2 with a fresh random node
 // order per call.
-func (s *Solver) FixMode(y []int, rng *rand.Rand) (partition.Partition, error) {
-	return s.Fix(RandomOrder(rng, s.NumNodes()), y, rng)
+func (s *Solver) FixMode(y []int, rng *rand.Rand, dst ...int) (partition.Partition, error) {
+	return s.Fix(dst, RandomOrder(rng, s.NumNodes()), y, rng)
 }
 
 // SampleMode implements Partitioner by exact DP sampling over the
 // contiguous family.
-func (sg *Segmenter) SampleMode(probs [][]float64, rng *rand.Rand) (partition.Partition, error) {
-	return sg.Sample(probs, rng)
+func (sg *Segmenter) SampleMode(probs [][]float64, rng *rand.Rand, dst ...int) (partition.Partition, error) {
+	return sg.Sample(dst, probs, rng)
 }
 
 // FixMode implements Partitioner by projecting the candidate onto the
 // contiguous family.
-func (sg *Segmenter) FixMode(y []int, rng *rand.Rand) (partition.Partition, error) {
-	return sg.Fit(y, rng)
+func (sg *Segmenter) FixMode(y []int, rng *rand.Rand, dst ...int) (partition.Partition, error) {
+	return sg.Fit(dst, y, rng)
 }
 
 // NumNodes returns the number of nodes in the instance.

@@ -48,7 +48,7 @@ func TestSegmenterAlwaysEmitsValidPartitions(t *testing.T) {
 			return false
 		}
 		// Uniform and random-policy sampling must both validate.
-		p, err := sg.Sample(nil, rng)
+		p, err := sg.Sample(nil, nil, rng)
 		if err != nil || p.Validate(g, chips) != nil {
 			return false
 		}
@@ -64,7 +64,7 @@ func TestSegmenterAlwaysEmitsValidPartitions(t *testing.T) {
 				probs[i][j] /= sum
 			}
 		}
-		p2, err := sg.Sample(probs, rng)
+		p2, err := sg.Sample(nil, probs, rng)
 		if err != nil || p2.Validate(g, chips) != nil {
 			return false
 		}
@@ -73,7 +73,7 @@ func TestSegmenterAlwaysEmitsValidPartitions(t *testing.T) {
 		for i := range hint {
 			hint[i] = rng.Intn(chips)
 		}
-		p3, err := sg.Fit(hint, rng)
+		p3, err := sg.Fit(nil, hint, rng)
 		return err == nil && p3.Validate(g, chips) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -93,7 +93,7 @@ func TestSegmenterUsesLayoutChipsExactly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := sg.Sample(nil, rng)
+		p, err := sg.Sample(nil, nil, rng)
 		if err != nil {
 			return false
 		}

@@ -59,9 +59,10 @@ type Segmenter struct {
 	// survive intact).
 	calib float64
 	// Scratch the segmenter owns, sized on first use and reused by every
-	// later call, so a steady-state Sample or Fit allocates only the
-	// partition it returns. A Segmenter is therefore not safe for
-	// concurrent use; parallel callers use replicas.
+	// later call, so a steady-state Sample or Fit allocates nothing but the
+	// partition it returns, and nothing at all when it is handed a dst to
+	// write it into. A Segmenter is therefore not safe for concurrent use;
+	// parallel callers use replicas.
 	//
 	//	ps      N     one chip's prefix sums of calib*log P along the
 	//	              layout: ps[q] sums positions <= q
@@ -181,8 +182,10 @@ func words(k int) int64 {
 // prod_u probs[u][f(u)]. probs may be nil (uniform over the family); it is
 // read during the call and not retained. Under a per-chip capacity bound it
 // redraws until the sample fits (rejection keeps the distribution exact,
-// conditioned on feasibility).
-func (sg *Segmenter) Sample(probs [][]float64, rng *rand.Rand) (partition.Partition, error) {
+// conditioned on feasibility). The partition is written into dst and dst
+// returned when dst has one entry per node; otherwise a new partition is
+// returned.
+func (sg *Segmenter) Sample(dst partition.Partition, probs [][]float64, rng *rand.Rand) (partition.Partition, error) {
 	if n := len(sg.order); probs != nil && len(probs) != n {
 		return nil, fmt.Errorf("cpsolver: probs has %d rows for %d nodes", len(probs), n)
 	}
@@ -193,7 +196,7 @@ func (sg *Segmenter) Sample(probs [][]float64, rng *rand.Rand) (partition.Partit
 	default:
 		sg.prepare(probs)
 	}
-	return sg.draw(rng)
+	return sg.draw(dst, rng)
 }
 
 // uniform makes the current slot hold the uniform weights. Every term is
@@ -216,8 +219,9 @@ func (sg *Segmenter) uniform() {
 //
 // The hint matrix gives a node's hinted chip probability 1 and every other
 // chip 1e-9; its two terms are constants, so no matrix is built and no log
-// is taken per entry. A hint outside 0..chips-1 agrees with no chip.
-func (sg *Segmenter) Fit(y []int, rng *rand.Rand) (partition.Partition, error) {
+// is taken per entry. A hint outside 0..chips-1 agrees with no chip. dst is
+// Sample's.
+func (sg *Segmenter) Fit(dst partition.Partition, y []int, rng *rand.Rand) (partition.Partition, error) {
 	if n := len(sg.order); len(y) != n {
 		return nil, fmt.Errorf("cpsolver: hint has %d entries for %d nodes", len(y), n)
 	}
@@ -237,14 +241,15 @@ func (sg *Segmenter) Fit(y []int, rng *rand.Rand) (partition.Partition, error) {
 			}
 		})
 	}
-	return sg.draw(rng)
+	return sg.draw(dst, rng)
 }
 
-// draw samples boundaries from the current weights until the layout fits the
-// capacity bound, if there is one. The weights do not depend on the draw, so
-// a redraw repeats only the backward pass.
-func (sg *Segmenter) draw(rng *rand.Rand) (partition.Partition, error) {
-	p, err := sg.backward(rng)
+// draw samples boundaries from the current weights, into dst as Sample
+// does, until the layout fits the capacity bound, if there is one. The
+// weights do not depend on the draw, so a redraw repeats only the backward
+// pass, into the partition the first draw returned.
+func (sg *Segmenter) draw(dst partition.Partition, rng *rand.Rand) (partition.Partition, error) {
+	p, err := sg.backward(dst, rng)
 	if err != nil || sg.chipCap == nil {
 		return p, err
 	}
@@ -253,7 +258,7 @@ func (sg *Segmenter) draw(rng *rand.Rand) (partition.Partition, error) {
 			return nil, fmt.Errorf("cpsolver: no capacity-feasible segmentation in %d draws: %w",
 				segmentCapacityRetries, ErrInfeasible)
 		}
-		if p, err = sg.backward(rng); err != nil {
+		if p, err = sg.backward(p, rng); err != nil {
 			return nil, err
 		}
 	}
@@ -481,10 +486,11 @@ func (sg *Segmenter) forward(w []float64, prefix func(k int, ps []float64)) {
 	}
 }
 
-// backward draws one layout from the current weights, last boundary first.
-func (sg *Segmenter) backward(rng *rand.Rand) (partition.Partition, error) {
+// backward draws one layout from the current weights, last boundary first,
+// into dst as Sample does.
+func (sg *Segmenter) backward(dst partition.Partition, rng *rand.Rand) (partition.Partition, error) {
 	if sg.k == 1 {
-		return sg.emit(nil)
+		return sg.emit(dst, nil)
 	}
 	nb, m := sg.k-1, len(sg.order)-1
 	w, bounds, next := sg.slots[sg.cur].w, sg.bounds, sg.next[:m]
@@ -510,12 +516,13 @@ func (sg *Segmenter) backward(rng *rand.Rand) (partition.Partition, error) {
 		}
 		bounds[k-1] = g
 	}
-	return sg.emit(bounds)
+	return sg.emit(dst, bounds)
 }
 
-// emit materializes the partition from boundary gaps (sorted ascending).
-func (sg *Segmenter) emit(bounds []int) (partition.Partition, error) {
-	p := partition.Partition(sg.lay.Emit(bounds))
+// emit materializes the partition from boundary gaps (sorted ascending),
+// into dst as Sample does.
+func (sg *Segmenter) emit(dst partition.Partition, bounds []int) (partition.Partition, error) {
+	p := partition.Partition(sg.lay.Emit(dst, bounds))
 	if err := p.Validate(sg.g, sg.chips); err != nil {
 		return nil, fmt.Errorf("cpsolver: internal error: segmenter emitted invalid partition: %w", err)
 	}

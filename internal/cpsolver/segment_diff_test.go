@@ -23,6 +23,11 @@ import (
 // writes there, and every draw reads weights poisoned outside the windows:
 // a -Inf consumes no rng.Float64 where the reference's finite weight
 // consumes one, so a read outside a window desynchronises the streams.
+//
+// Every other call draws into the pair's reused destination, every entry
+// poisoned with -1 first, and must return that slice holding exactly the
+// partition the reference returns, which every call with a nil destination
+// must return too.
 type segmenterPair struct {
 	t          *testing.T
 	name       string
@@ -31,6 +36,7 @@ type segmenterPair struct {
 	rng, rrng  *rand.Rand
 	calls      int
 	lastSample partition.Partition
+	dst        partition.Partition
 }
 
 // newSegmenterPair sizes both of sg's slots, which builds otherwise do on
@@ -51,9 +57,10 @@ func newSegmenterPair(t *testing.T, name string, sg *Segmenter, seed int64) *seg
 func (sp *segmenterPair) sample(what string, probs [][]float64) {
 	sp.t.Helper()
 	sp.poison()
-	got, gerr := sp.sg.Sample(probs, sp.rng)
+	dst := sp.dest()
+	got, gerr := sp.sg.Sample(dst, probs, sp.rng)
 	want, werr := sp.ref.refSample(probs, sp.rrng)
-	sp.compare(what, got, gerr, want, werr)
+	sp.compare(what, dst, got, gerr, want, werr)
 }
 
 // sampleExpecting is sample, also requiring that the call drew from weights
@@ -76,9 +83,25 @@ func (sp *segmenterPair) sampleExpecting(hit bool, what string, probs [][]float6
 func (sp *segmenterPair) fit(what string, y []int) {
 	sp.t.Helper()
 	sp.poison()
-	got, gerr := sp.sg.Fit(y, sp.rng)
+	dst := sp.dest()
+	got, gerr := sp.sg.Fit(dst, y, sp.rng)
 	want, werr := sp.ref.refFit(y, sp.rrng)
-	sp.compare(what, got, gerr, want, werr)
+	sp.compare(what, dst, got, gerr, want, werr)
+}
+
+// dest is the next call's destination: nil for even calls, and for odd ones
+// the pair's reused buffer, every entry -1.
+func (sp *segmenterPair) dest() partition.Partition {
+	if sp.calls%2 == 0 {
+		return nil
+	}
+	if sp.dst == nil {
+		sp.dst = make(partition.Partition, len(sp.sg.order))
+	}
+	for i := range sp.dst {
+		sp.dst[i] = -1
+	}
+	return sp.dst
 }
 
 // outside calls f on every weight outside the windows of both slots.
@@ -100,7 +123,7 @@ func (sp *segmenterPair) poison() {
 	sp.outside(func(_, _, _ int, w *float64) { *w = math.Inf(-1) })
 }
 
-func (sp *segmenterPair) compare(what string, got partition.Partition, gerr error, want partition.Partition, werr error) {
+func (sp *segmenterPair) compare(what string, dst, got partition.Partition, gerr error, want partition.Partition, werr error) {
 	sp.t.Helper()
 	sp.calls++
 	fail := func(format string, args ...any) {
@@ -118,8 +141,11 @@ func (sp *segmenterPair) compare(what string, got partition.Partition, gerr erro
 			fail("node %d on chip %d, reference %d", v, got[v], want[v])
 		}
 	}
+	if gerr == nil && dst != nil && &got[0] != &dst[0] {
+		fail("the partition was not written into the destination")
+	}
 	if gerr == nil {
-		sp.lastSample = got
+		sp.lastSample = got.Clone() // a hint later calls read, which dst must not alias
 	}
 	sp.outside(func(slot, j, g int, w *float64) {
 		if !math.IsInf(*w, -1) {
@@ -664,14 +690,16 @@ func segmenterBenchProposals(b *testing.B) (*Segmenter, [][][]float64) {
 }
 
 // BenchmarkSegmenterSample is the solver's share of a bert-search-sim
-// sample: SAMPLE mode on BERT/36 under annealing-style proposals.
+// sample: SAMPLE mode on BERT/36 under annealing-style proposals. Each
+// benchmark draws into the partition the last call returned, as a plan
+// draws into its kit's buffer.
 func BenchmarkSegmenterSample(b *testing.B) {
 	sg, proposals := segmenterBenchProposals(b)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := sg.Sample(proposals[i%len(proposals)], rng)
+		p, err := sg.Sample(benchSink, proposals[i%len(proposals)], rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -702,7 +730,7 @@ func BenchmarkSegmenterSampleAnneal(b *testing.B) {
 		for j := 0; j < n/20; j++ {
 			copy(probs[rng.Intn(n)], pool[rng.Intn(len(pool))])
 		}
-		p, err := sg.Sample(probs, rng)
+		p, err := sg.Sample(benchSink, probs, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -719,7 +747,7 @@ func BenchmarkSegmenterSampleUniform(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := sg.Sample(nil, rng)
+		p, err := sg.Sample(benchSink, nil, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -742,7 +770,7 @@ func BenchmarkSegmenterFit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := sg.Fit(hints[i%len(hints)], rng)
+		p, err := sg.Fit(benchSink, hints[i%len(hints)], rng)
 		if err != nil {
 			b.Fatal(err)
 		}

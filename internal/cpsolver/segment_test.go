@@ -21,7 +21,7 @@ func TestSegmenterChainUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	counts := map[string]int{}
 	for i := 0; i < 600; i++ {
-		p, err := sg.Sample(nil, rng)
+		p, err := sg.Sample(nil, nil, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestSegmenterRespectsPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	match := 0
 	for i := 0; i < 100; i++ {
-		p, err := sg.Sample(probs, rng)
+		p, err := sg.Sample(nil, probs, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestSegmenterFitKeepsValidHint(t *testing.T) {
 	hint := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20; i++ {
-		p, err := sg.Fit(hint, rng)
+		p, err := sg.Fit(nil, hint, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestSegmenterFitRepairsInvalidHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	p, err := sg.Fit([]int{0, 1, 2}, rng)
+	p, err := sg.Fit(nil, []int{0, 1, 2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSegmenterPrefixWhenCapacityShort(t *testing.T) {
 	if sg.Chips() != 3 || sg.k != 2 {
 		t.Fatalf("Chips=%d layout chips=%d, want 3/2", sg.Chips(), sg.k)
 	}
-	p, err := sg.Sample(nil, rand.New(rand.NewSource(9)))
+	p, err := sg.Sample(nil, nil, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSegmenterSingleChip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := sg.Sample(nil, rand.New(rand.NewSource(5)))
+	p, err := sg.Sample(nil, nil, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSegmenterBERTScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	seen := map[string]bool{}
 	for i := 0; i < 5; i++ {
-		p, err := sg.Sample(nil, rng)
+		p, err := sg.Sample(nil, nil, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,9 +249,9 @@ func TestForwardStopsAtTheWindow(t *testing.T) {
 		name string
 		call func() (partition.Partition, error)
 	}{
-		{"matrix", func() (partition.Partition, error) { return sg.Sample(probs, rng) }},
-		{"uniform", func() (partition.Partition, error) { return sg.Sample(nil, rng) }},
-		{"hint", func() (partition.Partition, error) { return sg.Fit(hint, rng) }},
+		{"matrix", func() (partition.Partition, error) { return sg.Sample(nil, probs, rng) }},
+		{"uniform", func() (partition.Partition, error) { return sg.Sample(nil, nil, rng) }},
+		{"hint", func() (partition.Partition, error) { return sg.Fit(nil, hint, rng) }},
 	}
 	// Not a NaN: a forward that read past a window would carry a NaN's
 	// payload into what it wrote there, and the sentinel would come back.

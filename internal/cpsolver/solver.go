@@ -406,10 +406,14 @@ func (s *Solver) undoTo(mark int) {
 	s.queue = s.queue[:0]
 }
 
-// Solution returns the chip assignment once every node is bound. It returns
-// false if any node is still undecided.
-func (s *Solver) Solution() ([]int, bool) {
-	out := make([]int, len(s.doms))
+// Solution returns the chip assignment once every node is bound, written
+// into dst when dst has one entry per node and into a new slice otherwise.
+// It returns false if any node is still undecided.
+func (s *Solver) Solution(dst []int) ([]int, bool) {
+	out := dst
+	if len(out) != len(s.doms) {
+		out = make([]int, len(s.doms))
+	}
 	for v, d := range s.doms {
 		if !d.Singleton() {
 			return nil, false

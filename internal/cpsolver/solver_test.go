@@ -129,7 +129,7 @@ func TestTriangleBacktrack(t *testing.T) {
 	if i != 2 {
 		t.Fatalf("decision index = %d, want 2 (chip 2 excluded, retried)", i)
 	}
-	sol, ok := s.Solution()
+	sol, ok := s.Solution(nil)
 	if ok {
 		// If propagation fully bound node 2 it must be on chip 1.
 		if sol[2] != 1 {
@@ -148,7 +148,7 @@ func TestSampleUniformProducesValidPartitions(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		p, err := s.Sample(RandomOrder(rng, g.NumNodes()), nil, rng)
+		p, err := s.Sample(nil, RandomOrder(rng, g.NumNodes()), nil, rng)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -171,7 +171,7 @@ func TestSampleFollowsPolicyBias(t *testing.T) {
 	match := 0
 	const trials = 100
 	for trial := 0; trial < trials; trial++ {
-		p, err := s.Sample(RandomOrder(rng, 4), probs, rng)
+		p, err := s.Sample(nil, RandomOrder(rng, 4), probs, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestFixKeepsValidHint(t *testing.T) {
 	hint := []int{0, 0, 1, 1, 2, 2}
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
-		p, err := s.Fix(RandomOrder(rng, 6), hint, rng)
+		p, err := s.Fix(nil, RandomOrder(rng, 6), hint, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestFixRepairsInvalidHint(t *testing.T) {
 	hint := []int{0, 1, 2}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
-		p, err := s.Fix(RandomOrder(rng, 3), hint, rng)
+		p, err := s.Fix(nil, RandomOrder(rng, 3), hint, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,16 +232,16 @@ func TestSampleInputValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	if _, err := s.Sample([]int{0, 1}, nil, rng); err == nil {
+	if _, err := s.Sample(nil, []int{0, 1}, nil, rng); err == nil {
 		t.Fatal("short order should fail")
 	}
-	if _, err := s.Sample([]int{0, 0, 1}, nil, rng); err == nil {
+	if _, err := s.Sample(nil, []int{0, 0, 1}, nil, rng); err == nil {
 		t.Fatal("non-permutation order should fail")
 	}
-	if _, err := s.Sample([]int{0, 1, 2}, [][]float64{{1, 0}}, rng); err == nil {
+	if _, err := s.Sample(nil, []int{0, 1, 2}, [][]float64{{1, 0}}, rng); err == nil {
 		t.Fatal("short probs should fail")
 	}
-	if _, err := s.Fix([]int{0, 1, 2}, []int{0}, rng); err == nil {
+	if _, err := s.Fix(nil, []int{0, 1, 2}, []int{0}, rng); err == nil {
 		t.Fatal("short hint should fail")
 	}
 }
@@ -272,7 +272,7 @@ func TestSolutionIncomplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Solution(); ok {
+	if _, ok := s.Solution(nil); ok {
 		t.Fatal("Solution should report incomplete before any decisions")
 	}
 }
@@ -303,7 +303,7 @@ func TestSamplePropertyRandomDAGs(t *testing.T) {
 			t.Fatalf("trial %d: New: %v", trial, err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			p, err := s.Sample(RandomOrder(rng, n), nil, rng)
+			p, err := s.Sample(nil, RandomOrder(rng, n), nil, rng)
 			if err != nil {
 				t.Fatalf("trial %d rep %d: %v", trial, rep, err)
 			}
@@ -316,7 +316,7 @@ func TestSamplePropertyRandomDAGs(t *testing.T) {
 		for i := range hint {
 			hint[i] = rng.Intn(chips)
 		}
-		p, err := s.Fix(RandomOrder(rng, n), hint, rng)
+		p, err := s.Fix(nil, RandomOrder(rng, n), hint, rng)
 		if err != nil {
 			t.Fatalf("trial %d fix: %v", trial, err)
 		}
@@ -376,7 +376,7 @@ func TestTopoOrderMode(t *testing.T) {
 	}
 	order := s.lay.Order
 	rng := rand.New(rand.NewSource(6))
-	p, err := s.Sample(order, nil, rng)
+	p, err := s.Sample(nil, order, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestStatsAccumulateAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	if _, err := s.Sample(RandomOrder(rng, 5), nil, rng); err != nil {
+	if _, err := s.Sample(nil, RandomOrder(rng, 5), nil, rng); err != nil {
 		t.Fatal(err)
 	}
 	if s.StatsSnapshot().Decisions == 0 {
@@ -424,7 +424,7 @@ func benchmarkSample(b *testing.B, n, chips int) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := s.Sample(RandomOrder(rng, n), nil, rng)
+		p, err := s.Sample(nil, RandomOrder(rng, n), nil, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"mcmpart/internal/hwsim"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
+	"mcmpart/internal/partition"
 	"mcmpart/internal/workload"
 )
 
@@ -92,9 +93,10 @@ func Figure7(cfg Fig7Config) (*Fig7Result, error) {
 			}
 			part = replica
 		}
+		var p partition.Partition // this worker's samples, each scored before the next is drawn
 		for i := lo; i < hi; i++ {
-			p, err := part.SampleMode(nil, parallel.Rng(cfg.Seed, i))
-			if err != nil {
+			var err error
+			if p, err = part.SampleMode(nil, parallel.Rng(cfg.Seed, i), p...); err != nil {
 				errs[w] = fmt.Errorf("experiments: sample %d: %w", i, err)
 				return
 			}

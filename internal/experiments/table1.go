@@ -77,10 +77,12 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 			}
 			part = replica
 		}
+		var p partition.Partition // this worker's samples, each checked before the next is drawn
 		for i := lo; i < hi; i++ {
 			rng := parallel.Rng(seed+1, i)
 			start := time.Now()
-			p, err := part.SampleMode(nil, rng)
+			var err error
+			p, err = part.SampleMode(nil, rng, p...)
 			solveNs[w] += time.Since(start).Nanoseconds()
 			solverOK[i] = err == nil && p.Validate(g, pkg.Chips) == nil
 		}

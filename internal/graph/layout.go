@@ -42,9 +42,13 @@ func (l *Layout) Chips(chips int) int {
 
 // Emit is the partition of a contiguous layout: the node at each position
 // gets the chip of its chunk, and the chip advances after every boundary
-// gap in bounds (ascending).
-func (l *Layout) Emit(bounds []int) []int {
-	p := make([]int, len(l.Order))
+// gap in bounds (ascending). It is written into dst and returned when dst
+// has one entry per node; otherwise a new partition is returned.
+func (l *Layout) Emit(dst, bounds []int) []int {
+	p := dst
+	if len(p) != len(l.Order) {
+		p = make([]int, len(l.Order))
+	}
 	chip, bi := 0, 0
 	for pos, v := range l.Order {
 		p[v] = chip

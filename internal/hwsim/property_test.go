@@ -39,7 +39,7 @@ func TestSimulatorDeterminism(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := sg.Sample(nil, rng)
+		p, err := sg.Sample(nil, nil, rng)
 		if err != nil {
 			return false
 		}
@@ -85,7 +85,7 @@ func TestSimulatorIntervalBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := sg.Sample(nil, rng)
+		p, err := sg.Sample(nil, nil, rng)
 		if err != nil {
 			return false
 		}

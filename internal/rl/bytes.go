@@ -97,8 +97,9 @@ func (ctx *GraphContext) Bytes() int64 {
 
 // Bytes estimates what e holds besides its context once it is Reset: its
 // partitioner's tables — what a segmenter holds, the larger segmenter's
-// tables in the mode e samples in for the CP solver — and the probability
-// matrix a search took (ProbMatrix).
+// tables in the mode e samples in for the CP solver — the probability
+// matrix and move scratch a search took (ProbMatrix, MoveScratch), the
+// sample and best buffers, and History's room.
 func (e *Env) Bytes() int64 {
 	n, chips := int64(e.Ctx.G.NumNodes()), int64(e.Part.Chips())
 	b := partBytes(n, chips, e.UseSampleMode)
@@ -108,6 +109,9 @@ func (e *Env) Bytes() int64 {
 	if e.probs != nil {
 		b += words(n*chips) + heapObject(n*int64(unsafe.Sizeof([]float64(nil))))
 	}
+	for _, k := range []int{cap(e.moved), cap(e.saved), cap(e.drawn), cap(e.best), cap(e.History)} {
+		b += words(int64(k))
+	}
 	return b
 }
 
@@ -115,10 +119,10 @@ func (e *Env) Bytes() int64 {
 // environments: the policy's weights and gradients with Adam's two moments
 // of the same shapes, its head and backward scratch — the first layer's
 // and the encoder's three N x Hidden gradients, the logit gradient — an
-// activation record per environment, the batch buffers, and each rollout
-// worker's clone, records and partitioner replicas. Per-node scratch is
-// sized to the largest graph. It counts neither the environments
-// (Env.Bytes) nor their contexts.
+// activation record per environment, the batch buffers, the step buffers
+// every (episode, step) draws into, and each rollout worker's clone, records
+// and partitioner replicas. Per-node scratch is sized to the largest graph.
+// It counts neither the environments (Env.Bytes) nor their contexts.
 func (t *Trainer) Bytes() int64 {
 	p := t.Policy
 	var n int64
@@ -132,6 +136,13 @@ func (t *Trainer) Bytes() int64 {
 		heapObject(int64(cap(t.buf))*int64(unsafe.Sizeof(transition{}))) + words(int64(cap(t.order)))
 	for _, rec := range t.encs.recs {
 		b += p.recordBytes(rec, true)
+	}
+	b += heapObject(int64(cap(t.steps)) * int64(unsafe.Sizeof([]stepBufs(nil))))
+	for _, steps := range t.steps {
+		b += heapObject(int64(cap(steps)) * int64(unsafe.Sizeof(stepBufs{})))
+		for _, s := range steps {
+			b += words(int64(cap(s.part))) + words(int64(cap(s.raw)))
+		}
 	}
 	for _, w := range t.clones {
 		b += w.pol.weightBytes() + w.pol.headBytes(n)

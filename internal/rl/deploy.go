@@ -30,8 +30,8 @@ func ZeroShot(ctx context.Context, policy *Policy, env *Env, budget int, rng *ra
 
 // zeroShot is ZeroShot on an encoding of env's graph under policy's weights,
 // from the t=0 state start, which every episode shares: Heads only reads
-// both. SAMPLE mode's matrix and raw draw are policy's scratch, which the
-// next call on policy overwrites whole.
+// both. SAMPLE mode's matrix and the raw draw are policy's scratch, which
+// the next call on policy overwrites whole.
 func zeroShot(ctx context.Context, policy *Policy, enc *Encoding, start []int, env *Env, budget int, rng *rand.Rand) error {
 	for env.Samples < budget {
 		if err := ctx.Err(); err != nil {
@@ -47,12 +47,11 @@ func zeroShot(ctx context.Context, policy *Policy, enc *Encoding, start []int, e
 				policy.mixed = MixedProbRows(policy.mixed, f.Probs, env.ExploreEps())
 				env.StepProbs(policy.mixed, rng)
 				policy.drawn = sampleActionsInto(policy.drawn, f.Probs, rng)
-				prev = policy.drawn
 			} else {
-				y := SampleActions(f.Probs, rng)
-				env.StepActions(y, rng)
-				prev = y
+				policy.drawn = sampleActionsInto(policy.drawn, f.Probs, rng)
+				env.StepActions(policy.drawn, rng)
 			}
+			prev = policy.drawn
 		}
 	}
 	return nil
@@ -90,10 +89,11 @@ func NewDeployment(policy *Policy, ctx *GraphContext) *Deployment {
 	n, chips := int64(g.NumNodes()), int64(policy.Cfg.Chips)
 	d.bytes = ctx.Bytes() + policy.recordBytes(&d.enc, false) + words(n)
 	// The estimate KitBytes reports: an environment's SAMPLE-mode tables
-	// (Env.Bytes) and a clone of policy — every weight and its gradient, the
-	// head scratch Heads sizes, and zeroShot's: the N x C mixed matrix with
-	// its row headers, and the N-entry draw.
-	d.kitBytes = partBytes(n, chips, true) + policy.weightBytes() + policy.headBytes(n) +
+	// with its sample and best buffers (Env.Bytes) and a clone of policy —
+	// every weight and its gradient, the head scratch Heads sizes, and
+	// zeroShot's: the N x C mixed matrix with its row headers, and the
+	// N-entry draw.
+	d.kitBytes = partBytes(n, chips, true) + 2*words(n) + policy.weightBytes() + policy.headBytes(n) +
 		words(n*chips) + heapObject(n*int64(unsafe.Sizeof([]float64(nil)))) + words(n)
 	return d
 }

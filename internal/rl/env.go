@@ -57,7 +57,9 @@ type Env struct {
 
 	// Samples counts evaluations consumed (the x-axis of Figures 5 and 6).
 	Samples int
-	// Best tracks the best valid partition found and its throughput.
+	// Best tracks the best valid partition found and its throughput. Best
+	// is the environment's own memory, written again by the next search
+	// after Reset: a caller that keeps it past that copies it.
 	Best           partition.Partition
 	BestThroughput float64
 	// History records the best-so-far improvement ratio after every
@@ -77,8 +79,15 @@ type Env struct {
 	exploreEps float64
 
 	// probs is the N x C matrix ProbMatrix hands a search; nil until the
-	// first call.
+	// first call. moved and saved are MoveScratch's.
 	probs [][]float64
+	moved []int
+	saved []float64
+	// drawn is the partition StepProbs and StepActions draw every sample
+	// into, and best the one absorb copies an improving sample into, which
+	// Best then is. Both are sized by their first sample and kept by Reset,
+	// so a later search's samples allocate nothing.
+	drawn, best partition.Partition
 }
 
 // NewEnv builds an environment; baseline must be the heuristic throughput
@@ -134,7 +143,8 @@ func (e *Env) absorb(p partition.Partition, v eval.Verdict) float64 {
 	}
 	if th > e.BestThroughput {
 		e.BestThroughput = th
-		e.Best = p.Clone()
+		e.best = append(e.best[:0], p...)
+		e.Best = e.best
 	}
 	e.History = append(e.History, e.BestThroughput/e.Baseline)
 	e.exploreEps = nextExploreEps(e.ExploreEps(), th)
@@ -167,19 +177,20 @@ type stepOutcome struct {
 // part (e.Part, or a rollout worker's replica of it) without mutating e.
 // With sampleMode the solver draws from probs (Algorithm 1; nil is uniform);
 // otherwise it repairs the action vector y (Algorithm 2, FIX) or, under
-// NoSolver, only checks it. A sample that yields no valid partition is
-// solverRejected and never reaches the evaluator.
-func (e *Env) sample(part cpsolver.Partitioner, sampleMode bool, probs [][]float64, y []int, rng *rand.Rand) stepOutcome {
+// NoSolver, only checks a copy of it. The partition is written into dst as
+// the Partitioner writes it; dst must not alias y. A sample that yields no
+// valid partition is solverRejected and never reaches the evaluator.
+func (e *Env) sample(part cpsolver.Partitioner, sampleMode bool, probs [][]float64, y []int, dst partition.Partition, rng *rand.Rand) stepOutcome {
 	var p partition.Partition
 	var err error
 	switch {
 	case sampleMode:
-		p, err = part.SampleMode(probs, rng)
+		p, err = part.SampleMode(probs, rng, dst...)
 	case e.NoSolver:
-		p = partition.Partition(y).Clone()
+		p = append(dst[:0], y...)
 		err = p.Validate(e.Ctx.G, part.Chips())
 	default:
-		p, err = part.FixMode(y, rng)
+		p, err = part.FixMode(y, rng, dst...)
 	}
 	if err != nil {
 		return stepOutcome{v: solverRejected}
@@ -191,14 +202,22 @@ func (e *Env) sample(part cpsolver.Partitioner, sampleMode bool, probs [][]float
 // FIX-mode correction by default (or no correction with NoSolver), then
 // evaluation. It returns the reward.
 func (e *Env) StepActions(y []int, rng *rand.Rand) float64 {
-	out := e.sample(e.Part, false, nil, y, rng)
-	return e.absorb(out.p, out.v)
+	return e.step(false, nil, y, rng)
 }
 
 // StepProbs runs one environment step from a probability matrix through the
 // solver's SAMPLE mode. It returns the reward.
 func (e *Env) StepProbs(probs [][]float64, rng *rand.Rand) float64 {
-	out := e.sample(e.Part, true, probs, nil, rng)
+	return e.step(true, probs, nil, rng)
+}
+
+// step samples on e's own partitioner into e's sample buffer, which the
+// sample is absorbed from before the next one is drawn.
+func (e *Env) step(sampleMode bool, probs [][]float64, y []int, rng *rand.Rand) float64 {
+	out := e.sample(e.Part, sampleMode, probs, y, e.drawn, rng)
+	if out.p != nil {
+		e.drawn = out.p
+	}
 	return e.absorb(out.p, out.v)
 }
 
@@ -222,10 +241,24 @@ func (e *Env) ProbMatrix() [][]float64 {
 	return e.probs
 }
 
+// MoveScratch returns k node indices and k x C probabilities the
+// environment keeps for a search that edits ProbMatrix in place — the rows
+// a simulated-annealing move redraws, and what they held before. Like the
+// matrix it is sized on first use and kept by Reset; what it holds is the
+// caller's.
+func (e *Env) MoveScratch(k int) (moved []int, saved []float64) {
+	c := e.Part.Chips()
+	if cap(e.moved) < k {
+		e.moved, e.saved = make([]int, k), make([]float64, k*c)
+	}
+	return e.moved[:k], e.saved[:k*c]
+}
+
 // Reset clears what a search set — its trajectory and progress callback —
 // and keeps the graph, the solver (whose tables a later search reuses: it
 // samples the same partitions from the same RNG stream whatever it sampled
-// before), the probability matrix, the evaluator and the baseline. A kit's
+// before), the probability matrix and move scratch, the sample and best
+// buffers, History's room, the evaluator and the baseline. A kit's
 // environment is Reset when its plan hands it back, and the next plan on it
 // sets its own Eval, Baseline and OnSample.
 func (e *Env) Reset() {
@@ -234,7 +267,7 @@ func (e *Env) Reset() {
 	e.ValidSamples = 0
 	e.Best = nil
 	e.BestThroughput = 0
-	e.History = nil
+	e.History = e.History[:0]
 	e.FailCounts = nil
 	e.exploreEps = exploreFloor
 }

@@ -577,13 +577,9 @@ func (p *Policy) backwardEncoder(enc *Encoding) {
 	enc.pending = 0
 }
 
-// SampleActions draws one chip per node from the distribution.
-func SampleActions(probs *mat.Dense, rng *rand.Rand) []int {
-	return sampleActionsInto(nil, probs, rng)
-}
-
-// sampleActionsInto is SampleActions writing into dst, which is reused when
-// it has one entry per node and replaced otherwise; nil is a valid start.
+// sampleActionsInto draws one chip per node from the distribution into dst,
+// which is reused when it has one entry per node and replaced otherwise; nil
+// is a valid start.
 func sampleActionsInto(dst []int, probs *mat.Dense, rng *rand.Rand) []int {
 	actions := dst
 	if len(actions) != probs.Rows {

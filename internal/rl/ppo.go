@@ -67,11 +67,12 @@ type Trainer struct {
 	rng *rand.Rand
 
 	// Scratch that survives from one Iterate to the next, and across
-	// Restart, so a steady-state iteration allocates only what it hands out
-	// (transitions, partitions). Bytes estimates it.
+	// Restart, so a steady-state iteration allocates only its episodes'
+	// transitions and outcomes. Bytes estimates it.
 	encs    encodings // Policy's activation records, one per environment
 	clones  []*rolloutWorker
-	lanes   int // the rollout workers the last batch ran on, clones[:lanes]
+	steps   [][]stepBufs // by episode and step: what each draws into
+	lanes   int          // the rollout workers the last batch ran on, clones[:lanes]
 	buf     []transition
 	order   []int
 	dLogits *mat.Dense
@@ -131,9 +132,9 @@ func NewTrainer(policy *Policy, cfg PPOConfig, rng *rand.Rand) *Trainer {
 // re-draws every weight from rng in NewPolicy's order, zeroes Adam's
 // moments and step count, and makes rng the trainer's stream. Everything
 // else t holds — the policy's and its rollout workers' scratch, the
-// activation records, the batch buffers, the partitioner replicas — is
-// written before it is read, so a run after Restart trains bit for bit what
-// a new trainer does, and sizes none of it again.
+// activation records, the batch and step buffers, the partitioner
+// replicas — is written before it is read, so a run after Restart trains
+// bit for bit what a new trainer does, and sizes none of it again.
 func (t *Trainer) Restart(rng *rand.Rand) {
 	t.Policy.init(rng)
 	t.opt.Reset()

@@ -258,7 +258,7 @@ func TestEncodeRefusesPendingHeadGradients(t *testing.T) {
 func TestSampleActionsAndJointLogProb(t *testing.T) {
 	probs := mat.FromSlice(2, 2, []float64{1, 0, 0, 1})
 	rng := rand.New(rand.NewSource(4))
-	y := SampleActions(probs, rng)
+	y := sampleActionsInto(nil, probs, rng)
 	if y[0] != 0 || y[1] != 1 {
 		t.Fatalf("deterministic rows sampled wrong: %v", y)
 	}
@@ -294,8 +294,11 @@ func TestEnvTracksBest(t *testing.T) {
 		}
 	}
 	env.Reset()
-	if env.Samples != 0 || env.Best != nil || env.History != nil {
+	if env.Samples != 0 || env.Best != nil || len(env.History) != 0 {
 		t.Fatal("Reset incomplete")
+	}
+	if cap(env.History) < 5 {
+		t.Fatal("Reset dropped History's room")
 	}
 }
 

@@ -15,6 +15,16 @@ type episodeResult struct {
 	steps       []stepOutcome
 }
 
+// stepBufs is what one (episode, step) of a batch draws into: the solver's
+// partition and the raw FIX-mode draw. Each (episode, step) has a pair of its
+// own, not each episode: the next step's Heads reads this step's state, a
+// transition keeps its state and action until the batch's update, and the
+// environment absorbs the partition once collection ends. The trainer keeps
+// them from one batch to the next, and across Restart.
+type stepBufs struct {
+	part, raw []int
+}
+
 // rolloutWorker is what a rollout worker beyond the first owns: a clone of
 // the trainer's policy (a policy's scratch serves one caller at a time),
 // brought up to date at the start of every batch, that clone's activation
@@ -66,7 +76,8 @@ func (w *rolloutWorker) partFor(env *Env, ei int) cpsolver.Partitioner {
 // replicas built by Env.PartFactory (rolloutWorker). Environments without a
 // factory force serial collection (same code path, same results). No weight
 // changes during collection, so each worker encodes each of its graphs once
-// for the whole batch.
+// for the whole batch. Episode r draws into t.steps[r], which only its
+// worker touches.
 func (t *Trainer) collect(envs []*Env) []episodeResult {
 	rollouts := t.Cfg.Rollouts
 	iterSeed := t.rng.Int63()
@@ -88,6 +99,9 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 		t.clones = append(t.clones, &rolloutWorker{pol: NewPolicy(t.Policy.Cfg, nil)})
 	}
 	t.lanes = lanes
+	for len(t.steps) < rollouts {
+		t.steps = append(t.steps, make([]stepBufs, t.Policy.Cfg.Iterations))
+	}
 	results := make([]episodeResult, rollouts)
 	parallel.ForEachBlock(lanes+1, rollouts, func(w, lo, hi int) {
 		pol, encs, worker := t.Policy, &t.encs, (*rolloutWorker)(nil)
@@ -105,7 +119,7 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 			if worker != nil && usesSolver(env) {
 				part = worker.partFor(env, ei)
 			}
-			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, starts[ei], part, &mixed, eps0[ei], parallel.Rng(iterSeed, r))
+			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, starts[ei], part, t.steps[r], &mixed, eps0[ei], parallel.Rng(iterSeed, r))
 		}
 	})
 	return results
@@ -132,11 +146,11 @@ func forkable(envs []*Env) bool {
 // P(t) = pi(. | G, y(t-1)), hand it to the solver, evaluate the corrected
 // partition. enc is the environment's graph (index ei in the batch) encoded
 // under pol's weights, and prev its t=0 state, which the episode only
-// reads. mixed is the calling worker's buffer for the matrix
-// SAMPLE mode hands the solver. The exploration weight evolves locally from
-// eps by the same law the environment applies, and all randomness comes from
-// rng.
-func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, prev []int, part cpsolver.Partitioner, mixed *[][]float64, eps float64, rng *rand.Rand) episodeResult {
+// reads. Step t draws into bufs[t], and mixed is the calling worker's
+// buffer for the matrix SAMPLE mode hands the solver. The exploration weight
+// evolves locally from eps by the same law the environment applies, and all
+// randomness comes from rng.
+func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, prev []int, part cpsolver.Partitioner, bufs []stepBufs, mixed *[][]float64, eps float64, rng *rand.Rand) episodeResult {
 	T := pol.Cfg.Iterations
 	res := episodeResult{
 		transitions: make([]transition, 0, T),
@@ -145,21 +159,27 @@ func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, prev []int, part c
 	rewards := make([]float64, 0, T)
 	for step := 0; step < T; step++ {
 		f := pol.Heads(enc, prev)
+		b := &bufs[step]
 		var y []int
 		var out stepOutcome
 		if env.UseSampleMode {
 			// Algorithm 1: the solver samples from P; credit the emitted
 			// partition as the action.
 			*mixed = MixedProbRows(*mixed, f.Probs, eps)
-			out = env.sample(part, true, *mixed, nil, rng)
+			out = env.sample(part, true, *mixed, nil, b.part, rng)
 			if y = out.p; y == nil {
-				y = SampleActions(f.Probs, rng)
+				b.raw = sampleActionsInto(b.raw, f.Probs, rng)
+				y = b.raw
 			}
 		} else {
 			// Algorithm 2 (FIX, the paper's default for RL): the raw
 			// sample is the action, the solver repairs it.
-			y = SampleActions(f.Probs, rng)
-			out = env.sample(part, false, nil, y, rng)
+			b.raw = sampleActionsInto(b.raw, f.Probs, rng)
+			y = b.raw
+			out = env.sample(part, false, nil, y, b.part, rng)
+		}
+		if out.p != nil {
+			b.part = out.p
 		}
 		logp := JointLogProb(f.LogProbs, y)
 		res.transitions = append(res.transitions, transition{

@@ -57,8 +57,9 @@ const (
 // Metropolis rule. Cancelling ctx stops before the next sample and returns
 // ctx.Err(); the environment keeps its best-so-far trajectory.
 //
-// The distribution is the environment's matrix (Env.ProbMatrix), so a
-// kit's environment anneals in the memory its last run filled. A proposal
+// The distribution is the environment's matrix (Env.ProbMatrix), and a
+// move's scratch the environment's too (Env.MoveScratch), so a kit's
+// environment anneals in the memory its last run filled. A proposal
 // is made in it in place: the rows a move redraws are saved first, and put
 // back, last first, when the move is rejected, so the matrix each sample
 // reads is the current distribution with the move applied, as if it were a
@@ -87,8 +88,7 @@ func Anneal(ctx context.Context, env *rl.Env, budget int, _ SAConfig, rng *rand.
 	if k < 1 {
 		k = 1
 	}
-	moved := make([]int, k)       // the rows a move redraws, in order
-	saved := make([]float64, k*c) // and what each held before
+	moved, saved := env.MoveScratch(k) // the rows a move redraws, in order, and what each held before
 	for env.Samples < budget {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -61,7 +61,10 @@ func newKitStore[D any](limit int64) *planCache[[32]byte, *kitPool[D]] {
 // caller to build one on the entry's base. held reports that set held the
 // entry. When it held none, the entry is new, its base newBase's on a clone
 // of g that shares g's adjacency, layout and digest (Graph.CloneDerived),
-// and it is not kept when its base alone exceeds set's bound.
+// and it is not kept when its base alone exceeds set's bound. Plans of a
+// new graph that arrive together may each build an entry; the first one
+// put is the graph's, and the others run on it and drop their own, so that
+// every kit they hand back lands in the one entry.
 func takeKit[D any](set *planCache[[32]byte, *kitPool[D]], g *Graph, newBase func(clone *Graph) (base D, bytes int64)) (p *kitPool[D], k kit, held bool) {
 	key := g.StructureDigest()
 	if p, held = set.get(key); held {
@@ -71,7 +74,9 @@ func takeKit[D any](set *planCache[[32]byte, *kitPool[D]], g *Graph, newBase fun
 	base, bytes := newBase(clone)
 	p = &kitPool[D]{base: base, key: key, baseBytes: bytes, set: set}
 	p.weight.Store(bytes)
-	set.put(key, p)
+	if p, held = set.putIfAbsent(key, p); held {
+		return p, p.take(), true
+	}
 	return p, kit{}, false
 }
 

@@ -123,13 +123,15 @@ func TestPlanGolden(t *testing.T) {
 // TestZeroShotPlanHeapBytes holds what a repeat graph's zero-shot plan
 // allocates through the Planner: BERT/edge36 at serve-zeroshot's budget, one
 // worker. plan(2) runs from the deployment plan(1) built, on the kit plan(1)
-// put back — its environment and its policy clone, scratch sized — so it
-// allocates its samples alone: 379 448 bytes measured when kits were
-// introduced, against 3 031 000 while every plan cloned the policy and sized
-// the clone's head and zero-shot scratch (10.1 MB before deployments).
+// put back — its environment with its sample and best buffers, and its
+// policy clone, scratch sized — so it allocates the Result and the greedy
+// baseline: 47 416 bytes measured once samples were drawn into the kit's
+// buffers, against 379 448 while every sample allocated its partition, and
+// 3 031 000 while every plan cloned the policy and sized the clone's head
+// and zero-shot scratch (10.1 MB before deployments).
 // TestFirstDeployedPlanHeapBytes holds the plan that builds them.
 func TestZeroShotPlanHeapBytes(t *testing.T) {
-	const ceiling = 600000
+	const ceiling = 100000
 	pl, err := NewPlanner(Edge36())
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +152,9 @@ func TestZeroShotPlanHeapBytes(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	plan(2)
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes", got)
+	if got > ceiling {
 		t.Errorf("a repeat graph's zero-shot plan allocates %d bytes, ceiling %d: does it clone the policy or size scratch again?", got, ceiling)
 	}
 }

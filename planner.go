@@ -518,8 +518,10 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		return nil, false, fmt.Errorf("%w: unknown method %q", ErrInvalidRequest, opts.Method)
 	}
 	if env.Best != nil {
+		// The environment is the kit's, and the next plan on it overwrites
+		// its best partition: the Result takes a copy.
 		res = &Result{
-			Partition:   env.Best,
+			Partition:   env.Best.Clone(),
 			Throughput:  env.BestThroughput,
 			Improvement: env.BestImprovement(),
 			Samples:     env.Samples,

@@ -275,14 +275,16 @@ func TestPanickedRLPlanReturnsNoKit(t *testing.T) {
 // TestRepeatRLPlanHeapBytes holds what a repeat graph's RL plan allocates
 // through the Planner: BERT/edge36 at bert-rl's budget, one worker. plan(2)
 // runs on the kit plan(1), the graph's first, built and plan(3) handed back
-// — environment, trainer, policy and records sized — so it allocates its
-// samples and transitions alone:
-// 1 421 488 bytes measured when training kits were introduced, against
-// 11 860 016 while every plan built its context, environment, policy and
-// trainer and sized their scratch (19.7 MB at two workers, with a rollout
-// clone and a partitioner replica per worker and batch).
+// — environment, trainer, policy and records sized, and the step buffers
+// every (episode, step) draws into — so it allocates its transitions and
+// outcomes, the Result and the greedy baseline: 186 000 bytes measured once
+// samples were drawn into the kit's buffers, against 1 421 440 while every
+// sample allocated its partition and raw draw, and 11 860 016 while every
+// plan built its context, environment, policy and trainer and sized their
+// scratch (19.7 MB at two workers, with a rollout clone and a partitioner
+// replica per worker and batch).
 func TestRepeatRLPlanHeapBytes(t *testing.T) {
-	const ceiling = 2000000
+	const ceiling = 300000
 	if raceEnabled {
 		t.Skip("two BERT RL plans; the race detector checks no allocation")
 	}
@@ -303,7 +305,9 @@ func TestRepeatRLPlanHeapBytes(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		plan(2)
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d bytes", got)
+		if got > ceiling {
 			t.Errorf("a repeat graph's RL plan allocates %d bytes, ceiling %d: does it size a trainer or build a kit again?", got, ceiling)
 		}
 	})
