@@ -83,6 +83,27 @@ func TestFigure7WorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// TestTable1WorkerCountDeterminism pins Table 1's two sampling fan-outs,
+// raw draws and solver draws on per-worker partitioner replicas: both
+// validity rates are identical at workers=1 and workers=4. The solve time
+// is a measurement and is left out.
+func TestTable1WorkerCountDeterminism(t *testing.T) {
+	run := func(w int) (res *Table1Result) {
+		withWorkers(w, func() {
+			var err error
+			if res, err = Table1(3, 40); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return res
+	}
+	r1, r4 := run(1), run(4)
+	if r1.RawValidPct != r4.RawValidPct || r1.SolverValidPct != r4.SolverValidPct {
+		t.Fatalf("validity rates differ: raw %v vs %v, solver %v vs %v",
+			r1.RawValidPct, r4.RawValidPct, r1.SolverValidPct, r4.SolverValidPct)
+	}
+}
+
 // TestFigure6WorkerCountDeterminism pins the per-method trial fan-out on a
 // reduced BERT budget, reusing one tiny pre-training run for both.
 func TestFigure6WorkerCountDeterminism(t *testing.T) {

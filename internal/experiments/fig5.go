@@ -117,14 +117,12 @@ func Figure5(ctx context.Context, cfg Fig5Config) (*Fig5Result, error) {
 		Pretrain: report,
 	}
 	// The (graph, method) trials are independent plans, each seeded from
-	// the pair's graph index, so they fan out across the lanes the process
-	// budget grants, results assembled in index order. A trial's own
-	// rollout fan-out finds the budget drawn down by as much; by the
+	// the pair's graph index, so they fan out across the workers the
+	// process budget grants, results assembled in index order. A trial's
+	// own rollout fan-out finds the budget drawn down by as much; by the
 	// determinism contract that changes wall-clock only, never results.
 	items := len(test) * len(Methods)
-	lanes := parallel.AcquireLanes(items - 1)
-	defer parallel.ReleaseLanes(lanes)
-	hists, err := parallel.MapErr(lanes+1, items, func(idx int) ([]float64, error) {
+	hists, err := parallel.MapErr(items, items, func(idx int) ([]float64, error) {
 		gi, mi := idx/len(Methods), idx%len(Methods)
 		return history(ctx, pl, test[gi], mcmpart.PlanOptions{
 			Method:       Methods[mi],

@@ -74,11 +74,9 @@ func Figure6(ctx context.Context, cfg Fig6Config) (*Fig6Result, error) {
 		Final:  make(map[mcmpart.Method]float64),
 	}
 	// The five strategies are independent plans, each seeded from its
-	// method index, so they fan out across the lanes the process budget
+	// method index, so they fan out across the workers the process budget
 	// grants with results identical to a serial run.
-	lanes := parallel.AcquireLanes(len(Methods) - 1)
-	defer parallel.ReleaseLanes(lanes)
-	hists, err := parallel.MapErr(lanes+1, len(Methods), func(mi int) ([]float64, error) {
+	hists, err := parallel.MapErr(len(Methods), len(Methods), func(mi int) ([]float64, error) {
 		return history(ctx, pl, bert, mcmpart.PlanOptions{
 			Method:       Methods[mi],
 			SampleBudget: cfg.SampleBudget,

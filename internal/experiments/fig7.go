@@ -72,20 +72,18 @@ func Figure7(cfg Fig7Config) (*Fig7Result, error) {
 	model := costmodel.New(cfg.Pkg)
 	sim := hwsim.New(cfg.Pkg, hwsim.Options{Seed: cfg.Seed})
 
-	// Draw, predict, and measure samples across the lanes the process budget
-	// grants: sample i derives its RNG from (Seed, i), and each worker
-	// solves on its own partitioner replica, so the scatter is worker-count
-	// independent. Results assemble in index order below.
+	// Draw, predict, and measure samples across the workers the process
+	// budget grants: sample i derives its RNG from (Seed, i), and each
+	// worker beyond the first solves on its own partitioner replica, so the
+	// scatter is worker-count independent. Results assemble in index order
+	// below.
 	res := &Fig7Result{Cfg: cfg}
 	predAll := make([]float64, cfg.Samples)
 	intervals := make([]float64, cfg.Samples)
 	validMask := make([]bool, cfg.Samples)
-	lanes := parallel.AcquireLanes(cfg.Samples - 1)
-	defer parallel.ReleaseLanes(lanes)
-	errs := make([]error, lanes+1)
-	parallel.ForEachBlock(lanes+1, cfg.Samples, func(w, lo, hi int) {
-		part := pr
-		if lanes > 0 {
+	errs := make([]error, cfg.Samples) // by worker
+	parallel.ForEachBlock(cfg.Samples, cfg.Samples, func(part cpsolver.Partitioner, w, lo, hi int) {
+		if w > 0 {
 			replica, err := cpsolver.NewAutoPkg(bert, cfg.Pkg, cpsolver.Options{})
 			if err != nil {
 				errs[w] = err
@@ -105,7 +103,7 @@ func Figure7(cfg Fig7Config) (*Fig7Result, error) {
 			validMask[i] = m.Valid
 			intervals[i] = m.Interval
 		}
-	})
+	}, pr)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -92,9 +92,7 @@ func HeteroSweep(ctx context.Context, cfg HeteroConfig) (*HeteroResult, error) {
 	cfg = cfg.withDefaults()
 	res := &HeteroResult{Cfg: cfg, Rows: make([]HeteroRow, len(cfg.Packages))}
 	errs := make([]error, len(cfg.Packages))
-	lanes := parallel.AcquireLanes(len(cfg.Packages) - 1)
-	defer parallel.ReleaseLanes(lanes)
-	parallel.ForEach(lanes+1, len(cfg.Packages), func(i int) {
+	parallel.ForEach(len(cfg.Packages), len(cfg.Packages), func(i int) {
 		res.Rows[i], errs[i] = heteroRow(ctx, cfg, i)
 	})
 	for _, err := range errs {

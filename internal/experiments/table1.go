@@ -30,7 +30,7 @@ type Table1Result struct {
 }
 
 // Table1 measures the evidence on a mid-size corpus graph over the Edge36
-// package. Both measurement loops fan out across the lanes the process
+// package. Both measurement loops fan out across the workers the process
 // budget grants with per-sample seeds, so the rates are identical at any
 // worker count (only the measured per-sample latency reflects the
 // parallelism).
@@ -42,10 +42,8 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 	g := workload.CorpusGraphs(seed)[1] // a residual CNN: skip edges galore
 	res := &Table1Result{}
 
-	lanes := parallel.AcquireLanes(samples - 1)
-	defer parallel.ReleaseLanes(lanes)
 	rawOK := make([]bool, samples)
-	parallel.ForEachBlock(lanes+1, samples, func(_, lo, hi int) {
+	parallel.ForEachBlock(samples, samples, func(rawOK []bool, _, lo, hi int) {
 		y := make(partition.Partition, g.NumNodes())
 		for i := lo; i < hi; i++ {
 			rng := parallel.Rng(seed, i)
@@ -54,7 +52,7 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 			}
 			rawOK[i] = y.Validate(g, pkg.Chips) == nil
 		}
-	})
+	}, rawOK)
 	res.RawValidPct = 100 * float64(count(rawOK)) / float64(samples)
 
 	pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
@@ -64,12 +62,12 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 	solverOK := make([]bool, samples)
 	// Per-sample solve time is summed across workers (each sample timed
 	// individually), so the reported ms/sample is the true cost of one
-	// solve, independent of how many cores ran the loop.
-	solveNs := make([]int64, lanes+1)
-	errs := make([]error, lanes+1)
-	parallel.ForEachBlock(lanes+1, samples, func(w, lo, hi int) {
-		part := pr
-		if lanes > 0 {
+	// solve, independent of how many cores ran the loop. Each worker beyond
+	// the first solves on its own partitioner replica.
+	solveNs := make([]int64, samples) // by worker
+	errs := make([]error, samples)    // by worker
+	parallel.ForEachBlock(samples, samples, func(part cpsolver.Partitioner, w, lo, hi int) {
+		if w > 0 {
 			replica, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
 			if err != nil {
 				errs[w] = err
@@ -86,7 +84,7 @@ func Table1(seed int64, samples int) (*Table1Result, error) {
 			solveNs[w] += time.Since(start).Nanoseconds()
 			solverOK[i] = err == nil && p.Validate(g, pkg.Chips) == nil
 		}
-	})
+	}, pr)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

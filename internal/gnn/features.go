@@ -116,7 +116,7 @@ type aggregation struct {
 }
 
 // rows is aggregate over output rows [lo, hi) of a zeroed out.
-func (ag aggregation) rows(lo, hi int) {
+func (ag aggregation) rows(_, lo, hi int) {
 	a, out, in := ag.a, ag.out, ag.in
 	d := in.Cols
 	for v := lo; v < hi; v++ {

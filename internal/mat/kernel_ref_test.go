@@ -197,7 +197,7 @@ func maskedMulABT(a, b, mask *Dense) *Dense {
 // blocks at any size when the worker count allows, as a stage that fans out
 // over rows calls it.
 func maskRows(out, a, b, mask *Dense) {
-	RowBlocks(out.Rows, ParallelFlopThreshold, func(_ struct{}, lo, hi int) { MulABTMaskRows(out, a, b, mask, lo, hi) }, struct{}{})
+	RowBlocks(out.Rows, ParallelFlopThreshold, func(_ struct{}, _, lo, hi int) { MulABTMaskRows(out, a, b, mask, lo, hi) }, struct{}{})
 }
 
 // TestMulABTMaskRowsMatchesMaskedMulABT requires the masked product to

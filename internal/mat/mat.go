@@ -159,7 +159,7 @@ func mulRows(out, a, b *Dense) {
 type operands struct{ out, a, b *Dense }
 
 // mulAdd is mulRows over output rows [lo, hi).
-func (o operands) mulAdd(lo, hi int) { MulAddRows(o.out, o.a, o.b, lo, hi) }
+func (o operands) mulAdd(_, lo, hi int) { MulAddRows(o.out, o.a, o.b, lo, hi) }
 
 // MulAddRows is MulAdd over output rows [lo, hi), serially: mulRows' body,
 // and what a stage that fans out over rows itself (RowBlocks) calls on its
@@ -218,7 +218,7 @@ func mulATBRows(out, a, b *Dense) {
 }
 
 // mulATB is mulATBRows over output rows [lo, hi).
-func (o operands) mulATB(lo, hi int) {
+func (o operands) mulATB(_, lo, hi int) {
 	out, a, b := o.out, o.a, o.b
 	var vals [chunk]float64
 	var offs [chunk]int
@@ -258,7 +258,7 @@ func MulABT(out, a, b *Dense) {
 }
 
 // mulABT is MulABT over output rows [lo, hi).
-func (o operands) mulABT(lo, hi int) {
+func (o operands) mulABT(_, lo, hi int) {
 	out, a, b := o.out, o.a, o.b
 	var vals [chunk]float64
 	var offs [chunk]int

@@ -11,29 +11,24 @@ import "mcmpart/internal/parallel"
 // worker count — the property the determinism tests pin down.
 const ParallelFlopThreshold = 1 << 17
 
-// RowBlocks runs kernel(arg, lo, hi) over the rows [0, rows), split into
-// per-worker blocks when flops, the multiply-adds the whole call performs,
-// reach ParallelFlopThreshold, in one serial call otherwise. Extra workers
-// are reserved from the process-wide lane budget (package parallel's doc
-// comment), so a stage issued from inside an already-fanned-out one falls
-// back to serial execution instead of oversubscribing. It is the one
-// fan-out rule of every row-parallel stage, this package's kernels, the GNN's
-// aggregation and the policy head's alike: kernel must write only its rows'
-// outputs, so the split never affects results.
+// RowBlocks runs kernel(arg, worker, lo, hi) over the rows [0, rows), split
+// into per-worker blocks by parallel.ForEachBlock when flops, the
+// multiply-adds the whole call performs, reach ParallelFlopThreshold, in one
+// serial call otherwise. The workers come from the process-wide lane budget
+// (package parallel's doc comment), so a stage issued from inside an
+// already-fanned-out one falls back to serial execution instead of
+// oversubscribing. It is the one fan-out rule of every row-parallel stage,
+// this package's kernels, the GNN's aggregation and the policy head's alike:
+// kernel must write only its rows' outputs, so the split never affects
+// results, and keeps no per-worker state, so it ignores the worker index.
 //
 // The kernel and its operands arrive as plain arguments — a top-level
 // function or method expression and a value — so that only the fan-out
 // path builds a closure: a serial call allocates nothing.
-func RowBlocks[T any](rows, flops int, kernel func(arg T, lo, hi int), arg T) {
+func RowBlocks[T any](rows, flops int, kernel func(arg T, worker, lo, hi int), arg T) {
+	limit := rows
 	if flops < ParallelFlopThreshold {
-		kernel(arg, 0, rows)
-		return
+		limit = 1
 	}
-	lanes := parallel.AcquireLanes(rows - 1)
-	defer parallel.ReleaseLanes(lanes)
-	if lanes == 0 {
-		kernel(arg, 0, rows)
-		return
-	}
-	parallel.ForEachBlock(lanes+1, rows, func(_, lo, hi int) { kernel(arg, lo, hi) })
+	parallel.ForEachBlock(limit, rows, kernel, arg)
 }

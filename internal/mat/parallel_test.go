@@ -56,6 +56,21 @@ func TestMulWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// TestSerialRowBlocksAllocatesNothing: a stage above the fan-out threshold
+// that the lane budget grants no lane — every row-block stage nested inside
+// a rollout worker on a two-vCPU host — runs its kernel on the caller and
+// allocates nothing.
+func TestSerialRowBlocksAllocatesNothing(t *testing.T) {
+	const n = 64
+	o := operands{New(n, n), New(n, n), New(n, n)}
+	withWorkers(1, func() {
+		allocs := testing.AllocsPerRun(20, func() { RowBlocks(n, ParallelFlopThreshold, operands.mulAdd, o) })
+		if allocs != 0 {
+			t.Fatalf("a serial RowBlocks above the threshold allocates %v times per call, want 0", allocs)
+		}
+	})
+}
+
 // TestMulAddMatchesMulPlusAdd checks the fused kernel against its unfused
 // composition.
 func TestMulAddMatchesMulPlusAdd(t *testing.T) {

@@ -21,16 +21,17 @@ type Adam struct {
 	// each step (PPO stability).
 	MaxGradNorm float64
 
-	params []*Param
-	m, v   [][]float64
-	elems  int
-	step   int
+	params  []*Param
+	m, v    [][]float64
+	partial []float64 // GradNorm's per-parameter sums of squares
+	elems   int
+	step    int
 }
 
 // NewAdam returns an optimizer over the parameters with standard defaults
 // (beta1 0.9, beta2 0.999, eps 1e-8).
 func NewAdam(params []*Param, lr float64) *Adam {
-	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
+	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params, partial: make([]float64, len(params))}
 	a.m = make([][]float64, len(params))
 	a.v = make([][]float64, len(params))
 	for i, p := range params {
@@ -61,20 +62,19 @@ func (a *Adam) fanout() int {
 }
 
 // GradNorm returns the global L2 norm of all gradients. Per-parameter
-// partial sums reduce in parameter order, so the result is identical at any
-// worker count.
+// partial sums, kept in the optimizer, reduce in parameter order, so the
+// result is identical at any worker count; like Step, it serves one caller
+// at a time.
 func (a *Adam) GradNorm() float64 {
-	lanes := parallel.AcquireLanes(a.fanout() - 1)
-	defer parallel.ReleaseLanes(lanes)
-	partial := parallel.Map(lanes+1, len(a.params), func(i int) float64 {
+	parallel.ForEach(a.fanout(), len(a.params), func(i int) {
 		var sq float64
 		for _, g := range a.params[i].Grad.Data {
 			sq += g * g
 		}
-		return sq
+		a.partial[i] = sq
 	})
 	var sq float64
-	for _, s := range partial {
+	for _, s := range a.partial {
 		sq += s
 	}
 	return math.Sqrt(sq)
@@ -94,9 +94,7 @@ func (a *Adam) Step() {
 	a.step++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	lanes := parallel.AcquireLanes(a.fanout() - 1)
-	defer parallel.ReleaseLanes(lanes)
-	parallel.ForEach(lanes+1, len(a.params), func(i int) {
+	parallel.ForEach(a.fanout(), len(a.params), func(i int) {
 		p := a.params[i]
 		m, v := a.m[i], a.v[i]
 		for j, g := range p.Grad.Data {

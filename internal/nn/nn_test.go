@@ -1,11 +1,14 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mcmpart/internal/mat"
+	"mcmpart/internal/parallel"
 )
 
 // lossOf runs x through the layer and returns a simple scalar loss (sum of
@@ -207,6 +210,55 @@ func TestAdamGradClipping(t *testing.T) {
 	for i := range before {
 		if d := math.Abs(p.Value.Data[i] - before[i]); d > 0.2 {
 			t.Fatalf("clipped step too large: %v", d)
+		}
+	}
+}
+
+// TestAdamWorkerCountDeterminism runs Adam's fan-out path — a parameter
+// list above adamParallelElems, which the quick policies stay below — and
+// requires the same norm, weights and moments bit for bit at one worker and
+// at four, over steps with and without a clip.
+func TestAdamWorkerCountDeterminism(t *testing.T) {
+	shapes := [][2]int{{128, 128}, {96, 64}, {1, 96}, {64, 200}, {7, 3}, {200, 1}}
+	run := func(workers int) (norms []float64, opt *Adam) {
+		old := parallel.Default()
+		parallel.SetDefault(workers)
+		defer parallel.SetDefault(old)
+		rng := rand.New(rand.NewSource(5))
+		var params []*Param
+		for i, sh := range shapes {
+			p := newParam(fmt.Sprint("p", i), sh[0], sh[1])
+			p.Value.XavierInit(rng)
+			params = append(params, p)
+		}
+		opt = NewAdam(params, 1e-2)
+		if opt.elems < adamParallelElems {
+			t.Fatalf("%d parameter elements stay under Adam's fan-out threshold %d", opt.elems, adamParallelElems)
+		}
+		opt.MaxGradNorm = 30
+		for step := 0; step < 4; step++ {
+			for _, p := range params {
+				for j := range p.Grad.Data {
+					p.Grad.Data[j] = rng.NormFloat64() * 0.1 * float64(step+1)
+				}
+			}
+			norms = append(norms, opt.GradNorm())
+			opt.Step()
+		}
+		return norms, opt
+	}
+	n1, a1 := run(1)
+	n4, a4 := run(4)
+	if !reflect.DeepEqual(n1, n4) {
+		t.Fatalf("gradient norms differ: %v at one worker, %v at four", n1, n4)
+	}
+	if n1[0] > a1.MaxGradNorm || n1[len(n1)-1] < a1.MaxGradNorm {
+		t.Fatalf("norms %v do not straddle the clip %v", n1, a1.MaxGradNorm)
+	}
+	for i, p := range a1.params {
+		q := a4.params[i]
+		if !reflect.DeepEqual(p.Value.Data, q.Value.Data) || !reflect.DeepEqual(a1.m[i], a4.m[i]) || !reflect.DeepEqual(a1.v[i], a4.v[i]) {
+			t.Fatalf("parameter %s: weights or moments differ between one worker and four", p.Name)
 		}
 	}
 }

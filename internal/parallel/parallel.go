@@ -8,13 +8,10 @@
 // for the contract and its rationale.
 //
 // How many goroutines a fan-out runs on is decided in one place, the lane
-// budget below: a site reserves up to n-1 lanes without blocking, hands the
-// primitive what it was granted plus one, and releases on the way out:
-//
-//	lanes := parallel.AcquireLanes(n - 1)
-//	defer parallel.ReleaseLanes(lanes)
-//	parallel.ForEachBlock(lanes+1, n, fn)
-//
+// budget below, and the primitives draw on it themselves: a call with limit
+// l over n items reserves up to min(l, n)-1 lanes without blocking, runs on
+// what it was granted plus the lane its caller holds, and releases them when
+// it returns or re-raises a worker's panic. A limit of 1 means serial.
 // Whatever nests inside fn finds the budget already drawn down and runs
 // serially, so no composition of fan-outs holds more than Default()-1
 // goroutines beyond its callers.
@@ -23,7 +20,7 @@
 //
 //   - fn(i) may depend only on item index i (plus immutable shared state and
 //     per-worker replicas handed out by ForEachBlock);
-//   - fn(i) writes only to slot i of its output (Map enforces this shape);
+//   - fn(i) writes only to slot i of its output (MapErr enforces this shape);
 //   - randomness inside fn comes from an RNG seeded by Seed(base, i), never
 //     from a shared stream.
 //
@@ -48,13 +45,13 @@ import (
 var defaultWorkers atomic.Int64
 
 // extraLanes is the process-wide budget of additional goroutines the
-// fan-out sites (trials, rollout collection, validation scoring, matmul row
-// blocks, adjacency aggregation, optimizer updates) may hold beyond their
-// calling goroutines: Default()-1 when nothing is running. Sites reserve
-// lanes non-blockingly via AcquireLanes, so nested fan-out (a concurrent
-// trial's rollout's matmul) degrades to serial execution instead of
-// multiplying goroutines. By the package contract, how a call ends up split
-// never changes its result.
+// fan-outs (trials, rollout collection, validation scoring, matmul row
+// blocks, adjacency aggregation, optimizer updates) and a Pool's concurrent
+// tasks may hold beyond their calling goroutines: Default()-1 when nothing
+// is running. Lanes are reserved non-blockingly via AcquireLanes, so nested
+// fan-out (a concurrent trial's rollout's matmul) degrades to serial
+// execution instead of multiplying goroutines. By the package contract, how
+// a call ends up split never changes its result.
 var extraLanes atomic.Int64
 
 func init() { SetDefault(runtime.NumCPU()) }
@@ -75,7 +72,9 @@ func SetDefault(n int) int {
 
 // AcquireLanes reserves up to extra lanes from the process-wide budget
 // without blocking, returning how many were reserved (possibly 0 — the
-// caller then runs serially). Pair every return with ReleaseLanes.
+// caller then runs serially). Pair every return with ReleaseLanes. The
+// fan-out primitives below call it themselves; a Pool's tasks are the
+// other holders of lanes.
 func AcquireLanes(extra int) int {
 	if extra <= 0 {
 		return 0
@@ -165,22 +164,24 @@ func (f *fanout) wait() {
 	}
 }
 
-// ForEach runs fn(i) for every i in [0, n) on workers goroutines (at most n;
-// on the caller's when that is one or fewer). Items are claimed from an
-// atomic cursor, so load balances dynamically; callers get determinism by
-// following the package contract. ForEach returns when every item has
-// completed. A panic in fn ends its worker and is re-raised on the caller
-// once the other workers have drained the cursor.
-func ForEach(workers, n int, fn func(i int)) {
-	if workers = min(workers, n); workers <= 1 {
+// ForEach runs fn(i) for every i in [0, n), on up to limit goroutines that
+// the lane budget grants, and on the caller's when it grants none. Items are
+// claimed from an atomic cursor, so load balances dynamically; callers get
+// determinism by following the package contract. ForEach returns when every
+// item has completed. A panic in fn ends its worker and is re-raised on the
+// caller once the other workers have drained the cursor.
+func ForEach(limit, n int, fn func(i int)) {
+	lanes := AcquireLanes(min(limit, n) - 1)
+	defer ReleaseLanes(lanes)
+	if lanes == 0 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
 	var f fanout
-	f.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	f.wg.Add(lanes + 1)
+	for w := 0; w <= lanes; w++ {
 		//mcmlint:ignore hotalloc worker spawn runs once per call, not per item; the goroutine itself is the allocation
 		go func() {
 			var i int
@@ -198,22 +199,15 @@ func ForEach(workers, n int, fn func(i int)) {
 	f.wait()
 }
 
-// Map runs fn(i) for every i in [0, n) on up to workers goroutines and
-// returns the results in index order.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(workers, n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr is Map for fallible items. All items run regardless of failures
-// (each is independent under the contract); the returned error is the one
-// from the lowest failing index, so the error a caller sees is also
-// deterministic across worker counts.
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+// MapErr runs fn(i) for every i in [0, n) as ForEach does and returns the
+// results in index order. All items run regardless of failures (each is
+// independent under the contract); the returned error is the one from the
+// lowest failing index, so the error a caller sees is also deterministic
+// across worker counts.
+func MapErr[T any](limit, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	ForEach(workers, n, func(i int) { out[i], errs[i] = fn(i) })
+	ForEach(limit, n, func(i int) { out[i], errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return out, err
@@ -222,35 +216,43 @@ func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEachBlock splits [0, n) into one contiguous block per worker and runs
-// fn(worker, lo, hi) for each non-empty block concurrently. It is the
-// primitive for stages that need per-worker state (a solver replica, a policy
-// clone): the worker index selects the replica, while per-item seeding inside
-// [lo, hi) keeps outputs independent of the split. Blocks differ in size by
-// at most one item. A panic in fn is re-raised on the caller once every
-// block has returned.
-func ForEachBlock(workers, n int, fn func(worker, lo, hi int)) {
-	if workers = min(workers, n); workers <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
+// ForEachBlock splits [0, n) into one contiguous block per worker, on up to
+// limit workers that the lane budget grants, and runs fn(arg, worker, lo, hi)
+// for every block concurrently; it returns how many workers ran, each on a
+// non-empty block. It is the primitive for stages that need per-worker state
+// (a solver replica, a policy clone): the worker index selects the replica,
+// while per-item seeding inside [lo, hi) keeps outputs independent of the
+// split. Blocks differ in size by at most one item. A panic in fn is
+// re-raised on the caller once every block has returned.
+//
+// fn and its operands arrive as separate arguments — a top-level function or
+// method expression and a value — so that only the fan-out path builds a
+// closure: when the budget grants no lane, the call runs fn(arg, 0, 0, n)
+// and allocates nothing.
+func ForEachBlock[T any](limit, n int, fn func(arg T, worker, lo, hi int), arg T) int {
+	lanes := AcquireLanes(min(limit, n) - 1)
+	defer ReleaseLanes(lanes)
+	if lanes == 0 {
+		if n <= 0 {
+			return 0
 		}
-		return
+		fn(arg, 0, 0, n)
+		return 1
 	}
+	workers := lanes + 1
 	var f fanout
+	f.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		lo, hi := blockBounds(w, workers, n)
-		if lo >= hi {
-			continue
-		}
-		f.wg.Add(1)
 		//mcmlint:ignore hotalloc worker spawn runs once per call, not per item; the goroutine itself is the allocation
-		go func(w, lo, hi int) {
+		go func() {
 			defer f.wg.Done()
 			defer func() { f.record(w, recover()) }()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			fn(arg, w, lo, hi)
+		}()
 	}
 	f.wait()
+	return workers
 }
 
 // blockBounds returns worker w's contiguous slice of [0, n).

@@ -19,7 +19,16 @@ func TestSetDefault(t *testing.T) {
 	}
 }
 
+// budget sets the process default to n workers for the rest of the test,
+// so that a fan-out is granted up to n-1 lanes whatever the host's CPUs.
+func budget(t testing.TB, n int) {
+	old := Default()
+	t.Cleanup(func() { SetDefault(old) })
+	SetDefault(n)
+}
+
 func TestForEachCoversAllItems(t *testing.T) {
+	budget(t, 8)
 	for _, workers := range []int{1, 2, 7, 64} {
 		for _, n := range []int{0, 1, 5, 100} {
 			hits := make([]atomic.Int64, n)
@@ -33,16 +42,21 @@ func TestForEachCoversAllItems(t *testing.T) {
 	}
 }
 
-func TestMapOrdered(t *testing.T) {
-	got := Map(8, 50, func(i int) int { return i * i })
+func TestMapErrOrdered(t *testing.T) {
+	budget(t, 8)
+	got, err := MapErr(8, 50, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != i*i {
-			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
+			t.Fatalf("MapErr[%d] = %d, want %d", i, v, i*i)
 		}
 	}
 }
 
 func TestMapErrLowestIndexWins(t *testing.T) {
+	budget(t, 8)
 	errAt := func(bad ...int) error {
 		_, err := MapErr(8, 40, func(i int) (int, error) {
 			for _, b := range bad {
@@ -83,33 +97,59 @@ func TestMapErrRunsAllItems(t *testing.T) {
 	}
 }
 
+// TestForEachBlockPartition: the blocks cover [0, n) once, none is empty,
+// and ForEachBlock reports as many workers as ran blocks — min(limit, n)
+// under a budget that covers them, Default() under one that does not.
 func TestForEachBlockPartition(t *testing.T) {
-	for _, workers := range []int{1, 3, 8, 100} {
+	budget(t, 8)
+	for _, limit := range []int{1, 3, 8, 100} {
 		for _, n := range []int{0, 1, 7, 64} {
 			hits := make([]atomic.Int64, n)
-			ForEachBlock(workers, n, func(w, lo, hi int) {
+			var seen atomic.Int64 // a bit per worker index
+			ran := ForEachBlock(limit, n, func(hits []atomic.Int64, w, lo, hi int) {
 				if lo >= hi {
 					t.Errorf("empty block dispatched: [%d,%d)", lo, hi)
 				}
+				seen.Or(1 << w)
 				for i := lo; i < hi; i++ {
 					hits[i].Add(1)
 				}
-			})
+			}, hits)
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d: item %d covered %d times", workers, n, i, got)
+					t.Fatalf("limit=%d n=%d: item %d covered %d times", limit, n, i, got)
 				}
+			}
+			if want := min(limit, n, Default()); ran != want || seen.Load() != 1<<want-1 {
+				t.Fatalf("limit=%d n=%d: ForEachBlock reported %d workers, ran %b, want %d", limit, n, ran, seen.Load(), want)
 			}
 		}
 	}
 }
 
+// TestSerialFanoutAllocatesNothing: a ForEachBlock the budget grants no
+// lane runs fn on the caller and allocates nothing, whatever its limit —
+// the path every row-block stage nested inside another fan-out takes.
+func TestSerialFanoutAllocatesNothing(t *testing.T) {
+	budget(t, 1)
+	sums := make([]int, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if ran := ForEachBlock(8, 64, func(sums []int, w, lo, hi int) { sums[w] += hi - lo }, sums); ran != 1 {
+			t.Fatalf("ForEachBlock ran %d workers under a budget of one", ran)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a serial ForEachBlock allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestSeedIndependentOfWorkerCount(t *testing.T) {
+	budget(t, 8)
 	const base, n = 42, 64
 	draw := func(workers int) []float64 {
-		return Map(workers, n, func(i int) float64 {
-			return Rng(base, i).Float64()
-		})
+		out := make([]float64, n)
+		ForEach(workers, n, func(i int) { out[i] = Rng(base, i).Float64() })
+		return out
 	}
 	want := draw(1)
 	for _, workers := range []int{2, 4, 8} {
@@ -139,9 +179,7 @@ func TestSeedDecorrelated(t *testing.T) {
 }
 
 func TestLaneBudget(t *testing.T) {
-	old := Default()
-	defer SetDefault(old)
-	SetDefault(4) // budget: 3 extra lanes
+	budget(t, 4) // 3 extra lanes
 	if got := AcquireLanes(10); got != 3 {
 		t.Fatalf("AcquireLanes(10) = %d, want 3", got)
 	}
@@ -160,20 +198,16 @@ func TestLaneBudget(t *testing.T) {
 
 // TestLanesReturnAfterNestedFanout pins the budget's bookkeeping: whatever
 // nest of fan-outs ran, and however it ended — a panic on an inner block is
-// re-raised by fanout.wait through every site's deferred release — a fresh
+// re-raised by fanout.wait through every level's deferred release — a fresh
 // reservation is granted Default()-1 lanes again, and while the nest runs
 // it never holds more than that many goroutines beyond its caller.
 func TestLanesReturnAfterNestedFanout(t *testing.T) {
-	old := Default()
-	defer SetDefault(old)
-	SetDefault(4)
+	budget(t, 4)
 	var running, peak atomic.Int64
-	// site is the idiom every fan-out site in the tree spells out.
+	// site nests the primitive depth levels deep, each level as wide as n.
 	var site func(depth, n int, leaf func(i int))
 	site = func(depth, n int, leaf func(i int)) {
-		lanes := AcquireLanes(n - 1)
-		defer ReleaseLanes(lanes)
-		ForEachBlock(lanes+1, n, func(_, lo, hi int) {
+		ForEachBlock(n, n, func(leaf func(i int), _, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if depth > 0 {
 					site(depth-1, n, leaf)
@@ -185,7 +219,7 @@ func TestLanesReturnAfterNestedFanout(t *testing.T) {
 				leaf(i)
 				running.Add(-1)
 			}
-		})
+		}, leaf)
 	}
 	for _, tc := range []struct {
 		name string
@@ -242,6 +276,7 @@ func TestForEachNested(t *testing.T) {
 // where a deferred recover sees it, and of several panics the lowest index
 // (ForEach's item, ForEachBlock's worker) wins.
 func TestWorkerPanicReachesCaller(t *testing.T) {
+	budget(t, 4)
 	recovered := func(run func()) (r any) {
 		defer func() { r = recover() }()
 		run()
@@ -263,11 +298,11 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		t.Fatalf("ForEach: %d of 64 items ran; the surviving workers must drain the cursor", ran.Load())
 	}
 	r = recovered(func() {
-		ForEachBlock(4, 8, func(w, lo, hi int) {
+		ForEachBlock(4, 8, func(_ struct{}, w, lo, hi int) {
 			if w >= 2 {
 				panic(fmt.Sprintf("worker %d", w))
 			}
-		})
+		}, struct{}{})
 	})
 	if r != "worker 2" {
 		t.Fatalf("ForEachBlock: recovered %v, want the lowest panicking worker's value", r)
@@ -294,8 +329,9 @@ func BenchmarkSeededFanout(b *testing.B) {
 		workers int
 	}{{"workers=1", 1}, {"workers=default", Default()}} {
 		b.Run(tc.name, func(b *testing.B) {
+			out := make([]float64, 64)
 			for i := 0; i < b.N; i++ {
-				Map(tc.workers, 64, func(j int) float64 { return work(Rng(1, j)) })
+				ForEach(tc.workers, len(out), func(j int) { out[j] = work(Rng(1, j)) })
 			}
 		})
 	}

@@ -16,7 +16,7 @@ var (
 )
 
 // Pool is a long-lived bounded worker pool: a fixed set of goroutines
-// draining a bounded task queue. Unlike ForEach/Map — which fan a known
+// draining a bounded task queue. Unlike ForEach/MapErr — which fan a known
 // index range out and join — a Pool serves an open-ended stream of
 // independent tasks, which is what a planning service needs: admission is
 // explicit (TrySubmit fails fast when the queue is full instead of

@@ -12,7 +12,7 @@ import (
 // blocks counts the calls of a row-block kernel and the rows they cover.
 type blocks struct{ calls, rows atomic.Int64 }
 
-func (b *blocks) kernel(lo, hi int) {
+func (b *blocks) kernel(_, lo, hi int) {
 	b.calls.Add(1)
 	b.rows.Add(int64(hi - lo))
 }

@@ -166,11 +166,9 @@ func Run(ctx context.Context, train, validation []*graph.Graph, factory EnvFacto
 // a deployment of it under the checkpoint's weights. Checkpoints score
 // independently — each gets its own scorer policy, fresh environments, and
 // an RNG derived from (Seed+1, checkpoint index) — so they fan out across
-// the lanes the process budget grants with scores identical at any count.
+// the workers the process budget grants with scores identical at any count.
 func scoreCheckpoints(ctx context.Context, checkpoints []nn.Snapshot, validation []*graph.Graph, factory EnvFactory, cfg Config) ([]float64, error) {
-	lanes := parallel.AcquireLanes(len(checkpoints) - 1)
-	defer parallel.ReleaseLanes(lanes)
-	return parallel.MapErr(lanes+1, len(checkpoints), func(ci int) (float64, error) {
+	return parallel.MapErr(len(checkpoints), len(checkpoints), func(ci int) (float64, error) {
 		vrng := parallel.Rng(cfg.Seed+1, ci)
 		scorer := rl.NewPolicy(cfg.Policy, vrng)
 		if err := scorer.Restore(checkpoints[ci]); err != nil {

@@ -145,6 +145,9 @@ func (t *Trainer) Bytes() int64 {
 		}
 	}
 	for _, w := range t.clones {
+		if w == nil {
+			continue // a slot no rollout worker has run on
+		}
 		b += w.pol.weightBytes() + w.pol.headBytes(n)
 		for _, rec := range w.encs.recs {
 			b += w.pol.recordBytes(rec, false)

@@ -381,7 +381,7 @@ type headsStage struct {
 // completed from enc.hW in the order Heads documents, the ReLU, then fc2's
 // product in mat.Mul's per-row sequence, its bias, and the softmax and
 // log-softmax — or, on a memo hit, a copy of the start state's rows.
-func (p *Policy) headsRows(lo, hi int) {
+func (p *Policy) headsRows(_, lo, hi int) {
 	s, f := &p.heads, &p.fwd
 	enc := f.enc
 	c, hidden := p.Cfg.Chips, p.Cfg.Hidden
@@ -534,7 +534,7 @@ type gradStage struct {
 // through the ReLU — dLogits·W2ᵀ where a1 > 0 and +0 elsewhere, the
 // products the mask discards never formed — and that row's addition to the
 // record's dA1 sum.
-func (p *Policy) gradRows(lo, hi int) {
+func (p *Policy) gradRows(_, lo, hi int) {
 	s := &p.grad
 	f, hidden := s.f, p.Cfg.Hidden
 	if s.loss != nil {

@@ -67,17 +67,17 @@ func (w *rolloutWorker) partFor(env *Env, ei int) cpsolver.Partitioner {
 	return r.part
 }
 
-// collect gathers Cfg.Rollouts episodes, fanning them across the lanes the
+// collect gathers Cfg.Rollouts episodes, fanning them across the workers the
 // process budget grants (package parallel's doc comment). Determinism
 // contract: episode r derives its RNG from (iterSeed, r) and starts from
 // the environments' state at collection start, so the batch is bit-for-bit
-// identical on one worker and on N; only wall-clock changes. Each worker
-// beyond the first runs on its own policy clone and on partitioner
-// replicas built by Env.PartFactory (rolloutWorker). Environments without a
-// factory force serial collection (same code path, same results). No weight
-// changes during collection, so each worker encodes each of its graphs once
-// for the whole batch. Episode r draws into t.steps[r], which only its
-// worker touches.
+// identical on one worker and on N; only wall-clock changes. Worker w
+// beyond the first runs on its own policy clone and partitioner replicas
+// built by Env.PartFactory (t.clones[w-1], built in the first batch w runs
+// in). Environments without a factory force serial collection (same code
+// path, same results). No weight changes during collection, so each worker
+// encodes each of its graphs once for the whole batch. Episode r draws into
+// t.steps[r], which only its worker touches.
 func (t *Trainer) collect(envs []*Env) []episodeResult {
 	rollouts := t.Cfg.Rollouts
 	iterSeed := t.rng.Int63()
@@ -85,8 +85,6 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 	if !forkable(envs) {
 		fanout = 1
 	}
-	lanes := parallel.AcquireLanes(fanout - 1)
-	defer parallel.ReleaseLanes(lanes)
 	// Exploration weights at collection start: every episode in this batch
 	// samples under the same weight snapshot regardless of worker count.
 	// Every episode starts from its environment's all-unassigned state,
@@ -95,17 +93,19 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 	for i, e := range envs {
 		eps0[i], starts[i] = e.ExploreEps(), unassigned(e.Ctx.G.NumNodes())
 	}
-	for len(t.clones) < lanes {
-		t.clones = append(t.clones, &rolloutWorker{pol: NewPolicy(t.Policy.Cfg, nil)})
+	for len(t.clones) < fanout-1 {
+		t.clones = append(t.clones, nil)
 	}
-	t.lanes = lanes
 	for len(t.steps) < rollouts {
 		t.steps = append(t.steps, make([]stepBufs, t.Policy.Cfg.Iterations))
 	}
 	results := make([]episodeResult, rollouts)
-	parallel.ForEachBlock(lanes+1, rollouts, func(w, lo, hi int) {
+	workers := parallel.ForEachBlock(fanout, rollouts, func(t *Trainer, w, lo, hi int) {
 		pol, encs, worker := t.Policy, &t.encs, (*rolloutWorker)(nil)
 		if w > 0 {
+			if t.clones[w-1] == nil {
+				t.clones[w-1] = &rolloutWorker{pol: NewPolicy(t.Policy.Cfg, nil)}
+			}
 			worker = t.clones[w-1]
 			pol, encs = worker.pol, &worker.encs
 			pol.copyWeights(t.Policy)
@@ -121,7 +121,8 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 			}
 			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, starts[ei], part, t.steps[r], &mixed, eps0[ei], parallel.Rng(iterSeed, r))
 		}
-	})
+	}, t)
+	t.lanes = workers - 1
 	return results
 }
 
