@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -287,11 +288,24 @@ func idleKits(d *deployment) int {
 	return len(d.idle)
 }
 
+// idleBytes returns what d's store counts for d's idle kits, each weighed
+// when its plan handed it back.
+func idleBytes(d *deployment) (b int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, k := range d.idle {
+		b += k.bytes
+	}
+	return b
+}
+
 // TestDeploymentsStayInTheirBound: a deployment whose estimate alone
 // exceeds the set's bound is not kept; one that fits while its kit does not
-// is kept without it; and one that needs another's room evicts the least
-// recently used. The set counts every idle kit a deployment holds — its
-// environment and its clone — and never more than its bound.
+// is kept without it; one that needs another's room evicts the least
+// recently used; and a fine-tuned kit — its trainer beside its environment
+// and clone — is dropped where a zero-shot kit of the graph fits. The set
+// counts every idle kit a deployment holds, as put weighed it, and never
+// more than its bound.
 func TestDeploymentsStayInTheirBound(t *testing.T) {
 	pl, policy := deployedPlanner(t)
 	a, b := CorpusGraphs(1)[40], CorpusGraphs(1)[41]
@@ -304,8 +318,8 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 		t.Fatalf("under the default bound %d deployments are kept, want 2 with an idle kit each", len(kept))
 	}
 	da, db := kept[1], kept[0]
-	aBytes, bBytes := da.base.Bytes()+da.base.KitBytes(), db.base.Bytes()+db.base.KitBytes()
-	if _, used := set.snapshot(); used != aBytes+bBytes {
+	aBytes, bBytes := da.base.Bytes()+idleBytes(da), db.base.Bytes()+idleBytes(db)
+	if _, used := set.snapshot(); idleBytes(da) == 0 || idleBytes(db) == 0 || used != aBytes+bBytes {
 		t.Fatalf("the set counts %d bytes, its deployments and kits hold %d", used, aBytes+bBytes)
 	}
 	check := func(what string, set *planCache[[32]byte, *deployment], g *Graph, wantReused bool) {
@@ -340,21 +354,33 @@ func TestDeploymentsStayInTheirBound(t *testing.T) {
 		t.Errorf("room for one: %d deployments kept, want b's alone", len(kept))
 	}
 	check("room for one", set, a, false)
+
+	set = installBounded(pl, policy, aBytes)
+	if _, reused := planReused(t, pl, a, PlanOptions{Method: MethodFineTune, SampleBudget: 4, Seed: 1}); reused {
+		t.Error("a fine-tuned kit: the plan on a fresh install reused a deployment")
+	}
+	if kept := set.values(); len(kept) != 1 || idleKits(kept[0]) != 0 {
+		t.Errorf("a fine-tuned kit: %d deployments kept, want a's without its kit", len(kept))
+	}
+	check("a zero-shot kit after a fine-tuned one", set, a, true)
+	if _, used := set.snapshot(); used != aBytes {
+		t.Errorf("a zero-shot kit after a fine-tuned one: the set counts %d bytes, want a's deployment and kit, %d", used, aBytes)
+	}
 }
 
 // checkIdleKitsDistinct fails unless every idle kit of set holds an
-// environment and a clone no other idle kit holds: a kit listed twice is
-// handed to two plans at once.
+// environment, a clone, and a trainer if it has one, no other idle kit
+// holds: a kit listed twice is handed to two plans at once.
 func checkIdleKitsDistinct(t *testing.T, set *planCache[[32]byte, *deployment]) {
 	t.Helper()
-	envs, clones := make(map[*rl.Env]bool), make(map[*rl.Policy]bool)
+	envs, clones, trainers := make(map[*rl.Env]bool), make(map[*rl.Policy]bool), make(map[*rl.Trainer]bool)
 	for _, d := range set.values() {
 		d.mu.Lock()
 		for _, k := range d.idle {
-			if envs[k.env] || clones[k.policy] {
-				t.Errorf("an environment or a clone is idle in two kits")
+			if envs[k.env] || clones[k.policy] || (k.trainer != nil && trainers[k.trainer]) {
+				t.Errorf("an environment, a clone or a trainer is idle in two kits")
 			}
-			envs[k.env], clones[k.policy] = true, true
+			envs[k.env], clones[k.policy], trainers[k.trainer] = true, true, true
 		}
 		d.mu.Unlock()
 	}
@@ -412,16 +438,89 @@ func TestConcurrentPlansShareADeployment(t *testing.T) {
 	if kept := set.values(); len(kept) != 1 || idleKits(kept[0]) == 0 {
 		t.Fatalf("after concurrent plans of one graph the set keeps %d deployments", len(kept))
 	}
-	var limit int64
+	var limit int64 // room for any one graph's deployment and kit
 	for _, g := range graphs {
-		d := rl.NewDeployment(policy.Clone(), warm.graphContext(g, policy.Cfg))
-		limit = max(limit, d.Bytes()+d.KitBytes())
+		pl, _ := deployedPlanner(t)
+		planReused(t, pl, g, PlanOptions{Method: MethodZeroShot, SampleBudget: 12, Seed: 1})
+		_, used := pl.snapshotPolicy().deployments.snapshot()
+		limit = max(limit, used)
 	}
 	set = installBounded(warm, policy, limit)
 	run(len(graphs))
 	checkIdleKitsDistinct(t, set)
 	if entries, used := set.snapshot(); used > limit || entries > 1 {
 		t.Fatalf("under a bound with room for one deployment the set keeps %d, %d bytes", entries, used)
+	}
+}
+
+// TestConcurrentFineTunePlansTradeKits: fine-tune and zero-shot plans of
+// one graph under one installed policy, run at once on graphs of their own,
+// take and hand back its deployment's kits concurrently — a fine-tune plan
+// builds a trainer on a kit a zero-shot plan built or Restarts one an
+// earlier fine-tune plan left, a zero-shot plan runs on a kit whose trainer
+// it leaves alone — and each plans what the serial cold plan of its method
+// and seed does. Every plan checks at every sample that the idle kits are
+// distinct; under -race (CI) two plans in one environment, clone or trainer
+// fail the run. Once the plans are done the set counts exactly what its
+// deployment holds, as put weighed it, and no plan counted as an RL plan.
+func TestConcurrentFineTunePlansTradeKits(t *testing.T) {
+	warm, policy := deployedPlanner(t)
+	cold, _ := deployedPlanner(t)
+	g := CorpusGraphs(1)[40]
+	methods := []Method{MethodFineTune, MethodZeroShot}
+	const seeds = 2
+	opts := func(m Method, seed int) PlanOptions {
+		return PlanOptions{Method: m, SampleBudget: 16, Seed: int64(seed)}
+	}
+	want := make(map[[2]int]string)
+	for mi, m := range methods {
+		for seed := 1; seed <= seeds; seed++ {
+			want[[2]int{mi, seed}] = resultBits(coldPlan(t, cold, policy, g, opts(m, seed)))
+		}
+	}
+	progress := func(ProgressEvent) { checkIdleKitsDistinct(t, warm.snapshotPolicy().deployments) }
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		for mi, m := range methods {
+			for seed := 1; seed <= seeds; seed++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					o := opts(m, seed)
+					o.Progress = progress
+					res, err := warm.Plan(context.Background(), g.Clone(), o)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if resultBits(res) != want[[2]int{mi, seed}] {
+						t.Errorf("a concurrent %s plan, seed %d, differs from its cold plan", m, seed)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	set := warm.snapshotPolicy().deployments
+	checkIdleKitsDistinct(t, set)
+	kept := set.values()
+	if len(kept) != 1 || idleKits(kept[0]) == 0 || idleKits(kept[0]) > len(methods)*seeds {
+		t.Fatalf("after concurrent plans of one graph the set keeps %d deployments", len(kept))
+	}
+	trainers := 0
+	for _, k := range kept[0].idle {
+		if k.trainer != nil {
+			trainers++
+		}
+	}
+	if trainers == 0 {
+		t.Error("no idle kit keeps a fine-tune plan's trainer")
+	}
+	if n := warm.rlPlans[kitNew].Load() + warm.rlPlans[kitReused].Load(); n != 0 {
+		t.Errorf("the planner counts %d RL plans, want 0: fine-tune plans are not RL plans", n)
+	}
+	if _, used := set.snapshot(); used != kept[0].base.Bytes()+idleBytes(kept[0]) {
+		t.Errorf("the set counts %d bytes, its deployment and idle kits hold %d", used, kept[0].base.Bytes()+idleBytes(kept[0]))
 	}
 }
 
@@ -526,6 +625,9 @@ func TestPanickedPlanReturnsNoKit(t *testing.T) {
 	set := warm.snapshotPolicy().deployments
 	d := set.values()[0]
 	k := d.idle[0]
+	if k.bytes == 0 {
+		t.Fatal("the set weighs an idle kit 0 bytes")
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -544,8 +646,8 @@ func TestPanickedPlanReturnsNoKit(t *testing.T) {
 	if !reused || len(d.idle) != 1 || d.idle[0].env == k.env || d.idle[0].policy == k.policy {
 		t.Fatal("the next plan did not run on a new kit")
 	}
-	if _, used := set.snapshot(); used != d.base.Bytes()+d.base.KitBytes() {
-		t.Fatalf("with the new kit idle the set counts %d bytes, want %d", used, d.base.Bytes()+d.base.KitBytes())
+	if _, used := set.snapshot(); used != d.base.Bytes()+k.bytes {
+		t.Fatalf("with the new kit idle the set counts %d bytes, want the deployment and a kit of the lost one's weight, %d", used, d.base.Bytes()+k.bytes)
 	}
 	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
 		t.Fatal("the plan after a panicked one differs from the cold plan")
@@ -571,6 +673,45 @@ func TestFineTuneLeavesTheKitsClone(t *testing.T) {
 	}
 	if resultBits(got) != resultBits(coldPlan(t, cold, policy, g, opts)) {
 		t.Fatal("a zero-shot plan on a fine-tune plan's kit differs from the cold plan")
+	}
+}
+
+// TestFineTunePlansTrainTheInstalledWeights: a graph's fine-tune plans —
+// the first on a new kit, the ones after on the trainer it left, on the
+// cost model and the simulator — each plan what a new trainer on a clone of
+// the installed policy, under the install's fine-tune configuration, trains
+// on a new environment of the graph from the plan's seed. Mutations caught:
+// a fine-tune trainer whose weights are drawn from the seed, or a Restart
+// that keeps the previous plan's weights; the warm-against-cold tests
+// cannot see either, since their cold plans run the same code.
+func TestFineTunePlansTrainTheInstalledWeights(t *testing.T) {
+	pl, policy := deployedPlanner(t)
+	g := CorpusGraphs(1)[40]
+	for _, sim := range []bool{false, true} {
+		for seed := int64(1); seed <= 2; seed++ {
+			opts := PlanOptions{Method: MethodFineTune, SampleBudget: 16, Seed: seed, UseSimulator: sim}
+			got, _ := planReused(t, pl, g, opts)
+			ev := pl.evaluator(sim, seed)
+			_, base, err := pl.baseline(g, ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := pl.buildEnv(g, pl.graphContext(g, policy.Cfg), ev, base.Throughput)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.UseSampleMode = true
+			rng := rand.New(rand.NewSource(seed))
+			trainer := rl.NewTrainer(policy.Clone(), pl.snapshotPolicy().ftPPO, rng)
+			if _, err := trainer.TrainUntil(context.Background(), []*rl.Env{env}, opts.SampleBudget); err != nil {
+				t.Fatal(err)
+			}
+			want := &Result{Partition: env.Best, Throughput: env.BestThroughput, Improvement: env.BestImprovement(), Samples: env.Samples, History: env.History, FailCounts: env.FailCounts}
+			kept := pl.snapshotPolicy().deployments.values()[0].idle[0].trainer.Policy
+			if resultBits(got) != resultBits(want) || !reflect.DeepEqual(kept.Snapshot(), trainer.Policy.Snapshot()) {
+				t.Errorf("simulator=%t seed %d: the fine-tune plan, or the weights it trained, differs from a new trainer's on a clone of the installed policy", sim, seed)
+			}
+		}
 	}
 }
 
@@ -617,7 +758,7 @@ func TestServiceCountsAndLogsDeploymentReuses(t *testing.T) {
 		t.Fatalf("deployment reuses %d over %d plans, want 1 over 2", st.DeploymentReuses, st.PlansExecuted)
 	}
 	d := svc.planner.snapshotPolicy().deployments.values()[0]
-	if want := d.base.Bytes() + d.base.KitBytes(); st.DeploymentBytes != want {
+	if want := d.base.Bytes() + idleBytes(d); idleBytes(d) == 0 || st.DeploymentBytes != want {
 		t.Fatalf("the stats count %d deployment bytes, the graph's deployment and idle kit hold %d", st.DeploymentBytes, want)
 	}
 }
@@ -674,5 +815,111 @@ func TestFirstDeployedPlanHeapBytes(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
 		t.Errorf("a graph's first zero-shot plan allocates %d bytes, ceiling %d", got, ceiling)
+	}
+}
+
+// checkDeployedKitWeight fails unless what g's deployment counts for the
+// idle kit a plan of method m on BERT/edge36 at w workers handed back is
+// what the kit keeps, within 1 %: the difference the heap makes when the
+// deployment lets the kit go.
+func checkDeployedKitWeight(t *testing.T, m Method, w int) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector checks no estimate")
+	}
+	pl, _ := deployedPlanner(t)
+	g := BERT()
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	withWorkers(w, func() {
+		if _, err := pl.Plan(context.Background(), g, PlanOptions{Method: m, SampleBudget: 16, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	d := pl.snapshotPolicy().deployments.values()[0]
+	est := uint64(idleBytes(d))
+	runtime.GC() // what the plan left in a sync.Pool goes at the second collection
+	with := live()
+	d.take()
+	kept := with - live()
+	runtime.KeepAlive(pl) // and with it the installed policy and d
+	if est < kept*99/100 || est > kept*101/100 {
+		t.Errorf("a BERT %s kit weighs %d bytes, it keeps %d", m, est, kept)
+	}
+}
+
+// TestZeroShotKitWeightEstimate: the weight put gives an idle kit a
+// zero-shot plan handed back — an environment on the deployment's context,
+// its solver's tables built, and a clone of the policy with its head and
+// zero-shot scratch sized — is within 1 % of what the kit keeps, so that
+// the byte bound on a policy's deployments counts the kits they own.
+func TestZeroShotKitWeightEstimate(t *testing.T) { checkDeployedKitWeight(t, MethodZeroShot, 1) }
+
+// TestFineTuneKitWeightEstimate: the weight put gives an idle kit a
+// fine-tune plan at two workers handed back — the zero-shot kit's
+// environment and clone, and a trainer with its policy, optimizer, record,
+// buffers and a rollout worker's clone, record and partitioner replica —
+// is within 1 % of what the kit keeps.
+func TestFineTuneKitWeightEstimate(t *testing.T) { checkDeployedKitWeight(t, MethodFineTune, 2) }
+
+// TestRepeatFineTunePlanHeapBytes holds what a repeat graph's fine-tune plan
+// allocates through the Planner: BERT/edge36 under an installed quick
+// policy at budget 32, one worker. plan(2) runs on the kit plan(1), the
+// graph's first, built and plan(3) handed back — environment, clone, and a
+// trainer whose policy, optimizer, record and step buffers are sized — so
+// it allocates its transitions and outcomes, the Result and the greedy
+// baseline: 182 368 bytes measured, against 11 160 672 while every
+// fine-tune plan built a trainer on a fresh clone (20.9 MB at two workers,
+// with a rollout clone and a partitioner replica per worker and batch) and
+// 1 542 256 while each batch's rollout workers allocated their SAMPLE-mode
+// matrix.
+func TestRepeatFineTunePlanHeapBytes(t *testing.T) {
+	const ceiling = 250000
+	if raceEnabled {
+		t.Skip("three BERT fine-tune plans; the race detector checks no allocation")
+	}
+	pl, _ := deployedPlanner(t)
+	g := BERT()
+	withWorkers(1, func() {
+		plan := func(seed int64) {
+			if _, err := pl.Plan(context.Background(), g, PlanOptions{Method: MethodFineTune, SampleBudget: 32, Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan(1) // the graph's memoized layout and digest, its deployment and kit
+		plan(3)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		plan(2)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d bytes", got)
+		if got > ceiling {
+			t.Errorf("a repeat graph's fine-tune plan allocates %d bytes, ceiling %d: does it size a trainer or build a kit again?", got, ceiling)
+		}
+	})
+}
+
+// BenchmarkPlanFineTuneWarmBERT times what a repeat fine-tune plan of a
+// graph costs the planner: BERT on Edge36 under an installed quick policy
+// at budget 32 and plan seeds 1, 2, 3 in turn, on the deployment kit an
+// earlier plan built. TestRepeatFineTunePlanHeapBytes holds its bytes.
+func BenchmarkPlanFineTuneWarmBERT(b *testing.B) {
+	pl, _ := deployedPlanner(b)
+	g := BERT()
+	plan := func(seed int64) {
+		if _, err := pl.Plan(context.Background(), g, PlanOptions{Method: MethodFineTune, SampleBudget: 32, Seed: seed}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	plan(1) // the graph's deployment and kit
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan(int64(i%3 + 1))
 	}
 }

@@ -59,7 +59,7 @@ func TestEndToEndTransferPipeline(t *testing.T) {
 	if err := policy.Restore(res.Best()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rl.FineTune(context.Background(), policy, env, cfg.PPO, 16, rng); err != nil {
+	if _, err := rl.NewTrainer(policy, cfg.PPO, rng).TrainUntil(context.Background(), []*rl.Env{env}, 16); err != nil {
 		t.Fatal(err)
 	}
 	if env.Best == nil {

@@ -26,6 +26,8 @@ type Adam struct {
 	partial []float64 // GradNorm's per-parameter sums of squares
 	elems   int
 	step    int
+	// The Step in flight's clip factor and bias corrections, for its fan-out.
+	scale, bc1, bc2 float64
 }
 
 // NewAdam returns an optimizer over the parameters with standard defaults
@@ -66,13 +68,7 @@ func (a *Adam) fanout() int {
 // result is identical at any worker count; like Step, it serves one caller
 // at a time.
 func (a *Adam) GradNorm() float64 {
-	parallel.ForEach(a.fanout(), len(a.params), func(i int) {
-		var sq float64
-		for _, g := range a.params[i].Grad.Data {
-			sq += g * g
-		}
-		a.partial[i] = sq
-	})
+	parallel.ForEachBlock(a.fanout(), len(a.params), (*Adam).sumSquares, a)
 	var sq float64
 	for _, s := range a.partial {
 		sq += s
@@ -80,30 +76,48 @@ func (a *Adam) GradNorm() float64 {
 	return math.Sqrt(sq)
 }
 
+// sumSquares writes the sum of squares of each gradient of parameters
+// [lo, hi) to partial.
+func (a *Adam) sumSquares(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var sq float64
+		for _, g := range a.params[i].Grad.Data {
+			sq += g * g
+		}
+		a.partial[i] = sq
+	}
+}
+
 // Step applies one Adam update from the accumulated gradients. It does not
 // zero the gradients; callers do that when starting the next accumulation.
 // Parameters update concurrently above the size threshold; each parameter's
-// arithmetic is untouched, so trajectories are worker-count independent.
+// arithmetic is untouched, so trajectories are worker-count independent. A
+// step that runs serially allocates nothing: its fan-outs take no closure.
 func (a *Adam) Step() {
-	scale := 1.0
+	a.scale = 1
 	if a.MaxGradNorm > 0 {
 		if norm := a.GradNorm(); norm > a.MaxGradNorm {
-			scale = a.MaxGradNorm / norm
+			a.scale = a.MaxGradNorm / norm
 		}
 	}
 	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	parallel.ForEach(a.fanout(), len(a.params), func(i int) {
+	a.bc1 = 1 - math.Pow(a.Beta1, float64(a.step))
+	a.bc2 = 1 - math.Pow(a.Beta2, float64(a.step))
+	parallel.ForEachBlock(a.fanout(), len(a.params), (*Adam).update, a)
+}
+
+// update applies the step in flight to parameters [lo, hi).
+func (a *Adam) update(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
 		p := a.params[i]
 		m, v := a.m[i], a.v[i]
 		for j, g := range p.Grad.Data {
-			g *= scale
+			g *= a.scale
 			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
 			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mh := m[j] / bc1
-			vh := v[j] / bc2
+			mh := m[j] / a.bc1
+			vh := v[j] / a.bc2
 			p.Value.Data[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
-	})
+	}
 }

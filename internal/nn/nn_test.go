@@ -263,6 +263,37 @@ func TestAdamWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// TestAdamSerialStepAllocatesNothing: a step over parameters above Adam's
+// fan-out threshold, with its gradient clipped, allocates nothing when the
+// lane budget grants the fan-outs no lane. Mutation caught: a Step or
+// GradNorm that builds a closure before the fan-out knows it runs serially.
+func TestAdamSerialStepAllocatesNothing(t *testing.T) {
+	old := parallel.Default()
+	parallel.SetDefault(1)
+	defer parallel.SetDefault(old)
+	rng := rand.New(rand.NewSource(5))
+	var params []*Param
+	for i, sh := range [][2]int{{128, 128}, {96, 64}, {64, 200}} {
+		p := newParam(fmt.Sprint("p", i), sh[0], sh[1])
+		p.Value.XavierInit(rng)
+		for j := range p.Grad.Data {
+			p.Grad.Data[j] = rng.NormFloat64()
+		}
+		params = append(params, p)
+	}
+	opt := NewAdam(params, 1e-2)
+	if opt.elems < adamParallelElems {
+		t.Fatalf("%d parameter elements stay under Adam's fan-out threshold %d", opt.elems, adamParallelElems)
+	}
+	opt.MaxGradNorm = 1
+	if allocs := testing.AllocsPerRun(10, opt.Step); allocs != 0 {
+		t.Fatalf("a serial Adam step allocates %v times, want 0", allocs)
+	}
+	if opt.scale == 1 {
+		t.Fatal("the step clipped nothing")
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := NewLinear("fc", 3, 2, rng)

@@ -4,7 +4,7 @@
 // the policy weights; a validation worker replays every checkpoint on the
 // validation-set graphs and picks the one with the best average reward. The
 // chosen checkpoint is what deployment warm-starts from, either zero-shot
-// or with fine-tuning (rl.Deployment.ZeroShot / rl.FineTune); the
+// or with fine-tuning (rl.Deployment.ZeroShot / rl.Trainer.Restart); the
 // validation worker scores each checkpoint through the same
 // Deployment.ZeroShot the planner's zero-shot plans run.
 package pretrain

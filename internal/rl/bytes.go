@@ -5,10 +5,11 @@ import (
 
 	"mcmpart/internal/cpsolver"
 	"mcmpart/internal/graph"
+	"mcmpart/internal/mat"
 )
 
 // The estimates of what the per-graph objects a planner keeps from one
-// plan to the next hold (Deployment.Bytes and KitBytes, Env.Bytes,
+// plan to the next hold (Deployment.Bytes, Env.Bytes, Policy.Bytes,
 // Trainer.Bytes), from shapes: the graph's node count N, the chip count C
 // and the network's widths. A store bounded by bytes weighs what it keeps
 // by them.
@@ -50,11 +51,21 @@ func (p *Policy) weightBytes() int64 {
 	return b
 }
 
-// headBytes is the head scratch Heads sizes on an n-node graph: the N x
-// Hidden first-layer activations and the N x C probabilities and
-// log-probabilities.
-func (p *Policy) headBytes(n int64) int64 {
-	return words(n*int64(p.Cfg.Hidden)) + 2*words(n*int64(p.Cfg.Chips))
+// Bytes estimates what p holds: every weight and its gradient, the head
+// scratch Heads sized (N x Hidden activations, N x C probabilities and
+// log-probabilities), and the N x C mixed matrix with its row headers and
+// the N-entry draw of SAMPLE mode.
+func (p *Policy) Bytes() int64 {
+	b := p.weightBytes() + words(int64(cap(p.drawn)))
+	for _, m := range []*mat.Dense{p.fwd.a1, p.fwd.Probs, p.fwd.LogProbs} {
+		if m != nil {
+			b += words(int64(cap(m.Data)))
+		}
+	}
+	if n := int64(len(p.mixed)); n > 0 {
+		b += words(n*int64(len(p.mixed[0]))) + heapObject(n*int64(unsafe.Sizeof([]float64(nil))))
+	}
+	return b
 }
 
 // recordBytes is what an activation record Encode and Heads filled holds:
@@ -116,9 +127,9 @@ func (e *Env) Bytes() int64 {
 }
 
 // Bytes estimates what t holds between runs, once it has trained on its
-// environments: the policy's weights and gradients with Adam's two moments
-// of the same shapes, its head and backward scratch — the first layer's
-// and the encoder's three N x Hidden gradients, the logit gradient — an
+// environments: its policy (Policy.Bytes) with Adam's two moments of the
+// weights' shapes, its backward scratch — the first layer's and the
+// encoder's three N x Hidden gradients, the logit gradient — an
 // activation record per environment, the batch buffers, the step buffers
 // every (episode, step) draws into, and each rollout worker's clone, records
 // and partitioner replicas. Per-node scratch is sized to the largest graph.
@@ -132,7 +143,7 @@ func (t *Trainer) Bytes() int64 {
 		}
 	}
 	hidden, chips := int64(p.Cfg.Hidden), int64(p.Cfg.Chips)
-	b := 2*p.weightBytes() + p.headBytes(n) + 4*words(n*hidden) + words(n*chips) +
+	b := p.Bytes() + p.weightBytes() + 4*words(n*hidden) + words(n*chips) +
 		heapObject(int64(cap(t.buf))*int64(unsafe.Sizeof(transition{}))) + words(int64(cap(t.order)))
 	for _, rec := range t.encs.recs {
 		b += p.recordBytes(rec, true)
@@ -148,7 +159,7 @@ func (t *Trainer) Bytes() int64 {
 		if w == nil {
 			continue // a slot no rollout worker has run on
 		}
-		b += w.pol.weightBytes() + w.pol.headBytes(n)
+		b += w.pol.Bytes()
 		for _, rec := range w.encs.recs {
 			b += w.pol.recordBytes(rec, false)
 		}

@@ -3,7 +3,6 @@ package rl
 import (
 	"context"
 	"math/rand"
-	"unsafe"
 )
 
 // ZeroShot deploys a (pre-trained) policy on an environment without any
@@ -72,8 +71,7 @@ type Deployment struct {
 	Ctx   *GraphContext
 	enc   Encoding
 	start []int // the t=0 state, every episode's
-	// bytes and kitBytes are Bytes' and KitBytes' estimates.
-	bytes, kitBytes int64
+	bytes int64 // Bytes' estimate
 }
 
 // NewDeployment encodes ctx's graph under policy's weights and fills the
@@ -86,15 +84,7 @@ func NewDeployment(policy *Policy, ctx *GraphContext) *Deployment {
 	// The estimate Bytes reports: the context (GraphContext.Bytes) and the
 	// record — every layer's aggregate and output, the embedding product,
 	// the start distribution and its logarithm — and the start state.
-	n, chips := int64(g.NumNodes()), int64(policy.Cfg.Chips)
-	d.bytes = ctx.Bytes() + policy.recordBytes(&d.enc, false) + words(n)
-	// The estimate KitBytes reports: an environment's SAMPLE-mode tables
-	// with its sample and best buffers (Env.Bytes) and a clone of policy —
-	// every weight and its gradient, the head scratch Heads sizes, and
-	// zeroShot's: the N x C mixed matrix with its row headers, and the
-	// N-entry draw.
-	d.kitBytes = partBytes(n, chips, true) + 2*words(n) + policy.weightBytes() + policy.headBytes(n) +
-		words(n*chips) + heapObject(n*int64(unsafe.Sizeof([]float64(nil)))) + words(n)
+	d.bytes = ctx.Bytes() + policy.recordBytes(&d.enc, false) + words(int64(g.NumNodes()))
 	return d
 }
 
@@ -112,19 +102,3 @@ func (d *Deployment) ZeroShot(ctx context.Context, policy *Policy, env *Env, bud
 // Bytes estimates what the deployment holds, from its shapes (see
 // NewDeployment).
 func (d *Deployment) Bytes() int64 { return d.bytes }
-
-// KitBytes estimates what one idle plan kit on the deployment's graph holds
-// once it has planned: an environment on the deployment's context and a
-// clone of the policy the deployment was built under, whose scratch is
-// sized for the graph (see NewDeployment).
-func (d *Deployment) KitBytes() int64 { return d.kitBytes }
-
-// FineTune continues PPO training of a (pre-trained) policy on a single
-// environment until the evaluation budget is consumed — the paper's
-// "RL Finetuning" configuration. Cancellation follows TrainUntil's
-// contract: stats so far plus ctx.Err(), best-so-far kept on the
-// environment.
-func FineTune(ctx context.Context, policy *Policy, env *Env, cfg PPOConfig, budget int, rng *rand.Rand) ([]IterationStats, error) {
-	trainer := NewTrainer(policy, cfg, rng)
-	return trainer.TrainUntil(ctx, []*Env{env}, budget)
-}

@@ -5,14 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
-	"mcmpart/internal/costmodel"
-	"mcmpart/internal/cpsolver"
 	"mcmpart/internal/mcm"
 	"mcmpart/internal/rl"
-	"mcmpart/internal/search"
 	"mcmpart/internal/workload"
 )
 
@@ -65,46 +61,6 @@ func TestDeploymentBytesEstimate(t *testing.T) {
 		built += heapBytes(func() { _ = dep.Ctx.G.Validate() })
 		if est := uint64(dep.Bytes()); est < built*4/5 || est > built*6/5 {
 			t.Errorf("a BERT deployment estimates %d bytes, its build keeps %d", est, built)
-		}
-	})
-}
-
-// TestKitBytesEstimate: what a Deployment says one idle kit holds is within
-// 1 % of what a kit keeps on the heap on BERT once it has planned zero-shot
-// from the deployment and been Reset — an environment on the deployment's
-// context, its solver's tables built, and a clone of the policy with its
-// head and zero-shot scratch sized — so the byte bound on a policy's
-// deployments counts the kits they own.
-func TestKitBytesEstimate(t *testing.T) {
-	g, pkg := workload.BERT(), mcm.Edge36()
-	policy := rl.NewPolicy(rl.QuickConfig(pkg.Chips), rand.New(rand.NewSource(1)))
-	model := costmodel.New(pkg)
-	base := model.Assess(g, search.GreedyPackage(g, pkg)).Throughput // the graph's memoized layout too
-	dep := rl.NewDeployment(policy.Clone(), rl.NewGraphContextForPackage(g, pkg))
-	live := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	withWorkers(1, func() {
-		before := live()
-		pr, err := cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, clone := rl.NewEnv(dep.Ctx, pr, model, base), policy.Clone()
-		env.UseSampleMode = true
-		if err := dep.ZeroShot(context.Background(), clone, env, 16, rand.New(rand.NewSource(2))); err != nil {
-			t.Fatal(err)
-		}
-		env.Reset()
-		kept := live() - before
-		runtime.KeepAlive(policy) // alive before, so that its bytes do not leave the count
-		runtime.KeepAlive(env)
-		runtime.KeepAlive(clone)
-		if est := uint64(dep.KitBytes()); est < kept*99/100 || est > kept*101/100 {
-			t.Errorf("a BERT kit estimates %d bytes, it keeps %d", est, kept)
 		}
 	})
 }

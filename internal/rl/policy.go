@@ -97,9 +97,9 @@ type Policy struct {
 	// the head half and, idle in between, the embedding gradient in the
 	// encoder half.
 	dA1, dV1, dPooled, dVout *mat.Dense
-	// Zero-shot scratch, overwritten whole by every SAMPLE-mode sample: the
-	// mixed matrix handed to the solver, and the raw action draw the next
-	// Heads reads.
+	// SAMPLE-mode scratch, overwritten whole by every sample: the mixed
+	// matrix handed to the solver, and a zero-shot plan's raw action draw,
+	// which the next Heads reads.
 	mixed [][]float64
 	drawn []int
 }

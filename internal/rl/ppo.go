@@ -127,16 +127,21 @@ func NewTrainer(policy *Policy, cfg PPOConfig, rng *rand.Rand) *Trainer {
 	return &Trainer{Policy: policy, Cfg: cfg, opt: opt, rng: rng}
 }
 
-// Restart readies t to train its policy from scratch again, from what
-// NewTrainer(NewPolicy(t.Policy.Cfg, rng), t.Cfg, rng) starts from: it
-// re-draws every weight from rng in NewPolicy's order, zeroes Adam's
-// moments and step count, and makes rng the trainer's stream. Everything
-// else t holds — the policy's and its rollout workers' scratch, the
-// activation records, the batch and step buffers, the partitioner
-// replicas — is written before it is read, so a run after Restart trains
-// bit for bit what a new trainer does, and sizes none of it again.
-func (t *Trainer) Restart(rng *rand.Rand) {
-	t.Policy.init(rng)
+// Restart readies t to train again from what NewTrainer(p, t.Cfg, rng)
+// starts from, p being from.Clone() or, with from nil, NewPolicy(t.Policy.Cfg,
+// rng): it copies from's weights or re-draws every weight from rng in
+// NewPolicy's order, zeroes Adam's moments and step count, and makes rng
+// the trainer's stream. Everything else t holds — the policy's and its
+// rollout workers' scratch, the activation records, the batch and step
+// buffers, the partitioner replicas — is written before it is read, so a
+// run after Restart trains bit for bit what a new trainer does, and sizes
+// none of it again.
+func (t *Trainer) Restart(from *Policy, rng *rand.Rand) {
+	if from != nil {
+		t.Policy.copyWeights(from)
+	} else {
+		t.Policy.init(rng)
+	}
 	t.opt.Reset()
 	t.rng = rng
 }

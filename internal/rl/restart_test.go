@@ -43,13 +43,17 @@ func sameRun(t *testing.T, what string, want, got *rl.Trainer, wantEnv, gotEnv *
 // TestRestartTrainsWhatANewTrainerDoes: a trainer Restarted between runs on
 // one environment, Reset in between — its policy's and rollout workers'
 // scratch, its records, buffers and partitioner replicas as the previous
-// run left them — trains bit for bit what a new trainer on a new policy
-// from the same stream does on a fresh environment: BERT/edge36 (the
-// segmenter) and a Dev8 MLP (the CP solver), FIX and SAMPLE mode, runs
-// alternating between two workers and one, the trainer's workers trimmed
-// after each (so the second worker is dropped and grown again). Mutation
-// caught: a Restart that keeps Adam's moments or step count, re-draws the
-// weights in another order, or keeps the previous stream.
+// run left them — trains bit for bit what a new trainer from the same
+// stream does on a fresh environment: restarted from scratch, what one on
+// a new policy from the stream does, and restarted from a pre-trained
+// policy, as a fine-tune plan is, what one on a clone of that policy does,
+// the pre-trained weights left as they were. BERT/edge36 (the segmenter)
+// and a Dev8 MLP (the CP solver), FIX and SAMPLE mode, runs alternating
+// between two workers and one and between the two weight sources, the
+// trainer's workers trimmed after each (so the second worker is dropped
+// and grown again). Mutation caught: a Restart that keeps Adam's moments or
+// step count, re-draws the weights in another order, keeps the previous
+// stream or the previous weights, or trains the pre-trained policy itself.
 func TestRestartTrainsWhatANewTrainerDoes(t *testing.T) {
 	type instance struct {
 		g   *graph.Graph
@@ -67,14 +71,23 @@ func TestRestartTrainsWhatANewTrainerDoes(t *testing.T) {
 			kept := goldenEnv(t, in.g, in.pkg)
 			kept.UseSampleMode = sample
 			trainer := rl.NewTrainer(rl.NewPolicy(cfg, rand.New(rand.NewSource(99))), rl.QuickPPOConfig(), nil)
+			pretrained := rl.NewPolicy(cfg, rand.New(rand.NewSource(98)))
+			weights := pretrained.Snapshot()
 			for i, w := range workers {
 				seed := int64(i + 1)
 				fresh := goldenEnv(t, in.g, in.pkg)
 				fresh.UseSampleMode = sample
 				rng := rand.New(rand.NewSource(seed))
-				want := rl.NewTrainer(rl.NewPolicy(cfg, rng), rl.QuickPPOConfig(), rng)
+				var from *rl.Policy // odd runs restart from the pre-trained weights
+				var want *rl.Trainer
+				if i%2 == 1 {
+					from = pretrained
+					want = rl.NewTrainer(pretrained.Clone(), rl.QuickPPOConfig(), rng)
+				} else {
+					want = rl.NewTrainer(rl.NewPolicy(cfg, rng), rl.QuickPPOConfig(), rng)
+				}
 				kept.Reset()
-				trainer.Restart(rand.New(rand.NewSource(seed)))
+				trainer.Restart(from, rand.New(rand.NewSource(seed)))
 				withWorkers(w, func() {
 					if _, err := want.TrainUntil(context.Background(), []*rl.Env{fresh}, 16); err != nil {
 						t.Fatal(err)
@@ -84,6 +97,9 @@ func TestRestartTrainsWhatANewTrainerDoes(t *testing.T) {
 					}
 				})
 				sameRun(t, in.g.Name(), want, trainer, fresh, kept)
+				if !reflect.DeepEqual(pretrained.Snapshot(), weights) {
+					t.Fatalf("%s: a run restarted from a pre-trained policy changed its weights", in.g.Name())
+				}
 				trainer.TrimWorkers()
 			}
 		}
@@ -139,7 +155,7 @@ func TestTrainerBytesEstimate(t *testing.T) {
 		}
 		two := check("two workers")
 		withWorkers(1, func() {
-			trainer.Restart(rand.New(rand.NewSource(2)))
+			trainer.Restart(nil, rand.New(rand.NewSource(2)))
 			if _, err := trainer.TrainUntil(context.Background(), []*rl.Env{env}, 32); err != nil {
 				t.Fatal(err)
 			}

@@ -111,7 +111,6 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 			pol.copyWeights(t.Policy)
 		}
 		encs.begin(len(envs))
-		var mixed [][]float64 // this worker's SAMPLE-mode matrix
 		for r := lo; r < hi; r++ {
 			ei := r % len(envs)
 			env := envs[ei]
@@ -119,7 +118,7 @@ func (t *Trainer) collect(envs []*Env) []episodeResult {
 			if worker != nil && usesSolver(env) {
 				part = worker.partFor(env, ei)
 			}
-			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, starts[ei], part, t.steps[r], &mixed, eps0[ei], parallel.Rng(iterSeed, r))
+			results[r] = runEpisode(pol, encs.of(pol, ei, env.Ctx), env, ei, starts[ei], part, t.steps[r], eps0[ei], parallel.Rng(iterSeed, r))
 		}
 	}, t)
 	t.lanes = workers - 1
@@ -147,11 +146,11 @@ func forkable(envs []*Env) bool {
 // P(t) = pi(. | G, y(t-1)), hand it to the solver, evaluate the corrected
 // partition. enc is the environment's graph (index ei in the batch) encoded
 // under pol's weights, and prev its t=0 state, which the episode only
-// reads. Step t draws into bufs[t], and mixed is the calling worker's
-// buffer for the matrix SAMPLE mode hands the solver. The exploration weight
-// evolves locally from eps by the same law the environment applies, and all
-// randomness comes from rng.
-func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, prev []int, part cpsolver.Partitioner, bufs []stepBufs, mixed *[][]float64, eps float64, rng *rand.Rand) episodeResult {
+// reads. Step t draws into bufs[t], and the matrix SAMPLE mode hands the
+// solver is pol's mixed scratch, which only the calling worker runs on. The
+// exploration weight evolves locally from eps by the same law the
+// environment applies, and all randomness comes from rng.
+func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, prev []int, part cpsolver.Partitioner, bufs []stepBufs, eps float64, rng *rand.Rand) episodeResult {
 	T := pol.Cfg.Iterations
 	res := episodeResult{
 		transitions: make([]transition, 0, T),
@@ -166,8 +165,8 @@ func runEpisode(pol *Policy, enc *Encoding, env *Env, ei int, prev []int, part c
 		if env.UseSampleMode {
 			// Algorithm 1: the solver samples from P; credit the emitted
 			// partition as the action.
-			*mixed = MixedProbRows(*mixed, f.Probs, eps)
-			out = env.sample(part, true, *mixed, nil, b.part, rng)
+			pol.mixed = MixedProbRows(pol.mixed, f.Probs, eps)
+			out = env.sample(part, true, pol.mixed, nil, b.part, rng)
 			if y = out.p; y == nil {
 				b.raw = sampleActionsInto(b.raw, f.Probs, rng)
 				y = b.raw

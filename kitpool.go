@@ -17,11 +17,11 @@ import (
 // The store is keyed by the graph's StructureDigest, which covers every
 // node's Op, FLOPs bits, ParamBytes and OutputBytes in ID order and every
 // edge in insertion order: all that a plan reads of a graph, which reads no
-// name. The store counts base and the idle kits, each weighed when its plan
-// hands it back; a kit out on a plan is the plan's, and one whose plan
-// panicked mid-sample — which may have left its solver's tables or its
-// scratch half built — is never handed back, so it stops being counted when
-// it is taken.
+// name. The store counts base and the idle kits, each weighed by one rule
+// when its plan hands it back (put); a kit out on a plan is the plan's, and
+// one whose plan panicked mid-sample — which may have left its solver's
+// tables or its scratch half built — is never handed back, so it stops
+// being counted when it is taken.
 type kitPool[D any] struct {
 	base      D                                 // immutable
 	key       [32]byte                          // immutable; the store's key
@@ -36,13 +36,12 @@ type kitPool[D any] struct {
 }
 
 // kit is what one plan of an entry's graph runs on besides the entry's
-// base: an environment on the base's context, and either a clone of the
-// policy a deployment was built under (policy), or, once an RL plan has run
-// on a training kit, a trainer whose policy, optimizer, activation records,
+// base: an environment on the base's context, a deployment's clone of the
+// policy it was built under (policy), and, once an RL or fine-tune plan has
+// run on the kit, a trainer whose policy, optimizer, activation records,
 // rollout workers with their partitioner replicas and batch buffers are
-// sized for the graph (trainer). A random or annealing plan runs on the
-// environment alone. An idle kit's environment is Reset, so that it holds
-// no trajectory and calls no earlier request's callback.
+// sized for the graph (trainer). An idle kit's environment is Reset, so
+// that it holds no trajectory and calls no earlier request's callback.
 type kit struct {
 	env     *rl.Env
 	policy  *rl.Policy
@@ -110,18 +109,18 @@ func (p *kitPool[D]) take() (k kit) {
 }
 
 // put hands k, which a plan on p's base has finished with, back to p's
-// idle list, its environment Reset. A trainer keeps the rollout workers its
-// last batch ran on, and a training kit is weighed as it then holds, since
-// its environment's tables grow with the searches run on it too; a
-// deployment's kit keeps the weight it was built with. A kit that does
-// not fit in p's store beside p's base and idle kits is dropped.
+// idle list, its environment Reset, weighed as it then holds: environment,
+// clone and trainer, a part it lacks counting zero, the trainer keeping the
+// rollout workers its last batch ran on. A kit that does not fit in p's
+// store beside p's base and idle kits is dropped.
 func (p *kitPool[D]) put(k kit) {
-	switch {
-	case k.trainer != nil:
+	k.bytes = k.env.Bytes()
+	if k.policy != nil {
+		k.bytes += k.policy.Bytes()
+	}
+	if k.trainer != nil {
 		k.trainer.TrimWorkers()
-		k.bytes = k.env.Bytes() + k.trainer.Bytes()
-	case k.policy == nil:
-		k.bytes = k.env.Bytes()
+		k.bytes += k.trainer.Bytes()
 	}
 	k.env.Reset()
 	p.mu.Lock()

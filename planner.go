@@ -225,7 +225,7 @@ type Planner struct {
 	rlPlans  [2]atomic.Uint64
 
 	// mu guards the installed policy. The policy value itself is immutable
-	// once installed: planning methods clone it before any weight update.
+	// once installed: plans copy its weights before any weight update.
 	mu        sync.RWMutex
 	installed policySnapshot // guarded by mu
 }
@@ -452,26 +452,20 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	var env *rl.Env
-	var policy *rl.Policy // the deployed-policy methods' own clone of the installed policy
 	var d *deployment
 	var k kit
 	var put func(kit) // hands k back to the entry it came from
 	if opts.Method.usesPolicy() {
-		// A policy's scratch serves one caller, and fine-tuning updates
-		// weights: each plan runs on a clone of its own, and the planner's
-		// installed policy stays the pristine pre-trained artifact. The
-		// graph's context and encoding come from its deployment, built by
-		// the first plan of the graph under these weights, and the
-		// environment and a zero-shot plan's clone from one of its kits; a
-		// fine-tune plan trains a fresh clone and leaves the kit's as it is.
+		// The graph's context and encoding come from its deployment, built
+		// by the first plan of the graph under these weights, and the
+		// environment, a zero-shot plan's policy clone and a fine-tune
+		// plan's trainer from one of its kits. Both drive the solver in
+		// SAMPLE mode (deploy sets it), the configuration the policy was
+		// pre-trained under (Sec. 5.1's choice for the transfer experiments).
 		if d, k, reused, err = pl.deploy(g, installed, ev, base.Throughput); err != nil {
 			return nil, false, err
 		}
-		env, policy, put = k.env, k.policy, d.put
-		if opts.Method == MethodFineTune {
-			policy = installed.policy.Clone()
-		}
+		put = d.put
 	} else {
 		// RL, random search and annealing run on one of the graph's
 		// training kits; an RL plan's policy, trainer and rollout workers
@@ -481,8 +475,9 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		if e, k, err = pl.takeTrainingKit(g, ev, base.Throughput); err != nil {
 			return nil, false, err
 		}
-		env, put = k.env, e.put
+		put = e.put
 	}
+	env := k.env
 	if opts.Progress != nil {
 		progress := opts.Progress
 		env.OnSample = func(samples int, best float64) {
@@ -503,16 +498,11 @@ func (pl *Planner) plan(ctx context.Context, g *Graph, opts PlanOptions, install
 		runErr = search.Random(ctx, env, opts.SampleBudget, rng)
 	case MethodSA:
 		runErr = search.Anneal(ctx, env, opts.SampleBudget, search.SAConfig{}, rng)
-	case MethodRL:
-		pl.readyTrainer(&k, rng)
+	case MethodRL, MethodFineTune:
+		pl.readyTrainer(&k, opts.Method, installed, rng)
 		_, runErr = k.trainer.TrainUntil(ctx, []*rl.Env{env}, opts.SampleBudget)
 	case MethodZeroShot:
-		// The deployed-policy methods drive the solver in SAMPLE mode
-		// (deploy set it), the configuration the policy was pre-trained
-		// under (Sec. 5.1's choice for the transfer experiments).
-		runErr = d.base.ZeroShot(ctx, policy, env, opts.SampleBudget, rng)
-	case MethodFineTune:
-		_, runErr = rl.FineTune(ctx, policy, env, installed.ftPPO, opts.SampleBudget, rng)
+		runErr = d.base.ZeroShot(ctx, k.policy, env, opts.SampleBudget, rng)
 	default:
 		// normalized() already rejected unknown methods.
 		return nil, false, fmt.Errorf("%w: unknown method %q", ErrInvalidRequest, opts.Method)

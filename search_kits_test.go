@@ -297,13 +297,13 @@ func TestPlannerNeverCanonicalizes(t *testing.T) {
 	}
 }
 
-// TestSearchKitBytesEstimate: what the store counts for an idle kit no RL
+// TestSearchKitWeightEstimate: what the store counts for an idle kit no RL
 // plan ran on is what the kit keeps, within 1 %, once a random plan and then an
 // annealing plan on the simulator have run on it: the segmenter's prefix
 // sums, boundaries and the weight slot with its matrix and term memo, and
 // the annealing matrix. The kit keeps the difference the heap makes
 // when its entry lets it go.
-func TestSearchKitBytesEstimate(t *testing.T) {
+func TestSearchKitWeightEstimate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector checks no estimate")
 	}

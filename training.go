@@ -70,16 +70,22 @@ func (pl *Planner) takeTrainingKit(g *Graph, ev eval.Evaluator, baseTh float64) 
 	return e, k, nil
 }
 
-// readyTrainer gives k the trainer of an RL-from-scratch plan drawn from
-// rng, in the configuration MethodRL runs in: the kit's trainer Restarted
-// from rng when an earlier RL plan left one, and otherwise a trainer on a
-// new policy from rng, which the kit keeps.
-func (pl *Planner) readyTrainer(k *kit, rng *rand.Rand) {
-	use := kitReused
-	if k.trainer != nil {
-		k.trainer.Restart(rng)
-	} else {
-		k.trainer, use = rl.NewTrainer(rl.NewPolicy(pl.freshPolicyConfig(false), rng), rl.QuickPPOConfig(), rng), kitNew
+// readyTrainer gives k the trainer a MethodRL or MethodFineTune plan trains
+// with rng: the kit's, or a new one the kit keeps, Restarted from weights
+// drawn from rng as a fresh policy's are (RL, under QuickPPOConfig) or from
+// installed's policy (fine-tune, under installed.ftPPO).
+func (pl *Planner) readyTrainer(k *kit, m Method, installed policySnapshot, rng *rand.Rand) {
+	var from *rl.Policy // nil: the weights are drawn from rng
+	cfg, ppo := pl.freshPolicyConfig(false), rl.QuickPPOConfig()
+	if m == MethodFineTune {
+		from, cfg, ppo = installed.policy, installed.policy.Cfg, installed.ftPPO
 	}
-	pl.rlPlans[use].Add(1)
+	use := kitReused
+	if k.trainer == nil {
+		k.trainer, use = rl.NewTrainer(rl.NewPolicy(cfg, nil), ppo, nil), kitNew
+	}
+	k.trainer.Restart(from, rng)
+	if m == MethodRL {
+		pl.rlPlans[use].Add(1)
+	}
 }
