@@ -7,6 +7,8 @@ var (
 	// StatusTable is the sentinel↔status table the tests iterate, so that
 	// they hold no second list of sentinels (client_errors_test.go).
 	StatusTable = statusTable
+	// ResultBits renders every field of a result, floats by their bits.
+	ResultBits = resultBits
 )
 
 // RaceEnabled reports a -race build, whose sync.Pool drops a share of what

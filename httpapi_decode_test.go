@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"net/http/httptrace"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -247,13 +246,11 @@ func knownBodyPoster(tb testing.TB, body []byte) func() {
 func TestPostKnownBodyBytes(t *testing.T) {
 	post := knownBodyPoster(t, warmRequestBody(t))
 	const posts = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < posts; i++ {
-		post()
-	}
-	runtime.ReadMemStats(&after)
-	mean := float64(after.TotalAlloc-before.TotalAlloc) / posts / (1 << 20)
+	mean := float64(allocated(func() {
+		for i := 0; i < posts; i++ {
+			post()
+		}
+	})) / posts / (1 << 20)
 	t.Logf("a known body's POST allocated %.2f MB on average", mean)
 	if mean > 1 {
 		t.Errorf("a known body's POST allocated %.2f MB on average, ceiling 1 MB: was its buffer not reused, or was it decoded again?", mean)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -84,13 +83,11 @@ func TestPostRenamedBodyBytes(t *testing.T) {
 	for i := range bodies {
 		bodies[i] = renamedRequestBody(t, warmGraph(), warmOptions, i+1)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, body := range bodies {
-		post(body)
-	}
-	runtime.ReadMemStats(&after)
-	mean := float64(after.TotalAlloc-before.TotalAlloc) / posts / (1 << 20)
+	mean := float64(allocated(func() {
+		for _, body := range bodies {
+			post(body)
+		}
+	})) / posts / (1 << 20)
 	t.Logf("a renamed body's POST allocated %.2f MB on average", mean)
 	if st := svc.Stats(); st.StructureMemoHits != posts || st.PlansExecuted != 1 {
 		t.Fatalf("%d structure hits and %d plans, want %d and 1", st.StructureMemoHits, st.PlansExecuted, posts)
@@ -198,17 +195,16 @@ func TestResubmittedGraphTakesNoDigest(t *testing.T) {
 	g := warmGraph()
 	req := PlanRequest{Graph: g, Options: warmOptions.Options()}
 	submit := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		job, err := svc.Submit(context.Background(), req)
+		var job *Job
+		var err error
+		bytes := allocated(func() { job, err = svc.Submit(context.Background(), req) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
 		if _, err := job.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return after.TotalAlloc - before.TotalAlloc
+		return bytes
 	}
 	const ceiling = 85000
 	submit()

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"mcmpart/internal/mcm"
 	"mcmpart/internal/parallel"
+	"mcmpart/internal/workload"
 )
 
 // withWorkers runs fn under a temporary process-default worker count, the
@@ -85,19 +87,29 @@ func TestFigure7WorkerCountDeterminism(t *testing.T) {
 
 // TestTable1WorkerCountDeterminism pins Table 1's two sampling fan-outs,
 // raw draws and solver draws on per-worker partitioner replicas: both
-// validity rates are identical at workers=1 and workers=4. The solve time
-// is a measurement and is left out.
+// validity rates are identical at workers=1 and workers=4. It runs on a
+// three-node MLP over two chips, where the raw rate lies strictly between 0
+// and 100 (on Table 1's own graph it is 0), so that a raw loop drawing from
+// the wrong seed moves it; the solver's rate is 100 by construction and
+// cannot show the solver loop's. The solve time is a measurement and is
+// left out.
 func TestTable1WorkerCountDeterminism(t *testing.T) {
+	pkg := mcm.Dev4()
+	pkg.Chips = 2
+	g := workload.MLP(workload.MLPConfig{Name: "mlp", Input: 64, Hidden: 64, Output: 16})
 	run := func(w int) (res *Table1Result) {
 		withWorkers(w, func() {
 			var err error
-			if res, err = Table1(3, 40); err != nil {
+			if res, err = table1(g, pkg, 3, 40); err != nil {
 				t.Fatal(err)
 			}
 		})
 		return res
 	}
 	r1, r4 := run(1), run(4)
+	if r1.RawValidPct <= 0 || r1.RawValidPct >= 100 {
+		t.Fatalf("raw validity is %v%%, where no seeding fault shows", r1.RawValidPct)
+	}
 	if r1.RawValidPct != r4.RawValidPct || r1.SolverValidPct != r4.SolverValidPct {
 		t.Fatalf("validity rates differ: raw %v vs %v, solver %v vs %v",
 			r1.RawValidPct, r4.RawValidPct, r1.SolverValidPct, r4.SolverValidPct)

@@ -254,6 +254,25 @@ func heapBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// liveHeap returns the live heap once it has settled: it collects until two
+// consecutive collections leave the same HeapAlloc (at most ten), since
+// what an earlier test left in a sync.Pool survives one collection in the
+// victim cache and would be freed mid-measurement.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	for range 10 {
+		last := ms.HeapAlloc
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if ms.HeapAlloc == last {
+			break
+		}
+	}
+	return ms.HeapAlloc
+}
+
 // TestBERTHeapBytes holds the heap bytes of one zero-shot plan (what
 // BenchmarkZeroShotBERT times) and of one steady-state PPO iteration on
 // BERT/edge36 at their figures from when the policy head built its whole

@@ -122,14 +122,8 @@ func TestTrainerBytesEstimate(t *testing.T) {
 	model := costmodel.New(pkg)
 	base := model.Assess(g, search.GreedyPackage(g, pkg)).Throughput // the graph's memoized layout too
 	ctx := rl.NewGraphContextForPackage(g, pkg)
-	live := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	withWorkers(2, func() {
-		before := live()
+		before := liveHeap()
 		newPart := func() (cpsolver.Partitioner, error) { return cpsolver.NewAutoPkg(g, pkg, cpsolver.Options{}) }
 		pr, err := newPart()
 		if err != nil {
@@ -144,7 +138,7 @@ func TestTrainerBytesEstimate(t *testing.T) {
 		}
 		check := func(what string) uint64 {
 			env.Reset()
-			kept := live() - before
+			kept := liveHeap() - before
 			runtime.KeepAlive(env)
 			runtime.KeepAlive(trainer)
 			est := uint64(trainer.Bytes() + env.Bytes())

@@ -6,13 +6,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"os"
-	"runtime"
 	"testing"
-
-	"mcmpart/internal/parallel"
-	"mcmpart/internal/rl"
 )
 
 // planGoldenRow pins one Planner.Plan call on BERT/edge36 end to end: the
@@ -55,6 +50,7 @@ func planGoldenRows(t *testing.T) []planGoldenRow {
 	}
 	g := BERT()
 	var rows []planGoldenRow
+	var rlRows uint64
 	for _, mb := range planGoldenBudgets {
 		for _, sim := range []bool{false, true} {
 			for seed := int64(1); seed <= 4; seed++ {
@@ -64,6 +60,9 @@ func planGoldenRows(t *testing.T) []planGoldenRow {
 				res, err := pl.Plan(ctx, g, PlanOptions{Method: mb.method, SampleBudget: mb.budget, UseSimulator: sim, Seed: seed})
 				if err != nil {
 					t.Fatalf("%s sim=%t seed=%d: %v", mb.method, sim, seed, err)
+				}
+				if mb.method == MethodRL {
+					rlRows++
 				}
 				h := fnv.New64a()
 				var buf [8]byte
@@ -87,6 +86,15 @@ func planGoldenRows(t *testing.T) []planGoldenRow {
 			}
 		}
 	}
+	// Every row after its store's first ran on the kit an earlier row left:
+	// random, annealing and RL rows on BERT's one training kit, whose
+	// trainer the first RL row built, and zero-shot rows on its deployment.
+	kits := planKits(t, pl, true)
+	if key := g.StructureDigest(); len(kits[0]) != 1 || len(kits[0][key]) != 1 || len(kits[1]) != 1 || len(kits[1][key]) != 1 ||
+		pl.rlPlans[kitNew].Load() != 1 || pl.rlPlans[kitReused].Load() != rlRows-1 {
+		t.Errorf("the rows left %d training and %d deployment entries and %d new-kit, %d reused-kit RL plans; want BERT's one kit in each and 1, %d",
+			len(kits[0]), len(kits[1]), pl.rlPlans[kitNew].Load(), pl.rlPlans[kitReused].Load(), rlRows-1)
+	}
 	return rows
 }
 
@@ -96,6 +104,10 @@ func planGoldenRows(t *testing.T) []planGoldenRow {
 // DP skipped any transcendental and before the scheduler lost its map. It is
 // never regenerated: a row that moves means a sample, an RNG draw or a float
 // accumulation order changed somewhere between the solver and the evaluator.
+// It pins warm plans as well as cold ones: every row runs on one planner, so
+// each row after its store's first runs on a kit an earlier row handed back
+// (planGoldenRows checks that they did), and the golden was written before
+// kits existed.
 func TestPlanGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/plan_golden.json")
 	if err != nil {
@@ -117,44 +129,5 @@ func TestPlanGolden(t *testing.T) {
 		if w := byKey[fmt.Sprint(row.Method, row.Simulator, row.Seed)]; row != w {
 			t.Errorf("\n got %+v\nwant %+v", row, w)
 		}
-	}
-}
-
-// TestZeroShotPlanHeapBytes holds what a repeat graph's zero-shot plan
-// allocates through the Planner: BERT/edge36 at serve-zeroshot's budget, one
-// worker. plan(2) runs from the deployment plan(1) built, on the kit plan(1)
-// put back — its environment with its sample and best buffers, and its
-// policy clone, scratch sized — so it allocates the Result and the greedy
-// baseline: 47 416 bytes measured once samples were drawn into the kit's
-// buffers, against 379 448 while every sample allocated its partition, and
-// 3 031 000 while every plan cloned the policy and sized the clone's head
-// and zero-shot scratch (10.1 MB before deployments).
-// TestFirstDeployedPlanHeapBytes holds the plan that builds them.
-func TestZeroShotPlanHeapBytes(t *testing.T) {
-	const ceiling = 100000
-	pl, err := NewPlanner(Edge36())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.installPolicy(rl.NewPolicy(pl.freshPolicyConfig(false), rand.New(rand.NewSource(1))), "")
-	g := BERT()
-	old := parallel.Default()
-	parallel.SetDefault(1)
-	defer parallel.SetDefault(old)
-	plan := func(seed int64) {
-		opts := PlanOptions{Method: MethodZeroShot, SampleBudget: 16, Seed: seed}
-		if _, err := pl.Plan(context.Background(), g, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plan(1) // the graph's memoized layout and digest, and its deployment
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	plan(2)
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d bytes", got)
-	if got > ceiling {
-		t.Errorf("a repeat graph's zero-shot plan allocates %d bytes, ceiling %d: does it clone the policy or size scratch again?", got, ceiling)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -27,30 +25,10 @@ func newTestService(t *testing.T, opts mcmpart.ServiceOptions) *mcmpart.Service 
 }
 
 // resultsBitIdentical compares every field of two results, float64s by
-// bits.
+// bits (ResultBits).
 func resultsBitIdentical(a, b *mcmpart.Result) error {
-	if !reflect.DeepEqual(a.Partition, b.Partition) {
-		return fmt.Errorf("partitions differ: %v vs %v", a.Partition, b.Partition)
-	}
-	if math.Float64bits(a.Throughput) != math.Float64bits(b.Throughput) {
-		return fmt.Errorf("throughput differs: %v vs %v", a.Throughput, b.Throughput)
-	}
-	if math.Float64bits(a.Improvement) != math.Float64bits(b.Improvement) {
-		return fmt.Errorf("improvement differs: %v vs %v", a.Improvement, b.Improvement)
-	}
-	if a.Samples != b.Samples {
-		return fmt.Errorf("samples differ: %d vs %d", a.Samples, b.Samples)
-	}
-	if len(a.History) != len(b.History) {
-		return fmt.Errorf("history lengths differ: %d vs %d", len(a.History), len(b.History))
-	}
-	for i := range a.History {
-		if math.Float64bits(a.History[i]) != math.Float64bits(b.History[i]) {
-			return fmt.Errorf("history[%d] differs: %v vs %v", i, a.History[i], b.History[i])
-		}
-	}
-	if !reflect.DeepEqual(a.FailCounts, b.FailCounts) {
-		return fmt.Errorf("fail counts differ: %v vs %v", a.FailCounts, b.FailCounts)
+	if ra, rb := mcmpart.ResultBits(a), mcmpart.ResultBits(b); ra != rb {
+		return fmt.Errorf("results differ:\n%s\n%s", ra, rb)
 	}
 	return nil
 }
