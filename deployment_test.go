@@ -42,33 +42,27 @@ func rebuild(name string, nodes []graph.Node, edges []graph.Edge) *Graph {
 // only in a node's name or in its own name finds that graph's deployment,
 // or for an RL plan its training kits, on its first plan, since no plan
 // reads a name; one whose FLOPs is -0 where the planned graph's is +0, or
-// whose edges are inserted in another order, gets an entry of its own, and
-// so does the planned graph once its caller grows it: the entry was built on
-// a clone, which neither matches the grown graph nor changes with it. Each
-// plans what a cold plan of it does. Mutations caught: entries keyed by
-// fingerprint or canonical positions, or by a digest that reads floats by
-// value or names, and an entry built on the caller's graph.
+// whose edges are inserted in another order, gets an entry of its own.
+// Each plans what a cold plan of it does. Mutations caught: entries keyed
+// by fingerprint or canonical positions, or by a digest that reads floats
+// by value or names.
 func TestEntriesAreFoundByStructure(t *testing.T) {
 	base := variant(CorpusGraphs(1)[40], func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = 0 })
+	variants := map[string]struct {
+		g      *Graph
+		shares bool // finds base's entry
+	}{
+		"node name":  {variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[1].Name += "'" }), true},
+		"graph name": {rebuild(base.Name()+"'", base.Nodes(), base.Edges()), true},
+		"-0 FLOPs":   {variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = math.Copysign(0, -1) }), false},
+		"edge order": {variant(base, func(_ []graph.Node, edges []graph.Edge) {
+			edges[0], edges[len(edges)-1] = edges[len(edges)-1], edges[0]
+		}), false},
+	}
 	for _, method := range []Method{MethodZeroShot, MethodRL} {
 		warm, _ := deployedPlanner(t)
 		opts := PlanOptions{Method: method, SampleBudget: 16, Seed: 3}
-		grown := base.Clone()
-		planReused(t, warm, grown, opts)
-		last := grown.NumNodes() - 1
-		grown.MustAddEdge(last, grown.AddNode(grown.Node(last)), grown.Node(last).OutputBytes)
-		variants := map[string]struct {
-			g      *Graph
-			shares bool // finds the planned graph's entry
-		}{
-			"node name":  {variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[1].Name += "'" }), true},
-			"graph name": {rebuild(base.Name()+"'", base.Nodes(), base.Edges()), true},
-			"-0 FLOPs":   {variant(base, func(nodes []graph.Node, _ []graph.Edge) { nodes[0].FLOPs = math.Copysign(0, -1) }), false},
-			"edge order": {variant(base, func(_ []graph.Node, edges []graph.Edge) {
-				edges[0], edges[len(edges)-1] = edges[len(edges)-1], edges[0]
-			}), false},
-			"grown": {grown, false},
-		}
+		planReused(t, warm, base, opts)
 		for name, v := range variants {
 			if err := v.g.Validate(); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -83,8 +77,36 @@ func TestEntriesAreFoundByStructure(t *testing.T) {
 				}
 			}
 		}
-		if entries := len(planKits(t, warm, true)[store(method)]); entries != 4 {
-			t.Errorf("%s: the store keeps %d entries, want the planned graph's and three of the variants' own", method, entries)
+		if entries := len(planKits(t, warm, true)[store(method)]); entries != 3 {
+			t.Errorf("%s: the store keeps %d entries, want base's and two of the variants' own", method, entries)
+		}
+	}
+}
+
+// TestDeploymentKeepsItsOwnGraph: a caller that grows its graph after a
+// plan and plans it again gets the grown graph's cold plan — the deployment,
+// or for an RL plan the training kits' entry, was built on a clone, so it
+// neither matches the grown graph nor changes with it, and the graph as it
+// was before it grew still finds it. Mutation caught: an entry built on the
+// caller's graph.
+func TestDeploymentKeepsItsOwnGraph(t *testing.T) {
+	for _, method := range []Method{MethodZeroShot, MethodRL} {
+		warm, _ := deployedPlanner(t)
+		orig := CorpusGraphs(1)[40]
+		g := orig.Clone()
+		opts := PlanOptions{Method: method, SampleBudget: 8, Seed: 4}
+		planReused(t, warm, g, opts)
+		last := g.NumNodes() - 1
+		g.MustAddEdge(last, g.AddNode(g.Node(last)), g.Node(last).OutputBytes)
+		got, reused := planReused(t, warm, g, opts)
+		if reused {
+			t.Fatalf("%s: the grown graph's plan reused the entry of the graph before it grew", method)
+		}
+		if resultBits(got) != coldPlan(t, g, opts).bits {
+			t.Fatalf("%s: the grown graph's plan differs from its cold plan", method)
+		}
+		if got, reused := planReused(t, warm, orig, opts); !reused || resultBits(got) != coldPlan(t, orig, opts).bits {
+			t.Fatalf("%s: the graph as it was before it grew reused its entry %t, or planned other than its cold plan", method, reused)
 		}
 	}
 }
